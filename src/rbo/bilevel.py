@@ -7,15 +7,17 @@ leader scores leader_obj·y.  The leader maximizes, the adversary
 minimizes, and follower ties are broken for (optimistic) or against
 (pessimistic) the leader via a lexicographic LP.
 
-Finite scenario sets are handled by enumeration.  Box and hull
-uncertainty run the face/exposure machinery on an exact low-dimensional
-linear image ("shadow") of Y(x): one image coordinate per genuinely
-uncertain objective coordinate, plus one for the certain part's score.
-Scenarios agreeing on the shadow induce the same follower argmax set, so
-enumerating exposable shadow faces enumerates every possible adversary
-outcome exactly, at desk scale, even when Y(x) itself has far too many
-faces to enumerate; each outcome is then read off the follower's
-lexicographic response at the face's certificate scenario.
+Finite scenario sets, a box with no free coordinate and a one-point hull
+among them, are handled by enumeration.  Other box and hull uncertainty
+U = L·D runs the face/exposure machinery on an exact low-dimensional
+linear image ("shadow") of Y(x) under Lᵀ (see `rbo.uncertainty`): one
+image coordinate per genuinely uncertain objective coordinate, plus one
+for the certain part's score, or one per hull point.  Scenarios agreeing
+on the shadow induce the same follower argmax set, so enumerating
+exposable shadow faces enumerates every possible adversary outcome
+exactly, at desk scale, even when Y(x) itself has far too many faces to
+enumerate; each outcome is then read off the follower's lexicographic
+response at the face's certificate scenario.
 """
 
 from __future__ import annotations
@@ -35,23 +37,16 @@ from .lp import (
     solve_lex_lp,
 )
 from .numeric import (
-    ONE,
-    ZERO,
     Fraction,
     as_matrix,
     as_vector,
     dot,
     rat_format,
+    rat_format_nested,
     rat_parse,
+    rat_parse_nested,
 )
-from .uncertainty import (
-    ConvexHull,
-    DiscreteSet,
-    Interval,
-    ProductFinite,
-    UncertaintySet,
-    box_corner_scenarios,
-)
+from .uncertainty import KINDS, UncertaintySet
 
 
 class Mode(Enum):
@@ -61,6 +56,10 @@ class Mode(Enum):
 
 class InstanceError(ValueError):
     """The instance data violates the model's standing assumptions."""
+
+
+class SolverInvariantError(RuntimeError):
+    """An exact invariant of the solver failed; indicates a bug."""
 
 
 @dataclass(frozen=True)
@@ -215,167 +214,56 @@ def follower_response(inst: RobustBilevelInstance, x: Sequence, c: Sequence,
     return lex.point, lex.value
 
 
-def adversary_discrete(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
-    """Worst scenario by plain enumeration of a finite uncertainty set."""
-    unc = inst.uncertainty
-    if not isinstance(unc, DiscreteSet):
-        raise InstanceError("adversary_discrete requires discrete uncertainty")
+def _worst_scenario(inst: RobustBilevelInstance, x, mode: Mode, scenarios):
+    """The first scenario with the smallest leader outcome, and that outcome."""
     best_c = None
     best_value = None
-    for c in unc.scenarios:
+    for c in scenarios:
         _, value = follower_response(inst, x, c, mode)
         if best_value is None or value < best_value:
             best_value = value
             best_c = c
-    return best_c, best_value
-
-
-# ---------------------------------------------------------------------------
-# Shadow construction for box and hull uncertainty.
-
-
-@dataclass(frozen=True)
-class _ShadowSpec:
-    """How scenarios act on the image space and how to map them back.
-
-    Image coordinates: one per genuinely uncertain objective coordinate
-    (box case) or one score per hull point (hull case), plus one score
-    coordinate for a nonzero certain part.  Two scenarios with the same
-    image functional have the same follower argmax for every y, so the
-    adversary only needs the faces of the image polytope.
-    """
-
-    image_rows: tuple          # q x n linear map applied to follower points
-    directions: UncertaintySet  # scenario images inside the shadow space
-    free_indices: tuple = ()    # interval case: uncertain coordinates
-    base: tuple = ()            # interval case: certain values (zeros on free)
-    hull_points: tuple = ()     # hull case: original scenario vertices
-
-    @property
-    def q(self) -> int:
-        return len(self.image_rows)
-
-    def scenario_from_shadow(self, c_shadow: Sequence) -> tuple:
-        if self.hull_points:
-            k = len(self.hull_points)
-            lam = c_shadow[:k]
-            return tuple(
-                sum((lam[j] * self.hull_points[j][i] for j in range(k)), ZERO)
-                for i in range(len(self.hull_points[0])))
-        c = list(self.base)
-        for pos, i in enumerate(self.free_indices):
-            c[i] = c_shadow[pos]
-        return tuple(c)
-
-
-def _shadow_spec(inst: RobustBilevelInstance) -> _ShadowSpec:
-    unc = inst.uncertainty
-    n = inst.n
-    if isinstance(unc, Interval):
-        free = unc.free_indices()
-        free_set = set(free)
-        base = tuple(ZERO if i in free_set else unc.lower[i]
-                     for i in range(n))
-        rows = [tuple(ONE if j == i else ZERO for j in range(n))
-                for i in free]
-        lower = [unc.lower[i] for i in free]
-        upper = [unc.upper[i] for i in free]
-        if any(base):
-            rows.append(base)
-            lower.append(ONE)
-            upper.append(ONE)
-        return _ShadowSpec(image_rows=tuple(rows),
-                           directions=Interval(tuple(lower), tuple(upper)),
-                           free_indices=free, base=base)
-    if isinstance(unc, ConvexHull):
-        k = len(unc.points)
-        rows = [tuple(pt) for pt in unc.points]
-        simplex = [tuple(ONE if j == i else ZERO for j in range(k))
-                   for i in range(k)]
-        return _ShadowSpec(image_rows=tuple(rows),
-                           directions=ConvexHull(tuple(simplex)),
-                           hull_points=unc.points)
-    raise InstanceError("shadow adversary needs interval or hull uncertainty")
-
-
-def _adversary_on_shadow(inst: RobustBilevelInstance, x, spec: _ShadowSpec,
-                         mode: Mode, caps: Caps):
-    """Minimize the leader outcome over all exposable shadow faces.
-
-    Each exposable face's certificate scenario pins the follower to that
-    face's argmax set; the leader outcome there comes from the follower's
-    lexicographic response at the certificate scenario.
-    """
-    shadow_poly = geometry.project_polytope(inst.follower_polyhedron(x),
-                                            spec.image_rows,
-                                            max_rows=caps.projection_rows)
-    vset = geometry.enumerate_vertices(shadow_poly, caps.vertex_subsets)
-    faces = geometry.enumerate_faces(shadow_poly, vset, caps.face_joins)
-    best_value = None
-    best_c = None
-    for face in faces:
-        cert = geometry.exposure_check(face, vset, spec.directions,
-                                       grid_cap=caps.grid_points)
-        if cert is None:
-            continue
-        c_star = spec.scenario_from_shadow(cert.c)
-        _, outcome = follower_response(inst, x, c_star, mode)
-        if best_value is None or outcome < best_value:
-            best_value = outcome
-            best_c = c_star
     if best_value is None:
-        raise RuntimeError("no exposable face found; shadow set is broken")
+        raise SolverInvariantError(
+            "the adversary found no scenario; the shadow set is broken")
     return best_c, best_value
 
 
-def _adversary_product(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
-                       caps: Caps):
-    unc = inst.uncertainty
-    if unc.grid_size() > caps.grid_points:
-        raise CapExceededError(
-            f"product grid of {unc.grid_size()} scenarios exceeds "
-            f"{caps.grid_points}")
-    best_c = None
-    best_value = None
-    for c in itertools.product(*unc.choices):
-        _, value = follower_response(inst, x, c, mode)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_c = tuple(c)
-    return best_c, best_value
+def adversary_discrete(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
+    """Worst scenario by plain enumeration of a finite uncertainty set."""
+    scenarios = inst.uncertainty.finite_scenarios()
+    if scenarios is None:
+        raise InstanceError("adversary_discrete requires a finite "
+                            "uncertainty set")
+    return _worst_scenario(inst, x, mode, scenarios)
 
 
 def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
-                        caps: Caps = DEFAULT_CAPS,
-                        _spec: Optional[_ShadowSpec] = None):
-    """Worst scenario over box, hull or product uncertainty.
+                        caps: Caps = DEFAULT_CAPS):
+    """Worst scenario over any uncertainty set.  Returns (c*, value).
 
-    Box and hull sets go through the exposable-shadow-face enumeration;
-    product sets are finite and scanned directly.  Returns (c*, value).
+    Finite sets, a box with no free coordinate and a one-point hull among
+    them, are scanned scenario by scenario.  Other boxes and hulls,
+    U = L·D, go through the faces of the shadow of Y(x) under Lᵀ: the
+    certificate direction s of each exposable face pins the follower to
+    that face's argmax set, and the leader outcome there comes from the
+    follower's lexicographic response at the scenario L·s.
     """
     unc = inst.uncertainty
-    if isinstance(unc, DiscreteSet):
-        raise InstanceError("use adversary_discrete for discrete uncertainty")
-    if isinstance(unc, ProductFinite):
-        return _adversary_product(inst, x, mode, caps)
-    x = as_vector(x)
-    if isinstance(unc, Interval) and not unc.free_indices():
-        c = tuple(unc.lower)
-        _, value = follower_response(inst, x, c, mode)
-        return c, value
-    if isinstance(unc, ConvexHull) and len(unc.points) == 1:
-        c = unc.points[0]
-        _, value = follower_response(inst, x, c, mode)
-        return c, value
-    if _spec is None:
-        _spec = _shadow_spec(inst)
-    return _adversary_on_shadow(inst, x, _spec, mode, caps)
-
-
-def _adversary_value(inst, x, mode, caps, spec):
-    if isinstance(inst.uncertainty, DiscreteSet):
-        return adversary_discrete(inst, x, mode)
-    return adversary_geometric(inst, x, mode, caps, _spec=spec)
+    scenarios = unc.finite_scenarios(caps.grid_points)
+    if scenarios is None:
+        shadow = unc.shadow()
+        shadow_poly = geometry.project_polytope(
+            inst.follower_polyhedron(x), shadow.columns,
+            max_rows=caps.projection_rows)
+        vset = geometry.enumerate_vertices(shadow_poly, caps.vertex_subsets)
+        faces = geometry.enumerate_faces(shadow_poly, vset, caps.face_joins)
+        certs = (geometry.exposure_check(face, vset, shadow.directions,
+                                         grid_cap=caps.grid_points)
+                 for face in faces)
+        scenarios = (shadow.scenario(cert.c) for cert in certs
+                     if cert is not None)
+    return _worst_scenario(inst, x, mode, scenarios)
 
 
 def solve_certain(inst: RobustBilevelInstance, c: Sequence, mode: Mode,
@@ -405,23 +293,21 @@ def solve_robust(inst: RobustBilevelInstance, mode: Optional[Mode] = None,
     """
     if mode is None:
         mode = inst.mode_default
-    spec = None
-    unc = inst.uncertainty
-    if isinstance(unc, Interval) and unc.free_indices():
-        spec = _shadow_spec(inst)
-    elif isinstance(unc, ConvexHull) and len(unc.points) > 1:
-        spec = _shadow_spec(inst)
+    finite = inst.uncertainty.finite_scenarios(caps.grid_points) is not None
     best = None
     trace = []
     for x in enumerate_leader(inst, caps):
-        c_star, value = _adversary_value(inst, x, mode, caps, spec)
+        if finite:
+            c_star, value = adversary_discrete(inst, x, mode)
+        else:
+            c_star, value = adversary_geometric(inst, x, mode, caps)
         trace.append((x, value))
         if best is None or value > best[1]:
             best = (x, value, c_star)
     x_star, value, c_star = best
     y_star, replay = follower_response(inst, x_star, c_star, mode)
     if replay != value:
-        raise RuntimeError(
+        raise SolverInvariantError(
             f"adversary value {value} disagrees with follower replay "
             f"{replay}; solver invariant broken")
     return SolveReport(leader_x=x_star, value=value, worst_scenario=c_star,
@@ -445,14 +331,8 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
     if not isinstance(inst.leader_set, RelaxedBox):
         raise InstanceError("spot check applies to relaxed leader sets")
     unc = inst.uncertainty
-    if isinstance(unc, Interval):
-        sample_scenarios = box_corner_scenarios(unc, caps.grid_points)
-    elif isinstance(unc, ConvexHull):
-        sample_scenarios = list(unc.points)
-    elif isinstance(unc, DiscreteSet):
-        sample_scenarios = list(unc.scenarios)
-    else:
-        sample_scenarios = [tuple(c) for c in itertools.product(*unc.choices)]
+    sample_scenarios = unc.corner_samples(caps.grid_points)
+    finite = unc.finite_scenarios(caps.grid_points) is not None
     rng = random.Random(seed)
     for _ in range(num_samples):
         x = tuple(Fraction(rng.randint(0, denominator), denominator)
@@ -466,7 +346,7 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
                 break  # the min over scenarios can only be lower
         if bound <= binary_value:
             continue
-        if isinstance(unc, (DiscreteSet, ProductFinite)):
+        if finite:
             return (x, bound)  # the bound is already exact for finite sets
         _, exact = adversary_geometric(inst, x, mode, caps)
         if exact > binary_value:
@@ -478,59 +358,36 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
 # JSON interchange.
 
 
+def _kind_of(data, what: str):
+    if not isinstance(data, dict):
+        raise InstanceError(f"{what} must be a JSON object, got {data!r}")
+    return data.get("kind")
+
+
 def _leader_set_to_json(ls: LeaderSet) -> dict:
     if isinstance(ls, AllBinary):
         return {"kind": "all_binary"}
     if isinstance(ls, RelaxedBox):
         return {"kind": "relaxed_box"}
-    return {"kind": "explicit",
-            "vectors": [[rat_format(v) for v in vec] for vec in ls.vectors]}
+    return {"kind": "explicit", "vectors": rat_format_nested(ls.vectors)}
 
 
 def _leader_set_from_json(data: dict, p: int) -> LeaderSet:
-    kind = data.get("kind")
+    kind = _kind_of(data, "leader_set")
     if kind == "all_binary":
         return AllBinary(p)
     if kind == "relaxed_box":
         return RelaxedBox(p)
     if kind == "explicit":
-        return ExplicitList(tuple(tuple(rat_parse(v) for v in vec)
-                                  for vec in data["vectors"]))
+        return ExplicitList(rat_parse_nested(data["vectors"]))
     raise InstanceError(f"unknown leader set kind {kind!r}")
 
 
-def _uncertainty_to_json(unc: UncertaintySet) -> dict:
-    if isinstance(unc, Interval):
-        return {"kind": "interval",
-                "lower": [rat_format(v) for v in unc.lower],
-                "upper": [rat_format(v) for v in unc.upper]}
-    if isinstance(unc, DiscreteSet):
-        return {"kind": "discrete",
-                "scenarios": [[rat_format(v) for v in c]
-                              for c in unc.scenarios]}
-    if isinstance(unc, ConvexHull):
-        return {"kind": "convex_hull",
-                "points": [[rat_format(v) for v in c] for c in unc.points]}
-    return {"kind": "product_finite",
-            "choices": [[rat_format(v) for v in vals]
-                        for vals in unc.choices]}
-
-
 def _uncertainty_from_json(data: dict) -> UncertaintySet:
-    kind = data.get("kind")
-    if kind == "interval":
-        return Interval(tuple(rat_parse(v) for v in data["lower"]),
-                        tuple(rat_parse(v) for v in data["upper"]))
-    if kind == "discrete":
-        return DiscreteSet(tuple(tuple(rat_parse(v) for v in c)
-                                 for c in data["scenarios"]))
-    if kind == "convex_hull":
-        return ConvexHull(tuple(tuple(rat_parse(v) for v in c)
-                                for c in data["points"]))
-    if kind == "product_finite":
-        return ProductFinite(tuple(tuple(rat_parse(v) for v in vals)
-                                   for vals in data["choices"]))
-    raise InstanceError(f"unknown uncertainty kind {kind!r}")
+    kind = _kind_of(data, "uncertainty")
+    if kind not in KINDS:
+        raise InstanceError(f"unknown uncertainty kind {kind!r}")
+    return KINDS[kind].from_json(data)
 
 
 def instance_to_json(inst: RobustBilevelInstance,
@@ -539,12 +396,12 @@ def instance_to_json(inst: RobustBilevelInstance,
     doc = {
         "p": inst.p,
         "n": inst.n,
-        "A": [[rat_format(v) for v in row] for row in inst.lhs],
-        "B": [[rat_format(v) for v in row] for row in inst.leader_mat],
-        "b": [rat_format(v) for v in inst.rhs],
-        "d": [rat_format(v) for v in inst.leader_obj],
+        "A": rat_format_nested(inst.lhs),
+        "B": rat_format_nested(inst.leader_mat),
+        "b": rat_format_nested(inst.rhs),
+        "d": rat_format_nested(inst.leader_obj),
         "leader_set": _leader_set_to_json(inst.leader_set),
-        "uncertainty": _uncertainty_to_json(inst.uncertainty),
+        "uncertainty": inst.uncertainty.to_json(),
         "mode_default": inst.mode_default.value,
     }
     if var_map is not None:
@@ -562,22 +419,21 @@ def instance_from_json(doc: dict):
         inst = RobustBilevelInstance(
             p=p,
             n=n,
-            lhs=tuple(tuple(rat_parse(v) for v in row) for row in doc["A"]),
-            leader_mat=tuple(tuple(rat_parse(v) for v in row)
-                             for row in doc["B"]),
-            rhs=tuple(rat_parse(v) for v in doc["b"]),
-            leader_obj=tuple(rat_parse(v) for v in doc["d"]),
+            lhs=rat_parse_nested(doc["A"]),
+            leader_mat=rat_parse_nested(doc["B"]),
+            rhs=rat_parse_nested(doc["b"]),
+            leader_obj=rat_parse_nested(doc["d"]),
             leader_set=_leader_set_from_json(doc["leader_set"], p),
             uncertainty=_uncertainty_from_json(doc["uncertainty"]),
             mode_default=Mode(doc.get("mode_default", "optimistic")),
         )
+        meta = {}
+        if "var_map" in doc:
+            meta["var_map"] = list(doc["var_map"])
+        if "M" in doc:
+            meta["M"] = rat_parse(doc["M"])
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
-    meta = {}
-    if "var_map" in doc:
-        meta["var_map"] = list(doc["var_map"])
-    if "M" in doc:
-        meta["M"] = rat_parse(doc["M"])
     return inst, meta
 
 

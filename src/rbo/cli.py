@@ -1,7 +1,8 @@
 """Command-line front end: compile, solve, inspect and verify instances.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 work cap
-exceeded.
+exceeded, 4 a broken internal invariant (a failed dual certificate or
+replay check, which means a bug in rbo).
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ import random
 import sys
 
 from . import bilevel, compiler, oracle
-from .bilevel import Caps, Mode
+from .bilevel import Caps, Mode, SolverInvariantError
 from .geometry import CapExceededError
-from .lp import LpError
+from .lp import LpError, LpInternalError
 from .numeric import rat_format, rat_parse
-from .uncertainty import contains_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_BUG = 4
 
 DEFAULT_SEED = 20240
 
@@ -71,14 +72,16 @@ def _resolve_mode(args, inst) -> Mode:
     return inst.mode_default
 
 
+def _compile_qsat(formula, mode: Mode):
+    if mode is Mode.PESSIMISTIC:
+        return compiler.compile_qsat_pessimistic(formula)
+    return compiler.compile_qsat_optimistic(formula)
+
+
 def _cmd_compile_qsat(args) -> int:
     with open(args.formula, "r", encoding="utf-8") as handle:
         formula = compiler.parse_formula_file(handle.read())
-    mode = Mode(args.mode or "optimistic")
-    if mode is Mode.PESSIMISTIC:
-        art = compiler.compile_qsat_pessimistic(formula)
-    else:
-        art = compiler.compile_qsat_optimistic(formula)
+    art = _compile_qsat(formula, Mode(args.mode or "optimistic"))
     if args.relax_leader:
         art = compiler.relax_leader(art)
     if args.simplex_uncertainty:
@@ -129,12 +132,7 @@ def _cmd_adversary(args) -> int:
     inst, _ = bilevel.load_instance(args.instance, caps=caps)
     mode = _resolve_mode(args, inst)
     x = _parse_vector(args.x)
-    from .uncertainty import DiscreteSet
-
-    if isinstance(inst.uncertainty, DiscreteSet):
-        c_star, value = bilevel.adversary_discrete(inst, x, mode)
-    else:
-        c_star, value = bilevel.adversary_geometric(inst, x, mode, caps)
+    c_star, value = bilevel.adversary_geometric(inst, x, mode, caps)
     print(f"mode: {mode.value}")
     print(f"adversary value: {_fmt(value, args.decimal)}")
     print(f"worst scenario: {_fmt_vec(c_star, args.decimal)}")
@@ -147,7 +145,7 @@ def _cmd_follower(args) -> int:
     mode = _resolve_mode(args, inst)
     x = _parse_vector(args.x)
     c = _parse_vector(args.c)
-    if not contains_scenario(inst.uncertainty, c):
+    if not inst.uncertainty.contains(c):
         print("warning: scenario lies outside the uncertainty set",
               file=sys.stderr)
     y, value = bilevel.follower_response(inst, x, c, mode)
@@ -162,14 +160,10 @@ def _cmd_demo(args) -> int:
     formula = compiler.parse_formula_file(text)
     print("formula file:")
     print(text)
-    for mode_name in ("optimistic", "pessimistic"):
-        mode = Mode(mode_name)
-        if mode is Mode.PESSIMISTIC:
-            art = compiler.compile_qsat_pessimistic(formula)
-        else:
-            art = compiler.compile_qsat_optimistic(formula)
+    for mode in Mode:
+        art = _compile_qsat(formula, mode)
         report = bilevel.solve_robust(art.instance, mode)
-        print(f"{mode_name}: columns {', '.join(art.var_map)}; "
+        print(f"{mode.value}: columns {', '.join(art.var_map)}; "
               f"M = {rat_format(art.big_m)}")
         print(f"  robust value {rat_format(report.value)} at "
               f"x = {_fmt_vec(report.leader_x, False)}, "
@@ -201,12 +195,10 @@ def _suite_qsat(args, lines: list) -> bool:
     for idx, formula in enumerate(formulas):
         want = 1 if oracle.qsat_oracle(formula) else 0
         label = compiler.formula_to_text(formula)
-        for maker, mode in (
-                (compiler.compile_qsat_optimistic, Mode.OPTIMISTIC),
-                (compiler.compile_qsat_pessimistic, Mode.PESSIMISTIC)):
+        for mode in Mode:
             case = f"qsat[{idx}] {mode.value} {label}"
             try:
-                art = maker(formula)
+                art = _compile_qsat(formula, mode)
                 got = bilevel.solve_robust(art.instance, mode, caps).value
             except CapExceededError as exc:
                 lines.append(f"SKIP {case} ({exc})")
@@ -361,6 +353,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (LpInternalError, SolverInvariantError) as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return EXIT_BUG
     except (ValueError, LpError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .lp import LpStatus, Polyhedron, Sense, solve_lp
@@ -31,20 +31,11 @@ from .numeric import (
     as_matrix,
     dot,
     gauss_solve,
+    mat_vec,
 )
-from .uncertainty import (
-    ConvexHull,
-    DiscreteSet,
-    Interval,
-    ProductFinite,
-    UncertaintySet,
-)
+from .uncertainty import CapExceededError, DiscreteSet, UncertaintySet
 
 DEFAULT_CAP = 2 ** 22
-
-
-class CapExceededError(Exception):
-    """A combinatorial enumeration would exceed its configured budget."""
 
 
 @dataclass(frozen=True)
@@ -168,10 +159,11 @@ def exposure_check(face: Face, vset: VertexSet, unc: UncertaintySet,
                    grid_cap: int = DEFAULT_CAP) -> Optional[ExposureCertificate]:
     """Find a scenario in `unc` exposing exactly `face`, if one exists.
 
-    Solves max eps subject to c in unc, c·v = t on face vertices and
-    c·u <= t - eps off the face (eps capped at 1 so the LP stays bounded);
-    the face is exposable iff the optimum has eps > 0.  Product sets are
-    scanned point by point instead.
+    For a set with an LP form U = {M·θ : G·θ <= h}, solves max eps subject
+    to G·θ <= h, c·v = t on face vertices and c·u <= t - eps off the face,
+    with c = M·θ (eps capped at 1 so the LP stays bounded); the face is
+    exposable iff the optimum has eps > 0.  Other sets are scanned point
+    by point.
     """
     if isinstance(unc, DiscreteSet):
         raise ValueError("discrete uncertainty is handled scenario-wise, "
@@ -184,114 +176,53 @@ def exposure_check(face: Face, vset: VertexSet, unc: UncertaintySet,
     other_verts = [verts[i] for i in range(len(verts))
                    if i not in face.vertex_indices]
 
-    if isinstance(unc, ProductFinite):
-        if unc.grid_size() > grid_cap:
-            raise CapExceededError(
-                f"product grid of {unc.grid_size()} points exceeds {grid_cap}")
-        for c in itertools.product(*unc.choices):
+    form = unc.lp_form()
+    if form is None:
+        for c in unc.finite_scenarios(grid_cap):
             t = dot(c, face_verts[0])
             if any(dot(c, v) != t for v in face_verts[1:]):
                 continue
             gaps = [t - dot(c, u) for u in other_verts]
             if all(g > 0 for g in gaps):
-                return ExposureCertificate(tuple(c), min(gaps, default=ONE))
+                return ExposureCertificate(c, min(gaps, default=ONE))
         return None
 
-    if isinstance(unc, Interval):
-        # Variables: c (q), t, eps.
-        nv = q + 2
-        rows, rhs = [], []
-        for i in range(q):
-            rows.append([ONE if j == i else ZERO for j in range(nv)])
-            rhs.append(unc.upper[i])
-            rows.append([-ONE if j == i else ZERO for j in range(nv)])
-            rhs.append(-unc.lower[i])
+    # Variables: theta (k), t, eps; a vertex v scores c·v = (M^T v)·theta.
+    k = len(form.rows[0])
+    m_columns = tuple(zip(*form.matrix))
 
-        def c_score(vec, coeff=ONE):
-            return [coeff * x for x in vec]
+    def row(vec, sign, eps_coeff):
+        """The row of sign·(c·vec - t) + eps_coeff·eps <= 0."""
+        scores = [sign * dot(col, vec) for col in m_columns]
+        return scores + [-sign, eps_coeff]
 
-        eps_obj = [ZERO] * nv
-        eps_obj[q + 1] = ONE
-        reassemble = lambda point: tuple(point[:q])
-    else:
-        if not isinstance(unc, ConvexHull):
-            raise TypeError(f"unknown uncertainty kind: {type(unc).__name__}")
-        # Variables: lambda (k), t, eps; c = sum lambda_j p_j.
-        k = len(unc.points)
-        nv = k + 2
-        rows, rhs = [], []
-        for i in range(k):
-            rows.append([-ONE if j == i else ZERO for j in range(nv)])
-            rhs.append(ZERO)
-        rows.append([ONE] * k + [ZERO, ZERO])
-        rhs.append(ONE)
-        rows.append([-ONE] * k + [ZERO, ZERO])
-        rhs.append(-ONE)
-
-        def c_score(vec, coeff=ONE):
-            return [coeff * dot(p, vec) for p in unc.points]
-
-        eps_obj = [ZERO] * nv
-        eps_obj[k + 1] = ONE
-
-        def reassemble(point):
-            lam = point[:k]
-            return tuple(
-                sum((lam[j] * unc.points[j][coord] for j in range(k)), ZERO)
-                for coord in range(q))
-
-    t_col = nv - 2
-    eps_col = nv - 1
-    for v in face_verts:
-        row = c_score(v) + [ZERO, ZERO]
-        row[t_col] = -ONE
-        rows.append(row)
-        rhs.append(ZERO)
-        row = c_score(v, -ONE) + [ZERO, ZERO]
-        row[t_col] = ONE
-        rows.append(row)
-        rhs.append(ZERO)
-    for u in other_verts:
-        row = c_score(u) + [ZERO, ZERO]
-        row[t_col] = -ONE
-        row[eps_col] = ONE
-        rows.append(row)
-        rhs.append(ZERO)
-    cap_row = [ZERO] * nv
-    cap_row[eps_col] = ONE
-    rows.append(cap_row)
+    rows = [list(g) + [ZERO, ZERO] for g in form.rows]
+    for v in face_verts:  # c·v = t
+        rows += [row(v, ONE, ZERO), row(v, -ONE, ZERO)]
+    for u in other_verts:  # c·u <= t - eps
+        rows.append(row(u, ONE, ONE))
+    rhs = list(form.rhs) + [ZERO] * (len(rows) - len(form.rows))
+    eps_row = [ZERO] * (k + 1) + [ONE]
+    rows.append(eps_row)  # eps <= 1, which keeps the LP bounded
     rhs.append(ONE)
 
-    outcome = solve_lp(Polyhedron(rows, rhs), eps_obj, Sense.MAX,
+    outcome = solve_lp(Polyhedron(rows, rhs), eps_row, Sense.MAX,
                        purify=False)
     if outcome.status is not LpStatus.OPTIMAL or outcome.value <= 0:
         return None
-    return ExposureCertificate(reassemble(outcome.point), outcome.value)
+    return ExposureCertificate(mat_vec(form.matrix, outcome.point[:k]),
+                               outcome.value)
 
 
 def _primitive(coeffs, rhs):
     """Scale a row so the coefficients are integers with gcd 1."""
-    denom_lcm = 1
-    for c in coeffs:
-        if c:
-            d = c.denominator
-            if d != 1:
-                g = _gcd(denom_lcm, d)
-                denom_lcm = denom_lcm // g * d
-    num_gcd = 0
-    for c in coeffs:
-        if c:
-            num_gcd = _gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
+    denom_lcm = lcm(*(c.denominator for c in coeffs if c))
+    num_gcd = gcd(*(c.numerator * (denom_lcm // c.denominator)
+                    for c in coeffs if c))
     if num_gcd == 0:
         return tuple(coeffs), rhs
     scale = Fraction(denom_lcm, num_gcd)
     return tuple(c * scale for c in coeffs), rhs * scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _syntactic_prune(rows):
@@ -329,8 +260,7 @@ def _lp_prune(rows):
 
 
 def project_polytope(poly: Polyhedron, image_rows,
-                     max_rows: int = 4000,
-                     lp_prune: bool = True) -> Polyhedron:
+                     max_rows: int = 4000) -> Polyhedron:
     """Exact image {T v : v in poly} of a bounded nonempty polyhedron.
 
     Auxiliary coordinates w = T v are appended, then the original
@@ -391,8 +321,7 @@ def project_polytope(poly: Polyhedron, image_rows,
 
     final = [(tuple(c[:q]), r) for c, r in rows]
     final = _syntactic_prune(final)
-    if lp_prune:
-        final = _lp_prune(final)
+    final = _lp_prune(final)
     if not final:
         raise ValueError("projection came out unconstrained")
     return Polyhedron([c for c, _ in final], [r for _, r in final])

@@ -12,8 +12,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -40,6 +38,8 @@ def rat_parse(text: str) -> Fraction:
     Rejects anything outside the integer-slash-integer grammar, including
     decimal points, exponents and zero denominators.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"expected a rational string, got {text!r}")
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ValueError(f"malformed rational literal: {text!r}")
@@ -54,6 +54,20 @@ def rat_parse(text: str) -> Fraction:
 def rat_format(value: Fraction) -> str:
     """Render as `p/q`, or just `p` for integers."""
     return str(value)
+
+
+def rat_parse_nested(data):
+    """Parse nested lists of rational strings into nested tuples."""
+    if isinstance(data, list):
+        return tuple(rat_parse_nested(v) for v in data)
+    return rat_parse(data)
+
+
+def rat_format_nested(data):
+    """Render nested tuples of rationals as nested lists of strings."""
+    if isinstance(data, tuple):
+        return [rat_format_nested(v) for v in data]
+    return rat_format(data)
 
 
 def as_vector(values: Iterable) -> Vector:
@@ -87,32 +101,8 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return total
 
 
-def vec_add(a: Sequence, b: Sequence) -> Vector:
-    if len(a) != len(b):
-        raise ValueError("vector dimension mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence, b: Sequence) -> Vector:
-    if len(a) != len(b):
-        raise ValueError("vector dimension mismatch")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(s: Fraction, a: Sequence) -> Vector:
-    return tuple(s * x for x in a)
-
-
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vector:
     return tuple(dot(row, v) for row in m)
-
-
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:

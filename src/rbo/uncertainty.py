@@ -1,22 +1,124 @@
 """Uncertainty sets for the follower's objective vector.
 
-Four shapes are supported: coordinate boxes, explicit finite scenario
+Four kinds are supported: coordinate boxes, explicit finite scenario
 lists, convex hulls of finitely many points, and coordinatewise products
 of finite value sets.  All entries are exact rationals.
+
+The solvers see a set only through the protocol of `UncertaintySet`, so
+a new kind (budgeted uncertainty, say) is one dataclass plus its entry in
+`KINDS`.  It must provide:
+
+* `kind`, its JSON tag, and `dim`, the length of a scenario;
+* `finite_scenarios(cap)`: every scenario, in canonical order, when the
+  set is finite (a box with no free coordinate and a one-point hull
+  count), else None;
+* `shadow()`, when `finite_scenarios` gives None: a `Shadow` (L, D) with
+  U = L·D for a box or hull D of low dimension;
+* `lp_form()`: an `LpForm` (G, h, M) with U = {M·θ : G·θ <= h}, or None
+  for a set that is not convex;
+* `_contains(c)`: exact membership of a vector of the right length;
+* `corner_samples(cap)`, when the default (the finite scenarios) does not
+  apply: finitely many members whose minimum over follower outcomes
+  bounds the adversary from above;
+* one dataclass field per JSON field, each a nested tuple of rationals,
+  which `to_json` and `from_json` translate.
+
+A `cap` bounds how many scenarios a method may generate from a product
+grid or from box corners (None: no bound).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+import itertools
+import math
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence
 
-from .numeric import ONE, ZERO, as_matrix, as_vector
+from .lp import LpStatus, Polyhedron, Sense, solve_lp
+from .numeric import (
+    ONE,
+    ZERO,
+    as_matrix,
+    as_vector,
+    dot,
+    rat_format_nested,
+    rat_parse_nested,
+)
+
+
+class CapExceededError(Exception):
+    """A combinatorial enumeration would exceed its configured budget."""
 
 
 @dataclass(frozen=True)
-class Interval:
+class Shadow:
+    """U = L·D, with the q columns of L kept as `columns`.
+
+    Two scenarios that agree on L·y for every y induce the same follower
+    argmax, so the adversary works on the image of Y(x) under the rows
+    `columns` (that is, Lᵀ) and picks its directions s from D.
+    """
+
+    columns: tuple
+    directions: UncertaintySet
+
+    def scenario(self, s: Sequence) -> tuple:
+        """The scenario L·s of a direction s in D."""
+        return tuple(dot(s, row) for row in zip(*self.columns))
+
+
+@dataclass(frozen=True)
+class LpForm:
+    """U = {M·θ : G·θ <= h}: rows G and right-hand sides h over the
+    parameters θ, and the matrix M that maps θ to a scenario."""
+
+    rows: tuple
+    rhs: tuple
+    matrix: tuple
+
+
+def _identity(k: int) -> tuple:
+    return tuple(tuple(ONE if j == i else ZERO for j in range(k))
+                 for i in range(k))
+
+
+def _negated(row) -> tuple:
+    return tuple(-v for v in row)
+
+
+class UncertaintySet:
+    """The protocol every uncertainty kind implements (module docstring)."""
+
+    def finite_scenarios(self, cap: Optional[int] = None) -> Optional[tuple]:
+        return None
+
+    def lp_form(self) -> Optional[LpForm]:
+        return None
+
+    def contains(self, c: Sequence) -> bool:
+        """Exact membership test of a vector in the uncertainty set."""
+        c = as_vector(c)
+        return len(c) == self.dim and self._contains(c)
+
+    def corner_samples(self, cap: int) -> tuple:
+        return self.finite_scenarios(cap)
+
+    def to_json(self) -> dict:
+        doc = {"kind": self.kind}
+        for f in fields(self):
+            doc[f.name] = rat_format_nested(getattr(self, f.name))
+        return doc
+
+    @classmethod
+    def from_json(cls, data: dict) -> "UncertaintySet":
+        return cls(*(rat_parse_nested(data[f.name]) for f in fields(cls)))
+
+
+@dataclass(frozen=True)
+class Interval(UncertaintySet):
     """Box [lower_1, upper_1] x ... x [lower_n, upper_n]."""
 
+    kind = "interval"
     lower: tuple
     upper: tuple
 
@@ -36,11 +138,47 @@ class Interval:
         return tuple(i for i in range(self.dim)
                      if self.lower[i] != self.upper[i])
 
+    def finite_scenarios(self, cap: Optional[int] = None) -> Optional[tuple]:
+        return None if self.free_indices() else (self.lower,)
+
+    def shadow(self) -> Shadow:
+        """One column per free coordinate, plus the certain part when it is
+        nonzero, paired with the direction pinned to 1."""
+        free = self.free_indices()
+        base = tuple(ZERO if i in free else self.lower[i]
+                     for i in range(self.dim))
+        units = _identity(self.dim)
+        columns = [units[i] for i in free]
+        lower = [self.lower[i] for i in free]
+        upper = [self.upper[i] for i in free]
+        if any(base):
+            columns.append(base)
+            lower.append(ONE)
+            upper.append(ONE)
+        return Shadow(tuple(columns), Interval(tuple(lower), tuple(upper)))
+
+    def lp_form(self) -> LpForm:
+        """θ is the scenario itself: lower <= θ <= upper."""
+        units = _identity(self.dim)
+        rows, rhs = [], []
+        for unit, lo, hi in zip(units, self.lower, self.upper):
+            rows += [unit, _negated(unit)]
+            rhs += [hi, -lo]
+        return LpForm(tuple(rows), tuple(rhs), units)
+
+    def _contains(self, c: tuple) -> bool:
+        return all(lo <= ci <= hi
+                   for lo, ci, hi in zip(self.lower, c, self.upper))
+
+    def corner_samples(self, cap: int) -> tuple:
+        return tuple(box_corner_scenarios(self, cap))
+
 
 @dataclass(frozen=True)
-class DiscreteSet:
+class DiscreteSet(UncertaintySet):
     """Explicit finite list of scenario vectors."""
 
+    kind = "discrete"
     scenarios: tuple
 
     def __post_init__(self):
@@ -52,11 +190,18 @@ class DiscreteSet:
     def dim(self) -> int:
         return len(self.scenarios[0])
 
+    def finite_scenarios(self, cap: Optional[int] = None) -> tuple:
+        return self.scenarios
+
+    def _contains(self, c: tuple) -> bool:
+        return c in self.scenarios
+
 
 @dataclass(frozen=True)
-class ConvexHull:
+class ConvexHull(UncertaintySet):
     """Convex hull of finitely many explicitly listed points."""
 
+    kind = "convex_hull"
     points: tuple
 
     def __post_init__(self):
@@ -68,11 +213,41 @@ class ConvexHull:
     def dim(self) -> int:
         return len(self.points[0])
 
+    def finite_scenarios(self, cap: Optional[int] = None) -> Optional[tuple]:
+        return self.points if len(self.points) == 1 else None
+
+    def shadow(self) -> Shadow:
+        """One column per point, with convex weights as directions."""
+        return Shadow(self.points, ConvexHull(_identity(len(self.points))))
+
+    def lp_form(self) -> LpForm:
+        """θ holds the convex weights: θ >= 0 and sum θ = 1."""
+        k = len(self.points)
+        rows = tuple(_negated(unit) for unit in _identity(k))
+        rows += ((ONE,) * k, (-ONE,) * k)
+        rhs = (ZERO,) * k + (ONE, -ONE)
+        return LpForm(rows, rhs, tuple(zip(*self.points)))
+
+    def _contains(self, c: tuple) -> bool:
+        """Feasibility of G·θ <= h and M·θ = c."""
+        form = self.lp_form()
+        rows, rhs = list(form.rows), list(form.rhs)
+        for scores, ci in zip(form.matrix, c):
+            rows += [scores, _negated(scores)]
+            rhs += [ci, -ci]
+        probe = solve_lp(Polyhedron(rows, rhs), (ZERO,) * len(rows[0]),
+                         Sense.MAX, purify=False)
+        return probe.status is LpStatus.OPTIMAL
+
+    def corner_samples(self, cap: int) -> tuple:
+        return self.points
+
 
 @dataclass(frozen=True)
-class ProductFinite:
+class ProductFinite(UncertaintySet):
     """Coordinatewise product of finite value sets (uncorrelated choice)."""
 
+    kind = "product_finite"
     choices: tuple
 
     def __post_init__(self):
@@ -86,53 +261,20 @@ class ProductFinite:
         return len(self.choices)
 
     def grid_size(self) -> int:
-        total = 1
-        for c in self.choices:
-            total *= len(c)
-        return total
+        return math.prod(len(c) for c in self.choices)
+
+    def finite_scenarios(self, cap: Optional[int] = None) -> tuple:
+        if cap is not None and self.grid_size() > cap:
+            raise CapExceededError(
+                f"product grid of {self.grid_size()} scenarios exceeds {cap}")
+        return tuple(itertools.product(*self.choices))
+
+    def _contains(self, c: tuple) -> bool:
+        return all(ci in vals for ci, vals in zip(c, self.choices))
 
 
-UncertaintySet = Union[Interval, DiscreteSet, ConvexHull, ProductFinite]
-
-
-def uncertainty_dim(unc: UncertaintySet) -> int:
-    return unc.dim
-
-
-def contains_scenario(unc: UncertaintySet, c: Sequence) -> bool:
-    """Exact membership test of a vector in the uncertainty set."""
-    c = as_vector(c)
-    if len(c) != unc.dim:
-        return False
-    if isinstance(unc, Interval):
-        return all(lo <= ci <= hi
-                   for lo, ci, hi in zip(unc.lower, c, unc.upper))
-    if isinstance(unc, DiscreteSet):
-        return c in unc.scenarios
-    if isinstance(unc, ProductFinite):
-        return all(ci in vals for ci, vals in zip(c, unc.choices))
-    if isinstance(unc, ConvexHull):
-        from .lp import LpStatus, Polyhedron, Sense, solve_lp
-
-        # Feasibility of lambda >= 0, sum lambda = 1, sum lambda p_k = c.
-        k = len(unc.points)
-        rows = [[-ONE if j == i else ZERO for j in range(k)]
-                for i in range(k)]
-        rhs = [ZERO] * k
-        rows.append([ONE] * k)
-        rhs.append(ONE)
-        rows.append([-ONE] * k)
-        rhs.append(-ONE)
-        for coord in range(unc.dim):
-            scores = [unc.points[j][coord] for j in range(k)]
-            rows.append(scores)
-            rhs.append(c[coord])
-            rows.append([-s for s in scores])
-            rhs.append(-c[coord])
-        probe = solve_lp(Polyhedron(rows, rhs), (ZERO,) * k, Sense.MAX,
-                         purify=False)
-        return probe.status is LpStatus.OPTIMAL
-    raise TypeError(f"unknown uncertainty kind: {type(unc).__name__}")
+KINDS = {cls.kind: cls
+         for cls in (Interval, DiscreteSet, ConvexHull, ProductFinite)}
 
 
 def box_corner_scenarios(unc: Interval, cap: int = 4096) -> list:

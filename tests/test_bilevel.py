@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -37,7 +38,6 @@ from rbo.uncertainty import (
     Interval,
     ProductFinite,
     box_corner_scenarios,
-    contains_scenario,
 )
 
 
@@ -133,6 +133,18 @@ def test_adversary_hull():
     assert value == 0
 
 
+def test_single_scenario_kinds_agree():
+    # A box with no free coordinate and a one-point hull hold a single
+    # scenario; each must solve exactly like the one-scenario DiscreteSet.
+    inst = compile_qsat_optimistic(parse_formula("(or x1 y1)", 1, 1)).instance
+    c = inst.uncertainty.lower
+    for mode in Mode:
+        reports = [solve_robust(replace(inst, uncertainty=unc), mode)
+                   for unc in (Interval(c, c), ConvexHull((c,)),
+                               DiscreteSet((c,)))]
+        assert reports[0] == reports[1] == reports[2]
+
+
 def test_solve_certain_examples():
     inst = segment_instance(Interval((F(1),), (F(1),)))
     report = solve_certain(inst, (F(1),), Mode.OPTIMISTIC)
@@ -162,7 +174,7 @@ def test_solve_report_consistency():
     report = solve_robust(inst, Mode.OPTIMISTIC)
     assert report.value == dot(inst.leader_obj, report.follower_y)
     assert len(report.trace) == 1
-    assert contains_scenario(inst.uncertainty, report.worst_scenario)
+    assert inst.uncertainty.contains(report.worst_scenario)
 
 
 def test_leader_tie_break_lexicographic():
@@ -312,12 +324,12 @@ def test_json_rejects_malformed():
 
 def test_scenario_membership():
     box = Interval((F(-1), F(0)), (F(1), F(1)))
-    assert contains_scenario(box, (F(0), F(1, 2)))
-    assert not contains_scenario(box, (F(2), F(0)))
+    assert box.contains((F(0), F(1, 2)))
+    assert not box.contains((F(2), F(0)))
     hull = ConvexHull(((F(0), F(0)), (F(2), F(0)), (F(0), F(2))))
-    assert contains_scenario(hull, (F(1), F(1)))
-    assert contains_scenario(hull, (F(1, 2), F(1, 2)))
-    assert not contains_scenario(hull, (F(2), F(2)))
+    assert hull.contains((F(1), F(1)))
+    assert hull.contains((F(1, 2), F(1, 2)))
+    assert not hull.contains((F(2), F(2)))
     grid = ProductFinite(((F(0), F(1)), (F(5),)))
-    assert contains_scenario(grid, (F(1), F(5)))
-    assert not contains_scenario(grid, (F(1), F(4)))
+    assert grid.contains((F(1), F(5)))
+    assert not grid.contains((F(1), F(4)))

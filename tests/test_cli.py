@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
+from rbo import bilevel, lp
 from rbo.bilevel import Mode, load_instance, solve_robust
 from rbo.cli import main
 from rbo.compiler import compile_qsat_optimistic, parse_formula
@@ -148,3 +151,56 @@ def test_malformed_instance_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"p": 1, "n": 1}))
     assert main(["solve", str(path)]) == 2
+
+
+def compiled_instance(tmp_path, capsys):
+    formula = write_formula(tmp_path, "p=1 n=1\n(or x1 y1)\n")
+    out = str(tmp_path / "inst.json")
+    assert main(["compile-qsat", formula, "-o", out]) == 0
+    capsys.readouterr()
+    return out
+
+
+def single_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("path,value", [
+    (("b", 0), 1),                        # a JSON number, not a string
+    (("leader_set",), "all_binary"),      # not an object
+    (("uncertainty",), "interval"),       # not an object
+    (("uncertainty", "lower", 0), -1),    # a JSON number, not a string
+])
+def test_malformed_instance_values(tmp_path, capsys, path, value):
+    out = compiled_instance(tmp_path, capsys)
+    with open(out) as handle:
+        doc = json.load(handle)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with open(out, "w") as handle:
+        json.dump(doc, handle)
+    assert main(["solve", out]) == 2
+    assert single_error_line(capsys)
+
+
+def _failed_certificate(*args):
+    raise lp.LpInternalError("dual certificate check failed")
+
+
+def _wrong_adversary_value(inst, x, mode, caps):
+    return inst.uncertainty.lower, F(7)
+
+
+@pytest.mark.parametrize("module,name,fake", [
+    (lp, "_verify_certificate", _failed_certificate),
+    (bilevel, "adversary_geometric", _wrong_adversary_value),
+])
+def test_broken_invariant_exit_code(tmp_path, capsys, monkeypatch, module,
+                                    name, fake):
+    out = compiled_instance(tmp_path, capsys)
+    monkeypatch.setattr(module, name, fake)
+    assert main(["solve", out]) == 4
+    assert single_error_line(capsys)

@@ -1,0 +1,43 @@
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from rbo.uncertainty import (
+    KINDS,
+    ConvexHull,
+    DiscreteSet,
+    Interval,
+    ProductFinite,
+)
+
+
+def vec(*values):
+    return tuple(F(v) for v in values)
+
+
+# (set, its finite scenarios or None)
+CASES = {
+    "interval": (Interval(vec(-1, 2, 0), vec(1, 2, 1)), None),
+    "discrete": (DiscreteSet((vec(1, 2), vec(3, 4))),
+                 (vec(1, 2), vec(3, 4))),
+    "convex_hull": (ConvexHull((vec(0, 0), vec(2, 0), vec(0, 2))), None),
+    "product_finite": (ProductFinite((vec(0, 1), vec(5))),
+                       (vec(0, 5), vec(1, 5))),
+    "degenerate_box": (Interval(vec(1, -2), vec(1, -2)), (vec(1, -2),)),
+    "one_point_hull": (ConvexHull((vec(3, 1),)), (vec(3, 1),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_uncertainty_protocol(name):
+    unc, finite = CASES[name]
+    doc = json.loads(json.dumps(unc.to_json()))
+    assert KINDS[doc["kind"]].from_json(doc) == unc
+    assert all(unc.contains(c) for c in unc.corner_samples(16))
+    assert unc.finite_scenarios(16) == finite
+    if finite is None:
+        shadow = unc.shadow()
+        assert all(len(col) == unc.dim for col in shadow.columns)
+        for s in shadow.directions.corner_samples(16):
+            assert unc.contains(shadow.scenario(s))
