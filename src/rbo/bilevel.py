@@ -95,13 +95,11 @@ LeaderSet = Union[AllBinary, ExplicitList, RelaxedBox]
 
 @dataclass(frozen=True)
 class Caps:
-    """Work budgets for the exhaustive parts of the solvers."""
+    """Work budgets for the exhaustive parts of the solvers (the vertex,
+    face and projection budgets are `rbo.geometry` constants)."""
 
     leader_bits: int = 20
-    vertex_subsets: int = 2 ** 22
-    face_joins: int = 2 ** 22
     grid_points: int = 4096
-    projection_rows: int = 4000
 
 
 DEFAULT_CAPS = Caps()
@@ -254,10 +252,9 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
     if scenarios is None:
         shadow = unc.shadow()
         shadow_poly = geometry.project_polytope(
-            inst.follower_polyhedron(x), shadow.columns,
-            max_rows=caps.projection_rows)
-        vset = geometry.enumerate_vertices(shadow_poly, caps.vertex_subsets)
-        faces = geometry.enumerate_faces(shadow_poly, vset, caps.face_joins)
+            inst.follower_polyhedron(x), shadow.columns)
+        vset = geometry.enumerate_vertices(shadow_poly)
+        faces = geometry.enumerate_faces(shadow_poly, vset)
         certs = (geometry.exposure_check(face, vset, shadow.directions,
                                          grid_cap=caps.grid_points)
                  for face in faces)
@@ -447,12 +444,11 @@ def save_instance(path, inst: RobustBilevelInstance,
         handle.write("\n")
 
 
-def load_instance(path, validate: bool = True, caps: Caps = DEFAULT_CAPS):
+def load_instance(path, caps: Caps = DEFAULT_CAPS):
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     inst, meta = instance_from_json(doc)
-    if validate:
-        validate_instance(inst, caps)
+    validate_instance(inst, caps)
     return inst, meta

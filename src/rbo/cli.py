@@ -48,13 +48,6 @@ def _parse_vector(text: str):
     return tuple(rat_parse(part) for part in text.split(","))
 
 
-def _mode_arg(parser):
-    parser.add_argument("--mode", choices=["optimistic", "pessimistic"],
-                        default=None,
-                        help="tie-breaking convention (defaults to the "
-                             "instance's own)")
-
-
 def _caps_args(parser):
     parser.add_argument("--leader-bits", type=int, default=20,
                         help="max leader dimension for binary enumeration")
@@ -66,10 +59,12 @@ def _caps_from(args) -> Caps:
     return Caps(leader_bits=args.leader_bits, grid_points=args.grid_cap)
 
 
-def _resolve_mode(args, inst) -> Mode:
-    if args.mode is not None:
-        return Mode(args.mode)
-    return inst.mode_default
+def _load(args):
+    """The instance file's instance, the mode to solve it in, and the caps."""
+    caps = _caps_from(args)
+    inst, _ = bilevel.load_instance(args.instance, caps=caps)
+    mode = inst.mode_default if args.mode is None else Mode(args.mode)
+    return inst, mode, caps
 
 
 def _compile_qsat(formula, mode: Mode):
@@ -86,10 +81,16 @@ def _cmd_compile_qsat(args) -> int:
         art = compiler.relax_leader(art)
     if args.simplex_uncertainty:
         art = compiler.box_to_simplex(art)
-    bilevel.save_instance(args.output, art.instance, var_map=art.var_map,
-                          big_m=art.big_m)
-    print(f"wrote {args.output}")
-    print(f"M = {rat_format(art.big_m)}")
+    return _write_compiled(args.output, art, art.big_m)
+
+
+def _write_compiled(path, art, big_m=None) -> int:
+    """Save a compiled instance (with M if given) and list its columns."""
+    bilevel.save_instance(path, art.instance, var_map=art.var_map,
+                          big_m=big_m)
+    print(f"wrote {path}")
+    if big_m is not None:
+        print(f"M = {rat_format(big_m)}")
     print("columns:")
     for idx, name in enumerate(art.var_map):
         print(f"  [{idx}] {name}")
@@ -106,18 +107,11 @@ def _cmd_compile_rs(args) -> int:
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in the input document")
     art = compiler.compile_single_level_robust(x_set, scenarios)
-    bilevel.save_instance(args.output, art.instance, var_map=art.var_map)
-    print(f"wrote {args.output}")
-    print("columns:")
-    for idx, name in enumerate(art.var_map):
-        print(f"  [{idx}] {name}")
-    return EXIT_OK
+    return _write_compiled(args.output, art)
 
 
 def _cmd_solve(args) -> int:
-    caps = _caps_from(args)
-    inst, _ = bilevel.load_instance(args.instance, caps=caps)
-    mode = _resolve_mode(args, inst)
+    inst, mode, caps = _load(args)
     report = bilevel.solve_robust(inst, mode, caps)
     print(f"mode: {mode.value}")
     print(f"value: {_fmt(report.value, args.decimal)}")
@@ -128,9 +122,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    caps = _caps_from(args)
-    inst, _ = bilevel.load_instance(args.instance, caps=caps)
-    mode = _resolve_mode(args, inst)
+    inst, mode, caps = _load(args)
     x = _parse_vector(args.x)
     c_star, value = bilevel.adversary_geometric(inst, x, mode, caps)
     print(f"mode: {mode.value}")
@@ -140,9 +132,7 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_follower(args) -> int:
-    caps = _caps_from(args)
-    inst, _ = bilevel.load_instance(args.instance, caps=caps)
-    mode = _resolve_mode(args, inst)
+    inst, mode, _ = _load(args)
     x = _parse_vector(args.x)
     c = _parse_vector(args.c)
     if not inst.uncertainty.contains(c):
@@ -276,6 +266,23 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _instance_command(sub, name, func, help_text, vectors=None,
+                      decimal_help=None) -> None:
+    """A subcommand on one instance file: the file, the required vector
+    flags (flag -> help), --mode, --decimal and the caps flags."""
+    c = sub.add_parser(name, help=help_text)
+    c.add_argument("instance")
+    for flag, flag_help in (vectors or {}).items():
+        c.add_argument(flag, required=True, help=flag_help)
+    c.add_argument("--mode", choices=["optimistic", "pessimistic"],
+                   default=None,
+                   help="tie-breaking convention (defaults to the "
+                        "instance's own)")
+    c.add_argument("--decimal", action="store_true", help=decimal_help)
+    _caps_args(c)
+    c.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbo",
@@ -302,32 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-o", "--output", required=True)
     c.set_defaults(func=_cmd_compile_rs)
 
-    c = sub.add_parser("solve", help="solve the robust problem")
-    c.add_argument("instance")
-    _mode_arg(c)
-    c.add_argument("--decimal", action="store_true",
-                   help="append approximate decimal renderings")
-    _caps_args(c)
-    c.set_defaults(func=_cmd_solve)
-
-    c = sub.add_parser("adversary",
-                       help="worst scenario for a fixed leader choice")
-    c.add_argument("instance")
-    c.add_argument("--x", required=True, help="comma-separated leader vector")
-    _mode_arg(c)
-    c.add_argument("--decimal", action="store_true")
-    _caps_args(c)
-    c.set_defaults(func=_cmd_adversary)
-
-    c = sub.add_parser("follower",
-                       help="follower response for fixed x and scenario c")
-    c.add_argument("instance")
-    c.add_argument("--x", required=True)
-    c.add_argument("--c", required=True, help="comma-separated scenario")
-    _mode_arg(c)
-    c.add_argument("--decimal", action="store_true")
-    _caps_args(c)
-    c.set_defaults(func=_cmd_follower)
+    _instance_command(sub, "solve", _cmd_solve, "solve the robust problem",
+                      decimal_help="append approximate decimal renderings")
+    _instance_command(sub, "adversary", _cmd_adversary,
+                      "worst scenario for a fixed leader choice",
+                      vectors={"--x": "comma-separated leader vector"})
+    _instance_command(sub, "follower", _cmd_follower,
+                      "follower response for fixed x and scenario c",
+                      vectors={"--x": None, "--c": "comma-separated scenario"})
 
     c = sub.add_parser("verify", help="run oracle-equivalence sweeps")
     c.add_argument("--suite",

@@ -5,6 +5,11 @@ y1..yn with negation and bivariate and/or.  The circuit is linearized
 gate by gate into [0,1] variables; at binary inputs the gate constraints
 pin every gate to its Boolean value.
 
+Every compiler writes a constraint row as one sparse triple (follower
+coefficients, leader coefficients, const), two dicts keyed by column
+plus a rational, meaning follower·y <= leader·x + const; `_dense_rows`
+turns the triples into the instance's lhs, leader_mat and rhs.
+
 Compilers provided here:
 
 * `compile_qsat_optimistic` / `compile_qsat_pessimistic`: quantified
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from .bilevel import (
@@ -253,8 +258,7 @@ def formula_file_text(formula: Formula) -> str:
 class LinearizedCircuit:
     """Gate rows of one formula.
 
-    Rows are triples (follower coefficients, leader coefficients, const)
-    meaning sum_f coeff*col <= sum_l coeff*x + const.  `output` points at
+    Rows are sparse row triples (module docstring).  `output` points at
     the column carrying the formula's value; a formula that is literally
     one leader variable has no follower column and reports ("x", i).
     """
@@ -288,6 +292,13 @@ def _combine(*terms):
     return fol, led, const
 
 
+def _leq(left, right) -> tuple:
+    """The row triple of left <= right over expression triples."""
+    fol, led, const = _combine((ONE, left), (-ONE, right))
+    # Move leader terms and constant to the right-hand side.
+    return fol, {k: -v for k, v in led.items()}, -const
+
+
 class _CircuitBuilder:
     def __init__(self, formula: Formula):
         self.formula = formula
@@ -302,10 +313,7 @@ class _CircuitBuilder:
         return ("y", idx)
 
     def add_leq(self, left, right) -> None:
-        """Append the row left <= right over expression triples."""
-        fol, led, const = _combine((ONE, left), (-ONE, right))
-        # Move leader terms and constant to the right-hand side.
-        self.rows.append((fol, {k: -v for k, v in led.items()}, -const))
+        self.rows.append(_leq(left, right))
 
     def add_eq(self, left, right) -> None:
         self.add_leq(left, right)
@@ -380,21 +388,23 @@ class CompilationArtifacts:
 
 
 def _dense_rows(rows, n_total: int, p: int):
-    lhs = []
-    leader = []
-    rhs = []
-    for fol, led, const in rows:
-        lhs.append(tuple(fol.get(j, ZERO) for j in range(n_total)))
-        leader.append(tuple(led.get(i, ZERO) for i in range(p)))
-        rhs.append(const)
-    return lhs, leader, rhs
+    """Dense (lhs, leader_mat, rhs) tuples of sparse row triples."""
+    lhs = tuple(tuple(fol.get(j, ZERO) for j in range(n_total))
+                for fol, _, _ in rows)
+    leader = tuple(tuple(led.get(i, ZERO) for i in range(p))
+                   for _, led, _ in rows)
+    return lhs, leader, tuple(const for _, _, const in rows)
 
 
 def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
     circuit = linearize(formula)
-    builder_rows = list(circuit.rows)
     gate_names = list(circuit.gate_names)
     n_y = formula.n
+    rows = []
+    for j in range(n_y):
+        rows.append(({j: ONE}, {}, ONE))    # y_j <= 1
+        rows.append(({j: -ONE}, {}, ZERO))  # y_j >= 0
+    rows += circuit.rows
     output = circuit.output
     if output[0] == "x":
         # Degenerate leaf-only formula over a leader variable: add one
@@ -403,18 +413,10 @@ def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
         gate_names.append(f"g{len(gate_names) + 1}:copy")
         ge = ({gate_idx: ONE}, {}, ZERO)
         xe = ({}, {output[1]: ONE}, ZERO)
-        fol, led, const = _combine((ONE, ge), (-ONE, xe))
-        builder_rows.append((fol, {k: -v for k, v in led.items()}, -const))
-        fol, led, const = _combine((ONE, xe), (-ONE, ge))
-        builder_rows.append((fol, {k: -v for k, v in led.items()}, -const))
+        rows += [_leq(ge, xe), _leq(xe, ge)]
         output = ("y", gate_idx)
 
     var_map = [f"y{j + 1}" for j in range(n_y)] + gate_names
-    rows = []
-    for j in range(n_y):
-        rows.append(({j: ONE}, {}, ONE))    # y_j <= 1
-        rows.append(({j: -ONE}, {}, ZERO))  # y_j >= 0
-    rows.extend(builder_rows)
 
     big_m = big_m_for(formula)
     n_gates = len(gate_names)
@@ -439,10 +441,10 @@ def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
     inst = RobustBilevelInstance(
         p=formula.p,
         n=n_total,
-        lhs=tuple(lhs),
-        leader_mat=tuple(leader_mat),
-        rhs=tuple(rhs),
-        leader_obj=tuple(d),
+        lhs=lhs,
+        leader_mat=leader_mat,
+        rhs=rhs,
+        leader_obj=d,
         leader_set=AllBinary(formula.p),
         uncertainty=Interval(tuple(lower), tuple(upper)),
         mode_default=mode,
@@ -474,48 +476,28 @@ def relax_leader(art: CompilationArtifacts) -> CompilationArtifacts:
         raise ValueError("leader set is already relaxed")
     p = inst.p
     n_old = inst.n
-    var_map = list(art.var_map)
-    lhs = [list(row) + [ZERO] * p for row in inst.lhs]
-    leader_mat = [list(row) for row in inst.leader_mat]
-    rhs = list(inst.rhs)
-    d = list(inst.leader_obj)
-    lower = list(inst.uncertainty.lower)
-    upper = list(inst.uncertainty.upper)
+    rows = []
     for i in range(p):
         dev = n_old + i
-        var_map.append(f"xdev{i + 1}")
-        zero_x = [ZERO] * p
-
-        def row(fcol_coeffs, xcoeffs, const):
-            coeffs = [ZERO] * (n_old + p)
-            for col, cv in fcol_coeffs:
-                coeffs[col] = cv
-            lhs.append(coeffs)
-            leader_mat.append(xcoeffs)
-            rhs.append(const)
-
-        row([(dev, -ONE)], list(zero_x), ZERO)               # dev >= 0
-        xrow = list(zero_x)
-        xrow[i] = ONE
-        row([(dev, ONE)], xrow, ZERO)                        # dev <= x_i
-        xrow = list(zero_x)
-        xrow[i] = -ONE
-        row([(dev, ONE)], xrow, ONE)                         # dev <= 1 - x_i
-        d.append(-art.big_m)
-        lower.append(ONE)
-        upper.append(ONE)
-    inst2 = RobustBilevelInstance(
-        p=p,
+        rows.append(({dev: -ONE}, {}, ZERO))        # dev >= 0
+        rows.append(({dev: ONE}, {i: ONE}, ZERO))   # dev <= x_i
+        rows.append(({dev: ONE}, {i: -ONE}, ONE))   # dev <= 1 - x_i
+    lhs, leader_mat, rhs = _dense_rows(rows, n_old + p, p)
+    pad = (ZERO,) * p
+    devs = (ONE,) * p
+    inst2 = replace(
+        inst,
         n=n_old + p,
-        lhs=tuple(tuple(r) for r in lhs),
-        leader_mat=tuple(tuple(r) for r in leader_mat),
-        rhs=tuple(rhs),
-        leader_obj=tuple(d),
+        lhs=tuple(row + pad for row in inst.lhs) + lhs,
+        leader_mat=inst.leader_mat + leader_mat,
+        rhs=inst.rhs + rhs,
+        leader_obj=inst.leader_obj + (-art.big_m,) * p,
         leader_set=RelaxedBox(p),
-        uncertainty=Interval(tuple(lower), tuple(upper)),
-        mode_default=inst.mode_default,
+        uncertainty=Interval(inst.uncertainty.lower + devs,
+                             inst.uncertainty.upper + devs),
     )
-    return CompilationArtifacts(inst2, tuple(var_map), art.big_m)
+    var_map = art.var_map + tuple(f"xdev{i + 1}" for i in range(p))
+    return CompilationArtifacts(inst2, var_map, art.big_m)
 
 
 def box_to_simplex(art: CompilationArtifacts) -> CompilationArtifacts:
@@ -543,17 +525,7 @@ def box_to_simplex(art: CompilationArtifacts) -> CompilationArtifacts:
         spike = list(base)
         spike[j] += 2 * n_y
         points.append(tuple(spike) + certain)
-    inst2 = RobustBilevelInstance(
-        p=inst.p,
-        n=inst.n,
-        lhs=inst.lhs,
-        leader_mat=inst.leader_mat,
-        rhs=inst.rhs,
-        leader_obj=inst.leader_obj,
-        leader_set=inst.leader_set,
-        uncertainty=ConvexHull(tuple(points)),
-        mode_default=inst.mode_default,
-    )
+    inst2 = replace(inst, uncertainty=ConvexHull(tuple(points)))
     return CompilationArtifacts(inst2, art.var_map, art.big_m)
 
 
@@ -577,58 +549,29 @@ def compile_single_level_robust(x_set, scenarios) -> CompilationArtifacts:
     m_s = len(scenario_rows)
 
     var_map = ["y"] + [f"z{j + 1}" for j in range(m_s)]
-    for j in range(m_s):
-        for i in range(p):
-            var_map.append(f"u{j + 1}_{i + 1}")
-    n_total = len(var_map)
     y_col = 0
 
     def z_col(j):
         return 1 + j
 
-    def u_col(j, i):
-        return 1 + m_s + j * p + i
-
-    rows = []
-    zero_x = [ZERO] * p
-    for j in range(m_s):
-        coeffs = [ZERO] * n_total
-        coeffs[z_col(j)] = -ONE
-        rows.append((coeffs, list(zero_x), ZERO))            # z_j >= 0
-    coeffs = [ZERO] * n_total
-    for j in range(m_s):
-        coeffs[z_col(j)] = ONE
-    rows.append((list(coeffs), list(zero_x), ONE))           # sum z <= 1
-    rows.append(([-c for c in coeffs], list(zero_x), -ONE))  # sum z >= 1
+    rows = [({z_col(j): -ONE}, {}, ZERO) for j in range(m_s)]  # z_j >= 0
+    z_sum = {z_col(j): ONE for j in range(m_s)}
+    rows.append((z_sum, {}, ONE))                               # sum z <= 1
+    rows.append(({k: -v for k, v in z_sum.items()}, {}, -ONE))  # sum z >= 1
+    value = {y_col: ONE}  # y - sum c_{j,i} u_{j,i} = 0, filled below
     for j in range(m_s):
         for i in range(p):
-            uc = u_col(j, i)
-            coeffs = [ZERO] * n_total
-            coeffs[uc] = -ONE
-            rows.append((list(coeffs), list(zero_x), ZERO))  # u >= 0
-            coeffs = [ZERO] * n_total
-            coeffs[uc] = -ONE
-            coeffs[z_col(j)] = ONE
-            xrow = list(zero_x)
-            xrow[i] = -ONE
-            rows.append((coeffs, xrow, ONE))                 # u >= x + z - 1
-            coeffs = [ZERO] * n_total
-            coeffs[uc] = ONE
-            xrow = list(zero_x)
-            xrow[i] = ONE
-            rows.append((coeffs, xrow, ZERO))                # u <= x_i
-            coeffs = [ZERO] * n_total
-            coeffs[uc] = ONE
-            coeffs[z_col(j)] = -ONE
-            rows.append((coeffs, list(zero_x), ZERO))        # u <= z_j
-    # y = sum c_{j,i} u_{j,i}
-    coeffs = [ZERO] * n_total
-    coeffs[y_col] = ONE
-    for j in range(m_s):
-        for i in range(p):
-            coeffs[u_col(j, i)] = -scenario_rows[j][i]
-    rows.append((list(coeffs), list(zero_x), ZERO))
-    rows.append(([-c for c in coeffs], list(zero_x), ZERO))
+            u, z = len(var_map), z_col(j)
+            var_map.append(f"u{j + 1}_{i + 1}")
+            rows.append(({u: -ONE}, {}, ZERO))                # u >= 0
+            rows.append(({u: -ONE, z: ONE}, {i: -ONE}, ONE))  # u >= x + z - 1
+            rows.append(({u: ONE}, {i: ONE}, ZERO))           # u <= x_i
+            rows.append(({u: ONE, z: -ONE}, {}, ZERO))        # u <= z_j
+            value[u] = -scenario_rows[j][i]
+    rows.append((value, {}, ZERO))
+    rows.append(({k: -v for k, v in value.items()}, {}, ZERO))
+    n_total = len(var_map)
+    lhs, leader_mat, rhs = _dense_rows(rows, n_total, p)
 
     d = [ZERO] * n_total
     d[y_col] = ONE
@@ -640,10 +583,10 @@ def compile_single_level_robust(x_set, scenarios) -> CompilationArtifacts:
     inst = RobustBilevelInstance(
         p=p,
         n=n_total,
-        lhs=tuple(tuple(r[0]) for r in rows),
-        leader_mat=tuple(tuple(r[1]) for r in rows),
-        rhs=tuple(r[2] for r in rows),
-        leader_obj=tuple(d),
+        lhs=lhs,
+        leader_mat=leader_mat,
+        rhs=rhs,
+        leader_obj=d,
         leader_set=ExplicitList(x_vectors),
         uncertainty=DiscreteSet(tuple(tilde)),
         mode_default=Mode.OPTIMISTIC,

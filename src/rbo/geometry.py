@@ -36,6 +36,7 @@ from .numeric import (
 from .uncertainty import CapExceededError, DiscreteSet, UncertaintySet
 
 DEFAULT_CAP = 2 ** 22
+_MAX_PROJECTION_ROWS = 4000
 
 
 @dataclass(frozen=True)
@@ -108,14 +109,13 @@ def enumerate_vertices(poly: Polyhedron, cap: int = DEFAULT_CAP) -> VertexSet:
     return VertexSet(tuple(sorted(found)))
 
 
-def enumerate_faces(poly: Polyhedron, vset: VertexSet,
-                    cap: int = DEFAULT_CAP) -> list:
+def enumerate_faces(poly: Polyhedron, vset: VertexSet) -> list:
     """All nonempty faces, from single vertices up to the full polytope.
 
     Join closure: the join of two faces has the intersection of their
     tight rows; its vertex set is every vertex tight on that intersection,
-    and its canonical tight set is re-derived from those vertices.  The
-    cap bounds the number of join operations attempted.
+    and its canonical tight set is re-derived from those vertices.
+    DEFAULT_CAP bounds the number of join operations attempted.
     """
     verts = vset.vertices
     tights = [tight_rows_at(poly, v) for v in verts]
@@ -137,8 +137,9 @@ def enumerate_faces(poly: Polyhedron, vset: VertexSet,
         current = queue.pop()
         for other in list(faces.values()):
             work += 1
-            if work > cap:
-                raise CapExceededError(f"face join budget {cap} exceeded")
+            if work > DEFAULT_CAP:
+                raise CapExceededError(
+                    f"face join budget {DEFAULT_CAP} exceeded")
             joined = close(current.tight_rows & other.tight_rows)
             if joined.vertex_indices not in faces:
                 faces[joined.vertex_indices] = joined
@@ -259,8 +260,7 @@ def _lp_prune(rows):
     return kept
 
 
-def project_polytope(poly: Polyhedron, image_rows,
-                     max_rows: int = 4000) -> Polyhedron:
+def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
     """Exact image {T v : v in poly} of a bounded nonempty polyhedron.
 
     Auxiliary coordinates w = T v are appended, then the original
@@ -314,9 +314,9 @@ def project_polytope(poly: Polyhedron, image_rows,
                                for j in range(len(pc)))
                 new_rows.append((coeffs, pr / pscale + mr / mscale))
         rows = _syntactic_prune(new_rows)
-        if len(rows) > max_rows:
-            raise CapExceededError(
-                f"projection grew to {len(rows)} rows (cap {max_rows})")
+        if len(rows) > _MAX_PROJECTION_ROWS:
+            raise CapExceededError(f"projection grew to {len(rows)} rows "
+                                   f"(cap {_MAX_PROJECTION_ROWS})")
         remaining.remove(var)
 
     final = [(tuple(c[:q]), r) for c, r in rows]

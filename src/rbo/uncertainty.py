@@ -281,7 +281,8 @@ def box_corner_scenarios(unc: Interval, cap: int = 4096) -> list:
     """All corners of the box over its free coordinates (fixed ones pinned)."""
     free = unc.free_indices()
     if 2 ** len(free) > cap:
-        raise ValueError(f"too many box corners: 2^{len(free)} > {cap}")
+        raise CapExceededError(
+            f"too many box corners: 2^{len(free)} > {cap}")
     corners = [tuple(unc.lower)]
     for i in free:
         corners = [c[:i] + (val,) + c[i + 1:]

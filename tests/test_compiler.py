@@ -4,7 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from rbo.bilevel import Mode, RelaxedBox, follower_response, solve_robust
+from rbo.bilevel import (
+    Mode,
+    RelaxedBox,
+    follower_response,
+    instance_to_json,
+    solve_robust,
+)
 from rbo.compiler import (
     And,
     CompilationArtifacts,
@@ -323,3 +329,168 @@ def test_evaluate_matches_python_semantics():
         x, y = bits[:1], bits[1:]
         want = (x[0] and not y[0]) or y[1]
         assert evaluate(formula, x, y) == int(want)
+
+
+# Full `instance_to_json` documents of five compilations.  Every LP the
+# solvers build inherits this row and column order, and Bland's rule makes
+# each tie-break depend on it, so a reordering must show up here.
+PINNED_LAYOUTS = {
+    "optimistic": {
+        "p": 1,
+        "n": 2,
+        "A": [
+            ["1", "0"],
+            ["-1", "0"],
+            ["0", "-1"],
+            ["1", "-1"],
+            ["-1", "1"],
+            ["0", "1"],
+        ],
+        "B": [["0"], ["0"], ["-1"], ["0"], ["1"], ["0"]],
+        "b": ["1", "0", "0", "0", "0", "1"],
+        "d": ["0", "1"],
+        "leader_set": {"kind": "all_binary"},
+        "uncertainty": {
+            "kind": "interval",
+            "lower": ["-1", "0"],
+            "upper": ["1", "0"],
+        },
+        "mode_default": "optimistic",
+        "var_map": ["y1", "g1:or"],
+        "M": "3",
+    },
+    "pessimistic": {
+        "p": 1,
+        "n": 3,
+        "A": [
+            ["1", "0", "0"],
+            ["-1", "0", "0"],
+            ["0", "-1", "0"],
+            ["1", "-1", "0"],
+            ["-1", "1", "0"],
+            ["0", "1", "0"],
+            ["0", "0", "-1"],
+            ["-1", "0", "1"],
+            ["1", "0", "1"],
+        ],
+        "B": [["0"], ["0"], ["-1"], ["0"], ["1"], ["0"], ["0"], ["0"], ["0"]],
+        "b": ["1", "0", "0", "0", "0", "1", "0", "0", "1"],
+        "d": ["0", "1", "3"],
+        "leader_set": {"kind": "all_binary"},
+        "uncertainty": {
+            "kind": "interval",
+            "lower": ["-1", "0", "1"],
+            "upper": ["1", "0", "1"],
+        },
+        "mode_default": "pessimistic",
+        "var_map": ["y1", "g1:or", "ydev1"],
+        "M": "3",
+    },
+    "relaxed": {
+        "p": 1,
+        "n": 3,
+        "A": [
+            ["1", "0", "0"],
+            ["-1", "0", "0"],
+            ["0", "-1", "0"],
+            ["1", "-1", "0"],
+            ["-1", "1", "0"],
+            ["0", "1", "0"],
+            ["0", "0", "-1"],
+            ["0", "0", "1"],
+            ["0", "0", "1"],
+        ],
+        "B": [["0"], ["0"], ["-1"], ["0"], ["1"], ["0"], ["0"], ["1"], ["-1"]],
+        "b": ["1", "0", "0", "0", "0", "1", "0", "0", "1"],
+        "d": ["0", "1", "-3"],
+        "leader_set": {"kind": "relaxed_box"},
+        "uncertainty": {
+            "kind": "interval",
+            "lower": ["-1", "0", "1"],
+            "upper": ["1", "0", "1"],
+        },
+        "mode_default": "optimistic",
+        "var_map": ["y1", "g1:or", "xdev1"],
+        "M": "3",
+    },
+    "simplex": {
+        "p": 1,
+        "n": 2,
+        "A": [
+            ["1", "0"],
+            ["-1", "0"],
+            ["0", "-1"],
+            ["1", "-1"],
+            ["-1", "1"],
+            ["0", "1"],
+        ],
+        "B": [["0"], ["0"], ["-1"], ["0"], ["1"], ["0"]],
+        "b": ["1", "0", "0", "0", "0", "1"],
+        "d": ["0", "1"],
+        "leader_set": {"kind": "all_binary"},
+        "uncertainty": {
+            "kind": "convex_hull",
+            "points": [["-1", "0"], ["1", "0"]],
+        },
+        "mode_default": "optimistic",
+        "var_map": ["y1", "g1:or"],
+        "M": "3",
+    },
+    "single_level": {
+        "p": 1,
+        "n": 5,
+        "A": [
+            ["0", "-1", "0", "0", "0"],
+            ["0", "0", "-1", "0", "0"],
+            ["0", "1", "1", "0", "0"],
+            ["0", "-1", "-1", "0", "0"],
+            ["0", "0", "0", "-1", "0"],
+            ["0", "1", "0", "-1", "0"],
+            ["0", "0", "0", "1", "0"],
+            ["0", "-1", "0", "1", "0"],
+            ["0", "0", "0", "0", "-1"],
+            ["0", "0", "1", "0", "-1"],
+            ["0", "0", "0", "0", "1"],
+            ["0", "0", "-1", "0", "1"],
+            ["1", "0", "0", "-1", "1"],
+            ["-1", "0", "0", "1", "-1"],
+        ],
+        "B": [["0"], ["0"], ["0"], ["0"], ["0"], ["-1"], ["1"], ["0"], ["0"],
+              ["-1"], ["1"], ["0"], ["0"], ["0"]],
+        "b": ["0", "0", "1", "-1", "0", "1", "0", "0", "0", "1", "0", "0", "0",
+              "0"],
+        "d": ["1", "0", "0", "0", "0"],
+        "leader_set": {"kind": "explicit", "vectors": [["0"], ["1"]]},
+        "uncertainty": {
+            "kind": "discrete",
+            "scenarios": [
+                ["0", "1", "0", "0", "0"],
+                ["0", "0", "1", "0", "0"],
+            ],
+        },
+        "mode_default": "optimistic",
+        "var_map": ["y", "z1", "z2", "u1_1", "u2_1"],
+        "M": "3",
+    },
+}
+
+
+def _or_x1_y1():
+    return parse_formula("(or x1 y1)", 1, 1)
+
+
+LAYOUT_BUILDERS = {
+    "optimistic": lambda: compile_qsat_optimistic(_or_x1_y1()),
+    "pessimistic": lambda: compile_qsat_pessimistic(_or_x1_y1()),
+    "relaxed": lambda: relax_leader(compile_qsat_optimistic(_or_x1_y1())),
+    "simplex": lambda: box_to_simplex(compile_qsat_optimistic(_or_x1_y1())),
+    "single_level": lambda: compile_single_level_robust(
+        [(0,), (1,)], [(1,), (-1,)]),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_LAYOUTS))
+def test_compiled_layout_is_pinned(name):
+    art = LAYOUT_BUILDERS[name]()
+    doc = instance_to_json(art.instance, art.var_map, art.big_m)
+    assert doc == PINNED_LAYOUTS[name]

@@ -5,6 +5,7 @@ import pytest
 
 from rbo.uncertainty import (
     KINDS,
+    CapExceededError,
     ConvexHull,
     DiscreteSet,
     Interval,
@@ -41,3 +42,10 @@ def test_uncertainty_protocol(name):
         assert all(len(col) == unc.dim for col in shadow.columns)
         for s in shadow.directions.corner_samples(16):
             assert unc.contains(shadow.scenario(s))
+
+
+def test_box_corner_overrun_is_a_cap_error():
+    box = Interval([-1] * 13, [1] * 13)
+    with pytest.raises(CapExceededError, match="2\\^13 > 4096"):
+        box.corner_samples(4096)
+    assert len(box.corner_samples(2 ** 13)) == 2 ** 13
