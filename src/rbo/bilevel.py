@@ -34,6 +34,7 @@ from .lp import (
     Polyhedron,
     Sense,
     check_bounded_nonempty,
+    is_nonempty,
     solve_lex_lp,
 )
 from .numeric import (
@@ -187,9 +188,18 @@ def enumerate_leader(inst: RobustBilevelInstance,
 
 def validate_instance(inst: RobustBilevelInstance,
                       caps: Caps = DEFAULT_CAPS) -> None:
-    """Check Y(x) nonempty and bounded for every enumerable leader choice."""
-    for x in enumerate_leader(inst, caps):
-        nonempty, bounded = check_bounded_nonempty(inst.follower_polyhedron(x))
+    """Check Y(x) nonempty and bounded for every enumerable leader choice.
+
+    A nonempty Y(x) has the recession cone {d : lhs·d <= 0} whatever x is,
+    so boundedness is decided at the first leader and every later one
+    needs only the emptiness probe.
+    """
+    for k, x in enumerate(enumerate_leader(inst, caps)):
+        poly = inst.follower_polyhedron(x)
+        if k == 0:
+            nonempty, bounded = check_bounded_nonempty(poly)
+        else:
+            nonempty = is_nonempty(poly)
         if not nonempty:
             raise InstanceError(f"Y(x) is empty for x={x}")
         if not bounded:
@@ -255,8 +265,7 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
             inst.follower_polyhedron(x), shadow.columns)
         vset = geometry.enumerate_vertices(shadow_poly)
         faces = geometry.enumerate_faces(shadow_poly, vset)
-        certs = (geometry.exposure_check(face, vset, shadow.directions,
-                                         grid_cap=caps.grid_points)
+        certs = (geometry.exposure_check(face, vset, shadow.directions)
                  for face in faces)
         scenarios = (shadow.scenario(cert.c) for cert in certs
                      if cert is not None)

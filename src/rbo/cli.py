@@ -81,16 +81,16 @@ def _cmd_compile_qsat(args) -> int:
         art = compiler.relax_leader(art)
     if args.simplex_uncertainty:
         art = compiler.box_to_simplex(art)
-    return _write_compiled(args.output, art, art.big_m)
+    return _write_compiled(args.output, art)
 
 
-def _write_compiled(path, art, big_m=None) -> int:
-    """Save a compiled instance (with M if given) and list its columns."""
+def _write_compiled(path, art) -> int:
+    """Save a compiled instance (with its M, if any) and list its columns."""
     bilevel.save_instance(path, art.instance, var_map=art.var_map,
-                          big_m=big_m)
+                          big_m=art.big_m)
     print(f"wrote {path}")
-    if big_m is not None:
-        print(f"M = {rat_format(big_m)}")
+    if art.big_m is not None:
+        print(f"M = {rat_format(art.big_m)}")
     print("columns:")
     for idx, name in enumerate(art.var_map):
         print(f"  [{idx}] {name}")
@@ -266,19 +266,23 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _instance_command(sub, name, func, help_text, vectors=None,
-                      decimal_help=None) -> None:
+_VECTOR_HELP = {"--x": "comma-separated leader vector",
+                "--c": "comma-separated scenario"}
+
+
+def _instance_command(sub, name, func, help_text, vectors=()) -> None:
     """A subcommand on one instance file: the file, the required vector
-    flags (flag -> help), --mode, --decimal and the caps flags."""
+    flags, --mode, --decimal and the caps flags."""
     c = sub.add_parser(name, help=help_text)
-    c.add_argument("instance")
-    for flag, flag_help in (vectors or {}).items():
-        c.add_argument(flag, required=True, help=flag_help)
+    c.add_argument("instance", help="instance JSON file")
+    for flag in vectors:
+        c.add_argument(flag, required=True, help=_VECTOR_HELP[flag])
     c.add_argument("--mode", choices=["optimistic", "pessimistic"],
                    default=None,
                    help="tie-breaking convention (defaults to the "
                         "instance's own)")
-    c.add_argument("--decimal", action="store_true", help=decimal_help)
+    c.add_argument("--decimal", action="store_true",
+                   help="append approximate decimal renderings")
     _caps_args(c)
     c.set_defaults(func=func)
 
@@ -292,10 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compile-qsat",
                        help="compile a formula file into an instance")
-    c.add_argument("formula")
-    c.add_argument("-o", "--output", required=True)
+    c.add_argument("formula", help="formula file")
+    c.add_argument("-o", "--output", required=True,
+                   help="instance JSON file to write")
     c.add_argument("--mode", choices=["optimistic", "pessimistic"],
-                   default="optimistic")
+                   default="optimistic",
+                   help="tie-breaking convention the reduction targets")
     c.add_argument("--relax-leader", action="store_true",
                    help="relax leader integrality via penalty columns")
     c.add_argument("--simplex-uncertainty", action="store_true",
@@ -305,27 +311,30 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile-rs",
                        help="embed a robust single-level problem "
                             "(JSON with fields X, scenarios)")
-    c.add_argument("spec")
-    c.add_argument("-o", "--output", required=True)
+    c.add_argument("spec", help="JSON file with fields X and scenarios")
+    c.add_argument("-o", "--output", required=True,
+                   help="instance JSON file to write")
     c.set_defaults(func=_cmd_compile_rs)
 
-    _instance_command(sub, "solve", _cmd_solve, "solve the robust problem",
-                      decimal_help="append approximate decimal renderings")
+    _instance_command(sub, "solve", _cmd_solve, "solve the robust problem")
     _instance_command(sub, "adversary", _cmd_adversary,
-                      "worst scenario for a fixed leader choice",
-                      vectors={"--x": "comma-separated leader vector"})
+                      "worst scenario for a fixed leader choice", ("--x",))
     _instance_command(sub, "follower", _cmd_follower,
                       "follower response for fixed x and scenario c",
-                      vectors={"--x": None, "--c": "comma-separated scenario"})
+                      ("--x", "--c"))
 
     c = sub.add_parser("verify", help="run oracle-equivalence sweeps")
     c.add_argument("--suite",
                    choices=["qsat", "single-level", "hull", "all"],
-                   default="all")
-    c.add_argument("--max-p", type=int, default=1)
-    c.add_argument("--max-n", type=int, default=1)
-    c.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    c.add_argument("--random-count", type=int, default=10)
+                   default="all", help="which sweep to run")
+    c.add_argument("--max-p", type=int, default=1,
+                   help="max leader variables in the formula family")
+    c.add_argument("--max-n", type=int, default=1,
+                   help="max follower variables in the formula family")
+    c.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the random cases")
+    c.add_argument("--random-count", type=int, default=10,
+                   help="random formulas and single-level cases to add")
     _caps_args(c)
     c.set_defaults(func=_cmd_verify)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .bilevel import (
     AllBinary,
@@ -368,11 +368,12 @@ def linearize(formula: Formula) -> LinearizedCircuit:
 
 @dataclass(frozen=True)
 class CompilationArtifacts:
-    """A compiled instance plus bookkeeping for its follower columns."""
+    """A compiled instance plus bookkeeping for its follower columns; M is
+    the penalty constant, None for a compiler without penalty columns."""
 
     instance: RobustBilevelInstance
     var_map: tuple
-    big_m: Fraction
+    big_m: Optional[Fraction]
 
     def column_of(self, name: str) -> int:
         return self.var_map.index(name)
@@ -591,7 +592,7 @@ def compile_single_level_robust(x_set, scenarios) -> CompilationArtifacts:
         uncertainty=DiscreteSet(tuple(tilde)),
         mode_default=Mode.OPTIMISTIC,
     )
-    return CompilationArtifacts(inst, tuple(var_map), Fraction(3))
+    return CompilationArtifacts(inst, tuple(var_map), None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ closing the vertex tight-sets under pairwise join (intersection of tight
 sets), which yields exactly the nonempty faces of a bounded polyhedron,
 including the polytope itself.
 
-`exposure_check` decides whether some scenario in an uncertainty set has
-a given face as its exact argmax set, by maximizing the strict separation
+`exposure_check` decides whether some direction in a polytope D has a
+given face as its exact argmax set, by maximizing the strict separation
 margin with an LP; a face is exposable iff the optimal margin is positive.
 
 `project_polytope` computes exact images of polytopes under linear maps
@@ -24,16 +24,8 @@ from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .lp import LpStatus, Polyhedron, Sense, solve_lp
-from .numeric import (
-    ONE,
-    ZERO,
-    Fraction,
-    as_matrix,
-    dot,
-    gauss_solve,
-    mat_vec,
-)
-from .uncertainty import CapExceededError, DiscreteSet, UncertaintySet
+from .numeric import ONE, ZERO, Fraction, as_matrix, dot, gauss_solve
+from .uncertainty import CapExceededError
 
 DEFAULT_CAP = 2 ** 22
 _MAX_PROJECTION_ROWS = 4000
@@ -59,7 +51,7 @@ class Face:
 
 @dataclass(frozen=True)
 class ExposureCertificate:
-    """A scenario c whose argmax set is exactly one face.
+    """A direction c whose argmax set is exactly one face.
 
     c scores all face vertices equally and beats every other vertex by at
     least `margin` > 0.
@@ -156,54 +148,31 @@ def argmax_vertices(vset: VertexSet, c: Sequence) -> frozenset:
     return frozenset(i for i, s in enumerate(scores) if s == best)
 
 
-def exposure_check(face: Face, vset: VertexSet, unc: UncertaintySet,
-                   grid_cap: int = DEFAULT_CAP) -> Optional[ExposureCertificate]:
-    """Find a scenario in `unc` exposing exactly `face`, if one exists.
+def exposure_check(face: Face, vset: VertexSet,
+                   directions: Polyhedron) -> Optional[ExposureCertificate]:
+    """Find a direction s in D = {s : G·s <= h} exposing exactly `face`.
 
-    For a set with an LP form U = {M·θ : G·θ <= h}, solves max eps subject
-    to G·θ <= h, c·v = t on face vertices and c·u <= t - eps off the face,
-    with c = M·θ (eps capped at 1 so the LP stays bounded); the face is
-    exposable iff the optimum has eps > 0.  Other sets are scanned point
-    by point.
+    Solves max eps subject to G·s <= h, s·v = t on the face vertices and
+    s·u <= t - eps off the face (eps capped at 1 so the LP stays bounded);
+    the face is exposable iff the optimum has eps > 0, and the certificate
+    is that optimum's s.
     """
-    if isinstance(unc, DiscreteSet):
-        raise ValueError("discrete uncertainty is handled scenario-wise, "
-                         "not through exposure certificates")
     verts = vset.vertices
     q = len(verts[0])
-    if unc.dim != q:
-        raise ValueError(f"uncertainty dimension {unc.dim} != vertex dim {q}")
-    face_verts = [verts[i] for i in sorted(face.vertex_indices)]
-    other_verts = [verts[i] for i in range(len(verts))
-                   if i not in face.vertex_indices]
+    if directions.dim != q:
+        raise ValueError(
+            f"direction dimension {directions.dim} != vertex dim {q}")
 
-    form = unc.lp_form()
-    if form is None:
-        for c in unc.finite_scenarios(grid_cap):
-            t = dot(c, face_verts[0])
-            if any(dot(c, v) != t for v in face_verts[1:]):
-                continue
-            gaps = [t - dot(c, u) for u in other_verts]
-            if all(g > 0 for g in gaps):
-                return ExposureCertificate(c, min(gaps, default=ONE))
-        return None
-
-    # Variables: theta (k), t, eps; a vertex v scores c·v = (M^T v)·theta.
-    k = len(form.rows[0])
-    m_columns = tuple(zip(*form.matrix))
-
-    def row(vec, sign, eps_coeff):
-        """The row of sign·(c·vec - t) + eps_coeff·eps <= 0."""
-        scores = [sign * dot(col, vec) for col in m_columns]
-        return scores + [-sign, eps_coeff]
-
-    rows = [list(g) + [ZERO, ZERO] for g in form.rows]
-    for v in face_verts:  # c·v = t
-        rows += [row(v, ONE, ZERO), row(v, -ONE, ZERO)]
-    for u in other_verts:  # c·u <= t - eps
-        rows.append(row(u, ONE, ONE))
-    rhs = list(form.rhs) + [ZERO] * (len(rows) - len(form.rows))
-    eps_row = [ZERO] * (k + 1) + [ONE]
+    # Variables: s (q), t, eps.
+    rows = [list(g) + [ZERO, ZERO] for g in directions.a]
+    for i in sorted(face.vertex_indices):  # s·v = t
+        rows += [list(verts[i]) + [-ONE, ZERO],
+                 [-c for c in verts[i]] + [ONE, ZERO]]
+    for i, u in enumerate(verts):  # s·u <= t - eps
+        if i not in face.vertex_indices:
+            rows.append(list(u) + [-ONE, ONE])
+    rhs = list(directions.rhs) + [ZERO] * (len(rows) - directions.num_rows)
+    eps_row = [ZERO] * (q + 1) + [ONE]
     rows.append(eps_row)  # eps <= 1, which keeps the LP bounded
     rhs.append(ONE)
 
@@ -211,8 +180,7 @@ def exposure_check(face: Face, vset: VertexSet, unc: UncertaintySet,
                        purify=False)
     if outcome.status is not LpStatus.OPTIMAL or outcome.value <= 0:
         return None
-    return ExposureCertificate(mat_vec(form.matrix, outcome.point[:k]),
-                               outcome.value)
+    return ExposureCertificate(outcome.point[:q], outcome.value)
 
 
 def _primitive(coeffs, rhs):

@@ -136,10 +136,11 @@ class _Tableau:
     """Dense simplex tableau over the equality form [A|-A|I]w = b.
 
     Rows with negative rhs are sign-flipped so b >= 0 holds throughout;
-    those rows get an artificial variable for the phase-one basis.  An
-    artificial stuck in the basis after phase one sits in an all-zero
-    (dependent) row and is pinned at zero, so it never perturbs phase
-    two and maps to a zero dual multiplier.
+    those rows get an artificial variable for the phase-one basis.  The
+    structural part [A|-A|I] has full row rank, so no row of the tableau
+    is zero on it: every artificial left in the basis at level zero after
+    phase one pivots out, and phase two and the dual see structural
+    columns only.
     """
 
     def __init__(self, poly: Polyhedron):
@@ -242,15 +243,12 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
                              if tab.basis[i] in art_set), ZERO)
         if infeasibility != 0:
             return LpStatus.INFEASIBLE, None, None, None
-        # Pivot zero-level artificials out where possible; a row offering
-        # no structural pivot is linearly dependent and stays frozen.
+        # Pivot the zero-level artificials out on their first nonzero
+        # structural entry, which the full row rank guarantees.
         for i in range(tab.m):
-            if tab.basis[i] not in art_set:
-                continue
-            for j in range(tab.num_structural):
-                if tab.rows[i][j]:
-                    tab.pivot(i, j)
-                    break
+            if tab.basis[i] in art_set:
+                tab.pivot(i, next(j for j in range(tab.num_structural)
+                                  if tab.rows[i][j]))
 
     cost = [ZERO] * tab.ncols
     for j in range(n):
@@ -276,12 +274,9 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
             column = [tab.sign[r] * poly.a[r][col] for r in range(tab.m)]
         elif col < 2 * n:
             column = [-tab.sign[r] * poly.a[r][col - n] for r in range(tab.m)]
-        elif col < tab.num_structural:
+        else:
             k = col - 2 * n
             column = [tab.sign[k] if r == k else ZERO for r in range(tab.m)]
-        else:
-            k = next(r for r, c in tab.art_cols.items() if c == col)
-            column = [ONE if r == k else ZERO for r in range(tab.m)]
         bt.append(column)
         cb.append(cost[col])
     y = gauss_solve(bt, cb)
@@ -392,10 +387,15 @@ def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
                       primary_value=first.value)
 
 
+def is_nonempty(poly: Polyhedron) -> bool:
+    """Whether poly has a point: one LP with a zero objective."""
+    probe = solve_lp(poly, (ZERO,) * poly.dim, Sense.MAX, purify=False)
+    return probe.status is LpStatus.OPTIMAL
+
+
 def check_bounded_nonempty(poly: Polyhedron):
     """Return (nonempty, bounded); an empty set counts as bounded."""
-    probe = solve_lp(poly, (ZERO,) * poly.dim, Sense.MAX, purify=False)
-    if probe.status is LpStatus.INFEASIBLE:
+    if not is_nonempty(poly):
         return False, True
     for j in range(poly.dim):
         unit = tuple(ONE if k == j else ZERO for k in range(poly.dim))

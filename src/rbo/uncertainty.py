@@ -13,9 +13,9 @@ a new kind (budgeted uncertainty, say) is one dataclass plus its entry in
   set is finite (a box with no free coordinate and a one-point hull
   count), else None;
 * `shadow()`, when `finite_scenarios` gives None: a `Shadow` (L, D) with
-  U = L·D for a box or hull D of low dimension;
-* `lp_form()`: an `LpForm` (G, h, M) with U = {M·θ : G·θ <= h}, or None
-  for a set that is not convex;
+  U = L·D for a polytope D = {s : G·s <= h} of low dimension, given by
+  its rows; the exposure LPs run over D directly, so a new convex kind
+  needs no other geometry;
 * `_contains(c)`: exact membership of a vector of the right length;
 * `corner_samples(cap)`, when the default (the finite scenarios) does not
   apply: finitely many members whose minimum over follower outcomes
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
-from .lp import LpStatus, Polyhedron, Sense, solve_lp
+from .lp import Polyhedron, is_nonempty
 from .numeric import (
     ONE,
     ZERO,
@@ -52,7 +52,8 @@ class CapExceededError(Exception):
 
 @dataclass(frozen=True)
 class Shadow:
-    """U = L·D, with the q columns of L kept as `columns`.
+    """U = L·D, with the q columns of L kept as `columns` and the direction
+    polytope D = {s : G·s <= h} kept as `directions`.
 
     Two scenarios that agree on L·y for every y induce the same follower
     argmax, so the adversary works on the image of Y(x) under the rows
@@ -60,21 +61,11 @@ class Shadow:
     """
 
     columns: tuple
-    directions: UncertaintySet
+    directions: Polyhedron
 
     def scenario(self, s: Sequence) -> tuple:
         """The scenario L·s of a direction s in D."""
         return tuple(dot(s, row) for row in zip(*self.columns))
-
-
-@dataclass(frozen=True)
-class LpForm:
-    """U = {M·θ : G·θ <= h}: rows G and right-hand sides h over the
-    parameters θ, and the matrix M that maps θ to a scenario."""
-
-    rows: tuple
-    rhs: tuple
-    matrix: tuple
 
 
 def _identity(k: int) -> tuple:
@@ -90,9 +81,6 @@ class UncertaintySet:
     """The protocol every uncertainty kind implements (module docstring)."""
 
     def finite_scenarios(self, cap: Optional[int] = None) -> Optional[tuple]:
-        return None
-
-    def lp_form(self) -> Optional[LpForm]:
         return None
 
     def contains(self, c: Sequence) -> bool:
@@ -143,28 +131,22 @@ class Interval(UncertaintySet):
 
     def shadow(self) -> Shadow:
         """One column per free coordinate, plus the certain part when it is
-        nonzero, paired with the direction pinned to 1."""
+        nonzero, paired with the direction pinned to 1; D is the sub-box
+        lower <= s <= upper, written as the rows e_i and -e_i."""
         free = self.free_indices()
         base = tuple(ZERO if i in free else self.lower[i]
                      for i in range(self.dim))
         units = _identity(self.dim)
         columns = [units[i] for i in free]
-        lower = [self.lower[i] for i in free]
-        upper = [self.upper[i] for i in free]
+        bounds = [(self.lower[i], self.upper[i]) for i in free]
         if any(base):
             columns.append(base)
-            lower.append(ONE)
-            upper.append(ONE)
-        return Shadow(tuple(columns), Interval(tuple(lower), tuple(upper)))
-
-    def lp_form(self) -> LpForm:
-        """θ is the scenario itself: lower <= θ <= upper."""
-        units = _identity(self.dim)
+            bounds.append((ONE, ONE))
         rows, rhs = [], []
-        for unit, lo, hi in zip(units, self.lower, self.upper):
+        for unit, (lo, hi) in zip(_identity(len(bounds)), bounds):
             rows += [unit, _negated(unit)]
             rhs += [hi, -lo]
-        return LpForm(tuple(rows), tuple(rhs), units)
+        return Shadow(tuple(columns), Polyhedron(rows, rhs))
 
     def _contains(self, c: tuple) -> bool:
         return all(lo <= ci <= hi
@@ -217,27 +199,21 @@ class ConvexHull(UncertaintySet):
         return self.points if len(self.points) == 1 else None
 
     def shadow(self) -> Shadow:
-        """One column per point, with convex weights as directions."""
-        return Shadow(self.points, ConvexHull(_identity(len(self.points))))
-
-    def lp_form(self) -> LpForm:
-        """θ holds the convex weights: θ >= 0 and sum θ = 1."""
+        """One column per point; D is the standard simplex of convex
+        weights: -θ <= 0, then sum θ <= 1 and -sum θ <= -1."""
         k = len(self.points)
         rows = tuple(_negated(unit) for unit in _identity(k))
         rows += ((ONE,) * k, (-ONE,) * k)
         rhs = (ZERO,) * k + (ONE, -ONE)
-        return LpForm(rows, rhs, tuple(zip(*self.points)))
+        return Shadow(self.points, Polyhedron(rows, rhs))
 
     def _contains(self, c: tuple) -> bool:
-        """Feasibility of G·θ <= h and M·θ = c."""
-        form = self.lp_form()
-        rows, rhs = list(form.rows), list(form.rhs)
-        for scores, ci in zip(form.matrix, c):
+        """Feasibility of convex weights θ in D with sum θ_i·point_i = c."""
+        rows, rhs = [], []
+        for scores, ci in zip(zip(*self.points), c):
             rows += [scores, _negated(scores)]
             rhs += [ci, -ci]
-        probe = solve_lp(Polyhedron(rows, rhs), (ZERO,) * len(rows[0]),
-                         Sense.MAX, purify=False)
-        return probe.status is LpStatus.OPTIMAL
+        return is_nonempty(self.shadow().directions.with_rows(rows, rhs))
 
     def corner_samples(self, cap: int) -> tuple:
         return self.points

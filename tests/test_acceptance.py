@@ -318,7 +318,8 @@ def test_criterion_9_face_fixtures_and_exposure_round_trip():
         faces = geometry.enumerate_faces(poly, vset)
         assert len(faces) == expected_count
         for face in faces:
-            cert = geometry.exposure_check(face, vset, box)
+            cert = geometry.exposure_check(face, vset,
+                                           box.shadow().directions)
             if cert is None:
                 continue
             assert geometry.argmax_vertices(vset, cert.c) \

@@ -31,6 +31,7 @@ from rbo.compiler import (
     compile_qsat_pessimistic,
     parse_formula,
 )
+from rbo.lp import CERT_LOG
 from rbo.numeric import ONE, ZERO, dot
 from rbo.uncertainty import (
     ConvexHull,
@@ -250,7 +251,8 @@ def test_geometric_matches_direct_face_lattice():
         vset = geometry.enumerate_vertices(poly)
         best = None
         for face in geometry.enumerate_faces(poly, vset):
-            cert = geometry.exposure_check(face, vset, inst.uncertainty)
+            cert = geometry.exposure_check(
+                face, vset, inst.uncertainty.shadow().directions)
             if cert is None:
                 continue
             scores = [dot(inst.leader_obj, vset.vertices[i])
@@ -278,6 +280,24 @@ def test_validation_accepts_and_rejects():
         leader_obj=(ONE,), leader_set=AllBinary(0), uncertainty=BOX)
     with pytest.raises(InstanceError):
         validate_instance(unbounded)
+
+
+def test_validation_decides_boundedness_once():
+    # Y(x) = {0 <= y <= 1 + x1 + x2}: 2n + 1 LPs decide boundedness and
+    # emptiness at the first x, then one emptiness LP per later x.
+    inst = RobustBilevelInstance(
+        p=2, n=1, lhs=((ONE,), (-ONE,)),
+        leader_mat=((ONE, ONE), (ZERO, ZERO)), rhs=(ONE, ZERO),
+        leader_obj=(ONE,), leader_set=AllBinary(2), uncertainty=BOX)
+    before = CERT_LOG.optimal_solves
+    validate_instance(inst)
+    assert CERT_LOG.optimal_solves - before == (2 * inst.n + 1) + 3
+    empty_late = replace(inst, leader_mat=((F(-2), F(-2)), (ZERO, ZERO)),
+                         rhs=(F(3), ZERO))
+    with pytest.raises(InstanceError,
+                       match=r"empty for x=\(Fraction\(1, 1\), "
+                             r"Fraction\(1, 1\)\)"):
+        validate_instance(empty_late)
 
 
 def test_leader_set_validation():

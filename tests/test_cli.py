@@ -4,9 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from rbo import bilevel, lp
-from rbo.bilevel import Mode, load_instance, solve_robust
-from rbo.cli import main
-from rbo.compiler import compile_qsat_optimistic, parse_formula
+from rbo.bilevel import Mode, instance_to_json, load_instance, solve_robust
+from rbo.cli import build_parser, main
+from rbo.compiler import (
+    compile_qsat_optimistic,
+    compile_single_level_robust,
+    parse_formula,
+)
 
 
 def write_formula(tmp_path, text):
@@ -114,6 +118,28 @@ def test_compile_rs_command(tmp_path, capsys):
     assert main(["solve", out]) == 0
     printed = capsys.readouterr().out
     assert "value: 0" in printed
+
+
+def test_compile_rs_writes_the_artifact(tmp_path, capsys):
+    spec = tmp_path / "rs.json"
+    spec.write_text(json.dumps({"X": [[0], [1]],
+                                "scenarios": [["1"], ["-1"]]}))
+    out = tmp_path / "rs_inst.json"
+    assert main(["compile-rs", str(spec), "-o", str(out)]) == 0
+    capsys.readouterr()
+    art = compile_single_level_robust([(0,), (1,)], [(1,), (-1,)])
+    assert (json.loads(out.read_text())
+            == instance_to_json(art.instance, art.var_map, art.big_m))
+
+
+def test_every_option_has_help():
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if action.dest == "command").choices
+    for name, command in [("rbo", parser)] + sorted(commands.items()):
+        for action in command._actions:
+            if action.option_strings and action.dest != "help":
+                assert action.help, (name, action.option_strings)
 
 
 def test_verify_suites_pass(capsys):

@@ -470,7 +470,6 @@ PINNED_LAYOUTS = {
         },
         "mode_default": "optimistic",
         "var_map": ["y", "z1", "z2", "u1_1", "u2_1"],
-        "M": "3",
     },
 }
 

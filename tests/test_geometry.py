@@ -14,7 +14,7 @@ from rbo.geometry import (
 )
 from rbo.lp import Polyhedron
 from rbo.numeric import dot
-from rbo.uncertainty import DiscreteSet, Interval, ProductFinite
+from rbo.uncertainty import Interval
 
 SEGMENT = Polyhedron([[1], [-1]], [1, 0])
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
@@ -102,7 +102,7 @@ def test_exposure_segment_upper_vertex():
     box = Interval((F(-1),), (F(1),))
     one = vset.vertices.index((F(1),))
     face = next(f for f in faces if f.vertex_indices == frozenset([one]))
-    cert = exposure_check(face, vset, box)
+    cert = exposure_check(face, vset, box.shadow().directions)
     assert cert is not None
     assert cert.c == (F(1),) and cert.margin == 1
 
@@ -112,39 +112,32 @@ def test_exposure_unreachable_vertex():
     faces = enumerate_faces(SEGMENT, vset)
     zero = vset.vertices.index((F(0),))
     face = next(f for f in faces if f.vertex_indices == frozenset([zero]))
-    assert exposure_check(face, vset, Interval((F(1),), (F(2),))) is None
+    box = Interval((F(1),), (F(2),))
+    assert exposure_check(face, vset, box.shadow().directions) is None
 
 
 def test_exposure_full_face_zero_objective():
     vset = enumerate_vertices(SEGMENT)
     faces = enumerate_faces(SEGMENT, vset)
     full = next(f for f in faces if len(f.vertex_indices) == 2)
-    cert = exposure_check(full, vset, Interval((F(-1),), (F(1),)))
+    box = Interval((F(-1),), (F(1),))
+    cert = exposure_check(full, vset, box.shadow().directions)
     assert cert is not None and cert.c == (F(0),)
 
 
-def test_exposure_product_finite():
+def test_exposure_rejects_wrong_dimension():
     vset = enumerate_vertices(SEGMENT)
     faces = enumerate_faces(SEGMENT, vset)
-    grid = ProductFinite(((F(-1), F(1)),))
-    exposable = [f for f in faces
-                 if exposure_check(f, vset, grid) is not None]
-    assert all(len(f.vertex_indices) == 1 for f in exposable)
-    assert len(exposable) == 2
-
-
-def test_exposure_rejects_discrete():
-    vset = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, vset)
-    with pytest.raises(ValueError):
-        exposure_check(faces[0], vset, DiscreteSet(((F(1),),)))
+    square = Interval((F(-1), F(-1)), (F(1), F(1))).shadow().directions
+    with pytest.raises(ValueError, match="direction dimension 2"):
+        exposure_check(faces[0], vset, square)
 
 
 def test_exposure_round_trip_square():
     vset = enumerate_vertices(UNIT_SQUARE)
     box = Interval((F(-1), F(-1)), (F(1), F(1)))
     for face in enumerate_faces(UNIT_SQUARE, vset):
-        cert = exposure_check(face, vset, box)
+        cert = exposure_check(face, vset, box.shadow().directions)
         if cert is not None:
             assert argmax_vertices(vset, cert.c) == face.vertex_indices
 
@@ -155,7 +148,8 @@ def test_grid_scan_covers_exposable_faces():
     box = Interval((F(-1), F(-1)), (F(1), F(1)))
     faces = enumerate_faces(TRIANGLE, vset)
     exposable = {f.vertex_indices for f in faces
-                 if exposure_check(f, vset, box) is not None}
+                 if exposure_check(f, vset, box.shadow().directions)
+                 is not None}
     grid = [F(k, 4) for k in range(-4, 5)]
     for c in itertools.product(grid, repeat=2):
         assert argmax_vertices(vset, c) in exposable

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from rbo.geometry import enumerate_vertices
 from rbo.uncertainty import (
     KINDS,
     CapExceededError,
@@ -40,7 +41,7 @@ def test_uncertainty_protocol(name):
     if finite is None:
         shadow = unc.shadow()
         assert all(len(col) == unc.dim for col in shadow.columns)
-        for s in shadow.directions.corner_samples(16):
+        for s in enumerate_vertices(shadow.directions).vertices:
             assert unc.contains(shadow.scenario(s))
 
 
