@@ -176,8 +176,7 @@ def exposure_check(face: Face, vset: VertexSet,
     rows.append(eps_row)  # eps <= 1, which keeps the LP bounded
     rhs.append(ONE)
 
-    outcome = solve_lp(Polyhedron(rows, rhs), eps_row, Sense.MAX,
-                       purify=False)
+    outcome = solve_lp(Polyhedron(rows, rhs), eps_row, Sense.MAX)
     if outcome.status is not LpStatus.OPTIMAL or outcome.value <= 0:
         return None
     return ExposureCertificate(outcome.point[:q], outcome.value)
@@ -220,7 +219,7 @@ def _lp_prune(rows):
         coeffs, rhs = kept[idx]
         others = kept[:idx] + kept[idx + 1:]
         poly = Polyhedron([c for c, _ in others], [r for _, r in others])
-        probe = solve_lp(poly, coeffs, Sense.MAX, purify=False)
+        probe = solve_lp(poly, coeffs, Sense.MAX)
         if probe.status is LpStatus.OPTIMAL and probe.value <= rhs:
             kept.pop(idx)
         else:

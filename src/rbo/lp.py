@@ -3,8 +3,10 @@
 Linear programs are stated on a :class:`Polyhedron` {v : A v <= rhs} with
 free variables.  The solver is a textbook two-phase full-tableau simplex
 with Bland's pivot rule (smallest index), which terminates under
-degeneracy and is deterministic for fixed input.  Free variables are
-split into positive and negative parts internally.
+degeneracy and is deterministic for fixed input.  Free variables keep
+one column each and never leave the basis once they enter; after phase
+two the nonbasic ones are pivoted in along the optimal face, so an
+optimal point is a vertex whenever the polyhedron has one.
 
 Every optimal solve produces a dual certificate mu (for the maximization
 form) with mu >= 0, mu^T A = obj and mu^T rhs = value; the certificate is
@@ -26,7 +28,6 @@ from .numeric import (
     as_vector,
     dot,
     gauss_solve,
-    nullspace_vector,
 )
 
 
@@ -133,21 +134,26 @@ class LexOutcome:
 
 
 class _Tableau:
-    """Dense simplex tableau over the equality form [A|-A|I]w = b.
+    """Dense simplex tableau over the equality form [A|I](v, s) = rhs.
 
-    Rows with negative rhs are sign-flipped so b >= 0 holds throughout;
-    those rows get an artificial variable for the phase-one basis.  The
-    structural part [A|-A|I] has full row rank, so no row of the tableau
-    is zero on it: every artificial left in the basis at level zero after
-    phase one pivots out, and phase two and the dual see structural
-    columns only.
+    The n columns of v are free and kept whole; the m slack columns s are
+    nonnegative.  Rows with negative rhs are sign-flipped so the tableau's
+    rhs stays >= 0; those rows get an artificial column for the phase-one
+    basis.  A free column that enters on a positive reduced cost is
+    negated in place first (`col_sign` records it), so it always enters
+    by rising from zero.  Once basic, a free column never leaves: its row
+    takes no part in a ratio test.  The structural part [A|I] has full
+    row rank, so no row of the tableau is zero on it: every artificial
+    left in the basis at level zero after phase one pivots out, and phase
+    two and the dual see structural columns only.
     """
 
     def __init__(self, poly: Polyhedron):
         m, n = poly.num_rows, poly.dim
         self.m, self.n = m, n
-        self.num_structural = 2 * n + m
+        self.num_structural = n + m
         self.sign = [ONE if poly.rhs[i] >= 0 else -ONE for i in range(m)]
+        self.col_sign = [ONE] * n
         self.rows = []
         self.b = []
         art_rows = [i for i in range(m) if self.sign[i] < 0]
@@ -156,13 +162,13 @@ class _Tableau:
         self.ncols = self.num_structural + len(art_rows)
         for i in range(m):
             s = self.sign[i]
-            coeffs = [s * c for c in poly.a[i]] + [-s * c for c in poly.a[i]]
+            coeffs = [s * c for c in poly.a[i]]
             coeffs += [s if j == i else ZERO for j in range(m)]
             coeffs += [ONE if self.art_cols.get(i) == self.num_structural + k
                        else ZERO for k in range(len(art_rows))]
             self.rows.append(coeffs)
             self.b.append(s * poly.rhs[i])
-        self.basis = [self.art_cols.get(i, 2 * n + i) for i in range(m)]
+        self.basis = [self.art_cols.get(i, n + i) for i in range(m)]
 
     def pivot(self, row: int, col: int) -> None:
         prow = self.rows[row]
@@ -184,8 +190,37 @@ class _Tableau:
                 self.b[i] -= factor * self.b[row]
         self.basis[row] = col
 
+    def negate(self, col: int) -> None:
+        """Flip the sign of a nonbasic free column."""
+        for row in self.rows:
+            row[col] = -row[col]
+        self.col_sign[col] = -self.col_sign[col]
+
+    def leaving_row(self, col: int) -> int:
+        """Bland's ratio test over the rows whose basic column is not free;
+        -1 when no such row bounds the column's rise."""
+        leave = -1
+        best_ratio = None
+        for i in range(self.m):
+            coef = self.rows[i][col]
+            if coef > 0 and self.basis[i] >= self.n:
+                ratio = self.b[i] / coef
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio
+                            and self.basis[i] < self.basis[leave])):
+                    best_ratio = ratio
+                    leave = i
+        return leave
+
     def run(self, cost: Sequence, allowed_cols: int) -> LpStatus:
-        """Bland-rule phase driver maximizing cost over the current basis."""
+        """Bland-rule phase driver maximizing cost over the current basis.
+
+        The entering order is the one a split v = v+ - v- would give:
+        free columns with a negative reduced cost, then free columns with
+        a positive one (negated on entry), then slack and artificial
+        columns.
+        """
+        n = self.n
         obj = [-c for c in cost]
         for i in range(self.m):
             cb = cost[self.basis[i]]
@@ -195,24 +230,18 @@ class _Tableau:
                     if rowi[j]:
                         obj[j] += cb * rowi[j]
         while True:
-            enter = -1
-            for j in range(allowed_cols):
-                if obj[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(n) if obj[j] < 0), -1)
+            if enter < 0:
+                enter = next((j for j in range(n) if obj[j] > 0), -1)
+                if enter >= 0:
+                    self.negate(enter)
+                    obj[enter] = -obj[enter]
+            if enter < 0:
+                enter = next((j for j in range(n, allowed_cols)
+                              if obj[j] < 0), -1)
             if enter < 0:
                 return LpStatus.OPTIMAL
-            leave = -1
-            best_ratio = None
-            for i in range(self.m):
-                coef = self.rows[i][enter]
-                if coef > 0:
-                    ratio = self.b[i] / coef
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio
-                                and self.basis[i] < self.basis[leave])):
-                        best_ratio = ratio
-                        leave = i
+            leave = self.leaving_row(enter)
             if leave < 0:
                 return LpStatus.UNBOUNDED
             prow = self.rows[leave]
@@ -227,6 +256,7 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
     """Two-phase simplex for max obj·v over poly.
 
     Returns (status, point, value, mu) with mu the exact dual certificate.
+    The point is a vertex whenever poly has one.
     """
     n = poly.dim
     tab = _Tableau(poly)
@@ -252,33 +282,54 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
 
     cost = [ZERO] * tab.ncols
     for j in range(n):
-        cost[j] = obj[j]
-        cost[n + j] = -obj[j]
+        cost[j] = tab.col_sign[j] * obj[j]
     status = tab.run(cost, tab.num_structural)
     if status is LpStatus.UNBOUNDED:
         return LpStatus.UNBOUNDED, None, None, None
 
+    # Every nonbasic free column now has zero reduced cost, so pivoting it
+    # in keeps the value.  A tight row that bounds it either way takes it
+    # in place, so a vertex never moves; else it moves along the optimal
+    # face until a slack row turns tight.  A column that no slack row
+    # bounds either way spans a line of poly and stays out at 0.
+    basic = set(tab.basis)
+    for j in range(n):
+        if j in basic:
+            continue
+        tight = [i for i in range(tab.m) if tab.basis[i] >= n
+                 and not tab.b[i] and tab.rows[i][j]]
+        if tight:
+            leave = min(tight, key=tab.basis.__getitem__)
+            if tab.rows[leave][j] < 0:
+                tab.negate(j)
+        else:
+            leave = tab.leaving_row(j)
+            if leave < 0:
+                tab.negate(j)
+                leave = tab.leaving_row(j)
+        if leave >= 0:
+            tab.pivot(leave, j)
+
     w = [ZERO] * tab.ncols
     for i in range(tab.m):
         w[tab.basis[i]] = tab.b[i]
-    point = tuple(w[j] - w[n + j] for j in range(n))
+    point = tuple(tab.col_sign[j] * w[j] for j in range(n))
     value = dot(obj, point)
 
     # Dual certificate: solve B^T y = c_B against the original column data,
-    # then undo the row sign flips.
+    # then undo the row sign flips.  A negated free column negates both
+    # sides of its equation, so the column signs drop out.
     bt = []
     cb = []
     for i in range(tab.m):
         col = tab.basis[i]
         if col < n:
             column = [tab.sign[r] * poly.a[r][col] for r in range(tab.m)]
-        elif col < 2 * n:
-            column = [-tab.sign[r] * poly.a[r][col - n] for r in range(tab.m)]
         else:
-            k = col - 2 * n
+            k = col - n
             column = [tab.sign[k] if r == k else ZERO for r in range(tab.m)]
         bt.append(column)
-        cb.append(cost[col])
+        cb.append(obj[col] if col < n else ZERO)
     y = gauss_solve(bt, cb)
     if y is None:
         raise LpInternalError("singular optimal basis")
@@ -305,41 +356,10 @@ def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
     CERT_LOG.verified += 1
 
 
-def _purify_to_vertex(poly: Polyhedron, point: tuple, obj: Sequence) -> tuple:
-    """Walk within the optimal face until n independent rows are tight.
-
-    The split-variable simplex can stop at a non-vertex of the original
-    polyhedron; each step moves along a direction that keeps all tight
-    rows and the objective fixed until a new row becomes tight, so the
-    tight rank strictly increases and the walk ends at a vertex.
-    """
-    n = poly.dim
-    v = list(point)
-    while True:
-        tight = [poly.a[i] for i in range(poly.num_rows)
-                 if dot(poly.a[i], v) == poly.rhs[i]]
-        z = nullspace_vector(tight + [tuple(obj)], n)
-        if z is None:
-            return tuple(v)
-        step = None
-        for i in range(poly.num_rows):
-            az = dot(poly.a[i], z)
-            if az > 0:
-                slack = poly.rhs[i] - dot(poly.a[i], v)
-                t = slack / az
-                if step is None or t < step:
-                    step = t
-        if step is None:
-            raise LpInternalError("purification found a free ray; "
-                                  "polyhedron is unbounded")
-        for j in range(n):
-            if z[j]:
-                v[j] += step * z[j]
-
-
-def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
-             purify: bool = True) -> LpOutcome:
-    """Exact LP solve; optimal points are vertices of the polyhedron.
+def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX) -> LpOutcome:
+    """Exact LP solve; an optimal point is a vertex of the polyhedron
+    whenever it has one.  When the polyhedron contains a line instead,
+    the free columns that span it stay at 0.
 
     The returned dual always certifies the maximization form: for a MIN
     solve it certifies max (-obj) = -value.
@@ -352,10 +372,6 @@ def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
     if status is not LpStatus.OPTIMAL:
         return LpOutcome(status=status)
     _verify_certificate(poly, internal, value, mu)
-    if purify:
-        point = _purify_to_vertex(poly, point, internal)
-        if dot(internal, point) != value:
-            raise LpInternalError("purification changed the optimum")
     if sense is Sense.MIN:
         value = -value
     return LpOutcome(LpStatus.OPTIMAL, point, value, mu)
@@ -368,7 +384,7 @@ def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
     The optimal face is pinned by appending the equality primary·v = v*
     as a pair of inequalities.
     """
-    first = solve_lp(poly, primary, primary_sense, purify=False)
+    first = solve_lp(poly, primary, primary_sense)
     if first.status is LpStatus.INFEASIBLE:
         raise InfeasibleError("lexicographic solve on an empty polyhedron")
     if first.status is LpStatus.UNBOUNDED:
@@ -379,7 +395,10 @@ def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
         [first.value, -first.value],
     )
     second = solve_lp(face, secondary, secondary_sense)
-    if not second.is_optimal:
+    if second.status is LpStatus.UNBOUNDED:
+        raise UnboundedError("secondary objective is unbounded on the "
+                             "primary's optimal face")
+    if second.status is LpStatus.INFEASIBLE:
         raise LpInternalError("secondary stage lost feasibility")
     if dot(primary, second.point) != first.value:
         raise LpInternalError("lexicographic point left the optimal face")
@@ -389,7 +408,7 @@ def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
 
 def is_nonempty(poly: Polyhedron) -> bool:
     """Whether poly has a point: one LP with a zero objective."""
-    probe = solve_lp(poly, (ZERO,) * poly.dim, Sense.MAX, purify=False)
+    probe = solve_lp(poly, (ZERO,) * poly.dim, Sense.MAX)
     return probe.status is LpStatus.OPTIMAL
 
 
@@ -400,7 +419,6 @@ def check_bounded_nonempty(poly: Polyhedron):
     for j in range(poly.dim):
         unit = tuple(ONE if k == j else ZERO for k in range(poly.dim))
         for sense in (Sense.MAX, Sense.MIN):
-            if solve_lp(poly, unit, sense, purify=False).status \
-                    is LpStatus.UNBOUNDED:
+            if solve_lp(poly, unit, sense).status is LpStatus.UNBOUNDED:
                 return True, False
     return True, True

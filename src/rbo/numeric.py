@@ -145,42 +145,3 @@ def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
                     row[j] -= factor * prow[j]
     return tuple(aug[i][n] for i in range(n))
 
-
-def nullspace_vector(rows: Sequence[Sequence], ncols: int) -> Optional[Vector]:
-    """Return one nonzero z with row·z = 0 for every row, or None.
-
-    Deterministic: reduced row echelon form, first free column set to 1.
-    """
-    reduced = [list(row) for row in rows if any(row)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(reduced)):
-            if reduced[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        reduced[rank], reduced[pivot_row] = reduced[pivot_row], reduced[rank]
-        prow = reduced[rank]
-        inv = 1 / prow[col]
-        if inv != 1:
-            for j in range(col, ncols):
-                prow[j] *= inv
-        for i in range(len(reduced)):
-            if i != rank and reduced[i][col]:
-                factor = reduced[i][col]
-                row = reduced[i]
-                for j in range(col, ncols):
-                    row[j] -= factor * prow[j]
-        pivots.append(col)
-        rank += 1
-        if rank == ncols:
-            return None
-    free_col = next(c for c in range(ncols) if c not in pivots)
-    z = [ZERO] * ncols
-    z[free_col] = ONE
-    for i, pc in enumerate(pivots):
-        z[pc] = -reduced[i][free_col]
-    return tuple(z)

@@ -5,8 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from rbo.bilevel import (
+    AllBinary,
     Mode,
     RelaxedBox,
+    RobustBilevelInstance,
+    SolveReport,
     follower_response,
     instance_to_json,
     solve_robust,
@@ -38,7 +41,7 @@ from rbo.compiler import (
     relax_leader,
 )
 from rbo.lp import Polyhedron, Sense, solve_lp
-from rbo.numeric import ONE, ZERO
+from rbo.numeric import ONE, ZERO, rat_parse_nested
 from rbo.oracle import robust_single_level_oracle
 from rbo.uncertainty import ConvexHull, DiscreteSet, Interval
 
@@ -493,3 +496,54 @@ def test_compiled_layout_is_pinned(name):
     art = LAYOUT_BUILDERS[name]()
     doc = instance_to_json(art.instance, art.var_map, art.big_m)
     assert doc == PINNED_LAYOUTS[name]
+
+
+# Every field of each layout's SolveReport, as rational strings:
+# leader_x, value, worst_scenario, follower_y and the trace of
+# (x, adversary value) pairs.  They fix the solvers' tie-breaks.
+PINNED_REPORTS = {
+    ("optimistic", "optimistic"):
+        [["1"], "1", ["-1", "0"], ["0", "1"], [[["0"], "0"], [["1"], "1"]]],
+    ("optimistic", "pessimistic"):
+        [["1"], "1", ["-1", "0"], ["0", "1"], [[["0"], "0"], [["1"], "1"]]],
+    ("pessimistic", "optimistic"):
+        [["1"], "5/2", ["0", "0", "1"], ["1/2", "1", "1/2"],
+         [[["0"], "2"], [["1"], "5/2"]]],
+    ("pessimistic", "pessimistic"):
+        [["1"], "1", ["-1", "0", "1"], ["0", "1", "0"],
+         [[["0"], "0"], [["1"], "1"]]],
+    ("relaxed", "optimistic"):
+        [["1"], "1", ["-1", "0", "1"], ["0", "1", "0"],
+         [[["0"], "0"], [["1"], "1"]]],
+    ("relaxed", "pessimistic"):
+        [["1"], "1", ["-1", "0", "1"], ["0", "1", "0"],
+         [[["0"], "0"], [["1"], "1"]]],
+    ("simplex", "optimistic"):
+        [["1"], "1", ["1", "0"], ["1", "1"], [[["0"], "0"], [["1"], "1"]]],
+    ("simplex", "pessimistic"):
+        [["1"], "1", ["1", "0"], ["1", "1"], [[["0"], "0"], [["1"], "1"]]],
+    ("single_level", "optimistic"):
+        [["0"], "0", ["0", "1", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+         [[["0"], "0"], [["1"], "-1"]]],
+    ("single_level", "pessimistic"):
+        [["0"], "0", ["0", "1", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+         [[["0"], "0"], [["1"], "-1"]]],
+}
+
+
+@pytest.mark.parametrize("name,mode", list(PINNED_REPORTS))
+def test_solve_report_is_pinned(name, mode):
+    report = solve_robust(LAYOUT_BUILDERS[name]().instance, Mode(mode))
+    assert report == SolveReport(*rat_parse_nested(PINNED_REPORTS[name, mode]))
+
+
+def test_follower_tie_on_an_edge_is_pinned():
+    # On the unit square c = d = (1, 0) makes the whole edge y1 = 1 the
+    # argmax in both stages; the response is its vertex (1, 0).
+    square = RobustBilevelInstance(
+        p=1, n=2, lhs=[[1, 0], [0, 1], [-1, 0], [0, -1]],
+        leader_mat=[[0]] * 4, rhs=[1, 1, 0, 0], leader_obj=[1, 0],
+        leader_set=AllBinary(1), uncertainty=Interval((1, 0), (1, 0)))
+    for mode in Mode:
+        assert follower_response(square, (0,), (1, 0), mode) \
+            == ((F(1), F(0)), F(1))

@@ -1,7 +1,12 @@
+import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rbo.geometry import enumerate_vertices
 from rbo.lp import (
     CERT_LOG,
     InfeasibleError,
@@ -13,12 +18,15 @@ from rbo.lp import (
     solve_lex_lp,
     solve_lp,
 )
-from rbo.numeric import dot
+from rbo.numeric import ZERO, dot, gauss_solve
 
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
 TRIANGLE = Polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
 SEGMENT = Polyhedron([[1], [-1]], [1, 0])
 EMPTY = Polyhedron([[1], [-1]], [0, -1])
+STRIP = Polyhedron([[1, 0], [-1, 0]], [1, 1])  # |v1| <= 1, v2 free
+CENTRED_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]],
+                            [1, 1, 1, 1])
 
 
 def verify_max_certificate(poly, obj, outcome):
@@ -67,6 +75,60 @@ def test_optimal_point_is_vertex():
     assert out.point in ((F(1),), (F(-1),))
 
 
+@st.composite
+def small_polytopes(draw):
+    """A box plus up to three integer rows through a point of the box,
+    with an objective that may be zero, and a sense."""
+    n = draw(st.integers(2, 3))
+    lo = [draw(st.integers(-3, 1)) for _ in range(n)]
+    hi = [low + draw(st.integers(0, 3)) for low in lo]
+    anchor = [draw(st.integers(low, high)) for low, high in zip(lo, hi)]
+    rows, rhs = [], []
+    for j in range(n):
+        unit = [int(k == j) for k in range(n)]
+        rows += [unit, [-u for u in unit]]
+        rhs += [hi[j], -lo[j]]
+    for _ in range(draw(st.integers(0, 3))):
+        row = [draw(st.integers(-3, 3)) for _ in range(n)]
+        rows.append(row)
+        rhs.append(dot(row, anchor) + draw(st.integers(0, 2)))
+    coeffs = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    obj = draw(st.just([0] * n) | coeffs)
+    return Polyhedron(rows, rhs), obj, draw(st.sampled_from(Sense))
+
+
+@given(small_polytopes())
+@example((CENTRED_SQUARE, [1, 0], Sense.MAX))
+@example((CENTRED_SQUARE, [0, 0], Sense.MIN))
+@settings(max_examples=80, deadline=None)
+def test_optimal_point_is_vertex_of_random_polytope(case):
+    poly, obj, sense = case
+    out = solve_lp(poly, obj, sense)
+    assert out.status is LpStatus.OPTIMAL
+    tight = [row for row, r in zip(poly.a, poly.rhs)
+             if dot(row, out.point) == r]
+    assert any(gauss_solve(square, (ZERO,) * poly.dim) is not None
+               for square in itertools.combinations(tight, poly.dim))
+    values = [dot(obj, v) for v in enumerate_vertices(poly).vertices]
+    best = max(values) if sense is Sense.MAX else min(values)
+    assert out.value == best
+    if sense is Sense.MAX:
+        verify_max_certificate(poly, obj, out)
+    else:
+        verify_max_certificate(poly, [-c for c in obj],
+                               replace(out, value=-out.value))
+
+
+def test_line_coordinate_stays_at_zero():
+    # The strip has no vertex; the coordinate along its line stays at 0.
+    out = solve_lp(STRIP, [1, 0], Sense.MAX)
+    assert out.status is LpStatus.OPTIMAL
+    assert out.point == (F(1), F(0)) and out.value == 1
+    verify_max_certificate(STRIP, (F(1), F(0)), out)
+    assert solve_lp(STRIP, [0, 1], Sense.MAX).status is LpStatus.UNBOUNDED
+    assert check_bounded_nonempty(STRIP) == (True, False)
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_lp(UNIT_SQUARE, [1], Sense.MAX)
@@ -107,6 +169,9 @@ def test_lex_errors():
         solve_lex_lp(EMPTY, [1], Sense.MAX, [1], Sense.MAX)
     with pytest.raises(UnboundedError):
         solve_lex_lp(Polyhedron([[-1]], [0]), [1], Sense.MAX, [1], Sense.MAX)
+    # The primary's optimal face of the strip is the line v1 = 1.
+    with pytest.raises(UnboundedError):
+        solve_lex_lp(STRIP, [1, 0], Sense.MAX, [0, 1], Sense.MAX)
 
 
 def test_bounded_nonempty_triples():

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from rbo.numeric import (
     as_matrix,
     as_vector,
-    dot,
     gauss_solve,
     mat_vec,
-    nullspace_vector,
     rat_format,
     rat_parse,
 )
@@ -84,8 +82,3 @@ def test_gauss_solution_is_exact(rows, target):
     if solution is not None:
         assert mat_vec(m, solution) == r
 
-
-def test_nullspace_vector():
-    z = nullspace_vector([(F(1), F(1), F(0))], 3)
-    assert z is not None and dot((F(1), F(1), F(0)), z) == 0
-    assert nullspace_vector([(F(1), F(0)), (F(0), F(1))], 2) is None
