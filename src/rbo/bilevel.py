@@ -74,7 +74,7 @@ class ExplicitList:
 
     def __post_init__(self):
         object.__setattr__(self, "vectors",
-                           tuple(as_vector(v) for v in self.vectors))
+                           tuple([as_vector(v) for v in self.vectors]))
         if not self.vectors:
             raise InstanceError("explicit leader set is empty")
         for v in self.vectors:
@@ -158,8 +158,8 @@ class RobustBilevelInstance:
         x = as_vector(x)
         if len(x) != self.p:
             raise InstanceError(f"leader vector has arity {len(x)} != {self.p}")
-        shifted = tuple(self.rhs[i] + dot(self.leader_mat[i], x)
-                        for i in range(self.num_rows))
+        shifted = tuple([self.rhs[i] + dot(self.leader_mat[i], x)
+                         for i in range(self.num_rows)])
         return Polyhedron(self.lhs, shifted)
 
 
@@ -182,7 +182,7 @@ def enumerate_leader(inst: RobustBilevelInstance,
         raise CapExceededError(
             f"leader enumeration over 2^{ls.p} vectors exceeds "
             f"2^{caps.leader_bits}")
-    return [tuple(Fraction(b) for b in bits)
+    return [tuple([Fraction(b) for b in bits])
             for bits in itertools.product((0, 1), repeat=ls.p)]
 
 
@@ -341,8 +341,8 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
     finite = unc.finite_scenarios(caps.grid_points) is not None
     rng = random.Random(seed)
     for _ in range(num_samples):
-        x = tuple(Fraction(rng.randint(0, denominator), denominator)
-                  for _ in range(inst.p))
+        x = tuple([Fraction(rng.randint(0, denominator), denominator)
+                   for _ in range(inst.p)])
         bound = None
         for c in sample_scenarios:
             value = follower_response(inst, x, c, mode)[1]

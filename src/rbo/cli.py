@@ -45,7 +45,7 @@ def _parse_vector(text: str):
     text = text.strip()
     if not text:
         return ()
-    return tuple(rat_parse(part) for part in text.split(","))
+    return tuple([rat_parse(part) for part in text.split(",")])
 
 
 def _caps_args(parser):
@@ -101,8 +101,8 @@ def _cmd_compile_rs(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     try:
-        x_set = [tuple(rat_parse(str(v)) for v in vec) for vec in doc["X"]]
-        scenarios = [tuple(rat_parse(str(v)) for v in vec)
+        x_set = [tuple([rat_parse(str(v)) for v in vec]) for vec in doc["X"]]
+        scenarios = [tuple([rat_parse(str(v)) for v in vec])
                      for vec in doc["scenarios"]]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in the input document")
@@ -208,10 +208,10 @@ def _suite_single_level(args, lines: list) -> bool:
         pool = list(range(2 ** p))
         rng.shuffle(pool)
         chosen = sorted(pool[:rng.randint(1, min(6, len(pool)))])
-        x_set = [tuple((code >> i) & 1 for i in range(p)) for code in chosen]
+        x_set = [tuple([(code >> i) & 1 for i in range(p)]) for code in chosen]
         m_s = rng.randint(1, 3)
-        scenarios = [tuple(rat_parse(f"{rng.randint(-12, 12)}/4")
-                           for _ in range(p)) for _ in range(m_s)]
+        scenarios = [tuple([rat_parse(f"{rng.randint(-12, 12)}/4")
+                            for _ in range(p)]) for _ in range(m_s)]
         want = oracle.robust_single_level_oracle(x_set, scenarios)
         art = compiler.compile_single_level_robust(x_set, scenarios)
         case = f"single-level[{idx}] p={p} |X|={len(x_set)} m={m_s}"

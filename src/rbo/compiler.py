@@ -110,17 +110,18 @@ def evaluate(formula: Formula, x_bits: Sequence[int],
     return walk(formula.root)
 
 
+def _leaf_count(node: Node) -> int:
+    # Not a closure: a recursive closure is a cycle only gc frees.
+    if isinstance(node, (LeaderVar, FollowerVar)):
+        return 1
+    if isinstance(node, Not):
+        return _leaf_count(node.child)
+    return _leaf_count(node.left) + _leaf_count(node.right)
+
+
 def atomic_term_count(formula: Formula) -> int:
     """Number of variable occurrences (leaves) in the AST."""
-
-    def walk(node: Node) -> int:
-        if isinstance(node, (LeaderVar, FollowerVar)):
-            return 1
-        if isinstance(node, Not):
-            return walk(node.child)
-        return walk(node.left) + walk(node.right)
-
-    return walk(formula.root)
+    return _leaf_count(formula.root)
 
 
 def big_m_for(formula: Formula) -> Fraction:
@@ -390,11 +391,11 @@ class CompilationArtifacts:
 
 def _dense_rows(rows, n_total: int, p: int):
     """Dense (lhs, leader_mat, rhs) tuples of sparse row triples."""
-    lhs = tuple(tuple(fol.get(j, ZERO) for j in range(n_total))
-                for fol, _, _ in rows)
-    leader = tuple(tuple(led.get(i, ZERO) for i in range(p))
-                   for _, led, _ in rows)
-    return lhs, leader, tuple(const for _, _, const in rows)
+    lhs = tuple([tuple([fol.get(j, ZERO) for j in range(n_total)])
+                 for fol, _, _ in rows])
+    leader = tuple([tuple([led.get(i, ZERO) for i in range(p)])
+                    for _, led, _ in rows])
+    return lhs, leader, tuple([const for _, _, const in rows])
 
 
 def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
@@ -489,7 +490,7 @@ def relax_leader(art: CompilationArtifacts) -> CompilationArtifacts:
     inst2 = replace(
         inst,
         n=n_old + p,
-        lhs=tuple(row + pad for row in inst.lhs) + lhs,
+        lhs=tuple([row + pad for row in inst.lhs]) + lhs,
         leader_mat=inst.leader_mat + leader_mat,
         rhs=inst.rhs + rhs,
         leader_obj=inst.leader_obj + (-art.big_m,) * p,
@@ -497,7 +498,7 @@ def relax_leader(art: CompilationArtifacts) -> CompilationArtifacts:
         uncertainty=Interval(inst.uncertainty.lower + devs,
                              inst.uncertainty.upper + devs),
     )
-    var_map = art.var_map + tuple(f"xdev{i + 1}" for i in range(p))
+    var_map = art.var_map + tuple([f"xdev{i + 1}" for i in range(p)])
     return CompilationArtifacts(inst2, var_map, art.big_m)
 
 
@@ -518,7 +519,7 @@ def box_to_simplex(art: CompilationArtifacts) -> CompilationArtifacts:
     for j in range(n_y, inst.n):
         if unc.lower[j] != unc.upper[j]:
             raise ValueError(f"column {j} is not certain")
-    certain = tuple(unc.lower[j] for j in range(n_y, inst.n))
+    certain = tuple([unc.lower[j] for j in range(n_y, inst.n)])
     points = []
     base = [-ONE] * n_y
     points.append(tuple(base) + certain)
@@ -538,11 +539,11 @@ def compile_single_level_robust(x_set, scenarios) -> CompilationArtifacts:
     j of the new-discrete set is the unit vector on z_j, zero elsewhere;
     under it the follower's unique optimum has z = e_j and y = c_j·x.
     """
-    x_vectors = tuple(as_vector(v) for v in x_set)
+    x_vectors = tuple([as_vector(v) for v in x_set])
     if not x_vectors:
         raise ValueError("leader set is empty")
     p = len(x_vectors[0])
-    scenario_rows = tuple(as_vector(c) for c in scenarios)
+    scenario_rows = tuple([as_vector(c) for c in scenarios])
     if not scenario_rows:
         raise ValueError("need at least one scenario")
     if any(len(c) != p for c in scenario_rows):

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .lp import LpStatus, Polyhedron, Sense, solve_lp
-from .numeric import ONE, ZERO, Fraction, as_matrix, dot, gauss_solve
+from .numeric import (ONE, ZERO, Fraction, as_matrix, dot, gauss_solve,
+                      integer_scaled)
 from .uncertainty import CapExceededError
 
 DEFAULT_CAP = 2 ** 22
@@ -115,7 +116,7 @@ def enumerate_faces(poly: Polyhedron, vset: VertexSet) -> list:
 
     def close(tight: frozenset) -> Face:
         members = frozenset(i for i in universe if tights[i] >= tight)
-        canonical = frozenset.intersection(*(tights[i] for i in members))
+        canonical = frozenset.intersection(*[tights[i] for i in members])
         return Face(members, canonical)
 
     faces = {}
@@ -184,13 +185,12 @@ def exposure_check(face: Face, vset: VertexSet,
 
 def _primitive(coeffs, rhs):
     """Scale a row so the coefficients are integers with gcd 1."""
-    denom_lcm = lcm(*(c.denominator for c in coeffs if c))
-    num_gcd = gcd(*(c.numerator * (denom_lcm // c.denominator)
-                    for c in coeffs if c))
+    denom_lcm, ints = integer_scaled(coeffs)
+    num_gcd = gcd(*ints)
     if num_gcd == 0:
         return tuple(coeffs), rhs
     scale = Fraction(denom_lcm, num_gcd)
-    return tuple(c * scale for c in coeffs), rhs * scale
+    return tuple([c * scale for c in coeffs]), rhs * scale
 
 
 def _syntactic_prune(rows):
@@ -252,7 +252,7 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
         for j in range(n):
             plus[q + j] = -image[k][j]
         rows.append((tuple(plus), ZERO))
-        rows.append((tuple(-c for c in plus), ZERO))
+        rows.append((tuple([-c for c in plus]), ZERO))
     rows = _syntactic_prune(rows)
 
     remaining = list(range(q, width))
@@ -277,8 +277,8 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
             pscale = pc[var]
             for mc, mr in minus:
                 mscale = -mc[var]
-                coeffs = tuple(pc[j] / pscale + mc[j] / mscale
-                               for j in range(len(pc)))
+                coeffs = tuple([pc[j] / pscale + mc[j] / mscale
+                                for j in range(len(pc))])
                 new_rows.append((coeffs, pr / pscale + mr / mscale))
         rows = _syntactic_prune(new_rows)
         if len(rows) > _MAX_PROJECTION_ROWS:

@@ -3,10 +3,11 @@
 Linear programs are stated on a :class:`Polyhedron` {v : A v <= rhs} with
 free variables.  The solver is a textbook two-phase full-tableau simplex
 with Bland's pivot rule (smallest index), which terminates under
-degeneracy and is deterministic for fixed input.  Free variables keep
-one column each and never leave the basis once they enter; after phase
-two the nonbasic ones are pivoted in along the optimal face, so an
-optimal point is a vertex whenever the polyhedron has one.
+degeneracy and is deterministic for fixed input.  It pivots on integer
+rows (Bareiss 1968); Fractions appear only in the point, value and dual.
+Free variables keep one column each and never leave the basis once they
+enter; after phase two the nonbasic ones are pivoted in along the optimal
+face, so an optimal point is a vertex whenever the polyhedron has one.
 
 Every optimal solve produces a dual certificate mu (for the maximization
 form) with mu >= 0, mu^T A = obj and mu^T rhs = value; the certificate is
@@ -28,6 +29,7 @@ from .numeric import (
     as_vector,
     dot,
     gauss_solve,
+    integer_scaled,
 )
 
 
@@ -115,10 +117,6 @@ class LpOutcome:
     value: Optional[Fraction] = None
     dual: Optional[tuple] = None
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is LpStatus.OPTIMAL
-
 
 @dataclass(frozen=True)
 class LexOutcome:
@@ -134,60 +132,67 @@ class LexOutcome:
 
 
 class _Tableau:
-    """Dense simplex tableau over the equality form [A|I](v, s) = rhs.
+    """Dense fraction-free simplex tableau over [A|I](v, s) = rhs.
 
     The n columns of v are free and kept whole; the m slack columns s are
     nonnegative.  Rows with negative rhs are sign-flipped so the tableau's
     rhs stays >= 0; those rows get an artificial column for the phase-one
-    basis.  A free column that enters on a positive reduced cost is
-    negated in place first (`col_sign` records it), so it always enters
-    by rising from zero.  Once basic, a free column never leaves: its row
-    takes no part in a ratio test.  The structural part [A|I] has full
-    row rank, so no row of the tableau is zero on it: every artificial
-    left in the basis at level zero after phase one pivots out, and phase
-    two and the dual see structural columns only.
+    basis.  Row i is scaled once to ints by the least s_i > 0, its slack
+    and artificial entries kept at +-1 (a positive column scaling, which
+    Bland's rule does not see).  The true tableau is rows / d, one d > 0,
+    with the rhs last in each row; a pivot on p sets each other row to
+    (p*row - f*prow) // d, exact as every entry is a minor (Bareiss), and
+    d to p.  A running phase keeps its objective row last.  A free column
+    that enters on a positive reduced cost is negated in place first
+    (`col_sign` records it), so it always enters by rising from zero.
+    Once basic, a free column never leaves: its row takes no part in a
+    ratio test.  The structural part [A|I] has full row rank, so no row of
+    the tableau is zero on it: every artificial left in the basis at level
+    zero after phase one pivots out, and phase two and the dual see
+    structural columns only.
     """
 
     def __init__(self, poly: Polyhedron):
         m, n = poly.num_rows, poly.dim
         self.m, self.n = m, n
         self.num_structural = n + m
-        self.sign = [ONE if poly.rhs[i] >= 0 else -ONE for i in range(m)]
-        self.col_sign = [ONE] * n
+        art_rows = [i for i in range(m) if poly.rhs[i] < 0]
+        self.art_cols = {i: n + m + k for k, i in enumerate(art_rows)}
+        self.ncols = n + m + len(art_rows)
+        self.col_sign = [1] * n
+        self.scale = []
         self.rows = []
-        self.b = []
-        art_rows = [i for i in range(m) if self.sign[i] < 0]
-        self.art_cols = {i: self.num_structural + k
-                         for k, i in enumerate(art_rows)}
-        self.ncols = self.num_structural + len(art_rows)
         for i in range(m):
-            s = self.sign[i]
-            coeffs = [s * c for c in poly.a[i]]
-            coeffs += [s if j == i else ZERO for j in range(m)]
-            coeffs += [ONE if self.art_cols.get(i) == self.num_structural + k
-                       else ZERO for k in range(len(art_rows))]
-            self.rows.append(coeffs)
-            self.b.append(s * poly.rhs[i])
+            s, ints = integer_scaled(poly.a[i] + (poly.rhs[i],))
+            sign = -1 if ints[-1] < 0 else 1
+            row = [sign * a for a in ints[:n]] + [0] * (self.ncols - n)
+            row.append(sign * ints[-1])
+            row[n + i] = sign
+            if sign < 0:
+                row[self.art_cols[i]] = 1
+            self.rows.append(row)
+            self.scale.append(s)
+        self.d = 1
         self.basis = [self.art_cols.get(i, n + i) for i in range(m)]
 
     def pivot(self, row: int, col: int) -> None:
-        prow = self.rows[row]
-        inv = 1 / prow[col]
-        if inv != 1:
-            for j in range(self.ncols):
-                if prow[j]:
-                    prow[j] *= inv
-            self.b[row] *= inv
-        for i in range(self.m):
+        rows = self.rows
+        prow = rows[row]
+        p, d = prow[col], self.d
+        if p < 0:
+            # Only an artificial's pivot-out after phase one; negating its
+            # equality row keeps d > 0 and the tableau after the pivot.
+            prow = rows[row] = [-a for a in prow]
+            p = -p
+        for i, irow in enumerate(rows):
             if i == row:
                 continue
-            factor = self.rows[i][col]
-            if factor:
-                irow = self.rows[i]
-                for j in range(self.ncols):
-                    if prow[j]:
-                        irow[j] -= factor * prow[j]
-                self.b[i] -= factor * self.b[row]
+            f = irow[col]
+            if f:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(irow, prow)]
+            elif p != d:
+                rows[i] = [p * a // d for a in irow]
+        self.d = p
         self.basis[row] = col
 
     def negate(self, col: int) -> None:
@@ -198,58 +203,56 @@ class _Tableau:
 
     def leaving_row(self, col: int) -> int:
         """Bland's ratio test over the rows whose basic column is not free;
-        -1 when no such row bounds the column's rise."""
-        leave = -1
-        best_ratio = None
+        -1 when no such row bounds the column's rise.  Ratios share the
+        denominator d, so they compare by cross-multiplying."""
+        leave, best_b, best_coef = -1, 0, 1
+        basis = self.basis
         for i in range(self.m):
-            coef = self.rows[i][col]
-            if coef > 0 and self.basis[i] >= self.n:
-                ratio = self.b[i] / coef
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio
-                            and self.basis[i] < self.basis[leave])):
-                    best_ratio = ratio
-                    leave = i
+            row = self.rows[i]
+            coef = row[col]
+            if coef > 0 and basis[i] >= self.n:
+                lhs, rhs = row[-1] * best_coef, best_b * coef
+                if (leave < 0 or lhs < rhs
+                        or (lhs == rhs and basis[i] < basis[leave])):
+                    leave, best_b, best_coef = i, row[-1], coef
         return leave
 
     def run(self, cost: Sequence, allowed_cols: int) -> LpStatus:
         """Bland-rule phase driver maximizing cost over the current basis.
 
-        The entering order is the one a split v = v+ - v- would give:
-        free columns with a negative reduced cost, then free columns with
-        a positive one (negated on entry), then slack and artificial
-        columns.
+        The objective row is the reduced costs times d and times the
+        cost's integer scale, so its signs are the true ones.  The
+        entering order is the one a split v = v+ - v- would give: free
+        columns with a negative reduced cost, then free columns with a
+        positive one (negated on entry), then slack and artificial columns.
         """
-        n = self.n
-        obj = [-c for c in cost]
+        n, rows = self.n, self.rows
+        cost = integer_scaled(cost)[1]
+        obj = [-self.d * c for c in cost] + [0]
         for i in range(self.m):
             cb = cost[self.basis[i]]
             if cb:
-                rowi = self.rows[i]
-                for j in range(self.ncols):
-                    if rowi[j]:
-                        obj[j] += cb * rowi[j]
-        while True:
-            enter = next((j for j in range(n) if obj[j] < 0), -1)
-            if enter < 0:
-                enter = next((j for j in range(n) if obj[j] > 0), -1)
-                if enter >= 0:
-                    self.negate(enter)
-                    obj[enter] = -obj[enter]
-            if enter < 0:
-                enter = next((j for j in range(n, allowed_cols)
-                              if obj[j] < 0), -1)
-            if enter < 0:
-                return LpStatus.OPTIMAL
-            leave = self.leaving_row(enter)
-            if leave < 0:
-                return LpStatus.UNBOUNDED
-            prow = self.rows[leave]
-            factor = obj[enter] / prow[enter]
-            for j in range(self.ncols):
-                if prow[j]:
-                    obj[j] -= factor * prow[j]
-            self.pivot(leave, enter)
+                obj = [o + cb * a for o, a in zip(obj, rows[i])]
+        rows.append(obj)
+        try:
+            while True:
+                obj = rows[-1]
+                enter = next((j for j in range(n) if obj[j] < 0), -1)
+                if enter < 0:
+                    enter = next((j for j in range(n) if obj[j] > 0), -1)
+                    if enter >= 0:
+                        self.negate(enter)
+                if enter < 0:
+                    enter = next((j for j in range(n, allowed_cols)
+                                  if obj[j] < 0), -1)
+                if enter < 0:
+                    return LpStatus.OPTIMAL
+                leave = self.leaving_row(enter)
+                if leave < 0:
+                    return LpStatus.UNBOUNDED
+                self.pivot(leave, enter)
+        finally:
+            rows.pop()
 
 
 def _solve_max(poly: Polyhedron, obj: Sequence):
@@ -263,15 +266,14 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
 
     if tab.art_cols:
         art_set = set(tab.art_cols.values())
-        phase1_cost = [ZERO] * tab.ncols
-        for col in art_set:
-            phase1_cost[col] = -ONE
+        phase1_cost = [0] * tab.ncols
+        for i, col in tab.art_cols.items():
+            phase1_cost[col] = Fraction(-1, tab.scale[i])
         status = tab.run(phase1_cost, tab.ncols)
         if status is not LpStatus.OPTIMAL:
             raise LpInternalError("phase one cannot be unbounded")
-        infeasibility = sum((tab.b[i] for i in range(tab.m)
-                             if tab.basis[i] in art_set), ZERO)
-        if infeasibility != 0:
+        if any(tab.rows[i][-1] for i in range(tab.m)
+               if tab.basis[i] in art_set):
             return LpStatus.INFEASIBLE, None, None, None
         # Pivot the zero-level artificials out on their first nonzero
         # structural entry, which the full row rank guarantees.
@@ -280,7 +282,7 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
                 tab.pivot(i, next(j for j in range(tab.num_structural)
                                   if tab.rows[i][j]))
 
-    cost = [ZERO] * tab.ncols
+    cost = [0] * tab.ncols
     for j in range(n):
         cost[j] = tab.col_sign[j] * obj[j]
     status = tab.run(cost, tab.num_structural)
@@ -297,7 +299,7 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
         if j in basic:
             continue
         tight = [i for i in range(tab.m) if tab.basis[i] >= n
-                 and not tab.b[i] and tab.rows[i][j]]
+                 and not tab.rows[i][-1] and tab.rows[i][j]]
         if tight:
             leave = min(tight, key=tab.basis.__getitem__)
             if tab.rows[leave][j] < 0:
@@ -310,31 +312,25 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
         if leave >= 0:
             tab.pivot(leave, j)
 
-    w = [ZERO] * tab.ncols
+    w = [0] * tab.ncols
     for i in range(tab.m):
-        w[tab.basis[i]] = tab.b[i]
-    point = tuple(tab.col_sign[j] * w[j] for j in range(n))
+        w[tab.basis[i]] = tab.rows[i][-1]
+    point = tuple([Fraction(tab.col_sign[j] * w[j], tab.d) for j in range(n)])
     value = dot(obj, point)
 
-    # Dual certificate: solve B^T y = c_B against the original column data,
-    # then undo the row sign flips.  A negated free column negates both
-    # sides of its equation, so the column signs drop out.
-    bt = []
-    cb = []
-    for i in range(tab.m):
-        col = tab.basis[i]
-        if col < n:
-            column = [tab.sign[r] * poly.a[r][col] for r in range(tab.m)]
-        else:
-            k = col - n
-            column = [tab.sign[k] if r == k else ZERO for r in range(tab.m)]
-        bt.append(column)
-        cb.append(obj[col] if col < n else ZERO)
-    y = gauss_solve(bt, cb)
+    # Dual certificate.  A basic slack forces its row's mu to 0, so only
+    # the k rows whose slack is nonbasic carry mu, k the number of basic
+    # free columns j: sum_r mu_r a[r][j] = obj[j] on the original data.
+    free_cols = [col for col in tab.basis if col < n]
+    carriers = sorted(set(range(tab.m))
+                      - {col - n for col in tab.basis if col >= n})
+    y = gauss_solve([[poly.a[r][j] for r in carriers] for j in free_cols],
+                    [obj[j] for j in free_cols])
     if y is None:
         raise LpInternalError("singular optimal basis")
-    mu = tuple(tab.sign[r] * y[r] for r in range(tab.m))
-    return LpStatus.OPTIMAL, point, value, mu
+    mu = dict(zip(carriers, y))
+    return (LpStatus.OPTIMAL, point, value,
+            tuple([mu.get(r, ZERO) for r in range(tab.m)]))
 
 
 def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
@@ -367,7 +363,7 @@ def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX) -> LpOutcome:
     obj = as_vector(obj)
     if len(obj) != poly.dim:
         raise ValueError(f"objective dimension {len(obj)} != {poly.dim}")
-    internal = obj if sense is Sense.MAX else tuple(-c for c in obj)
+    internal = obj if sense is Sense.MAX else tuple([-c for c in obj])
     status, point, value, mu = _solve_max(poly, internal)
     if status is not LpStatus.OPTIMAL:
         return LpOutcome(status=status)
@@ -391,7 +387,7 @@ def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
         raise UnboundedError("primary objective is unbounded")
     primary = as_vector(primary)
     face = poly.with_rows(
-        [primary, tuple(-c for c in primary)],
+        [primary, tuple([-c for c in primary])],
         [first.value, -first.value],
     )
     second = solve_lp(face, secondary, secondary_sense)
@@ -417,7 +413,7 @@ def check_bounded_nonempty(poly: Polyhedron):
     if not is_nonempty(poly):
         return False, True
     for j in range(poly.dim):
-        unit = tuple(ONE if k == j else ZERO for k in range(poly.dim))
+        unit = tuple([ONE if k == j else ZERO for k in range(poly.dim)])
         for sense in (Sense.MAX, Sense.MIN):
             if solve_lp(poly, unit, sense).status is LpStatus.UNBOUNDED:
                 return True, False

@@ -3,13 +3,15 @@
 The scalar type of the entire package is :class:`fractions.Fraction`
 (arbitrary-precision numerator and positive denominator, always in lowest
 terms).  Vectors and matrices are plain tuples of Fractions so they are
-immutable, hashable and safe to share.
+immutable, hashable and safe to share.  Eliminations scale their rows to
+Python ints first and return Fractions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -59,7 +61,7 @@ def rat_format(value: Fraction) -> str:
 def rat_parse_nested(data):
     """Parse nested lists of rational strings into nested tuples."""
     if isinstance(data, list):
-        return tuple(rat_parse_nested(v) for v in data)
+        return tuple([rat_parse_nested(v) for v in data])
     return rat_parse(data)
 
 
@@ -71,7 +73,7 @@ def rat_format_nested(data):
 
 
 def as_vector(values: Iterable) -> Vector:
-    return tuple(rat(v) for v in values)
+    return tuple([rat(v) for v in values])
 
 
 def as_matrix(rows: Iterable[Iterable], width: Optional[int] = None) -> Matrix:
@@ -80,7 +82,7 @@ def as_matrix(rows: Iterable[Iterable], width: Optional[int] = None) -> Matrix:
     All rows must share one width; `width` pins the expected column count
     (required to disambiguate matrices with zero rows or zero columns).
     """
-    converted = tuple(as_vector(row) for row in rows)
+    converted = tuple([as_vector(row) for row in rows])
     if converted:
         w = len(converted[0])
         for row in converted:
@@ -102,46 +104,46 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vector:
-    return tuple(dot(row, v) for row in m)
+    return tuple([dot(row, v) for row in m])
+
+
+def integer_scaled(values: Sequence) -> tuple:
+    """(s, [s*v for v in values] as ints), s the least integer > 0 that
+    makes every value integral."""
+    s = lcm(*[v.denominator for v in values])
+    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
     """Solve the square system m*v = r exactly.
 
     Returns the unique solution, or None when the matrix is singular.
-    Plain fraction-pivot elimination; with exact arithmetic any nonzero
-    pivot is as good as any other.
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the augmented
+    rows scaled to ints, with the first nonzero pivot of each column: a
+    row turns into (p*row - f*prow) // d, d the previous pivot, exact as
+    every entry is a minor.  Each diagonal entry ends as the determinant.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("gauss_solve requires a square matrix")
     if len(r) != n:
         raise ValueError("right-hand side dimension mismatch")
-    if n == 0:
-        return ()
-    aug = [list(row) + [r[i]] for i, row in enumerate(m)]
+    aug = [integer_scaled(list(row) + [t])[1] for row, t in zip(m, r)]
+    d = 1
     for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if aug[i][col]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(col, n) if aug[i][col]), None)
         if pivot_row is None:
             return None
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         prow = aug[col]
-        if inv != 1:
-            for j in range(col, n + 1):
-                prow[j] *= inv
-        for i in range(n):
+        p = prow[col]
+        for i, row in enumerate(aug):
+            f = row[col]
             if i == col:
                 continue
-            factor = aug[i][col]
-            if factor:
-                row = aug[i]
-                for j in range(col, n + 1):
-                    row[j] -= factor * prow[j]
-    return tuple(aug[i][n] for i in range(n))
-
+            if f:
+                aug[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            elif p != d:
+                aug[i] = [p * a // d for a in row]
+        d = p
+    return tuple([Fraction(aug[i][n], aug[i][i]) for i in range(n)])

@@ -127,7 +127,7 @@ def _leader_candidates(inst: RobustBilevelInstance):
     ls = inst.leader_set
     if isinstance(ls, ExplicitList):
         return sorted(ls.vectors)
-    return [tuple(Fraction(b) for b in bits)
+    return [tuple([Fraction(b) for b in bits])
             for bits in itertools.product((0, 1), repeat=ls.p)]
 
 

@@ -65,16 +65,16 @@ class Shadow:
 
     def scenario(self, s: Sequence) -> tuple:
         """The scenario L·s of a direction s in D."""
-        return tuple(dot(s, row) for row in zip(*self.columns))
+        return tuple([dot(s, row) for row in zip(*self.columns)])
 
 
 def _identity(k: int) -> tuple:
-    return tuple(tuple(ONE if j == i else ZERO for j in range(k))
-                 for i in range(k))
+    return tuple([tuple([ONE if j == i else ZERO for j in range(k)])
+                  for i in range(k)])
 
 
 def _negated(row) -> tuple:
-    return tuple(-v for v in row)
+    return tuple([-v for v in row])
 
 
 class UncertaintySet:
@@ -99,7 +99,7 @@ class UncertaintySet:
 
     @classmethod
     def from_json(cls, data: dict) -> "UncertaintySet":
-        return cls(*(rat_parse_nested(data[f.name]) for f in fields(cls)))
+        return cls(*[rat_parse_nested(data[f.name]) for f in fields(cls)])
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,8 @@ class Interval(UncertaintySet):
         return len(self.lower)
 
     def free_indices(self) -> tuple:
-        return tuple(i for i in range(self.dim)
-                     if self.lower[i] != self.upper[i])
+        return tuple([i for i in range(self.dim)
+                      if self.lower[i] != self.upper[i]])
 
     def finite_scenarios(self, cap: Optional[int] = None) -> Optional[tuple]:
         return None if self.free_indices() else (self.lower,)
@@ -134,8 +134,8 @@ class Interval(UncertaintySet):
         nonzero, paired with the direction pinned to 1; D is the sub-box
         lower <= s <= upper, written as the rows e_i and -e_i."""
         free = self.free_indices()
-        base = tuple(ZERO if i in free else self.lower[i]
-                     for i in range(self.dim))
+        base = tuple([ZERO if i in free else self.lower[i]
+                      for i in range(self.dim)])
         units = _identity(self.dim)
         columns = [units[i] for i in free]
         bounds = [(self.lower[i], self.upper[i]) for i in free]
@@ -202,7 +202,7 @@ class ConvexHull(UncertaintySet):
         """One column per point; D is the standard simplex of convex
         weights: -θ <= 0, then sum θ <= 1 and -sum θ <= -1."""
         k = len(self.points)
-        rows = tuple(_negated(unit) for unit in _identity(k))
+        rows = tuple([_negated(unit) for unit in _identity(k)])
         rows += ((ONE,) * k, (-ONE,) * k)
         rhs = (ZERO,) * k + (ONE, -ONE)
         return Shadow(self.points, Polyhedron(rows, rhs))
@@ -228,7 +228,7 @@ class ProductFinite(UncertaintySet):
 
     def __post_init__(self):
         object.__setattr__(
-            self, "choices", tuple(as_vector(c) for c in self.choices))
+            self, "choices", tuple([as_vector(c) for c in self.choices]))
         if any(len(c) == 0 for c in self.choices):
             raise ValueError("every coordinate needs at least one value")
 

@@ -40,6 +40,7 @@ from rbo.compiler import (
     random_formula,
     relax_leader,
 )
+from rbo import lp
 from rbo.lp import Polyhedron, Sense, solve_lp
 from rbo.numeric import ONE, ZERO, rat_parse_nested
 from rbo.oracle import robust_single_level_oracle
@@ -537,13 +538,53 @@ def test_solve_report_is_pinned(name, mode):
     assert report == SolveReport(*rat_parse_nested(PINNED_REPORTS[name, mode]))
 
 
+# On the unit square c = d = (1, 0) makes the whole edge y1 = 1 the
+# follower's argmax in both stages.
+TIE_SQUARE = RobustBilevelInstance(
+    p=1, n=2, lhs=[[1, 0], [0, 1], [-1, 0], [0, -1]],
+    leader_mat=[[0]] * 4, rhs=[1, 1, 0, 0], leader_obj=[1, 0],
+    leader_set=AllBinary(1), uncertainty=Interval((1, 0), (1, 0)))
+
+
 def test_follower_tie_on_an_edge_is_pinned():
-    # On the unit square c = d = (1, 0) makes the whole edge y1 = 1 the
-    # argmax in both stages; the response is its vertex (1, 0).
-    square = RobustBilevelInstance(
-        p=1, n=2, lhs=[[1, 0], [0, 1], [-1, 0], [0, -1]],
-        leader_mat=[[0]] * 4, rhs=[1, 1, 0, 0], leader_obj=[1, 0],
-        leader_set=AllBinary(1), uncertainty=Interval((1, 0), (1, 0)))
+    # The response is the edge's vertex (1, 0).
     for mode in Mode:
-        assert follower_response(square, (0,), (1, 0), mode) \
+        assert follower_response(TIE_SQUARE, (0,), (1, 0), mode) \
             == ((F(1), F(0)), F(1))
+
+
+# Simplex pivots (`_Tableau.pivot` calls) for each layout's solve_robust
+# and for the tie square's follower response, as the rational tableau
+# made them.  Bland's rule must choose alike on the integer rows, so a
+# row or column scaling that changed one choice changes a count.
+PINNED_PIVOTS = {
+    ("optimistic", "optimistic"): 62, ("optimistic", "pessimistic"): 67,
+    ("pessimistic", "optimistic"): 160, ("pessimistic", "pessimistic"): 153,
+    ("relaxed", "optimistic"): 89, ("relaxed", "pessimistic"): 93,
+    ("simplex", "optimistic"): 100, ("simplex", "pessimistic"): 104,
+    ("single_level", "optimistic"): 76, ("single_level", "pessimistic"): 74,
+    ("square", "optimistic"): 6, ("square", "pessimistic"): 5,
+}
+
+
+def test_pivot_path_is_pinned(monkeypatch):
+    calls = []
+    original = lp._Tableau.pivot
+
+    def counted(self, row, col):
+        calls.append((row, col))
+        original(self, row, col)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", counted)
+    counts = {}
+    for name in LAYOUT_BUILDERS:
+        for mode in Mode:
+            instance = LAYOUT_BUILDERS[name]().instance
+            calls.clear()
+            solve_robust(instance, mode)
+            counts[name, mode.value] = len(calls)
+    for mode in Mode:
+        calls.clear()
+        follower_response(TIE_SQUARE, (0,), (1, 0), mode)
+        counts["square", mode.value] = len(calls)
+    assert counts == PINNED_PIVOTS

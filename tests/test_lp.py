@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -27,6 +28,11 @@ EMPTY = Polyhedron([[1], [-1]], [0, -1])
 STRIP = Polyhedron([[1, 0], [-1, 0]], [1, 1])  # |v1| <= 1, v2 free
 CENTRED_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]],
                             [1, 1, 1, 1])
+# 1/2 <= v1 <= 3/2 and 1/3 <= v2 <= 2 cut by v1/2 + 2v2/3 <= 7/4: rows
+# with negative right-hand sides and denominators that need scaling.
+RATIONAL_BOX = Polyhedron(
+    [[1, 0], [0, 1], [-1, 0], [0, -1], [F(1, 2), F(2, 3)]],
+    [F(3, 2), 2, F(-1, 2), F(-1, 3), F(7, 4)])
 
 
 def verify_max_certificate(poly, obj, outcome):
@@ -75,24 +81,36 @@ def test_optimal_point_is_vertex():
     assert out.point in ((F(1),), (F(-1),))
 
 
+def _rationals(low, high):
+    """Rationals in [low, high] with a denominator from 1 to 4."""
+    return st.integers(1, 4).flatmap(
+        lambda den: st.integers(low * den, high * den).map(
+            lambda num: F(num, den)))
+
+
 @st.composite
 def small_polytopes(draw):
-    """A box plus up to three integer rows through a point of the box,
-    with an objective that may be zero, and a sense."""
+    """A box plus up to three rows through a point of the box, with an
+    objective that may be zero, and a sense.  Coefficients and
+    right-hand sides have denominators 1 to 4; a box whose lower bound
+    is positive has a negative right-hand side, which takes phase one."""
     n = draw(st.integers(2, 3))
-    lo = [draw(st.integers(-3, 1)) for _ in range(n)]
-    hi = [low + draw(st.integers(0, 3)) for low in lo]
-    anchor = [draw(st.integers(low, high)) for low, high in zip(lo, hi)]
+    lo = [draw(_rationals(-3, 1)) for _ in range(n)]
+    hi = [low + draw(_rationals(0, 3)) for low in lo]
+    anchor = [low + (high - low) * draw(_rationals(0, 1))
+              for low, high in zip(lo, hi)]
     rows, rhs = [], []
     for j in range(n):
         unit = [int(k == j) for k in range(n)]
         rows += [unit, [-u for u in unit]]
         rhs += [hi[j], -lo[j]]
     for _ in range(draw(st.integers(0, 3))):
-        row = [draw(st.integers(-3, 3)) for _ in range(n)]
+        row = [draw(_rationals(-3, 3)) for _ in range(n)]
+        den = draw(st.integers(1, 4))
         rows.append(row)
-        rhs.append(dot(row, anchor) + draw(st.integers(0, 2)))
-    coeffs = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        rhs.append(F(math.ceil(dot(row, anchor) * den)
+                     + draw(st.integers(0, 2 * den)), den))
+    coeffs = st.lists(_rationals(-2, 2), min_size=n, max_size=n)
     obj = draw(st.just([0] * n) | coeffs)
     return Polyhedron(rows, rhs), obj, draw(st.sampled_from(Sense))
 
@@ -100,6 +118,7 @@ def small_polytopes(draw):
 @given(small_polytopes())
 @example((CENTRED_SQUARE, [1, 0], Sense.MAX))
 @example((CENTRED_SQUARE, [0, 0], Sense.MIN))
+@example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX))
 @settings(max_examples=80, deadline=None)
 def test_optimal_point_is_vertex_of_random_polytope(case):
     poly, obj, sense = case

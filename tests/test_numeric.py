@@ -43,7 +43,10 @@ def test_gauss_singular_is_none():
 
 
 def test_gauss_diagonal():
-    assert gauss_solve([[2, 0], [0, 4]], [1, 1]) == (F(1, 2), F(1, 4))
+    solution = gauss_solve([[2, 0], [0, 4]], [1, 1])
+    assert solution == (F(1, 2), F(1, 4))
+    # Plain int data stays exact: no float division.
+    assert all(type(v) is F for v in solution)
 
 
 def test_gauss_dimension_errors():
@@ -71,14 +74,37 @@ def test_field_axioms_exact(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(st.lists(st.lists(rationals, min_size=3, max_size=3),
-                min_size=3, max_size=3),
-       st.lists(rationals, min_size=3, max_size=3))
-@settings(max_examples=40, deadline=None)
-def test_gauss_solution_is_exact(rows, target):
+@st.composite
+def square_systems(draw):
+    """A square rational matrix of size 1 to 5 and a right-hand side."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), draw(row)
+
+
+@given(square_systems())
+@settings(max_examples=60, deadline=None)
+def test_gauss_solution_is_exact(system):
+    rows, target = system
     m = as_matrix(rows)
     r = as_vector(target)
     solution = gauss_solve(m, r)
     if solution is not None:
         assert mat_vec(m, solution) == r
 
+
+def test_gauss_zero_first_pivot_swaps_rows():
+    m = as_matrix([[0, 2, 1], [3, 0, 0], [0, 0, 5]])
+    assert gauss_solve(m, as_vector([5, 7, 5])) == (F(7, 3), F(2), F(1))
+
+
+def test_gauss_negative_pivot():
+    m = as_matrix([[-2, 1], [F(1, 3), F(-3, 4)]])
+    assert gauss_solve(m, as_vector([F(1, 2), 7])) \
+        == (F(-177, 28), F(-85, 7))
+
+
+def test_gauss_rational_multiple_row_is_singular():
+    first = [F(1, 3), F(-2, 5), F(7, 2)]
+    m = as_matrix([first, [1, 2, 3], [F(-3, 7) * c for c in first]])
+    assert gauss_solve(m, as_vector([1, 2, 3])) is None
