@@ -38,6 +38,8 @@ from .lp import (
     solve_lex_lp,
 )
 from .numeric import (
+    ONE,
+    ZERO,
     Fraction,
     as_matrix,
     as_vector,
@@ -85,8 +87,9 @@ class ExplicitList:
 @dataclass(frozen=True)
 class RelaxedBox:
     """Leader ranges over [0,1]^p; solved by binary enumeration, which the
-    deviation-penalty construction makes exact, plus a fractional
-    spot-check sampler."""
+    deviation-penalty construction makes exact (the instance must carry
+    it, see `_check_relaxed_penalty`), plus a fractional spot-check
+    sampler."""
 
     p: int
 
@@ -184,6 +187,44 @@ def enumerate_leader(inst: RobustBilevelInstance,
             f"2^{caps.leader_bits}")
     return [tuple([Fraction(b) for b in bits])
             for bits in itertools.product((0, 1), repeat=ls.p)]
+
+
+def _check_relaxed_penalty(inst: RobustBilevelInstance) -> None:
+    """Refuse a relaxed leader set without `relax_leader`'s penalty.
+
+    Binary enumeration is exact for x in [0,1]^p only through the
+    deviation penalty: the last p follower columns are dev_i, met only in
+    the last 3p rows, which read -dev_i <= 0, dev_i <= x_i and
+    dev_i <= 1 - x_i for each i in turn; every dev_i has the leader weight
+    -M < 0 and the certain objective coefficient 1.  The follower then
+    sets dev_i = min(x_i, 1 - x_i), and a fractional x pays M for it.
+    That M is large enough is the penalty argument's premise, which this
+    does not check.
+    """
+    if not isinstance(inst.leader_set, RelaxedBox):
+        return
+    p, n = inst.p, inst.n
+    k = inst.num_rows - 3 * p
+    devs = range(n - p, n)
+
+    def unit(i, width, value=ONE):
+        return tuple([value if j == i else ZERO for j in range(width)])
+
+    rows = []
+    for i, dev in enumerate(devs):
+        rows += [(unit(dev, n, -ONE), (ZERO,) * p, ZERO),
+                 (unit(dev, n), unit(i, p), ZERO),
+                 (unit(dev, n), unit(i, p, -ONE), ONE)]
+    weights = {inst.leader_obj[j] for j in devs}
+    if not (k >= 0 and n > p
+            and list(zip(inst.lhs[k:], inst.leader_mat[k:],
+                         inst.rhs[k:])) == rows
+            and not any(row[j] for row in inst.lhs[:k] for j in devs)
+            and len(weights) <= 1 and all(w < 0 for w in weights)
+            and all(inst.uncertainty.pinned(j) == ONE for j in devs)):
+        raise InstanceError(
+            "a relaxed leader set needs relax_leader's deviation penalty "
+            "on the last p follower columns")
 
 
 def validate_instance(inst: RobustBilevelInstance,
@@ -297,6 +338,7 @@ def solve_robust(inst: RobustBilevelInstance, mode: Optional[Mode] = None,
     report's value is cross-checked by replaying the worst scenario
     through the follower's lexicographic LP.
     """
+    _check_relaxed_penalty(inst)
     if mode is None:
         mode = inst.mode_default
     finite = inst.uncertainty.finite_scenarios(caps.grid_points) is not None
@@ -440,6 +482,7 @@ def instance_from_json(doc: dict):
             meta["M"] = rat_parse(doc["M"])
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
+    _check_relaxed_penalty(inst)
     return inst, meta
 
 

@@ -6,11 +6,17 @@ with Bland's pivot rule (smallest index), which terminates under
 degeneracy and is deterministic for fixed input.  It pivots on integer
 rows (Bareiss 1968); Fractions appear only in the point, value and dual.
 Free variables keep one column each and never leave the basis once they
-enter; after phase two the nonbasic ones are pivoted in along the optimal
+enter; at the end the nonbasic ones are pivoted in along the optimal
 face, so an optimal point is a vertex whenever the polyhedron has one.
 
+A lexicographic solve (a tie objective) continues from the first
+objective's optimal tableau: the slacks of the rows that carry a
+positive first dual stay out of the basis, which keeps the second stage
+on the optimal face without added rows or a second phase one.
+
 Every optimal solve produces a dual certificate mu (for the maximization
-form) with mu >= 0, mu^T A = obj and mu^T rhs = value; the certificate is
+form) with mu >= 0, mu^T A = obj and mu^T rhs = value, and a tie stage a
+second one for the tie objective plus a multiple of the first; each is
 verified exactly on the spot and a global counter keeps score so test
 suites can assert that no solve ever went uncertified.
 """
@@ -217,14 +223,16 @@ class _Tableau:
                     leave, best_b, best_coef = i, row[-1], coef
         return leave
 
-    def run(self, cost: Sequence, allowed_cols: int) -> LpStatus:
+    def run(self, cost: Sequence, allowed: Sequence) -> LpStatus:
         """Bland-rule phase driver maximizing cost over the current basis.
 
-        The objective row is the reduced costs times d and times the
-        cost's integer scale, so its signs are the true ones.  The
-        entering order is the one a split v = v+ - v- would give: free
-        columns with a negative reduced cost, then free columns with a
-        positive one (negated on entry), then slack and artificial columns.
+        Of the slack and artificial columns, only those in `allowed`
+        (ascending) may enter; free columns always may.  The objective row
+        is the reduced costs times d and times the cost's integer scale,
+        so its signs are the true ones.  The entering order is the one a
+        split v = v+ - v- would give: free columns with a negative reduced
+        cost, then free columns with a positive one (negated on entry),
+        then the allowed columns.
         """
         n, rows = self.n, self.rows
         cost = integer_scaled(cost)[1]
@@ -243,8 +251,7 @@ class _Tableau:
                     if enter >= 0:
                         self.negate(enter)
                 if enter < 0:
-                    enter = next((j for j in range(n, allowed_cols)
-                                  if obj[j] < 0), -1)
+                    enter = next((j for j in allowed if obj[j] < 0), -1)
                 if enter < 0:
                     return LpStatus.OPTIMAL
                 leave = self.leaving_row(enter)
@@ -254,14 +261,51 @@ class _Tableau:
         finally:
             rows.pop()
 
+    def cost(self, obj: Sequence) -> list:
+        """The phase cost of maximizing obj·v, in the current column signs."""
+        return ([self.col_sign[j] * obj[j] for j in range(self.n)]
+                + [0] * (self.ncols - self.n))
 
-def _solve_max(poly: Polyhedron, obj: Sequence):
-    """Two-phase simplex for max obj·v over poly.
+    def dual(self, poly: Polyhedron, obj: Sequence) -> tuple:
+        """The optimal basis's dual mu for obj, one entry per row.
 
-    Returns (status, point, value, mu) with mu the exact dual certificate.
-    The point is a vertex whenever poly has one.
+        A basic slack forces its row's mu to 0, so only the k rows whose
+        slack is nonbasic carry mu, k the number of basic free columns j:
+        sum_r mu_r a[r][j] = obj[j] on the original data.  A nonbasic free
+        column has reduced cost 0 at an optimum, so mu^T A = obj whole.
+        """
+        n = self.n
+        free_cols = [col for col in self.basis if col < n]
+        carriers = sorted(set(range(self.m))
+                          - {col - n for col in self.basis if col >= n})
+        y = gauss_solve([[poly.a[r][j] for r in carriers] for j in free_cols],
+                        [obj[j] for j in free_cols])
+        if y is None:
+            raise LpInternalError("singular optimal basis")
+        mu = dict(zip(carriers, y))
+        return tuple([mu.get(r, ZERO) for r in range(self.m)])
+
+
+def _solve_max(poly: Polyhedron, obj: Sequence,
+               tie: Optional[Sequence] = None):
+    """Two-phase simplex for max obj·v over poly, then, given a tie
+    objective, max tie·v over obj's optimal face.
+
+    Returns (status, point, certs).  certs pairs objectives with their
+    dual certificates at the point: (obj, mu), then for a tie stage
+    (tie + t·obj, mu_2).  The optimal point is a vertex whenever poly has
+    one.  The status is UNBOUNDED when obj is, or the tie objective is on
+    obj's optimal face.
+
+    The tie stage continues from obj's optimal tableau.  For any optimal
+    dual mu, obj's optimal face is poly with every slack r with mu_r > 0
+    held at 0, so the tie stage lets only the free columns and the other
+    slacks enter: no row is added and no phase one runs.  Its dual mu_s
+    may be negative on the held rows; mu_2 = mu_s + t·mu with the least
+    t >= 0 that makes it nonnegative certifies (tie + t·obj)·v over poly,
+    which with the first certificate proves the point lex-optimal.
     """
-    n = poly.dim
+    n, m = poly.dim, poly.num_rows
     tab = _Tableau(poly)
 
     if tab.art_cols:
@@ -269,12 +313,12 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
         phase1_cost = [0] * tab.ncols
         for i, col in tab.art_cols.items():
             phase1_cost[col] = Fraction(-1, tab.scale[i])
-        status = tab.run(phase1_cost, tab.ncols)
+        status = tab.run(phase1_cost, range(n, tab.ncols))
         if status is not LpStatus.OPTIMAL:
             raise LpInternalError("phase one cannot be unbounded")
         if any(tab.rows[i][-1] for i in range(tab.m)
                if tab.basis[i] in art_set):
-            return LpStatus.INFEASIBLE, None, None, None
+            return LpStatus.INFEASIBLE, None, []
         # Pivot the zero-level artificials out on their first nonzero
         # structural entry, which the full row rank guarantees.
         for i in range(tab.m):
@@ -282,18 +326,25 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
                 tab.pivot(i, next(j for j in range(tab.num_structural)
                                   if tab.rows[i][j]))
 
-    cost = [0] * tab.ncols
-    for j in range(n):
-        cost[j] = tab.col_sign[j] * obj[j]
-    status = tab.run(cost, tab.num_structural)
-    if status is LpStatus.UNBOUNDED:
-        return LpStatus.UNBOUNDED, None, None, None
+    if tab.run(tab.cost(obj), range(n, n + m)) is LpStatus.UNBOUNDED:
+        return LpStatus.UNBOUNDED, None, []
+    mu = tab.dual(poly, obj)
+    certs = [(obj, mu)]
+    if tie is not None:
+        face = [n + r for r in range(m) if not mu[r]]
+        if tab.run(tab.cost(tie), face) is LpStatus.UNBOUNDED:
+            return LpStatus.UNBOUNDED, None, []
+        mu_s = tab.dual(poly, tie)
+        t = max([ZERO] + [-s / u for s, u in zip(mu_s, mu) if u])
+        certs.append((tuple([s + t * c for s, c in zip(tie, obj)]),
+                      tuple([s + t * u for s, u in zip(mu_s, mu)])))
 
-    # Every nonbasic free column now has zero reduced cost, so pivoting it
-    # in keeps the value.  A tight row that bounds it either way takes it
-    # in place, so a vertex never moves; else it moves along the optimal
-    # face until a slack row turns tight.  A column that no slack row
-    # bounds either way spans a line of poly and stays out at 0.
+    # Every nonbasic free column now has reduced cost 0 for obj and tie,
+    # so pivoting it in keeps both values.  A tight row that bounds it
+    # either way takes it in place, so a vertex never moves; else it moves
+    # along the optimal face until a slack row turns tight.  A column
+    # that no slack row bounds either way spans a line of poly and stays
+    # out at 0.
     basic = set(tab.basis)
     for j in range(n):
         if j in basic:
@@ -316,21 +367,7 @@ def _solve_max(poly: Polyhedron, obj: Sequence):
     for i in range(tab.m):
         w[tab.basis[i]] = tab.rows[i][-1]
     point = tuple([Fraction(tab.col_sign[j] * w[j], tab.d) for j in range(n)])
-    value = dot(obj, point)
-
-    # Dual certificate.  A basic slack forces its row's mu to 0, so only
-    # the k rows whose slack is nonbasic carry mu, k the number of basic
-    # free columns j: sum_r mu_r a[r][j] = obj[j] on the original data.
-    free_cols = [col for col in tab.basis if col < n]
-    carriers = sorted(set(range(tab.m))
-                      - {col - n for col in tab.basis if col >= n})
-    y = gauss_solve([[poly.a[r][j] for r in carriers] for j in free_cols],
-                    [obj[j] for j in free_cols])
-    if y is None:
-        raise LpInternalError("singular optimal basis")
-    mu = dict(zip(carriers, y))
-    return (LpStatus.OPTIMAL, point, value,
-            tuple([mu.get(r, ZERO) for r in range(tab.m)]))
+    return LpStatus.OPTIMAL, point, certs
 
 
 def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
@@ -352,54 +389,61 @@ def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
     CERT_LOG.verified += 1
 
 
-def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX) -> LpOutcome:
+def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
+             tie=None) -> LpOutcome:
     """Exact LP solve; an optimal point is a vertex of the polyhedron
     whenever it has one.  When the polyhedron contains a line instead,
     the free columns that span it stay at 0.
 
     The returned dual always certifies the maximization form: for a MIN
     solve it certifies max (-obj) = -value.
+
+    With tie = (objective, sense), the point is also optimal for that
+    objective over obj's optimal face, and value and dual stay obj's; the
+    status is UNBOUNDED also when the tie objective is unbounded there.
     """
-    obj = as_vector(obj)
-    if len(obj) != poly.dim:
-        raise ValueError(f"objective dimension {len(obj)} != {poly.dim}")
-    internal = obj if sense is Sense.MAX else tuple([-c for c in obj])
-    status, point, value, mu = _solve_max(poly, internal)
+    obj = _internal(obj, sense, poly.dim)
+    if tie is not None:
+        tie = _internal(*tie, poly.dim)
+    status, point, certs = _solve_max(poly, obj, tie)
     if status is not LpStatus.OPTIMAL:
         return LpOutcome(status=status)
-    _verify_certificate(poly, internal, value, mu)
+    for cost, mu in certs:
+        _verify_certificate(poly, cost, dot(cost, point), mu)
+    value = dot(obj, point)
     if sense is Sense.MIN:
         value = -value
-    return LpOutcome(LpStatus.OPTIMAL, point, value, mu)
+    return LpOutcome(LpStatus.OPTIMAL, point, value, certs[0][1])
+
+
+def _internal(obj, sense: Sense, dim: int) -> tuple:
+    """obj as the vector to maximize."""
+    obj = as_vector(obj)
+    if len(obj) != dim:
+        raise ValueError(f"objective dimension {len(obj)} != {dim}")
+    return obj if sense is Sense.MAX else tuple([-c for c in obj])
 
 
 def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
                  secondary, secondary_sense: Sense) -> LexOutcome:
     """Optimize `secondary` over the primary objective's optimal face.
 
-    The optimal face is pinned by appending the equality primary·v = v*
-    as a pair of inequalities.
+    One `solve_lp` with `secondary` as its tie objective: the second stage
+    runs on the first stage's optimal tableau, with the slacks of the rows
+    that carry a positive primary dual kept out of the basis.  Both stages'
+    certificates are checked at the returned point, the first of them
+    proving primary·point = primary_value.
     """
-    first = solve_lp(poly, primary, primary_sense)
-    if first.status is LpStatus.INFEASIBLE:
+    out = solve_lp(poly, primary, primary_sense,
+                   tie=(secondary, secondary_sense))
+    if out.status is LpStatus.INFEASIBLE:
         raise InfeasibleError("lexicographic solve on an empty polyhedron")
-    if first.status is LpStatus.UNBOUNDED:
-        raise UnboundedError("primary objective is unbounded")
-    primary = as_vector(primary)
-    face = poly.with_rows(
-        [primary, tuple([-c for c in primary])],
-        [first.value, -first.value],
-    )
-    second = solve_lp(face, secondary, secondary_sense)
-    if second.status is LpStatus.UNBOUNDED:
-        raise UnboundedError("secondary objective is unbounded on the "
-                             "primary's optimal face")
-    if second.status is LpStatus.INFEASIBLE:
-        raise LpInternalError("secondary stage lost feasibility")
-    if dot(primary, second.point) != first.value:
-        raise LpInternalError("lexicographic point left the optimal face")
-    return LexOutcome(point=second.point, value=second.value,
-                      primary_value=first.value)
+    if out.status is LpStatus.UNBOUNDED:
+        raise UnboundedError("the primary objective is unbounded, or the "
+                             "secondary on the primary's optimal face")
+    return LexOutcome(point=out.point,
+                      value=dot(as_vector(secondary), out.point),
+                      primary_value=out.value)
 
 
 def is_nonempty(poly: Polyhedron) -> bool:

@@ -17,6 +17,7 @@ a new kind (budgeted uncertainty, say) is one dataclass plus its entry in
   its rows; the exposure LPs run over D directly, so a new convex kind
   needs no other geometry;
 * `_contains(c)`: exact membership of a vector of the right length;
+* `pinned(j)`: the value every member has in coordinate j, or None;
 * `corner_samples(cap)`, when the default (the finite scenarios) does not
   apply: finitely many members whose minimum over follower outcomes
   bounds the adversary from above;
@@ -75,6 +76,11 @@ def _identity(k: int) -> tuple:
 
 def _negated(row) -> tuple:
     return tuple([-v for v in row])
+
+
+def _shared(values: Sequence):
+    """The one value of a nonempty sequence, or None if it has several."""
+    return values[0] if len(set(values)) == 1 else None
 
 
 class UncertaintySet:
@@ -152,6 +158,9 @@ class Interval(UncertaintySet):
         return all(lo <= ci <= hi
                    for lo, ci, hi in zip(self.lower, c, self.upper))
 
+    def pinned(self, j: int):
+        return self.lower[j] if self.lower[j] == self.upper[j] else None
+
     def corner_samples(self, cap: int) -> tuple:
         return tuple(box_corner_scenarios(self, cap))
 
@@ -177,6 +186,9 @@ class DiscreteSet(UncertaintySet):
 
     def _contains(self, c: tuple) -> bool:
         return c in self.scenarios
+
+    def pinned(self, j: int):
+        return _shared([c[j] for c in self.scenarios])
 
 
 @dataclass(frozen=True)
@@ -218,6 +230,9 @@ class ConvexHull(UncertaintySet):
     def corner_samples(self, cap: int) -> tuple:
         return self.points
 
+    def pinned(self, j: int):
+        return _shared([c[j] for c in self.points])
+
 
 @dataclass(frozen=True)
 class ProductFinite(UncertaintySet):
@@ -247,6 +262,9 @@ class ProductFinite(UncertaintySet):
 
     def _contains(self, c: tuple) -> bool:
         return all(ci in vals for ci, vals in zip(c, self.choices))
+
+    def pinned(self, j: int):
+        return _shared(self.choices[j])
 
 
 KINDS = {cls.kind: cls

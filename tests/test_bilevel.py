@@ -11,6 +11,7 @@ from rbo.bilevel import (
     ExplicitList,
     InstanceError,
     Mode,
+    RelaxedBox,
     RobustBilevelInstance,
     adversary_discrete,
     adversary_geometric,
@@ -24,12 +25,15 @@ from rbo.bilevel import (
     solve_robust,
     validate_instance,
 )
+from rbo.cli import main
 from rbo.compiler import (
     FollowerVar,
     Formula,
+    box_to_simplex,
     compile_qsat_optimistic,
     compile_qsat_pessimistic,
     parse_formula,
+    relax_leader,
 )
 from rbo.lp import CERT_LOG
 from rbo.numeric import ONE, ZERO, dot
@@ -353,3 +357,52 @@ def test_scenario_membership():
     grid = ProductFinite(((F(0), F(1)), (F(5),)))
     assert grid.contains((F(1), F(5)))
     assert not grid.contains((F(1), F(4)))
+
+
+# Y(x) = {0 <= y <= 2x, y <= 2 - 2x} with c = d = 1 over x in [0, 1]:
+# both binary leaders give 0, but x = 1/2 reaches 1, so binary
+# enumeration without the deviation penalty would report a wrong 0.
+UNPENALIZED_RELAXED = RobustBilevelInstance(
+    p=1, n=1, lhs=[[-1], [1], [1]], leader_mat=[[0], [2], [-2]],
+    rhs=[0, 0, 2], leader_obj=[1], leader_set=RelaxedBox(1),
+    uncertainty=Interval([1], [1]))
+
+
+def test_relaxed_leader_without_penalty_is_refused(tmp_path, capsys):
+    inst = UNPENALIZED_RELAXED
+    assert follower_response(inst, (F(1, 2),), (1,), Mode.OPTIMISTIC) \
+        == ((F(1),), F(1))
+    with pytest.raises(InstanceError):
+        solve_robust(inst)
+    doc = instance_to_json(inst)
+    with pytest.raises(InstanceError):
+        instance_from_json(doc)
+    path = tmp_path / "relaxed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _relaxed_or():
+    return relax_leader(compile_qsat_optimistic(
+        parse_formula("(or x1 y1)", 1, 1)))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda inst: replace(inst, leader_obj=inst.leader_obj[:-1] + (ONE,)),
+    lambda inst: replace(inst, rhs=inst.rhs[:-1] + (F(2),)),
+    lambda inst: replace(inst, lhs=((ONE,) * inst.n,) + inst.lhs[1:]),
+    lambda inst: replace(inst, uncertainty=Interval(
+        inst.uncertainty.lower[:-1] + (ZERO,),
+        inst.uncertainty.upper[:-1] + (ONE,))),
+    lambda inst: replace(inst, uncertainty=DiscreteSet(
+        [inst.uncertainty.lower, inst.uncertainty.lower[:-1] + (F(2),)])),
+])
+def test_relaxed_leader_penalty_is_checked(tamper):
+    inst = _relaxed_or().instance
+    assert solve_robust(inst).value == 1
+    assert solve_robust(box_to_simplex(_relaxed_or()).instance).value == 1
+    with pytest.raises(InstanceError):
+        solve_robust(tamper(inst))
+    with pytest.raises(InstanceError):
+        instance_from_json(instance_to_json(tamper(inst)))

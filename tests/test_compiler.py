@@ -554,16 +554,16 @@ def test_follower_tie_on_an_edge_is_pinned():
 
 
 # Simplex pivots (`_Tableau.pivot` calls) for each layout's solve_robust
-# and for the tie square's follower response, as the rational tableau
-# made them.  Bland's rule must choose alike on the integer rows, so a
-# row or column scaling that changed one choice changes a count.
+# and for the tie square's follower response, with the follower's tie
+# stage continuing on the first stage's tableau.  A change to Bland's
+# choices, the row scaling or the stages changes a count.
 PINNED_PIVOTS = {
-    ("optimistic", "optimistic"): 62, ("optimistic", "pessimistic"): 67,
-    ("pessimistic", "optimistic"): 160, ("pessimistic", "pessimistic"): 153,
-    ("relaxed", "optimistic"): 89, ("relaxed", "pessimistic"): 93,
-    ("simplex", "optimistic"): 100, ("simplex", "pessimistic"): 104,
-    ("single_level", "optimistic"): 76, ("single_level", "pessimistic"): 74,
-    ("square", "optimistic"): 6, ("square", "pessimistic"): 5,
+    ("optimistic", "optimistic"): 40, ("optimistic", "pessimistic"): 44,
+    ("pessimistic", "optimistic"): 121, ("pessimistic", "pessimistic"): 122,
+    ("relaxed", "optimistic"): 59, ("relaxed", "pessimistic"): 63,
+    ("simplex", "optimistic"): 76, ("simplex", "pessimistic"): 80,
+    ("single_level", "optimistic"): 39, ("single_level", "pessimistic"): 37,
+    ("square", "optimistic"): 2, ("square", "pessimistic"): 2,
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rbo import lp
 from rbo.geometry import enumerate_vertices
 from rbo.lp import (
     CERT_LOG,
@@ -181,6 +182,60 @@ def test_lex_primary_matches_plain_solve():
         lex = solve_lex_lp(poly, primary, Sense.MAX, secondary, Sense.MAX)
         assert lex.primary_value == plain.value
         assert dot(primary, lex.point) == plain.value
+
+
+@st.composite
+def lex_cases(draw):
+    """A small polytope, its objective as the primary, and a secondary."""
+    poly, primary, _ = draw(small_polytopes())
+    secondary = draw(st.lists(_rationals(-2, 2), min_size=poly.dim,
+                              max_size=poly.dim))
+    return poly, primary, secondary
+
+
+@given(lex_cases())
+@example((UNIT_SQUARE, [1, 0], [-1, 1]))
+@example((CENTRED_SQUARE, [0, 0], [1, 1]))
+@example((RATIONAL_BOX, [F(1, 2), F(2, 3)], [F(-3, 4), F(1, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_lex_matches_solve_on_pinned_face(case):
+    # The reference pins the primary's optimal face with two added rows
+    # and solves the secondary from scratch.
+    poly, primary, secondary = case
+    for primary_sense, secondary_sense in itertools.product(Sense, Sense):
+        best = solve_lp(poly, primary, primary_sense).value
+        face = poly.with_rows([primary, [-c for c in primary]],
+                              [best, -best])
+        reference = solve_lp(face, secondary, secondary_sense)
+        before = (CERT_LOG.verified, CERT_LOG.failures)
+        lex = solve_lex_lp(poly, primary, primary_sense,
+                           secondary, secondary_sense)
+        assert (CERT_LOG.verified - before[0],
+                CERT_LOG.failures - before[1]) == (2, 0)
+        assert lex.primary_value == best == dot(primary, lex.point)
+        assert lex.value == reference.value
+        tight = [row for row, r in zip(poly.a, poly.rhs)
+                 if dot(row, lex.point) == r]
+        assert any(gauss_solve(square, (ZERO,) * poly.dim) is not None
+                   for square in itertools.combinations(tight, poly.dim))
+
+
+def test_lex_certificate_needs_the_primary(monkeypatch):
+    # On the edge v1 = 1 the secondary gains by raising v2, but over the
+    # square it would rather lower v1: its own dual is negative on the
+    # held row v1 <= 1, and only (-1, 1) + 1·(1, 0) has a certificate.
+    checked = []
+    verify = lp._verify_certificate
+
+    def record(poly, obj, value, mu):
+        checked.append((obj, value))
+        verify(poly, obj, value, mu)
+
+    monkeypatch.setattr(lp, "_verify_certificate", record)
+    out = solve_lex_lp(UNIT_SQUARE, [1, 0], Sense.MAX, [-1, 1], Sense.MAX)
+    assert out.point == (F(1), F(1))
+    assert out.value == 0 and out.primary_value == 1
+    assert checked == [((F(1), F(0)), F(1)), ((F(0), F(1)), F(1))]
 
 
 def test_lex_errors():

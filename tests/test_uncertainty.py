@@ -38,6 +38,11 @@ def test_uncertainty_protocol(name):
     assert KINDS[doc["kind"]].from_json(doc) == unc
     assert all(unc.contains(c) for c in unc.corner_samples(16))
     assert unc.finite_scenarios(16) == finite
+    # The corner samples of these sets span them, so they fix exactly
+    # the coordinates every member shares.
+    for j in range(unc.dim):
+        values = {c[j] for c in unc.corner_samples(16)}
+        assert unc.pinned(j) == (values.pop() if len(values) == 1 else None)
     if finite is None:
         shadow = unc.shadow()
         assert all(len(col) == unc.dim for col in shadow.columns)
