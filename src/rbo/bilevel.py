@@ -257,18 +257,26 @@ def follower_response(inst: RobustBilevelInstance, x: Sequence, c: Sequence,
     c = as_vector(c)
     if len(c) != inst.n:
         raise InstanceError(f"scenario has dimension {len(c)} != {inst.n}")
+    return _respond(inst, inst.follower_polyhedron(x), c, mode)
+
+
+def _respond(inst: RobustBilevelInstance, poly: Polyhedron, c: Sequence,
+             mode: Mode):
+    """`follower_response` on poly = Y(x), which keeps its phase one for
+    the next scenario."""
     tie_sense = Sense.MAX if mode is Mode.OPTIMISTIC else Sense.MIN
-    lex = solve_lex_lp(inst.follower_polyhedron(x), c, Sense.MAX,
-                       inst.leader_obj, tie_sense)
+    lex = solve_lex_lp(poly, c, Sense.MAX, inst.leader_obj, tie_sense)
     return lex.point, lex.value
 
 
-def _worst_scenario(inst: RobustBilevelInstance, x, mode: Mode, scenarios):
-    """The first scenario with the smallest leader outcome, and that outcome."""
+def _worst_scenario(inst: RobustBilevelInstance, poly: Polyhedron,
+                    mode: Mode, scenarios):
+    """The first scenario with the smallest leader outcome over poly = Y(x),
+    and that outcome."""
     best_c = None
     best_value = None
     for c in scenarios:
-        _, value = follower_response(inst, x, c, mode)
+        _, value = _respond(inst, poly, c, mode)
         if best_value is None or value < best_value:
             best_value = value
             best_c = c
@@ -284,7 +292,7 @@ def adversary_discrete(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     if scenarios is None:
         raise InstanceError("adversary_discrete requires a finite "
                             "uncertainty set")
-    return _worst_scenario(inst, x, mode, scenarios)
+    return _worst_scenario(inst, inst.follower_polyhedron(x), mode, scenarios)
 
 
 def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
@@ -298,19 +306,25 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
     that face's argmax set, and the leader outcome there comes from the
     follower's lexicographic response at the scenario L·s.
     """
+    return _adversary(inst, inst.follower_polyhedron(x), mode, caps)
+
+
+def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
+               caps: Caps):
+    """`adversary_geometric` on poly = Y(x): the projection and every
+    scenario's follower LP use this one polyhedron."""
     unc = inst.uncertainty
     scenarios = unc.finite_scenarios(caps.grid_points)
     if scenarios is None:
         shadow = unc.shadow()
-        shadow_poly = geometry.project_polytope(
-            inst.follower_polyhedron(x), shadow.columns)
+        shadow_poly = geometry.project_polytope(poly, shadow.columns)
         vset = geometry.enumerate_vertices(shadow_poly)
         faces = geometry.enumerate_faces(shadow_poly, vset)
         certs = (geometry.exposure_check(face, vset, shadow.directions)
                  for face in faces)
         scenarios = (shadow.scenario(cert.c) for cert in certs
                      if cert is not None)
-    return _worst_scenario(inst, x, mode, scenarios)
+    return _worst_scenario(inst, poly, mode, scenarios)
 
 
 def solve_certain(inst: RobustBilevelInstance, c: Sequence, mode: Mode,
@@ -385,9 +399,10 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
     for _ in range(num_samples):
         x = tuple([Fraction(rng.randint(0, denominator), denominator)
                    for _ in range(inst.p)])
+        poly = inst.follower_polyhedron(x)
         bound = None
         for c in sample_scenarios:
-            value = follower_response(inst, x, c, mode)[1]
+            value = _respond(inst, poly, c, mode)[1]
             if bound is None or value < bound:
                 bound = value
             if bound <= binary_value:
@@ -396,7 +411,7 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
             continue
         if finite:
             return (x, bound)  # the bound is already exact for finite sets
-        _, exact = adversary_geometric(inst, x, mode, caps)
+        _, exact = _adversary(inst, poly, mode, caps)
         if exact > binary_value:
             return (x, exact)
     return None

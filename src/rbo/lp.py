@@ -9,6 +9,13 @@ Free variables keep one column each and never leave the basis once they
 enter; at the end the nonbasic ones are pivoted in along the optimal
 face, so an optimal point is a vertex whenever the polyhedron has one.
 
+Phase one runs once per polyhedron: a :class:`Polyhedron` keeps its rows
+scaled to ints and its tableau after phase one (or the finding that it
+is empty) for as long as it lives, and every solve on it starts from a
+shallow copy of that tableau.  Bland's rule sees the same tableau each
+time, so a reused polyhedron gives the same point, value and dual as a
+fresh one.
+
 A lexicographic solve (a tie objective) continues from the first
 objective's optimal tableau: the slacks of the rows that carry a
 positive first dual stay out of the basis, which keeps the second stage
@@ -17,14 +24,18 @@ on the optimal face without added rows or a second phase one.
 Every optimal solve produces a dual certificate mu (for the maximization
 form) with mu >= 0, mu^T A = obj and mu^T rhs = value, and a tie stage a
 second one for the tie objective plus a multiple of the first; each is
-verified exactly on the spot and a global counter keeps score so test
-suites can assert that no solve ever went uncertified.
+verified exactly on the spot, on the polyhedron's integer rows, and a
+global counter keeps score so test suites can assert that no solve ever
+went uncertified.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from .numeric import (
@@ -85,7 +96,14 @@ CERT_LOG = CertificateLog()
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Feasible set {v in R^n : a·v <= rhs row by row}."""
+    """Feasible set {v in R^n : a·v <= rhs row by row}.
+
+    Two things are computed on first use and kept for the object's
+    lifetime: the rows scaled to ints, and the tableau after phase one.
+    Every solve on one polyhedron shares them, so the emptiness probe,
+    the boundedness probes and each scenario of one Y(x) run phase one
+    once between them.
+    """
 
     a: tuple
     rhs: tuple
@@ -114,6 +132,25 @@ class Polyhedron:
     def with_rows(self, extra_rows, extra_rhs) -> "Polyhedron":
         return Polyhedron(self.a + as_matrix(extra_rows, self.dim),
                           self.rhs + as_vector(extra_rhs))
+
+    @cached_property
+    def _scaled_rows(self) -> tuple:
+        """(scales, rows): row i of [a | rhs] times s_i, the least int
+        > 0 that makes it integral, as a tuple of ints."""
+        scales, rows = [], []
+        for row, r in zip(self.a, self.rhs):
+            s, ints = integer_scaled(row + (r,))
+            scales.append(s)
+            rows.append(tuple(ints))
+        return tuple(scales), tuple(rows)
+
+    @cached_property
+    def _phase_one_tableau(self) -> Optional["_Tableau"]:
+        """The tableau after phase one, or None when the set is empty.
+
+        Solves start from a copy (`_Tableau.copy`) and never change it.
+        """
+        return _phase_one(self)
 
 
 @dataclass(frozen=True)
@@ -166,10 +203,8 @@ class _Tableau:
         self.art_cols = {i: n + m + k for k, i in enumerate(art_rows)}
         self.ncols = n + m + len(art_rows)
         self.col_sign = [1] * n
-        self.scale = []
         self.rows = []
-        for i in range(m):
-            s, ints = integer_scaled(poly.a[i] + (poly.rhs[i],))
+        for i, ints in enumerate(poly._scaled_rows[1]):
             sign = -1 if ints[-1] < 0 else 1
             row = [sign * a for a in ints[:n]] + [0] * (self.ncols - n)
             row.append(sign * ints[-1])
@@ -177,9 +212,18 @@ class _Tableau:
             if sign < 0:
                 row[self.art_cols[i]] = 1
             self.rows.append(row)
-            self.scale.append(s)
         self.d = 1
         self.basis = [self.art_cols.get(i, n + i) for i in range(m)]
+
+    def copy(self) -> "_Tableau":
+        """A tableau that pivots apart from this one.  The rows are shared:
+        `pivot` replaces a row and never writes into it, and `negate`
+        copies a row before it flips an entry."""
+        twin = copy.copy(self)
+        twin.rows = self.rows[:]
+        twin.basis = self.basis[:]
+        twin.col_sign = self.col_sign[:]
+        return twin
 
     def pivot(self, row: int, col: int) -> None:
         rows = self.rows
@@ -203,8 +247,11 @@ class _Tableau:
 
     def negate(self, col: int) -> None:
         """Flip the sign of a nonbasic free column."""
-        for row in self.rows:
-            row[col] = -row[col]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if row[col]:
+                row = rows[i] = row[:]
+                row[col] = -row[col]
         self.col_sign[col] = -self.col_sign[col]
 
     def leaving_row(self, col: int) -> int:
@@ -286,16 +333,46 @@ class _Tableau:
         return tuple([mu.get(r, ZERO) for r in range(self.m)])
 
 
+def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
+    """poly's tableau at a feasible basis with no artificial in it, or
+    None when poly is empty."""
+    tab = _Tableau(poly)
+    if not tab.art_cols:
+        return tab
+    art_set = set(tab.art_cols.values())
+    scales = poly._scaled_rows[0]
+    phase1_cost = [0] * tab.ncols
+    for i, col in tab.art_cols.items():
+        phase1_cost[col] = Fraction(-1, scales[i])
+    status = tab.run(phase1_cost, range(tab.n, tab.ncols))
+    if status is not LpStatus.OPTIMAL:
+        raise LpInternalError("phase one cannot be unbounded")
+    if any(tab.rows[i][-1] for i in range(tab.m)
+           if tab.basis[i] in art_set):
+        return None
+    # Pivot the zero-level artificials out on their first nonzero
+    # structural entry, which the full row rank guarantees.
+    for i in range(tab.m):
+        if tab.basis[i] in art_set:
+            tab.pivot(i, next(j for j in range(tab.num_structural)
+                              if tab.rows[i][j]))
+    return tab
+
+
 def _solve_max(poly: Polyhedron, obj: Sequence,
                tie: Optional[Sequence] = None):
-    """Two-phase simplex for max obj·v over poly, then, given a tie
-    objective, max tie·v over obj's optimal face.
+    """Phase two for max obj·v over poly, then, given a tie objective,
+    max tie·v over obj's optimal face.
 
     Returns (status, point, certs).  certs pairs objectives with their
     dual certificates at the point: (obj, mu), then for a tie stage
     (tie + t·obj, mu_2).  The optimal point is a vertex whenever poly has
     one.  The status is UNBOUNDED when obj is, or the tie objective is on
     obj's optimal face.
+
+    Phase two starts from a copy of poly's tableau after phase one, which
+    poly computes on its first solve and keeps; so every solve after the
+    first on one polyhedron builds no tableau and runs no phase one.
 
     The tie stage continues from obj's optimal tableau.  For any optimal
     dual mu, obj's optimal face is poly with every slack r with mu_r > 0
@@ -306,25 +383,10 @@ def _solve_max(poly: Polyhedron, obj: Sequence,
     which with the first certificate proves the point lex-optimal.
     """
     n, m = poly.dim, poly.num_rows
-    tab = _Tableau(poly)
-
-    if tab.art_cols:
-        art_set = set(tab.art_cols.values())
-        phase1_cost = [0] * tab.ncols
-        for i, col in tab.art_cols.items():
-            phase1_cost[col] = Fraction(-1, tab.scale[i])
-        status = tab.run(phase1_cost, range(n, tab.ncols))
-        if status is not LpStatus.OPTIMAL:
-            raise LpInternalError("phase one cannot be unbounded")
-        if any(tab.rows[i][-1] for i in range(tab.m)
-               if tab.basis[i] in art_set):
-            return LpStatus.INFEASIBLE, None, []
-        # Pivot the zero-level artificials out on their first nonzero
-        # structural entry, which the full row rank guarantees.
-        for i in range(tab.m):
-            if tab.basis[i] in art_set:
-                tab.pivot(i, next(j for j in range(tab.num_structural)
-                                  if tab.rows[i][j]))
+    start = poly._phase_one_tableau
+    if start is None:
+        return LpStatus.INFEASIBLE, None, []
+    tab = start.copy()
 
     if tab.run(tab.cost(obj), range(n, n + m)) is LpStatus.UNBOUNDED:
         return LpStatus.UNBOUNDED, None, []
@@ -372,17 +434,25 @@ def _solve_max(poly: Polyhedron, obj: Sequence,
 
 def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
                         mu: Sequence) -> None:
+    """Check mu >= 0, mu^T A = obj and mu^T rhs = value on poly's data.
+
+    Row i of [A | rhs] is ints_i / s_i, so with nu_i = mu_i / s_i over one
+    common denominator D the check is sum (D nu_i) ints_i = D (obj | value)
+    in ints.
+    """
     CERT_LOG.optimal_solves += 1
-    ok = all(m >= 0 for m in mu)
-    if ok:
-        for j in range(poly.dim):
-            combo = sum((mu[i] * poly.a[i][j] for i in range(poly.num_rows)
-                         if mu[i]), ZERO)
-            if combo != obj[j]:
-                ok = False
-                break
-    if ok and dot(mu, poly.rhs) != value:
-        ok = False
+    scales, rows = poly._scaled_rows
+    terms = [(u.numerator, u.denominator * s, row)
+             for u, s, row in zip(mu, scales, rows) if u]
+    den = lcm(*[q for _, q, _ in terms])
+    combo = [0] * (poly.dim + 1)
+    for num, q, row in terms:
+        f = num * (den // q)
+        combo = [c + f * a for c, a in zip(combo, row)]
+    target = list(obj) + [value]
+    ok = (len(mu) == poly.num_rows and all(num > 0 for num, _, _ in terms)
+          and all(c * t.denominator == den * t.numerator
+                  for c, t in zip(combo, target)))
     if not ok:
         CERT_LOG.failures += 1
         raise LpInternalError("dual certificate check failed")

@@ -555,36 +555,51 @@ def test_follower_tie_on_an_edge_is_pinned():
 
 # Simplex pivots (`_Tableau.pivot` calls) for each layout's solve_robust
 # and for the tie square's follower response, with the follower's tie
-# stage continuing on the first stage's tableau.  A change to Bland's
-# choices, the row scaling or the stages changes a count.
+# stage continuing on the first stage's tableau and every solve on one
+# Y(x) starting from its phase-one tableau.  A change to Bland's choices,
+# the row scaling or the stages changes a count.
 PINNED_PIVOTS = {
-    ("optimistic", "optimistic"): 40, ("optimistic", "pessimistic"): 44,
-    ("pessimistic", "optimistic"): 121, ("pessimistic", "pessimistic"): 122,
-    ("relaxed", "optimistic"): 59, ("relaxed", "pessimistic"): 63,
-    ("simplex", "optimistic"): 76, ("simplex", "pessimistic"): 80,
-    ("single_level", "optimistic"): 39, ("single_level", "pessimistic"): 37,
+    ("optimistic", "optimistic"): 34, ("optimistic", "pessimistic"): 38,
+    ("pessimistic", "optimistic"): 115, ("pessimistic", "pessimistic"): 116,
+    ("relaxed", "optimistic"): 53, ("relaxed", "pessimistic"): 57,
+    ("simplex", "optimistic"): 70, ("simplex", "pessimistic"): 74,
+    ("single_level", "optimistic"): 32, ("single_level", "pessimistic"): 30,
     ("square", "optimistic"): 2, ("square", "pessimistic"): 2,
 }
+# Tableaux built (`_Tableau.__init__` calls), the same for both modes:
+# one for each polyhedron solved, so a solve that stops reusing its
+# polyhedron's phase one raises a count.
+PINNED_TABLEAUX = {"optimistic": 13, "pessimistic": 29, "relaxed": 17,
+                   "simplex": 21, "single_level": 3, "square": 1}
 
 
 def test_pivot_path_is_pinned(monkeypatch):
-    calls = []
-    original = lp._Tableau.pivot
+    calls, built = [], []
+    pivot, init = lp._Tableau.pivot, lp._Tableau.__init__
 
     def counted(self, row, col):
         calls.append((row, col))
-        original(self, row, col)
+        pivot(self, row, col)
+
+    def counted_init(self, poly):
+        built.append(poly)
+        init(self, poly)
 
     monkeypatch.setattr(lp._Tableau, "pivot", counted)
+    monkeypatch.setattr(lp._Tableau, "__init__", counted_init)
     counts = {}
     for name in LAYOUT_BUILDERS:
         for mode in Mode:
             instance = LAYOUT_BUILDERS[name]().instance
             calls.clear()
+            built.clear()
             solve_robust(instance, mode)
             counts[name, mode.value] = len(calls)
+            assert len(built) == PINNED_TABLEAUX[name], (name, mode)
     for mode in Mode:
         calls.clear()
+        built.clear()
         follower_response(TIE_SQUARE, (0,), (1, 0), mode)
         counts["square", mode.value] = len(calls)
+        assert len(built) == PINNED_TABLEAUX["square"], mode
     assert counts == PINNED_PIVOTS

@@ -12,6 +12,7 @@ from rbo.geometry import enumerate_vertices
 from rbo.lp import (
     CERT_LOG,
     InfeasibleError,
+    LpInternalError,
     LpStatus,
     Polyhedron,
     Sense,
@@ -218,6 +219,114 @@ def test_lex_matches_solve_on_pinned_face(case):
                  if dot(row, lex.point) == r]
         assert any(gauss_solve(square, (ZERO,) * poly.dim) is not None
                    for square in itertools.combinations(tight, poly.dim))
+
+
+@given(small_polytopes())
+@example((CENTRED_SQUARE, [1, 0], Sense.MAX))
+@example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX))
+@settings(max_examples=60, deadline=None)
+def test_reused_polyhedron_solves_like_a_fresh_one(case):
+    # One polyhedron runs phase one once and starts every solve from a
+    # copy of its tableau.  Minimizing a unit objective, or maximizing a
+    # negated one, makes a free column enter negated, which must not reach
+    # the shared rows.
+    poly, obj, _ = case
+    neg = [-c for c in obj]
+    solves = [(obj, Sense.MAX, None), (obj, Sense.MIN, None),
+              (neg, Sense.MAX, None), (obj, Sense.MAX, (neg, Sense.MIN)),
+              (obj, Sense.MIN, (obj, Sense.MAX))]
+    for j in range(poly.dim):
+        unit = [int(k == j) for k in range(poly.dim)]
+        solves += [(unit, Sense.MIN, None),
+                   (neg, Sense.MIN, (unit, Sense.MIN)),
+                   (unit, Sense.MAX, (neg, Sense.MAX))]
+    for objective, sense, tie in solves:
+        fresh = Polyhedron(poly.a, poly.rhs)
+        assert (solve_lp(poly, objective, sense, tie)
+                == solve_lp(fresh, objective, sense, tie))
+
+
+def test_second_solve_skips_phase_one(monkeypatch):
+    built, phase_one_pivots, in_phase_one = [], [], []
+    init, pivot, phase_one = lp._Tableau.__init__, lp._Tableau.pivot, \
+        lp._phase_one
+
+    def counted_init(self, poly):
+        built.append(poly)
+        init(self, poly)
+
+    def counted_pivot(self, row, col):
+        if in_phase_one:
+            phase_one_pivots.append((row, col))
+        pivot(self, row, col)
+
+    def flagged(poly):
+        in_phase_one.append(poly)
+        try:
+            return phase_one(poly)
+        finally:
+            in_phase_one.pop()
+
+    monkeypatch.setattr(lp._Tableau, "__init__", counted_init)
+    monkeypatch.setattr(lp._Tableau, "pivot", counted_pivot)
+    monkeypatch.setattr(lp, "_phase_one", flagged)
+    # RATIONAL_BOX has negative right-hand sides, so phase one pivots.
+    poly = Polyhedron(RATIONAL_BOX.a, RATIONAL_BOX.rhs)
+    first = solve_lp(poly, [1, 1], Sense.MAX)
+    assert len(built) == 1 and phase_one_pivots
+    built.clear()
+    phase_one_pivots.clear()
+    assert solve_lp(poly, [1, 1], Sense.MAX) == first
+    solve_lp(poly, [1, 0], Sense.MIN)
+    solve_lex_lp(poly, [0, 1], Sense.MAX, [1, 0], Sense.MIN)
+    assert check_bounded_nonempty(poly) == (True, True)
+    assert built == [] and phase_one_pivots == []
+    # An empty polyhedron keeps its finding too.
+    empty = Polyhedron(EMPTY.a, EMPTY.rhs)
+    for objective, sense in [([1], Sense.MAX), ([0], Sense.MIN),
+                             ([-1], Sense.MAX), ([1], Sense.MIN)]:
+        assert solve_lp(empty, objective, sense).status is LpStatus.INFEASIBLE
+        assert solve_lp(empty, objective, sense,
+                        tie=([1], Sense.MIN)).status is LpStatus.INFEASIBLE
+    assert check_bounded_nonempty(empty) == (False, True)
+    with pytest.raises(InfeasibleError):
+        solve_lex_lp(empty, [1], Sense.MAX, [1], Sense.MAX)
+    assert len(built) == 1
+
+
+def _row_scales(poly):
+    """The least s_i > 0 that makes row i of [a | rhs] integral."""
+    return [math.lcm(*[v.denominator for v in row + (r,)])
+            for row, r in zip(poly.a, poly.rhs)]
+
+
+@given(small_polytopes())
+@example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX))
+@settings(max_examples=60, deadline=None)
+def test_certificate_check_rejects_altered_certificates(case):
+    poly, obj, _ = case
+    obj = tuple([F(c) for c in obj])
+    out = solve_lp(poly, obj, Sense.MAX)
+    mu = list(out.dual)
+    lp._verify_certificate(poly, obj, out.value, mu)
+    zero = (ZERO,) * poly.num_rows
+    lp._verify_certificate(poly, (ZERO,) * poly.dim, ZERO, zero)
+    altered = [(out.value + F(1, 7), mu)]
+    # mu_i + 1/s_i adds row i, which has integer entries once scaled.
+    for i, s in enumerate(_row_scales(poly)):
+        if any(poly.a[i]):
+            altered.append((out.value, mu[:i] + [mu[i] + F(1, s)]
+                            + mu[i + 1:]))
+    # Rows 0 and 1 are v1 <= hi and -v1 <= -lo: taking t from both keeps
+    # mu^T A, and the value is moved to match, so only the sign is wrong.
+    t = mu[0] + 1
+    altered.append((out.value - t * (poly.rhs[0] + poly.rhs[1]),
+                    [mu[0] - t, mu[1] - t] + mu[2:]))
+    for value, dual in altered:
+        failures = CERT_LOG.failures
+        with pytest.raises(LpInternalError):
+            lp._verify_certificate(poly, obj, value, dual)
+        assert CERT_LOG.failures == failures + 1
 
 
 def test_lex_certificate_needs_the_primary(monkeypatch):
