@@ -11,9 +11,10 @@ given face as its exact argmax set, by maximizing the strict separation
 margin with an LP; a face is exposable iff the optimal margin is positive.
 
 `project_polytope` computes exact images of polytopes under linear maps
-by Fourier-Motzkin elimination with syntactic and LP-based redundancy
-pruning; the bilevel adversary runs the face machinery on such
-low-dimensional images.
+by Fourier-Motzkin elimination on primitive integer rows (int
+coefficients with gcd 1, one Fraction rhs), deduplicated at every step,
+and a final LP-based redundancy prune; the bilevel adversary runs the
+face machinery on such low-dimensional images.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from math import comb, gcd
 from typing import Optional, Sequence
 
 from .lp import LpStatus, Polyhedron, Sense, solve_lp
-from .numeric import (ONE, ZERO, Fraction, as_matrix, dot, gauss_solve,
-                      integer_scaled)
+from .numeric import (ONE, ZERO, Fraction, as_matrix, as_vector, dot,
+                      gauss_solve, integer_scaled)
 from .uncertainty import CapExceededError
 
 DEFAULT_CAP = 2 ** 22
@@ -183,29 +184,23 @@ def exposure_check(face: Face, vset: VertexSet,
     return ExposureCertificate(outcome.point[:q], outcome.value)
 
 
-def _primitive(coeffs, rhs):
-    """Scale a row so the coefficients are integers with gcd 1."""
-    denom_lcm, ints = integer_scaled(coeffs)
-    num_gcd = gcd(*ints)
-    if num_gcd == 0:
-        return tuple(coeffs), rhs
-    scale = Fraction(denom_lcm, num_gcd)
-    return tuple([c * scale for c in coeffs]), rhs * scale
-
-
-def _syntactic_prune(rows):
-    """Drop trivial rows and keep the tightest rhs per coefficient vector."""
-    best = {}
-    for coeffs, rhs in rows:
-        if not any(coeffs):
-            if rhs < 0:
-                raise ValueError("projection produced an infeasible row")
-            continue
-        coeffs, rhs = _primitive(coeffs, rhs)
-        old = best.get(coeffs)
-        if old is None or rhs < old:
-            best[coeffs] = rhs
-    return [(c, r) for c, r in best.items()]
+def _add_row(rows, coeffs, rhs):
+    """Add coeffs·w <= rhs (int coeffs, Fraction rhs), divided by the gcd
+    of its coefficients, to rows, a dict from primitive coefficient tuples
+    to their least rhs.  A zero row is dropped, or refused when its rhs is
+    negative."""
+    g = gcd(*coeffs)
+    if not g:
+        if rhs < 0:
+            raise ValueError("projection produced an infeasible row")
+        return
+    if g > 1:
+        coeffs = [c // g for c in coeffs]
+        rhs /= g
+    coeffs = tuple(coeffs)
+    old = rows.get(coeffs)
+    if old is None or rhs < old:
+        rows[coeffs] = rhs
 
 
 def _lp_prune(rows):
@@ -232,63 +227,62 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
 
     Auxiliary coordinates w = T v are appended, then the original
     variables are eliminated one by one (Fourier-Motzkin), preferring the
-    variable with the fewest positive*negative row pairs.  Rows are kept
-    primitive and deduplicated throughout; a final LP pass reduces the
-    result to an irredundant description, which keeps downstream vertex
-    enumeration combinatorially small.
+    variable with the fewest positive*negative row pairs.  Each row is a
+    tuple of ints with gcd 1 and a Fraction rhs, deduplicated to its
+    tightest rhs in first-seen order: every input row is scaled to ints
+    once, and eliminating var from pc (pc[var] = a > 0) and mc (mc[var]
+    = -b < 0) gives (b·pc + a·mc) / gcd(a, b), a positive multiple of
+    pc / a + mc / b.  A final LP pass on the rows as Fractions reduces
+    the result to an irredundant description, which keeps downstream
+    vertex enumeration combinatorially small.
     """
     image = as_matrix(image_rows, poly.dim)
     q = len(image)
     if q == 0:
         raise ValueError("projection needs at least one image row")
-    n = poly.dim
-    width = q + n
-    rows = []
-    for i in range(poly.num_rows):
-        rows.append((tuple([ZERO] * q + list(poly.a[i])), poly.rhs[i]))
+    rows = {}
+    for coeffs, rhs in zip(poly.a, poly.rhs):
+        scale, ints = integer_scaled(coeffs)
+        _add_row(rows, [0] * q + ints, rhs * scale)
     for k in range(q):
-        plus = [ZERO] * width
-        plus[k] = ONE
-        for j in range(n):
-            plus[q + j] = -image[k][j]
-        rows.append((tuple(plus), ZERO))
-        rows.append((tuple([-c for c in plus]), ZERO))
-    rows = _syntactic_prune(rows)
+        scale, ints = integer_scaled(image[k])
+        plus = [0] * q + [-c for c in ints]
+        plus[k] = scale
+        _add_row(rows, plus, ZERO)
+        _add_row(rows, [-c for c in plus], ZERO)
 
-    remaining = list(range(q, width))
+    remaining = list(range(q, q + poly.dim))
     while remaining:
         counts = {}
         for var in remaining:
-            pos = sum(1 for c, _ in rows if c[var] > 0)
-            neg = sum(1 for c, _ in rows if c[var] < 0)
+            pos = sum(1 for c in rows if c[var] > 0)
+            neg = sum(1 for c in rows if c[var] < 0)
             counts[var] = pos * neg
         var = min(remaining, key=lambda v: (counts[v], v))
-        plus, minus, keep = [], [], []
-        for coeffs, rhs in rows:
+        plus, minus, keep = [], [], {}
+        for coeffs, rhs in rows.items():
             cv = coeffs[var]
             if cv > 0:
                 plus.append((coeffs, rhs))
             elif cv < 0:
                 minus.append((coeffs, rhs))
             else:
-                keep.append((coeffs, rhs))
-        new_rows = keep
+                keep[coeffs] = rhs
+        rows = keep
         for pc, pr in plus:
-            pscale = pc[var]
+            a = pc[var]
             for mc, mr in minus:
-                mscale = -mc[var]
-                coeffs = tuple([pc[j] / pscale + mc[j] / mscale
-                                for j in range(len(pc))])
-                new_rows.append((coeffs, pr / pscale + mr / mscale))
-        rows = _syntactic_prune(new_rows)
+                b = -mc[var]
+                g = gcd(a, b)
+                pf, mf = b // g, a // g
+                _add_row(rows, [pf * x + mf * y for x, y in zip(pc, mc)],
+                         pf * pr + mf * mr)
         if len(rows) > _MAX_PROJECTION_ROWS:
             raise CapExceededError(f"projection grew to {len(rows)} rows "
                                    f"(cap {_MAX_PROJECTION_ROWS})")
         remaining.remove(var)
 
-    final = [(tuple(c[:q]), r) for c, r in rows]
-    final = _syntactic_prune(final)
-    final = _lp_prune(final)
+    final = _lp_prune([(as_vector(c[:q]), r) for c, r in rows.items()])
     if not final:
         raise ValueError("projection came out unconstrained")
     return Polyhedron([c for c, _ in final], [r for _, r in final])

@@ -313,6 +313,14 @@ class _Tableau:
         return ([self.col_sign[j] * obj[j] for j in range(self.n)]
                 + [0] * (self.ncols - self.n))
 
+    def point(self) -> tuple:
+        """The basic solution's v, nonbasic free columns at 0."""
+        w = [0] * self.ncols
+        for i in range(self.m):
+            w[self.basis[i]] = self.rows[i][-1]
+        return tuple([Fraction(self.col_sign[j] * w[j], self.d)
+                      for j in range(self.n)])
+
     def dual(self, poly: Polyhedron, obj: Sequence) -> tuple:
         """The optimal basis's dual mu for obj, one entry per row.
 
@@ -425,11 +433,7 @@ def _solve_max(poly: Polyhedron, obj: Sequence,
         if leave >= 0:
             tab.pivot(leave, j)
 
-    w = [0] * tab.ncols
-    for i in range(tab.m):
-        w[tab.basis[i]] = tab.rows[i][-1]
-    point = tuple([Fraction(tab.col_sign[j] * w[j], tab.d) for j in range(n)])
-    return LpStatus.OPTIMAL, point, certs
+    return LpStatus.OPTIMAL, tab.point(), certs
 
 
 def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
@@ -517,9 +521,14 @@ def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
 
 
 def is_nonempty(poly: Polyhedron) -> bool:
-    """Whether poly has a point: one LP with a zero objective."""
-    probe = solve_lp(poly, (ZERO,) * poly.dim, Sense.MAX)
-    return probe.status is LpStatus.OPTIMAL
+    """Whether poly has a point, read from its phase-one tableau.  The
+    tableau's basic point is checked to lie in poly."""
+    tab = poly._phase_one_tableau
+    if tab is None:
+        return False
+    if not poly.contains(tab.point()):
+        raise LpInternalError("phase one ended outside the polyhedron")
+    return True
 
 
 def check_bounded_nonempty(poly: Polyhedron):

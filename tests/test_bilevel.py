@@ -287,15 +287,15 @@ def test_validation_accepts_and_rejects():
 
 
 def test_validation_decides_boundedness_once():
-    # Y(x) = {0 <= y <= 1 + x1 + x2}: 2n + 1 LPs decide boundedness and
-    # emptiness at the first x, then one emptiness LP per later x.
+    # Y(x) = {0 <= y <= 1 + x1 + x2}: 2n LPs decide boundedness at the
+    # first x; emptiness at every x is read from Y(x)'s phase one.
     inst = RobustBilevelInstance(
         p=2, n=1, lhs=((ONE,), (-ONE,)),
         leader_mat=((ONE, ONE), (ZERO, ZERO)), rhs=(ONE, ZERO),
         leader_obj=(ONE,), leader_set=AllBinary(2), uncertainty=BOX)
     before = CERT_LOG.optimal_solves
     validate_instance(inst)
-    assert CERT_LOG.optimal_solves - before == (2 * inst.n + 1) + 3
+    assert CERT_LOG.optimal_solves - before == 2 * inst.n
     empty_late = replace(inst, leader_mat=((F(-2), F(-2)), (ZERO, ZERO)),
                          rhs=(F(3), ZERO))
     with pytest.raises(InstanceError,

@@ -220,8 +220,13 @@ def _wrong_adversary_value(inst, x, mode, caps):
     return inst.uncertainty.lower, F(7)
 
 
+def _point_outside(tableau):
+    return (F(10 ** 9),) * tableau.n
+
+
 @pytest.mark.parametrize("module,name,fake", [
     (lp, "_verify_certificate", _failed_certificate),
+    (lp._Tableau, "point", _point_outside),
     (bilevel, "adversary_geometric", _wrong_adversary_value),
 ])
 def test_broken_invariant_exit_code(tmp_path, capsys, monkeypatch, module,

@@ -10,6 +10,7 @@ from rbo.bilevel import (
     RelaxedBox,
     RobustBilevelInstance,
     SolveReport,
+    enumerate_leader,
     follower_response,
     instance_to_json,
     solve_robust,
@@ -41,6 +42,7 @@ from rbo.compiler import (
     relax_leader,
 )
 from rbo import lp
+from rbo.geometry import project_polytope
 from rbo.lp import Polyhedron, Sense, solve_lp
 from rbo.numeric import ONE, ZERO, rat_parse_nested
 from rbo.oracle import robust_single_level_oracle
@@ -536,6 +538,29 @@ PINNED_REPORTS = {
 def test_solve_report_is_pinned(name, mode):
     report = solve_robust(LAYOUT_BUILDERS[name]().instance, Mode(mode))
     assert report == SolveReport(*rat_parse_nested(PINNED_REPORTS[name, mode]))
+
+
+# The shadow of Y(x) at the first leader, as rows [coefficients..., rhs]
+# in the order project_polytope returns them.  Vertex and face
+# enumeration and the exposure LPs start from this list, so their pivot
+# paths and tie-breaks hold only while it does.
+PINNED_PROJECTIONS = {
+    "optimistic": [["-1", "0"], ["1", "1"]],
+    "pessimistic": [["-1", "1", "0"], ["0", "-1", "0"], ["1", "1", "1"]],
+    "relaxed": [["-1", "0", "0"], ["0", "-1", "0"], ["0", "1", "0"],
+                ["1", "0", "1"]],
+    "simplex": [["-1", "-1", "0"], ["0", "1", "1"], ["1", "0", "0"],
+                ["1", "1", "0"]],
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_PROJECTIONS))
+def test_shadow_projection_is_pinned(name):
+    inst = LAYOUT_BUILDERS[name]().instance
+    poly = inst.follower_polyhedron(enumerate_leader(inst)[0])
+    shadow = project_polytope(poly, inst.uncertainty.shadow().columns)
+    rows = tuple([row + (r,) for row, r in zip(shadow.a, shadow.rhs)])
+    assert rows == rat_parse_nested(PINNED_PROJECTIONS[name])
 
 
 # On the unit square c = d = (1, 0) makes the whole edge y1 = 1 the

@@ -1,8 +1,12 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rbo import geometry
 from rbo.geometry import (
     CapExceededError,
     argmax_vertices,
@@ -15,6 +19,7 @@ from rbo.geometry import (
 from rbo.lp import Polyhedron
 from rbo.numeric import dot
 from rbo.uncertainty import Interval
+from test_lp import _rationals, small_polytopes
 
 SEGMENT = Polyhedron([[1], [-1]], [1, 0])
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
@@ -179,3 +184,41 @@ def test_projection_of_flat_image():
     image = project_polytope(SEGMENT, [[1], [2]])
     verts = set(enumerate_vertices(image).vertices)
     assert verts == {(F(0), F(0)), (F(1), F(2))}
+
+
+def test_projection_of_empty_polyhedron_is_refused():
+    with pytest.raises(ValueError,
+                       match="projection produced an infeasible row"):
+        project_polytope(Polyhedron([[1], [-1]], [0, -1]), [[1]])
+
+
+def test_projection_row_cap(monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_PROJECTION_ROWS", 1)
+    with pytest.raises(CapExceededError, match="cap 1"):
+        project_polytope(UNIT_SQUARE, [[1, 1]])
+
+
+@given(small_polytopes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_projection_is_the_image_of_the_vertices(case, data):
+    # The image of a polytope is the hull of its vertices' images: every
+    # image lies in the projection and every projection vertex is one.
+    # A projection of more than 60 rows is refused by the row cap: the
+    # LP prune of a few hundred rows runs for many minutes.
+    poly = case[0]
+    image = [data.draw(st.lists(_rationals(-2, 2), min_size=poly.dim,
+                                max_size=poly.dim), label="image row")
+             for _ in range(data.draw(st.integers(1, 2)))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_MAX_PROJECTION_ROWS", 60)
+        try:
+            shadow = project_polytope(poly, image)
+        except CapExceededError:
+            return
+    for row in shadow.a:
+        assert all(c.denominator == 1 for c in row)
+        assert math.gcd(*[c.numerator for c in row]) == 1
+    images = {tuple([dot(t, v) for t in image])
+              for v in enumerate_vertices(poly).vertices}
+    assert all(shadow.contains(w) for w in images)
+    assert set(enumerate_vertices(shadow).vertices) <= images
