@@ -312,7 +312,19 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
 def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
                caps: Caps):
     """`adversary_geometric` on poly = Y(x): the projection and every
-    scenario's follower LP use this one polyhedron."""
+    scenario's follower LP use this one polyhedron.
+
+    Shadow faces G ⊆ F have nested follower argmax sets, so G's
+    optimistic outcome is at most F's and its pessimistic outcome at
+    least F's.  The scan solves only the faces no exposable face already
+    found dominates: optimistic mode goes up from the vertices, in
+    `enumerate_faces` order, and skips every face containing an exposable
+    one; pessimistic mode goes down from the whole shadow, in the reverse
+    order, and skips every face inside an exposable one.  A skipped face
+    can never be a strictly smaller minimum than the face that dominates
+    it, and that face comes first, so the result is the first minimum of
+    the unpruned scan in the same order.
+    """
     unc = inst.uncertainty
     scenarios = unc.finite_scenarios(caps.grid_points)
     if scenarios is None:
@@ -320,10 +332,22 @@ def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
         shadow_poly = geometry.project_polytope(poly, shadow.columns)
         vset = geometry.enumerate_vertices(shadow_poly)
         faces = geometry.enumerate_faces(shadow_poly, vset)
-        certs = (geometry.exposure_check(face, vset, shadow.directions)
-                 for face in faces)
-        scenarios = (shadow.scenario(cert.c) for cert in certs
-                     if cert is not None)
+        upward = mode is Mode.OPTIMISTIC
+        if not upward:
+            faces.reverse()
+
+        def undominated():
+            exposed = []
+            for face in faces:
+                verts = face.vertex_indices
+                if any(verts >= g if upward else verts <= g for g in exposed):
+                    continue
+                cert = geometry.exposure_check(face, vset, shadow.directions)
+                if cert is not None:
+                    exposed.append(verts)
+                    yield shadow.scenario(cert.c)
+
+        scenarios = undominated()
     return _worst_scenario(inst, poly, mode, scenarios)
 
 
@@ -348,7 +372,10 @@ def solve_robust(inst: RobustBilevelInstance, mode: Optional[Mode] = None,
     """Max over leader choices of the adversary's min; exact throughout.
 
     Ties between leader choices resolve to the lexicographically smallest
-    x; adversary ties to the first scenario/face in canonical order.  The
+    x; adversary ties to the first minimum in canonical order: finite
+    sets in scenario order, shadow faces from the vertices up
+    (`enumerate_faces` order) when optimistic and from the whole shadow
+    down (the reverse) when pessimistic, see `_adversary`.  The
     report's value is cross-checked by replaying the worst scenario
     through the follower's lexicographic LP.
     """

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Optional, Sequence
 
-from .lp import LpStatus, Polyhedron, Sense, solve_lp
+from .lp import LpStatus, Polyhedron, Sense, max_value, solve_lp
 from .numeric import (ONE, ZERO, Fraction, as_matrix, as_vector, dot,
                       gauss_solve, integer_scaled)
 from .uncertainty import CapExceededError
@@ -214,8 +214,8 @@ def _lp_prune(rows):
         coeffs, rhs = kept[idx]
         others = kept[:idx] + kept[idx + 1:]
         poly = Polyhedron([c for c, _ in others], [r for _, r in others])
-        probe = solve_lp(poly, coeffs, Sense.MAX)
-        if probe.status is LpStatus.OPTIMAL and probe.value <= rhs:
+        value = max_value(poly, coeffs)
+        if value is not None and value <= rhs:
             kept.pop(idx)
         else:
             idx += 1

@@ -8,6 +8,7 @@ rows (Bareiss 1968); Fractions appear only in the point, value and dual.
 Free variables keep one column each and never leave the basis once they
 enter; at the end the nonbasic ones are pivoted in along the optimal
 face, so an optimal point is a vertex whenever the polyhedron has one.
+`max_value`, for callers that read only the optimum, stops before that.
 
 Phase one runs once per polyhedron: a :class:`Polyhedron` keeps its rows
 scaled to ints and its tableau after phase one (or the finding that it
@@ -47,6 +48,7 @@ from .numeric import (
     dot,
     gauss_solve,
     integer_scaled,
+    rank,
 )
 
 
@@ -100,9 +102,8 @@ class Polyhedron:
 
     Two things are computed on first use and kept for the object's
     lifetime: the rows scaled to ints, and the tableau after phase one.
-    Every solve on one polyhedron shares them, so the emptiness probe,
-    the boundedness probes and each scenario of one Y(x) run phase one
-    once between them.
+    Every solve on one polyhedron shares them, so the emptiness probe
+    and each scenario of one Y(x) run phase one once between them.
     """
 
     a: tuple
@@ -367,16 +368,15 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     return tab
 
 
-def _solve_max(poly: Polyhedron, obj: Sequence,
+def _phase_two(poly: Polyhedron, obj: Sequence,
                tie: Optional[Sequence] = None):
     """Phase two for max obj·v over poly, then, given a tie objective,
     max tie·v over obj's optimal face.
 
-    Returns (status, point, certs).  certs pairs objectives with their
-    dual certificates at the point: (obj, mu), then for a tie stage
-    (tie + t·obj, mu_2).  The optimal point is a vertex whenever poly has
-    one.  The status is UNBOUNDED when obj is, or the tie objective is on
-    obj's optimal face.
+    Returns (status, tableau, certs).  certs pairs objectives with their
+    dual certificates at the tableau's basic point: (obj, mu), then for a
+    tie stage (tie + t·obj, mu_2).  The status is UNBOUNDED when obj is,
+    or the tie objective is on obj's optimal face.
 
     Phase two starts from a copy of poly's tableau after phase one, which
     poly computes on its first solve and keeps; so every solve after the
@@ -408,6 +408,20 @@ def _solve_max(poly: Polyhedron, obj: Sequence,
         t = max([ZERO] + [-s / u for s, u in zip(mu_s, mu) if u])
         certs.append((tuple([s + t * c for s, c in zip(tie, obj)]),
                       tuple([s + t * u for s, u in zip(mu_s, mu)])))
+    return LpStatus.OPTIMAL, tab, certs
+
+
+def _solve_max(poly: Polyhedron, obj: Sequence,
+               tie: Optional[Sequence] = None):
+    """`_phase_two`, then every nonbasic free column pivoted in.
+
+    Returns (status, point, certs), certs as `_phase_two` gives them.
+    The optimal point is a vertex whenever poly has one.
+    """
+    n = poly.dim
+    status, tab, certs = _phase_two(poly, obj, tie)
+    if status is not LpStatus.OPTIMAL:
+        return status, None, []
 
     # Every nonbasic free column now has reduced cost 0 for obj and tie,
     # so pivoting it in keeps both values.  A tight row that bounds it
@@ -490,6 +504,22 @@ def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
     return LpOutcome(LpStatus.OPTIMAL, point, value, certs[0][1])
 
 
+def max_value(poly: Polyhedron, obj) -> Optional[Fraction]:
+    """max obj·v over poly, or None when poly is empty or obj unbounded.
+
+    The value is read at phase two's basic point, where its certificate
+    is checked; unlike `solve_lp`, no free column is pivoted in after
+    phase two, since no point is returned.
+    """
+    obj = _internal(obj, Sense.MAX, poly.dim)
+    status, tab, certs = _phase_two(poly, obj)
+    if status is not LpStatus.OPTIMAL:
+        return None
+    value = dot(obj, tab.point())
+    _verify_certificate(poly, obj, value, certs[0][1])
+    return value
+
+
 def _internal(obj, sense: Sense, dim: int) -> tuple:
     """obj as the vector to maximize."""
     obj = as_vector(obj)
@@ -532,12 +562,19 @@ def is_nonempty(poly: Polyhedron) -> bool:
 
 
 def check_bounded_nonempty(poly: Polyhedron):
-    """Return (nonempty, bounded); an empty set counts as bounded."""
+    """Return (nonempty, bounded); an empty set counts as bounded.
+
+    A nonempty poly is bounded exactly when the rows of A positively span
+    R^n, that is (Stiemke 1915) when A has rank n and some mu > 0 has
+    mu^T A = 0.  The second is decided by the phase one of
+    {mu : mu >= 1, A^T mu = 0}, as `is_nonempty` decides it.
+    """
     if not is_nonempty(poly):
         return False, True
-    for j in range(poly.dim):
-        unit = tuple([ONE if k == j else ZERO for k in range(poly.dim)])
-        for sense in (Sense.MAX, Sense.MIN):
-            if solve_lp(poly, unit, sense).status is LpStatus.UNBOUNDED:
-                return True, False
-    return True, True
+    m, n = poly.num_rows, poly.dim
+    if rank(poly.a) < n:
+        return True, False
+    cols = [list(col) for col in zip(*poly.a)]
+    rows = ([[-ONE if k == i else ZERO for k in range(m)] for i in range(m)]
+            + cols + [[-a for a in col] for col in cols])
+    return True, is_nonempty(Polyhedron(rows, [-ONE] * m + [ZERO] * (2 * n)))

@@ -147,3 +147,28 @@ def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
                 aug[i] = [p * a // d for a in row]
         d = p
     return tuple([Fraction(aug[i][n], aug[i][i]) for i in range(n)])
+
+
+def rank(m: Sequence[Sequence]) -> int:
+    """The rank of a matrix with at least one row.
+
+    Fraction-free Gaussian elimination (Bareiss 1968) on the rows scaled
+    to ints: each column with a nonzero entry below the pivots found so
+    far gives the next pivot, and every row below it turns into
+    (p*row - f*prow) // d, d the previous pivot.
+    """
+    rows = [integer_scaled(row)[1] for row in m]
+    found, d = 0, 1
+    for col in range(len(rows[0])):
+        pivot_row = next((i for i in range(found, len(rows)) if rows[i][col]),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[found], rows[pivot_row] = rows[pivot_row], rows[found]
+        prow = rows[found]
+        p = prow[col]
+        for i in range(found + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], prow)]
+        found, d = found + 1, p
+    return found

@@ -3,8 +3,10 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rbo import geometry
+from rbo import geometry, lp
 from rbo.bilevel import (
     AllBinary,
     Caps,
@@ -44,6 +46,7 @@ from rbo.uncertainty import (
     ProductFinite,
     box_corner_scenarios,
 )
+from test_lp import _rationals, small_polytopes
 
 
 def segment_instance(uncertainty, mode=Mode.OPTIMISTIC):
@@ -237,38 +240,127 @@ def test_box_vertex_discretization_on_compiled():
                     == solve_robust(twin, mode).value)
 
 
-def test_geometric_matches_direct_face_lattice():
-    # The shadow adversary agrees with the direct computation on the full
-    # face lattice of Y(x), which is affordable for small instances.
-    inst = RobustBilevelInstance(
-        p=0, n=2,
-        lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE),
-             (ONE, ONE)),
-        leader_mat=((), (), (), (), ()),
-        rhs=(ONE, ONE, ZERO, ZERO, F(3, 2)),
-        leader_obj=(F(2), F(-1)),
-        leader_set=AllBinary(0),
-        uncertainty=Interval((F(-1), F(0)), (F(1), F(1))))
+LATTICE_SQUARE = RobustBilevelInstance(
+    p=0, n=2,
+    lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE), (ONE, ONE)),
+    leader_mat=((), (), (), (), ()), rhs=(ONE, ONE, ZERO, ZERO, F(3, 2)),
+    leader_obj=(F(2), F(-1)), leader_set=AllBinary(0),
+    uncertainty=Interval((F(-1), F(0)), (F(1), F(1))))
 
-    def direct(mode):
-        poly = inst.follower_polyhedron(())
-        vset = geometry.enumerate_vertices(poly)
-        best = None
-        for face in geometry.enumerate_faces(poly, vset):
-            cert = geometry.exposure_check(
-                face, vset, inst.uncertainty.shadow().directions)
-            if cert is None:
-                continue
-            scores = [dot(inst.leader_obj, vset.vertices[i])
-                      for i in face.vertex_indices]
-            outcome = max(scores) if mode is Mode.OPTIMISTIC else min(scores)
-            if best is None or outcome < best:
-                best = outcome
-        return best
 
+@st.composite
+def shadow_instances(draw):
+    """A bounded Y from `small_polytopes`, a leader objective, and a box
+    with a free coordinate or a hull of two or three points, both in the
+    dimension of Y; the leader set is {()}."""
+    poly, _, _ = draw(small_polytopes())
+    n = poly.dim
+    entries = st.lists(_rationals(-2, 2), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        lower = draw(entries)
+        upper = [lo + draw(_rationals(0, 2)) for lo in lower]
+        upper[0] = lower[0] + draw(_rationals(1, 2))
+        unc = Interval(lower, upper)
+    else:
+        unc = ConvexHull(draw(st.lists(entries, min_size=2, max_size=3)))
+    return RobustBilevelInstance(
+        p=0, n=n, lhs=poly.a, leader_mat=((),) * poly.num_rows,
+        rhs=poly.rhs, leader_obj=draw(entries), leader_set=AllBinary(0),
+        uncertainty=unc)
+
+
+def direct_face_lattice(inst, mode):
+    """The adversary's value from the exposable faces of Y itself: a face
+    is exposable when some s in D gives c = L·s with exactly that face as
+    c's argmax over Y, and its outcome is the best (optimistic) or worst
+    (pessimistic) leader score over its vertices."""
+    poly = inst.follower_polyhedron(())
+    vset = geometry.enumerate_vertices(poly)
+    shadow = inst.uncertainty.shadow()
+    images = geometry.VertexSet(tuple([
+        tuple([dot(col, v) for col in shadow.columns])
+        for v in vset.vertices]))
+    best = None
+    for face in geometry.enumerate_faces(poly, vset):
+        if geometry.exposure_check(face, images, shadow.directions) is None:
+            continue
+        scores = [dot(inst.leader_obj, vset.vertices[i])
+                  for i in face.vertex_indices]
+        outcome = max(scores) if mode is Mode.OPTIMISTIC else min(scores)
+        if best is None or outcome < best:
+            best = outcome
+    return best
+
+
+def unpruned_shadow_scan(inst, mode):
+    """(c, value) of the first minimum over every exposable shadow face,
+    from the vertices up (optimistic) or from the whole shadow down
+    (pessimistic), with no face skipped."""
+    shadow = inst.uncertainty.shadow()
+    image = geometry.project_polytope(inst.follower_polyhedron(()),
+                                      shadow.columns)
+    vset = geometry.enumerate_vertices(image)
+    faces = geometry.enumerate_faces(image, vset)
+    if mode is Mode.PESSIMISTIC:
+        faces.reverse()
+    best = None
+    for face in faces:
+        cert = geometry.exposure_check(face, vset, shadow.directions)
+        if cert is None:
+            continue
+        c = shadow.scenario(cert.c)
+        _, value = follower_response(inst, (), c, mode)
+        if best is None or value < best[1]:
+            best = (c, value)
+    return best
+
+
+@given(shadow_instances())
+@example(LATTICE_SQUARE)
+@settings(max_examples=40, deadline=None)
+def test_geometric_matches_direct_face_lattice(inst):
+    # The pruned shadow adversary agrees with the direct computation on
+    # the face lattice of Y(x), which no projection or pruning touches,
+    # and reports the first minimum of the unpruned shadow scan.  As in
+    # test_geometry, a projection of more than 60 rows is refused.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_MAX_PROJECTION_ROWS", 60)
+        try:
+            geometry.project_polytope(inst.follower_polyhedron(()),
+                                      inst.uncertainty.shadow().columns)
+        except geometry.CapExceededError:
+            return
     for mode in Mode:
-        _, value = adversary_geometric(inst, (), mode)
-        assert value == direct(mode)
+        c, value = adversary_geometric(inst, (), mode)
+        assert value == direct_face_lattice(inst, mode)
+        assert (c, value) == unpruned_shadow_scan(inst, mode)
+
+
+def test_face_scan_skips_dominated_faces(monkeypatch):
+    # On the unit square with the box [-1, 1]^2 every face is exposable:
+    # the optimistic scan stops at the four vertices, and the pessimistic
+    # scan at the whole square, which s = 0 exposes.
+    inst = RobustBilevelInstance(
+        p=0, n=2, lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)),
+        leader_mat=((), (), (), ()), rhs=(ONE, ONE, ZERO, ZERO),
+        leader_obj=(ONE, F(-1)), leader_set=AllBinary(0),
+        uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
+    checked = []
+    exposure_check = geometry.exposure_check
+
+    def counted(face, vset, directions):
+        cert = exposure_check(face, vset, directions)
+        checked.append((face.vertex_indices, cert is not None))
+        return cert
+
+    monkeypatch.setattr(geometry, "exposure_check", counted)
+    adversary_geometric(inst, (), Mode.OPTIMISTIC)
+    assert sorted(checked) == [(frozenset([i]), True) for i in range(4)]
+    checked.clear()
+    adversary_geometric(inst, (), Mode.PESSIMISTIC)
+    for k, (verts, _) in enumerate(checked):
+        assert not any(verts <= g for g, exposed in checked[:k] if exposed)
+    assert checked == [(frozenset(range(4)), True)]
 
 
 def test_validation_accepts_and_rejects():
@@ -286,16 +378,26 @@ def test_validation_accepts_and_rejects():
         validate_instance(unbounded)
 
 
-def test_validation_decides_boundedness_once():
-    # Y(x) = {0 <= y <= 1 + x1 + x2}: 2n LPs decide boundedness at the
-    # first x; emptiness at every x is read from Y(x)'s phase one.
+def test_validation_decides_boundedness_once(monkeypatch):
+    # Y(x) = {0 <= y <= 1 + x1 + x2}: emptiness at every x is read from
+    # Y(x)'s phase one, and boundedness at the first x from a rank check
+    # and one more phase one, on {mu >= 1, lhs^T mu = 0}; no LP is solved.
     inst = RobustBilevelInstance(
         p=2, n=1, lhs=((ONE,), (-ONE,)),
         leader_mat=((ONE, ONE), (ZERO, ZERO)), rhs=(ONE, ZERO),
         leader_obj=(ONE,), leader_set=AllBinary(2), uncertainty=BOX)
+    phase_ones = []
+    phase_one = lp._phase_one
+
+    def counted(poly):
+        phase_ones.append(poly)
+        return phase_one(poly)
+
+    monkeypatch.setattr(lp, "_phase_one", counted)
     before = CERT_LOG.optimal_solves
     validate_instance(inst)
-    assert CERT_LOG.optimal_solves - before == 2 * inst.n
+    assert CERT_LOG.optimal_solves - before == 0
+    assert len(phase_ones) == 2 ** inst.p + 1
     empty_late = replace(inst, leader_mat=((F(-2), F(-2)), (ZERO, ZERO)),
                          rhs=(F(3), ZERO))
     with pytest.raises(InstanceError,

@@ -279,8 +279,12 @@ def test_second_solve_skips_phase_one(monkeypatch):
     assert solve_lp(poly, [1, 1], Sense.MAX) == first
     solve_lp(poly, [1, 0], Sense.MIN)
     solve_lex_lp(poly, [0, 1], Sense.MAX, [1, 0], Sense.MIN)
-    assert check_bounded_nonempty(poly) == (True, True)
     assert built == [] and phase_one_pivots == []
+    # The boundedness check builds one tableau, for its own
+    # {mu : mu >= 1, A^T mu = 0}, and reuses poly's.
+    assert check_bounded_nonempty(poly) == (True, True)
+    assert len(built) == 1 and built[0].dim == poly.num_rows
+    built.clear()
     # An empty polyhedron keeps its finding too.
     empty = Polyhedron(EMPTY.a, EMPTY.rhs)
     for objective, sense in [([1], Sense.MAX), ([0], Sense.MIN),
@@ -361,6 +365,33 @@ def test_bounded_nonempty_triples():
     assert check_bounded_nonempty(UNIT_SQUARE) == (True, True)
     assert check_bounded_nonempty(Polyhedron([[-1]], [0])) == (True, False)
     assert check_bounded_nonempty(EMPTY) == (False, True)
+
+
+@st.composite
+def nonempty_polyhedra(draw):
+    """Rows with small integer coefficients through a drawn anchor point,
+    so the set is nonempty; it is bounded or not as the rows happen to
+    fall."""
+    n = draw(st.integers(1, 3))
+    anchor = [draw(_rationals(-2, 2)) for _ in range(n)]
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                  max_size=n), min_size=1, max_size=6))
+    rhs = [dot(row, anchor) + draw(_rationals(0, 2)) for row in rows]
+    return Polyhedron(rows, rhs)
+
+
+@given(nonempty_polyhedra())
+@example(Polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                    [1, 1, 1, 1, 1]))
+@example(Polyhedron([[1, 1], [-1, -1]], [1, 1]))
+@settings(max_examples=120, deadline=None)
+def test_boundedness_matches_coordinate_probes(poly):
+    # A nonempty polyhedron is bounded exactly when no coordinate is
+    # unbounded above or below.
+    probes = [solve_lp(poly, [int(k == j) for k in range(poly.dim)], sense)
+              for j in range(poly.dim) for sense in Sense]
+    bounded = all(out.status is LpStatus.OPTIMAL for out in probes)
+    assert check_bounded_nonempty(poly) == (True, bounded)
 
 
 def test_determinism():
