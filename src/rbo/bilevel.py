@@ -26,6 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import geometry
@@ -164,6 +165,12 @@ class RobustBilevelInstance:
         shifted = tuple([self.rhs[i] + dot(self.leader_mat[i], x)
                          for i in range(self.num_rows)])
         return Polyhedron(self.lhs, shifted)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The shadow adversary's results on this instance, kept for its
+        lifetime; see `_adversary` for the entries."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -324,31 +331,53 @@ def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
     can never be a strictly smaller minimum than the face that dominates
     it, and that face comes first, so the result is the first minimum of
     the unpruned scan in the same order.
+
+    Leaders of one instance mostly share their shadow, so the work is
+    kept in `inst._memo` for the instance's lifetime, under three kinds
+    of key: (mode, caps, Y(x).rhs) holds the result (c*, value), as Y(x)
+    has the instance's lhs; the elimination rows before the prune hold
+    the pruned shadow (see `geometry.project_polytope`); and (mode,
+    shadow polytope) holds the scan's scenarios, so vertex and face
+    enumeration and the exposure LPs run once for each distinct shadow
+    and mode.  Only the follower LPs on a new Y(x) run again, each with
+    its certificate checked.
     """
-    unc = inst.uncertainty
-    scenarios = unc.finite_scenarios(caps.grid_points)
-    if scenarios is None:
-        shadow = unc.shadow()
-        shadow_poly = geometry.project_polytope(poly, shadow.columns)
-        vset = geometry.enumerate_vertices(shadow_poly)
-        faces = geometry.enumerate_faces(shadow_poly, vset)
-        upward = mode is Mode.OPTIMISTIC
-        if not upward:
-            faces.reverse()
+    memo = inst._memo
+    key = (mode, caps, poly.rhs)
+    if key not in memo:
+        scenarios = inst.uncertainty.finite_scenarios(caps.grid_points)
+        if scenarios is None:
+            scenarios = _shadow_scenarios(inst, poly, mode)
+        memo[key] = _worst_scenario(inst, poly, mode, scenarios)
+    return memo[key]
 
-        def undominated():
-            exposed = []
-            for face in faces:
-                verts = face.vertex_indices
-                if any(verts >= g if upward else verts <= g for g in exposed):
-                    continue
-                cert = geometry.exposure_check(face, vset, shadow.directions)
-                if cert is not None:
-                    exposed.append(verts)
-                    yield shadow.scenario(cert.c)
 
-        scenarios = undominated()
-    return _worst_scenario(inst, poly, mode, scenarios)
+def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
+                      mode: Mode) -> list:
+    """The certificate scenarios of the undominated exposable faces of the
+    shadow of poly = Y(x), in `_adversary`'s scan order."""
+    memo = inst._memo
+    shadow = inst.uncertainty.shadow()
+    shadow_poly = geometry.project_polytope(poly, shadow.columns, memo)
+    key = (mode, shadow_poly)
+    if key in memo:
+        return memo[key]
+    vset = geometry.enumerate_vertices(shadow_poly)
+    faces = geometry.enumerate_faces(shadow_poly, vset)
+    upward = mode is Mode.OPTIMISTIC
+    if not upward:
+        faces.reverse()
+    exposed, scenarios = [], []
+    for face in faces:
+        verts = face.vertex_indices
+        if any(verts >= g if upward else verts <= g for g in exposed):
+            continue
+        cert = geometry.exposure_check(face, vset, shadow.directions)
+        if cert is not None:
+            exposed.append(verts)
+            scenarios.append(shadow.scenario(cert.c))
+    memo[key] = scenarios
+    return scenarios
 
 
 def solve_certain(inst: RobustBilevelInstance, c: Sequence, mode: Mode,
@@ -501,11 +530,18 @@ def instance_to_json(inst: RobustBilevelInstance,
     return doc
 
 
+def _json_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:  # a bool is an int to isinstance
+        raise InstanceError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def instance_from_json(doc: dict):
     """Parse the interchange document; returns (instance, metadata)."""
     try:
-        p = int(doc["p"])
-        n = int(doc["n"])
+        p = _json_int(doc, "p")
+        n = _json_int(doc, "n")
         inst = RobustBilevelInstance(
             p=p,
             n=n,

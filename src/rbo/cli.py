@@ -106,6 +106,8 @@ def _cmd_compile_rs(args) -> int:
                      for vec in doc["scenarios"]]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in the input document")
+    except TypeError as exc:
+        raise ValueError(f"malformed input document: {exc}")
     art = compiler.compile_single_level_robust(x_set, scenarios)
     return _write_compiled(args.output, art)
 

@@ -222,7 +222,8 @@ def _lp_prune(rows):
     return kept
 
 
-def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
+def project_polytope(poly: Polyhedron, image_rows,
+                     pruned: Optional[dict] = None) -> Polyhedron:
     """Exact image {T v : v in poly} of a bounded nonempty polyhedron.
 
     Auxiliary coordinates w = T v are appended, then the original
@@ -235,6 +236,9 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
     pc / a + mc / b.  A final LP pass on the rows as Fractions reduces
     the result to an irredundant description, which keeps downstream
     vertex enumeration combinatorially small.
+
+    `pruned`, when given, maps the frozenset of eliminated rows to their
+    pruned polyhedron: a hit skips the LP pass, and a miss is added.
     """
     image = as_matrix(image_rows, poly.dim)
     q = len(image)
@@ -282,7 +286,14 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
                                    f"(cap {_MAX_PROJECTION_ROWS})")
         remaining.remove(var)
 
-    final = _lp_prune([(as_vector(c[:q]), r) for c, r in rows.items()])
-    if not final:
-        raise ValueError("projection came out unconstrained")
-    return Polyhedron([c for c, _ in final], [r for _, r in final])
+    # Every eliminated coefficient is 0 now, so the first q identify a row.
+    eliminated = frozenset([(c[:q], r) for c, r in rows.items()])
+    if pruned is None:
+        pruned = {}
+    if eliminated not in pruned:
+        final = _lp_prune([(as_vector(c), r) for c, r in eliminated])
+        if not final:
+            raise ValueError("projection came out unconstrained")
+        pruned[eliminated] = Polyhedron([c for c, _ in final],
+                                        [r for _, r in final])
+    return pruned[eliminated]

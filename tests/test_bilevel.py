@@ -363,6 +363,86 @@ def test_face_scan_skips_dominated_faces(monkeypatch):
     assert checked == [(frozenset(range(4)), True)]
 
 
+# Y(x) = [0, 1]^2 plus the row y1 + y2 <= 3 + x1, redundant at both x1;
+# x2's column is zero, so leaders pair up on Y(x).  The box [-1, 1]^2
+# makes the shadow Y(x) itself: two elimination outputs, one pruned shadow.
+SHARED_SHADOW = RobustBilevelInstance(
+    p=2, n=2,
+    lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE), (ONE, ONE)),
+    leader_mat=((ZERO, ZERO),) * 4 + ((ONE, ZERO),),
+    rhs=(ONE, ONE, ZERO, ZERO, F(3)), leader_obj=(ONE, F(-1)),
+    leader_set=AllBinary(2), uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_memo_scans_each_distinct_shadow_once(monkeypatch):
+    # Four leaders, two distinct Y(x), one shadow: a single scan of the
+    # square per mode, as in test_face_scan_skips_dominated_faces.
+    projected = _count_calls(monkeypatch, geometry, "project_polytope")
+    enumerated = _count_calls(monkeypatch, geometry, "enumerate_vertices")
+    checked = _count_calls(monkeypatch, geometry, "exposure_check")
+    for mode, faces in ((Mode.OPTIMISTIC, 4), (Mode.PESSIMISTIC, 1)):
+        for calls in (projected, enumerated, checked):
+            calls.clear()
+        solve_robust(replace(SHARED_SHADOW), mode)
+        assert len(projected) == 2
+        assert len(enumerated) == 1
+        assert len(checked) == faces
+
+
+def test_memo_prunes_each_distinct_elimination_once(monkeypatch):
+    pruned = _count_calls(monkeypatch, geometry, "_lp_prune")
+    inst = replace(SHARED_SHADOW)
+    for mode in Mode:
+        solve_robust(inst, mode)
+    assert len(pruned) == 2
+    assert pruned[0][0] != pruned[1][0]
+
+
+@st.composite
+def leader_shadow_instances(draw):
+    """`shadow_instances` with one or two binary leaders that raise
+    right-hand sides, so Y(x) contains the bounded Y(0); a zero column
+    of B makes leaders share Y(x)."""
+    inst = draw(shadow_instances())
+    p = draw(st.integers(1, 2))
+    shift = st.sampled_from([ZERO, F(1, 2), ONE])
+    mat = [[draw(shift) for _ in range(p)] for _ in range(inst.num_rows)]
+    return replace(inst, p=p, leader_mat=mat, leader_set=AllBinary(p))
+
+
+@given(leader_shadow_instances())
+@example(SHARED_SHADOW)
+@settings(max_examples=25, deadline=None)
+def test_memo_matches_fresh_adversaries(inst):
+    # A projection of more than 60 rows is refused, as above.
+    leaders = enumerate_leader(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_MAX_PROJECTION_ROWS", 60)
+        try:
+            for x in leaders:
+                geometry.project_polytope(inst.follower_polyhedron(x),
+                                          inst.uncertainty.shadow().columns)
+        except geometry.CapExceededError:
+            return
+    for mode in Mode:
+        fresh = [adversary_geometric(replace(inst), x, mode) for x in leaders]
+        assert solve_robust(inst, mode).trace == tuple(
+            [(x, value) for x, (_, value) in zip(leaders, fresh)])
+        assert [adversary_geometric(inst, x, mode) for x in leaders] == fresh
+
+
 def test_validation_accepts_and_rejects():
     validate_instance(segment_instance(BOX))
     empty = RobustBilevelInstance(
@@ -445,6 +525,16 @@ def test_json_rejects_malformed():
     doc = instance_to_json(segment_instance(BOX))
     doc["uncertainty"]["kind"] = "mystery"
     with pytest.raises(InstanceError):
+        instance_from_json(doc)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p", 0.5), ("p", "0"), ("n", 1.0), ("n", True)])
+def test_json_sizes_must_be_integers(key, value):
+    # Each of these converts with int(), but none is a JSON integer.
+    doc = instance_to_json(segment_instance(BOX))
+    doc[key] = value
+    with pytest.raises(InstanceError, match=f"{key} must be a JSON integer"):
         instance_from_json(doc)
 
 

@@ -132,6 +132,15 @@ def test_compile_rs_writes_the_artifact(tmp_path, capsys):
             == instance_to_json(art.instance, art.var_map, art.big_m))
 
 
+@pytest.mark.parametrize("spec", [[], {"X": 5, "scenarios": [[1]]}])
+def test_compile_rs_malformed_spec(tmp_path, capsys, spec):
+    path = tmp_path / "rs.json"
+    path.write_text(json.dumps(spec))
+    out = str(tmp_path / "rs_inst.json")
+    assert main(["compile-rs", str(path), "-o", out]) == 2
+    assert single_error_line(capsys)
+
+
 def test_every_option_has_help():
     parser = build_parser()
     commands = next(action for action in parser._actions
@@ -197,6 +206,7 @@ def single_error_line(capsys):
     (("leader_set",), "all_binary"),      # not an object
     (("uncertainty",), "interval"),       # not an object
     (("uncertainty", "lower", 0), -1),    # a JSON number, not a string
+    (("p",), 1.5),                        # not a JSON integer
 ])
 def test_malformed_instance_values(tmp_path, capsys, path, value):
     out = compiled_instance(tmp_path, capsys)
