@@ -23,6 +23,7 @@ response at the face's certificate scenario.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -168,7 +169,7 @@ class RobustBilevelInstance:
 
     @cached_property
     def _memo(self) -> dict:
-        """The shadow adversary's results on this instance, kept for its
+        """The adversary's results on this instance, kept for its
         lifetime; see `_adversary` for the entries."""
         return {}
 
@@ -276,32 +277,6 @@ def _respond(inst: RobustBilevelInstance, poly: Polyhedron, c: Sequence,
     return lex.point, lex.value
 
 
-def _worst_scenario(inst: RobustBilevelInstance, poly: Polyhedron,
-                    mode: Mode, scenarios):
-    """The first scenario with the smallest leader outcome over poly = Y(x),
-    and that outcome."""
-    best_c = None
-    best_value = None
-    for c in scenarios:
-        _, value = _respond(inst, poly, c, mode)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_c = c
-    if best_value is None:
-        raise SolverInvariantError(
-            "the adversary found no scenario; the shadow set is broken")
-    return best_c, best_value
-
-
-def adversary_discrete(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
-    """Worst scenario by plain enumeration of a finite uncertainty set."""
-    scenarios = inst.uncertainty.finite_scenarios()
-    if scenarios is None:
-        raise InstanceError("adversary_discrete requires a finite "
-                            "uncertainty set")
-    return _worst_scenario(inst, inst.follower_polyhedron(x), mode, scenarios)
-
-
 def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
                         caps: Caps = DEFAULT_CAPS):
     """Worst scenario over any uncertainty set.  Returns (c*, value).
@@ -311,7 +286,8 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
     U = L·D, go through the faces of the shadow of Y(x) under Lᵀ: the
     certificate direction s of each exposable face pins the follower to
     that face's argmax set, and the leader outcome there comes from the
-    follower's lexicographic response at the scenario L·s.
+    follower's lexicographic response at the scenario L·s.  Both share
+    the instance memo's (mode, caps, Y(x).rhs) entry, see `_adversary`.
     """
     return _adversary(inst, inst.follower_polyhedron(x), mode, caps)
 
@@ -334,13 +310,13 @@ def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
 
     Leaders of one instance mostly share their shadow, so the work is
     kept in `inst._memo` for the instance's lifetime, under three kinds
-    of key: (mode, caps, Y(x).rhs) holds the result (c*, value), as Y(x)
-    has the instance's lhs; the elimination rows before the prune hold
-    the pruned shadow (see `geometry.project_polytope`); and (mode,
-    shadow polytope) holds the scan's scenarios, so vertex and face
-    enumeration and the exposure LPs run once for each distinct shadow
-    and mode.  Only the follower LPs on a new Y(x) run again, each with
-    its certificate checked.
+    of key: (mode, caps, Y(x).rhs) holds the result (c*, value), for
+    finite sets too, as Y(x) has the instance's lhs; the elimination
+    rows before the prune hold the pruned shadow (see
+    `geometry.project_polytope`); and (mode, shadow polytope) holds the
+    scan's scenarios, so vertex and face enumeration and the exposure LPs
+    run once for each distinct shadow and mode.  Only the follower LPs on
+    a new Y(x) run again, each with its certificate checked.
     """
     memo = inst._memo
     key = (mode, caps, poly.rhs)
@@ -348,7 +324,12 @@ def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
         scenarios = inst.uncertainty.finite_scenarios(caps.grid_points)
         if scenarios is None:
             scenarios = _shadow_scenarios(inst, poly, mode)
-        memo[key] = _worst_scenario(inst, poly, mode, scenarios)
+        if not scenarios:
+            raise SolverInvariantError(
+                "the adversary found no scenario; the shadow set is broken")
+        # min keeps the first scenario of the smallest outcome.
+        memo[key] = min([(c, _respond(inst, poly, c, mode)[1])
+                         for c in scenarios], key=lambda pair: pair[1])
     return memo[key]
 
 
@@ -380,45 +361,27 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     return scenarios
 
 
-def solve_certain(inst: RobustBilevelInstance, c: Sequence, mode: Mode,
-                  caps: Caps = DEFAULT_CAPS) -> SolveReport:
-    """Leader optimum for one fixed scenario c (no adversary)."""
-    c = as_vector(c)
-    best = None
-    trace = []
-    for x in enumerate_leader(inst, caps):
-        y, value = follower_response(inst, x, c, mode)
-        trace.append((x, value))
-        if best is None or value > best[1]:
-            best = (x, value, y)
-    x_star, value, y_star = best
-    return SolveReport(leader_x=x_star, value=value, worst_scenario=tuple(c),
-                       follower_y=y_star, trace=tuple(trace))
-
-
 def solve_robust(inst: RobustBilevelInstance, mode: Optional[Mode] = None,
                  caps: Caps = DEFAULT_CAPS) -> SolveReport:
     """Max over leader choices of the adversary's min; exact throughout.
 
-    Ties between leader choices resolve to the lexicographically smallest
-    x; adversary ties to the first minimum in canonical order: finite
-    sets in scenario order, shadow faces from the vertices up
-    (`enumerate_faces` order) when optimistic and from the whole shadow
-    down (the reverse) when pessimistic, see `_adversary`.  The
-    report's value is cross-checked by replaying the worst scenario
+    Every leader goes through `adversary_geometric`, whatever the
+    uncertainty set; a solve for one fixed scenario c is a solve over
+    DiscreteSet((c,)).  Ties between leader choices resolve to the
+    lexicographically smallest x; adversary ties to the first minimum in
+    canonical order: finite sets in scenario order, shadow faces from the
+    vertices up (`enumerate_faces` order) when optimistic and from the
+    whole shadow down (the reverse) when pessimistic, see `_adversary`.
+    The report's value is cross-checked by replaying the worst scenario
     through the follower's lexicographic LP.
     """
     _check_relaxed_penalty(inst)
     if mode is None:
         mode = inst.mode_default
-    finite = inst.uncertainty.finite_scenarios(caps.grid_points) is not None
     best = None
     trace = []
     for x in enumerate_leader(inst, caps):
-        if finite:
-            c_star, value = adversary_discrete(inst, x, mode)
-        else:
-            c_star, value = adversary_geometric(inst, x, mode, caps)
+        c_star, value = adversary_geometric(inst, x, mode, caps)
         trace.append((x, value))
         if best is None or value > best[1]:
             best = (x, value, c_star)
@@ -432,13 +395,17 @@ def solve_robust(inst: RobustBilevelInstance, mode: Optional[Mode] = None,
                        follower_y=y_star, trace=tuple(trace))
 
 
+SPOT_SAMPLES = 100
+SPOT_DENOMINATOR = 16
+
+
 def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
                        mode: Mode, caps: Caps = DEFAULT_CAPS,
-                       num_samples: int = 100, seed: int = 0,
-                       denominator: int = 16) -> Optional[tuple]:
+                       seed: int = 0) -> Optional[tuple]:
     """Deterministic fractional-leader sampler for relaxed instances.
 
-    Draws seeded grid points from [0,1]^p and checks that none beats the
+    Draws SPOT_SAMPLES seeded points of the grid with step
+    1/SPOT_DENOMINATOR from [0,1]^p and checks that none beats the
     binary optimum.  A cheap sound bound is tried first: the adversary's
     min over the corner scenarios of the uncertainty set dominates the
     true adversary value, so if even that bound stays below the binary
@@ -452,9 +419,9 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
     sample_scenarios = unc.corner_samples(caps.grid_points)
     finite = unc.finite_scenarios(caps.grid_points) is not None
     rng = random.Random(seed)
-    for _ in range(num_samples):
-        x = tuple([Fraction(rng.randint(0, denominator), denominator)
-                   for _ in range(inst.p)])
+    for _ in range(SPOT_SAMPLES):
+        x = tuple([Fraction(rng.randint(0, SPOT_DENOMINATOR),
+                            SPOT_DENOMINATOR) for _ in range(inst.p)])
         poly = inst.follower_polyhedron(x)
         bound = None
         for c in sample_scenarios:
@@ -558,7 +525,7 @@ def instance_from_json(doc: dict):
             meta["var_map"] = list(doc["var_map"])
         if "M" in doc:
             meta["M"] = rat_parse(doc["M"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
     _check_relaxed_penalty(inst)
     return inst, meta
@@ -567,18 +534,22 @@ def instance_from_json(doc: dict):
 def save_instance(path, inst: RobustBilevelInstance,
                   var_map: Optional[Sequence[str]] = None,
                   big_m: Optional[Fraction] = None) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(instance_to_json(inst, var_map, big_m), handle, indent=1)
         handle.write("\n")
 
 
-def load_instance(path, caps: Caps = DEFAULT_CAPS):
-    import json
-
+def read_json(path):
+    """The JSON document in a file; nesting too deep to decode is refused."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    inst, meta = instance_from_json(doc)
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise InstanceError(
+                f"{path}: JSON document nested too deeply") from exc
+
+
+def load_instance(path, caps: Caps = DEFAULT_CAPS):
+    inst, meta = instance_from_json(read_json(path))
     validate_instance(inst, caps)
     return inst, meta

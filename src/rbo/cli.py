@@ -98,8 +98,7 @@ def _write_compiled(path, art) -> int:
 
 
 def _cmd_compile_rs(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = bilevel.read_json(args.spec)
     try:
         x_set = [tuple([rat_parse(str(v)) for v in vec]) for vec in doc["X"]]
         scenarios = [tuple([rat_parse(str(v)) for v in vec])

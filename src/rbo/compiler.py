@@ -8,7 +8,9 @@ pin every gate to its Boolean value.
 Every compiler writes a constraint row as one sparse triple (follower
 coefficients, leader coefficients, const), two dicts keyed by column
 plus a rational, meaning follower·y <= leader·x + const; `_dense_rows`
-turns the triples into the instance's lhs, leader_mat and rhs.
+turns the triples into the instance's lhs, leader_mat and rhs.  Gate
+rows, the copy gate's included, are written through `_row` from their
+(coefficient, column) terms.
 
 Compilers provided here:
 
@@ -171,6 +173,12 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest nesting the parser accepts, well under the recursion limit: the
+# parser and every walk over a formula (`evaluate`, `_leaf_count`,
+# `formula_to_text`, `_emit`) recurse once per level.
+MAX_NESTING = 500
+
+
 def parse_formula(text: str, p: int, n: int) -> Formula:
     """Parse `(and e e) | (or e e) | (not e) | xI | yJ` with index checks."""
     tokens = _tokenize(text)
@@ -182,7 +190,7 @@ def parse_formula(text: str, p: int, n: int) -> Formula:
         return tokens[index] if index < len(tokens) else (None, tokens[-1][1],
                                                           tokens[-1][2] + 1)
 
-    def parse_expr() -> Node:
+    def parse_expr(depth: int) -> Node:
         nonlocal index
         tok, line, col = peek()
         if tok is None:
@@ -191,17 +199,20 @@ def parse_formula(text: str, p: int, n: int) -> Formula:
         if tok == ")":
             raise FormulaSyntaxError("unexpected ')'", line, col)
         if tok == "(":
+            if depth == MAX_NESTING:
+                raise FormulaSyntaxError(
+                    f"nested deeper than {MAX_NESTING}", line, col)
             op, op_line, op_col = peek()
             if op not in ("and", "or", "not"):
                 raise FormulaSyntaxError(
                     f"expected and/or/not, found {op!r}", op_line, op_col)
             index += 1
             if op == "not":
-                child = parse_expr()
+                child = parse_expr(depth + 1)
                 node: Node = Not(child)
             else:
-                left = parse_expr()
-                right = parse_expr()
+                left = parse_expr(depth + 1)
+                right = parse_expr(depth + 1)
                 node = And(left, right) if op == "and" else Or(left, right)
             close, cl, cc = peek()
             if close != ")":
@@ -223,7 +234,7 @@ def parse_formula(text: str, p: int, n: int) -> Formula:
             raise FormulaSyntaxError(f"y{num} out of range (n={n})", line, col)
         return FollowerVar(num)
 
-    root = parse_expr()
+    root = parse_expr(0)
     if index != len(tokens):
         tok, line, col = tokens[index]
         raise FormulaSyntaxError(f"trailing input {tok!r}", line, col)
@@ -264,91 +275,55 @@ class LinearizedCircuit:
     one leader variable has no follower column and reports ("x", i).
     """
 
-    num_y: int
     gate_names: list
     rows: list
     output: tuple
 
 
-def _expr_for(ref):
-    kind, idx = ref
-    if kind == "y":
-        return ({idx: ONE}, {}, ZERO)
-    return ({}, {idx: ONE}, ZERO)
-
-
-def _combine(*terms):
-    """Sum of (coeff, expr) pairs plus optional ('const', value) entries."""
-    fol, led, const = {}, {}, ZERO
-    for coeff, item in terms:
-        if item == "const":
-            const += coeff
-            continue
-        f, l, c = item
-        const += coeff * c
-        for k, v in f.items():
-            fol[k] = fol.get(k, ZERO) + coeff * v
-        for k, v in l.items():
-            led[k] = led.get(k, ZERO) + coeff * v
+def _row(terms, const: Fraction) -> tuple:
+    """The row triple of sum(coefficient * column) <= const, the terms
+    being (coefficient, ("y"|"x", index)) pairs; leader terms move to the
+    right-hand side."""
+    fol, led = {}, {}
+    for coeff, (kind, idx) in terms:
+        side, sign = (fol, ONE) if kind == "y" else (led, -ONE)
+        side[idx] = side.get(idx, ZERO) + sign * coeff
     return fol, led, const
 
 
-def _leq(left, right) -> tuple:
-    """The row triple of left <= right over expression triples."""
-    fol, led, const = _combine((ONE, left), (-ONE, right))
-    # Move leader terms and constant to the right-hand side.
-    return fol, {k: -v for k, v in led.items()}, -const
+def _emit(node: Node, n: int, gate_names: list, rows: list) -> tuple:
+    """The column of node's value; a gate gets column n + its number.
 
-
-class _CircuitBuilder:
-    def __init__(self, formula: Formula):
-        self.formula = formula
-        self.gate_names = []
-        self.rows = []
-        self.next_gate = formula.n
-
-    def new_gate(self, label: str) -> tuple:
-        idx = self.next_gate
-        self.next_gate += 1
-        self.gate_names.append(label)
-        return ("y", idx)
-
-    def add_leq(self, left, right) -> None:
-        self.rows.append(_leq(left, right))
-
-    def add_eq(self, left, right) -> None:
-        self.add_leq(left, right)
-        self.add_leq(right, left)
-
-    def emit(self, node: Node) -> tuple:
-        if isinstance(node, LeaderVar):
-            return ("x", node.index - 1)
-        if isinstance(node, FollowerVar):
-            return ("y", node.index - 1)
-        if isinstance(node, Not):
-            a = _expr_for(self.emit(node.child))
-            g = self.new_gate(f"g{len(self.gate_names) + 1}:not")
-            ge = _expr_for(g)
-            one = _combine((ONE, "const"), (-ONE, a))
-            self.add_eq(ge, one)  # g = 1 - a
-            return g
-        a = _expr_for(self.emit(node.left))
-        b = _expr_for(self.emit(node.right))
-        if isinstance(node, And):
-            g = self.new_gate(f"g{len(self.gate_names) + 1}:and")
-            ge = _expr_for(g)
-            self.add_leq(ge, a)
-            self.add_leq(ge, b)
-            self.add_leq(_combine((ONE, a), (ONE, b), (-ONE, "const")), ge)
-            self.add_leq(_combine((ZERO, "const")), ge)  # g >= 0
-            return g
-        g = self.new_gate(f"g{len(self.gate_names) + 1}:or")
-        ge = _expr_for(g)
-        self.add_leq(a, ge)
-        self.add_leq(b, ge)
-        self.add_leq(ge, _combine((ONE, a), (ONE, b)))
-        self.add_leq(ge, _combine((ONE, "const")))  # g <= 1
-        return g
+    Appends the gate names and rows of node's subterms, children first.
+    Not a closure, for the reason `_leaf_count` gives.
+    """
+    if isinstance(node, LeaderVar):
+        return ("x", node.index - 1)
+    if isinstance(node, FollowerVar):
+        return ("y", node.index - 1)
+    if isinstance(node, Not):
+        a = _emit(node.child, n, gate_names, rows)
+        kind = "not"
+    else:
+        a = _emit(node.left, n, gate_names, rows)
+        b = _emit(node.right, n, gate_names, rows)
+        kind = "and" if isinstance(node, And) else "or"
+    g = ("y", n + len(gate_names))
+    gate_names.append(f"g{len(gate_names) + 1}:{kind}")
+    if kind == "not":
+        rows += [_row([(ONE, g), (ONE, a)], ONE),     # g <= 1 - a
+                 _row([(-ONE, a), (-ONE, g)], -ONE)]  # g >= 1 - a
+    elif kind == "and":
+        rows += [_row([(ONE, g), (-ONE, a)], ZERO),              # g <= a
+                 _row([(ONE, g), (-ONE, b)], ZERO),              # g <= b
+                 _row([(ONE, a), (ONE, b), (-ONE, g)], ONE),     # g >= a+b-1
+                 _row([(-ONE, g)], ZERO)]                        # g >= 0
+    else:
+        rows += [_row([(ONE, a), (-ONE, g)], ZERO),              # g >= a
+                 _row([(ONE, b), (-ONE, g)], ZERO),              # g >= b
+                 _row([(ONE, g), (-ONE, a), (-ONE, b)], ZERO),   # g <= a+b
+                 _row([(ONE, g)], ONE)]                          # g <= 1
+    return g
 
 
 def linearize(formula: Formula) -> LinearizedCircuit:
@@ -357,10 +332,9 @@ def linearize(formula: Formula) -> LinearizedCircuit:
     At binary x, y the constraints force each gate to the Boolean value of
     its subterm.
     """
-    builder = _CircuitBuilder(formula)
-    output = builder.emit(formula.root)
-    return LinearizedCircuit(num_y=formula.n, gate_names=builder.gate_names,
-                             rows=builder.rows, output=output)
+    gate_names, rows = [], []
+    output = _emit(formula.root, formula.n, gate_names, rows)
+    return LinearizedCircuit(gate_names, rows, output)
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +385,11 @@ def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
     if output[0] == "x":
         # Degenerate leaf-only formula over a leader variable: add one
         # pass-through gate so the value lives in a follower column.
-        gate_idx = n_y + len(gate_names)
+        gate = ("y", n_y + len(gate_names))
         gate_names.append(f"g{len(gate_names) + 1}:copy")
-        ge = ({gate_idx: ONE}, {}, ZERO)
-        xe = ({}, {output[1]: ONE}, ZERO)
-        rows += [_leq(ge, xe), _leq(xe, ge)]
-        output = ("y", gate_idx)
+        rows += [_row([(ONE, gate), (-ONE, output)], ZERO),  # g <= x
+                 _row([(ONE, output), (-ONE, gate)], ZERO)]  # g >= x
+        output = gate
 
     var_map = [f"y{j + 1}" for j in range(n_y)] + gate_names
 

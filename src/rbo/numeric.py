@@ -103,10 +103,6 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return total
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vector:
-    return tuple([dot(row, v) for row in m])
-
-
 def integer_scaled(values: Sequence) -> tuple:
     """(s, [s*v for v in values] as ints), s the least integer > 0 that
     makes every value integral."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rbo import geometry, lp
+from rbo import bilevel, geometry, lp
 from rbo.bilevel import (
     AllBinary,
     Caps,
@@ -15,7 +15,6 @@ from rbo.bilevel import (
     Mode,
     RelaxedBox,
     RobustBilevelInstance,
-    adversary_discrete,
     adversary_geometric,
     enumerate_leader,
     follower_response,
@@ -23,7 +22,6 @@ from rbo.bilevel import (
     instance_to_json,
     load_instance,
     save_instance,
-    solve_certain,
     solve_robust,
     validate_instance,
 )
@@ -60,6 +58,11 @@ def segment_instance(uncertainty, mode=Mode.OPTIMISTIC):
 BOX = Interval((F(-1),), (F(1),))
 
 
+def solve_one_scenario(inst, c, mode):
+    """The leader optimum for one fixed scenario c: a one-scenario set."""
+    return solve_robust(replace(inst, uncertainty=DiscreteSet((c,))), mode)
+
+
 def test_follower_aligned_objective():
     inst = segment_instance(BOX)
     for mode in Mode:
@@ -89,17 +92,12 @@ def test_follower_pessimistic_gadget_half_half():
 
 def test_adversary_discrete_examples():
     inst = segment_instance(DiscreteSet(((F(1),), (F(-1),))))
-    c, value = adversary_discrete(inst, (), Mode.OPTIMISTIC)
+    c, value = adversary_geometric(inst, (), Mode.OPTIMISTIC)
     assert value == 0 and c == (F(-1),)
     inst = segment_instance(DiscreteSet(((F(1),),)))
-    assert adversary_discrete(inst, (), Mode.OPTIMISTIC)[1] == 1
+    assert adversary_geometric(inst, (), Mode.OPTIMISTIC)[1] == 1
     inst = segment_instance(DiscreteSet(((F(0),),)))
-    assert adversary_discrete(inst, (), Mode.PESSIMISTIC)[1] == 0
-
-
-def test_adversary_discrete_wrong_kind():
-    with pytest.raises(InstanceError):
-        adversary_discrete(segment_instance(BOX), (), Mode.OPTIMISTIC)
+    assert adversary_geometric(inst, (), Mode.PESSIMISTIC)[1] == 0
 
 
 def test_adversary_geometric_examples():
@@ -155,16 +153,16 @@ def test_single_scenario_kinds_agree():
 
 def test_solve_certain_examples():
     inst = segment_instance(Interval((F(1),), (F(1),)))
-    report = solve_certain(inst, (F(1),), Mode.OPTIMISTIC)
+    report = solve_one_scenario(inst, (F(1),), Mode.OPTIMISTIC)
     assert report.value == 1
     sat = parse_formula("(or x1 (not x1))", 1, 0)
     art = compile_qsat_optimistic(sat)
     c = tuple(art.instance.uncertainty.lower)
-    assert solve_certain(art.instance, c, Mode.OPTIMISTIC).value == 1
+    assert solve_one_scenario(art.instance, c, Mode.OPTIMISTIC).value == 1
     unsat = parse_formula("(and x1 (not x1))", 1, 0)
     art = compile_qsat_optimistic(unsat)
     c = tuple(art.instance.uncertainty.lower)
-    assert solve_certain(art.instance, c, Mode.OPTIMISTIC).value == 0
+    assert solve_one_scenario(art.instance, c, Mode.OPTIMISTIC).value == 0
 
 
 def test_solve_robust_qsat_examples():
@@ -222,7 +220,7 @@ def test_robust_never_beats_certain():
     inst = segment_instance(BOX)
     robust = solve_robust(inst, Mode.OPTIMISTIC).value
     for c in ((F(-1),), (F(0),), (F(1),), (F(1, 2),)):
-        assert robust <= solve_certain(inst, c, Mode.OPTIMISTIC).value
+        assert robust <= solve_one_scenario(inst, c, Mode.OPTIMISTIC).value
 
 
 def test_box_vertex_discretization_on_compiled():
@@ -399,6 +397,20 @@ def test_memo_scans_each_distinct_shadow_once(monkeypatch):
         assert len(projected) == 2
         assert len(enumerated) == 1
         assert len(checked) == faces
+
+
+def test_memo_solves_each_finite_y_once(monkeypatch):
+    # Two leaders share Y(x) through a zero column of B, so the second
+    # leader's k scenarios come from the memo; the replay adds one LP.
+    scenarios = ((F(1),), (F(-1),), (F(1, 2),))
+    inst = RobustBilevelInstance(
+        p=1, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((ZERO,), (ZERO,)),
+        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(1),
+        uncertainty=DiscreteSet(scenarios))
+    solved = _count_calls(monkeypatch, bilevel, "solve_lex_lp")
+    report = solve_robust(inst, Mode.OPTIMISTIC)
+    assert report.trace == (((F(0),), ZERO), ((F(1),), ZERO))
+    assert len(solved) == len(scenarios) + 1
 
 
 def test_memo_prunes_each_distinct_elimination_once(monkeypatch):

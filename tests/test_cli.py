@@ -7,8 +7,11 @@ from rbo import bilevel, lp
 from rbo.bilevel import Mode, instance_to_json, load_instance, solve_robust
 from rbo.cli import build_parser, main
 from rbo.compiler import (
-    compile_qsat_optimistic,
+    MAX_NESTING,
+    FormulaSyntaxError,
     compile_single_level_robust,
+    evaluate,
+    formula_to_text,
     parse_formula,
 )
 
@@ -64,7 +67,7 @@ def test_simplex_uncertainty_flag(tmp_path, capsys):
     assert main(["compile-qsat", formula, "-o", out,
                  "--simplex-uncertainty"]) == 0
     capsys.readouterr()
-    doc = json.loads(open(out).read())
+    doc = json.loads((tmp_path / "inst.json").read_text())
     assert doc["uncertainty"]["kind"] == "convex_hull"
     assert [pt[:2] for pt in doc["uncertainty"]["points"]] == \
         [["-1", "-1"], ["3", "-1"], ["-1", "3"]]
@@ -245,3 +248,37 @@ def test_broken_invariant_exit_code(tmp_path, capsys, monkeypatch, module,
     monkeypatch.setattr(module, name, fake)
     assert main(["solve", out]) == 4
     assert single_error_line(capsys)
+
+
+def _nested_not(depth):
+    return "(not " * depth + "y1" + ")" * depth
+
+
+@pytest.mark.parametrize("command,text", [
+    ("compile-qsat", "p=0 n=1\n" + _nested_not(3000) + "\n"),
+    ("solve", "[" * 100000 + "]" * 100000),
+    ("compile-rs", "[" * 100000 + "]" * 100000),
+    ("solve", '{"p": 1, "n": 1, "A": ' + "[" * 900 + "]" * 900 + "}"),
+], ids=["formula", "instance", "spec", "instance-field"])
+def test_deeply_nested_input_is_refused(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.txt"
+    path.write_text(text)
+    out = str(tmp_path / "out.json")
+    args = [command, str(path)] + (["-o", out] if command != "solve" else [])
+    assert main(args) == 2
+    assert single_error_line(capsys)
+
+
+def test_formula_at_the_nesting_limit_compiles(tmp_path, capsys):
+    text = _nested_not(MAX_NESTING)
+    formula = parse_formula(text, 0, 1)
+    assert formula_to_text(formula) == text
+    assert evaluate(formula, (), (1,)) == 1 - MAX_NESTING % 2
+    path = write_formula(tmp_path, "p=0 n=1\n" + text + "\n")
+    out = str(tmp_path / "inst.json")
+    assert main(["compile-qsat", path, "-o", out]) == 0
+    assert f"g{MAX_NESTING}:not" in capsys.readouterr().out
+    deeper = "(not " + text + ")"
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(deeper, 0, 1)
+    assert err.value.column == 5 * MAX_NESTING + 1

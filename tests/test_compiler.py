@@ -157,7 +157,6 @@ def test_linearization_forces_gates(text, p, n):
 
 def test_linearize_shapes():
     circuit = linearize(parse_formula("(and (or x1 y1) (not y1))", 1, 1))
-    assert circuit.num_y == 1
     assert [g.split(":")[1] for g in circuit.gate_names] == \
         ["or", "not", "and"]
     assert circuit.output == ("y", 3)
@@ -337,9 +336,11 @@ def test_evaluate_matches_python_semantics():
         assert evaluate(formula, x, y) == int(want)
 
 
-# Full `instance_to_json` documents of five compilations.  Every LP the
+# Full `instance_to_json` documents of nine compilations.  Every LP the
 # solvers build inherits this row and column order, and Bland's rule makes
-# each tie-break depend on it, so a reordering must show up here.
+# each tie-break depend on it, so a reordering must show up here.  The
+# "gates" and "copy" formulas cover every gate kind over leader and
+# follower operands, a repeated operand and the leader-leaf copy gate.
 PINNED_LAYOUTS = {
     "optimistic": {
         "p": 1,
@@ -477,11 +478,125 @@ PINNED_LAYOUTS = {
         "mode_default": "optimistic",
         "var_map": ["y", "z1", "z2", "u1_1", "u2_1"],
     },
+    "gates_optimistic": {
+        "p": 1,
+        "n": 4,
+        "A": [
+            ["1", "0", "0", "0"],
+            ["-1", "0", "0", "0"],
+            ["0", "1", "0", "0"],
+            ["0", "-1", "0", "0"],
+            ["1", "0", "-1", "0"],
+            ["1", "0", "-1", "0"],
+            ["-2", "0", "1", "0"],
+            ["0", "0", "1", "0"],
+            ["0", "-1", "0", "1"],
+            ["0", "0", "-1", "1"],
+            ["0", "1", "1", "-1"],
+            ["0", "0", "0", "-1"],
+        ],
+        "B": [["0"], ["0"], ["-1"], ["1"], ["0"], ["0"], ["0"], ["0"], ["0"],
+              ["0"], ["0"], ["0"]],
+        "b": ["1", "0", "1", "-1", "0", "0", "0", "1", "0", "0", "1", "0"],
+        "d": ["0", "0", "0", "1"],
+        "leader_set": {"kind": "all_binary"},
+        "uncertainty": {
+            "kind": "interval",
+            "lower": ["-1", "0", "0", "0"],
+            "upper": ["1", "0", "0", "0"],
+        },
+        "mode_default": "optimistic",
+        "var_map": ["y1", "g1:not", "g2:or", "g3:and"],
+        "M": "3",
+    },
+    "gates_pessimistic": {
+        "p": 1,
+        "n": 5,
+        "A": [
+            ["1", "0", "0", "0", "0"],
+            ["-1", "0", "0", "0", "0"],
+            ["0", "1", "0", "0", "0"],
+            ["0", "-1", "0", "0", "0"],
+            ["1", "0", "-1", "0", "0"],
+            ["1", "0", "-1", "0", "0"],
+            ["-2", "0", "1", "0", "0"],
+            ["0", "0", "1", "0", "0"],
+            ["0", "-1", "0", "1", "0"],
+            ["0", "0", "-1", "1", "0"],
+            ["0", "1", "1", "-1", "0"],
+            ["0", "0", "0", "-1", "0"],
+            ["0", "0", "0", "0", "-1"],
+            ["-1", "0", "0", "0", "1"],
+            ["1", "0", "0", "0", "1"],
+        ],
+        "B": [["0"], ["0"], ["-1"], ["1"], ["0"], ["0"], ["0"], ["0"], ["0"],
+              ["0"], ["0"], ["0"], ["0"], ["0"], ["0"]],
+        "b": ["1", "0", "1", "-1", "0", "0", "0", "1", "0", "0", "1", "0", "0",
+              "0", "1"],
+        "d": ["0", "0", "0", "1", "3"],
+        "leader_set": {"kind": "all_binary"},
+        "uncertainty": {
+            "kind": "interval",
+            "lower": ["-1", "0", "0", "0", "1"],
+            "upper": ["1", "0", "0", "0", "1"],
+        },
+        "mode_default": "pessimistic",
+        "var_map": ["y1", "g1:not", "g2:or", "g3:and", "ydev1"],
+        "M": "3",
+    },
+    "copy_optimistic": {
+        "p": 1,
+        "n": 1,
+        "A": [
+            ["1"],
+            ["-1"],
+        ],
+        "B": [["1"], ["-1"]],
+        "b": ["0", "0"],
+        "d": ["1"],
+        "leader_set": {"kind": "all_binary"},
+        "uncertainty": {
+            "kind": "interval",
+            "lower": ["0"],
+            "upper": ["0"],
+        },
+        "mode_default": "optimistic",
+        "var_map": ["g1:copy"],
+        "M": "3",
+    },
+    "copy_pessimistic": {
+        "p": 1,
+        "n": 1,
+        "A": [
+            ["1"],
+            ["-1"],
+        ],
+        "B": [["1"], ["-1"]],
+        "b": ["0", "0"],
+        "d": ["1"],
+        "leader_set": {"kind": "all_binary"},
+        "uncertainty": {
+            "kind": "interval",
+            "lower": ["0"],
+            "upper": ["0"],
+        },
+        "mode_default": "pessimistic",
+        "var_map": ["g1:copy"],
+        "M": "3",
+    },
 }
 
 
 def _or_x1_y1():
     return parse_formula("(or x1 y1)", 1, 1)
+
+
+def _gates():
+    return parse_formula("(and (not x1) (or y1 y1))", 1, 1)
+
+
+def _copy():
+    return parse_formula("x1", 1, 0)
 
 
 LAYOUT_BUILDERS = {
@@ -491,6 +606,10 @@ LAYOUT_BUILDERS = {
     "simplex": lambda: box_to_simplex(compile_qsat_optimistic(_or_x1_y1())),
     "single_level": lambda: compile_single_level_robust(
         [(0,), (1,)], [(1,), (-1,)]),
+    "gates_optimistic": lambda: compile_qsat_optimistic(_gates()),
+    "gates_pessimistic": lambda: compile_qsat_pessimistic(_gates()),
+    "copy_optimistic": lambda: compile_qsat_optimistic(_copy()),
+    "copy_pessimistic": lambda: compile_qsat_pessimistic(_copy()),
 }
 
 
@@ -589,6 +708,14 @@ PINNED_PIVOTS = {
     ("relaxed", "optimistic"): 29, ("relaxed", "pessimistic"): 20,
     ("simplex", "optimistic"): 36, ("simplex", "pessimistic"): 27,
     ("single_level", "optimistic"): 32, ("single_level", "pessimistic"): 30,
+    ("gates_optimistic", "optimistic"): 30,
+    ("gates_optimistic", "pessimistic"): 17,
+    ("gates_pessimistic", "optimistic"): 52,
+    ("gates_pessimistic", "pessimistic"): 53,
+    ("copy_optimistic", "optimistic"): 7,
+    ("copy_optimistic", "pessimistic"): 5,
+    ("copy_pessimistic", "optimistic"): 7,
+    ("copy_pessimistic", "pessimistic"): 5,
     ("square", "optimistic"): 2, ("square", "pessimistic"): 2,
 }
 # Tableaux built (`_Tableau.__init__` calls): one for each polyhedron
@@ -603,6 +730,14 @@ PINNED_TABLEAUX = {
     ("relaxed", "optimistic"): 9, ("relaxed", "pessimistic"): 8,
     ("simplex", "optimistic"): 11, ("simplex", "pessimistic"): 10,
     ("single_level", "optimistic"): 3, ("single_level", "pessimistic"): 3,
+    ("gates_optimistic", "optimistic"): 7,
+    ("gates_optimistic", "pessimistic"): 6,
+    ("gates_pessimistic", "optimistic"): 13,
+    ("gates_pessimistic", "pessimistic"): 13,
+    ("copy_optimistic", "optimistic"): 3,
+    ("copy_optimistic", "pessimistic"): 3,
+    ("copy_pessimistic", "optimistic"): 3,
+    ("copy_pessimistic", "pessimistic"): 3,
     ("square", "optimistic"): 1, ("square", "pessimistic"): 1,
 }
 
