@@ -160,17 +160,26 @@ class RobustBilevelInstance:
         return len(self.lhs)
 
     def follower_polyhedron(self, x: Sequence) -> Polyhedron:
+        """Y(x), one `Polyhedron` per leader vector for the instance's
+        lifetime (kept in `_memo` under the key x), so every solve on
+        Y(x) shares one row scaling, one tableau build and one phase one:
+        validation's, both modes' adversaries, the replay and repeated
+        spot-check samples."""
         x = as_vector(x)
         if len(x) != self.p:
             raise InstanceError(f"leader vector has arity {len(x)} != {self.p}")
-        shifted = tuple([self.rhs[i] + dot(self.leader_mat[i], x)
-                         for i in range(self.num_rows)])
-        return Polyhedron(self.lhs, shifted)
+        memo = self._memo
+        if x not in memo:
+            memo[x] = Polyhedron(self.lhs, [
+                self.rhs[i] + dot(self.leader_mat[i], x)
+                for i in range(self.num_rows)])
+        return memo[x]
 
     @cached_property
     def _memo(self) -> dict:
-        """The adversary's results on this instance, kept for its
-        lifetime; see `_adversary` for the entries."""
+        """Y(x) for each leader vector x, and the adversary's results on
+        this instance, kept for its lifetime; see `_adversary` for the
+        entries."""
         return {}
 
 
@@ -309,14 +318,16 @@ def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
     the unpruned scan in the same order.
 
     Leaders of one instance mostly share their shadow, so the work is
-    kept in `inst._memo` for the instance's lifetime, under three kinds
+    kept in `inst._memo` for the instance's lifetime, under four kinds
     of key: (mode, caps, Y(x).rhs) holds the result (c*, value), for
     finite sets too, as Y(x) has the instance's lhs; the elimination
     rows before the prune hold the pruned shadow (see
-    `geometry.project_polytope`); and (mode, shadow polytope) holds the
+    `geometry.project_polytope`); (mode, shadow polytope) holds the
     scan's scenarios, so vertex and face enumeration and the exposure LPs
-    run once for each distinct shadow and mode.  Only the follower LPs on
-    a new Y(x) run again, each with its certificate checked.
+    run once for each distinct shadow and mode; and the leader vector x
+    holds Y(x) itself (`follower_polyhedron`), so both modes, validation
+    and the replay solve on one phase-one tableau.  Only the follower LPs
+    on a new Y(x) run again, each with its certificate checked.
     """
     memo = inst._memo
     key = (mode, caps, poly.rhs)
@@ -534,9 +545,12 @@ def instance_from_json(doc: dict):
 def save_instance(path, inst: RobustBilevelInstance,
                   var_map: Optional[Sequence[str]] = None,
                   big_m: Optional[Fraction] = None) -> None:
+    """Write the interchange document, one top-level key per line."""
+    doc = instance_to_json(inst, var_map, big_m)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(instance_to_json(inst, var_map, big_m), handle, indent=1)
-        handle.write("\n")
+        handle.write("{\n" + ",\n".join([
+            f"{json.dumps(key)}: {json.dumps(value)}"
+            for key, value in doc.items()]) + "\n}\n")
 
 
 def read_json(path):

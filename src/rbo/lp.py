@@ -13,9 +13,12 @@ face, so an optimal point is a vertex whenever the polyhedron has one.
 Phase one runs once per polyhedron: a :class:`Polyhedron` keeps its rows
 scaled to ints and its tableau after phase one (or the finding that it
 is empty) for as long as it lives, and every solve on it starts from a
-shallow copy of that tableau.  Bland's rule sees the same tableau each
-time, so a reused polyhedron gives the same point, value and dual as a
-fresh one.
+shallow copy of that tableau, whose pivots copy a row before they write
+into it.  Bland's rule sees the same tableau each time, so a reused
+polyhedron gives the same point, value and dual as a fresh one.  A
+caller that solves on one feasible set many times keeps one polyhedron
+for it: `RobustBilevelInstance.follower_polyhedron` gives one Y(x) per
+leader x for the instance's lifetime.
 
 A lexicographic solve (a tie objective) continues from the first
 objective's optimal tableau: the slacks of the rows that carry a
@@ -186,14 +189,17 @@ class _Tableau:
     Bland's rule does not see).  The true tableau is rows / d, one d > 0,
     with the rhs last in each row; a pivot on p sets each other row to
     (p*row - f*prow) // d, exact as every entry is a minor (Bareiss), and
-    d to p.  A running phase keeps its objective row last.  A free column
-    that enters on a positive reduced cost is negated in place first
-    (`col_sign` records it), so it always enters by rising from zero.
-    Once basic, a free column never leaves: its row takes no part in a
-    ratio test.  The structural part [A|I] has full row rank, so no row of
-    the tableau is zero on it: every artificial left in the basis at level
-    zero after phase one pivots out, and phase two and the dual see
-    structural columns only.
+    d to p.  Most pivots are unimodular, p = d: then a row with f = 0
+    stays as it is, and a row with f != 0 changes only on prow's support,
+    by (f*prow[j]) // d, which d divides as it divides p*row[j] -
+    f*prow[j].  A running phase keeps its objective row last.  A free
+    column that enters on a positive reduced cost is negated in place
+    first (`col_sign` records it), so it always enters by rising from
+    zero.  Once basic, a free column never leaves: its row takes no part
+    in a ratio test.  The structural part [A|I] has full row rank, so no
+    row of the tableau is zero on it: every artificial left in the basis
+    at level zero after phase one pivots out, and phase two and the dual
+    see structural columns only.
     """
 
     def __init__(self, poly: Polyhedron):
@@ -218,8 +224,8 @@ class _Tableau:
 
     def copy(self) -> "_Tableau":
         """A tableau that pivots apart from this one.  The rows are shared:
-        `pivot` replaces a row and never writes into it, and `negate`
-        copies a row before it flips an entry."""
+        `pivot` and `negate` replace a row, or copy it before they write
+        into it, and never write into a row in place."""
         twin = copy.copy(self)
         twin.rows = self.rows[:]
         twin.basis = self.basis[:]
@@ -235,15 +241,25 @@ class _Tableau:
             # equality row keeps d > 0 and the tableau after the pivot.
             prow = rows[row] = [-a for a in prow]
             p = -p
-        for i, irow in enumerate(rows):
-            if i == row:
-                continue
-            f = irow[col]
-            if f:
-                rows[i] = [(p * a - f * b) // d for a, b in zip(irow, prow)]
-            elif p != d:
-                rows[i] = [p * a // d for a in irow]
-        self.d = p
+        if p == d:
+            support = [j for j, b in enumerate(prow) if b]
+            for i, irow in enumerate(rows):
+                f = irow[col]
+                if f and i != row:
+                    irow = rows[i] = irow[:]
+                    for j in support:
+                        irow[j] -= f * prow[j] // d
+        else:
+            for i, irow in enumerate(rows):
+                if i == row:
+                    continue
+                f = irow[col]
+                if f:
+                    rows[i] = [(p * a - f * b) // d
+                               for a, b in zip(irow, prow)]
+                else:
+                    rows[i] = [p * a // d for a in irow]
+            self.d = p
         self.basis[row] = col
 
     def negate(self, col: int) -> None:
@@ -327,19 +343,24 @@ class _Tableau:
 
         A basic slack forces its row's mu to 0, so only the k rows whose
         slack is nonbasic carry mu, k the number of basic free columns j:
-        sum_r mu_r a[r][j] = obj[j] on the original data.  A nonbasic free
-        column has reduced cost 0 at an optimum, so mu^T A = obj whole.
+        sum_r mu_r a[r][j] = obj[j].  With row r of a equal to ints_r / s_r
+        (`Polyhedron._scaled_rows`), the k x k system is solved in ints,
+        sum_r nu_r ints_r[j] = obj[j], and mu_r = s_r nu_r.  A nonbasic
+        free column has reduced cost 0 at an optimum, so mu^T A = obj whole.
         """
         n = self.n
+        scales, ints = poly._scaled_rows
         free_cols = [col for col in self.basis if col < n]
         carriers = sorted(set(range(self.m))
                           - {col - n for col in self.basis if col >= n})
-        y = gauss_solve([[poly.a[r][j] for r in carriers] for j in free_cols],
-                        [obj[j] for j in free_cols])
-        if y is None:
+        nu = gauss_solve([[ints[r][j] for r in carriers] for j in free_cols],
+                         [obj[j] for j in free_cols])
+        if nu is None:
             raise LpInternalError("singular optimal basis")
-        mu = dict(zip(carriers, y))
-        return tuple([mu.get(r, ZERO) for r in range(self.m)])
+        mu = [ZERO] * self.m
+        for r, v in zip(carriers, nu):
+            mu[r] = scales[r] * v
+        return tuple(mu)
 
 
 def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
@@ -405,9 +426,11 @@ def _phase_two(poly: Polyhedron, obj: Sequence,
         if tab.run(tab.cost(tie), face) is LpStatus.UNBOUNDED:
             return LpStatus.UNBOUNDED, None, []
         mu_s = tab.dual(poly, tie)
-        t = max([ZERO] + [-s / u for s, u in zip(mu_s, mu) if u])
-        certs.append((tuple([s + t * c for s, c in zip(tie, obj)]),
-                      tuple([s + t * u for s, u in zip(mu_s, mu)])))
+        t = max([-s / u for s, u in zip(mu_s, mu) if s < 0], default=ZERO)
+        if t:
+            tie = tuple([s + t * c if c else s for s, c in zip(tie, obj)])
+            mu_s = tuple([s + t * u if u else s for s, u in zip(mu_s, mu)])
+        certs.append((tie, mu_s))
     return LpStatus.OPTIMAL, tab, certs
 
 

@@ -32,6 +32,7 @@ from rbo.compiler import (
     box_to_simplex,
     compile_qsat_optimistic,
     compile_qsat_pessimistic,
+    compile_single_level_robust,
     parse_formula,
     relax_leader,
 )
@@ -422,6 +423,30 @@ def test_memo_prunes_each_distinct_elimination_once(monkeypatch):
     assert pruned[0][0] != pruned[1][0]
 
 
+def test_one_tableau_per_leader_across_modes(monkeypatch):
+    # Y(x) is one polyhedron for the instance's lifetime, so both modes'
+    # scenario LPs and both replays start from one phase-one tableau.
+    built = _count_calls(monkeypatch, lp._Tableau, "__init__")
+    x_set = [(0, 1), (1, 0), (1, 1)]
+    inst = compile_single_level_robust(
+        x_set, [(1, -2), (F(1, 2), 3)]).instance
+    for mode in Mode:
+        solve_robust(inst, mode)
+    assert len(built) == len(x_set)
+
+
+def test_load_and_solve_run_one_phase_one_per_leader(tmp_path, monkeypatch):
+    # Validation's emptiness probes and the solve share each Y(x).
+    path = tmp_path / "instance.json"
+    save_instance(path, compile_qsat_pessimistic(
+        parse_formula("(or x1 (and (not x2) y1))", 2, 1)).instance)
+    phase_ones = _count_calls(monkeypatch, lp, "_phase_one")
+    inst, _ = load_instance(path)
+    solve_robust(inst)
+    assert len([poly for poly, in phase_ones if poly.a == inst.lhs]) \
+        == len(enumerate_leader(inst))
+
+
 @st.composite
 def leader_shadow_instances(draw):
     """`shadow_instances` with one or two binary leaders that raise
@@ -529,6 +554,14 @@ def test_json_round_trip_identity(tmp_path):
     assert json.loads(path.read_text()) == json.loads(again.read_text())
     reloaded, _ = load_instance(again)
     assert reloaded == loaded
+
+
+def test_saved_instance_is_not_one_entry_per_line(tmp_path):
+    inst = compile_qsat_pessimistic(parse_formula("(or x1 y1)", 1, 1)).instance
+    path = tmp_path / "instance.json"
+    save_instance(path, inst)
+    entries = inst.num_rows * (inst.n + inst.p + 1)
+    assert len(path.read_text().splitlines()) < entries
 
 
 def test_json_rejects_malformed():

@@ -298,6 +298,58 @@ def test_second_solve_skips_phase_one(monkeypatch):
     assert len(built) == 1
 
 
+@given(small_polytopes(), st.lists(st.integers(0, 99), min_size=1,
+                                   max_size=6))
+# RATIONAL_BOX's first row scales to [2, 0 | 3]: a pivot on its 2 from
+# d = 1, then one on row 1's 2 from d = 2, takes each branch in turn.
+@example((RATIONAL_BOX, [0, 0], Sense.MAX), [0, 2])
+@settings(max_examples=80, deadline=None)
+def test_pivot_matches_dense_bareiss(case, picks):
+    # Each pick pivots a copy of the tableau on one of its nonzero
+    # entries, which must leave the tableau it was copied from as it was
+    # and agree with the dense update (p*row - f*prow) // d written out.
+    tab = lp._Tableau(case[0])
+    rows, d = [row[:] for row in tab.rows], tab.d
+    for pick in picks:
+        entries = [(i, j) for i, row in enumerate(rows)
+                   for j in range(tab.ncols) if row[j]]
+        row, col = entries[pick % len(entries)]
+        prow, p = rows[row], rows[row][col]
+        if p < 0:
+            prow, p = [-a for a in prow], -p
+        assert all((p * a - irow[col] * b) % d == 0
+                   for irow in rows for a, b in zip(irow, prow))
+        rows = [prow if i == row else
+                [(p * a - irow[col] * b) // d for a, b in zip(irow, prow)]
+                for i, irow in enumerate(rows)]
+        d = p
+        source, kept = tab, [row[:] for row in tab.rows]
+        tab = tab.copy()
+        tab.pivot(row, col)
+        assert source.rows == kept
+        assert (tab.rows, tab.d) == (rows, d)
+
+
+@given(small_polytopes())
+@example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX))
+@settings(max_examples=40, deadline=None)
+def test_solves_leave_the_phase_one_tableau_as_it_was(case):
+    # Every solve starts from a copy that shares the phase-one tableau's
+    # rows, so a pivot that wrote into a row in place would show here.
+    poly, obj, sense = case
+    start = poly._phase_one_tableau
+    kept = ([row[:] for row in start.rows], start.d, start.basis[:],
+            start.col_sign[:])
+    neg = [-c for c in obj]
+    for j in range(poly.dim):
+        unit = [int(k == j) for k in range(poly.dim)]
+        solve_lp(poly, obj, sense)
+        solve_lp(poly, unit, Sense.MIN, tie=(neg, Sense.MAX))
+        solve_lex_lp(poly, neg, Sense.MAX, unit, Sense.MAX)
+        lp.max_value(poly, unit)
+    assert (start.rows, start.d, start.basis, start.col_sign) == kept
+
+
 def _row_scales(poly):
     """The least s_i > 0 that makes row i of [a | rhs] integral."""
     return [math.lcm(*[v.denominator for v in row + (r,)])
