@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import geometry
-from .geometry import CapExceededError
 from .lp import (
     Polyhedron,
     Sense,
@@ -48,10 +47,11 @@ from .numeric import (
     dot,
     rat_format,
     rat_format_nested,
+    rat_format_vector,
     rat_parse,
     rat_parse_nested,
 )
-from .uncertainty import KINDS, UncertaintySet
+from .uncertainty import KINDS, CapExceededError, UncertaintySet
 
 
 class Mode(Enum):
@@ -83,7 +83,8 @@ class ExplicitList:
             raise InstanceError("explicit leader set is empty")
         for v in self.vectors:
             if any(x != 0 and x != 1 for x in v):
-                raise InstanceError(f"non-binary leader vector {v}")
+                raise InstanceError(
+                    f"non-binary leader vector {rat_format_vector(v)}")
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,6 @@ class RelaxedBox:
 
 
 LeaderSet = Union[AllBinary, ExplicitList, RelaxedBox]
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Work budgets for the exhaustive parts of the solvers (the vertex,
-    face and projection budgets are `rbo.geometry` constants)."""
-
-    leader_bits: int = 20
-    grid_points: int = 4096
-
-
-DEFAULT_CAPS = Caps()
 
 
 @dataclass(frozen=True)
@@ -178,8 +167,8 @@ class RobustBilevelInstance:
     @cached_property
     def _memo(self) -> dict:
         """Y(x) for each leader vector x, and the adversary's results on
-        this instance, kept for its lifetime; see `_adversary` for the
-        entries."""
+        this instance, kept for its lifetime; see `adversary_geometric`
+        for the entries."""
         return {}
 
 
@@ -192,16 +181,18 @@ class SolveReport:
     trace: tuple
 
 
-def enumerate_leader(inst: RobustBilevelInstance,
-                     caps: Caps = DEFAULT_CAPS):
+MAX_LEADER_BITS = 20
+
+
+def enumerate_leader(inst: RobustBilevelInstance):
     """Leader candidates in lexicographic order (binary for relaxed sets)."""
     ls = inst.leader_set
     if isinstance(ls, ExplicitList):
         return sorted(ls.vectors)
-    if ls.p > caps.leader_bits:
+    if ls.p > MAX_LEADER_BITS:
         raise CapExceededError(
             f"leader enumeration over 2^{ls.p} vectors exceeds "
-            f"2^{caps.leader_bits}")
+            f"2^{MAX_LEADER_BITS}")
     return [tuple([Fraction(b) for b in bits])
             for bits in itertools.product((0, 1), repeat=ls.p)]
 
@@ -244,24 +235,24 @@ def _check_relaxed_penalty(inst: RobustBilevelInstance) -> None:
             "on the last p follower columns")
 
 
-def validate_instance(inst: RobustBilevelInstance,
-                      caps: Caps = DEFAULT_CAPS) -> None:
+def validate_instance(inst: RobustBilevelInstance) -> None:
     """Check Y(x) nonempty and bounded for every enumerable leader choice.
 
     A nonempty Y(x) has the recession cone {d : lhs·d <= 0} whatever x is,
     so boundedness is decided at the first leader and every later one
     needs only the emptiness probe.
     """
-    for k, x in enumerate(enumerate_leader(inst, caps)):
+    for k, x in enumerate(enumerate_leader(inst)):
         poly = inst.follower_polyhedron(x)
         if k == 0:
             nonempty, bounded = check_bounded_nonempty(poly)
         else:
             nonempty = is_nonempty(poly)
         if not nonempty:
-            raise InstanceError(f"Y(x) is empty for x={x}")
+            raise InstanceError(f"Y(x) is empty for x={rat_format_vector(x)}")
         if not bounded:
-            raise InstanceError(f"Y(x) is unbounded for x={x}")
+            raise InstanceError(
+                f"Y(x) is unbounded for x={rat_format_vector(x)}")
 
 
 def follower_response(inst: RobustBilevelInstance, x: Sequence, c: Sequence,
@@ -286,8 +277,7 @@ def _respond(inst: RobustBilevelInstance, poly: Polyhedron, c: Sequence,
     return lex.point, lex.value
 
 
-def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
-                        caps: Caps = DEFAULT_CAPS):
+def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     """Worst scenario over any uncertainty set.  Returns (c*, value).
 
     Finite sets, a box with no free coordinate and a one-point hull among
@@ -295,16 +285,7 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode,
     U = L·D, go through the faces of the shadow of Y(x) under Lᵀ: the
     certificate direction s of each exposable face pins the follower to
     that face's argmax set, and the leader outcome there comes from the
-    follower's lexicographic response at the scenario L·s.  Both share
-    the instance memo's (mode, caps, Y(x).rhs) entry, see `_adversary`.
-    """
-    return _adversary(inst, inst.follower_polyhedron(x), mode, caps)
-
-
-def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
-               caps: Caps):
-    """`adversary_geometric` on poly = Y(x): the projection and every
-    scenario's follower LP use this one polyhedron.
+    follower's lexicographic response at the scenario L·s.
 
     Shadow faces G ⊆ F have nested follower argmax sets, so G's
     optimistic outcome is at most F's and its pessimistic outcome at
@@ -319,20 +300,20 @@ def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
 
     Leaders of one instance mostly share their shadow, so the work is
     kept in `inst._memo` for the instance's lifetime, under four kinds
-    of key: (mode, caps, Y(x).rhs) holds the result (c*, value), for
+    of key: (mode, Y(x).rhs) holds the result (c*, value), for
     finite sets too, as Y(x) has the instance's lhs; the elimination
     rows before the prune hold the pruned shadow (see
     `geometry.project_polytope`); (mode, shadow polytope) holds the
     scan's scenarios, so vertex and face enumeration and the exposure LPs
     run once for each distinct shadow and mode; and the leader vector x
-    holds Y(x) itself (`follower_polyhedron`), so both modes, validation
-    and the replay solve on one phase-one tableau.  Only the follower LPs
-    on a new Y(x) run again, each with its certificate checked.
+    holds Y(x) itself (`follower_polyhedron`).  Only the follower LPs on
+    a new Y(x) run again, each with its certificate checked.
     """
+    poly = inst.follower_polyhedron(x)
     memo = inst._memo
-    key = (mode, caps, poly.rhs)
+    key = (mode, poly.rhs)
     if key not in memo:
-        scenarios = inst.uncertainty.finite_scenarios(caps.grid_points)
+        scenarios = inst.uncertainty.finite_scenarios()
         if scenarios is None:
             scenarios = _shadow_scenarios(inst, poly, mode)
         if not scenarios:
@@ -347,7 +328,7 @@ def _adversary(inst: RobustBilevelInstance, poly: Polyhedron, mode: Mode,
 def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
                       mode: Mode) -> list:
     """The certificate scenarios of the undominated exposable faces of the
-    shadow of poly = Y(x), in `_adversary`'s scan order."""
+    shadow of poly = Y(x), in `adversary_geometric`'s scan order."""
     memo = inst._memo
     shadow = inst.uncertainty.shadow()
     shadow_poly = geometry.project_polytope(poly, shadow.columns, memo)
@@ -372,8 +353,8 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     return scenarios
 
 
-def solve_robust(inst: RobustBilevelInstance, mode: Optional[Mode] = None,
-                 caps: Caps = DEFAULT_CAPS) -> SolveReport:
+def solve_robust(inst: RobustBilevelInstance,
+                 mode: Optional[Mode] = None) -> SolveReport:
     """Max over leader choices of the adversary's min; exact throughout.
 
     Every leader goes through `adversary_geometric`, whatever the
@@ -382,17 +363,17 @@ def solve_robust(inst: RobustBilevelInstance, mode: Optional[Mode] = None,
     lexicographically smallest x; adversary ties to the first minimum in
     canonical order: finite sets in scenario order, shadow faces from the
     vertices up (`enumerate_faces` order) when optimistic and from the
-    whole shadow down (the reverse) when pessimistic, see `_adversary`.
-    The report's value is cross-checked by replaying the worst scenario
-    through the follower's lexicographic LP.
+    whole shadow down (the reverse) when pessimistic, see
+    `adversary_geometric`.  The report's value is cross-checked by
+    replaying the worst scenario through the follower's lexicographic LP.
     """
     _check_relaxed_penalty(inst)
     if mode is None:
         mode = inst.mode_default
     best = None
     trace = []
-    for x in enumerate_leader(inst, caps):
-        c_star, value = adversary_geometric(inst, x, mode, caps)
+    for x in enumerate_leader(inst):
+        c_star, value = adversary_geometric(inst, x, mode)
         trace.append((x, value))
         if best is None or value > best[1]:
             best = (x, value, c_star)
@@ -411,8 +392,7 @@ SPOT_DENOMINATOR = 16
 
 
 def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
-                       mode: Mode, caps: Caps = DEFAULT_CAPS,
-                       seed: int = 0) -> Optional[tuple]:
+                       mode: Mode, seed: int = 0) -> Optional[tuple]:
     """Deterministic fractional-leader sampler for relaxed instances.
 
     Draws SPOT_SAMPLES seeded points of the grid with step
@@ -426,9 +406,7 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
     """
     if not isinstance(inst.leader_set, RelaxedBox):
         raise InstanceError("spot check applies to relaxed leader sets")
-    unc = inst.uncertainty
-    sample_scenarios = unc.corner_samples(caps.grid_points)
-    finite = unc.finite_scenarios(caps.grid_points) is not None
+    sample_scenarios = inst.uncertainty.corner_samples()
     rng = random.Random(seed)
     for _ in range(SPOT_SAMPLES):
         x = tuple([Fraction(rng.randint(0, SPOT_DENOMINATOR),
@@ -443,9 +421,7 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
                 break  # the min over scenarios can only be lower
         if bound <= binary_value:
             continue
-        if finite:
-            return (x, bound)  # the bound is already exact for finite sets
-        _, exact = _adversary(inst, poly, mode, caps)
+        _, exact = adversary_geometric(inst, x, mode)
         if exact > binary_value:
             return (x, exact)
     return None
@@ -533,7 +509,11 @@ def instance_from_json(doc: dict):
         )
         meta = {}
         if "var_map" in doc:
-            meta["var_map"] = list(doc["var_map"])
+            var_map = doc["var_map"]
+            if not (isinstance(var_map, list) and len(var_map) == n
+                    and all(isinstance(name, str) for name in var_map)):
+                raise InstanceError(f"var_map must be a list of {n} strings")
+            meta["var_map"] = var_map
         if "M" in doc:
             meta["M"] = rat_parse(doc["M"])
     except (KeyError, TypeError, RecursionError) as exc:
@@ -563,7 +543,7 @@ def read_json(path):
                 f"{path}: JSON document nested too deeply") from exc
 
 
-def load_instance(path, caps: Caps = DEFAULT_CAPS):
+def load_instance(path):
     inst, meta = instance_from_json(read_json(path))
-    validate_instance(inst, caps)
+    validate_instance(inst)
     return inst, meta

@@ -13,10 +13,10 @@ import random
 import sys
 
 from . import bilevel, compiler, oracle
-from .bilevel import Caps, Mode, SolverInvariantError
+from .bilevel import InstanceError, Mode, SolverInvariantError
 from .geometry import CapExceededError
-from .lp import LpError, LpInternalError
-from .numeric import rat_format, rat_parse
+from .lp import LpError, LpInternalError, is_nonempty
+from .numeric import rat_format, rat_format_vector, rat_parse
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -48,23 +48,20 @@ def _parse_vector(text: str):
     return tuple([rat_parse(part) for part in text.split(",")])
 
 
-def _caps_args(parser):
-    parser.add_argument("--leader-bits", type=int, default=20,
-                        help="max leader dimension for binary enumeration")
-    parser.add_argument("--grid-cap", type=int, default=4096,
-                        help="max grid points for product uncertainty")
-
-
-def _caps_from(args) -> Caps:
-    return Caps(leader_bits=args.leader_bits, grid_points=args.grid_cap)
-
-
 def _load(args):
-    """The instance file's instance, the mode to solve it in, and the caps."""
-    caps = _caps_from(args)
-    inst, _ = bilevel.load_instance(args.instance, caps=caps)
+    """The instance file's instance and the mode to solve it in."""
+    inst, _ = bilevel.load_instance(args.instance)
     mode = inst.mode_default if args.mode is None else Mode(args.mode)
-    return inst, mode, caps
+    return inst, mode
+
+
+def _leader(inst, text: str):
+    """The leader vector given on the command line, refused when its Y(x)
+    is empty: validation covers only the instance's own leader set."""
+    x = _parse_vector(text)
+    if not is_nonempty(inst.follower_polyhedron(x)):
+        raise InstanceError(f"Y(x) is empty for x={rat_format_vector(x)}")
+    return x
 
 
 def _compile_qsat(formula, mode: Mode):
@@ -112,8 +109,8 @@ def _cmd_compile_rs(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst, mode, caps = _load(args)
-    report = bilevel.solve_robust(inst, mode, caps)
+    inst, mode = _load(args)
+    report = bilevel.solve_robust(inst, mode)
     print(f"mode: {mode.value}")
     print(f"value: {_fmt(report.value, args.decimal)}")
     print(f"leader x: {_fmt_vec(report.leader_x, args.decimal)}")
@@ -123,9 +120,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    inst, mode, caps = _load(args)
-    x = _parse_vector(args.x)
-    c_star, value = bilevel.adversary_geometric(inst, x, mode, caps)
+    inst, mode = _load(args)
+    x = _leader(inst, args.x)
+    c_star, value = bilevel.adversary_geometric(inst, x, mode)
     print(f"mode: {mode.value}")
     print(f"adversary value: {_fmt(value, args.decimal)}")
     print(f"worst scenario: {_fmt_vec(c_star, args.decimal)}")
@@ -133,8 +130,8 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_follower(args) -> int:
-    inst, mode, _ = _load(args)
-    x = _parse_vector(args.x)
+    inst, mode = _load(args)
+    x = _leader(inst, args.x)
     c = _parse_vector(args.c)
     if not inst.uncertainty.contains(c):
         print("warning: scenario lies outside the uncertainty set",
@@ -173,7 +170,6 @@ def _report(case: str, ok: bool, lines: list) -> None:
 
 
 def _suite_qsat(args, lines: list) -> bool:
-    caps = _caps_from(args)
     rng = random.Random(args.seed)
     formulas = compiler.full_family(args.max_p, args.max_n)
     for _ in range(args.random_count):
@@ -190,7 +186,7 @@ def _suite_qsat(args, lines: list) -> bool:
             case = f"qsat[{idx}] {mode.value} {label}"
             try:
                 art = _compile_qsat(formula, mode)
-                got = bilevel.solve_robust(art.instance, mode, caps).value
+                got = bilevel.solve_robust(art.instance, mode).value
             except CapExceededError as exc:
                 lines.append(f"SKIP {case} ({exc})")
                 continue
@@ -201,7 +197,6 @@ def _suite_qsat(args, lines: list) -> bool:
 
 
 def _suite_single_level(args, lines: list) -> bool:
-    caps = _caps_from(args)
     rng = random.Random(args.seed + 1)
     all_ok = True
     for idx in range(args.random_count):
@@ -216,10 +211,8 @@ def _suite_single_level(args, lines: list) -> bool:
         want = oracle.robust_single_level_oracle(x_set, scenarios)
         art = compiler.compile_single_level_robust(x_set, scenarios)
         case = f"single-level[{idx}] p={p} |X|={len(x_set)} m={m_s}"
-        got_opt = bilevel.solve_robust(art.instance, Mode.OPTIMISTIC,
-                                       caps).value
-        got_pes = bilevel.solve_robust(art.instance, Mode.PESSIMISTIC,
-                                       caps).value
+        got_opt = bilevel.solve_robust(art.instance, Mode.OPTIMISTIC).value
+        got_pes = bilevel.solve_robust(art.instance, Mode.PESSIMISTIC).value
         ok = got_opt == want and got_pes == want
         all_ok &= ok
         _report(case, ok, lines)
@@ -227,7 +220,6 @@ def _suite_single_level(args, lines: list) -> bool:
 
 
 def _suite_hull(args, lines: list) -> bool:
-    caps = _caps_from(args)
     formulas = compiler.full_family(args.max_p, min(args.max_n, 2))
     all_ok = True
     for idx, formula in enumerate(formulas):
@@ -235,11 +227,11 @@ def _suite_hull(args, lines: list) -> bool:
         case = f"hull[{idx}] {label}"
         try:
             art = compiler.compile_qsat_optimistic(formula)
-            box_value = bilevel.solve_robust(art.instance, Mode.OPTIMISTIC,
-                                             caps).value
+            box_value = bilevel.solve_robust(art.instance,
+                                             Mode.OPTIMISTIC).value
             simplex = compiler.box_to_simplex(art)
             hull_value = bilevel.solve_robust(simplex.instance,
-                                              Mode.OPTIMISTIC, caps).value
+                                              Mode.OPTIMISTIC).value
         except CapExceededError as exc:
             lines.append(f"SKIP {case} ({exc})")
             continue
@@ -273,7 +265,7 @@ _VECTOR_HELP = {"--x": "comma-separated leader vector",
 
 def _instance_command(sub, name, func, help_text, vectors=()) -> None:
     """A subcommand on one instance file: the file, the required vector
-    flags, --mode, --decimal and the caps flags."""
+    flags, --mode and --decimal."""
     c = sub.add_parser(name, help=help_text)
     c.add_argument("instance", help="instance JSON file")
     for flag in vectors:
@@ -284,7 +276,6 @@ def _instance_command(sub, name, func, help_text, vectors=()) -> None:
                         "instance's own)")
     c.add_argument("--decimal", action="store_true",
                    help="append approximate decimal renderings")
-    _caps_args(c)
     c.set_defaults(func=func)
 
 
@@ -336,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the random cases")
     c.add_argument("--random-count", type=int, default=10,
                    help="random formulas and single-level cases to add")
-    _caps_args(c)
     c.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("demo", help="compile and solve a tiny example")

@@ -68,7 +68,7 @@ def tight_rows_at(poly: Polyhedron, point: Sequence) -> frozenset:
                      if dot(poly.a[i], point) == poly.rhs[i])
 
 
-def enumerate_vertices(poly: Polyhedron, cap: int = DEFAULT_CAP) -> VertexSet:
+def enumerate_vertices(poly: Polyhedron) -> VertexSet:
     """All vertices of a bounded nonempty polyhedron.
 
     Every n-subset of rows is solved as an equality system; nonsingular,
@@ -79,9 +79,9 @@ def enumerate_vertices(poly: Polyhedron, cap: int = DEFAULT_CAP) -> VertexSet:
     if m < n:
         raise ValueError(f"{m} rows cannot pin {n} coordinates; "
                          "the polyhedron is unbounded")
-    if comb(m, n) > cap:
-        raise CapExceededError(
-            f"vertex enumeration needs C({m},{n}) subsets, cap is {cap}")
+    if comb(m, n) > DEFAULT_CAP:
+        raise CapExceededError(f"vertex enumeration needs C({m},{n}) "
+                               f"subsets, cap is {DEFAULT_CAP}")
     found = set()
     a = poly.a
     rhs = poly.rhs

@@ -58,6 +58,11 @@ def rat_format(value: Fraction) -> str:
     return str(value)
 
 
+def rat_format_vector(vec) -> str:
+    """Render a vector as `(p/q, ...)`."""
+    return "(" + ", ".join([rat_format(v) for v in vec]) + ")"
+
+
 def rat_parse_nested(data):
     """Parse nested lists of rational strings into nested tuples."""
     if isinstance(data, list):

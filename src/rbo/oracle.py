@@ -15,8 +15,6 @@ from enum import Enum
 from math import comb
 
 from .bilevel import (
-    Caps,
-    DEFAULT_CAPS,
     ExplicitList,
     Mode,
     RobustBilevelInstance,
@@ -26,11 +24,11 @@ from .compiler import Formula, evaluate
 from .geometry import CapExceededError
 from .numeric import Fraction, as_vector, dot, gauss_solve
 from .uncertainty import (
+    MAX_SCENARIOS,
     ConvexHull,
     DiscreteSet,
     Interval,
     ProductFinite,
-    box_corner_scenarios,
 )
 
 
@@ -131,14 +129,14 @@ def _leader_candidates(inst: RobustBilevelInstance):
             for bits in itertools.product((0, 1), repeat=ls.p)]
 
 
-def _sample_scenarios(inst: RobustBilevelInstance, cap: int):
+def _sample_scenarios(inst: RobustBilevelInstance):
     unc = inst.uncertainty
     if isinstance(unc, Interval):
-        return box_corner_scenarios(unc, cap)
+        return unc.corner_samples()
     if isinstance(unc, ConvexHull):
         return list(unc.points)
     if isinstance(unc, ProductFinite):
-        if unc.grid_size() > cap:
+        if unc.grid_size() > MAX_SCENARIOS:
             raise CapExceededError("product grid exceeds the sampling cap")
         return [tuple(c) for c in itertools.product(*unc.choices)]
     raise ValueError("grid sampling needs interval, hull or product "
@@ -146,7 +144,7 @@ def _sample_scenarios(inst: RobustBilevelInstance, cap: int):
 
 
 def cross_validate(inst: RobustBilevelInstance, mode: Mode,
-                   reference: Reference, caps: Caps = DEFAULT_CAPS,
+                   reference: Reference,
                    brute_cap: int = 10 ** 6) -> OracleVerdict:
     """Compare solve_robust against an independent reference computation.
 
@@ -157,14 +155,14 @@ def cross_validate(inst: RobustBilevelInstance, mode: Mode,
     sampled value is a certified upper bound; `agree` still reports exact
     equality, which specific constructions are known to achieve.
     """
-    actual = solve_robust(inst, mode, caps).value
+    actual = solve_robust(inst, mode).value
     unc = inst.uncertainty
     if reference is Reference.DISCRETE_ENUMERATION:
         if not isinstance(unc, DiscreteSet):
             raise ValueError("discrete enumeration needs a discrete set")
         scenarios = list(unc.scenarios)
     else:
-        scenarios = _sample_scenarios(inst, caps.grid_points)
+        scenarios = _sample_scenarios(inst)
     expected = None
     for x in _leader_candidates(inst):
         worst = None

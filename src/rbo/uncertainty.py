@@ -9,7 +9,7 @@ a new kind (budgeted uncertainty, say) is one dataclass plus its entry in
 `KINDS`.  It must provide:
 
 * `kind`, its JSON tag, and `dim`, the length of a scenario;
-* `finite_scenarios(cap)`: every scenario, in canonical order, when the
+* `finite_scenarios()`: every scenario, in canonical order, when the
   set is finite (a box with no free coordinate and a one-point hull
   count), else None;
 * `shadow()`, when `finite_scenarios` gives None: a `Shadow` (L, D) with
@@ -18,14 +18,14 @@ a new kind (budgeted uncertainty, say) is one dataclass plus its entry in
   needs no other geometry;
 * `_contains(c)`: exact membership of a vector of the right length;
 * `pinned(j)`: the value every member has in coordinate j, or None;
-* `corner_samples(cap)`, when the default (the finite scenarios) does not
+* `corner_samples()`, when the default (the finite scenarios) does not
   apply: finitely many members whose minimum over follower outcomes
   bounds the adversary from above;
 * one dataclass field per JSON field, each a nested tuple of rationals,
   which `to_json` and `from_json` translate.
 
-A `cap` bounds how many scenarios a method may generate from a product
-grid or from box corners (None: no bound).
+MAX_SCENARIOS bounds how many scenarios a method may generate from a
+product grid or from box corners.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ from .numeric import (
 
 
 class CapExceededError(Exception):
-    """A combinatorial enumeration would exceed its configured budget."""
+    """A combinatorial enumeration would exceed its work budget."""
+
+
+MAX_SCENARIOS = 4096
 
 
 @dataclass(frozen=True)
@@ -86,16 +89,13 @@ def _shared(values: Sequence):
 class UncertaintySet:
     """The protocol every uncertainty kind implements (module docstring)."""
 
-    def finite_scenarios(self, cap: Optional[int] = None) -> Optional[tuple]:
-        return None
-
     def contains(self, c: Sequence) -> bool:
         """Exact membership test of a vector in the uncertainty set."""
         c = as_vector(c)
         return len(c) == self.dim and self._contains(c)
 
-    def corner_samples(self, cap: int) -> tuple:
-        return self.finite_scenarios(cap)
+    def corner_samples(self) -> tuple:
+        return self.finite_scenarios()
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
@@ -132,7 +132,7 @@ class Interval(UncertaintySet):
         return tuple([i for i in range(self.dim)
                       if self.lower[i] != self.upper[i]])
 
-    def finite_scenarios(self, cap: Optional[int] = None) -> Optional[tuple]:
+    def finite_scenarios(self) -> Optional[tuple]:
         return None if self.free_indices() else (self.lower,)
 
     def shadow(self) -> Shadow:
@@ -161,8 +161,17 @@ class Interval(UncertaintySet):
     def pinned(self, j: int):
         return self.lower[j] if self.lower[j] == self.upper[j] else None
 
-    def corner_samples(self, cap: int) -> tuple:
-        return tuple(box_corner_scenarios(self, cap))
+    def corner_samples(self) -> tuple:
+        """Every corner of the box, its fixed coordinates pinned."""
+        free = self.free_indices()
+        if 2 ** len(free) > MAX_SCENARIOS:
+            raise CapExceededError(
+                f"too many box corners: 2^{len(free)} > {MAX_SCENARIOS}")
+        corners = [self.lower]
+        for i in free:
+            corners = [c[:i] + (v,) + c[i + 1:] for c in corners
+                       for v in (self.lower[i], self.upper[i])]
+        return tuple(corners)
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,7 @@ class DiscreteSet(UncertaintySet):
     def dim(self) -> int:
         return len(self.scenarios[0])
 
-    def finite_scenarios(self, cap: Optional[int] = None) -> tuple:
+    def finite_scenarios(self) -> tuple:
         return self.scenarios
 
     def _contains(self, c: tuple) -> bool:
@@ -207,7 +216,7 @@ class ConvexHull(UncertaintySet):
     def dim(self) -> int:
         return len(self.points[0])
 
-    def finite_scenarios(self, cap: Optional[int] = None) -> Optional[tuple]:
+    def finite_scenarios(self) -> Optional[tuple]:
         return self.points if len(self.points) == 1 else None
 
     def shadow(self) -> Shadow:
@@ -227,7 +236,7 @@ class ConvexHull(UncertaintySet):
             rhs += [ci, -ci]
         return is_nonempty(self.shadow().directions.with_rows(rows, rhs))
 
-    def corner_samples(self, cap: int) -> tuple:
+    def corner_samples(self) -> tuple:
         return self.points
 
     def pinned(self, j: int):
@@ -254,10 +263,10 @@ class ProductFinite(UncertaintySet):
     def grid_size(self) -> int:
         return math.prod(len(c) for c in self.choices)
 
-    def finite_scenarios(self, cap: Optional[int] = None) -> tuple:
-        if cap is not None and self.grid_size() > cap:
-            raise CapExceededError(
-                f"product grid of {self.grid_size()} scenarios exceeds {cap}")
+    def finite_scenarios(self) -> tuple:
+        if self.grid_size() > MAX_SCENARIOS:
+            raise CapExceededError(f"product grid of {self.grid_size()} "
+                                   f"scenarios exceeds {MAX_SCENARIOS}")
         return tuple(itertools.product(*self.choices))
 
     def _contains(self, c: tuple) -> bool:
@@ -269,16 +278,3 @@ class ProductFinite(UncertaintySet):
 
 KINDS = {cls.kind: cls
          for cls in (Interval, DiscreteSet, ConvexHull, ProductFinite)}
-
-
-def box_corner_scenarios(unc: Interval, cap: int = 4096) -> list:
-    """All corners of the box over its free coordinates (fixed ones pinned)."""
-    free = unc.free_indices()
-    if 2 ** len(free) > cap:
-        raise CapExceededError(
-            f"too many box corners: 2^{len(free)} > {cap}")
-    corners = [tuple(unc.lower)]
-    for i in free:
-        corners = [c[:i] + (val,) + c[i + 1:]
-                   for c in corners for val in (unc.lower[i], unc.upper[i])]
-    return corners

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rbo import bilevel, geometry, lp
 from rbo.bilevel import (
     AllBinary,
-    Caps,
     ExplicitList,
     InstanceError,
     Mode,
@@ -43,7 +42,6 @@ from rbo.uncertainty import (
     DiscreteSet,
     Interval,
     ProductFinite,
-    box_corner_scenarios,
 )
 from test_lp import _rationals, small_polytopes
 
@@ -128,10 +126,10 @@ def test_adversary_product_finite():
 
 
 def test_adversary_product_cap():
-    inst = segment_instance(ProductFinite(((F(-1), F(1)),)))
-    with pytest.raises(geometry.CapExceededError):
-        adversary_geometric(inst, (), Mode.OPTIMISTIC,
-                            caps=Caps(grid_points=1))
+    # A 2^13 grid, twice uncertainty.MAX_SCENARIOS.
+    grid = ProductFinite((tuple([F(k) for k in range(2 ** 13)]),))
+    with pytest.raises(geometry.CapExceededError, match="8192"):
+        adversary_geometric(segment_instance(grid), (), Mode.OPTIMISTIC)
 
 
 def test_adversary_hull():
@@ -229,7 +227,7 @@ def test_box_vertex_discretization_on_compiled():
     for text, p, n in (("(or x1 y1)", 1, 1), ("(and y1 (not y2))", 0, 2)):
         art = compile_qsat_optimistic(parse_formula(text, p, n))
         inst = art.instance
-        corners = DiscreteSet(tuple(box_corner_scenarios(inst.uncertainty)))
+        corners = DiscreteSet(inst.uncertainty.corner_samples())
         twin = RobustBilevelInstance(
             p=inst.p, n=inst.n, lhs=inst.lhs, leader_mat=inst.leader_mat,
             rhs=inst.rhs, leader_obj=inst.leader_obj,
@@ -517,9 +515,7 @@ def test_validation_decides_boundedness_once(monkeypatch):
     assert len(phase_ones) == 2 ** inst.p + 1
     empty_late = replace(inst, leader_mat=((F(-2), F(-2)), (ZERO, ZERO)),
                          rhs=(F(3), ZERO))
-    with pytest.raises(InstanceError,
-                       match=r"empty for x=\(Fraction\(1, 1\), "
-                             r"Fraction\(1, 1\)\)"):
+    with pytest.raises(InstanceError, match=r"empty for x=\(1, 1\)"):
         validate_instance(empty_late)
 
 

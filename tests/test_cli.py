@@ -178,11 +178,13 @@ def test_input_error_exit_code(tmp_path, capsys):
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
-    formula = write_formula(tmp_path, "p=1 n=1\n(or x1 y1)\n")
+    # 2^21 leader vectors: one more bit than bilevel.MAX_LEADER_BITS.
+    formula = write_formula(tmp_path, "p=21 n=1\n(or x21 y1)\n")
     out = str(tmp_path / "inst.json")
-    main(["compile-qsat", formula, "-o", out])
+    assert main(["compile-qsat", formula, "-o", out]) == 0
     capsys.readouterr()
-    assert main(["solve", out, "--leader-bits", "0"]) == 3
+    assert main(["solve", out]) == 3
+    assert "2^21" in capsys.readouterr().err
 
 
 def test_malformed_instance_json(tmp_path, capsys):
@@ -210,6 +212,7 @@ def single_error_line(capsys):
     (("uncertainty",), "interval"),       # not an object
     (("uncertainty", "lower", 0), -1),    # a JSON number, not a string
     (("p",), 1.5),                        # not a JSON integer
+    (("var_map",), "abc"),                # not a list of n strings
 ])
 def test_malformed_instance_values(tmp_path, capsys, path, value):
     out = compiled_instance(tmp_path, capsys)
@@ -225,11 +228,38 @@ def test_malformed_instance_values(tmp_path, capsys, path, value):
     assert single_error_line(capsys)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("leader_set", {"kind": "explicit", "vectors": [["2"]]},
+     "non-binary leader vector (2)"),
+    ("b", ["-1", "0", "0", "0", "0", "1"], "Y(x) is empty for x=(0)"),
+])
+def test_vector_errors_are_rational(tmp_path, capsys, key, value, message):
+    out = compiled_instance(tmp_path, capsys)
+    with open(out) as handle:
+        doc = json.load(handle)
+    doc[key] = value
+    with open(out, "w") as handle:
+        json.dump(doc, handle)
+    assert main(["solve", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Fraction(" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["adversary", "--x", "5"],
+    ["follower", "--x", "5", "--c", "1,0"],
+])
+def test_leader_with_empty_follower_set(tmp_path, capsys, command):
+    out = compiled_instance(tmp_path, capsys)
+    assert main([command[0], out] + command[1:]) == 2
+    assert capsys.readouterr().err == "error: Y(x) is empty for x=(5)\n"
+
+
 def _failed_certificate(*args):
     raise lp.LpInternalError("dual certificate check failed")
 
 
-def _wrong_adversary_value(inst, x, mode, caps):
+def _wrong_adversary_value(inst, x, mode):
     return inst.uncertainty.lower, F(7)
 
 

@@ -58,8 +58,13 @@ def test_vertices_deduped_on_duplicate_rows():
 
 
 def test_vertex_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_vertices(UNIT_SQUARE, cap=3)
+    # The cube [0, 1]^10 and six more rows: C(26, 10) > DEFAULT_CAP subsets.
+    units = [[int(j == i) for j in range(10)] for i in range(10)]
+    rows = units + [[-v for v in u] for u in units] + [[1] * 10] * 6
+    cube = Polyhedron(rows, [1] * 10 + [0] * 10 + [10] * 6)
+    assert math.comb(26, 10) > geometry.DEFAULT_CAP
+    with pytest.raises(CapExceededError, match="C\\(26,10\\)"):
+        enumerate_vertices(cube)
 
 
 def test_empty_poly_has_no_vertices():

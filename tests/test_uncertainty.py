@@ -6,6 +6,7 @@ import pytest
 from rbo.geometry import enumerate_vertices
 from rbo.uncertainty import (
     KINDS,
+    MAX_SCENARIOS,
     CapExceededError,
     ConvexHull,
     DiscreteSet,
@@ -36,12 +37,12 @@ def test_uncertainty_protocol(name):
     unc, finite = CASES[name]
     doc = json.loads(json.dumps(unc.to_json()))
     assert KINDS[doc["kind"]].from_json(doc) == unc
-    assert all(unc.contains(c) for c in unc.corner_samples(16))
-    assert unc.finite_scenarios(16) == finite
+    assert all(unc.contains(c) for c in unc.corner_samples())
+    assert unc.finite_scenarios() == finite
     # The corner samples of these sets span them, so they fix exactly
     # the coordinates every member shares.
     for j in range(unc.dim):
-        values = {c[j] for c in unc.corner_samples(16)}
+        values = {c[j] for c in unc.corner_samples()}
         assert unc.pinned(j) == (values.pop() if len(values) == 1 else None)
     if finite is None:
         shadow = unc.shadow()
@@ -51,7 +52,10 @@ def test_uncertainty_protocol(name):
 
 
 def test_box_corner_overrun_is_a_cap_error():
-    box = Interval([-1] * 13, [1] * 13)
+    # 2^12 corners is exactly MAX_SCENARIOS; a 13th free coordinate is over.
+    box = Interval([-1] * 12 + [0], [1] * 12 + [0])
+    corners = box.corner_samples()
+    assert len(set(corners)) == len(corners) == MAX_SCENARIOS == 2 ** 12
+    assert all(box.contains(c) for c in corners)
     with pytest.raises(CapExceededError, match="2\\^13 > 4096"):
-        box.corner_samples(4096)
-    assert len(box.corner_samples(2 ** 13)) == 2 ** 13
+        Interval([-1] * 13, [1] * 13).corner_samples()
