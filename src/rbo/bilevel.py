@@ -273,8 +273,7 @@ def _respond(inst: RobustBilevelInstance, poly: Polyhedron, c: Sequence,
     """`follower_response` on poly = Y(x), which keeps its phase one for
     the next scenario."""
     tie_sense = Sense.MAX if mode is Mode.OPTIMISTIC else Sense.MIN
-    lex = solve_lex_lp(poly, c, Sense.MAX, inst.leader_obj, tie_sense)
-    return lex.point, lex.value
+    return solve_lex_lp(poly, c, Sense.MAX, inst.leader_obj, tie_sense)
 
 
 def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
@@ -335,20 +334,20 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     key = (mode, shadow_poly)
     if key in memo:
         return memo[key]
-    vset = geometry.enumerate_vertices(shadow_poly)
-    faces = geometry.enumerate_faces(shadow_poly, vset)
+    verts = geometry.enumerate_vertices(shadow_poly)
+    faces = geometry.enumerate_faces(shadow_poly, verts)
     upward = mode is Mode.OPTIMISTIC
     if not upward:
         faces.reverse()
     exposed, scenarios = [], []
     for face in faces:
-        verts = face.vertex_indices
-        if any(verts >= g if upward else verts <= g for g in exposed):
+        members = face.vertex_indices
+        if any(members >= g if upward else members <= g for g in exposed):
             continue
-        cert = geometry.exposure_check(face, vset, shadow.directions)
-        if cert is not None:
-            exposed.append(verts)
-            scenarios.append(shadow.scenario(cert.c))
+        s = geometry.exposure_check(face, verts, shadow.directions)
+        if s is not None:
+            exposed.append(members)
+            scenarios.append(shadow.scenario(s))
     memo[key] = scenarios
     return scenarios
 

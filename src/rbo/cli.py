@@ -35,10 +35,11 @@ def _fmt(value, decimal: bool) -> str:
 
 
 def _fmt_vec(vec, decimal: bool) -> str:
-    body = ", ".join(rat_format(v) for v in vec)
+    text = rat_format_vector(vec)
     if decimal and vec:
-        body += "  ~= (" + ", ".join(f"{float(v):.6g}" for v in vec) + ") (approx)"
-    return f"({body})"
+        approx = ", ".join([f"{float(v):.6g}" for v in vec])
+        text += f" ~= ({approx}) (approx)"
+    return text
 
 
 def _parse_vector(text: str):
@@ -57,10 +58,21 @@ def _load(args):
 
 def _leader(inst, text: str):
     """The leader vector given on the command line, refused when its Y(x)
-    is empty: validation covers only the instance's own leader set."""
+    is empty: validation covers only the instance's own leader set.  One
+    outside that set is kept, with a warning."""
     x = _parse_vector(text)
     if not is_nonempty(inst.follower_polyhedron(x)):
         raise InstanceError(f"Y(x) is empty for x={rat_format_vector(x)}")
+    ls = inst.leader_set
+    if isinstance(ls, bilevel.ExplicitList):
+        inside = x in ls.vectors
+    elif isinstance(ls, bilevel.RelaxedBox):
+        inside = all(0 <= v <= 1 for v in x)
+    else:
+        inside = all(v in (0, 1) for v in x)
+    if not inside:
+        print("warning: leader vector lies outside the leader set",
+              file=sys.stderr)
     return x
 
 

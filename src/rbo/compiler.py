@@ -576,7 +576,7 @@ def compile_single_level_robust(x_set, scenarios) -> CompilationArtifacts:
 def exhaustive_family(p: int, n: int) -> list:
     """Deterministic formula family for one (p, n) arity pair.
 
-    Exhaustive layers: every plain or negated single variable, and every
+    Exhaustive layers: every single variable, plain or under Not, and every
     ordered pair of plain variables under both binary connectives; topped
     up with fixed deeper shapes (majority, parity, nested chains) whose
     leaves cycle through the variables, reaching seven leaves.

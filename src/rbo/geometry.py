@@ -1,4 +1,4 @@
-"""Polytope vertex enumeration, face lattices and exposure certificates.
+"""Polytope vertex enumeration, face lattices and exposing directions.
 
 A face is identified by its vertex set together with the canonical set of
 constraint rows tight on all of its vertices.  Faces are generated by
@@ -25,22 +25,12 @@ from math import comb, gcd
 from typing import Optional, Sequence
 
 from .lp import LpStatus, Polyhedron, Sense, max_value, solve_lp
-from .numeric import (ONE, ZERO, Fraction, as_matrix, as_vector, dot,
-                      gauss_solve, integer_scaled)
+from .numeric import (ONE, ZERO, as_matrix, as_vector, dot, gauss_solve,
+                      integer_scaled)
 from .uncertainty import CapExceededError
 
 DEFAULT_CAP = 2 ** 22
 _MAX_PROJECTION_ROWS = 4000
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Distinct vertices of a bounded polyhedron, in sorted order."""
-
-    vertices: tuple
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -51,25 +41,13 @@ class Face:
     tight_rows: frozenset
 
 
-@dataclass(frozen=True)
-class ExposureCertificate:
-    """A direction c whose argmax set is exactly one face.
-
-    c scores all face vertices equally and beats every other vertex by at
-    least `margin` > 0.
-    """
-
-    c: tuple
-    margin: Fraction
-
-
 def tight_rows_at(poly: Polyhedron, point: Sequence) -> frozenset:
     return frozenset(i for i in range(poly.num_rows)
                      if dot(poly.a[i], point) == poly.rhs[i])
 
 
-def enumerate_vertices(poly: Polyhedron) -> VertexSet:
-    """All vertices of a bounded nonempty polyhedron.
+def enumerate_vertices(poly: Polyhedron) -> tuple:
+    """All vertices of a bounded nonempty polyhedron, in sorted order.
 
     Every n-subset of rows is solved as an equality system; nonsingular,
     feasible solutions are vertices.  Duplicates coming from degenerate
@@ -89,21 +67,14 @@ def enumerate_vertices(poly: Polyhedron) -> VertexSet:
         system = [a[i] for i in subset]
         target = [rhs[i] for i in subset]
         point = gauss_solve(system, target)
-        if point is None or point in found:
-            continue
-        feasible = True
-        for i in range(m):
-            if dot(a[i], point) > rhs[i]:
-                feasible = False
-                break
-        if feasible:
+        if point is not None and point not in found and poly.contains(point):
             found.add(point)
     if not found:
         raise ValueError("no vertices found; polyhedron is empty or unbounded")
-    return VertexSet(tuple(sorted(found)))
+    return tuple(sorted(found))
 
 
-def enumerate_faces(poly: Polyhedron, vset: VertexSet) -> list:
+def enumerate_faces(poly: Polyhedron, verts: tuple) -> list:
     """All nonempty faces, from single vertices up to the full polytope.
 
     Join closure: the join of two faces has the intersection of their
@@ -111,7 +82,6 @@ def enumerate_faces(poly: Polyhedron, vset: VertexSet) -> list:
     and its canonical tight set is re-derived from those vertices.
     DEFAULT_CAP bounds the number of join operations attempted.
     """
-    verts = vset.vertices
     tights = [tight_rows_at(poly, v) for v in verts]
     universe = frozenset(range(len(verts)))
 
@@ -143,23 +113,16 @@ def enumerate_faces(poly: Polyhedron, vset: VertexSet) -> list:
                                  sorted(f.vertex_indices)))
 
 
-def argmax_vertices(vset: VertexSet, c: Sequence) -> frozenset:
-    """Indices of the vertices attaining max c·v (the exposed face's verts)."""
-    scores = [dot(c, v) for v in vset.vertices]
-    best = max(scores)
-    return frozenset(i for i, s in enumerate(scores) if s == best)
-
-
-def exposure_check(face: Face, vset: VertexSet,
-                   directions: Polyhedron) -> Optional[ExposureCertificate]:
-    """Find a direction s in D = {s : G·s <= h} exposing exactly `face`.
+def exposure_check(face: Face, verts: tuple,
+                   directions: Polyhedron) -> Optional[tuple]:
+    """A direction s in D = {s : G·s <= h} exposing exactly `face` among
+    the vertices `verts`, or None when no direction in D does.
 
     Solves max eps subject to G·s <= h, s·v = t on the face vertices and
     s·u <= t - eps off the face (eps capped at 1 so the LP stays bounded);
-    the face is exposable iff the optimum has eps > 0, and the certificate
-    is that optimum's s.
+    the face is exposable iff the optimum has eps > 0, and s is that
+    optimum's.
     """
-    verts = vset.vertices
     q = len(verts[0])
     if directions.dim != q:
         raise ValueError(
@@ -181,7 +144,7 @@ def exposure_check(face: Face, vset: VertexSet,
     outcome = solve_lp(Polyhedron(rows, rhs), eps_row, Sense.MAX)
     if outcome.status is not LpStatus.OPTIMAL or outcome.value <= 0:
         return None
-    return ExposureCertificate(outcome.point[:q], outcome.value)
+    return outcome.point[:q]
 
 
 def _add_row(rows, coeffs, rhs):

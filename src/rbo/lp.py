@@ -133,10 +133,6 @@ class Polyhedron:
     def contains(self, point: Sequence) -> bool:
         return all(dot(row, point) <= r for row, r in zip(self.a, self.rhs))
 
-    def with_rows(self, extra_rows, extra_rhs) -> "Polyhedron":
-        return Polyhedron(self.a + as_matrix(extra_rows, self.dim),
-                          self.rhs + as_vector(extra_rhs))
-
     @cached_property
     def _scaled_rows(self) -> tuple:
         """(scales, rows): row i of [a | rhs] times s_i, the least int
@@ -165,19 +161,6 @@ class LpOutcome:
     dual: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class LexOutcome:
-    """Result of a two-stage lexicographic solve.
-
-    `value` is the secondary objective's value on the returned point;
-    the primary stage's optimum is kept alongside.
-    """
-
-    point: tuple
-    value: Fraction
-    primary_value: Fraction
-
-
 class _Tableau:
     """Dense fraction-free simplex tableau over [A|I](v, s) = rhs.
 
@@ -193,13 +176,15 @@ class _Tableau:
     stays as it is, and a row with f != 0 changes only on prow's support,
     by (f*prow[j]) // d, which d divides as it divides p*row[j] -
     f*prow[j].  A running phase keeps its objective row last.  A free
-    column that enters on a positive reduced cost is negated in place
-    first (`col_sign` records it), so it always enters by rising from
-    zero.  Once basic, a free column never leaves: its row takes no part
-    in a ratio test.  The structural part [A|I] has full row rank, so no
-    row of the tableau is zero on it: every artificial left in the basis
-    at level zero after phase one pivots out, and phase two and the dual
-    see structural columns only.
+    column that enters on a positive reduced cost enters falling: its
+    ratio test reads the column times -1, and its pivot entry is
+    negative, so `pivot` takes the pivot row times -1, which keeps d > 0
+    and leaves every other row as rising on the column times -1 would.
+    Once basic, a free column never leaves: its row takes no part in a
+    ratio test, and its value may be negative.  The structural part
+    [A|I] has full row rank, so no row of the tableau is zero on it:
+    every artificial left in the basis at level zero after phase one
+    pivots out, and phase two and the dual see structural columns only.
     """
 
     def __init__(self, poly: Polyhedron):
@@ -209,7 +194,6 @@ class _Tableau:
         art_rows = [i for i in range(m) if poly.rhs[i] < 0]
         self.art_cols = {i: n + m + k for k, i in enumerate(art_rows)}
         self.ncols = n + m + len(art_rows)
-        self.col_sign = [1] * n
         self.rows = []
         for i, ints in enumerate(poly._scaled_rows[1]):
             sign = -1 if ints[-1] < 0 else 1
@@ -224,12 +208,11 @@ class _Tableau:
 
     def copy(self) -> "_Tableau":
         """A tableau that pivots apart from this one.  The rows are shared:
-        `pivot` and `negate` replace a row, or copy it before they write
-        into it, and never write into a row in place."""
+        `pivot` replaces a row, or copies it before it writes into it, and
+        never writes into a row in place."""
         twin = copy.copy(self)
         twin.rows = self.rows[:]
         twin.basis = self.basis[:]
-        twin.col_sign = self.col_sign[:]
         return twin
 
     def pivot(self, row: int, col: int) -> None:
@@ -237,8 +220,8 @@ class _Tableau:
         prow = rows[row]
         p, d = prow[col], self.d
         if p < 0:
-            # Only an artificial's pivot-out after phase one; negating its
-            # equality row keeps d > 0 and the tableau after the pivot.
+            # A falling free column, or an artificial's pivot-out after
+            # phase one: negating the pivot row's equation keeps d > 0.
             prow = rows[row] = [-a for a in prow]
             p = -p
         if p == d:
@@ -262,24 +245,16 @@ class _Tableau:
             self.d = p
         self.basis[row] = col
 
-    def negate(self, col: int) -> None:
-        """Flip the sign of a nonbasic free column."""
-        rows = self.rows
-        for i, row in enumerate(rows):
-            if row[col]:
-                row = rows[i] = row[:]
-                row[col] = -row[col]
-        self.col_sign[col] = -self.col_sign[col]
-
-    def leaving_row(self, col: int) -> int:
+    def leaving_row(self, col: int, sign: int = 1) -> int:
         """Bland's ratio test over the rows whose basic column is not free;
-        -1 when no such row bounds the column's rise.  Ratios share the
-        denominator d, so they compare by cross-multiplying."""
+        -1 when no such row bounds the column's rise (sign 1) or fall
+        (sign -1).  Ratios share the denominator d, so they compare by
+        cross-multiplying."""
         leave, best_b, best_coef = -1, 0, 1
         basis = self.basis
         for i in range(self.m):
             row = self.rows[i]
-            coef = row[col]
+            coef = sign * row[col]
             if coef > 0 and basis[i] >= self.n:
                 lhs, rhs = row[-1] * best_coef, best_b * coef
                 if (leave < 0 or lhs < rhs
@@ -288,18 +263,19 @@ class _Tableau:
         return leave
 
     def run(self, cost: Sequence, allowed: Sequence) -> LpStatus:
-        """Bland-rule phase driver maximizing cost over the current basis.
+        """Bland-rule phase driver maximizing cost over the current basis;
+        a cost shorter than a row is 0 on the columns past its end.
 
         Of the slack and artificial columns, only those in `allowed`
         (ascending) may enter; free columns always may.  The objective row
         is the reduced costs times d and times the cost's integer scale,
         so its signs are the true ones.  The entering order is the one a
         split v = v+ - v- would give: free columns with a negative reduced
-        cost, then free columns with a positive one (negated on entry),
-        then the allowed columns.
+        cost, rising, then free columns with a positive one, falling, then
+        the allowed columns.
         """
         n, rows = self.n, self.rows
-        cost = integer_scaled(cost)[1]
+        cost = integer_scaled(cost)[1] + [0] * (self.ncols - len(cost))
         obj = [-self.d * c for c in cost] + [0]
         for i in range(self.m):
             cb = cost[self.basis[i]]
@@ -312,31 +288,23 @@ class _Tableau:
                 enter = next((j for j in range(n) if obj[j] < 0), -1)
                 if enter < 0:
                     enter = next((j for j in range(n) if obj[j] > 0), -1)
-                    if enter >= 0:
-                        self.negate(enter)
                 if enter < 0:
                     enter = next((j for j in allowed if obj[j] < 0), -1)
                 if enter < 0:
                     return LpStatus.OPTIMAL
-                leave = self.leaving_row(enter)
+                leave = self.leaving_row(enter, -1 if obj[enter] > 0 else 1)
                 if leave < 0:
                     return LpStatus.UNBOUNDED
                 self.pivot(leave, enter)
         finally:
             rows.pop()
 
-    def cost(self, obj: Sequence) -> list:
-        """The phase cost of maximizing obj·v, in the current column signs."""
-        return ([self.col_sign[j] * obj[j] for j in range(self.n)]
-                + [0] * (self.ncols - self.n))
-
     def point(self) -> tuple:
         """The basic solution's v, nonbasic free columns at 0."""
         w = [0] * self.ncols
         for i in range(self.m):
             w[self.basis[i]] = self.rows[i][-1]
-        return tuple([Fraction(self.col_sign[j] * w[j], self.d)
-                      for j in range(self.n)])
+        return tuple([Fraction(w[j], self.d) for j in range(self.n)])
 
     def dual(self, poly: Polyhedron, obj: Sequence) -> tuple:
         """The optimal basis's dual mu for obj, one entry per row.
@@ -417,13 +385,13 @@ def _phase_two(poly: Polyhedron, obj: Sequence,
         return LpStatus.INFEASIBLE, None, []
     tab = start.copy()
 
-    if tab.run(tab.cost(obj), range(n, n + m)) is LpStatus.UNBOUNDED:
+    if tab.run(obj, range(n, n + m)) is LpStatus.UNBOUNDED:
         return LpStatus.UNBOUNDED, None, []
     mu = tab.dual(poly, obj)
     certs = [(obj, mu)]
     if tie is not None:
         face = [n + r for r in range(m) if not mu[r]]
-        if tab.run(tab.cost(tie), face) is LpStatus.UNBOUNDED:
+        if tab.run(tie, face) is LpStatus.UNBOUNDED:
             return LpStatus.UNBOUNDED, None, []
         mu_s = tab.dual(poly, tie)
         t = max([-s / u for s, u in zip(mu_s, mu) if s < 0], default=ZERO)
@@ -460,13 +428,10 @@ def _solve_max(poly: Polyhedron, obj: Sequence,
                  and not tab.rows[i][-1] and tab.rows[i][j]]
         if tight:
             leave = min(tight, key=tab.basis.__getitem__)
-            if tab.rows[leave][j] < 0:
-                tab.negate(j)
         else:
             leave = tab.leaving_row(j)
             if leave < 0:
-                tab.negate(j)
-                leave = tab.leaving_row(j)
+                leave = tab.leaving_row(j, -1)
         if leave >= 0:
             tab.pivot(leave, j)
 
@@ -552,14 +517,15 @@ def _internal(obj, sense: Sense, dim: int) -> tuple:
 
 
 def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
-                 secondary, secondary_sense: Sense) -> LexOutcome:
+                 secondary, secondary_sense: Sense) -> tuple:
     """Optimize `secondary` over the primary objective's optimal face.
 
+    Returns (point, value), value the secondary objective's at the point.
     One `solve_lp` with `secondary` as its tie objective: the second stage
     runs on the first stage's optimal tableau, with the slacks of the rows
     that carry a positive primary dual kept out of the basis.  Both stages'
     certificates are checked at the returned point, the first of them
-    proving primary·point = primary_value.
+    proving that it attains the primary's optimum.
     """
     out = solve_lp(poly, primary, primary_sense,
                    tie=(secondary, secondary_sense))
@@ -568,9 +534,7 @@ def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
     if out.status is LpStatus.UNBOUNDED:
         raise UnboundedError("the primary objective is unbounded, or the "
                              "secondary on the primary's optimal face")
-    return LexOutcome(point=out.point,
-                      value=dot(as_vector(secondary), out.point),
-                      primary_value=out.value)
+    return out.point, dot(as_vector(secondary), out.point)
 
 
 def is_nonempty(poly: Polyhedron) -> bool:

@@ -32,6 +32,10 @@ from .uncertainty import (
 )
 
 
+MAX_ORACLE_VARS = 22
+MAX_ORACLE_WORK = 10 ** 6
+
+
 class Reference(Enum):
     DISCRETE_ENUMERATION = "discrete_enumeration"
     GRID_SAMPLE = "grid_sample"
@@ -45,22 +49,25 @@ class OracleVerdict:
     witness: str
 
 
-def sat_oracle(formula: Formula, cap: int = 22) -> bool:
-    """Exhaustive satisfiability over all variables, leader ones included."""
+def _check_vars(formula: Formula) -> None:
     total = formula.p + formula.n
-    if total > cap:
-        raise CapExceededError(f"{total} variables exceed the {cap}-var cap")
-    for bits in itertools.product((0, 1), repeat=total):
+    if total > MAX_ORACLE_VARS:
+        raise CapExceededError(f"{total} variables exceed the "
+                               f"{MAX_ORACLE_VARS}-var cap")
+
+
+def sat_oracle(formula: Formula) -> bool:
+    """Exhaustive satisfiability over all variables, leader ones included."""
+    _check_vars(formula)
+    for bits in itertools.product((0, 1), repeat=formula.p + formula.n):
         if evaluate(formula, bits[:formula.p], bits[formula.p:]):
             return True
     return False
 
 
-def qsat_oracle(formula: Formula, cap: int = 22) -> bool:
+def qsat_oracle(formula: Formula) -> bool:
     """Exhaustive check of: some x makes f(x, y) = 1 for every y."""
-    if formula.p + formula.n > cap:
-        raise CapExceededError(
-            f"{formula.p + formula.n} variables exceed the {cap}-var cap")
+    _check_vars(formula)
     for x_bits in itertools.product((0, 1), repeat=formula.p):
         if all(evaluate(formula, x_bits, y_bits)
                for y_bits in itertools.product((0, 1), repeat=formula.n)):
@@ -68,13 +75,13 @@ def qsat_oracle(formula: Formula, cap: int = 22) -> bool:
     return False
 
 
-def robust_single_level_oracle(x_set, scenarios, cap: int = 10 ** 6):
+def robust_single_level_oracle(x_set, scenarios):
     """max over X of min over scenarios of c·x, by full enumeration."""
     x_vectors = [as_vector(v) for v in x_set]
     scenario_rows = [as_vector(c) for c in scenarios]
     if not x_vectors or not scenario_rows:
         raise ValueError("oracle needs a nonempty X and scenario list")
-    if len(x_vectors) * len(scenario_rows) > cap:
+    if len(x_vectors) * len(scenario_rows) > MAX_ORACLE_WORK:
         raise CapExceededError("X x scenarios product exceeds the oracle cap")
     best = None
     for x in x_vectors:
@@ -84,13 +91,14 @@ def robust_single_level_oracle(x_set, scenarios, cap: int = 10 ** 6):
     return best
 
 
-def _brute_vertices(rows, rhs, cap: int):
+def _brute_vertices(rows, rhs):
     """All vertices of {v : rows v <= rhs} by raw subset enumeration."""
     m = len(rows)
     n = len(rows[0])
-    if m < n or comb(m, n) > cap:
+    if m < n or comb(m, n) > MAX_ORACLE_WORK:
         raise CapExceededError(
-            f"brute vertex enumeration needs C({m},{n}) subsets, cap {cap}")
+            f"brute vertex enumeration needs C({m},{n}) subsets, "
+            f"cap {MAX_ORACLE_WORK}")
     vertices = set()
     for subset in itertools.combinations(range(m), n):
         point = gauss_solve([rows[i] for i in subset],
@@ -104,8 +112,7 @@ def _brute_vertices(rows, rhs, cap: int):
     return sorted(vertices)
 
 
-def _brute_follower_value(inst: RobustBilevelInstance, x, c, mode: Mode,
-                          cap: int):
+def _brute_follower_value(inst: RobustBilevelInstance, x, c, mode: Mode):
     """Leader value of the follower's response, recomputed from vertices.
 
     The follower's optimum is attained on a face whose extreme points are
@@ -114,7 +121,7 @@ def _brute_follower_value(inst: RobustBilevelInstance, x, c, mode: Mode,
     """
     shifted = [inst.rhs[i] + dot(inst.leader_mat[i], x)
                for i in range(inst.num_rows)]
-    vertices = _brute_vertices(inst.lhs, shifted, cap)
+    vertices = _brute_vertices(inst.lhs, shifted)
     best = max(dot(c, v) for v in vertices)
     scores = [dot(inst.leader_obj, v) for v in vertices
               if dot(c, v) == best]
@@ -144,8 +151,7 @@ def _sample_scenarios(inst: RobustBilevelInstance):
 
 
 def cross_validate(inst: RobustBilevelInstance, mode: Mode,
-                   reference: Reference,
-                   brute_cap: int = 10 ** 6) -> OracleVerdict:
+                   reference: Reference) -> OracleVerdict:
     """Compare solve_robust against an independent reference computation.
 
     DISCRETE_ENUMERATION re-solves finite-scenario instances with plain
@@ -167,7 +173,7 @@ def cross_validate(inst: RobustBilevelInstance, mode: Mode,
     for x in _leader_candidates(inst):
         worst = None
         for c in scenarios:
-            value = _brute_follower_value(inst, x, c, mode, brute_cap)
+            value = _brute_follower_value(inst, x, c, mode)
             if worst is None or value < worst:
                 worst = value
         if expected is None or worst > expected:

@@ -77,7 +77,7 @@ def _identity(k: int) -> tuple:
                   for i in range(k)])
 
 
-def _negated(row) -> tuple:
+def _opposite(row) -> tuple:
     return tuple([-v for v in row])
 
 
@@ -150,7 +150,7 @@ class Interval(UncertaintySet):
             bounds.append((ONE, ONE))
         rows, rhs = [], []
         for unit, (lo, hi) in zip(_identity(len(bounds)), bounds):
-            rows += [unit, _negated(unit)]
+            rows += [unit, _opposite(unit)]
             rhs += [hi, -lo]
         return Shadow(tuple(columns), Polyhedron(rows, rhs))
 
@@ -223,18 +223,19 @@ class ConvexHull(UncertaintySet):
         """One column per point; D is the standard simplex of convex
         weights: -θ <= 0, then sum θ <= 1 and -sum θ <= -1."""
         k = len(self.points)
-        rows = tuple([_negated(unit) for unit in _identity(k)])
+        rows = tuple([_opposite(unit) for unit in _identity(k)])
         rows += ((ONE,) * k, (-ONE,) * k)
         rhs = (ZERO,) * k + (ONE, -ONE)
         return Shadow(self.points, Polyhedron(rows, rhs))
 
     def _contains(self, c: tuple) -> bool:
         """Feasibility of convex weights θ in D with sum θ_i·point_i = c."""
-        rows, rhs = [], []
+        directions = self.shadow().directions
+        rows, rhs = list(directions.a), list(directions.rhs)
         for scores, ci in zip(zip(*self.points), c):
-            rows += [scores, _negated(scores)]
+            rows += [scores, _opposite(scores)]
             rhs += [ci, -ci]
-        return is_nonempty(self.shadow().directions.with_rows(rows, rhs))
+        return is_nonempty(Polyhedron(rows, rhs))
 
     def corner_samples(self) -> tuple:
         return self.points

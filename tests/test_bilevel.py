@@ -272,16 +272,15 @@ def direct_face_lattice(inst, mode):
     c's argmax over Y, and its outcome is the best (optimistic) or worst
     (pessimistic) leader score over its vertices."""
     poly = inst.follower_polyhedron(())
-    vset = geometry.enumerate_vertices(poly)
+    verts = geometry.enumerate_vertices(poly)
     shadow = inst.uncertainty.shadow()
-    images = geometry.VertexSet(tuple([
-        tuple([dot(col, v) for col in shadow.columns])
-        for v in vset.vertices]))
+    images = tuple([tuple([dot(col, v) for col in shadow.columns])
+                    for v in verts])
     best = None
-    for face in geometry.enumerate_faces(poly, vset):
+    for face in geometry.enumerate_faces(poly, verts):
         if geometry.exposure_check(face, images, shadow.directions) is None:
             continue
-        scores = [dot(inst.leader_obj, vset.vertices[i])
+        scores = [dot(inst.leader_obj, verts[i])
                   for i in face.vertex_indices]
         outcome = max(scores) if mode is Mode.OPTIMISTIC else min(scores)
         if best is None or outcome < best:
@@ -296,16 +295,16 @@ def unpruned_shadow_scan(inst, mode):
     shadow = inst.uncertainty.shadow()
     image = geometry.project_polytope(inst.follower_polyhedron(()),
                                       shadow.columns)
-    vset = geometry.enumerate_vertices(image)
-    faces = geometry.enumerate_faces(image, vset)
+    verts = geometry.enumerate_vertices(image)
+    faces = geometry.enumerate_faces(image, verts)
     if mode is Mode.PESSIMISTIC:
         faces.reverse()
     best = None
     for face in faces:
-        cert = geometry.exposure_check(face, vset, shadow.directions)
-        if cert is None:
+        s = geometry.exposure_check(face, verts, shadow.directions)
+        if s is None:
             continue
-        c = shadow.scenario(cert.c)
+        c = shadow.scenario(s)
         _, value = follower_response(inst, (), c, mode)
         if best is None or value < best[1]:
             best = (c, value)
@@ -345,10 +344,10 @@ def test_face_scan_skips_dominated_faces(monkeypatch):
     checked = []
     exposure_check = geometry.exposure_check
 
-    def counted(face, vset, directions):
-        cert = exposure_check(face, vset, directions)
-        checked.append((face.vertex_indices, cert is not None))
-        return cert
+    def counted(face, verts, directions):
+        s = exposure_check(face, verts, directions)
+        checked.append((face.vertex_indices, s is not None))
+        return s
 
     monkeypatch.setattr(geometry, "exposure_check", counted)
     adversary_geometric(inst, (), Mode.OPTIMISTIC)

@@ -98,6 +98,33 @@ def test_follower_command_and_outside_warning(tmp_path, capsys):
     assert main(["follower", out, "--x", "0", "--c", "5,0"]) == 0
     captured = capsys.readouterr()
     assert "outside the uncertainty set" in captured.err
+    # The leader set is all_binary: x = 1/2 lies outside it, x = 1 not.
+    assert main(["adversary", out, "--x", "1/2"]) == 0
+    captured = capsys.readouterr()
+    assert "adversary value: 1/2" in captured.out
+    assert "warning: leader vector lies outside the leader set" \
+        in captured.err
+    assert main(["adversary", out, "--x", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_leader_warning_follows_the_leader_set(tmp_path, capsys):
+    # An explicit list warns on a binary vector it does not list; a
+    # relaxed box takes a fractional one without a word.
+    spec = tmp_path / "rs.json"
+    spec.write_text(json.dumps({"X": [[0, 0], [1, 1]],
+                                "scenarios": [["1", "0"]]}))
+    listed = str(tmp_path / "rs_inst.json")
+    main(["compile-rs", str(spec), "-o", listed])
+    formula = write_formula(tmp_path, "p=1 n=1\n(or x1 y1)\n")
+    relaxed = str(tmp_path / "relaxed.json")
+    main(["compile-qsat", formula, "-o", relaxed, "--relax-leader"])
+    capsys.readouterr()
+    for path, x, warned in [(listed, "1,1", False), (listed, "0,1", True),
+                            (relaxed, "1/2", False)]:
+        assert main(["adversary", path, "--x", x]) == 0
+        assert ("outside the leader set" in capsys.readouterr().err) \
+            == warned
 
 
 def test_decimal_flag(tmp_path, capsys):
@@ -109,6 +136,13 @@ def test_decimal_flag(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "(approx)" in printed
     assert "1/2" in printed and "0.5" in printed
+    formula = write_formula(tmp_path, "p=1 n=1\n(or x1 y1)\n")
+    main(["compile-qsat", formula, "-o", out])
+    capsys.readouterr()
+    assert main(["solve", out, "--decimal"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "leader x: (1) ~= (1) (approx)" in printed
+    assert "worst scenario: (-1, 0) ~= (-1, 0) (approx)" in printed
 
 
 def test_compile_rs_command(tmp_path, capsys):

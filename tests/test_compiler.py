@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -119,16 +120,15 @@ def forced_gate_values(art, x_bits, y_bits):
     inst = art.instance
     poly = inst.follower_polyhedron([F(b) for b in x_bits])
     n_y = art.original_y_count()
-    extra_rows = []
-    extra_rhs = []
+    rows, rhs = list(poly.a), list(poly.rhs)
     for j in range(n_y):
         row = [ZERO] * inst.n
         row[j] = ONE
-        extra_rows.append(list(row))
-        extra_rhs.append(F(y_bits[j]))
-        extra_rows.append([-c for c in row])
-        extra_rhs.append(F(-y_bits[j]))
-    pinned = poly.with_rows(extra_rows, extra_rhs)
+        rows.append(list(row))
+        rhs.append(F(y_bits[j]))
+        rows.append([-c for c in row])
+        rhs.append(F(-y_bits[j]))
+    pinned = Polyhedron(rows, rhs)
     forced = []
     for col, name in enumerate(art.var_map):
         if not name.startswith("g"):
@@ -719,6 +719,50 @@ PINNED_PIVOTS = {
     ("copy_pessimistic", "pessimistic"): 3,
     ("square", "optimistic"): 2, ("square", "pessimistic"): 2,
 }
+# sha256 of repr of the (row, col) list of those pivots, so a change
+# that keeps each count but takes another path fails too.
+PINNED_PIVOT_PATHS = {
+    ("optimistic", "optimistic"):
+        "adc31a8357a0a54f9835c0d601bd34acbbf4f09def6e2615a3946a02cd169c1c",
+    ("optimistic", "pessimistic"):
+        "533db93e5fb87c3c119e08d40f925975fc9c38acf5685f0128edfbab2286cd90",
+    ("pessimistic", "optimistic"):
+        "d9691e3ba08eb1fe52f45993b7a1b76654ac515be416cda61fc1b6cac8447197",
+    ("pessimistic", "pessimistic"):
+        "bc34a169aa90f4088e2f751ed446a88ff7f0c440d50748d0cc5f4633d462c3e7",
+    ("relaxed", "optimistic"):
+        "e550e2942d1d7fc4d11dc2169113ce7bb35b2afad030d0df5e9b1d0dc12f705d",
+    ("relaxed", "pessimistic"):
+        "3c974b70c6af45c98b421e52488907c33c4d10e9f6c953dfd28a68aecbba8118",
+    ("simplex", "optimistic"):
+        "8b2258af5154f3c7044d7b8e6016dd3592540f5ec0993208543d963629b0bf1e",
+    ("simplex", "pessimistic"):
+        "8b6d875cb6e8a89135d76d9c672b70f78be8074f2853ec03f0edc97d45beb4d6",
+    ("single_level", "optimistic"):
+        "35f6badb9293b588fd22245498f061f76bcb04f363450b6513087fd31d4614f8",
+    ("single_level", "pessimistic"):
+        "5f944e4140434e31bc43120956bf7023c7926587e448f3beed13312b1e563a64",
+    ("gates_optimistic", "optimistic"):
+        "9b8b714be949dfbd363ee29af91434affb9692ca871d5922e51531fade16ec55",
+    ("gates_optimistic", "pessimistic"):
+        "a8535885b961a9706f1172832893d9969fc3585433f0a25841e55376a0673219",
+    ("gates_pessimistic", "optimistic"):
+        "75e4c8eb2d6d27efca3b9b515e30c9dbd68f4e4e8baeb2d003530565e0908ca3",
+    ("gates_pessimistic", "pessimistic"):
+        "33944fe06147e1fdf4ebbdb41380241158d2b54cc9f47f7075b31a14a32289df",
+    ("copy_optimistic", "optimistic"):
+        "9698bb81c0f210011a3462ff166f13ddad285ddb017e4a249a62633b373814f1",
+    ("copy_optimistic", "pessimistic"):
+        "fe31001e31eff87e6ae5feb861693b6eb028607ff98fbe4083de094f399d73ba",
+    ("copy_pessimistic", "optimistic"):
+        "9698bb81c0f210011a3462ff166f13ddad285ddb017e4a249a62633b373814f1",
+    ("copy_pessimistic", "pessimistic"):
+        "fe31001e31eff87e6ae5feb861693b6eb028607ff98fbe4083de094f399d73ba",
+    ("square", "optimistic"):
+        "dfa1c0bb1df9e6b59917d4d95691990eb14e0183afd760f91277ec5c0fe58b80",
+    ("square", "pessimistic"):
+        "dfa1c0bb1df9e6b59917d4d95691990eb14e0183afd760f91277ec5c0fe58b80",
+}
 # Tableaux built (`_Tableau.__init__` calls): one for each polyhedron
 # solved, so a solve that stops reusing its polyhedron's phase one raises
 # a count.  The modes differ, as the shadow face scan skips different
@@ -744,6 +788,10 @@ PINNED_TABLEAUX = {
 }
 
 
+def _digest(calls):
+    return hashlib.sha256(repr(calls).encode()).hexdigest()
+
+
 def test_pivot_path_is_pinned(monkeypatch):
     calls, built = [], []
     pivot, init = lp._Tableau.pivot, lp._Tableau.__init__
@@ -758,7 +806,7 @@ def test_pivot_path_is_pinned(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "pivot", counted)
     monkeypatch.setattr(lp._Tableau, "__init__", counted_init)
-    counts = {}
+    counts, paths = {}, {}
     for name in LAYOUT_BUILDERS:
         for mode in Mode:
             instance = LAYOUT_BUILDERS[name]().instance
@@ -766,6 +814,7 @@ def test_pivot_path_is_pinned(monkeypatch):
             built.clear()
             solve_robust(instance, mode)
             counts[name, mode.value] = len(calls)
+            paths[name, mode.value] = _digest(calls)
             assert len(built) == PINNED_TABLEAUX[name, mode.value]
     for mode in Mode:
         calls.clear()
@@ -773,5 +822,7 @@ def test_pivot_path_is_pinned(monkeypatch):
         # A fresh copy, as TIE_SQUARE keeps its Y(x) once solved on.
         follower_response(replace(TIE_SQUARE), (0,), (1, 0), mode)
         counts["square", mode.value] = len(calls)
+        paths["square", mode.value] = _digest(calls)
         assert len(built) == PINNED_TABLEAUX["square", mode.value]
     assert counts == PINNED_PIVOTS
+    assert paths == PINNED_PIVOT_PATHS

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rbo import geometry
 from rbo.geometry import (
     CapExceededError,
-    argmax_vertices,
     enumerate_faces,
     enumerate_vertices,
     exposure_check,
@@ -26,9 +25,16 @@ UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
 TRIANGLE = Polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
 
 
-def brute_force_faces(poly, vset):
+def argmax_vertices(verts, c):
+    """Indices of the vertices attaining max c·v (the exposed face's)."""
+    scores = [dot(c, v) for v in verts]
+    best = max(scores)
+    return frozenset(i for i, s in enumerate(scores) if s == best)
+
+
+def brute_force_faces(poly, verts):
     """Independent oracle: iterate all row subsets, close tight sets."""
-    tights = [tight_rows_at(poly, v) for v in vset.vertices]
+    tights = [tight_rows_at(poly, v) for v in verts]
     found = {}
     for size in range(poly.num_rows + 1):
         for subset in itertools.combinations(range(poly.num_rows), size):
@@ -49,7 +55,7 @@ def test_vertices_of_fixtures():
 def test_vertices_deduped_on_duplicate_rows():
     doubled = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]],
                          [1, 1, 0, 0, 1])
-    verts = enumerate_vertices(doubled).vertices
+    verts = enumerate_vertices(doubled)
     # brute-force pairwise distinctness check
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -88,86 +94,83 @@ def test_hypercube_vertex_counts():
 @pytest.mark.parametrize("poly,expected", [
     (SEGMENT, 3), (UNIT_SQUARE, 9), (TRIANGLE, 7)])
 def test_face_counts(poly, expected):
-    vset = enumerate_vertices(poly)
-    faces = enumerate_faces(poly, vset)
+    verts = enumerate_vertices(poly)
+    faces = enumerate_faces(poly, verts)
     assert len(faces) == expected
-    oracle = brute_force_faces(poly, vset)
+    oracle = brute_force_faces(poly, verts)
     assert {f.vertex_indices for f in faces} == set(oracle)
     for face in faces:
         assert face.tight_rows == oracle[face.vertex_indices]
 
 
 def test_face_closure_invariant():
-    vset = enumerate_vertices(TRIANGLE)
-    tights = [tight_rows_at(TRIANGLE, v) for v in vset.vertices]
-    for face in enumerate_faces(TRIANGLE, vset):
+    verts = enumerate_vertices(TRIANGLE)
+    tights = [tight_rows_at(TRIANGLE, v) for v in verts]
+    for face in enumerate_faces(TRIANGLE, verts):
         members = frozenset(i for i, t in enumerate(tights)
                             if t >= face.tight_rows)
         assert members == face.vertex_indices
 
 
 def test_exposure_segment_upper_vertex():
-    vset = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, vset)
+    verts = enumerate_vertices(SEGMENT)
+    faces = enumerate_faces(SEGMENT, verts)
     box = Interval((F(-1),), (F(1),))
-    one = vset.vertices.index((F(1),))
+    one = verts.index((F(1),))
     face = next(f for f in faces if f.vertex_indices == frozenset([one]))
-    cert = exposure_check(face, vset, box.shadow().directions)
-    assert cert is not None
-    assert cert.c == (F(1),) and cert.margin == 1
+    assert exposure_check(face, verts, box.shadow().directions) == (F(1),)
 
 
 def test_exposure_unreachable_vertex():
-    vset = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, vset)
-    zero = vset.vertices.index((F(0),))
+    verts = enumerate_vertices(SEGMENT)
+    faces = enumerate_faces(SEGMENT, verts)
+    zero = verts.index((F(0),))
     face = next(f for f in faces if f.vertex_indices == frozenset([zero]))
     box = Interval((F(1),), (F(2),))
-    assert exposure_check(face, vset, box.shadow().directions) is None
+    assert exposure_check(face, verts, box.shadow().directions) is None
 
 
 def test_exposure_full_face_zero_objective():
-    vset = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, vset)
+    verts = enumerate_vertices(SEGMENT)
+    faces = enumerate_faces(SEGMENT, verts)
     full = next(f for f in faces if len(f.vertex_indices) == 2)
     box = Interval((F(-1),), (F(1),))
-    cert = exposure_check(full, vset, box.shadow().directions)
-    assert cert is not None and cert.c == (F(0),)
+    assert exposure_check(full, verts, box.shadow().directions) == (F(0),)
 
 
 def test_exposure_rejects_wrong_dimension():
-    vset = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, vset)
+    verts = enumerate_vertices(SEGMENT)
+    faces = enumerate_faces(SEGMENT, verts)
     square = Interval((F(-1), F(-1)), (F(1), F(1))).shadow().directions
     with pytest.raises(ValueError, match="direction dimension 2"):
-        exposure_check(faces[0], vset, square)
+        exposure_check(faces[0], verts, square)
 
 
 def test_exposure_round_trip_square():
-    vset = enumerate_vertices(UNIT_SQUARE)
+    verts = enumerate_vertices(UNIT_SQUARE)
     box = Interval((F(-1), F(-1)), (F(1), F(1)))
-    for face in enumerate_faces(UNIT_SQUARE, vset):
-        cert = exposure_check(face, vset, box.shadow().directions)
-        if cert is not None:
-            assert argmax_vertices(vset, cert.c) == face.vertex_indices
+    for face in enumerate_faces(UNIT_SQUARE, verts):
+        s = exposure_check(face, verts, box.shadow().directions)
+        if s is not None:
+            assert argmax_vertices(verts, s) == face.vertex_indices
 
 
 def test_grid_scan_covers_exposable_faces():
     # Every argmax set hit by a scenario grid must be an exposable face.
-    vset = enumerate_vertices(TRIANGLE)
+    verts = enumerate_vertices(TRIANGLE)
     box = Interval((F(-1), F(-1)), (F(1), F(1)))
-    faces = enumerate_faces(TRIANGLE, vset)
+    faces = enumerate_faces(TRIANGLE, verts)
     exposable = {f.vertex_indices for f in faces
-                 if exposure_check(f, vset, box.shadow().directions)
+                 if exposure_check(f, verts, box.shadow().directions)
                  is not None}
     grid = [F(k, 4) for k in range(-4, 5)]
     for c in itertools.product(grid, repeat=2):
-        assert argmax_vertices(vset, c) in exposable
+        assert argmax_vertices(verts, c) in exposable
 
 
 def test_projection_diagonal_score():
     image = project_polytope(UNIT_SQUARE, [[1, 1]])
-    verts = enumerate_vertices(image).vertices
+    verts = enumerate_vertices(image)
     assert set(verts) == {(F(0),), (F(2),)}
 
 
@@ -178,8 +181,8 @@ def test_projection_preserves_extremes():
 
     for direction in ((F(1), F(0)), (F(0), F(1)), (F(2), F(-1))):
         image = project_polytope(TRIANGLE, [direction])
-        lo = min(v[0] for v in enumerate_vertices(image).vertices)
-        hi = max(v[0] for v in enumerate_vertices(image).vertices)
+        lo = min(v[0] for v in enumerate_vertices(image))
+        hi = max(v[0] for v in enumerate_vertices(image))
         assert hi == solve_lp(TRIANGLE, direction, Sense.MAX).value
         assert lo == solve_lp(TRIANGLE, direction, Sense.MIN).value
 
@@ -187,7 +190,7 @@ def test_projection_preserves_extremes():
 def test_projection_of_flat_image():
     # Image coordinates are linearly dependent: the image is a flat segment.
     image = project_polytope(SEGMENT, [[1], [2]])
-    verts = set(enumerate_vertices(image).vertices)
+    verts = set(enumerate_vertices(image))
     assert verts == {(F(0), F(0)), (F(1), F(2))}
 
 
@@ -224,6 +227,6 @@ def test_projection_is_the_image_of_the_vertices(case, data):
         assert all(c.denominator == 1 for c in row)
         assert math.gcd(*[c.numerator for c in row]) == 1
     images = {tuple([dot(t, v) for t in image])
-              for v in enumerate_vertices(poly).vertices}
+              for v in enumerate_vertices(poly)}
     assert all(shadow.contains(w) for w in images)
-    assert set(enumerate_vertices(shadow).vertices) <= images
+    assert set(enumerate_vertices(shadow)) <= images

@@ -130,7 +130,7 @@ def test_optimal_point_is_vertex_of_random_polytope(case):
              if dot(row, out.point) == r]
     assert any(gauss_solve(square, (ZERO,) * poly.dim) is not None
                for square in itertools.combinations(tight, poly.dim))
-    values = [dot(obj, v) for v in enumerate_vertices(poly).vertices]
+    values = [dot(obj, v) for v in enumerate_vertices(poly)]
     best = max(values) if sense is Sense.MAX else min(values)
     assert out.value == best
     if sense is Sense.MAX:
@@ -156,19 +156,18 @@ def test_dimension_mismatch():
 
 
 def test_lex_zero_primary_min_secondary():
-    out = solve_lex_lp(SEGMENT, [0], Sense.MAX, [1], Sense.MIN)
-    assert out.point == (F(0),) and out.value == 0
+    assert solve_lex_lp(SEGMENT, [0], Sense.MAX, [1], Sense.MIN) \
+        == ((F(0),), 0)
 
 
 def test_lex_zero_primary_max_secondary():
-    out = solve_lex_lp(SEGMENT, [0], Sense.MAX, [1], Sense.MAX)
-    assert out.point == (F(1),) and out.value == 1
+    assert solve_lex_lp(SEGMENT, [0], Sense.MAX, [1], Sense.MAX) \
+        == ((F(1),), 1)
 
 
 def test_lex_triangle_vertex_selection():
-    out = solve_lex_lp(TRIANGLE, [1, 1], Sense.MAX, [1, 0], Sense.MAX)
-    assert out.point == (F(1), F(0))
-    assert out.value == 1 and out.primary_value == 1
+    assert solve_lex_lp(TRIANGLE, [1, 1], Sense.MAX, [1, 0], Sense.MAX) \
+        == ((F(1), F(0)), 1)
 
 
 def test_lex_primary_matches_plain_solve():
@@ -180,9 +179,9 @@ def test_lex_primary_matches_plain_solve():
     ]
     for poly, primary, secondary in cases:
         plain = solve_lp(poly, primary, Sense.MAX)
-        lex = solve_lex_lp(poly, primary, Sense.MAX, secondary, Sense.MAX)
-        assert lex.primary_value == plain.value
-        assert dot(primary, lex.point) == plain.value
+        point, _ = solve_lex_lp(poly, primary, Sense.MAX, secondary,
+                                Sense.MAX)
+        assert dot(primary, point) == plain.value
 
 
 @st.composite
@@ -205,18 +204,18 @@ def test_lex_matches_solve_on_pinned_face(case):
     poly, primary, secondary = case
     for primary_sense, secondary_sense in itertools.product(Sense, Sense):
         best = solve_lp(poly, primary, primary_sense).value
-        face = poly.with_rows([primary, [-c for c in primary]],
-                              [best, -best])
+        face = Polyhedron(poly.a + (primary, [-c for c in primary]),
+                          poly.rhs + (best, -best))
         reference = solve_lp(face, secondary, secondary_sense)
         before = (CERT_LOG.verified, CERT_LOG.failures)
-        lex = solve_lex_lp(poly, primary, primary_sense,
-                           secondary, secondary_sense)
+        point, value = solve_lex_lp(poly, primary, primary_sense,
+                                    secondary, secondary_sense)
         assert (CERT_LOG.verified - before[0],
                 CERT_LOG.failures - before[1]) == (2, 0)
-        assert lex.primary_value == best == dot(primary, lex.point)
-        assert lex.value == reference.value
+        assert dot(primary, point) == best
+        assert value == reference.value
         tight = [row for row, r in zip(poly.a, poly.rhs)
-                 if dot(row, lex.point) == r]
+                 if dot(row, point) == r]
         assert any(gauss_solve(square, (ZERO,) * poly.dim) is not None
                    for square in itertools.combinations(tight, poly.dim))
 
@@ -228,8 +227,8 @@ def test_lex_matches_solve_on_pinned_face(case):
 def test_reused_polyhedron_solves_like_a_fresh_one(case):
     # One polyhedron runs phase one once and starts every solve from a
     # copy of its tableau.  Minimizing a unit objective, or maximizing a
-    # negated one, makes a free column enter negated, which must not reach
-    # the shared rows.
+    # negated one, makes a free column enter falling, whose negated pivot
+    # row must not reach the shared rows.
     poly, obj, _ = case
     neg = [-c for c in obj]
     solves = [(obj, Sense.MAX, None), (obj, Sense.MIN, None),
@@ -338,8 +337,7 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
     # rows, so a pivot that wrote into a row in place would show here.
     poly, obj, sense = case
     start = poly._phase_one_tableau
-    kept = ([row[:] for row in start.rows], start.d, start.basis[:],
-            start.col_sign[:])
+    kept = ([row[:] for row in start.rows], start.d, start.basis[:])
     neg = [-c for c in obj]
     for j in range(poly.dim):
         unit = [int(k == j) for k in range(poly.dim)]
@@ -347,7 +345,7 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
         solve_lp(poly, unit, Sense.MIN, tie=(neg, Sense.MAX))
         solve_lex_lp(poly, neg, Sense.MAX, unit, Sense.MAX)
         lp.max_value(poly, unit)
-    assert (start.rows, start.d, start.basis, start.col_sign) == kept
+    assert (start.rows, start.d, start.basis) == kept
 
 
 def _row_scales(poly):
@@ -397,9 +395,8 @@ def test_lex_certificate_needs_the_primary(monkeypatch):
         verify(poly, obj, value, mu)
 
     monkeypatch.setattr(lp, "_verify_certificate", record)
-    out = solve_lex_lp(UNIT_SQUARE, [1, 0], Sense.MAX, [-1, 1], Sense.MAX)
-    assert out.point == (F(1), F(1))
-    assert out.value == 0 and out.primary_value == 1
+    assert solve_lex_lp(UNIT_SQUARE, [1, 0], Sense.MAX, [-1, 1], Sense.MAX) \
+        == ((F(1), F(1)), 0)
     assert checked == [((F(1), F(0)), F(1)), ((F(0), F(1)), F(1))]
 
 

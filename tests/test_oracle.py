@@ -27,8 +27,9 @@ def test_sat_oracle_examples():
 
 
 def test_sat_oracle_cap():
+    # 23 variables, one over MAX_ORACLE_VARS: refused before enumerating.
     with pytest.raises(CapExceededError):
-        sat_oracle(parse_formula("y1", 0, 1), cap=0)
+        sat_oracle(parse_formula("y1", 0, 23))
 
 
 def test_qsat_oracle_examples():

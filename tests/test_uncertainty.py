@@ -47,7 +47,7 @@ def test_uncertainty_protocol(name):
     if finite is None:
         shadow = unc.shadow()
         assert all(len(col) == unc.dim for col in shadow.columns)
-        for s in enumerate_vertices(shadow.directions).vertices:
+        for s in enumerate_vertices(shadow.directions):
             assert unc.contains(shadow.scenario(s))
 
 
