@@ -341,12 +341,11 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
         faces.reverse()
     exposed, scenarios = [], []
     for face in faces:
-        members = face.vertex_indices
-        if any(members >= g if upward else members <= g for g in exposed):
+        if any(face >= g if upward else face <= g for g in exposed):
             continue
         s = geometry.exposure_check(face, verts, shadow.directions)
         if s is not None:
-            exposed.append(members)
+            exposed.append(face)
             scenarios.append(shadow.scenario(s))
     memo[key] = scenarios
     return scenarios

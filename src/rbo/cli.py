@@ -181,7 +181,7 @@ def _report(case: str, ok: bool, lines: list) -> None:
     lines.append(("PASS" if ok else "FAIL") + f" {case}")
 
 
-def _suite_qsat(args, lines: list) -> bool:
+def _suite_qsat(args, lines: list) -> None:
     rng = random.Random(args.seed)
     formulas = compiler.full_family(args.max_p, args.max_n)
     for _ in range(args.random_count):
@@ -190,7 +190,6 @@ def _suite_qsat(args, lines: list) -> bool:
         if p + n == 0:
             n = 1
         formulas.append(compiler.random_formula(rng, p, n, max_leaves=9))
-    all_ok = True
     for idx, formula in enumerate(formulas):
         want = 1 if oracle.qsat_oracle(formula) else 0
         label = compiler.formula_to_text(formula)
@@ -202,15 +201,11 @@ def _suite_qsat(args, lines: list) -> bool:
             except CapExceededError as exc:
                 lines.append(f"SKIP {case} ({exc})")
                 continue
-            ok = got == want
-            all_ok &= ok
-            _report(case, ok, lines)
-    return all_ok
+            _report(case, got == want, lines)
 
 
-def _suite_single_level(args, lines: list) -> bool:
+def _suite_single_level(args, lines: list) -> None:
     rng = random.Random(args.seed + 1)
-    all_ok = True
     for idx in range(args.random_count):
         p = rng.randint(1, 4)
         pool = list(range(2 ** p))
@@ -225,15 +220,11 @@ def _suite_single_level(args, lines: list) -> bool:
         case = f"single-level[{idx}] p={p} |X|={len(x_set)} m={m_s}"
         got_opt = bilevel.solve_robust(art.instance, Mode.OPTIMISTIC).value
         got_pes = bilevel.solve_robust(art.instance, Mode.PESSIMISTIC).value
-        ok = got_opt == want and got_pes == want
-        all_ok &= ok
-        _report(case, ok, lines)
-    return all_ok
+        _report(case, got_opt == want and got_pes == want, lines)
 
 
-def _suite_hull(args, lines: list) -> bool:
+def _suite_hull(args, lines: list) -> None:
     formulas = compiler.full_family(args.max_p, min(args.max_n, 2))
-    all_ok = True
     for idx, formula in enumerate(formulas):
         label = compiler.formula_to_text(formula)
         case = f"hull[{idx}] {label}"
@@ -247,32 +238,29 @@ def _suite_hull(args, lines: list) -> bool:
         except CapExceededError as exc:
             lines.append(f"SKIP {case} ({exc})")
             continue
-        ok = box_value == hull_value
-        all_ok &= ok
-        _report(case, ok, lines)
-    return all_ok
+        _report(case, box_value == hull_value, lines)
 
 
 def _cmd_verify(args) -> int:
     lines: list = []
-    ok = True
     if args.suite in ("qsat", "all"):
-        ok &= _suite_qsat(args, lines)
+        _suite_qsat(args, lines)
     if args.suite in ("single-level", "all"):
-        ok &= _suite_single_level(args, lines)
+        _suite_single_level(args, lines)
     if args.suite in ("hull", "all"):
-        ok &= _suite_hull(args, lines)
+        _suite_hull(args, lines)
     for line in lines:
         print(line)
     failures = sum(1 for line in lines if line.startswith("FAIL"))
     skips = sum(1 for line in lines if line.startswith("SKIP"))
     passes = sum(1 for line in lines if line.startswith("PASS"))
     print(f"{passes} passed, {failures} failed, {skips} skipped")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_VERIFY_FAIL if failures else EXIT_OK
 
 
 _VECTOR_HELP = {"--x": "comma-separated leader vector",
-                "--c": "comma-separated scenario"}
+                "--c": "comma-separated scenario; one that starts with a "
+                       "minus sign needs '=', as in --c=-1,0"}
 
 
 def _instance_command(sub, name, func, help_text, vectors=()) -> None:

@@ -1,10 +1,9 @@
 """Polytope vertex enumeration, face lattices and exposing directions.
 
-A face is identified by its vertex set together with the canonical set of
-constraint rows tight on all of its vertices.  Faces are generated by
-closing the vertex tight-sets under pairwise join (intersection of tight
-sets), which yields exactly the nonempty faces of a bounded polyhedron,
-including the polytope itself.
+A face is the frozenset of its vertex indices.  The intersections of the
+vertices' tight-row sets are exactly the canonical tight sets of the
+nonempty faces of a bounded polyhedron, the polytope itself included
+(Kaibel & Pfetsch 2002), so one pass over the vertices closes them.
 
 `exposure_check` decides whether some direction in a polytope D has a
 given face as its exact argmax set, by maximizing the strict separation
@@ -20,8 +19,7 @@ face machinery on such low-dimensional images.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Optional, Sequence
 
 from .lp import LpStatus, Polyhedron, Sense, max_value, solve_lp
@@ -31,14 +29,6 @@ from .uncertainty import CapExceededError
 
 DEFAULT_CAP = 2 ** 22
 _MAX_PROJECTION_ROWS = 4000
-
-
-@dataclass(frozen=True)
-class Face:
-    """A nonempty face: its vertices and its canonical tight rows."""
-
-    vertex_indices: frozenset
-    tight_rows: frozenset
 
 
 def tight_rows_at(poly: Polyhedron, point: Sequence) -> frozenset:
@@ -75,48 +65,31 @@ def enumerate_vertices(poly: Polyhedron) -> tuple:
 
 
 def enumerate_faces(poly: Polyhedron, verts: tuple) -> list:
-    """All nonempty faces, from single vertices up to the full polytope.
+    """All nonempty faces, as frozensets of vertex indices, sorted by size
+    and then by sorted indices: single vertices first, the polytope last.
 
-    Join closure: the join of two faces has the intersection of their
-    tight rows; its vertex set is every vertex tight on that intersection,
-    and its canonical tight set is re-derived from those vertices.
-    DEFAULT_CAP bounds the number of join operations attempted.
+    `closed` gathers every intersection of vertex tight sets: each pass
+    meets one vertex's set with all gathered so far.  Each intersection
+    is the canonical tight set of one face, whose vertices are those
+    tight on it.  A lattice of more than isqrt(DEFAULT_CAP) = 2048 faces
+    raises CapExceededError.
     """
     tights = [tight_rows_at(poly, v) for v in verts]
-    universe = frozenset(range(len(verts)))
-
-    def close(tight: frozenset) -> Face:
-        members = frozenset(i for i in universe if tights[i] >= tight)
-        canonical = frozenset.intersection(*[tights[i] for i in members])
-        return Face(members, canonical)
-
-    faces = {}
-    queue = []
-    for i in range(len(verts)):
-        face = Face(frozenset([i]), tights[i])
-        faces[face.vertex_indices] = face
-        queue.append(face)
-    work = 0
-    while queue:
-        current = queue.pop()
-        for other in list(faces.values()):
-            work += 1
-            if work > DEFAULT_CAP:
-                raise CapExceededError(
-                    f"face join budget {DEFAULT_CAP} exceeded")
-            joined = close(current.tight_rows & other.tight_rows)
-            if joined.vertex_indices not in faces:
-                faces[joined.vertex_indices] = joined
-                queue.append(joined)
-    return sorted(faces.values(),
-                  key=lambda f: (len(f.vertex_indices),
-                                 sorted(f.vertex_indices)))
+    closed = set(tights)
+    cap = isqrt(DEFAULT_CAP)
+    for t in tights:
+        closed |= {t & c for c in closed}
+        if len(closed) > cap:
+            raise CapExceededError(f"face lattice exceeds {cap} faces")
+    faces = [frozenset(i for i, u in enumerate(tights) if u >= c)
+             for c in closed]
+    return sorted(faces, key=lambda f: (len(f), sorted(f)))
 
 
-def exposure_check(face: Face, verts: tuple,
+def exposure_check(face: frozenset, verts: tuple,
                    directions: Polyhedron) -> Optional[tuple]:
-    """A direction s in D = {s : G·s <= h} exposing exactly `face` among
-    the vertices `verts`, or None when no direction in D does.
+    """A direction s in D = {s : G·s <= h} exposing exactly `face`, a set
+    of indices into `verts`, or None when no direction in D does.
 
     Solves max eps subject to G·s <= h, s·v = t on the face vertices and
     s·u <= t - eps off the face (eps capped at 1 so the LP stays bounded);
@@ -130,11 +103,11 @@ def exposure_check(face: Face, verts: tuple,
 
     # Variables: s (q), t, eps.
     rows = [list(g) + [ZERO, ZERO] for g in directions.a]
-    for i in sorted(face.vertex_indices):  # s·v = t
+    for i in sorted(face):  # s·v = t
         rows += [list(verts[i]) + [-ONE, ZERO],
                  [-c for c in verts[i]] + [ONE, ZERO]]
     for i, u in enumerate(verts):  # s·u <= t - eps
-        if i not in face.vertex_indices:
+        if i not in face:
             rows.append(list(u) + [-ONE, ONE])
     rhs = list(directions.rhs) + [ZERO] * (len(rows) - directions.num_rows)
     eps_row = [ZERO] * (q + 1) + [ONE]

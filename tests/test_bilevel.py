@@ -280,8 +280,7 @@ def direct_face_lattice(inst, mode):
     for face in geometry.enumerate_faces(poly, verts):
         if geometry.exposure_check(face, images, shadow.directions) is None:
             continue
-        scores = [dot(inst.leader_obj, verts[i])
-                  for i in face.vertex_indices]
+        scores = [dot(inst.leader_obj, verts[i]) for i in face]
         outcome = max(scores) if mode is Mode.OPTIMISTIC else min(scores)
         if best is None or outcome < best:
             best = outcome
@@ -346,7 +345,7 @@ def test_face_scan_skips_dominated_faces(monkeypatch):
 
     def counted(face, verts, directions):
         s = exposure_check(face, verts, directions)
-        checked.append((face.vertex_indices, s is not None))
+        checked.append((face, s is not None))
         return s
 
     monkeypatch.setattr(geometry, "exposure_check", counted)

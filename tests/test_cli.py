@@ -108,6 +108,21 @@ def test_follower_command_and_outside_warning(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_negative_scenario_is_passed_with_equals(tmp_path, capsys):
+    # argparse takes "-1,0" after a space for an unknown option.
+    formula = write_formula(tmp_path, "p=1 n=1\n(or x1 y1)\n")
+    out = str(tmp_path / "inst.json")
+    main(["compile-qsat", formula, "-o", out])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["follower", out, "--x", "0", "--c", "-1,0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["follower", out, "--x", "0", "--c=-1,0",
+                 "--mode", "pessimistic"]) == 0
+    assert "leader value: 0" in capsys.readouterr().out
+
+
 def test_leader_warning_follows_the_leader_set(tmp_path, capsys):
     # An explicit list warns on a binary vector it does not list; a
     # relaxed box takes a fractional one without a word.
@@ -193,6 +208,15 @@ def test_verify_suites_pass(capsys):
                  "--random-count", "2"]) == 0
     printed = capsys.readouterr().out
     assert "PASS" in printed and "FAIL" not in printed.replace("0 failed", "")
+
+
+def test_verify_fails_on_a_wrong_value(monkeypatch, capsys):
+    # An oracle that calls every formula false fails each true one.
+    monkeypatch.setattr("rbo.oracle.qsat_oracle", lambda formula: False)
+    assert main(["verify", "--suite", "qsat", "--max-p", "1", "--max-n",
+                 "1", "--random-count", "0"]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == "36 passed, 28 failed, 0 skipped"
 
 
 def test_demo(capsys):

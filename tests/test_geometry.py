@@ -33,17 +33,24 @@ def argmax_vertices(verts, c):
 
 
 def brute_force_faces(poly, verts):
-    """Independent oracle: iterate all row subsets, close tight sets."""
+    """Independent oracle: the nonempty vertex sets tight on some subset
+    of the rows."""
     tights = [tight_rows_at(poly, v) for v in verts]
-    found = {}
+    found = set()
     for size in range(poly.num_rows + 1):
         for subset in itertools.combinations(range(poly.num_rows), size):
             s = frozenset(subset)
             members = frozenset(i for i, t in enumerate(tights) if t >= s)
-            if members and members not in found:
-                found[members] = frozenset.intersection(
-                    *(tights[i] for i in members))
+            if members:
+                found.add(members)
     return found
+
+
+def simplex(n):
+    """{x in Q^n : x >= 0, sum(x) <= 1}, whose faces are the 2^(n+1) - 1
+    nonempty subsets of its n + 1 vertices."""
+    rows = [[-int(j == i) for j in range(n)] for i in range(n)] + [[1] * n]
+    return Polyhedron(rows, [0] * n + [1])
 
 
 def test_vertices_of_fixtures():
@@ -97,19 +104,39 @@ def test_face_counts(poly, expected):
     verts = enumerate_vertices(poly)
     faces = enumerate_faces(poly, verts)
     assert len(faces) == expected
-    oracle = brute_force_faces(poly, verts)
-    assert {f.vertex_indices for f in faces} == set(oracle)
-    for face in faces:
-        assert face.tight_rows == oracle[face.vertex_indices]
+    assert set(faces) == brute_force_faces(poly, verts)
 
 
 def test_face_closure_invariant():
+    # A face holds every vertex tight on all the rows its vertices share.
     verts = enumerate_vertices(TRIANGLE)
     tights = [tight_rows_at(TRIANGLE, v) for v in verts]
     for face in enumerate_faces(TRIANGLE, verts):
-        members = frozenset(i for i, t in enumerate(tights)
-                            if t >= face.tight_rows)
-        assert members == face.vertex_indices
+        shared = frozenset.intersection(*(tights[i] for i in face))
+        assert face == {i for i, t in enumerate(tights) if t >= shared}
+
+
+@given(small_polytopes())
+@settings(max_examples=60, deadline=None)
+def test_faces_match_the_brute_force_oracle(case):
+    poly = case[0]
+    verts = enumerate_vertices(poly)
+    faces = enumerate_faces(poly, verts)
+    assert faces == sorted(brute_force_faces(poly, verts),
+                           key=lambda f: (len(f), sorted(f)))
+
+
+def test_face_lattice_at_the_budget():
+    # sqrt(DEFAULT_CAP) = 2048 faces are allowed: the 10-simplex has 2047.
+    poly = simplex(10)
+    assert len(enumerate_faces(poly, enumerate_vertices(poly))) == 2 ** 11 - 1
+
+
+def test_face_lattice_over_the_budget():
+    # The 11-simplex has 4095 faces and is refused.
+    poly = simplex(11)
+    with pytest.raises(CapExceededError, match="2048 faces"):
+        enumerate_faces(poly, enumerate_vertices(poly))
 
 
 def test_exposure_segment_upper_vertex():
@@ -117,23 +144,26 @@ def test_exposure_segment_upper_vertex():
     faces = enumerate_faces(SEGMENT, verts)
     box = Interval((F(-1),), (F(1),))
     one = verts.index((F(1),))
-    face = next(f for f in faces if f.vertex_indices == frozenset([one]))
-    assert exposure_check(face, verts, box.shadow().directions) == (F(1),)
+    assert frozenset([one]) in faces
+    assert exposure_check(frozenset([one]), verts,
+                          box.shadow().directions) == (F(1),)
 
 
 def test_exposure_unreachable_vertex():
     verts = enumerate_vertices(SEGMENT)
     faces = enumerate_faces(SEGMENT, verts)
     zero = verts.index((F(0),))
-    face = next(f for f in faces if f.vertex_indices == frozenset([zero]))
+    assert frozenset([zero]) in faces
     box = Interval((F(1),), (F(2),))
-    assert exposure_check(face, verts, box.shadow().directions) is None
+    assert exposure_check(frozenset([zero]), verts,
+                          box.shadow().directions) is None
 
 
 def test_exposure_full_face_zero_objective():
     verts = enumerate_vertices(SEGMENT)
     faces = enumerate_faces(SEGMENT, verts)
-    full = next(f for f in faces if len(f.vertex_indices) == 2)
+    full = faces[-1]
+    assert len(full) == 2
     box = Interval((F(-1),), (F(1),))
     assert exposure_check(full, verts, box.shadow().directions) == (F(0),)
 
@@ -152,7 +182,7 @@ def test_exposure_round_trip_square():
     for face in enumerate_faces(UNIT_SQUARE, verts):
         s = exposure_check(face, verts, box.shadow().directions)
         if s is not None:
-            assert argmax_vertices(verts, s) == face.vertex_indices
+            assert argmax_vertices(verts, s) == face
 
 
 def test_grid_scan_covers_exposable_faces():
@@ -160,7 +190,7 @@ def test_grid_scan_covers_exposable_faces():
     verts = enumerate_vertices(TRIANGLE)
     box = Interval((F(-1), F(-1)), (F(1), F(1)))
     faces = enumerate_faces(TRIANGLE, verts)
-    exposable = {f.vertex_indices for f in faces
+    exposable = {f for f in faces
                  if exposure_check(f, verts, box.shadow().directions)
                  is not None}
     grid = [F(k, 4) for k in range(-4, 5)]
