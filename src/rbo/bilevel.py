@@ -7,17 +7,20 @@ leader scores leader_obj·y.  The leader maximizes, the adversary
 minimizes, and follower ties are broken for (optimistic) or against
 (pessimistic) the leader via a lexicographic LP.
 
-Finite scenario sets, a box with no free coordinate and a one-point hull
-among them, are handled by enumeration.  Other box and hull uncertainty
-U = L·D runs the face/exposure machinery on an exact low-dimensional
-linear image ("shadow") of Y(x) under Lᵀ (see `rbo.uncertainty`): one
-image coordinate per genuinely uncertain objective coordinate, plus one
-for the certain part's score, or one per hull point.  Scenarios agreeing
-on the shadow induce the same follower argmax set, so enumerating
-exposable shadow faces enumerates every possible adversary outcome
-exactly, at desk scale, even when Y(x) itself has far too many faces to
-enumerate; each outcome is then read off the follower's lexicographic
-response at the face's certificate scenario.
+Finite scenario sets, a box with no free coordinate and a hull whose
+points all coincide among them, are handled by enumeration.  Other box
+and hull uncertainty U = L·D runs the face/exposure machinery on an exact
+low-dimensional linear image ("shadow") of Y(x) under Lᵀ (see
+`rbo.uncertainty`): L has one column per genuinely uncertain objective
+coordinate, plus one for the certain part's score, or one per hull point.
+Scenarios agreeing on the shadow induce the same follower argmax set, so
+enumerating exposable shadow faces enumerates every possible adversary
+outcome exactly, at desk scale, even when Y(x) itself has far too many
+faces to enumerate; each outcome is then read off the follower's
+lexicographic response at the face's certificate scenario.  The shadow
+is computed under L_Bᵀ, L_B the first linearly independent columns of L
+(L = L_B·M), so it has the dimension rank L, and its vertices are lifted
+to those of Lᵀ·Y(x) by Mᵀ.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .numeric import (
     rat_format_vector,
     rat_parse,
     rat_parse_nested,
+    span_basis,
 )
 from .uncertainty import KINDS, CapExceededError, UncertaintySet
 
@@ -279,12 +283,24 @@ def _respond(inst: RobustBilevelInstance, poly: Polyhedron, c: Sequence,
 def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     """Worst scenario over any uncertainty set.  Returns (c*, value).
 
-    Finite sets, a box with no free coordinate and a one-point hull among
-    them, are scanned scenario by scenario.  Other boxes and hulls,
-    U = L·D, go through the faces of the shadow of Y(x) under Lᵀ: the
-    certificate direction s of each exposable face pins the follower to
-    that face's argmax set, and the leader outcome there comes from the
-    follower's lexicographic response at the scenario L·s.
+    Finite sets, a box with no free coordinate and a hull whose points
+    all coincide among them, are scanned scenario by scenario.  Other
+    boxes and hulls, U = L·D, go through the faces of the shadow of Y(x)
+    under Lᵀ: the certificate direction s of each exposable face pins the
+    follower to that face's argmax set, and the leader outcome there
+    comes from the follower's lexicographic response at the scenario L·s.
+
+    The shadow is enumerated in rank L dimensions: Y(x) is projected by
+    L_Bᵀ, L_B the first linearly independent columns of L with
+    L = L_B·M (`numeric.span_basis`), and each vertex z' of that image
+    lifts to the vertex Mᵀ·z' of Lᵀ·Y(x).  Mᵀ is injective (M holds the
+    identity in the basis columns), so the lifted vertices are exactly
+    those of Lᵀ·Y(x) and the faces are the same vertex sets.  Lifting
+    keeps the sorted order too: coordinate j of a lift is the next
+    coordinate of z' when column j is in B, and otherwise a combination
+    of earlier ones.  The exposure LPs run over D on the lifted vertices,
+    so every order and tie-break is that of the q-dimensional shadow.  A
+    hull's points are often linearly dependent, a box's columns never are.
 
     Shadow faces G ⊆ F have nested follower argmax sets, so G's
     optimistic outcome is at most F's and its pessimistic outcome at
@@ -330,12 +346,17 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     shadow of poly = Y(x), in `adversary_geometric`'s scan order."""
     memo = inst._memo
     shadow = inst.uncertainty.shadow()
-    shadow_poly = geometry.project_polytope(poly, shadow.columns, memo)
+    basis, coords = span_basis(shadow.columns)
+    shadow_poly = geometry.project_polytope(
+        poly, [shadow.columns[i] for i in basis], memo)
     key = (mode, shadow_poly)
     if key in memo:
         return memo[key]
     verts = geometry.enumerate_vertices(shadow_poly)
     faces = geometry.enumerate_faces(shadow_poly, verts)
+    # Each vertex z' of L_Bᵀ·Y(x) lifts to the vertex z = Mᵀ·z' of Lᵀ·Y(x),
+    # in the same sorted order.
+    verts = tuple([tuple([dot(m, v) for m in coords]) for v in verts])
     upward = mode is Mode.OPTIMISTIC
     if not upward:
         faces.reverse()

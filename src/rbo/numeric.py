@@ -150,17 +150,22 @@ def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
     return tuple([Fraction(aug[i][n], aug[i][i]) for i in range(n)])
 
 
-def rank(m: Sequence[Sequence]) -> int:
-    """The rank of a matrix with at least one row.
+def span_basis(vectors: Sequence[Sequence]) -> tuple:
+    """(basis, coords): the indices of the first linearly independent
+    vectors, in order, and each vector's coordinates in them, so that
+    vectors[j] = sum_i coords[j][i] * vectors[basis[i]].
 
-    Fraction-free Gaussian elimination (Bareiss 1968) on the rows scaled
-    to ints: each column with a nonzero entry below the pivots found so
-    far gives the next pivot, and every row below it turns into
-    (p*row - f*prow) // d, d the previous pivot.
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968), as in
+    `gauss_solve`, on the matrix with the vectors as columns, its rows
+    scaled to ints: each column with a nonzero entry below the pivots
+    found so far is independent of the columns before it and gives the
+    next pivot.  Every pivot row ends with the last pivot d on its
+    diagonal, so a column's coordinates are its pivot-row entries over d.
     """
-    rows = [integer_scaled(row)[1] for row in m]
-    found, d = 0, 1
-    for col in range(len(rows[0])):
+    rows = [integer_scaled(row)[1] for row in zip(*vectors)]
+    basis, d = [], 1
+    for col in range(len(vectors)):
+        found = len(basis)
         pivot_row = next((i for i in range(found, len(rows)) if rows[i][col]),
                          None)
         if pivot_row is None:
@@ -168,8 +173,21 @@ def rank(m: Sequence[Sequence]) -> int:
         rows[found], rows[pivot_row] = rows[pivot_row], rows[found]
         prow = rows[found]
         p = prow[col]
-        for i in range(found + 1, len(rows)):
-            f = rows[i][col]
-            rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], prow)]
-        found, d = found + 1, p
-    return found
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i == found:
+                continue
+            if f:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            elif p != d:
+                rows[i] = [p * a // d for a in row]
+        basis.append(col)
+        d = p
+    coords = tuple([tuple([Fraction(rows[i][j], d) for i in range(len(basis))])
+                    for j in range(len(vectors))])
+    return tuple(basis), coords
+
+
+def rank(m: Sequence[Sequence]) -> int:
+    """The rank of a matrix: the length of its rows' `span_basis`."""
+    return len(span_basis(m)[0])

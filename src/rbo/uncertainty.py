@@ -10,8 +10,8 @@ a new kind (budgeted uncertainty, say) is one dataclass plus its entry in
 
 * `kind`, its JSON tag, and `dim`, the length of a scenario;
 * `finite_scenarios()`: every scenario, in canonical order, when the
-  set is finite (a box with no free coordinate and a one-point hull
-  count), else None;
+  set is finite (a box with no free coordinate and a hull whose points
+  all coincide count), else None;
 * `shadow()`, when `finite_scenarios` gives None: a `Shadow` (L, D) with
   U = L·D for a polytope D = {s : G·s <= h} of low dimension, given by
   its rows; the exposure LPs run over D directly, so a new convex kind
@@ -59,9 +59,11 @@ class Shadow:
     """U = L·D, with the q columns of L kept as `columns` and the direction
     polytope D = {s : G·s <= h} kept as `directions`.
 
-    Two scenarios that agree on L·y for every y induce the same follower
-    argmax, so the adversary works on the image of Y(x) under the rows
-    `columns` (that is, Lᵀ) and picks its directions s from D.
+    Two scenarios that agree on Lᵀ·y induce the same follower argmax, so
+    the adversary works on the image of Y(x) under the rows `columns`
+    (that is, Lᵀ) and picks its directions s from D.  The columns may be
+    linearly dependent, as a hull's points often are; the adversary then
+    projects Y(x) onto a basis of them and lifts the vertices back.
     """
 
     columns: tuple
@@ -217,7 +219,8 @@ class ConvexHull(UncertaintySet):
         return len(self.points[0])
 
     def finite_scenarios(self) -> Optional[tuple]:
-        return self.points if len(self.points) == 1 else None
+        """The one point of a hull whose points all coincide, else None."""
+        return self.points[:1] if len(set(self.points)) == 1 else None
 
     def shadow(self) -> Shadow:
         """One column per point; D is the standard simplex of convex

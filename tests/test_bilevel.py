@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rbo import bilevel, geometry, lp
@@ -36,7 +36,7 @@ from rbo.compiler import (
     relax_leader,
 )
 from rbo.lp import CERT_LOG
-from rbo.numeric import ONE, ZERO, dot
+from rbo.numeric import ONE, ZERO, dot, rank
 from rbo.uncertainty import (
     ConvexHull,
     DiscreteSet,
@@ -139,15 +139,16 @@ def test_adversary_hull():
 
 
 def test_single_scenario_kinds_agree():
-    # A box with no free coordinate and a one-point hull hold a single
-    # scenario; each must solve exactly like the one-scenario DiscreteSet.
+    # A box with no free coordinate, a one-point hull and a hull whose
+    # points coincide hold a single scenario; each must solve exactly
+    # like the one-scenario DiscreteSet.
     inst = compile_qsat_optimistic(parse_formula("(or x1 y1)", 1, 1)).instance
-    c = inst.uncertainty.lower
-    for mode in Mode:
-        reports = [solve_robust(replace(inst, uncertainty=unc), mode)
-                   for unc in (Interval(c, c), ConvexHull((c,)),
-                               DiscreteSet((c,)))]
-        assert reports[0] == reports[1] == reports[2]
+    for c in (inst.uncertainty.lower, (ZERO, ZERO)):
+        for mode in Mode:
+            reports = [solve_robust(replace(inst, uncertainty=unc), mode)
+                       for unc in (Interval(c, c), ConvexHull((c,)),
+                                   ConvexHull((c, c)), DiscreteSet((c,)))]
+            assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
 def test_solve_certain_examples():
@@ -310,14 +311,12 @@ def unpruned_shadow_scan(inst, mode):
     return best
 
 
-@given(shadow_instances())
-@example(LATTICE_SQUARE)
-@settings(max_examples=40, deadline=None)
-def test_geometric_matches_direct_face_lattice(inst):
-    # The pruned shadow adversary agrees with the direct computation on
-    # the face lattice of Y(x), which no projection or pruning touches,
-    # and reports the first minimum of the unpruned shadow scan.  As in
-    # test_geometry, a projection of more than 60 rows is refused.
+def check_against_references(inst):
+    """The pruned shadow adversary agrees with the direct computation on
+    the face lattice of Y(x), which no projection or pruning touches,
+    and reports the first minimum of the unpruned scan of the shadow
+    under all q columns of L.  As in test_geometry, a projection of more
+    than 60 rows is refused."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_MAX_PROJECTION_ROWS", 60)
         try:
@@ -329,6 +328,40 @@ def test_geometric_matches_direct_face_lattice(inst):
         c, value = adversary_geometric(inst, (), mode)
         assert value == direct_face_lattice(inst, mode)
         assert (c, value) == unpruned_shadow_scan(inst, mode)
+
+
+@given(shadow_instances())
+@example(LATTICE_SQUARE)
+@settings(max_examples=40, deadline=None)
+def test_geometric_matches_direct_face_lattice(inst):
+    check_against_references(inst)
+
+
+@st.composite
+def dependent_hull_instances(draw):
+    """`shadow_instances` with a hull of linearly dependent points, not
+    all equal: n + 1 points in R^n, or one or two points plus a copy of
+    the first or the zero point."""
+    inst = draw(shadow_instances())
+    n = inst.n
+    entries = st.lists(_rationals(-2, 2), min_size=n, max_size=n).map(tuple)
+    extra = draw(st.sampled_from(["spanning", "repeated", "zero"]))
+    if extra == "spanning":
+        points = draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
+    else:
+        points = draw(st.lists(entries, min_size=1, max_size=2))
+        points.insert(draw(st.integers(0, len(points))),
+                      points[0] if extra == "repeated" else (ZERO,) * n)
+    assume(len(set(points)) > 1)
+    return replace(inst, uncertainty=ConvexHull(points))
+
+
+@given(dependent_hull_instances())
+@settings(max_examples=40, deadline=None)
+def test_dependent_hull_matches_direct_face_lattice(inst):
+    # The scan runs on the shadow under a basis of L's columns, of lower
+    # dimension than the q-dimensional references.
+    check_against_references(inst)
 
 
 def test_face_scan_skips_dominated_faces(monkeypatch):
@@ -394,6 +427,21 @@ def test_memo_scans_each_distinct_shadow_once(monkeypatch):
         assert len(projected) == 2
         assert len(enumerated) == 1
         assert len(checked) == faces
+
+
+def test_hull_shadow_has_the_rank_of_its_columns(monkeypatch):
+    # The simplex covering the one free coordinate has the points (-1, 0)
+    # and (1, 0), which are linearly dependent, so vertex enumeration runs
+    # on a shadow of dimension q - 1 = 1.
+    inst = box_to_simplex(compile_qsat_optimistic(
+        parse_formula("(or x1 y1)", 1, 1))).instance
+    columns = inst.uncertainty.shadow().columns
+    assert rank(columns) == len(columns) - 1 == 1
+    enumerated = _count_calls(monkeypatch, geometry, "enumerate_vertices")
+    for mode in Mode:
+        solve_robust(inst, mode)
+    assert enumerated
+    assert all(poly.dim == 1 for poly, in enumerated)
 
 
 def test_memo_solves_each_finite_y_once(monkeypatch):

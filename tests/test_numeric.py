@@ -11,6 +11,7 @@ from rbo.numeric import (
     gauss_solve,
     rat_format,
     rat_parse,
+    span_basis,
 )
 
 rationals = st.fractions(
@@ -108,3 +109,41 @@ def test_gauss_rational_multiple_row_is_singular():
     first = [F(1, 3), F(-2, 5), F(7, 2)]
     m = as_matrix([first, [1, 2, 3], [F(-3, 7) * c for c in first]])
     assert gauss_solve(m, as_vector([1, 2, 3])) is None
+
+
+@st.composite
+def spanned_vectors(draw):
+    """One to five vectors of length 1 to 4, each a combination of up to
+    three drawn vectors, so that most lists are linearly dependent."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    weights = st.lists(small, min_size=len(gens), max_size=len(gens))
+    return [as_vector([sum([w * g[k] for w, g in zip(ws, gens)], F(0))
+                       for k in range(n)])
+            for ws in draw(st.lists(weights, min_size=1, max_size=5))]
+
+
+@given(spanned_vectors())
+@settings(max_examples=60, deadline=None)
+def test_span_basis_reconstructs_every_vector(vectors):
+    # The basis vectors are independent, as their Gram matrix is
+    # nonsingular, and every vector is its coordinates times the basis
+    # vectors up to its own index.
+    basis, coords = span_basis(vectors)
+    chosen = [vectors[j] for j in basis]
+    gram = [[dot(u, v) for v in chosen] for u in chosen]
+    assert gauss_solve(gram, [0] * len(chosen)) is not None
+    for i, (vec, cs) in enumerate(zip(vectors, coords)):
+        combo = [F(0)] * len(vec)
+        for c, j in zip(cs, basis):
+            assert j <= i or c == 0
+            combo = [a + c * b for a, b in zip(combo, vectors[j])]
+        assert tuple(combo) == vec
+
+
+def test_span_basis_skips_dependent_vectors():
+    vectors = as_matrix([[0, 0], [2, 4], [1, 2], [3, 1]])
+    assert span_basis(vectors) == (
+        (1, 3), ((0, 0), (1, 0), (F(1, 2), 0), (0, 1)))

@@ -29,6 +29,7 @@ CASES = {
                        (vec(0, 5), vec(1, 5))),
     "degenerate_box": (Interval(vec(1, -2), vec(1, -2)), (vec(1, -2),)),
     "one_point_hull": (ConvexHull((vec(3, 1),)), (vec(3, 1),)),
+    "coincident_hull": (ConvexHull((vec(3, 1), vec(3, 1))), (vec(3, 1),)),
 }
 
 
