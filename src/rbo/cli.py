@@ -42,6 +42,13 @@ def _fmt_vec(vec, decimal: bool) -> str:
     return text
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: a decimal integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
 def _parse_vector(text: str):
     text = text.strip()
     if not text:
@@ -319,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--suite",
                    choices=["qsat", "single-level", "hull", "all"],
                    default="all", help="which sweep to run")
-    c.add_argument("--max-p", type=int, default=1,
+    c.add_argument("--max-p", type=_count, default=1,
                    help="max leader variables in the formula family")
-    c.add_argument("--max-n", type=int, default=1,
+    c.add_argument("--max-n", type=_count, default=1,
                    help="max follower variables in the formula family")
     c.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed of the random cases")
-    c.add_argument("--random-count", type=int, default=10,
+    c.add_argument("--random-count", type=_count, default=10,
                    help="random formulas and single-level cases to add")
     c.set_defaults(func=_cmd_verify)
 

@@ -43,7 +43,6 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .numeric import (
-    ONE,
     ZERO,
     Fraction,
     as_matrix,
@@ -551,17 +550,14 @@ def is_nonempty(poly: Polyhedron) -> bool:
 def check_bounded_nonempty(poly: Polyhedron):
     """Return (nonempty, bounded); an empty set counts as bounded.
 
-    A nonempty poly is bounded exactly when the rows of A positively span
-    R^n, that is (Stiemke 1915) when A has rank n and some mu > 0 has
-    mu^T A = 0.  The second is decided by the phase one of
-    {mu : mu >= 1, A^T mu = 0}, as `is_nonempty` decides it.
+    With rank A = n, a recession direction d != 0 of poly has A d <= 0
+    and A d != 0, so (-1^T A) d > 0: a nonempty poly is bounded exactly
+    when max (-1^T A) v over it is finite (Schrijver 1986, section 8.2).
+    That certified LP starts from poly's phase-one tableau.
     """
     if not is_nonempty(poly):
         return False, True
-    m, n = poly.num_rows, poly.dim
-    if rank(poly.a) < n:
+    if rank(poly.a) < poly.dim:
         return True, False
-    cols = [list(col) for col in zip(*poly.a)]
-    rows = ([[-ONE if k == i else ZERO for k in range(m)] for i in range(m)]
-            + cols + [[-a for a in col] for col in cols])
-    return True, is_nonempty(Polyhedron(rows, [-ONE] * m + [ZERO] * (2 * n)))
+    obj = [-sum(col) for col in zip(*poly.a)]
+    return True, max_value(poly, obj) is not None

@@ -115,57 +115,17 @@ def integer_scaled(values: Sequence) -> tuple:
     return s, [v.numerator * (s // v.denominator) for v in values]
 
 
-def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
-    """Solve the square system m*v = r exactly.
-
-    Returns the unique solution, or None when the matrix is singular.
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the augmented
-    rows scaled to ints, with the first nonzero pivot of each column: a
-    row turns into (p*row - f*prow) // d, d the previous pivot, exact as
-    every entry is a minor.  Each diagonal entry ends as the determinant.
+def _eliminate(rows: list, ncols: int) -> tuple:
+    """(pivots, rows, d): fraction-free Gauss-Jordan elimination (Bareiss
+    1968) of int rows over their first ncols columns.  Each column with a
+    nonzero below the pivot rows so far takes the first such row as the
+    next pivot row, and every other row turns into (p*row - f*prow) // d,
+    d the last pivot, exact as every entry is a minor.  Pivot row i ends
+    with d at column pivots[i] and 0 at the other pivot columns.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("gauss_solve requires a square matrix")
-    if len(r) != n:
-        raise ValueError("right-hand side dimension mismatch")
-    aug = [integer_scaled(list(row) + [t])[1] for row, t in zip(m, r)]
-    d = 1
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        prow = aug[col]
-        p = prow[col]
-        for i, row in enumerate(aug):
-            f = row[col]
-            if i == col:
-                continue
-            if f:
-                aug[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-            elif p != d:
-                aug[i] = [p * a // d for a in row]
-        d = p
-    return tuple([Fraction(aug[i][n], aug[i][i]) for i in range(n)])
-
-
-def span_basis(vectors: Sequence[Sequence]) -> tuple:
-    """(basis, coords): the indices of the first linearly independent
-    vectors, in order, and each vector's coordinates in them, so that
-    vectors[j] = sum_i coords[j][i] * vectors[basis[i]].
-
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968), as in
-    `gauss_solve`, on the matrix with the vectors as columns, its rows
-    scaled to ints: each column with a nonzero entry below the pivots
-    found so far is independent of the columns before it and gives the
-    next pivot.  Every pivot row ends with the last pivot d on its
-    diagonal, so a column's coordinates are its pivot-row entries over d.
-    """
-    rows = [integer_scaled(row)[1] for row in zip(*vectors)]
-    basis, d = [], 1
-    for col in range(len(vectors)):
-        found = len(basis)
+    pivots, d = [], 1
+    for col in range(ncols):
+        found = len(pivots)
         pivot_row = next((i for i in range(found, len(rows)) if rows[i][col]),
                          None)
         if pivot_row is None:
@@ -181,13 +141,46 @@ def span_basis(vectors: Sequence[Sequence]) -> tuple:
                 rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
             elif p != d:
                 rows[i] = [p * a // d for a in row]
-        basis.append(col)
+        pivots.append(col)
         d = p
+    return pivots, rows, d
+
+
+def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
+    """Solve the square system m*v = r exactly.
+
+    Returns the unique solution, or None when the matrix is singular,
+    that is when `_eliminate` on the augmented rows scaled to ints finds
+    fewer than n pivots; else v_i is row i's last entry over d.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("gauss_solve requires a square matrix")
+    if len(r) != n:
+        raise ValueError("right-hand side dimension mismatch")
+    pivots, aug, d = _eliminate(
+        [integer_scaled(list(row) + [t])[1] for row, t in zip(m, r)], n)
+    if len(pivots) < n:
+        return None
+    return tuple([Fraction(row[n], d) for row in aug])
+
+
+def span_basis(vectors: Sequence[Sequence]) -> tuple:
+    """(basis, coords): the indices of the first linearly independent
+    vectors, in order, and each vector's coordinates in them, so that
+    vectors[j] = sum_i coords[j][i] * vectors[basis[i]]: the pivot
+    columns of `_eliminate` on the vectors as int-scaled columns, and a
+    column's pivot-row entries over d.
+    """
+    basis, rows, d = _eliminate(
+        [integer_scaled(row)[1] for row in zip(*vectors)], len(vectors))
     coords = tuple([tuple([Fraction(rows[i][j], d) for i in range(len(basis))])
                     for j in range(len(vectors))])
     return tuple(basis), coords
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    """The rank of a matrix: the length of its rows' `span_basis`."""
-    return len(span_basis(m)[0])
+    """The rank of a matrix: the number of pivots `_eliminate` finds on
+    its transpose, rows scaled to ints."""
+    return len(_eliminate([integer_scaled(col)[1] for col in zip(*m)],
+                          len(m))[0])

@@ -542,7 +542,7 @@ def test_validation_accepts_and_rejects():
 def test_validation_decides_boundedness_once(monkeypatch):
     # Y(x) = {0 <= y <= 1 + x1 + x2}: emptiness at every x is read from
     # Y(x)'s phase one, and boundedness at the first x from a rank check
-    # and one more phase one, on {mu >= 1, lhs^T mu = 0}; no LP is solved.
+    # and one certified LP from that phase one's tableau.
     inst = RobustBilevelInstance(
         p=2, n=1, lhs=((ONE,), (-ONE,)),
         leader_mat=((ONE, ONE), (ZERO, ZERO)), rhs=(ONE, ZERO),
@@ -555,10 +555,10 @@ def test_validation_decides_boundedness_once(monkeypatch):
         return phase_one(poly)
 
     monkeypatch.setattr(lp, "_phase_one", counted)
-    before = CERT_LOG.optimal_solves
+    before = CERT_LOG.verified
     validate_instance(inst)
-    assert CERT_LOG.optimal_solves - before == 0
-    assert len(phase_ones) == 2 ** inst.p + 1
+    assert CERT_LOG.verified - before == 1
+    assert len(phase_ones) == 2 ** inst.p
     empty_late = replace(inst, leader_mat=((F(-2), F(-2)), (ZERO, ZERO)),
                          rhs=(F(3), ZERO))
     with pytest.raises(InstanceError, match=r"empty for x=\(1, 1\)"):

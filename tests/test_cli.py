@@ -219,6 +219,15 @@ def test_verify_fails_on_a_wrong_value(monkeypatch, capsys):
     assert printed[-1] == "36 passed, 28 failed, 0 skipped"
 
 
+@pytest.mark.parametrize("flag", ["--max-p", "--max-n", "--random-count"])
+def test_verify_refuses_a_negative_count(capsys, flag):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", flag, "-1"])
+    assert stop.value.code == 2
+    assert (f"argument {flag}: '-1' is not an integer >= 0"
+            in capsys.readouterr().err)
+
+
 def test_demo(capsys):
     assert main(["demo"]) == 0
     printed = capsys.readouterr().out
@@ -311,6 +320,22 @@ def test_leader_with_empty_follower_set(tmp_path, capsys, command):
     out = compiled_instance(tmp_path, capsys)
     assert main([command[0], out] + command[1:]) == 2
     assert capsys.readouterr().err == "error: Y(x) is empty for x=(5)\n"
+
+
+@pytest.mark.parametrize("lhs,rhs", [
+    ([["-1"]], ["0"]),                          # rank A = n: y1 >= 0
+    ([["1", "0"], ["-1", "0"]], ["1", "0"]),    # rank A < n: y2 is free
+])
+def test_unbounded_follower_set_is_refused(tmp_path, capsys, lhs, rhs):
+    n = len(lhs[0])
+    doc = {"p": 0, "n": n, "A": lhs, "B": [[] for _ in lhs], "b": rhs,
+           "d": ["1"] + ["0"] * (n - 1), "leader_set": {"kind": "all_binary"},
+           "uncertainty": {"kind": "interval", "lower": ["0"] * n,
+                           "upper": ["1"] * n}}
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == "error: Y(x) is unbounded for x=()\n"
 
 
 def _failed_certificate(*args):

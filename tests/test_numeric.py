@@ -94,6 +94,45 @@ def test_gauss_solution_is_exact(system):
         assert tuple([dot(row, solution) for row in m]) == r
 
 
+def laplace_det(m):
+    """The determinant by cofactor expansion along the first row."""
+    if not m:
+        return F(1)
+    return sum([(-1) ** j * m[0][j]
+                * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+                for j in range(len(m)) if m[0][j]], F(0))
+
+
+@st.composite
+def small_square_systems(draw):
+    """A square matrix of size 1 to 4, often singular, and a right-hand
+    side; entries are drawn from few values so that ties are common."""
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows[-1] = [F(-2, 3) * a for a in draw(st.sampled_from(rows))]
+    return rows, draw(st.lists(rationals, min_size=n, max_size=n))
+
+
+@given(small_square_systems())
+@settings(max_examples=150, deadline=None)
+def test_gauss_matches_cramers_rule(system):
+    # None exactly when the determinant is 0; else v_j = det(m_j) / det(m),
+    # m_j being m with column j replaced by the right-hand side.
+    rows, target = system
+    det = laplace_det(rows)
+    solution = gauss_solve(as_matrix(rows), as_vector(target))
+    if det == 0:
+        assert solution is None
+        return
+    assert solution == tuple([
+        laplace_det([row[:j] + [t] + row[j + 1:]
+                     for row, t in zip(rows, target)]) / det
+        for j in range(len(rows))])
+
+
 def test_gauss_zero_first_pivot_swaps_rows():
     m = as_matrix([[0, 2, 1], [3, 0, 0], [0, 0, 5]])
     assert gauss_solve(m, as_vector([5, 7, 5])) == (F(7, 3), F(2), F(1))
