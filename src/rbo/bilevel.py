@@ -314,15 +314,14 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     the unpruned scan in the same order.
 
     Leaders of one instance mostly share their shadow, so the work is
-    kept in `inst._memo` for the instance's lifetime, under four kinds
+    kept in `inst._memo` for the instance's lifetime, under three kinds
     of key: (mode, Y(x).rhs) holds the result (c*, value), for
-    finite sets too, as Y(x) has the instance's lhs; the elimination
-    rows before the prune hold the pruned shadow (see
-    `geometry.project_polytope`); (mode, shadow polytope) holds the
-    scan's scenarios, so vertex and face enumeration and the exposure LPs
-    run once for each distinct shadow and mode; and the leader vector x
-    holds Y(x) itself (`follower_polyhedron`).  Only the follower LPs on
-    a new Y(x) run again, each with its certificate checked.
+    finite sets too, as Y(x) has the instance's lhs; (mode, shadow
+    polytope) holds the scan's scenarios, so vertex and face enumeration
+    and the exposure LPs run once for each distinct shadow and mode; and
+    the leader vector x holds Y(x) itself (`follower_polyhedron`).  Only
+    the projection and the follower LPs on a new Y(x) run again, each LP
+    with its certificate checked.
     """
     poly = inst.follower_polyhedron(x)
     memo = inst._memo
@@ -348,7 +347,7 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     shadow = inst.uncertainty.shadow()
     basis, coords = span_basis(shadow.columns)
     shadow_poly = geometry.project_polytope(
-        poly, [shadow.columns[i] for i in basis], memo)
+        poly, [shadow.columns[i] for i in basis])
     key = (mode, shadow_poly)
     if key in memo:
         return memo[key]

@@ -152,10 +152,10 @@ def _cmd_follower(args) -> int:
     inst, mode = _load(args)
     x = _leader(inst, args.x)
     c = _parse_vector(args.c)
+    y, value = bilevel.follower_response(inst, x, c, mode)
     if not inst.uncertainty.contains(c):
         print("warning: scenario lies outside the uncertainty set",
               file=sys.stderr)
-    y, value = bilevel.follower_response(inst, x, c, mode)
     print(f"mode: {mode.value}")
     print(f"leader value: {_fmt(value, args.decimal)}")
     print(f"follower y: {_fmt_vec(y, args.decimal)}")

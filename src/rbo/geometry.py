@@ -9,22 +9,27 @@ nonempty faces of a bounded polyhedron, the polytope itself included
 given face as its exact argmax set, by maximizing the strict separation
 margin with an LP; a face is exposable iff the optimal margin is positive.
 
+Vertices, and the rows tight at each, come from the double description
+method on the rows scaled to ints, with no LP.
+
 `project_polytope` computes exact images of polytopes under linear maps
 by Fourier-Motzkin elimination on primitive integer rows (int
 coefficients with gcd 1, one Fraction rhs), deduplicated at every step,
-and a final LP-based redundancy prune; the bilevel adversary runs the
-face machinery on such low-dimensional images.
+then keeps the rows that the image's vertex tight sets show to be
+needed; the bilevel adversary runs the face machinery on such
+low-dimensional images.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, gcd, isqrt
+from fractions import Fraction
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .lp import LpStatus, Polyhedron, Sense, max_value, solve_lp
-from .numeric import (ONE, ZERO, as_matrix, as_vector, dot, gauss_solve,
-                      integer_scaled)
+from .lp import LpStatus, Polyhedron, Sense, solve_lp
+from .numeric import (ONE, ZERO, as_matrix, dot, gauss_solve, integer_scaled,
+                      span_basis)
 from .uncertainty import CapExceededError
 
 DEFAULT_CAP = 2 ** 22
@@ -36,32 +41,59 @@ def tight_rows_at(poly: Polyhedron, point: Sequence) -> frozenset:
                      if dot(poly.a[i], point) == poly.rhs[i])
 
 
-def enumerate_vertices(poly: Polyhedron) -> tuple:
-    """All vertices of a bounded nonempty polyhedron, in sorted order.
-
-    Every n-subset of rows is solved as an equality system; nonsingular,
-    feasible solutions are vertices.  Duplicates coming from degenerate
-    vertices collapse into one entry.
+def _double_description(poly: Polyhedron) -> list:
+    """[(v, tight)] for each vertex v of poly, tight the frozenset of the
+    rows tight at v, by the double description method in ints (Motzkin
+    et al. 1953; Fukuda & Prodon 1996) on the cone {(z, t) : a·z <= b·t,
+    t >= 0} of the rows scaled to ints: its rays with t > 0 are the
+    vertices.  The start is the simplicial cone of the first linearly
+    independent rows, t >= 0 first: ray j solves the basis rows' system
+    with -1 in row j and 0 elsewhere.  Each further row keeps the rays on
+    its side and joins each pair across it that is adjacent, as no other
+    ray is tight on all the rows both are.  A ray is primitive ints and a
+    bitmask of its tight rows.  More than isqrt(DEFAULT_CAP) = 2048 rays
+    after any row raise CapExceededError.
     """
-    m, n = poly.num_rows, poly.dim
-    if m < n:
-        raise ValueError(f"{m} rows cannot pin {n} coordinates; "
-                         "the polyhedron is unbounded")
-    if comb(m, n) > DEFAULT_CAP:
-        raise CapExceededError(f"vertex enumeration needs C({m},{n}) "
-                               f"subsets, cap is {DEFAULT_CAP}")
-    found = set()
-    a = poly.a
-    rhs = poly.rhs
-    for subset in itertools.combinations(range(m), n):
-        system = [a[i] for i in subset]
-        target = [rhs[i] for i in subset]
-        point = gauss_solve(system, target)
-        if point is not None and point not in found and poly.contains(point):
-            found.add(point)
-    if not found:
+    n = poly.dim
+    rows = [(0,) * n + (-1,)] + [r[:n] + (-r[n],)
+                                 for r in poly._scaled_rows[1]]
+    basis = span_basis(rows)[0]
+    if len(basis) <= n:
+        raise ValueError("the polyhedron contains a line; it has no vertex")
+    start = sum(1 << i for i in basis)
+    rays = [(integer_scaled(gauss_solve([rows[i] for i in basis],
+                                        [-(i == j) for i in basis]))[1],
+             start & ~(1 << j)) for j in basis]
+    cap = isqrt(DEFAULT_CAP)
+    for k, row in enumerate(rows):
+        if start >> k & 1:
+            continue
+        sides = [(sum(a * b for a, b in zip(row, r)), r, z) for r, z in rays]
+        joined = [(r, z if s else z | 1 << k) for s, r, z in sides if s <= 0]
+        plus = [x for x in sides if x[0] > 0]
+        minus = [x for x in sides if x[0] < 0]
+        for (sp, p, zp), (sq, q, zq) in itertools.product(plus, minus):
+            z = zp & zq
+            if (z.bit_count() >= n - 1
+                    and sum(t & z == z for _, t in rays) == 2):
+                w = [sp * b - sq * a for a, b in zip(p, q)]
+                g = gcd(*w)
+                joined.append(([c // g for c in w], z | 1 << k))
+        rays = joined
+        if len(rays) > cap:
+            raise CapExceededError(f"double description exceeds {cap} rays")
+    verts = [(tuple([Fraction(c, r[n]) for c in r[:n]]),
+              frozenset(i for i in range(poly.num_rows) if z >> i + 1 & 1))
+             for r, z in rays if r[n]]
+    if not verts:
         raise ValueError("no vertices found; polyhedron is empty or unbounded")
-    return tuple(sorted(found))
+    return verts
+
+
+def enumerate_vertices(poly: Polyhedron) -> tuple:
+    """All vertices of a bounded nonempty polyhedron, in sorted order
+    (`_double_description`)."""
+    return tuple(sorted([v for v, _ in _double_description(poly)]))
 
 
 def enumerate_faces(poly: Polyhedron, verts: tuple) -> list:
@@ -139,27 +171,7 @@ def _add_row(rows, coeffs, rhs):
         rows[coeffs] = rhs
 
 
-def _lp_prune(rows):
-    """Remove rows implied by the others (exact redundancy test)."""
-    rows = sorted(rows)
-    kept = list(rows)
-    idx = 0
-    while idx < len(kept):
-        if len(kept) <= 1:
-            break
-        coeffs, rhs = kept[idx]
-        others = kept[:idx] + kept[idx + 1:]
-        poly = Polyhedron([c for c, _ in others], [r for _, r in others])
-        value = max_value(poly, coeffs)
-        if value is not None and value <= rhs:
-            kept.pop(idx)
-        else:
-            idx += 1
-    return kept
-
-
-def project_polytope(poly: Polyhedron, image_rows,
-                     pruned: Optional[dict] = None) -> Polyhedron:
+def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
     """Exact image {T v : v in poly} of a bounded nonempty polyhedron.
 
     Auxiliary coordinates w = T v are appended, then the original
@@ -169,12 +181,16 @@ def project_polytope(poly: Polyhedron, image_rows,
     tightest rhs in first-seen order: every input row is scaled to ints
     once, and eliminating var from pc (pc[var] = a > 0) and mc (mc[var]
     = -b < 0) gives (b·pc + a·mc) / gcd(a, b), a positive multiple of
-    pc / a + mc / b.  A final LP pass on the rows as Fractions reduces
-    the result to an irredundant description, which keeps downstream
-    vertex enumeration combinatorially small.
+    pc / a + mc / b.
 
-    `pruned`, when given, maps the frozenset of eliminated rows to their
-    pruned polyhedron: a hit skips the LP pass, and a miss is added.
+    The rows come out sorted, and those kept are chosen from the tight
+    vertex sets that `_double_description` gives, with no LP: a row tight
+    at every vertex (an implicit equality) stays; any other stays when
+    its vertex set is nonempty and no other row's set strictly contains
+    it, the last of the rows with one set.  For a full-dimensional image
+    these are its facets, each once; a flat image keeps every implicit
+    equality, so its rows may be redundant, but its vertices and faces
+    are the same.
     """
     image = as_matrix(image_rows, poly.dim)
     q = len(image)
@@ -223,13 +239,14 @@ def project_polytope(poly: Polyhedron, image_rows,
         remaining.remove(var)
 
     # Every eliminated coefficient is 0 now, so the first q identify a row.
-    eliminated = frozenset([(c[:q], r) for c, r in rows.items()])
-    if pruned is None:
-        pruned = {}
-    if eliminated not in pruned:
-        final = _lp_prune([(as_vector(c), r) for c, r in eliminated])
-        if not final:
-            raise ValueError("projection came out unconstrained")
-        pruned[eliminated] = Polyhedron([c for c, _ in final],
-                                        [r for _, r in final])
-    return pruned[eliminated]
+    rows = sorted([(c[:q], r) for c, r in rows.items()])
+    full = Polyhedron([c for c, _ in rows], [r for _, r in rows])
+    verts = _double_description(full)
+    on = [frozenset([k for k, (_, tight) in enumerate(verts) if i in tight])
+          for i in range(full.num_rows)]
+    every = frozenset(range(len(verts)))
+    last = {t: i for i, t in enumerate(on)}
+    kept = sorted([i for i, t in enumerate(on) if t == every]
+                  + [i for t, i in last.items() if t and t != every
+                     and not any(t < f < every for f in last)])
+    return Polyhedron([full.a[i] for i in kept], [full.rhs[i] for i in kept])

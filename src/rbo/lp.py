@@ -8,7 +8,6 @@ rows (Bareiss 1968); Fractions appear only in the point, value and dual.
 Free variables keep one column each and never leave the basis once they
 enter; at the end the nonbasic ones are pivoted in along the optimal
 face, so an optimal point is a vertex whenever the polyhedron has one.
-`max_value`, for callers that read only the optimum, stops before that.
 
 Phase one runs once per polyhedron: a :class:`Polyhedron` keeps its rows
 scaled to ints and its tableau after phase one (or the finding that it
@@ -491,22 +490,6 @@ def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
     return LpOutcome(LpStatus.OPTIMAL, point, value, certs[0][1])
 
 
-def max_value(poly: Polyhedron, obj) -> Optional[Fraction]:
-    """max obj·v over poly, or None when poly is empty or obj unbounded.
-
-    The value is read at phase two's basic point, where its certificate
-    is checked; unlike `solve_lp`, no free column is pivoted in after
-    phase two, since no point is returned.
-    """
-    obj = _internal(obj, Sense.MAX, poly.dim)
-    status, tab, certs = _phase_two(poly, obj)
-    if status is not LpStatus.OPTIMAL:
-        return None
-    value = dot(obj, tab.point())
-    _verify_certificate(poly, obj, value, certs[0][1])
-    return value
-
-
 def _internal(obj, sense: Sense, dim: int) -> tuple:
     """obj as the vector to maximize."""
     obj = as_vector(obj)
@@ -560,4 +543,4 @@ def check_bounded_nonempty(poly: Polyhedron):
     if rank(poly.a) < poly.dim:
         return True, False
     obj = [-sum(col) for col in zip(*poly.a)]
-    return True, max_value(poly, obj) is not None
+    return True, solve_lp(poly, obj).status is LpStatus.OPTIMAL

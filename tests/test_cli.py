@@ -108,6 +108,17 @@ def test_follower_command_and_outside_warning(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_follower_scenario_of_the_wrong_length_is_only_an_error(
+        tmp_path, capsys):
+    formula = write_formula(tmp_path, "p=1 n=1\n(or x1 y1)\n")
+    out = str(tmp_path / "inst.json")
+    main(["compile-qsat", formula, "-o", out])
+    capsys.readouterr()
+    assert main(["follower", out, "--x", "0", "--c", "1"]) == 2
+    assert capsys.readouterr().err \
+        == "error: scenario has dimension 1 != 2\n"
+
+
 def test_negative_scenario_is_passed_with_equals(tmp_path, capsys):
     # argparse takes "-1,0" after a space for an unknown option.
     formula = write_formula(tmp_path, "p=1 n=1\n(or x1 y1)\n")

@@ -3,10 +3,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rbo import geometry
+from rbo import geometry, oracle
 from rbo.geometry import (
     CapExceededError,
     enumerate_faces,
@@ -15,8 +15,8 @@ from rbo.geometry import (
     project_polytope,
     tight_rows_at,
 )
-from rbo.lp import Polyhedron
-from rbo.numeric import dot
+from rbo.lp import LpStatus, Polyhedron, solve_lp
+from rbo.numeric import dot, rank
 from rbo.uncertainty import Interval
 from test_lp import _rationals, small_polytopes
 
@@ -53,6 +53,15 @@ def simplex(n):
     return Polyhedron(rows, [0] * n + [1])
 
 
+def cube(k):
+    """[0, 1]^k, with the rows x_i <= 1 and -x_i <= 0 in turn."""
+    rows = []
+    for i in range(k):
+        unit = [int(j == i) for j in range(k)]
+        rows += [unit, [-c for c in unit]]
+    return Polyhedron(rows, [1, 0] * k)
+
+
 def test_vertices_of_fixtures():
     assert len(enumerate_vertices(UNIT_SQUARE)) == 4
     assert len(enumerate_vertices(TRIANGLE)) == 3
@@ -71,13 +80,22 @@ def test_vertices_deduped_on_duplicate_rows():
 
 
 def test_vertex_cap():
-    # The cube [0, 1]^10 and six more rows: C(26, 10) > DEFAULT_CAP subsets.
-    units = [[int(j == i) for j in range(10)] for i in range(10)]
-    rows = units + [[-v for v in u] for u in units] + [[1] * 10] * 6
-    cube = Polyhedron(rows, [1] * 10 + [0] * 10 + [10] * 6)
-    assert math.comb(26, 10) > geometry.DEFAULT_CAP
-    with pytest.raises(CapExceededError, match="C\\(26,10\\)"):
-        enumerate_vertices(cube)
+    # The double description keeps at most isqrt(DEFAULT_CAP) = 2048 rays
+    # after each row: the 11-cube's 2048 vertices fit, the 12-cube's 4096
+    # are refused.
+    assert len(enumerate_vertices(cube(11))) == 2 ** 11 \
+        == math.isqrt(geometry.DEFAULT_CAP)
+    with pytest.raises(CapExceededError, match="2048 rays"):
+        enumerate_vertices(cube(12))
+
+
+@given(small_polytopes())
+@settings(max_examples=60, deadline=None)
+def test_vertices_match_the_brute_force_oracle(case):
+    # Boxes of zero width make some polytopes lower-dimensional.
+    poly = case[0]
+    assert enumerate_vertices(poly) == tuple(
+        oracle._brute_vertices(poly.a, poly.rhs))
 
 
 def test_empty_poly_has_no_vertices():
@@ -87,15 +105,7 @@ def test_empty_poly_has_no_vertices():
 
 def test_hypercube_vertex_counts():
     for k in range(1, 5):
-        rows, rhs = [], []
-        for i in range(k):
-            row = [0] * k
-            row[i] = 1
-            rows.append(list(row))
-            rhs.append(1)
-            rows.append([-c for c in row])
-            rhs.append(0)
-        assert len(enumerate_vertices(Polyhedron(rows, rhs))) == 2 ** k
+        assert len(enumerate_vertices(cube(k))) == 2 ** k
 
 
 @pytest.mark.parametrize("poly,expected", [
@@ -236,23 +246,21 @@ def test_projection_row_cap(monkeypatch):
         project_polytope(UNIT_SQUARE, [[1, 1]])
 
 
+def draw_image(data, dim):
+    """One or two image rows of width dim, drawn from data."""
+    return [data.draw(st.lists(_rationals(-2, 2), min_size=dim,
+                               max_size=dim), label="image row")
+            for _ in range(data.draw(st.integers(1, 2)))]
+
+
 @given(small_polytopes(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_projection_is_the_image_of_the_vertices(case, data):
     # The image of a polytope is the hull of its vertices' images: every
     # image lies in the projection and every projection vertex is one.
-    # A projection of more than 60 rows is refused by the row cap: the
-    # LP prune of a few hundred rows runs for many minutes.
     poly = case[0]
-    image = [data.draw(st.lists(_rationals(-2, 2), min_size=poly.dim,
-                                max_size=poly.dim), label="image row")
-             for _ in range(data.draw(st.integers(1, 2)))]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "_MAX_PROJECTION_ROWS", 60)
-        try:
-            shadow = project_polytope(poly, image)
-        except CapExceededError:
-            return
+    image = draw_image(data, poly.dim)
+    shadow = project_polytope(poly, image)
     for row in shadow.a:
         assert all(c.denominator == 1 for c in row)
         assert math.gcd(*[c.numerator for c in row]) == 1
@@ -260,3 +268,40 @@ def test_projection_is_the_image_of_the_vertices(case, data):
               for v in enumerate_vertices(poly)}
     assert all(shadow.contains(w) for w in images)
     assert set(enumerate_vertices(shadow)) <= images
+
+
+def _implied(rows, rhs, row, r):
+    """Whether rows·w <= rhs implies row·w <= r, by one LP."""
+    out = solve_lp(Polyhedron(rows, rhs), row)
+    return out.status is LpStatus.OPTIMAL and out.value <= r
+
+
+@given(small_polytopes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_projection_keeps_exactly_the_irredundant_rows(case, data):
+    # On a full-dimensional image no kept row is implied by the other kept
+    # rows, and every elimination row that was dropped is implied by them.
+    poly = case[0]
+    image = draw_image(data, poly.dim)
+    seen = []
+    original = geometry._double_description
+
+    def recorded(p):
+        seen.append(p)
+        return original(p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_double_description", recorded)
+        shadow = project_polytope(poly, image)
+    verts = enumerate_vertices(shadow)
+    q = len(image)
+    assume(len(verts) > q and rank(
+        [[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]) == q)
+    kept = list(zip(shadow.a, shadow.rhs))
+    for i, (row, r) in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        assert not _implied([c for c, _ in others], [b for _, b in others],
+                            row, r)
+    for row, r in zip(seen[0].a, seen[0].rhs):
+        if (row, r) not in kept:
+            assert _implied(shadow.a, shadow.rhs, row, r)

@@ -342,7 +342,6 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
         solve_lp(poly, obj, sense)
         solve_lp(poly, unit, Sense.MIN, tie=(neg, Sense.MAX))
         solve_lex_lp(poly, neg, Sense.MAX, unit, Sense.MAX)
-        lp.max_value(poly, unit)
     assert (start.rows, start.d, start.basis) == kept
 
 
