@@ -317,11 +317,15 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     kept in `inst._memo` for the instance's lifetime, under three kinds
     of key: (mode, Y(x).rhs) holds the result (c*, value), for
     finite sets too, as Y(x) has the instance's lhs; (mode, shadow
-    polytope) holds the scan's scenarios, so vertex and face enumeration
-    and the exposure LPs run once for each distinct shadow and mode; and
-    the leader vector x holds Y(x) itself (`follower_polyhedron`).  Only
-    the projection and the follower LPs on a new Y(x) run again, each LP
-    with its certificate checked.
+    vertices), the sorted vertex tuple of the projection, holds the
+    scan's scenarios, so face enumeration and the exposure LPs run once
+    for each distinct shadow and mode; and the leader vector x holds
+    Y(x) itself (`follower_polyhedron`).  The first two cannot collide:
+    an rhs holds Fractions, a vertex tuple holds tuples.  A polytope is
+    its vertex set, and its faces do not depend on redundant rows, so
+    the projection's rows need not be irredundant.  Only the projection,
+    its vertex enumeration and the follower LPs on a new Y(x) run again,
+    each LP with its certificate checked.
     """
     poly = inst.follower_polyhedron(x)
     memo = inst._memo
@@ -348,10 +352,10 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     basis, coords = span_basis(shadow.columns)
     shadow_poly = geometry.project_polytope(
         poly, [shadow.columns[i] for i in basis])
-    key = (mode, shadow_poly)
+    verts = geometry.enumerate_vertices(shadow_poly)
+    key = (mode, verts)
     if key in memo:
         return memo[key]
-    verts = geometry.enumerate_vertices(shadow_poly)
     faces = geometry.enumerate_faces(shadow_poly, verts)
     # Each vertex z' of L_Bᵀ·Y(x) lifts to the vertex z = Mᵀ·z' of Lᵀ·Y(x),
     # in the same sorted order.

@@ -14,10 +14,10 @@ method on the rows scaled to ints, with no LP.
 
 `project_polytope` computes exact images of polytopes under linear maps
 by Fourier-Motzkin elimination on primitive integer rows (int
-coefficients with gcd 1, one Fraction rhs), deduplicated at every step,
-then keeps the rows that the image's vertex tight sets show to be
-needed; the bilevel adversary runs the face machinery on such
-low-dimensional images.
+coefficients with gcd 1, one Fraction rhs), deduplicated at every step
+and solved along equality pairs; the bilevel adversary runs the face
+machinery on such low-dimensional images, whose redundant rows change
+no vertex and no face.
 """
 
 from __future__ import annotations
@@ -171,26 +171,36 @@ def _add_row(rows, coeffs, rhs):
         rows[coeffs] = rhs
 
 
+def _pairs(rows, var):
+    """(count, pairs): the row pairs whose combinations eliminate var.
+    With an equality pair, a row c with c[var] > 0 and the row -c with
+    the opposite rhs, only the pairs holding c or -c, which substitute
+    var along it; otherwise every pair of a row with a positive and a
+    row with a negative coefficient."""
+    plus = [c for c in rows if c[var] > 0]
+    minus = [c for c in rows if c[var] < 0]
+    for c in plus:
+        e = tuple([-x for x in c])
+        if rows.get(e) == -rows[c]:
+            pairs = ([(c, m) for m in minus if m != e]
+                     + [(p, e) for p in plus if p != c])
+            return len(pairs), pairs
+    return len(plus) * len(minus), itertools.product(plus, minus)
+
+
 def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
-    """Exact image {T v : v in poly} of a bounded nonempty polyhedron.
+    """Exact image {T v : v in poly} of a bounded nonempty polyhedron, its
+    rows sorted; some of them may be redundant.
 
-    Auxiliary coordinates w = T v are appended, then the original
-    variables are eliminated one by one (Fourier-Motzkin), preferring the
-    variable with the fewest positive*negative row pairs.  Each row is a
-    tuple of ints with gcd 1 and a Fraction rhs, deduplicated to its
-    tightest rhs in first-seen order: every input row is scaled to ints
-    once, and eliminating var from pc (pc[var] = a > 0) and mc (mc[var]
-    = -b < 0) gives (b·pc + a·mc) / gcd(a, b), a positive multiple of
-    pc / a + mc / b.
-
-    The rows come out sorted, and those kept are chosen from the tight
-    vertex sets that `_double_description` gives, with no LP: a row tight
-    at every vertex (an implicit equality) stays; any other stays when
-    its vertex set is nonempty and no other row's set strictly contains
-    it, the last of the rows with one set.  For a full-dimensional image
-    these are its facets, each once; a flat image keeps every implicit
-    equality, so its rows may be redundant, but its vertices and faces
-    are the same.
+    Auxiliary coordinates w = T v are appended, as q equality pairs, then
+    the original variables are eliminated one by one (Fourier-Motzkin),
+    preferring the variable whose step combines the fewest row pairs
+    (`_pairs`): along an equality pair a step substitutes the variable,
+    one new row for each other row that holds it.  Each row is a tuple of ints with gcd 1
+    and a Fraction rhs, deduplicated to its tightest rhs in first-seen
+    order: every input row is scaled to ints once, and eliminating var
+    from pc (pc[var] = a > 0) and mc (mc[var] = -b < 0) gives
+    (b·pc + a·mc) / gcd(a, b), a positive multiple of pc / a + mc / b.
     """
     image = as_matrix(image_rows, poly.dim)
     q = len(image)
@@ -209,30 +219,16 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
 
     remaining = list(range(q, q + poly.dim))
     while remaining:
-        counts = {}
-        for var in remaining:
-            pos = sum(1 for c in rows if c[var] > 0)
-            neg = sum(1 for c in rows if c[var] < 0)
-            counts[var] = pos * neg
-        var = min(remaining, key=lambda v: (counts[v], v))
-        plus, minus, keep = [], [], {}
-        for coeffs, rhs in rows.items():
-            cv = coeffs[var]
-            if cv > 0:
-                plus.append((coeffs, rhs))
-            elif cv < 0:
-                minus.append((coeffs, rhs))
-            else:
-                keep[coeffs] = rhs
-        rows = keep
-        for pc, pr in plus:
-            a = pc[var]
-            for mc, mr in minus:
-                b = -mc[var]
-                g = gcd(a, b)
-                pf, mf = b // g, a // g
-                _add_row(rows, [pf * x + mf * y for x, y in zip(pc, mc)],
-                         pf * pr + mf * mr)
+        steps = {var: _pairs(rows, var) for var in remaining}
+        var = min(remaining, key=lambda v: (steps[v][0], v))
+        kept = {c: r for c, r in rows.items() if not c[var]}
+        for pc, mc in steps[var][1]:
+            a, b = pc[var], -mc[var]
+            g = gcd(a, b)
+            pf, mf = b // g, a // g
+            _add_row(kept, [pf * x + mf * y for x, y in zip(pc, mc)],
+                     pf * rows[pc] + mf * rows[mc])
+        rows = kept
         if len(rows) > _MAX_PROJECTION_ROWS:
             raise CapExceededError(f"projection grew to {len(rows)} rows "
                                    f"(cap {_MAX_PROJECTION_ROWS})")
@@ -240,13 +236,4 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
 
     # Every eliminated coefficient is 0 now, so the first q identify a row.
     rows = sorted([(c[:q], r) for c, r in rows.items()])
-    full = Polyhedron([c for c, _ in rows], [r for _, r in rows])
-    verts = _double_description(full)
-    on = [frozenset([k for k, (_, tight) in enumerate(verts) if i in tight])
-          for i in range(full.num_rows)]
-    every = frozenset(range(len(verts)))
-    last = {t: i for i, t in enumerate(on)}
-    kept = sorted([i for i, t in enumerate(on) if t == every]
-                  + [i for t, i in last.items() if t and t != every
-                     and not any(t < f < every for f in last)])
-    return Polyhedron([full.a[i] for i in kept], [full.rhs[i] for i in kept])
+    return Polyhedron([c for c, _ in rows], [r for _, r in rows])

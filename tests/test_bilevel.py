@@ -315,13 +315,7 @@ def check_against_references(inst):
     """The pruned shadow adversary agrees with the direct computation on
     the face lattice of Y(x), which no projection or pruning touches,
     and reports the first minimum of the unpruned scan of the shadow
-    under all q columns of L.  A projection that a work cap refuses is
-    skipped."""
-    try:
-        geometry.project_polytope(inst.follower_polyhedron(()),
-                                  inst.uncertainty.shadow().columns)
-    except geometry.CapExceededError:
-        return
+    under all q columns of L."""
     for mode in Mode:
         c, value = adversary_geometric(inst, (), mode)
         assert value == direct_face_lattice(inst, mode)
@@ -359,6 +353,34 @@ def dependent_hull_instances(draw):
 def test_dependent_hull_matches_direct_face_lattice(inst):
     # The scan runs on the shadow under a basis of L's columns, of lower
     # dimension than the q-dimensional references.
+    check_against_references(inst)
+
+
+# Y(x) is the single point (-1, 1, -2, -2), held by a box of width 0 in
+# every coordinate plus three slack rows, under a hull of five points.
+# Its projection stays within the 4,000-row cap only through
+# substitution along the box's equality pairs: pairwise elimination alone
+# reaches 4,786 rows.
+POINT_Y = json.loads("""{"p": 0, "n": 4,
+  "A": [["1","0","0","0"],["-1","0","0","0"],["0","1","0","0"],
+        ["0","-1","0","0"],["0","0","1","0"],["0","0","-1","0"],
+        ["0","0","0","1"],["0","0","0","-1"],["-1","1","-3","0"],
+        ["-2","1","-11/4","-2"],["1","-11/4","-3","-1"]],
+  "B": [[],[],[],[],[],[],[],[],[],[],[]],
+  "b": ["-1","1","1","-1","-2","2","-2","2","9","29/2","21/4"],
+  "d": ["-2","-1/3","1","3/2"], "leader_set": {"kind": "all_binary"},
+  "uncertainty": {"kind": "convex_hull", "points": [
+    ["2","2/3","-3/2","1/2"],["2","2","2","3/2"],["1/2","3/2","-2/3","-1"],
+    ["-3/2","2/3","1/2","1/4"],["-2","-3/4","-4/3","5/4"]]}}""")
+
+
+def test_point_follower_set_projects_to_a_point():
+    inst, _ = instance_from_json(POINT_Y)
+    shadow = geometry.project_polytope(inst.follower_polyhedron(()),
+                                       inst.uncertainty.shadow().columns)
+    assert len(geometry.enumerate_vertices(shadow)) == 1
+    for mode in Mode:
+        assert solve_robust(inst, mode).value == F(-10, 3)
     check_against_references(inst)
 
 
@@ -413,17 +435,20 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_memo_scans_each_distinct_shadow_once(monkeypatch):
-    # Four leaders, two distinct Y(x), one shadow: a single scan of the
-    # square per mode, as in test_face_scan_skips_dominated_faces.
+    # Four leaders, two distinct Y(x), one shadow: each projection's
+    # vertices are enumerated, then a single scan of the square per mode,
+    # as in test_face_scan_skips_dominated_faces.
     projected = _count_calls(monkeypatch, geometry, "project_polytope")
     enumerated = _count_calls(monkeypatch, geometry, "enumerate_vertices")
+    scanned = _count_calls(monkeypatch, geometry, "enumerate_faces")
     checked = _count_calls(monkeypatch, geometry, "exposure_check")
+    described = _count_calls(monkeypatch, geometry, "_double_description")
     for mode, faces in ((Mode.OPTIMISTIC, 4), (Mode.PESSIMISTIC, 1)):
-        for calls in (projected, enumerated, checked):
+        for calls in (projected, enumerated, scanned, checked, described):
             calls.clear()
         solve_robust(replace(SHARED_SHADOW), mode)
-        assert len(projected) == 2
-        assert len(enumerated) == 1
+        assert len(projected) == len(enumerated) == len(described) == 2
+        assert len(scanned) == 1
         assert len(checked) == faces
 
 
@@ -496,14 +521,7 @@ def leader_shadow_instances(draw):
 @example(SHARED_SHADOW)
 @settings(max_examples=25, deadline=None)
 def test_memo_matches_fresh_adversaries(inst):
-    # A projection that a work cap refuses is skipped, as above.
     leaders = enumerate_leader(inst)
-    try:
-        for x in leaders:
-            geometry.project_polytope(inst.follower_polyhedron(x),
-                                      inst.uncertainty.shadow().columns)
-    except geometry.CapExceededError:
-        return
     for mode in Mode:
         fresh = [adversary_geometric(replace(inst), x, mode) for x in leaders]
         assert solve_robust(inst, mode).trace == tuple(

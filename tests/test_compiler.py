@@ -661,17 +661,19 @@ def test_solve_report_is_pinned(name, mode):
 
 
 # The shadow of Y(x) under all q columns of L at the first leader, as
-# rows [coefficients..., rhs] in the order project_polytope returns them.
-# Vertex and face enumeration and the exposure LPs start from this list,
-# or for a hull from its projection onto a basis of the columns, whose
-# vertices lift to this list's, so their pivot paths and tie-breaks hold
-# only while it does.
+# rows [coefficients..., rhs] in the order project_polytope returns them,
+# redundant ones included.  The scan memo key, the face order and the
+# exposure LPs depend only on the sorted vertices of these rows (for a
+# hull, the lifted vertices of its projection onto a basis of the
+# columns), which no redundant row moves; the pivot paths and tie-breaks
+# hold while the vertices do.
 PINNED_PROJECTIONS = {
     "optimistic": [["-1", "0"], ["1", "1"]],
-    "pessimistic": [["-1", "1", "0"], ["0", "-1", "0"], ["1", "1", "1"]],
+    "pessimistic": [["-1", "0", "0"], ["-1", "1", "0"], ["0", "-1", "0"],
+                    ["1", "0", "1"], ["1", "1", "1"]],
     "relaxed": [["-1", "0", "0"], ["0", "-1", "0"], ["0", "1", "0"],
                 ["1", "0", "1"]],
-    "simplex": [["-1", "-1", "0"], ["0", "1", "1"], ["1", "0", "0"],
+    "simplex": [["-1", "-1", "0"], ["-1", "0", "1"], ["1", "0", "0"],
                 ["1", "1", "0"]],
 }
 
