@@ -17,10 +17,9 @@ Scenarios agreeing on the shadow induce the same follower argmax set, so
 enumerating exposable shadow faces enumerates every possible adversary
 outcome exactly, at desk scale, even when Y(x) itself has far too many
 faces to enumerate; each outcome is then read off the follower's
-lexicographic response at the face's certificate scenario.  The shadow
-is computed under L_Bᵀ, L_B the first linearly independent columns of L
-(L = L_B·M), so it has the dimension rank L, and its vertices are lifted
-to those of Lᵀ·Y(x) by Mᵀ.
+lexicographic response at the face's certificate scenario.  When the
+columns of L are linearly dependent, as a hull's points often are, the
+shadow is flat.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .numeric import (
     rat_format_vector,
     rat_parse,
     rat_parse_nested,
-    span_basis,
 )
 from .uncertainty import KINDS, CapExceededError, UncertaintySet
 
@@ -290,17 +288,8 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     follower to that face's argmax set, and the leader outcome there
     comes from the follower's lexicographic response at the scenario L·s.
 
-    The shadow is enumerated in rank L dimensions: Y(x) is projected by
-    L_Bᵀ, L_B the first linearly independent columns of L with
-    L = L_B·M (`numeric.span_basis`), and each vertex z' of that image
-    lifts to the vertex Mᵀ·z' of Lᵀ·Y(x).  Mᵀ is injective (M holds the
-    identity in the basis columns), so the lifted vertices are exactly
-    those of Lᵀ·Y(x) and the faces are the same vertex sets.  Lifting
-    keeps the sorted order too: coordinate j of a lift is the next
-    coordinate of z' when column j is in B, and otherwise a combination
-    of earlier ones.  The exposure LPs run over D on the lifted vertices,
-    so every order and tie-break is that of the q-dimensional shadow.  A
-    hull's points are often linearly dependent, a box's columns never are.
+    A hull's points are often linearly dependent; the shadow is then
+    flat, and its vertices and faces are found as for any other polytope.
 
     Shadow faces G ⊆ F have nested follower argmax sets, so G's
     optimistic outcome is at most F's and its pessimistic outcome at
@@ -349,17 +338,13 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     shadow of poly = Y(x), in `adversary_geometric`'s scan order."""
     memo = inst._memo
     shadow = inst.uncertainty.shadow()
-    basis, coords = span_basis(shadow.columns)
-    shadow_poly = geometry.project_polytope(
-        poly, [shadow.columns[i] for i in basis])
-    verts = geometry.enumerate_vertices(shadow_poly)
+    tights = geometry.enumerate_vertices(
+        geometry.project_polytope(poly, shadow.columns))
+    verts = tuple(tights)
     key = (mode, verts)
     if key in memo:
         return memo[key]
-    faces = geometry.enumerate_faces(shadow_poly, verts)
-    # Each vertex z' of L_Bᵀ·Y(x) lifts to the vertex z = Mᵀ·z' of Lᵀ·Y(x),
-    # in the same sorted order.
-    verts = tuple([tuple([dot(m, v) for m in coords]) for v in verts])
+    faces = geometry.enumerate_faces(tights.values())
     upward = mode is Mode.OPTIMISTIC
     if not upward:
         faces.reverse()

@@ -1,16 +1,16 @@
 """Polytope vertex enumeration, face lattices and exposing directions.
 
-A face is the frozenset of its vertex indices.  The intersections of the
-vertices' tight-row sets are exactly the canonical tight sets of the
+`enumerate_vertices` gives each vertex with the set of rows tight at it,
+from the double description method on the rows scaled to ints, with no
+LP.  A face is the frozenset of its vertex indices.  The intersections of
+the vertices' tight sets are exactly the canonical tight sets of the
 nonempty faces of a bounded polyhedron, the polytope itself included
-(Kaibel & Pfetsch 2002), so one pass over the vertices closes them.
+(Kaibel & Pfetsch 2002), so `enumerate_faces` closes them in one pass
+over those sets.
 
 `exposure_check` decides whether some direction in a polytope D has a
 given face as its exact argmax set, by maximizing the strict separation
 margin with an LP; a face is exposable iff the optimal margin is positive.
-
-Vertices, and the rows tight at each, come from the double description
-method on the rows scaled to ints, with no LP.
 
 `project_polytope` computes exact images of polytopes under linear maps
 by Fourier-Motzkin elimination on primitive integer rows (int
@@ -25,20 +25,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Sequence
+from typing import Collection, Optional
 
 from .lp import LpStatus, Polyhedron, Sense, solve_lp
-from .numeric import (ONE, ZERO, as_matrix, dot, gauss_solve, integer_scaled,
+from .numeric import (ONE, ZERO, as_matrix, gauss_solve, integer_scaled,
                       span_basis)
 from .uncertainty import CapExceededError
 
 DEFAULT_CAP = 2 ** 22
 _MAX_PROJECTION_ROWS = 4000
-
-
-def tight_rows_at(poly: Polyhedron, point: Sequence) -> frozenset:
-    return frozenset(i for i in range(poly.num_rows)
-                     if dot(poly.a[i], point) == poly.rhs[i])
 
 
 def _double_description(poly: Polyhedron) -> list:
@@ -57,7 +52,7 @@ def _double_description(poly: Polyhedron) -> list:
     n = poly.dim
     rows = [(0,) * n + (-1,)] + [r[:n] + (-r[n],)
                                  for r in poly._scaled_rows[1]]
-    basis = span_basis(rows)[0]
+    basis = span_basis(rows)
     if len(basis) <= n:
         raise ValueError("the polyhedron contains a line; it has no vertex")
     start = sum(1 << i for i in basis)
@@ -90,15 +85,17 @@ def _double_description(poly: Polyhedron) -> list:
     return verts
 
 
-def enumerate_vertices(poly: Polyhedron) -> tuple:
-    """All vertices of a bounded nonempty polyhedron, in sorted order
+def enumerate_vertices(poly: Polyhedron) -> dict:
+    """{v: tight} for each vertex v of a bounded nonempty polyhedron, in
+    sorted vertex order, tight the frozenset of the rows tight at v
     (`_double_description`)."""
-    return tuple(sorted([v for v, _ in _double_description(poly)]))
+    return dict(sorted(_double_description(poly)))
 
 
-def enumerate_faces(poly: Polyhedron, verts: tuple) -> list:
-    """All nonempty faces, as frozensets of vertex indices, sorted by size
-    and then by sorted indices: single vertices first, the polytope last.
+def enumerate_faces(tights: Collection) -> list:
+    """All nonempty faces of a polytope, as frozensets of vertex indices,
+    from its vertices' tight-row sets in vertex order, sorted by size and
+    then by sorted indices: single vertices first, the polytope last.
 
     `closed` gathers every intersection of vertex tight sets: each pass
     meets one vertex's set with all gathered so far.  Each intersection
@@ -106,7 +103,6 @@ def enumerate_faces(poly: Polyhedron, verts: tuple) -> list:
     tight on it.  A lattice of more than isqrt(DEFAULT_CAP) = 2048 faces
     raises CapExceededError.
     """
-    tights = [tight_rows_at(poly, v) for v in verts]
     closed = set(tights)
     cap = isqrt(DEFAULT_CAP)
     for t in tights:

@@ -49,7 +49,7 @@ from .numeric import (
     dot,
     gauss_solve,
     integer_scaled,
-    rank,
+    span_basis,
 )
 
 
@@ -540,7 +540,7 @@ def check_bounded_nonempty(poly: Polyhedron):
     """
     if not is_nonempty(poly):
         return False, True
-    if rank(poly.a) < poly.dim:
+    if len(span_basis(poly.a)) < poly.dim:
         return True, False
     obj = [-sum(col) for col in zip(*poly.a)]
     return True, solve_lp(poly, obj).status is LpStatus.OPTIMAL

@@ -166,21 +166,8 @@ def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
 
 
 def span_basis(vectors: Sequence[Sequence]) -> tuple:
-    """(basis, coords): the indices of the first linearly independent
-    vectors, in order, and each vector's coordinates in them, so that
-    vectors[j] = sum_i coords[j][i] * vectors[basis[i]]: the pivot
-    columns of `_eliminate` on the vectors as int-scaled columns, and a
-    column's pivot-row entries over d.
-    """
-    basis, rows, d = _eliminate(
-        [integer_scaled(row)[1] for row in zip(*vectors)], len(vectors))
-    coords = tuple([tuple([Fraction(rows[i][j], d) for i in range(len(basis))])
-                    for j in range(len(vectors))])
-    return tuple(basis), coords
-
-
-def rank(m: Sequence[Sequence]) -> int:
-    """The rank of a matrix: the number of pivots `_eliminate` finds on
-    its transpose, rows scaled to ints."""
-    return len(_eliminate([integer_scaled(col)[1] for col in zip(*m)],
-                          len(m))[0])
+    """The indices of the first linearly independent vectors, in order:
+    the pivot columns of `_eliminate` on the vectors as int-scaled
+    columns.  Its length is the rank of the vectors."""
+    return tuple(_eliminate([integer_scaled(row)[1] for row in zip(*vectors)],
+                            len(vectors))[0])

@@ -62,8 +62,8 @@ class Shadow:
     Two scenarios that agree on Lᵀ·y induce the same follower argmax, so
     the adversary works on the image of Y(x) under the rows `columns`
     (that is, Lᵀ) and picks its directions s from D.  The columns may be
-    linearly dependent, as a hull's points often are; the adversary then
-    projects Y(x) onto a basis of them and lifts the vertices back.
+    linearly dependent, as a hull's points often are; the image is then
+    flat.
     """
 
     columns: tuple

@@ -316,8 +316,9 @@ def test_criterion_9_face_fixtures_and_exposure_round_trip():
     ]
     exposed_total = 0
     for poly, expected_count, box in fixtures:
-        verts = geometry.enumerate_vertices(poly)
-        faces = geometry.enumerate_faces(poly, verts)
+        tights = geometry.enumerate_vertices(poly)
+        verts = tuple(tights)
+        faces = geometry.enumerate_faces(tights.values())
         assert len(faces) == expected_count
         for face in faces:
             s = geometry.exposure_check(face, verts, box.shadow().directions)

@@ -36,7 +36,7 @@ from rbo.compiler import (
     relax_leader,
 )
 from rbo.lp import CERT_LOG
-from rbo.numeric import ONE, ZERO, dot, rank
+from rbo.numeric import ONE, ZERO, dot
 from rbo.uncertainty import (
     ConvexHull,
     DiscreteSet,
@@ -272,13 +272,13 @@ def direct_face_lattice(inst, mode):
     is exposable when some s in D gives c = L·s with exactly that face as
     c's argmax over Y, and its outcome is the best (optimistic) or worst
     (pessimistic) leader score over its vertices."""
-    poly = inst.follower_polyhedron(())
-    verts = geometry.enumerate_vertices(poly)
+    tights = geometry.enumerate_vertices(inst.follower_polyhedron(()))
+    verts = tuple(tights)
     shadow = inst.uncertainty.shadow()
     images = tuple([tuple([dot(col, v) for col in shadow.columns])
                     for v in verts])
     best = None
-    for face in geometry.enumerate_faces(poly, verts):
+    for face in geometry.enumerate_faces(tights.values()):
         if geometry.exposure_check(face, images, shadow.directions) is None:
             continue
         scores = [dot(inst.leader_obj, verts[i]) for i in face]
@@ -295,8 +295,9 @@ def unpruned_shadow_scan(inst, mode):
     shadow = inst.uncertainty.shadow()
     image = geometry.project_polytope(inst.follower_polyhedron(()),
                                       shadow.columns)
-    verts = geometry.enumerate_vertices(image)
-    faces = geometry.enumerate_faces(image, verts)
+    tights = geometry.enumerate_vertices(image)
+    verts = tuple(tights)
+    faces = geometry.enumerate_faces(tights.values())
     if mode is Mode.PESSIMISTIC:
         faces.reverse()
     best = None
@@ -351,8 +352,7 @@ def dependent_hull_instances(draw):
 @given(dependent_hull_instances())
 @settings(max_examples=40, deadline=None)
 def test_dependent_hull_matches_direct_face_lattice(inst):
-    # The scan runs on the shadow under a basis of L's columns, of lower
-    # dimension than the q-dimensional references.
+    # The shadow is flat: its q coordinates are linearly dependent.
     check_against_references(inst)
 
 
@@ -450,21 +450,6 @@ def test_memo_scans_each_distinct_shadow_once(monkeypatch):
         assert len(projected) == len(enumerated) == len(described) == 2
         assert len(scanned) == 1
         assert len(checked) == faces
-
-
-def test_hull_shadow_has_the_rank_of_its_columns(monkeypatch):
-    # The simplex covering the one free coordinate has the points (-1, 0)
-    # and (1, 0), which are linearly dependent, so vertex enumeration runs
-    # on a shadow of dimension q - 1 = 1.
-    inst = box_to_simplex(compile_qsat_optimistic(
-        parse_formula("(or x1 y1)", 1, 1))).instance
-    columns = inst.uncertainty.shadow().columns
-    assert rank(columns) == len(columns) - 1 == 1
-    enumerated = _count_calls(monkeypatch, geometry, "enumerate_vertices")
-    for mode in Mode:
-        solve_robust(inst, mode)
-    assert enumerated
-    assert all(poly.dim == 1 for poly, in enumerated)
 
 
 def test_memo_solves_each_finite_y_once(monkeypatch):

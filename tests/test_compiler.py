@@ -663,10 +663,10 @@ def test_solve_report_is_pinned(name, mode):
 # The shadow of Y(x) under all q columns of L at the first leader, as
 # rows [coefficients..., rhs] in the order project_polytope returns them,
 # redundant ones included.  The scan memo key, the face order and the
-# exposure LPs depend only on the sorted vertices of these rows (for a
-# hull, the lifted vertices of its projection onto a basis of the
-# columns), which no redundant row moves; the pivot paths and tie-breaks
-# hold while the vertices do.
+# exposure LPs depend only on the sorted vertices of these rows, which
+# no redundant row moves; the pivot paths and tie-breaks hold while the
+# vertices do.  The simplex layout's shadow is flat: its hull points
+# (-1, 0) and (1, 0) are linearly dependent.
 PINNED_PROJECTIONS = {
     "optimistic": [["-1", "0"], ["1", "1"]],
     "pessimistic": [["-1", "0", "0"], ["-1", "1", "0"], ["0", "-1", "0"],

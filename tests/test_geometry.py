@@ -13,7 +13,6 @@ from rbo.geometry import (
     enumerate_vertices,
     exposure_check,
     project_polytope,
-    tight_rows_at,
 )
 from rbo.lp import LpStatus, Polyhedron, solve_lp
 from rbo.numeric import dot
@@ -30,6 +29,19 @@ def argmax_vertices(verts, c):
     scores = [dot(c, v) for v in verts]
     best = max(scores)
     return frozenset(i for i, s in enumerate(scores) if s == best)
+
+
+def tight_rows_at(poly, point):
+    """The rows of poly tight at point, computed in Fractions."""
+    return frozenset(i for i in range(poly.num_rows)
+                     if dot(poly.a[i], point) == poly.rhs[i])
+
+
+def vertices_and_faces(poly):
+    """(vertices, faces): the vertex tuple and the faces closed from the
+    vertices' tight sets."""
+    tights = enumerate_vertices(poly)
+    return tuple(tights), enumerate_faces(tights.values())
 
 
 def brute_force_faces(poly, verts):
@@ -71,7 +83,7 @@ def test_vertices_of_fixtures():
 def test_vertices_deduped_on_duplicate_rows():
     doubled = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]],
                          [1, 1, 0, 0, 1])
-    verts = enumerate_vertices(doubled)
+    verts = tuple(enumerate_vertices(doubled))
     # brute-force pairwise distinctness check
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -92,10 +104,13 @@ def test_vertex_cap():
 @given(small_polytopes())
 @settings(max_examples=60, deadline=None)
 def test_vertices_match_the_brute_force_oracle(case):
-    # Boxes of zero width make some polytopes lower-dimensional.
+    # Boxes of zero width make some polytopes lower-dimensional.  Each
+    # vertex carries exactly the rows tight at it.
     poly = case[0]
-    assert enumerate_vertices(poly) == tuple(
-        oracle._brute_vertices(poly.a, poly.rhs))
+    tights = enumerate_vertices(poly)
+    assert tuple(tights) == tuple(oracle._brute_vertices(poly.a, poly.rhs))
+    for v, tight in tights.items():
+        assert tight == tight_rows_at(poly, v)
 
 
 def test_empty_poly_has_no_vertices():
@@ -111,17 +126,16 @@ def test_hypercube_vertex_counts():
 @pytest.mark.parametrize("poly,expected", [
     (SEGMENT, 3), (UNIT_SQUARE, 9), (TRIANGLE, 7)])
 def test_face_counts(poly, expected):
-    verts = enumerate_vertices(poly)
-    faces = enumerate_faces(poly, verts)
+    verts, faces = vertices_and_faces(poly)
     assert len(faces) == expected
     assert set(faces) == brute_force_faces(poly, verts)
 
 
 def test_face_closure_invariant():
     # A face holds every vertex tight on all the rows its vertices share.
-    verts = enumerate_vertices(TRIANGLE)
+    verts, faces = vertices_and_faces(TRIANGLE)
     tights = [tight_rows_at(TRIANGLE, v) for v in verts]
-    for face in enumerate_faces(TRIANGLE, verts):
+    for face in faces:
         shared = frozenset.intersection(*(tights[i] for i in face))
         assert face == {i for i, t in enumerate(tights) if t >= shared}
 
@@ -130,8 +144,7 @@ def test_face_closure_invariant():
 @settings(max_examples=60, deadline=None)
 def test_faces_match_the_brute_force_oracle(case):
     poly = case[0]
-    verts = enumerate_vertices(poly)
-    faces = enumerate_faces(poly, verts)
+    verts, faces = vertices_and_faces(poly)
     assert faces == sorted(brute_force_faces(poly, verts),
                            key=lambda f: (len(f), sorted(f)))
 
@@ -139,19 +152,18 @@ def test_faces_match_the_brute_force_oracle(case):
 def test_face_lattice_at_the_budget():
     # sqrt(DEFAULT_CAP) = 2048 faces are allowed: the 10-simplex has 2047.
     poly = simplex(10)
-    assert len(enumerate_faces(poly, enumerate_vertices(poly))) == 2 ** 11 - 1
+    assert len(vertices_and_faces(poly)[1]) == 2 ** 11 - 1
 
 
 def test_face_lattice_over_the_budget():
     # The 11-simplex has 4095 faces and is refused.
     poly = simplex(11)
     with pytest.raises(CapExceededError, match="2048 faces"):
-        enumerate_faces(poly, enumerate_vertices(poly))
+        vertices_and_faces(poly)
 
 
 def test_exposure_segment_upper_vertex():
-    verts = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, verts)
+    verts, faces = vertices_and_faces(SEGMENT)
     box = Interval((F(-1),), (F(1),))
     one = verts.index((F(1),))
     assert frozenset([one]) in faces
@@ -160,8 +172,7 @@ def test_exposure_segment_upper_vertex():
 
 
 def test_exposure_unreachable_vertex():
-    verts = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, verts)
+    verts, faces = vertices_and_faces(SEGMENT)
     zero = verts.index((F(0),))
     assert frozenset([zero]) in faces
     box = Interval((F(1),), (F(2),))
@@ -170,8 +181,7 @@ def test_exposure_unreachable_vertex():
 
 
 def test_exposure_full_face_zero_objective():
-    verts = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, verts)
+    verts, faces = vertices_and_faces(SEGMENT)
     full = faces[-1]
     assert len(full) == 2
     box = Interval((F(-1),), (F(1),))
@@ -179,17 +189,16 @@ def test_exposure_full_face_zero_objective():
 
 
 def test_exposure_rejects_wrong_dimension():
-    verts = enumerate_vertices(SEGMENT)
-    faces = enumerate_faces(SEGMENT, verts)
+    verts, faces = vertices_and_faces(SEGMENT)
     square = Interval((F(-1), F(-1)), (F(1), F(1))).shadow().directions
     with pytest.raises(ValueError, match="direction dimension 2"):
         exposure_check(faces[0], verts, square)
 
 
 def test_exposure_round_trip_square():
-    verts = enumerate_vertices(UNIT_SQUARE)
+    verts, faces = vertices_and_faces(UNIT_SQUARE)
     box = Interval((F(-1), F(-1)), (F(1), F(1)))
-    for face in enumerate_faces(UNIT_SQUARE, verts):
+    for face in faces:
         s = exposure_check(face, verts, box.shadow().directions)
         if s is not None:
             assert argmax_vertices(verts, s) == face
@@ -197,9 +206,8 @@ def test_exposure_round_trip_square():
 
 def test_grid_scan_covers_exposable_faces():
     # Every argmax set hit by a scenario grid must be an exposable face.
-    verts = enumerate_vertices(TRIANGLE)
+    verts, faces = vertices_and_faces(TRIANGLE)
     box = Interval((F(-1), F(-1)), (F(1), F(1)))
-    faces = enumerate_faces(TRIANGLE, verts)
     exposable = {f for f in faces
                  if exposure_check(f, verts, box.shadow().directions)
                  is not None}
