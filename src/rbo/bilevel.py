@@ -9,7 +9,7 @@ minimizes, and follower ties are broken for (optimistic) or against
 
 Finite scenario sets, a box with no free coordinate and a hull whose
 points all coincide among them, are handled by enumeration.  Other box
-and hull uncertainty U = L·D runs the face/exposure machinery on an exact
+and hull uncertainty U = L·D takes the exposed faces of an exact
 low-dimensional linear image ("shadow") of Y(x) under Lᵀ (see
 `rbo.uncertainty`): L has one column per genuinely uncertain objective
 coordinate, plus one for the certain part's score, or one per hull point.
@@ -17,9 +17,9 @@ Scenarios agreeing on the shadow induce the same follower argmax set, so
 enumerating exposable shadow faces enumerates every possible adversary
 outcome exactly, at desk scale, even when Y(x) itself has far too many
 faces to enumerate; each outcome is then read off the follower's
-lexicographic response at the face's certificate scenario.  When the
-columns of L are linearly dependent, as a hull's points often are, the
-shadow is flat.
+lexicographic response at the face's scenario.  When the columns of L
+are linearly dependent, as a hull's points often are, the shadow is
+flat.
 """
 
 from __future__ import annotations
@@ -284,31 +284,38 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     Finite sets, a box with no free coordinate and a hull whose points
     all coincide among them, are scanned scenario by scenario.  Other
     boxes and hulls, U = L·D, go through the faces of the shadow of Y(x)
-    under Lᵀ: the certificate direction s of each exposable face pins the
-    follower to that face's argmax set, and the leader outcome there
-    comes from the follower's lexicographic response at the scenario L·s.
+    under Lᵀ: the direction s of each exposable face pins the follower
+    to that face's argmax set, and the leader outcome there comes from
+    the follower's lexicographic response at the scenario L·s.
 
     A hull's points are often linearly dependent; the shadow is then
     flat, and its vertices and faces are found as for any other polytope.
 
+    The exposable faces and their directions come from
+    `geometry.exposed_faces`, with no LP: a face's direction is the first
+    sorted vertex of the support function's epigraph over D whose tight
+    vertex rows are exactly the face, or else the mean of those whose
+    tight vertex rows contain it.  Each is checked exactly before use: it
+    lies in D, and its argmax over the shadow's vertices is its face.
+
     Shadow faces G ⊆ F have nested follower argmax sets, so G's
     optimistic outcome is at most F's and its pessimistic outcome at
     least F's.  The scan solves only the faces no exposable face already
-    found dominates: optimistic mode goes up from the vertices, in
-    `enumerate_faces` order, and skips every face containing an exposable
-    one; pessimistic mode goes down from the whole shadow, in the reverse
-    order, and skips every face inside an exposable one.  A skipped face
-    can never be a strictly smaller minimum than the face that dominates
-    it, and that face comes first, so the result is the first minimum of
-    the unpruned scan in the same order.
+    taken dominates: optimistic mode goes up from the vertices, by size
+    and then by sorted vertex indices, and skips every face containing a
+    taken one; pessimistic mode goes down from the whole shadow, in the
+    reverse order, and skips every face inside a taken one.  A skipped
+    face can never be a strictly smaller minimum than the face that
+    dominates it, and that face comes first, so the result is the first
+    minimum of the unpruned scan in the same order.
 
     Leaders of one instance mostly share their shadow, so the work is
     kept in `inst._memo` for the instance's lifetime, under three kinds
     of key: (mode, Y(x).rhs) holds the result (c*, value), for
     finite sets too, as Y(x) has the instance's lhs; (mode, shadow
     vertices), the sorted vertex tuple of the projection, holds the
-    scan's scenarios, so face enumeration and the exposure LPs run once
-    for each distinct shadow and mode; and the leader vector x holds
+    scan's scenarios, so the exposed faces are found once for each
+    distinct shadow and mode; and the leader vector x holds
     Y(x) itself (`follower_polyhedron`).  The first two cannot collide:
     an rhs holds Fractions, a vertex tuple holds tuples.  A polytope is
     its vertex set, and its faces do not depend on redundant rows, so
@@ -334,28 +341,30 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
 
 def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
                       mode: Mode) -> list:
-    """The certificate scenarios of the undominated exposable faces of the
-    shadow of poly = Y(x), in `adversary_geometric`'s scan order."""
+    """The scenarios of the undominated exposable faces of the shadow of
+    poly = Y(x), in `adversary_geometric`'s scan order."""
     memo = inst._memo
     shadow = inst.uncertainty.shadow()
-    tights = geometry.enumerate_vertices(
-        geometry.project_polytope(poly, shadow.columns))
-    verts = tuple(tights)
+    verts = tuple(geometry.enumerate_vertices(
+        geometry.project_polytope(poly, shadow.columns)))
     key = (mode, verts)
     if key in memo:
         return memo[key]
-    faces = geometry.enumerate_faces(tights.values())
+    faces = geometry.exposed_faces(verts, shadow.directions)
     upward = mode is Mode.OPTIMISTIC
-    if not upward:
-        faces.reverse()
-    exposed, scenarios = [], []
-    for face in faces:
-        if any(face >= g if upward else face <= g for g in exposed):
+    taken, scenarios = [], []
+    for face in faces if upward else reversed(faces):
+        if any(face >= g if upward else face <= g for g in taken):
             continue
-        s = geometry.exposure_check(face, verts, shadow.directions)
-        if s is not None:
-            exposed.append(face)
-            scenarios.append(shadow.scenario(s))
+        s = faces[face]
+        scores = [dot(s, v) for v in verts]
+        top = max(scores)
+        if not (shadow.directions.contains(s) and face == frozenset(
+                i for i, score in enumerate(scores) if score == top)):
+            raise SolverInvariantError(
+                f"direction {rat_format_vector(s)} does not expose its face")
+        taken.append(face)
+        scenarios.append(shadow.scenario(s))
     memo[key] = scenarios
     return scenarios
 
@@ -368,11 +377,13 @@ def solve_robust(inst: RobustBilevelInstance,
     uncertainty set; a solve for one fixed scenario c is a solve over
     DiscreteSet((c,)).  Ties between leader choices resolve to the
     lexicographically smallest x; adversary ties to the first minimum in
-    canonical order: finite sets in scenario order, shadow faces from the
-    vertices up (`enumerate_faces` order) when optimistic and from the
-    whole shadow down (the reverse) when pessimistic, see
-    `adversary_geometric`.  The report's value is cross-checked by
-    replaying the worst scenario through the follower's lexicographic LP.
+    canonical order: finite sets in scenario order, exposable shadow
+    faces from the vertices up (by size, then by sorted vertex indices)
+    when optimistic and from the whole shadow down (the reverse) when
+    pessimistic, each at its canonical direction from
+    `geometry.exposed_faces`, see `adversary_geometric`.  The report's
+    value is cross-checked by replaying the worst scenario through the
+    follower's lexicographic LP.
     """
     _check_relaxed_penalty(inst)
     if mode is None:

@@ -1,38 +1,33 @@
-"""Polytope vertex enumeration, face lattices and exposing directions.
+"""Polytope vertex enumeration, exposed faces and exact projection.
 
 `enumerate_vertices` gives each vertex with the set of rows tight at it,
-from the double description method on the rows scaled to ints, with no
-LP.  A face is the frozenset of its vertex indices.  The intersections of
-the vertices' tight sets are exactly the canonical tight sets of the
-nonempty faces of a bounded polyhedron, the polytope itself included
-(Kaibel & Pfetsch 2002), so `enumerate_faces` closes them in one pass
-over those sets.
-
-`exposure_check` decides whether some direction in a polytope D has a
-given face as its exact argmax set, by maximizing the strict separation
-margin with an LP; a face is exposable iff the optimal margin is positive.
+from the double description method on the rows scaled to ints.  A face
+is the frozenset of its vertex indices.  `exposed_faces` gives every face
+that some direction of a polytope D exposes as its exact argmax set, each
+with one such direction, from a second double description: that of the
+epigraph of the support function over D, whose vertices' tight sets close
+under intersection to the exposed faces.
 
 `project_polytope` computes exact images of polytopes under linear maps
 by Fourier-Motzkin elimination on primitive integer rows (int
 coefficients with gcd 1, one Fraction rhs), deduplicated at every step
-and solved along equality pairs; the bilevel adversary runs the face
-machinery on such low-dimensional images, whose redundant rows change
-no vertex and no face.
+and solved along equality pairs; the bilevel adversary takes the exposed
+faces of such low-dimensional images, whose redundant rows change no
+vertex and no face.  Nothing here solves an LP.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Collection, Optional
+from math import gcd
 
-from .lp import LpStatus, Polyhedron, Sense, solve_lp
+from .lp import Polyhedron
 from .numeric import (ONE, ZERO, as_matrix, gauss_solve, integer_scaled,
                       span_basis)
 from .uncertainty import CapExceededError
 
-DEFAULT_CAP = 2 ** 22
+CAP = 2048  # rays of one double description, and exposed faces
 _MAX_PROJECTION_ROWS = 4000
 
 
@@ -46,8 +41,8 @@ def _double_description(poly: Polyhedron) -> list:
     with -1 in row j and 0 elsewhere.  Each further row keeps the rays on
     its side and joins each pair across it that is adjacent, as no other
     ray is tight on all the rows both are.  A ray is primitive ints and a
-    bitmask of its tight rows.  More than isqrt(DEFAULT_CAP) = 2048 rays
-    after any row raise CapExceededError.
+    bitmask of its tight rows.  More than CAP rays after any row raise
+    CapExceededError.
     """
     n = poly.dim
     rows = [(0,) * n + (-1,)] + [r[:n] + (-r[n],)
@@ -59,7 +54,6 @@ def _double_description(poly: Polyhedron) -> list:
     rays = [(integer_scaled(gauss_solve([rows[i] for i in basis],
                                         [-(i == j) for i in basis]))[1],
              start & ~(1 << j)) for j in basis]
-    cap = isqrt(DEFAULT_CAP)
     for k, row in enumerate(rows):
         if start >> k & 1:
             continue
@@ -75,8 +69,8 @@ def _double_description(poly: Polyhedron) -> list:
                 g = gcd(*w)
                 joined.append(([c // g for c in w], z | 1 << k))
         rays = joined
-        if len(rays) > cap:
-            raise CapExceededError(f"double description exceeds {cap} rays")
+        if len(rays) > CAP:
+            raise CapExceededError(f"double description exceeds {CAP} rays")
     verts = [(tuple([Fraction(c, r[n]) for c in r[:n]]),
               frozenset(i for i in range(poly.num_rows) if z >> i + 1 & 1))
              for r, z in rays if r[n]]
@@ -92,60 +86,44 @@ def enumerate_vertices(poly: Polyhedron) -> dict:
     return dict(sorted(_double_description(poly)))
 
 
-def enumerate_faces(tights: Collection) -> list:
-    """All nonempty faces of a polytope, as frozensets of vertex indices,
-    from its vertices' tight-row sets in vertex order, sorted by size and
-    then by sorted indices: single vertices first, the polytope last.
+def exposed_faces(verts: tuple, directions: Polyhedron) -> dict:
+    """{face: s} for each face of the polytope conv(verts) that some
+    direction s in D = {s : G·s <= h} exposes, a face being the frozenset
+    of its indices into verts, sorted by size and then by sorted indices.
 
-    `closed` gathers every intersection of vertex tight sets: each pass
-    meets one vertex's set with all gathered so far.  Each intersection
-    is the canonical tight set of one face, whose vertices are those
-    tight on it.  A lattice of more than isqrt(DEFAULT_CAP) = 2048 faces
-    raises CapExceededError.
+    One double description of Q = {(s, t) : v·s <= t for each v in
+    verts, G·s <= h}, the epigraph of the support function over D
+    (Rockafellar 1970, §13), which is pointed as D is bounded.  At a point
+    of Q in the relative interior of one of its faces, the tight vertex
+    rows are exactly the argmax of s over verts, so the exposed faces are
+    the nonempty intersections of the vertex-row parts of Q's vertices'
+    tight sets: the normal fan of conv(verts) cut by D (Ziegler 1995,
+    §7.1), closed in one pass as by Kaibel & Pfetsch (2002).  More than
+    CAP such faces raise CapExceededError.  A face's s is the first sorted
+    vertex of Q whose part is exactly the face, or else the mean of the
+    vertices of Q whose part contains it, which lies in the relative
+    interior of the face's cell.
     """
-    closed = set(tights)
-    cap = isqrt(DEFAULT_CAP)
-    for t in tights:
-        closed |= {t & c for c in closed}
-        if len(closed) > cap:
-            raise CapExceededError(f"face lattice exceeds {cap} faces")
-    faces = [frozenset(i for i, u in enumerate(tights) if u >= c)
-             for c in closed]
-    return sorted(faces, key=lambda f: (len(f), sorted(f)))
-
-
-def exposure_check(face: frozenset, verts: tuple,
-                   directions: Polyhedron) -> Optional[tuple]:
-    """A direction s in D = {s : G·s <= h} exposing exactly `face`, a set
-    of indices into `verts`, or None when no direction in D does.
-
-    Solves max eps subject to G·s <= h, s·v = t on the face vertices and
-    s·u <= t - eps off the face (eps capped at 1 so the LP stays bounded);
-    the face is exposable iff the optimum has eps > 0, and s is that
-    optimum's.
-    """
-    q = len(verts[0])
-    if directions.dim != q:
-        raise ValueError(
-            f"direction dimension {directions.dim} != vertex dim {q}")
-
-    # Variables: s (q), t, eps.
-    rows = [list(g) + [ZERO, ZERO] for g in directions.a]
-    for i in sorted(face):  # s·v = t
-        rows += [list(verts[i]) + [-ONE, ZERO],
-                 [-c for c in verts[i]] + [ONE, ZERO]]
-    for i, u in enumerate(verts):  # s·u <= t - eps
-        if i not in face:
-            rows.append(list(u) + [-ONE, ONE])
-    rhs = list(directions.rhs) + [ZERO] * (len(rows) - directions.num_rows)
-    eps_row = [ZERO] * (q + 1) + [ONE]
-    rows.append(eps_row)  # eps <= 1, which keeps the LP bounded
-    rhs.append(ONE)
-
-    outcome = solve_lp(Polyhedron(rows, rhs), eps_row, Sense.MAX)
-    if outcome.status is not LpStatus.OPTIMAL or outcome.value <= 0:
-        return None
-    return outcome.point[:q]
+    k = len(verts)
+    epigraph = Polyhedron([v + (-ONE,) for v in verts]
+                          + [g + (ZERO,) for g in directions.a],
+                          [ZERO] * k + list(directions.rhs))
+    cells = [(frozenset(i for i in tight if i < k), point[:-1])
+             for point, tight in enumerate_vertices(epigraph).items()]
+    closed = {part for part, _ in cells}
+    for part, _ in cells:
+        closed |= {part & c for c in closed}
+        closed.discard(frozenset())
+        if len(closed) > CAP:
+            raise CapExceededError(f"exposable faces exceed {CAP}")
+    faces = {}
+    for face in sorted(closed, key=lambda f: (len(f), sorted(f))):
+        exact = next((s for part, s in cells if part == face), None)
+        if exact is None:
+            inside = [s for part, s in cells if part >= face]
+            exact = tuple([sum(c) / len(inside) for c in zip(*inside)])
+        faces[face] = exact
+    return faces
 
 
 def _add_row(rows, coeffs, rhs):

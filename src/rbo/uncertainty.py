@@ -14,8 +14,8 @@ a new kind (budgeted uncertainty, say) is one dataclass plus its entry in
   all coincide count), else None;
 * `shadow()`, when `finite_scenarios` gives None: a `Shadow` (L, D) with
   U = L·D for a polytope D = {s : G·s <= h} of low dimension, given by
-  its rows; the exposure LPs run over D directly, so a new convex kind
-  needs no other geometry;
+  its rows; the exposed faces are found over D directly, so a new
+  convex kind needs no other geometry;
 * `_contains(c)`: exact membership of a vector of the right length;
 * `pinned(j)`: the value every member has in coordinate j, or None;
 * `corner_samples()`, when the default (the finite scenarios) does not

@@ -47,6 +47,7 @@ from rbo.oracle import (
     sat_oracle,
 )
 from rbo.uncertainty import DiscreteSet, Interval
+from reference_faces import enumerate_faces, exposure_check
 from test_geometry import argmax_vertices
 
 SEED = 31415
@@ -318,15 +319,37 @@ def test_criterion_9_face_fixtures_and_exposure_round_trip():
     for poly, expected_count, box in fixtures:
         tights = geometry.enumerate_vertices(poly)
         verts = tuple(tights)
-        faces = geometry.enumerate_faces(tights.values())
+        faces = enumerate_faces(tights.values())
         assert len(faces) == expected_count
+        exposed = []
         for face in faces:
-            s = geometry.exposure_check(face, verts, box.shadow().directions)
+            s = exposure_check(face, verts, box.shadow().directions)
             if s is None:
                 continue
             assert argmax_vertices(verts, s) == face
-            exposed_total += 1
+            exposed.append(face)
+        assert list(geometry.exposed_faces(
+            verts, box.shadow().directions)) == exposed
+        exposed_total += len(exposed)
     assert exposed_total > 0
     print(f"\nACCEPTANCE 9: PASS - fixtures produced 3/9/7 faces and "
           f"{exposed_total} exposure certificates round-tripped through "
           f"the argmax check")
+
+
+def test_qsat_ladder_past_the_pool():
+    # The paper's hard case past the pool's n <= 2: the first
+    # random_formula draw of Random(7) for p = 2 and each n = 3..6, in
+    # each compile's own mode.  The pessimistic shadow has n + 1
+    # dimensions, and every case solves to the oracle's value; none is
+    # refused at a work cap.
+    for n in range(3, 7):
+        formula = random_formula(random.Random(7), 2, n, max_leaves=12)
+        truth = 1 if qsat_oracle(formula) else 0
+        for compile_qsat, mode in ((compile_qsat_optimistic, Mode.OPTIMISTIC),
+                                   (compile_qsat_pessimistic,
+                                    Mode.PESSIMISTIC)):
+            report = solve_robust(compile_qsat(formula).instance, mode)
+            assert report.value == truth, (n, mode)
+    print("\nLADDER: PASS - p = 2, n = 3..6 solved in both compiles, "
+          "each equal to the QSAT oracle")

@@ -42,7 +42,10 @@ from rbo.uncertainty import (
     DiscreteSet,
     Interval,
     ProductFinite,
+    Shadow,
 )
+from reference_faces import enumerate_faces, exposure_check
+from test_geometry import argmax_vertices
 from test_lp import _rationals, small_polytopes
 
 
@@ -278,8 +281,8 @@ def direct_face_lattice(inst, mode):
     images = tuple([tuple([dot(col, v) for col in shadow.columns])
                     for v in verts])
     best = None
-    for face in geometry.enumerate_faces(tights.values()):
-        if geometry.exposure_check(face, images, shadow.directions) is None:
+    for face in enumerate_faces(tights.values()):
+        if exposure_check(face, images, shadow.directions) is None:
             continue
         scores = [dot(inst.leader_obj, verts[i]) for i in face]
         outcome = max(scores) if mode is Mode.OPTIMISTIC else min(scores)
@@ -289,38 +292,53 @@ def direct_face_lattice(inst, mode):
 
 
 def unpruned_shadow_scan(inst, mode):
-    """(c, value) of the first minimum over every exposable shadow face,
-    from the vertices up (optimistic) or from the whole shadow down
-    (pessimistic), with no face skipped."""
+    """(face, value) of the first minimum over every exposable shadow
+    face, from the vertices up (optimistic) or from the whole shadow down
+    (pessimistic), with no face skipped; each face's direction comes from
+    an exposure LP."""
     shadow = inst.uncertainty.shadow()
     image = geometry.project_polytope(inst.follower_polyhedron(()),
                                       shadow.columns)
     tights = geometry.enumerate_vertices(image)
     verts = tuple(tights)
-    faces = geometry.enumerate_faces(tights.values())
+    faces = enumerate_faces(tights.values())
     if mode is Mode.PESSIMISTIC:
         faces.reverse()
     best = None
     for face in faces:
-        s = geometry.exposure_check(face, verts, shadow.directions)
+        s = exposure_check(face, verts, shadow.directions)
         if s is None:
             continue
         c = shadow.scenario(s)
         _, value = follower_response(inst, (), c, mode)
         if best is None or value < best[1]:
-            best = (c, value)
+            best = (face, value)
     return best
+
+
+def scenario_face(inst, c):
+    """The shadow face a scenario c = L·s exposes: as c·y = s·(Lᵀ·y), it
+    holds the shadow vertices whose preimages among Y's vertices score
+    highest under c."""
+    poly = inst.follower_polyhedron(())
+    columns = inst.uncertainty.shadow().columns
+    score = {tuple([dot(col, y) for col in columns]): dot(c, y)
+             for y in geometry.enumerate_vertices(poly)}
+    verts = geometry.enumerate_vertices(
+        geometry.project_polytope(poly, columns))
+    return argmax_vertices([(score[w],) for w in verts], (ONE,))
 
 
 def check_against_references(inst):
     """The pruned shadow adversary agrees with the direct computation on
     the face lattice of Y(x), which no projection or pruning touches,
-    and reports the first minimum of the unpruned scan of the shadow
-    under all q columns of L."""
+    and its scenario exposes the first minimum face of the unpruned scan
+    of the shadow under all q columns of L."""
     for mode in Mode:
         c, value = adversary_geometric(inst, (), mode)
         assert value == direct_face_lattice(inst, mode)
-        assert (c, value) == unpruned_shadow_scan(inst, mode)
+        assert (scenario_face(inst, c), value) \
+            == unpruned_shadow_scan(inst, mode)
 
 
 @given(shadow_instances())
@@ -384,31 +402,40 @@ def test_point_follower_set_projects_to_a_point():
     check_against_references(inst)
 
 
+# The unit square, whose sorted vertices are (0, 0), (0, 1), (1, 0) and
+# (1, 1), under the box [-1, 1]^2: the shadow is the square itself.
+SQUARE_IN_A_BOX = RobustBilevelInstance(
+    p=0, n=2, lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)),
+    leader_mat=((), (), (), ()), rhs=(ONE, ONE, ZERO, ZERO),
+    leader_obj=(ONE, F(-1)), leader_set=AllBinary(0),
+    uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
+
+
 def test_face_scan_skips_dominated_faces(monkeypatch):
-    # On the unit square with the box [-1, 1]^2 every face is exposable:
-    # the optimistic scan stops at the four vertices, and the pessimistic
-    # scan at the whole square, which s = 0 exposes.
-    inst = RobustBilevelInstance(
-        p=0, n=2, lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)),
-        leader_mat=((), (), (), ()), rhs=(ONE, ONE, ZERO, ZERO),
-        leader_obj=(ONE, F(-1)), leader_set=AllBinary(0),
-        uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
-    checked = []
-    exposure_check = geometry.exposure_check
-
-    def counted(face, verts, directions):
-        s = exposure_check(face, verts, directions)
-        checked.append((face, s is not None))
-        return s
-
-    monkeypatch.setattr(geometry, "exposure_check", counted)
+    # Every face of the square is exposable: the optimistic scan takes
+    # the four vertices, and the pessimistic scan only the whole square,
+    # which s = 0 exposes.
+    inst = replace(SQUARE_IN_A_BOX)
+    verts = tuple(geometry.enumerate_vertices(inst.follower_polyhedron(())))
+    taken = _count_calls(monkeypatch, Shadow, "scenario")
     adversary_geometric(inst, (), Mode.OPTIMISTIC)
-    assert sorted(checked) == [(frozenset([i]), True) for i in range(4)]
-    checked.clear()
+    assert [argmax_vertices(verts, s) for _, s in taken] \
+        == [frozenset([i]) for i in range(4)]
+    taken.clear()
     adversary_geometric(inst, (), Mode.PESSIMISTIC)
-    for k, (verts, _) in enumerate(checked):
-        assert not any(verts <= g for g, exposed in checked[:k] if exposed)
-    assert checked == [(frozenset(range(4)), True)]
+    assert [s for _, s in taken] == [(ZERO, ZERO)]
+
+
+@pytest.mark.parametrize("faces", [
+    {frozenset([0]): (ONE, ONE)},          # exposes (1, 1) instead
+    {frozenset(range(4)): (ONE, ZERO)},    # exposes the right edge
+    {frozenset([1, 3]): (ZERO, F(2))}])    # the top edge, from outside D
+def test_face_scan_checks_each_direction(monkeypatch, faces):
+    # A direction outside D, or whose argmax over the shadow's vertices
+    # is not its face, breaks the scan's invariant.
+    monkeypatch.setattr(geometry, "exposed_faces", lambda *args: faces)
+    with pytest.raises(bilevel.SolverInvariantError, match="does not expose"):
+        adversary_geometric(replace(SQUARE_IN_A_BOX), (), Mode.OPTIMISTIC)
 
 
 # Y(x) = [0, 1]^2 plus the row y1 + y2 <= 3 + x1, redundant at both x1;
@@ -436,20 +463,22 @@ def _count_calls(monkeypatch, module, name):
 
 def test_memo_scans_each_distinct_shadow_once(monkeypatch):
     # Four leaders, two distinct Y(x), one shadow: each projection's
-    # vertices are enumerated, then a single scan of the square per mode,
-    # as in test_face_scan_skips_dominated_faces.
+    # vertices are enumerated, then the square's exposed faces once per
+    # mode, each from one more double description, and the scan takes
+    # the faces of test_face_scan_skips_dominated_faces.
     projected = _count_calls(monkeypatch, geometry, "project_polytope")
     enumerated = _count_calls(monkeypatch, geometry, "enumerate_vertices")
-    scanned = _count_calls(monkeypatch, geometry, "enumerate_faces")
-    checked = _count_calls(monkeypatch, geometry, "exposure_check")
+    exposed = _count_calls(monkeypatch, geometry, "exposed_faces")
     described = _count_calls(monkeypatch, geometry, "_double_description")
+    taken = _count_calls(monkeypatch, Shadow, "scenario")
     for mode, faces in ((Mode.OPTIMISTIC, 4), (Mode.PESSIMISTIC, 1)):
-        for calls in (projected, enumerated, scanned, checked, described):
+        for calls in (projected, enumerated, exposed, described, taken):
             calls.clear()
         solve_robust(replace(SHARED_SHADOW), mode)
-        assert len(projected) == len(enumerated) == len(described) == 2
-        assert len(scanned) == 1
-        assert len(checked) == faces
+        assert len(projected) == 2
+        assert len(enumerated) == len(described) == 3
+        assert len(exposed) == 1
+        assert len(taken) == faces
 
 
 def test_memo_solves_each_finite_y_once(monkeypatch):

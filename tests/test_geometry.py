@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from rbo import geometry, oracle
 from rbo.geometry import (
     CapExceededError,
-    enumerate_faces,
     enumerate_vertices,
-    exposure_check,
+    exposed_faces,
     project_polytope,
 )
 from rbo.lp import LpStatus, Polyhedron, solve_lp
 from rbo.numeric import dot
-from rbo.uncertainty import Interval
+from rbo.uncertainty import ConvexHull, Interval
+from reference_faces import enumerate_faces, exposure_check
 from test_lp import _rationals, small_polytopes
 
 SEGMENT = Polyhedron([[1], [-1]], [1, 0])
@@ -92,11 +92,9 @@ def test_vertices_deduped_on_duplicate_rows():
 
 
 def test_vertex_cap():
-    # The double description keeps at most isqrt(DEFAULT_CAP) = 2048 rays
-    # after each row: the 11-cube's 2048 vertices fit, the 12-cube's 4096
-    # are refused.
-    assert len(enumerate_vertices(cube(11))) == 2 ** 11 \
-        == math.isqrt(geometry.DEFAULT_CAP)
+    # The double description keeps at most CAP = 2048 rays after each
+    # row: the 11-cube's 2048 vertices fit, the 12-cube's 4096 are refused.
+    assert len(enumerate_vertices(cube(11))) == 2 ** 11 == geometry.CAP
     with pytest.raises(CapExceededError, match="2048 rays"):
         enumerate_vertices(cube(12))
 
@@ -150,7 +148,7 @@ def test_faces_match_the_brute_force_oracle(case):
 
 
 def test_face_lattice_at_the_budget():
-    # sqrt(DEFAULT_CAP) = 2048 faces are allowed: the 10-simplex has 2047.
+    # CAP = 2048 faces are allowed: the 10-simplex has 2047.
     poly = simplex(10)
     assert len(vertices_and_faces(poly)[1]) == 2 ** 11 - 1
 
@@ -214,6 +212,68 @@ def test_grid_scan_covers_exposable_faces():
     grid = [F(k, 4) for k in range(-4, 5)]
     for c in itertools.product(grid, repeat=2):
         assert argmax_vertices(verts, c) in exposable
+
+
+# The unit square's vertices (0, 0), (0, 1), (1, 0), (1, 1) under the
+# directions s = (-1 + 3l, 2 - 3l), 0 <= l <= 1: (0, 1) wins up to
+# l = 1/3, where the top edge ties, then (1, 1) up to l = 2/3, where the
+# right edge ties, then (1, 0).
+SEGMENT_OF_DIRECTIONS = Polyhedron([[1, 1], [-1, -1], [1, 0], [-1, 0]],
+                                   [1, -1, 2, 1])
+
+
+def test_exposed_faces_of_a_direction_segment():
+    # No vertex of Q exposes (1, 1) alone: its direction is the mean of
+    # the two edges' vertices of Q.
+    verts = tuple(enumerate_vertices(UNIT_SQUARE))
+    assert exposed_faces(verts, SEGMENT_OF_DIRECTIONS) == {
+        frozenset([1]): (F(-1), F(2)), frozenset([2]): (F(2), F(-1)),
+        frozenset([3]): (F(1, 2), F(1, 2)),
+        frozenset([1, 3]): (F(0), F(1)), frozenset([2, 3]): (F(1), F(0))}
+
+
+def test_exposed_faces_over_the_budget(monkeypatch):
+    # The simplex D = {s >= -1, sum(s) <= 1} holds 0 inside, so it
+    # exposes all 27 faces of the 3-cube, from a double description of
+    # fewer rays: a cap of 27 holds them, and a cap of 26 refuses them.
+    verts = tuple(enumerate_vertices(cube(3)))
+    directions = Polyhedron([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
+                            [1, 1, 1, 1])
+    monkeypatch.setattr(geometry, "CAP", 27)
+    assert len(exposed_faces(verts, directions)) == 27
+    monkeypatch.setattr(geometry, "CAP", 26)
+    with pytest.raises(CapExceededError, match="exposable faces exceed 26"):
+        exposed_faces(verts, directions)
+
+
+@st.composite
+def direction_polytopes(draw, dim):
+    """D in dim coordinates: a box with lower < upper in each, which may
+    miss 0, or the simplex of convex weights of a hull of dim points."""
+    if draw(st.booleans()):
+        lower = [draw(_rationals(-2, 1)) for _ in range(dim)]
+        upper = [lo + draw(_rationals(1, 2)) for lo in lower]
+        return Interval(lower, upper).shadow().directions
+    return ConvexHull([[F(i)] for i in range(dim)]).shadow().directions
+
+
+@given(small_polytopes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exposed_faces_match_the_exposure_lp(case, data):
+    # The faces from one double description are the faces of the whole
+    # lattice that an exposure LP finds exposable, in the same order, and
+    # each direction lies in D and exposes exactly its face.
+    poly = case[0]
+    tights = enumerate_vertices(poly)
+    verts = tuple(tights)
+    directions = data.draw(direction_polytopes(poly.dim))
+    faces = exposed_faces(verts, directions)
+    assert list(faces) == [
+        f for f in enumerate_faces(tights.values())
+        if exposure_check(f, verts, directions) is not None]
+    for face, s in faces.items():
+        assert directions.contains(s)
+        assert argmax_vertices(verts, s) == face
 
 
 def test_projection_diagonal_score():
