@@ -155,7 +155,8 @@ class RobustBilevelInstance:
         lifetime (kept in `_memo` under the key x), so every solve on
         Y(x) shares one row scaling, one tableau build and one phase one:
         validation's, both modes' adversaries, the replay and repeated
-        spot-check samples."""
+        spot-check samples; and each objective's first stage, but for the
+        spot check's corner bounds."""
         x = as_vector(x)
         if len(x) != self.p:
             raise InstanceError(f"leader vector has arity {len(x)} != {self.p}")
@@ -321,7 +322,8 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     its vertex set, and its faces do not depend on redundant rows, so
     the projection's rows need not be irredundant.  Only the projection,
     its vertex enumeration and the follower LPs on a new Y(x) run again,
-    each LP with its certificate checked.
+    each LP with its certificates checked; Y(x) keeps each scenario's
+    first stage, so the other mode and the replay run only tie stages.
     """
     poly = inst.follower_polyhedron(x)
     memo = inst._memo
@@ -383,7 +385,9 @@ def solve_robust(inst: RobustBilevelInstance,
     pessimistic, each at its canonical direction from
     `geometry.exposed_faces`, see `adversary_geometric`.  The report's
     value is cross-checked by replaying the worst scenario through the
-    follower's lexicographic LP.
+    follower's lexicographic LP, which starts from the first stage Y(x*)
+    kept for that scenario: it recomputes the tie stage and checks both
+    certificates again.
     """
     _check_relaxed_penalty(inst)
     if mode is None:
@@ -437,6 +441,9 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
                 bound = value
             if bound <= binary_value:
                 break  # the min over scenarios can only be lower
+        # Nothing reuses the bound's first stages; dropping them keeps
+        # the instance's memory to one phase-one tableau per sample.
+        poly._stage_one.clear()
         if bound <= binary_value:
             continue
         _, exact = adversary_geometric(inst, x, mode)

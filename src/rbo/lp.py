@@ -9,15 +9,18 @@ Free variables keep one column each and never leave the basis once they
 enter; at the end the nonbasic ones are pivoted in along the optimal
 face, so an optimal point is a vertex whenever the polyhedron has one.
 
-Phase one runs once per polyhedron: a :class:`Polyhedron` keeps its rows
-scaled to ints and its tableau after phase one (or the finding that it
-is empty) for as long as it lives, and every solve on it starts from a
-shallow copy of that tableau, whose pivots copy a row before they write
-into it.  Bland's rule sees the same tableau each time, so a reused
-polyhedron gives the same point, value and dual as a fresh one.  A
-caller that solves on one feasible set many times keeps one polyhedron
+Phase one runs once per polyhedron, and phase two once per objective: a
+:class:`Polyhedron` keeps its rows scaled to ints, its tableau after
+phase one (or the finding that it is empty) and, for each objective
+solved on it, the optimal tableau and its dual (or the finding that the
+objective is unbounded) for as long as it lives.  Every solve starts
+from a shallow copy of a kept tableau, whose pivots copy a row before
+they write into it.  Bland's rule sees the same tableau each time, so a
+reused polyhedron gives the same point, value and dual as a fresh one.
+A caller that solves on one feasible set many times keeps one polyhedron
 for it: `RobustBilevelInstance.follower_polyhedron` gives one Y(x) per
-leader x for the instance's lifetime.
+leader x for the instance's lifetime, so both modes' follower solves and
+the replay of one scenario share its first stage.
 
 A lexicographic solve (a tie objective) continues from the first
 objective's optimal tableau: the slacks of the rows that carry a
@@ -101,10 +104,12 @@ CERT_LOG = CertificateLog()
 class Polyhedron:
     """Feasible set {v in R^n : a·v <= rhs row by row}.
 
-    Two things are computed on first use and kept for the object's
-    lifetime: the rows scaled to ints, and the tableau after phase one.
-    Every solve on one polyhedron shares them, so the emptiness probe
-    and each scenario of one Y(x) run phase one once between them.
+    Three things are computed on first use and kept for the object's
+    lifetime: the rows scaled to ints, the tableau after phase one, and
+    each objective's first stage.  Every solve on one polyhedron shares
+    them, so the emptiness probe and each scenario of one Y(x) run phase
+    one once between them, and each scenario's first stage runs once
+    whatever tie objectives follow it.
     """
 
     a: tuple
@@ -149,6 +154,13 @@ class Polyhedron:
         Solves start from a copy (`_Tableau.copy`) and never change it.
         """
         return _phase_one(self)
+
+    @cached_property
+    def _stage_one(self) -> dict:
+        """{obj: (tableau at obj's optimum, its dual)}, or () for an
+        unbounded obj, filled by `_phase_two`, which starts each solve
+        from a copy and never changes a kept tableau."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -365,9 +377,11 @@ def _phase_two(poly: Polyhedron, obj: Sequence,
     tie stage (tie + t·obj, mu_2).  The status is UNBOUNDED when obj is,
     or the tie objective is on obj's optimal face.
 
-    Phase two starts from a copy of poly's tableau after phase one, which
-    poly computes on its first solve and keeps; so every solve after the
-    first on one polyhedron builds no tableau and runs no phase one.
+    Phase two runs once per objective on one polyhedron, from a copy of
+    poly's phase-one tableau, and its result is kept in
+    `poly._stage_one`.  A later solve of obj, with any tie objective or
+    none, starts from a copy of obj's optimal tableau and reuses its
+    dual; the caller still checks both certificates at its point.
 
     The tie stage continues from obj's optimal tableau.  For any optimal
     dual mu, obj's optimal face is poly with every slack r with mu_r > 0
@@ -381,11 +395,15 @@ def _phase_two(poly: Polyhedron, obj: Sequence,
     start = poly._phase_one_tableau
     if start is None:
         return LpStatus.INFEASIBLE, None, []
-    tab = start.copy()
-
-    if tab.run(obj, range(n, n + m)) is LpStatus.UNBOUNDED:
+    known = poly._stage_one
+    found = known.get(obj)
+    if found is None:
+        tab = start.copy()
+        bounded = tab.run(obj, range(n, n + m)) is LpStatus.OPTIMAL
+        found = known[obj] = (tab, tab.dual(poly, obj)) if bounded else ()
+    if not found:
         return LpStatus.UNBOUNDED, None, []
-    mu = tab.dual(poly, obj)
+    tab, mu = found[0].copy(), found[1]
     certs = [(obj, mu)]
     if tie is not None:
         face = [n + r for r in range(m) if not mu[r]]

@@ -495,16 +495,39 @@ def test_memo_solves_each_finite_y_once(monkeypatch):
     assert len(solved) == len(scenarios) + 1
 
 
+def _count_stage_ones(monkeypatch):
+    """The costs of the tableau runs of a first stage, the only runs
+    that may enter every slack column and no artificial one."""
+    costs = []
+    run = lp._Tableau.run
+
+    def counted(self, cost, allowed):
+        if allowed == range(self.n, self.n + self.m):
+            costs.append(cost)
+        return run(self, cost, allowed)
+
+    monkeypatch.setattr(lp._Tableau, "run", counted)
+    return costs
+
+
 def test_one_tableau_per_leader_across_modes(monkeypatch):
     # Y(x) is one polyhedron for the instance's lifetime, so both modes'
-    # scenario LPs and both replays start from one phase-one tableau.
-    built = _count_calls(monkeypatch, lp._Tableau, "__init__")
+    # scenario LPs and both replays start from one phase-one tableau, and
+    # each scenario's first stage on Y(x) runs once for all of them.
     x_set = [(0, 1), (1, 0), (1, 1)]
-    inst = compile_single_level_robust(
-        x_set, [(1, -2), (F(1, 2), 3)]).instance
-    for mode in Mode:
-        solve_robust(inst, mode)
+    scenarios = [(1, -2), (F(1, 2), 3)]
+    fresh = {mode: solve_robust(compile_single_level_robust(
+        x_set, scenarios).instance, mode) for mode in Mode}
+    built = _count_calls(monkeypatch, lp._Tableau, "__init__")
+    solved = _count_calls(monkeypatch, bilevel, "solve_lex_lp")
+    stage_ones = _count_stage_ones(monkeypatch)
+    inst = compile_single_level_robust(x_set, scenarios).instance
+    assert {mode: solve_robust(inst, mode) for mode in Mode} == fresh
     assert len(built) == len(x_set)
+    # Each mode solves every scenario at every leader, then replays one.
+    assert len(solved) == 2 * (len(x_set) * len(scenarios) + 1)
+    assert len(stage_ones) == len({(id(poly), c) for poly, c, *_ in solved}) \
+        == len(x_set) * len(scenarios)
 
 
 def test_load_and_solve_run_one_phase_one_per_leader(tmp_path, monkeypatch):
@@ -704,3 +727,18 @@ def test_relaxed_leader_penalty_is_checked(tamper):
         solve_robust(tamper(inst))
     with pytest.raises(InstanceError):
         instance_from_json(instance_to_json(tamper(inst)))
+
+
+def test_spot_check_drops_the_corner_bounds_first_stages():
+    # Each sample's Y(x) stays in the memo with its phase-one tableau,
+    # but the first stages of its corner bound go once the bound is
+    # decided.
+    inst = _relaxed_or().instance
+    value = solve_robust(inst, Mode.OPTIMISTIC).value
+    assert bilevel.spot_check_relaxed(inst, value, Mode.OPTIMISTIC) is None
+    sampled = [poly for x, poly in inst._memo.items()
+               if isinstance(poly, lp.Polyhedron)
+               and any(c.denominator > 1 for c in x)]
+    assert sampled and all(
+        poly._phase_one_tableau is not None and not poly._stage_one
+        for poly in sampled)

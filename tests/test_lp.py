@@ -331,18 +331,34 @@ def test_pivot_matches_dense_bareiss(case, picks):
 @example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX))
 @settings(max_examples=40, deadline=None)
 def test_solves_leave_the_phase_one_tableau_as_it_was(case):
-    # Every solve starts from a copy that shares the phase-one tableau's
-    # rows, so a pivot that wrote into a row in place would show here.
+    # Every solve starts from a copy that shares the rows of the
+    # phase-one tableau, or of its objective's kept first-stage tableau,
+    # so a pivot that wrote into a row in place would show here, and a
+    # solve on a polyhedron whose kept stages are filled gives the point,
+    # value and dual of the same solve on a fresh one.
     poly, obj, sense = case
     start = poly._phase_one_tableau
-    kept = ([row[:] for row in start.rows], start.d, start.basis[:])
+    first = ([row[:] for row in start.rows], start.d, start.basis[:])
     neg = [-c for c in obj]
+    solves = [(obj, sense, None)]
     for j in range(poly.dim):
         unit = [int(k == j) for k in range(poly.dim)]
-        solve_lp(poly, obj, sense)
-        solve_lp(poly, unit, Sense.MIN, tie=(neg, Sense.MAX))
-        solve_lex_lp(poly, neg, Sense.MAX, unit, Sense.MAX)
-    assert (start.rows, start.d, start.basis) == kept
+        solves += [(unit, Sense.MIN, (neg, Sense.MAX)),
+                   (neg, Sense.MAX, (unit, Sense.MAX)),
+                   (neg, Sense.MAX, (unit, Sense.MIN)),
+                   (obj, sense, (unit, Sense.MAX)),
+                   (obj, sense, (unit, Sense.MIN))]
+    for objective, goal, _ in solves:
+        solve_lp(poly, objective, goal)
+    tableaux = [found[0] for found in poly._stage_one.values() if found]
+    kept = [([row[:] for row in tab.rows], tab.d, tab.basis[:])
+            for tab in tableaux]
+    for objective, goal, tie in solves:
+        fresh = Polyhedron(poly.a, poly.rhs)
+        assert (solve_lp(poly, objective, goal, tie)
+                == solve_lp(fresh, objective, goal, tie))
+    assert (start.rows, start.d, start.basis) == first
+    assert [(tab.rows, tab.d, tab.basis) for tab in tableaux] == kept
 
 
 def _row_scales(poly):
