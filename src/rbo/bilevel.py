@@ -511,8 +511,9 @@ def instance_to_json(inst: RobustBilevelInstance,
 
 def _json_int(doc: dict, key: str) -> int:
     value = doc[key]
-    if type(value) is not int:  # a bool is an int to isinstance
-        raise InstanceError(f"{key} must be a JSON integer, got {value!r}")
+    if type(value) is not int or value < 0:  # a bool is an int to isinstance
+        raise InstanceError(
+            f"{key} must be a JSON integer >= 0, got {value!r}")
     return value
 
 

@@ -5,9 +5,10 @@ free variables.  The solver is a textbook two-phase full-tableau simplex
 with Bland's pivot rule (smallest index), which terminates under
 degeneracy and is deterministic for fixed input.  It pivots on integer
 rows (Bareiss 1968); Fractions appear only in the point, value and dual.
-Free variables keep one column each and never leave the basis once they
-enter; at the end the nonbasic ones are pivoted in along the optimal
-face, so an optimal point is a vertex whenever the polyhedron has one.
+Free variables keep one column each.  Phase one ends by pivoting in
+every free column that a row bounds, and a basic free column never
+leaves, so every later basis has a vertex as its basic point whenever
+the polyhedron has one, and no later solve pivots a free column in.
 
 Phase one runs once per polyhedron, and phase two once per objective: a
 :class:`Polyhedron` keeps its rows scaled to ints, its tableau after
@@ -191,10 +192,12 @@ class _Tableau:
     negative, so `pivot` takes the pivot row times -1, which keeps d > 0
     and leaves every other row as rising on the column times -1 would.
     Once basic, a free column never leaves: its row takes no part in a
-    ratio test, and its value may be negative.  The structural part
-    [A|I] has full row rank, so no row of the tableau is zero on it:
-    every artificial left in the basis at level zero after phase one
-    pivots out, and phase two and the dual see structural columns only.
+    ratio test, and its value may be negative.  Phase one ends with every
+    free column that a row bounds basic, so later phases enter slacks
+    only.  The structural part [A|I] has full row rank, so no row of the
+    tableau is zero on it: every artificial left in the basis at level
+    zero after phase one pivots out, and phase two and the dual see
+    structural columns only.
     """
 
     def __init__(self, poly: Polyhedron):
@@ -342,28 +345,47 @@ class _Tableau:
 
 
 def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
-    """poly's tableau at a feasible basis with no artificial in it, or
-    None when poly is empty."""
+    """poly's tableau at a feasible basis with no artificial in it and
+    rank A free columns basic, or None when poly is empty.
+
+    The last step pivots each nonbasic free column in: a tight row with a
+    nonzero entry takes it in place; else the point moves by Bland's
+    ratio test, rising or else falling, until a slack row turns tight.
+    A column that no row bounds either way spans a line of poly and
+    stays out at 0.  The basic point is then a vertex whenever poly has
+    one, and since a basic free column never leaves, so is every later
+    basis's.
+    """
     tab = _Tableau(poly)
-    if not tab.art_cols:
-        return tab
-    art_set = set(tab.art_cols.values())
-    scales = poly._scaled_rows[0]
-    phase1_cost = [0] * tab.ncols
-    for i, col in tab.art_cols.items():
-        phase1_cost[col] = Fraction(-1, scales[i])
-    status = tab.run(phase1_cost, range(tab.n, tab.ncols))
-    if status is not LpStatus.OPTIMAL:
-        raise LpInternalError("phase one cannot be unbounded")
-    if any(tab.rows[i][-1] for i in range(tab.m)
-           if tab.basis[i] in art_set):
-        return None
-    # Pivot the zero-level artificials out on their first nonzero
-    # structural entry, which the full row rank guarantees.
-    for i in range(tab.m):
-        if tab.basis[i] in art_set:
-            tab.pivot(i, next(j for j in range(tab.num_structural)
-                              if tab.rows[i][j]))
+    n, art_set = tab.n, set(tab.art_cols.values())
+    if art_set:
+        scales = poly._scaled_rows[0]
+        phase1_cost = [0] * tab.ncols
+        for i, col in tab.art_cols.items():
+            phase1_cost[col] = Fraction(-1, scales[i])
+        status = tab.run(phase1_cost, range(n, tab.ncols))
+        if status is not LpStatus.OPTIMAL:
+            raise LpInternalError("phase one cannot be unbounded")
+        if any(tab.rows[i][-1] for i in range(tab.m)
+               if tab.basis[i] in art_set):
+            return None
+        # Pivot the zero-level artificials out on their first nonzero
+        # structural entry, which the full row rank guarantees.
+        for i in range(tab.m):
+            if tab.basis[i] in art_set:
+                tab.pivot(i, next(j for j in range(tab.num_structural)
+                                  if tab.rows[i][j]))
+    for j in sorted(set(range(n)).difference(tab.basis)):
+        tight = [i for i in range(tab.m) if tab.basis[i] >= n
+                 and not tab.rows[i][-1] and tab.rows[i][j]]
+        if tight:
+            leave = min(tight, key=tab.basis.__getitem__)
+        else:
+            leave = tab.leaving_row(j)
+            if leave < 0:
+                leave = tab.leaving_row(j, -1)
+        if leave >= 0:
+            tab.pivot(leave, j)
     return tab
 
 
@@ -418,42 +440,6 @@ def _phase_two(poly: Polyhedron, obj: Sequence,
     return LpStatus.OPTIMAL, tab, certs
 
 
-def _solve_max(poly: Polyhedron, obj: Sequence,
-               tie: Optional[Sequence] = None):
-    """`_phase_two`, then every nonbasic free column pivoted in.
-
-    Returns (status, point, certs), certs as `_phase_two` gives them.
-    The optimal point is a vertex whenever poly has one.
-    """
-    n = poly.dim
-    status, tab, certs = _phase_two(poly, obj, tie)
-    if status is not LpStatus.OPTIMAL:
-        return status, None, []
-
-    # Every nonbasic free column now has reduced cost 0 for obj and tie,
-    # so pivoting it in keeps both values.  A tight row that bounds it
-    # either way takes it in place, so a vertex never moves; else it moves
-    # along the optimal face until a slack row turns tight.  A column
-    # that no slack row bounds either way spans a line of poly and stays
-    # out at 0.
-    basic = set(tab.basis)
-    for j in range(n):
-        if j in basic:
-            continue
-        tight = [i for i in range(tab.m) if tab.basis[i] >= n
-                 and not tab.rows[i][-1] and tab.rows[i][j]]
-        if tight:
-            leave = min(tight, key=tab.basis.__getitem__)
-        else:
-            leave = tab.leaving_row(j)
-            if leave < 0:
-                leave = tab.leaving_row(j, -1)
-        if leave >= 0:
-            tab.pivot(leave, j)
-
-    return LpStatus.OPTIMAL, tab.point(), certs
-
-
 def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
                         mu: Sequence) -> None:
     """Check mu >= 0, mu^T A = obj and mu^T rhs = value on poly's data.
@@ -483,9 +469,10 @@ def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
 
 def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
              tie=None) -> LpOutcome:
-    """Exact LP solve; an optimal point is a vertex of the polyhedron
-    whenever it has one.  When the polyhedron contains a line instead,
-    the free columns that span it stay at 0.
+    """Exact LP solve; the point is the optimal tableau's basic point,
+    a vertex of the polyhedron whenever it has one (`_phase_one`).  When
+    the polyhedron contains a line instead, the free columns that span
+    it stay at 0.
 
     The returned dual always certifies the maximization form: for a MIN
     solve it certifies max (-obj) = -value.
@@ -497,9 +484,10 @@ def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
     obj = _internal(obj, sense, poly.dim)
     if tie is not None:
         tie = _internal(*tie, poly.dim)
-    status, point, certs = _solve_max(poly, obj, tie)
+    status, tab, certs = _phase_two(poly, obj, tie)
     if status is not LpStatus.OPTIMAL:
         return LpOutcome(status=status)
+    point = tab.point()
     for cost, mu in certs:
         _verify_certificate(poly, cost, dot(cost, point), mu)
     value = dot(obj, point)

@@ -658,12 +658,13 @@ def test_json_rejects_malformed():
 
 
 @pytest.mark.parametrize("key,value", [
-    ("p", 0.5), ("p", "0"), ("n", 1.0), ("n", True)])
+    ("p", 0.5), ("p", "0"), ("n", 1.0), ("n", True), ("p", -1), ("n", -1)])
 def test_json_sizes_must_be_integers(key, value):
-    # Each of these converts with int(), but none is a JSON integer.
+    # Each of these converts with int(), but none is a JSON integer >= 0.
     doc = instance_to_json(segment_instance(BOX))
     doc[key] = value
-    with pytest.raises(InstanceError, match=f"{key} must be a JSON integer"):
+    with pytest.raises(InstanceError,
+                       match=f"{key} must be a JSON integer >= 0"):
         instance_from_json(doc)
 
 

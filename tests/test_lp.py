@@ -21,7 +21,7 @@ from rbo.lp import (
     solve_lex_lp,
     solve_lp,
 )
-from rbo.numeric import ZERO, dot, gauss_solve
+from rbo.numeric import ZERO, dot, gauss_solve, span_basis
 
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
 TRIANGLE = Polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
@@ -359,6 +359,39 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
                 == solve_lp(fresh, objective, goal, tie))
     assert (start.rows, start.d, start.basis) == first
     assert [(tab.rows, tab.d, tab.basis) for tab in tableaux] == kept
+
+
+@given(small_polytopes())
+@example((STRIP, [1, 0], Sense.MAX))
+@example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX))
+@settings(max_examples=60, deadline=None)
+def test_free_columns_enter_only_in_phase_one(case):
+    # Phase one leaves rank A free columns basic, as many as any basis
+    # holds, and a basic free column never leaves, so no later solve or
+    # tie stage pivots a free column in.
+    poly, obj, sense = case
+    poly = Polyhedron(poly.a, poly.rhs)
+    n = poly.dim
+    start = poly._phase_one_tableau
+    assert sum(col < n for col in start.basis) == len(span_basis(poly.a))
+    entered, pivot = [], lp._Tableau.pivot
+
+    def counted(self, row, col):
+        entered.append(col)
+        pivot(self, row, col)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp._Tableau, "pivot", counted)
+        solve_lp(poly, obj, sense)
+        for j in range(n):
+            unit = [int(k == j) for k in range(n)]
+            for goal in Sense:
+                solve_lp(poly, unit, goal, tie=(obj, sense))
+                try:
+                    solve_lex_lp(poly, obj, sense, unit, goal)
+                except UnboundedError:
+                    pass
+    assert all(col >= n for col in entered)
 
 
 def _row_scales(poly):
