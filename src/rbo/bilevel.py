@@ -187,15 +187,20 @@ class SolveReport:
 MAX_LEADER_BITS = 20
 
 
+def check_leader_bits(p: int) -> None:
+    """Refuse binary leader enumeration over more than MAX_LEADER_BITS."""
+    if p > MAX_LEADER_BITS:
+        raise CapExceededError(
+            f"leader enumeration over 2^{p} vectors exceeds "
+            f"2^{MAX_LEADER_BITS}")
+
+
 def enumerate_leader(inst: RobustBilevelInstance):
     """Leader candidates in lexicographic order (binary for relaxed sets)."""
     ls = inst.leader_set
     if isinstance(ls, ExplicitList):
         return sorted(ls.vectors)
-    if ls.p > MAX_LEADER_BITS:
-        raise CapExceededError(
-            f"leader enumeration over 2^{ls.p} vectors exceeds "
-            f"2^{MAX_LEADER_BITS}")
+    check_leader_bits(ls.p)
     return [tuple([Fraction(b) for b in bits])
             for bits in itertools.product((0, 1), repeat=ls.p)]
 

@@ -9,7 +9,9 @@ Every compiler writes a constraint row as one sparse triple (follower
 coefficients, leader coefficients, const), two dicts keyed by column
 plus a rational, meaning follower·y <= leader·x + const; `_dense_rows`
 turns the triples into the instance's lhs, leader_mat and rhs.  Gate
-rows, the copy gate's included, are written through `_row` from their
+rows, the copy gate's included, and the rows of both deviation gadgets
+(`_deviation`, over a follower y_i when pessimistic and over a leader
+x_i in `relax_leader`) are written through `_row` from their
 (coefficient, column) terms.
 
 Compilers provided here:
@@ -41,6 +43,7 @@ from .bilevel import (
     Mode,
     RelaxedBox,
     RobustBilevelInstance,
+    check_leader_bits,
 )
 from .numeric import ONE, ZERO, Fraction, as_vector
 from .uncertainty import ConvexHull, DiscreteSet, Interval
@@ -148,28 +151,20 @@ def formula_to_text(formula: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Parsing.
 
-_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+_TOKEN_RE = re.compile(r"\n|\(|\)|[^\s()]+")
 _VAR_RE = re.compile(r"^([xy])([0-9]+)$")
 
 
 def _tokenize(text: str):
-    tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            line_start = pos + 1
-            pos += 1
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        tokens.append((match.group(0), line, pos - line_start + 1))
-        pos = match.end()
+    """(token, line, column) triples, 1-based; a newline token advances
+    the line, and other whitespace matches nothing."""
+    tokens, line, line_start = [], 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        tok, pos = match.group(), match.start()
+        if tok == "\n":
+            line, line_start = line + 1, pos + 1
+        else:
+            tokens.append((tok, line, pos - line_start + 1))
     return tokens
 
 
@@ -270,9 +265,9 @@ def formula_file_text(formula: Formula) -> str:
 class LinearizedCircuit:
     """Gate rows of one formula.
 
-    Rows are sparse row triples (module docstring).  `output` points at
-    the column carrying the formula's value; a formula that is literally
-    one leader variable has no follower column and reports ("x", i).
+    Rows are sparse row triples (module docstring).  `output` is the
+    follower column ("y", j) carrying the formula's value; for a formula
+    that is one leader variable it is the copy gate's.
     """
 
     gate_names: list
@@ -289,6 +284,14 @@ def _row(terms, const: Fraction) -> tuple:
         side, sign = (fol, ONE) if kind == "y" else (led, -ONE)
         side[idx] = side.get(idx, ZERO) + sign * coeff
     return fol, led, const
+
+
+def _deviation(dev: tuple, var: tuple) -> list:
+    """The rows -dev <= 0, dev <= var and dev <= 1 - var, which make
+    dev = min(var, 1 - var) once dev is pushed up."""
+    return [_row([(-ONE, dev)], ZERO),
+            _row([(ONE, dev), (-ONE, var)], ZERO),
+            _row([(ONE, dev), (ONE, var)], ONE)]
 
 
 def _emit(node: Node, n: int, gate_names: list, rows: list) -> tuple:
@@ -330,10 +333,17 @@ def linearize(formula: Formula) -> LinearizedCircuit:
     """Gate constraints for the formula over x, y and [0,1] gate columns.
 
     At binary x, y the constraints force each gate to the Boolean value of
-    its subterm.
+    its subterm.  A formula that is one leader variable gets a copy gate,
+    g1 = x_i, so that its value lives in a follower column.
     """
     gate_names, rows = [], []
     output = _emit(formula.root, formula.n, gate_names, rows)
+    if output[0] == "x":
+        gate = ("y", formula.n)
+        gate_names.append("g1:copy")
+        rows += [_row([(ONE, gate), (-ONE, output)], ZERO),  # g <= x
+                 _row([(ONE, output), (-ONE, gate)], ZERO)]  # g >= x
+        output = gate
     return LinearizedCircuit(gate_names, rows, output)
 
 
@@ -353,15 +363,6 @@ class CompilationArtifacts:
     def column_of(self, name: str) -> int:
         return self.var_map.index(name)
 
-    def original_y_count(self) -> int:
-        count = 0
-        for name in self.var_map:
-            if re.match(r"^y[0-9]+$", name):
-                count += 1
-            else:
-                break
-        return count
-
 
 def _dense_rows(rows, n_total: int, p: int):
     """Dense (lhs, leader_mat, rhs) tuples of sparse row triples."""
@@ -373,40 +374,27 @@ def _dense_rows(rows, n_total: int, p: int):
 
 
 def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
+    check_leader_bits(formula.p)  # before building dense p-wide rows
     circuit = linearize(formula)
-    gate_names = list(circuit.gate_names)
     n_y = formula.n
     rows = []
     for j in range(n_y):
         rows.append(({j: ONE}, {}, ONE))    # y_j <= 1
         rows.append(({j: -ONE}, {}, ZERO))  # y_j >= 0
     rows += circuit.rows
-    output = circuit.output
-    if output[0] == "x":
-        # Degenerate leaf-only formula over a leader variable: add one
-        # pass-through gate so the value lives in a follower column.
-        gate = ("y", n_y + len(gate_names))
-        gate_names.append(f"g{len(gate_names) + 1}:copy")
-        rows += [_row([(ONE, gate), (-ONE, output)], ZERO),  # g <= x
-                 _row([(ONE, output), (-ONE, gate)], ZERO)]  # g >= x
-        output = gate
-
-    var_map = [f"y{j + 1}" for j in range(n_y)] + gate_names
+    var_map = [f"y{j + 1}" for j in range(n_y)] + circuit.gate_names
 
     big_m = big_m_for(formula)
-    n_gates = len(gate_names)
+    n_gates = len(circuit.gate_names)
     lower = [-ONE] * n_y + [ZERO] * n_gates
     upper = [ONE] * n_y + [ZERO] * n_gates
     d = [ZERO] * (n_y + n_gates)
-    d[output[1]] = ONE
+    d[circuit.output[1]] = ONE
 
     if mode is Mode.PESSIMISTIC:
         for i in range(n_y):
-            dev_idx = len(var_map)
+            rows += _deviation(("y", len(var_map)), ("y", i))
             var_map.append(f"ydev{i + 1}")
-            rows.append(({dev_idx: -ONE}, {}, ZERO))        # dev >= 0
-            rows.append(({dev_idx: ONE, i: -ONE}, {}, ZERO))  # dev <= y_i
-            rows.append(({dev_idx: ONE, i: ONE}, {}, ONE))    # dev <= 1 - y_i
             d.append(big_m)
             lower.append(ONE)
             upper.append(ONE)
@@ -451,12 +439,8 @@ def relax_leader(art: CompilationArtifacts) -> CompilationArtifacts:
         raise ValueError("leader set is already relaxed")
     p = inst.p
     n_old = inst.n
-    rows = []
-    for i in range(p):
-        dev = n_old + i
-        rows.append(({dev: -ONE}, {}, ZERO))        # dev >= 0
-        rows.append(({dev: ONE}, {i: ONE}, ZERO))   # dev <= x_i
-        rows.append(({dev: ONE}, {i: -ONE}, ONE))   # dev <= 1 - x_i
+    rows = [row for i in range(p)
+            for row in _deviation(("y", n_old + i), ("x", i))]
     lhs, leader_mat, rhs = _dense_rows(rows, n_old + p, p)
     pad = (ZERO,) * p
     devs = (ONE,) * p
@@ -476,22 +460,23 @@ def relax_leader(art: CompilationArtifacts) -> CompilationArtifacts:
 
 
 def box_to_simplex(art: CompilationArtifacts) -> CompilationArtifacts:
-    """Replace the [-1,1]^k box on the original follower coordinates with
-    the simplex spanned by -e and -e + 2k e_j, certain entries appended.
+    """Replace the [-1,1]^k box on the box's k free coordinates with the
+    simplex spanned by -e and -e + 2k e_j, certain entries appended.
 
-    The simplex contains the box, and the instance's value is unchanged.
+    The free coordinates, the original y's of a QSAT compile, must be the
+    leading k, each [-1,1]; every later coordinate must be certain.  The
+    simplex contains the box, and the instance's value is unchanged.
     """
     inst = art.instance
     unc = inst.uncertainty
     if not isinstance(unc, Interval):
         raise ValueError("box-to-simplex expects interval uncertainty")
-    n_y = art.original_y_count()
+    n_y = len(unc.free_indices())
+    # n_y columns are free, so once the leading n_y are [-1,1] (free),
+    # every later column is certain.
     for j in range(n_y):
         if unc.lower[j] != -ONE or unc.upper[j] != ONE:
             raise ValueError(f"column {j} is not a [-1,1] interval")
-    for j in range(n_y, inst.n):
-        if unc.lower[j] != unc.upper[j]:
-            raise ValueError(f"column {j} is not certain")
     certain = tuple([unc.lower[j] for j in range(n_y, inst.n)])
     points = []
     base = [-ONE] * n_y

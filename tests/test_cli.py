@@ -256,13 +256,25 @@ def test_input_error_exit_code(tmp_path, capsys):
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
-    # 2^21 leader vectors: one more bit than bilevel.MAX_LEADER_BITS.
-    formula = write_formula(tmp_path, "p=21 n=1\n(or x21 y1)\n")
-    out = str(tmp_path / "inst.json")
-    assert main(["compile-qsat", formula, "-o", out]) == 0
-    capsys.readouterr()
-    assert main(["solve", out]) == 3
+    # 2^21 leader vectors: one more bit than bilevel.MAX_LEADER_BITS.  The
+    # compiler refuses such a file, so it is written by hand here.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "p": 21, "n": 1, "A": [["1"], ["-1"]], "B": [["0"] * 21] * 2,
+        "b": ["1", "0"], "d": ["1"], "leader_set": {"kind": "all_binary"},
+        "uncertainty": {"kind": "interval", "lower": ["-1"],
+                        "upper": ["1"]}}))
+    assert main(["solve", str(path)]) == 3
     assert "2^21" in capsys.readouterr().err
+
+
+def test_compile_refuses_a_leader_set_no_solve_loads(tmp_path, capsys):
+    formula = write_formula(tmp_path, "p=21 n=1\n(or x1 y1)\n")
+    out = tmp_path / "inst.json"
+    assert main(["compile-qsat", formula, "-o", str(out)]) == 3
+    assert ("leader enumeration over 2^21 vectors exceeds 2^20"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_malformed_instance_json(tmp_path, capsys):

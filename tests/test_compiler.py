@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbo.bilevel import (
     AllBinary,
@@ -77,6 +79,51 @@ def test_parse_error_positions():
             parse_formula(text, 2, 2)
 
 
+_GAP = st.text(alphabet=" \t\n", min_size=1, max_size=4)
+
+
+@st.composite
+def spaced_formulas(draw):
+    """A random formula, its printed tokens, and one whitespace run before
+    the first token and after each token."""
+    p = draw(st.integers(0, 2))
+    n = draw(st.integers(0 if p else 1, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    formula = random_formula(rng, p, n, draw(st.integers(1, 9)))
+    text = formula_to_text(formula)
+    tokens = text.replace("(", "( ").replace(")", " )").split()
+    gaps = draw(st.lists(_GAP, min_size=len(tokens) + 1,
+                         max_size=len(tokens) + 1))
+    return formula, tokens, gaps
+
+
+def _spaced(tokens, gaps):
+    """tokens[k] followed by gaps[k], for each k."""
+    return "".join([tok + gap for tok, gap in zip(tokens, gaps)])
+
+
+@given(spaced_formulas())
+@settings(max_examples=60, deadline=None)
+def test_parse_ignores_the_whitespace_between_tokens(case):
+    formula, tokens, gaps = case
+    text = gaps[0] + _spaced(tokens, gaps[1:])
+    assert parse_formula(text, formula.p, formula.n) == formula
+
+
+@given(spaced_formulas(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_parse_error_points_at_the_bad_token(case, data):
+    formula, tokens, gaps = case
+    k = data.draw(st.integers(0, len(tokens)))
+    head = gaps[0] + _spaced(tokens[:k], gaps[1:k + 1])
+    i = len(head)
+    text = head + "z9" + data.draw(_GAP) + _spaced(tokens[k:], gaps[k + 1:])
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text, formula.p, formula.n)
+    assert (err.value.line, err.value.column) == \
+        (text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i))
+
+
 def test_formula_file_round_trip():
     f = parse_formula("(and (or x1 y1) (not y1))", 1, 1)
     text = formula_file_text(f)
@@ -119,7 +166,7 @@ def forced_gate_values(art, x_bits, y_bits):
     """Feasible gate ranges once x and the original y block are pinned."""
     inst = art.instance
     poly = inst.follower_polyhedron([F(b) for b in x_bits])
-    n_y = art.original_y_count()
+    n_y = len(y_bits)
     rows, rhs = list(poly.a), list(poly.rhs)
     for j in range(n_y):
         row = [ZERO] * inst.n
@@ -300,6 +347,29 @@ def test_box_to_simplex_rejects_wrong_shape():
     art = compile_qsat_optimistic(Formula(FollowerVar(1), 0, 1))
     with pytest.raises(ValueError):
         box_to_simplex(box_to_simplex(art))
+
+
+@pytest.mark.parametrize("relax", [False, True])
+@pytest.mark.parametrize("compile_qsat", [compile_qsat_optimistic,
+                                          compile_qsat_pessimistic])
+def test_box_to_simplex_reads_the_box_not_the_names(compile_qsat, relax):
+    art = compile_qsat(_or_x1_y1())
+    if relax:
+        art = relax_leader(art)
+    renamed = replace(art, var_map=tuple(
+        [f"c{j}" for j in range(len(art.var_map))]))
+    assert box_to_simplex(renamed).instance == box_to_simplex(art).instance
+
+
+@pytest.mark.parametrize("lower,upper", [
+    ((0, -1), (0, 1)),   # the free column is not the leading one
+    ((0, 0), (1, 0)),    # the free column is not [-1,1]
+])
+def test_box_to_simplex_rejects_other_boxes(lower, upper):
+    art = compile_qsat_optimistic(_or_x1_y1())
+    box = replace(art.instance, uncertainty=Interval(lower, upper))
+    with pytest.raises(ValueError, match="not a \\[-1,1\\] interval"):
+        box_to_simplex(replace(art, instance=box))
 
 
 def test_family_generator_is_deterministic():
