@@ -8,6 +8,7 @@ replay check, which means a bug in rbo).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -286,6 +287,7 @@ def _instance_command(sub, name, func, help_text, vectors=()) -> None:
     c.set_defaults(func=func)
 
 
+@functools.cache  # one parser per process: parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbo",

@@ -9,11 +9,12 @@ epigraph of the support function over D, whose vertices' tight sets close
 under intersection to the exposed faces.
 
 `project_polytope` computes exact images of polytopes under linear maps
-by Fourier-Motzkin elimination on primitive integer rows (int
-coefficients with gcd 1, one Fraction rhs), deduplicated at every step
-and solved along equality pairs; the bilevel adversary takes the exposed
-faces of such low-dimensional images, whose redundant rows change no
-vertex and no face.  Nothing here solves an LP.
+by Fourier-Motzkin elimination on rows of ints, the rhs included,
+deduplicated on their primitive coefficients at every step and solved
+along equality pairs; the bilevel adversary takes the exposed faces of
+such low-dimensional images, whose redundant rows change no vertex and
+no face.  Both eliminations run in ints (`numeric.eliminate` starts the
+double description), and nothing here solves an LP.
 """
 
 from __future__ import annotations
@@ -23,12 +24,32 @@ from fractions import Fraction
 from math import gcd
 
 from .lp import Polyhedron
-from .numeric import (ONE, ZERO, as_matrix, gauss_solve, integer_scaled,
-                      span_basis)
+from .numeric import ONE, ZERO, as_matrix, eliminate, integer_scaled
 from .uncertainty import CapExceededError
 
 CAP = 2048  # rays of one double description, and exposed faces
 _MAX_PROJECTION_ROWS = 4000
+
+
+def _start_cone(rows: list) -> tuple:
+    """(start, rays): a bitmask of the first linearly independent int
+    rows, which must span their width, and the simplicial cone's rays,
+    ray j solving the basis rows' system with -1 in row j and 0
+    elsewhere, primitive and with the bitmask of its tight rows.  One
+    elimination of [R^T | I] gives both: its pivot columns are the
+    basis, and pivot row t ends in -d times ray t, d > 0."""
+    m, width = len(rows), len(rows[0])
+    basis, inverse, _ = eliminate(
+        [list(col) + [int(i == j) for j in range(width)]
+         for i, col in enumerate(zip(*rows))], m)
+    if len(basis) < width:
+        raise ValueError("the polyhedron contains a line; it has no vertex")
+    start = sum(1 << i for i in basis)
+    rays = []
+    for j, row in zip(basis, inverse):
+        g = gcd(*row[m:])
+        rays.append(([-c // g for c in row[m:]], start & ~(1 << j)))
+    return start, rays
 
 
 def _double_description(poly: Polyhedron) -> list:
@@ -37,23 +58,16 @@ def _double_description(poly: Polyhedron) -> list:
     et al. 1953; Fukuda & Prodon 1996) on the cone {(z, t) : a·z <= b·t,
     t >= 0} of the rows scaled to ints: its rays with t > 0 are the
     vertices.  The start is the simplicial cone of the first linearly
-    independent rows, t >= 0 first: ray j solves the basis rows' system
-    with -1 in row j and 0 elsewhere.  Each further row keeps the rays on
-    its side and joins each pair across it that is adjacent, as no other
-    ray is tight on all the rows both are.  A ray is primitive ints and a
-    bitmask of its tight rows.  More than CAP rays after any row raise
-    CapExceededError.
+    independent rows, t >= 0 first (`_start_cone`).  Each further row
+    keeps the rays on its side and joins each pair across it that is
+    adjacent, as no other ray is tight on all the rows both are.  A ray
+    is primitive ints and a bitmask of its tight rows.  More than CAP
+    rays after any row raise CapExceededError.
     """
     n = poly.dim
     rows = [(0,) * n + (-1,)] + [r[:n] + (-r[n],)
                                  for r in poly._scaled_rows[1]]
-    basis = span_basis(rows)
-    if len(basis) <= n:
-        raise ValueError("the polyhedron contains a line; it has no vertex")
-    start = sum(1 << i for i in basis)
-    rays = [(integer_scaled(gauss_solve([rows[i] for i in basis],
-                                        [-(i == j) for i in basis]))[1],
-             start & ~(1 << j)) for j in basis]
+    start, rays = _start_cone(rows)
     for k, row in enumerate(rows):
         if start >> k & 1:
             continue
@@ -126,40 +140,44 @@ def exposed_faces(verts: tuple, directions: Polyhedron) -> dict:
     return faces
 
 
-def _add_row(rows, coeffs, rhs):
-    """Add coeffs·w <= rhs (int coeffs, Fraction rhs), divided by the gcd
-    of its coefficients, to rows, a dict from primitive coefficient tuples
-    to their least rhs.  A zero row is dropped, or refused when its rhs is
-    negative."""
-    g = gcd(*coeffs)
+def _add_row(rows, row):
+    """Add row, int coefficients then the rhs, to rows, a dict from
+    primitive coefficient tuples to rows with those coefficients up to a
+    factor g > 0, each row divided by the gcd of all its entries.  Of two
+    rows with one key, the one with the least rhs / g stays.  A zero row
+    is dropped, or refused when its rhs is negative."""
+    g = gcd(*row[:-1])
     if not g:
-        if rhs < 0:
+        if row[-1] < 0:
             raise ValueError("projection produced an infeasible row")
         return
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-        rhs /= g
-    coeffs = tuple(coeffs)
-    old = rows.get(coeffs)
-    if old is None or rhs < old:
-        rows[coeffs] = rhs
+    h = gcd(g, row[-1])
+    if h > 1:
+        row = tuple([c // h for c in row])
+        g //= h
+    key = row[:-1] if g == 1 else tuple([c // g for c in row[:-1]])
+    old = rows.get(key)
+    if old is None or row[-1] * gcd(*old[:-1]) < old[-1] * g:
+        rows[key] = row
 
 
 def _pairs(rows, var):
     """(count, pairs): the row pairs whose combinations eliminate var.
-    With an equality pair, a row c with c[var] > 0 and the row -c with
-    the opposite rhs, only the pairs holding c or -c, which substitute
+    With an equality pair, a row r with r[var] > 0 and the row e under
+    the opposite key, whose rhs / g is the opposite of r's (compared by
+    cross-multiplying), only the pairs holding r or e, which substitute
     var along it; otherwise every pair of a row with a positive and a
     row with a negative coefficient."""
-    plus = [c for c in rows if c[var] > 0]
-    minus = [c for c in rows if c[var] < 0]
-    for c in plus:
-        e = tuple([-x for x in c])
-        if rows.get(e) == -rows[c]:
-            pairs = ([(c, m) for m in minus if m != e]
-                     + [(p, e) for p in plus if p != c])
+    plus = [(c, r) for c, r in rows.items() if r[var] > 0]
+    minus = [(c, r) for c, r in rows.items() if r[var] < 0]
+    for c, r in plus:
+        e = rows.get(tuple([-x for x in c]))
+        if e is not None and r[-1] * e[var] == e[-1] * r[var]:
+            pairs = ([(r, m) for _, m in minus if m is not e]
+                     + [(p, e) for _, p in plus if p is not r])
             return len(pairs), pairs
-    return len(plus) * len(minus), itertools.product(plus, minus)
+    return (len(plus) * len(minus),
+            itertools.product([r for _, r in plus], [r for _, r in minus]))
 
 
 def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
@@ -170,38 +188,37 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
     the original variables are eliminated one by one (Fourier-Motzkin),
     preferring the variable whose step combines the fewest row pairs
     (`_pairs`): along an equality pair a step substitutes the variable,
-    one new row for each other row that holds it.  Each row is a tuple of ints with gcd 1
-    and a Fraction rhs, deduplicated to its tightest rhs in first-seen
-    order: every input row is scaled to ints once, and eliminating var
-    from pc (pc[var] = a > 0) and mc (mc[var] = -b < 0) gives
-    (b·pc + a·mc) / gcd(a, b), a positive multiple of pc / a + mc / b.
+    one new row for each other row that holds it.  Each row is a tuple of
+    ints, the rhs last, starting from poly's rows scaled to ints, and
+    deduplicated on its primitive coefficients to its tightest rhs in
+    first-seen order (`_add_row`): eliminating var from pr (pr[var] = a
+    > 0) and mr (mr[var] = -b < 0) gives (b·pr + a·mr) / gcd(a, b).  Only
+    the returned polyhedron holds Fractions.
     """
     image = as_matrix(image_rows, poly.dim)
     q = len(image)
     if q == 0:
         raise ValueError("projection needs at least one image row")
     rows = {}
-    for coeffs, rhs in zip(poly.a, poly.rhs):
-        scale, ints = integer_scaled(coeffs)
-        _add_row(rows, [0] * q + ints, rhs * scale)
+    for ints in poly._scaled_rows[1]:
+        _add_row(rows, (0,) * q + ints)
     for k in range(q):
         scale, ints = integer_scaled(image[k])
-        plus = [0] * q + [-c for c in ints]
+        plus = [0] * q + [-c for c in ints] + [0]
         plus[k] = scale
-        _add_row(rows, plus, ZERO)
-        _add_row(rows, [-c for c in plus], ZERO)
+        _add_row(rows, tuple(plus))
+        _add_row(rows, tuple([-c for c in plus]))
 
     remaining = list(range(q, q + poly.dim))
     while remaining:
         steps = {var: _pairs(rows, var) for var in remaining}
         var = min(remaining, key=lambda v: (steps[v][0], v))
-        kept = {c: r for c, r in rows.items() if not c[var]}
-        for pc, mc in steps[var][1]:
-            a, b = pc[var], -mc[var]
+        kept = {c: r for c, r in rows.items() if not r[var]}
+        for pr, mr in steps[var][1]:
+            a, b = pr[var], -mr[var]
             g = gcd(a, b)
             pf, mf = b // g, a // g
-            _add_row(kept, [pf * x + mf * y for x, y in zip(pc, mc)],
-                     pf * rows[pc] + mf * rows[mc])
+            _add_row(kept, tuple([pf * x + mf * y for x, y in zip(pr, mr)]))
         rows = kept
         if len(rows) > _MAX_PROJECTION_ROWS:
             raise CapExceededError(f"projection grew to {len(rows)} rows "
@@ -209,5 +226,6 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
         remaining.remove(var)
 
     # Every eliminated coefficient is 0 now, so the first q identify a row.
-    rows = sorted([(c[:q], r) for c, r in rows.items()])
+    rows = sorted([(c[:q], Fraction(r[-1], gcd(*r[:q])))
+                   for c, r in rows.items()])
     return Polyhedron([c for c, _ in rows], [r for _, r in rows])

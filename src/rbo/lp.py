@@ -50,6 +50,7 @@ from .numeric import (
     Fraction,
     as_matrix,
     as_vector,
+    bareiss_step,
     dot,
     gauss_solve,
     integer_scaled,
@@ -181,16 +182,13 @@ class _Tableau:
     basis.  Row i is scaled once to ints by the least s_i > 0, its slack
     and artificial entries kept at +-1 (a positive column scaling, which
     Bland's rule does not see).  The true tableau is rows / d, one d > 0,
-    with the rhs last in each row; a pivot on p sets each other row to
-    (p*row - f*prow) // d, exact as every entry is a minor (Bareiss), and
-    d to p.  Most pivots are unimodular, p = d: then a row with f = 0
-    stays as it is, and a row with f != 0 changes only on prow's support,
-    by (f*prow[j]) // d, which d divides as it divides p*row[j] -
-    f*prow[j].  A running phase keeps its objective row last.  A free
-    column that enters on a positive reduced cost enters falling: its
-    ratio test reads the column times -1, and its pivot entry is
-    negative, so `pivot` takes the pivot row times -1, which keeps d > 0
-    and leaves every other row as rising on the column times -1 would.
+    with the rhs last in each row; a pivot is one `bareiss_step`, which
+    replaces the rows it changes, so a copy's pivots leave shared rows be.
+    A running phase keeps its objective row last.  A free column that
+    enters on a positive reduced cost enters falling: its ratio test
+    reads the column times -1, and its pivot entry is negative, so the
+    step takes the pivot row times -1, which keeps d > 0 and leaves every
+    other row as rising on the column times -1 would.
     Once basic, a free column never leaves: its row takes no part in a
     ratio test, and its value may be negative.  Phase one ends with every
     free column that a row bounds basic, so later phases enter slacks
@@ -229,33 +227,7 @@ class _Tableau:
         return twin
 
     def pivot(self, row: int, col: int) -> None:
-        rows = self.rows
-        prow = rows[row]
-        p, d = prow[col], self.d
-        if p < 0:
-            # A falling free column, or an artificial's pivot-out after
-            # phase one: negating the pivot row's equation keeps d > 0.
-            prow = rows[row] = [-a for a in prow]
-            p = -p
-        if p == d:
-            support = [j for j, b in enumerate(prow) if b]
-            for i, irow in enumerate(rows):
-                f = irow[col]
-                if f and i != row:
-                    irow = rows[i] = irow[:]
-                    for j in support:
-                        irow[j] -= f * prow[j] // d
-        else:
-            for i, irow in enumerate(rows):
-                if i == row:
-                    continue
-                f = irow[col]
-                if f:
-                    rows[i] = [(p * a - f * b) // d
-                               for a, b in zip(irow, prow)]
-                else:
-                    rows[i] = [p * a // d for a in irow]
-            self.d = p
+        self.d = bareiss_step(self.rows, row, col, self.d)
         self.basis[row] = col
 
     def leaving_row(self, col: int, sign: int = 1) -> int:

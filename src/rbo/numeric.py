@@ -3,8 +3,9 @@
 The scalar type of the entire package is :class:`fractions.Fraction`
 (arbitrary-precision numerator and positive denominator, always in lowest
 terms).  Vectors and matrices are plain tuples of Fractions so they are
-immutable, hashable and safe to share.  Eliminations scale their rows to
-Python ints first and return Fractions.
+immutable, hashable and safe to share.  Eliminations run on rows scaled
+to Python ints, by one fraction-free step (`bareiss_step`) that the LP
+tableau's pivots share, and return Fractions.
 """
 
 from __future__ import annotations
@@ -115,34 +116,51 @@ def integer_scaled(values: Sequence) -> tuple:
     return s, [v.numerator * (s // v.denominator) for v in values]
 
 
-def _eliminate(rows: list, ncols: int) -> tuple:
-    """(pivots, rows, d): fraction-free Gauss-Jordan elimination (Bareiss
-    1968) of int rows over their first ncols columns.  Each column with a
+def bareiss_step(rows: list, r: int, col: int, d: int) -> int:
+    """Pivot the int rows on rows[r][col] (Bareiss 1968); return the new
+    d > 0.  A negative pivot negates row r first.  Each other row turns
+    into (p*row - f*prow) // d, f its entry in col, exact as each entry
+    is a minor; when p == d that is row - f*prow // d, so only rows with
+    f != 0 change, on prow's support.  Changed rows are replaced, never
+    written into, so copies of the row list keep their rows."""
+    prow = rows[r]
+    p = prow[col]
+    if p < 0:
+        prow = rows[r] = [-a for a in prow]
+        p = -p
+    if p == d:
+        support = [j for j, b in enumerate(prow) if b]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                row = rows[i] = row[:]
+                for j in support:
+                    row[j] -= f * prow[j] // d
+        return d
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = ([(p * a - f * b) // d for a, b in zip(row, prow)]
+                       if f else [p * a // d for a in row])
+    return p
+
+
+def eliminate(rows: list, ncols: int) -> tuple:
+    """(pivots, rows, d): fraction-free Gauss-Jordan elimination of int
+    rows (lists) over their first ncols columns.  Each column with a
     nonzero below the pivot rows so far takes the first such row as the
-    next pivot row, and every other row turns into (p*row - f*prow) // d,
-    d the last pivot, exact as every entry is a minor.  Pivot row i ends
-    with d at column pivots[i] and 0 at the other pivot columns.
+    next pivot row, swapped up, for one `bareiss_step`.  Pivot row i ends
+    with d > 0 at column pivots[i] and 0 at the other pivot columns.
     """
     pivots, d = [], 1
     for col in range(ncols):
         found = len(pivots)
         pivot_row = next((i for i in range(found, len(rows)) if rows[i][col]),
                          None)
-        if pivot_row is None:
-            continue
-        rows[found], rows[pivot_row] = rows[pivot_row], rows[found]
-        prow = rows[found]
-        p = prow[col]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i == found:
-                continue
-            if f:
-                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-            elif p != d:
-                rows[i] = [p * a // d for a in row]
-        pivots.append(col)
-        d = p
+        if pivot_row is not None:
+            rows[found], rows[pivot_row] = rows[pivot_row], rows[found]
+            d = bareiss_step(rows, found, col, d)
+            pivots.append(col)
     return pivots, rows, d
 
 
@@ -150,7 +168,7 @@ def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
     """Solve the square system m*v = r exactly.
 
     Returns the unique solution, or None when the matrix is singular,
-    that is when `_eliminate` on the augmented rows scaled to ints finds
+    that is when `eliminate` on the augmented rows scaled to ints finds
     fewer than n pivots; else v_i is row i's last entry over d.
     """
     n = len(m)
@@ -158,7 +176,7 @@ def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
         raise ValueError("gauss_solve requires a square matrix")
     if len(r) != n:
         raise ValueError("right-hand side dimension mismatch")
-    pivots, aug, d = _eliminate(
+    pivots, aug, d = eliminate(
         [integer_scaled(list(row) + [t])[1] for row, t in zip(m, r)], n)
     if len(pivots) < n:
         return None
@@ -167,7 +185,7 @@ def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
 
 def span_basis(vectors: Sequence[Sequence]) -> tuple:
     """The indices of the first linearly independent vectors, in order:
-    the pivot columns of `_eliminate` on the vectors as int-scaled
+    the pivot columns of `eliminate` on the vectors as int-scaled
     columns.  Its length is the rank of the vectors."""
-    return tuple(_eliminate([integer_scaled(row)[1] for row in zip(*vectors)],
-                            len(vectors))[0])
+    return tuple(eliminate([integer_scaled(row)[1] for row in zip(*vectors)],
+                           len(vectors))[0])

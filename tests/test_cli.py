@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import rbo
 from rbo import bilevel, lp
 from rbo.bilevel import Mode, instance_to_json, load_instance, solve_robust
 from rbo.cli import build_parser, main
@@ -253,6 +258,26 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_parser_survives_a_failed_parse(tmp_path, capsys):
+    # main builds its parser once per process; after a parse that exits
+    # 2, a solve prints what it prints in a fresh process.
+    formula = write_formula(tmp_path, "p=1 n=1\n(or x1 y1)\n")
+    out = str(tmp_path / "inst.json")
+    assert main(["compile-qsat", formula, "-o", out]) == 0
+    for bad in (["solve", out, "--mode", "neither"], ["solve"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["solve", out, "--decimal"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(rbo.__file__).parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "rbo.cli", "solve", out, "--decimal"],
+        capture_output=True, text=True, env=env, check=True)
+    assert capsys.readouterr().out == fresh.stdout
+    assert build_parser() is build_parser()
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):

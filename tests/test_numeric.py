@@ -1,14 +1,18 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rbo import lp, numeric
 from rbo.numeric import (
     as_matrix,
     as_vector,
+    bareiss_step,
     dot,
+    eliminate,
     gauss_solve,
+    integer_scaled,
     rat_format,
     rat_parse,
     span_basis,
@@ -187,3 +191,111 @@ def test_span_basis_is_the_first_independent_vectors(vectors):
 def test_span_basis_skips_dependent_vectors():
     vectors = as_matrix([[0, 0], [2, 4], [1, 2], [3, 1]])
     assert span_basis(vectors) == (1, 3)
+
+
+def gauss_jordan(rows, ncols):
+    """(pivots, rows): plain Gauss-Jordan elimination in Fractions over
+    the first ncols columns, each pivot the first nonzero at or below the
+    pivot rows so far, swapped up and divided out to 1."""
+    rows = [[F(a) for a in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        i = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        rows[k] = [a / rows[k][col] for a in rows[k]]
+        for j, row in enumerate(rows):
+            if j != k and row[col]:
+                rows[j] = [a - row[col] * b for a, b in zip(row, rows[k])]
+        pivots.append(col)
+    return pivots, rows
+
+
+@st.composite
+def rational_matrices(draw):
+    """A 1-to-4 by 1-to-5 matrix of rationals from few values, zero and
+    negative ones among them, so that zero, negative and non-unit pivots
+    are common; often one row is a multiple of another, or zero."""
+    m, width = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-3),
+                             F(1, 2), F(-2, 3)])
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        rows[-1] = [draw(st.sampled_from([F(0), F(-1), F(3, 2)])) * a
+                    for a in draw(st.sampled_from(rows[:-1]))]
+    return rows
+
+
+def proportional(u, v):
+    """Whether u = t·v for some t != 0, or both are zero."""
+    j = next((j for j, b in enumerate(v) if b), None)
+    if j is None or not u[j]:
+        return not any(u) and j is None
+    return [F(a, u[j]) for a in u] == [b / v[j] for b in v]
+
+
+@given(rational_matrices())
+@example([[F(-2), F(1), F(1, 2)], [F(1, 3), F(-3, 4), F(7)]])
+@example([[F(0), F(2), F(1), F(5)], [F(3), F(0), F(0), F(7)],
+          [F(0), F(0), F(5), F(5)]])
+@example([[F(1), F(1), F(1)], [F(2), F(2), F(2)]])
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_a_fraction_gauss_jordan(rows):
+    # eliminate, on the rows scaled to ints, takes the reference's pivots;
+    # its pivot rows are the reference's times d > 0 and its other rows
+    # multiples of the reference's.  gauss_solve on the leading square
+    # block, the last column the right-hand side, and span_basis on the
+    # columns read the same pivots.
+    width = len(rows[0])
+    ncols = max(width - 1, 1)
+    want_pivots, want_rows = gauss_jordan(rows, ncols)
+    pivots, got, d = eliminate([integer_scaled(r)[1] for r in rows], ncols)
+    k = len(pivots)
+    assert pivots == want_pivots and d > 0
+    assert [[F(a, d) for a in row] for row in got[:k]] == want_rows[:k]
+    assert all(proportional(u, v) for u, v in zip(got[k:], want_rows[k:]))
+    assert span_basis(rows) == tuple(
+        gauss_jordan([list(c) for c in zip(*rows)], len(rows))[0])
+    n = len(rows)
+    if width > n:
+        square = [row[:n] for row in rows]
+        target = [row[-1] for row in rows]
+        want_pivots, want_rows = gauss_jordan(
+            [r + [t] for r, t in zip(square, target)], n)
+        want = (tuple([row[-1] for row in want_rows])
+                if len(want_pivots) == n else None)
+        assert gauss_solve(square, target) == want
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_elimination_replaces_rows_and_never_writes_into_one(rows):
+    # A row list copied before the steps, as a tableau copy is, keeps
+    # its rows, on the unimodular steps (p = d) as on the others.
+    ints = [integer_scaled(r)[1] for r in rows]
+    before = [row[:] for row in ints]
+    kept = ints[:]
+    eliminate(ints, len(rows[0]))
+    assert kept == before
+
+
+def test_tableau_and_elimination_share_one_step(monkeypatch):
+    # _Tableau.pivot and eliminate both go through numeric.bareiss_step.
+    assert lp.bareiss_step is numeric.bareiss_step
+    calls = []
+
+    def spy(rows, r, col, d):
+        calls.append((r, col))
+        return bareiss_step(rows, r, col, d)
+
+    monkeypatch.setattr(numeric, "bareiss_step", spy)
+    monkeypatch.setattr(lp, "bareiss_step", spy)
+    assert gauss_solve([[2, 1], [1, 3]], [1, 2]) == (F(1, 5), F(3, 5))
+    assert calls == [(0, 0), (1, 1)]
+    calls.clear()
+    poly = lp.Polyhedron([[1, 0], [0, 1], [-1, -1]], [1, 1, 0])
+    assert lp.solve_lp(poly, [1, 1]).value == 2
+    assert calls
