@@ -46,7 +46,7 @@ from .bilevel import (
     check_leader_bits,
 )
 from .numeric import ONE, ZERO, Fraction, as_vector
-from .uncertainty import ConvexHull, DiscreteSet, Interval
+from .uncertainty import CapExceededError, ConvexHull, DiscreteSet, Interval
 
 
 class FormulaSyntaxError(ValueError):
@@ -373,8 +373,14 @@ def _dense_rows(rows, n_total: int, p: int):
     return lhs, leader, tuple([const for _, _, const in rows])
 
 
+MAX_FOLLOWER_VARS = 64  # each adds two dense rows and a column
+
+
 def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
     check_leader_bits(formula.p)  # before building dense p-wide rows
+    if formula.n > MAX_FOLLOWER_VARS:  # nor dense n-wide ones
+        raise CapExceededError(f"{formula.n} follower variables exceed "
+                               f"{MAX_FOLLOWER_VARS}")
     circuit = linearize(formula)
     n_y = formula.n
     rows = []

@@ -29,11 +29,11 @@ positive first dual stay out of the basis, which keeps the second stage
 on the optimal face without added rows or a second phase one.
 
 Every optimal solve produces a dual certificate mu (for the maximization
-form) with mu >= 0, mu^T A = obj and mu^T rhs = value, and a tie stage a
-second one for the tie objective plus a multiple of the first; each is
-verified exactly on the spot, on the polyhedron's integer rows, and a
-global counter keeps score so test suites can assert that no solve ever
-went uncertified.
+form) with mu >= 0, mu^T A = obj and mu^T rhs = value, read off the
+final objective row, and a tie stage a second one for the tie objective
+plus a multiple of the first; each is verified exactly on the spot, on
+the polyhedron's integer rows, and a global counter keeps score so test
+suites can assert that no solve ever went uncertified.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .numeric import (
     as_vector,
     bareiss_step,
     dot,
-    gauss_solve,
     integer_scaled,
     span_basis,
 )
@@ -159,9 +158,9 @@ class Polyhedron:
 
     @cached_property
     def _stage_one(self) -> dict:
-        """{obj: (tableau at obj's optimum, its dual)}, or () for an
-        unbounded obj, filled by `_phase_two`, which starts each solve
-        from a copy and never changes a kept tableau."""
+        """{obj scaled to ints, (S, ints): (tableau at obj's optimum, its
+        dual)}, or () for an unbounded obj, filled by `_phase_two`, which
+        starts each solve from a copy and never changes a kept tableau."""
         return {}
 
 
@@ -247,20 +246,21 @@ class _Tableau:
                     leave, best_b, best_coef = i, row[-1], coef
         return leave
 
-    def run(self, cost: Sequence, allowed: Sequence) -> LpStatus:
-        """Bland-rule phase driver maximizing cost over the current basis;
-        a cost shorter than a row is 0 on the columns past its end.
+    def run(self, cost: tuple, allowed: Sequence) -> LpStatus:
+        """Run one Bland-rule phase maximizing cost, (S, ints) as
+        `integer_scaled` gives it, 0 on the columns past its end.
 
         Of the slack and artificial columns, only those in `allowed`
         (ascending) may enter; free columns always may.  The objective row
-        is the reduced costs times d and times the cost's integer scale,
-        so its signs are the true ones.  The entering order is the one a
-        split v = v+ - v- would give: free columns with a negative reduced
-        cost, rising, then free columns with a positive one, falling, then
-        the allowed columns.
+        is the reduced costs times d and times S, so its signs are the
+        true ones; the run keeps its last one as `obj`, and S as `scale`.
+        The entering order is the one a split v = v+ - v- would give: free
+        columns with a negative reduced cost, rising, then free columns
+        with a positive one, falling, then the allowed columns.
         """
         n, rows = self.n, self.rows
-        cost = integer_scaled(cost)[1] + [0] * (self.ncols - len(cost))
+        self.scale, ints = cost
+        cost = [*ints] + [0] * (self.ncols - len(ints))
         obj = [-self.d * c for c in cost] + [0]
         for i in range(self.m):
             cb = cost[self.basis[i]]
@@ -282,7 +282,7 @@ class _Tableau:
                     return LpStatus.UNBOUNDED
                 self.pivot(leave, enter)
         finally:
-            rows.pop()
+            self.obj = rows.pop()
 
     def point(self) -> tuple:
         """The basic solution's v, nonbasic free columns at 0."""
@@ -291,29 +291,17 @@ class _Tableau:
             w[self.basis[i]] = self.rows[i][-1]
         return tuple([Fraction(w[j], self.d) for j in range(self.n)])
 
-    def dual(self, poly: Polyhedron, obj: Sequence) -> tuple:
-        """The optimal basis's dual mu for obj, one entry per row.
-
-        A basic slack forces its row's mu to 0, so only the k rows whose
-        slack is nonbasic carry mu, k the number of basic free columns j:
-        sum_r mu_r a[r][j] = obj[j].  With row r of a equal to ints_r / s_r
-        (`Polyhedron._scaled_rows`), the k x k system is solved in ints,
-        sum_r nu_r ints_r[j] = obj[j], and mu_r = s_r nu_r.  A nonbasic
-        free column has reduced cost 0 at an optimum, so mu^T A = obj whole.
-        """
-        n = self.n
-        scales, ints = poly._scaled_rows
-        free_cols = [col for col in self.basis if col < n]
-        carriers = sorted(set(range(self.m))
-                          - {col - n for col in self.basis if col >= n})
-        nu = gauss_solve([[ints[r][j] for r in carriers] for j in free_cols],
-                         [obj[j] for j in free_cols])
-        if nu is None:
-            raise LpInternalError("singular optimal basis")
-        mu = [ZERO] * self.m
-        for r, v in zip(carriers, nu):
-            mu[r] = scales[r] * v
-        return tuple(mu)
+    def dual(self, poly: Polyhedron) -> tuple:
+        """The last run's dual, one entry per row, off its objective row:
+        mu_r = s_r obj[n+r] / (S d), s_r row r's scale.  Row r is sign_r
+        [s_r (a_r | rhs_r) | e_r], so slack r's reduced cost is sign_r y_r
+        for the tableau's dual y (Chvatal 1983, ch. 10) and mu_r = s_r
+        sign_r y_r.  A basic slack, and at an optimum a nonbasic free
+        column, has reduced cost 0, so mu^T A = obj whole; in a tie stage
+        the held slacks' entries may be negative."""
+        den = self.scale * self.d
+        return tuple([Fraction(s * c, den) if c else ZERO for s, c in
+                      zip(poly._scaled_rows[0], self.obj[self.n:])])
 
 
 def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
@@ -335,7 +323,7 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
         phase1_cost = [0] * tab.ncols
         for i, col in tab.art_cols.items():
             phase1_cost[col] = Fraction(-1, scales[i])
-        status = tab.run(phase1_cost, range(n, tab.ncols))
+        status = tab.run(integer_scaled(phase1_cost), range(n, tab.ncols))
         if status is not LpStatus.OPTIMAL:
             raise LpInternalError("phase one cannot be unbounded")
         if any(tab.rows[i][-1] for i in range(tab.m)
@@ -373,9 +361,10 @@ def _phase_two(poly: Polyhedron, obj: Sequence,
 
     Phase two runs once per objective on one polyhedron, from a copy of
     poly's phase-one tableau, and its result is kept in
-    `poly._stage_one`.  A later solve of obj, with any tie objective or
-    none, starts from a copy of obj's optimal tableau and reuses its
-    dual; the caller still checks both certificates at its point.
+    `poly._stage_one` under obj scaled to ints, as the run takes it.  A
+    later solve of obj, with any tie objective or none, starts from a
+    copy of obj's optimal tableau and reuses its dual; the caller still
+    checks both certificates at its point.
 
     The tie stage continues from obj's optimal tableau.  For any optimal
     dual mu, obj's optimal face is poly with every slack r with mu_r > 0
@@ -390,20 +379,22 @@ def _phase_two(poly: Polyhedron, obj: Sequence,
     if start is None:
         return LpStatus.INFEASIBLE, None, []
     known = poly._stage_one
-    found = known.get(obj)
+    scale, ints = integer_scaled(obj)
+    key = scale, tuple(ints)
+    found = known.get(key)
     if found is None:
         tab = start.copy()
-        bounded = tab.run(obj, range(n, n + m)) is LpStatus.OPTIMAL
-        found = known[obj] = (tab, tab.dual(poly, obj)) if bounded else ()
+        bounded = tab.run(key, range(n, n + m)) is LpStatus.OPTIMAL
+        found = known[key] = (tab, tab.dual(poly)) if bounded else ()
     if not found:
         return LpStatus.UNBOUNDED, None, []
     tab, mu = found[0].copy(), found[1]
     certs = [(obj, mu)]
     if tie is not None:
         face = [n + r for r in range(m) if not mu[r]]
-        if tab.run(tie, face) is LpStatus.UNBOUNDED:
+        if tab.run(integer_scaled(tie), face) is LpStatus.UNBOUNDED:
             return LpStatus.UNBOUNDED, None, []
-        mu_s = tab.dual(poly, tie)
+        mu_s = tab.dual(poly)
         t = max([-s / u for s, u in zip(mu_s, mu) if s < 0], default=ZERO)
         if t:
             tie = tuple([s + t * c if c else s for s, c in zip(tie, obj)])

@@ -5,7 +5,7 @@ The scalar type of the entire package is :class:`fractions.Fraction`
 terms).  Vectors and matrices are plain tuples of Fractions so they are
 immutable, hashable and safe to share.  Eliminations run on rows scaled
 to Python ints, by one fraction-free step (`bareiss_step`) that the LP
-tableau's pivots share, and return Fractions.
+tableau's pivots share.
 """
 
 from __future__ import annotations
@@ -162,25 +162,6 @@ def eliminate(rows: list, ncols: int) -> tuple:
             d = bareiss_step(rows, found, col, d)
             pivots.append(col)
     return pivots, rows, d
-
-
-def gauss_solve(m: Sequence[Sequence], r: Sequence) -> Optional[Vector]:
-    """Solve the square system m*v = r exactly.
-
-    Returns the unique solution, or None when the matrix is singular,
-    that is when `eliminate` on the augmented rows scaled to ints finds
-    fewer than n pivots; else v_i is row i's last entry over d.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("gauss_solve requires a square matrix")
-    if len(r) != n:
-        raise ValueError("right-hand side dimension mismatch")
-    pivots, aug, d = eliminate(
-        [integer_scaled(list(row) + [t])[1] for row, t in zip(m, r)], n)
-    if len(pivots) < n:
-        return None
-    return tuple([Fraction(row[n], d) for row in aug])
 
 
 def span_basis(vectors: Sequence[Sequence]) -> tuple:

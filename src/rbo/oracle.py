@@ -1,8 +1,8 @@
 """Independent brute-force references for validating the solvers.
 
-Nothing here reuses the simplex, the face machinery or the bilevel
-solver logic: follower responses are recomputed from scratch by
-enumerating basic solutions of Y(x) with raw Gaussian elimination, and
+Nothing here reuses the simplex, its integer elimination, the face
+machinery or the bilevel solver logic: follower responses come from
+basic solutions of Y(x) found by plain Gauss-Jordan on Fractions, and
 leader/adversary loops are plain nested enumeration.  The only shared
 code is the rational arithmetic itself.
 """
@@ -22,7 +22,7 @@ from .bilevel import (
 )
 from .compiler import Formula, evaluate
 from .geometry import CapExceededError
-from .numeric import Fraction, as_vector, dot, gauss_solve
+from .numeric import Fraction, as_vector, dot
 from .uncertainty import (
     MAX_SCENARIOS,
     ConvexHull,
@@ -91,6 +91,25 @@ def robust_single_level_oracle(x_set, scenarios):
     return best
 
 
+def solve_square(m, r):
+    """The unique solution of the square system m v = r, by Gauss-Jordan
+    elimination on Fractions, or None when m is singular."""
+    n = len(m)
+    if len(r) != n or any(len(row) != n for row in m):
+        raise ValueError("solve_square needs an n x n matrix and n values")
+    rows = [[*map(Fraction, row), Fraction(t)] for row, t in zip(m, r)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        prow = [a / rows[pivot][col] for a in rows[pivot]]
+        rows[pivot], rows[col] = rows[col], prow
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, prow)]
+    return tuple([row[n] for row in rows])
+
+
 def _brute_vertices(rows, rhs):
     """All vertices of {v : rows v <= rhs} by raw subset enumeration."""
     m = len(rows)
@@ -101,8 +120,8 @@ def _brute_vertices(rows, rhs):
             f"cap {MAX_ORACLE_WORK}")
     vertices = set()
     for subset in itertools.combinations(range(m), n):
-        point = gauss_solve([rows[i] for i in subset],
-                            [rhs[i] for i in subset])
+        point = solve_square([rows[i] for i in subset],
+                             [rhs[i] for i in subset])
         if point is None or point in vertices:
             continue
         if all(dot(rows[i], point) <= rhs[i] for i in range(m)):

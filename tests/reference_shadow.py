@@ -1,17 +1,17 @@
 """Reference shadow kernels for the tests: the double description's start
-cone from `span_basis` and one `gauss_solve` per ray, and Fourier-Motzkin
-projection on primitive int rows with one Fraction rhs each.  The solver
-reads its start cone off one integer elimination (`geometry._start_cone`)
-and projects on rows of ints, the rhs included; these older computations
-check it."""
+cone from `span_basis` and one square solve per ray (the oracle's
+`solve_square`), and Fourier-Motzkin projection on primitive int rows
+with one Fraction rhs each.  The solver reads its start cone off one
+integer elimination (`geometry._start_cone`) and projects on rows of
+ints, the rhs included; these older computations check it."""
 
 import itertools
 from math import gcd
 
 from rbo import geometry
 from rbo.lp import Polyhedron
-from rbo.numeric import (ZERO, as_matrix, gauss_solve, integer_scaled,
-                         span_basis)
+from rbo.numeric import ZERO, as_matrix, integer_scaled, span_basis
+from rbo.oracle import solve_square
 from rbo.uncertainty import CapExceededError
 
 
@@ -24,9 +24,10 @@ def start_cone(rows: list) -> tuple:
     if len(basis) < len(rows[0]):
         raise ValueError("the polyhedron contains a line; it has no vertex")
     start = sum(1 << i for i in basis)
-    return start, [(integer_scaled(gauss_solve([rows[i] for i in basis],
-                                               [-(i == j) for i in basis]))[1],
-                    start & ~(1 << j)) for j in basis]
+    square = [rows[i] for i in basis]
+    return start, [(integer_scaled(solve_square(
+        square, [-(i == j) for i in basis]))[1], start & ~(1 << j))
+        for j in basis]
 
 
 def _add_row(rows, coeffs, rhs):

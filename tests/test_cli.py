@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import rbo
-from rbo import bilevel, lp
+from rbo import bilevel, compiler, lp
 from rbo.bilevel import Mode, instance_to_json, load_instance, solve_robust
 from rbo.cli import build_parser, main
 from rbo.compiler import (
+    MAX_FOLLOWER_VARS,
     MAX_NESTING,
     FormulaSyntaxError,
     compile_single_level_robust,
@@ -299,6 +300,27 @@ def test_compile_refuses_a_leader_set_no_solve_loads(tmp_path, capsys):
     assert main(["compile-qsat", formula, "-o", str(out)]) == 3
     assert ("leader enumeration over 2^21 vectors exceeds 2^20"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_compile_refuses_too_many_follower_variables(tmp_path, capsys,
+                                                     monkeypatch):
+    # At the bound a formula compiles in both modes; one follower
+    # variable over it is refused before the circuit or any row is built.
+    out = tmp_path / "inst.json"
+    formula = write_formula(tmp_path, f"p=0 n={MAX_FOLLOWER_VARS}\ny1\n")
+    for mode in ("optimistic", "pessimistic"):
+        assert main(["compile-qsat", formula, "-o", str(out),
+                     "--mode", mode]) == 0
+    out.unlink()
+    monkeypatch.setattr(compiler, "linearize", None)
+    formula = write_formula(tmp_path,
+                            f"p=0 n={MAX_FOLLOWER_VARS + 1}\ny1\n")
+    for mode in ("optimistic", "pessimistic"):
+        assert main(["compile-qsat", formula, "-o", str(out),
+                     "--mode", mode]) == 3
+        assert (f"{MAX_FOLLOWER_VARS + 1} follower variables exceed "
+                f"{MAX_FOLLOWER_VARS}" in capsys.readouterr().err)
     assert not out.exists()
 
 

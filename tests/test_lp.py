@@ -21,7 +21,8 @@ from rbo.lp import (
     solve_lex_lp,
     solve_lp,
 )
-from rbo.numeric import ZERO, dot, gauss_solve, span_basis
+from rbo.numeric import ZERO, dot, integer_scaled, span_basis
+import reference_dual
 
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
 TRIANGLE = Polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
@@ -128,8 +129,7 @@ def test_optimal_point_is_vertex_of_random_polytope(case):
     assert out.status is LpStatus.OPTIMAL
     tight = [row for row, r in zip(poly.a, poly.rhs)
              if dot(row, out.point) == r]
-    assert any(gauss_solve(square, (ZERO,) * poly.dim) is not None
-               for square in itertools.combinations(tight, poly.dim))
+    assert len(span_basis(tight)) == poly.dim
     values = [dot(obj, v) for v in enumerate_vertices(poly)]
     best = max(values) if sense is Sense.MAX else min(values)
     assert out.value == best
@@ -216,8 +216,7 @@ def test_lex_matches_solve_on_pinned_face(case):
         assert value == reference.value
         tight = [row for row, r in zip(poly.a, poly.rhs)
                  if dot(row, point) == r]
-        assert any(gauss_solve(square, (ZERO,) * poly.dim) is not None
-                   for square in itertools.combinations(tight, poly.dim))
+        assert len(span_basis(tight)) == poly.dim
 
 
 @given(small_polytopes())
@@ -392,6 +391,86 @@ def test_free_columns_enter_only_in_phase_one(case):
                 except UnboundedError:
                     pass
     assert all(col >= n for col in entered)
+
+
+def check_duals(poly, obj, tie=None):
+    """Solve max obj, then tie on its optimal face, on poly; each dual
+    read off a final objective row must equal the reference k x k solve
+    on its basis.  Returns (status, tableau, the tie stage's dual before
+    the multiple of obj is added)."""
+    status, tab, certs = lp._phase_two(poly, obj, tie)
+    if status is not LpStatus.OPTIMAL:
+        return status, None, None
+    scale, ints = integer_scaled(obj)
+    first = poly._stage_one[scale, tuple(ints)][0]
+    assert certs[0][1] == first.dual(poly) \
+        == reference_dual.dual(first, poly, obj)
+    if tie is None:
+        return status, tab, None
+    mu_s = tab.dual(poly)
+    assert mu_s == reference_dual.dual(tab, poly, tie)
+    return status, tab, mu_s
+
+
+@given(small_polytopes())
+@example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX))
+@example((STRIP, [1, 0], Sense.MIN))
+@settings(max_examples=80, deadline=None)
+def test_dual_matches_the_reference_solve(case):
+    poly, obj, sense = case
+    obj = lp._internal(obj, sense, poly.dim)
+    ties = [None]
+    for j in range(poly.dim):
+        unit = tuple([F(int(k == j)) for k in range(poly.dim)])
+        ties += [unit, tuple([-c for c in unit])]
+    for tie in ties:
+        check_duals(poly, obj, tie)
+
+
+def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
+    # Rows with negative right-hand sides are sign-flipped and take
+    # artificials in phase one.
+    assert lp._Tableau(RATIONAL_BOX).art_cols
+    for obj in [(F(1, 3), F(-3, 4)), (F(-1), F(-1)), (F(1, 2), F(2, 3))]:
+        assert check_duals(RATIONAL_BOX, obj)[0] is LpStatus.OPTIMAL
+    # A degenerate optimal vertex: three rows are tight at (1, 1) in the
+    # plane, and one of their slacks stays basic at level zero.
+    apex = Polyhedron([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]],
+                      [1, 1, 2, 0, 0])
+    _, tab, _ = check_duals(apex, (F(1), F(1)))
+    assert tab.point() == (1, 1)
+    assert sum(dot(row, tab.point()) == r
+               for row, r in zip(apex.a, apex.rhs)) == 3
+    assert sum(tab.basis[i] >= apex.dim and not tab.rows[i][-1]
+               for i in range(apex.num_rows)) == 1
+    # A tie stage on the unit square's face v1 = 1: maximizing v2 - v1
+    # there takes -1 on the held row v1 <= 1.
+    _, tab, mu_s = check_duals(UNIT_SQUARE, (F(1), F(0)), (F(-1), F(1)))
+    assert min(mu_s) < 0 and tab.point() == (1, 1)
+    # A repeated objective is served from the kept first stage: only the
+    # tie stage runs, and the kept dual is the reference's.
+    poly = Polyhedron(UNIT_SQUARE.a, UNIT_SQUARE.rhs)
+    check_duals(poly, (F(1), F(0)))
+    kept = dict(poly._stage_one)
+    runs, run = [], lp._Tableau.run
+
+    def counted(self, cost, allowed):
+        runs.append(cost)
+        return run(self, cost, allowed)
+
+    monkeypatch.setattr(lp._Tableau, "run", counted)
+    check_duals(poly, (F(1), F(0)), (F(0), F(-1)))
+    assert runs == [(1, [0, -1])]
+    assert poly._stage_one == kept
+
+
+def test_stage_one_keys_on_the_scale_and_the_ints():
+    # (1/2, 1) and (1, 2) scale to the same ints, but they are two
+    # objectives with two optimal values.
+    poly = Polyhedron(UNIT_SQUARE.a, UNIT_SQUARE.rhs)
+    assert solve_lp(poly, [F(1, 2), 1]).value == F(3, 2)
+    assert solve_lp(poly, [1, 2]).value == 3
+    assert sorted(poly._stage_one) == [(1, (1, 2)), (2, (1, 2))]
 
 
 def _row_scales(poly):

@@ -11,12 +11,17 @@ from rbo.numeric import (
     bareiss_step,
     dot,
     eliminate,
-    gauss_solve,
     integer_scaled,
     rat_format,
     rat_parse,
     span_basis,
 )
+from rbo.oracle import solve_square
+
+# The test_gauss_* tests check the oracle's square solve, plain
+# Gauss-Jordan on Fractions that shares no code with the integer
+# elimination tested beside it; test_kernel_matches_a_fraction_gauss_jordan
+# holds both to one Fraction reference.
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12)
@@ -40,15 +45,15 @@ def test_format_round_trips():
 
 
 def test_gauss_identity():
-    assert gauss_solve([[1, 0], [0, 1]], [1, 2]) == (F(1), F(2))
+    assert solve_square([[1, 0], [0, 1]], [1, 2]) == (F(1), F(2))
 
 
 def test_gauss_singular_is_none():
-    assert gauss_solve([[1, 1], [2, 2]], [1, 2]) is None
+    assert solve_square([[1, 1], [2, 2]], [1, 2]) is None
 
 
 def test_gauss_diagonal():
-    solution = gauss_solve([[2, 0], [0, 4]], [1, 1])
+    solution = solve_square([[2, 0], [0, 4]], [1, 1])
     assert solution == (F(1, 2), F(1, 4))
     # Plain int data stays exact: no float division.
     assert all(type(v) is F for v in solution)
@@ -56,9 +61,9 @@ def test_gauss_diagonal():
 
 def test_gauss_dimension_errors():
     with pytest.raises(ValueError):
-        gauss_solve([[1, 2]], [1])
+        solve_square([[1, 2]], [1])
     with pytest.raises(ValueError):
-        gauss_solve([[1]], [1, 2])
+        solve_square([[1]], [1, 2])
 
 
 def test_matrix_rejects_ragged():
@@ -93,7 +98,7 @@ def test_gauss_solution_is_exact(system):
     rows, target = system
     m = as_matrix(rows)
     r = as_vector(target)
-    solution = gauss_solve(m, r)
+    solution = solve_square(m, r)
     if solution is not None:
         assert tuple([dot(row, solution) for row in m]) == r
 
@@ -127,7 +132,7 @@ def test_gauss_matches_cramers_rule(system):
     # m_j being m with column j replaced by the right-hand side.
     rows, target = system
     det = laplace_det(rows)
-    solution = gauss_solve(as_matrix(rows), as_vector(target))
+    solution = solve_square(as_matrix(rows), as_vector(target))
     if det == 0:
         assert solution is None
         return
@@ -139,19 +144,19 @@ def test_gauss_matches_cramers_rule(system):
 
 def test_gauss_zero_first_pivot_swaps_rows():
     m = as_matrix([[0, 2, 1], [3, 0, 0], [0, 0, 5]])
-    assert gauss_solve(m, as_vector([5, 7, 5])) == (F(7, 3), F(2), F(1))
+    assert solve_square(m, as_vector([5, 7, 5])) == (F(7, 3), F(2), F(1))
 
 
 def test_gauss_negative_pivot():
     m = as_matrix([[-2, 1], [F(1, 3), F(-3, 4)]])
-    assert gauss_solve(m, as_vector([F(1, 2), 7])) \
+    assert solve_square(m, as_vector([F(1, 2), 7])) \
         == (F(-177, 28), F(-85, 7))
 
 
 def test_gauss_rational_multiple_row_is_singular():
     first = [F(1, 3), F(-2, 5), F(7, 2)]
     m = as_matrix([first, [1, 2, 3], [F(-3, 7) * c for c in first]])
-    assert gauss_solve(m, as_vector([1, 2, 3])) is None
+    assert solve_square(m, as_vector([1, 2, 3])) is None
 
 
 @st.composite
@@ -175,17 +180,17 @@ def _gram(vectors):
 @given(spanned_vectors())
 @settings(max_examples=60, deadline=None)
 def test_span_basis_is_the_first_independent_vectors(vectors):
-    # The basis vectors are independent, as their Gram matrix is
-    # nonsingular, and every other vector depends on the basis vectors
-    # before it, as joining it to them makes the Gram matrix singular.
+    # The basis vectors are independent, as their Gram determinant is
+    # nonzero, and every other vector depends on the basis vectors
+    # before it, as joining it to them makes the Gram determinant zero.
     basis = span_basis(vectors)
     assert list(basis) == sorted(basis)
     chosen = [vectors[j] for j in basis]
-    assert gauss_solve(_gram(chosen), [0] * len(chosen)) is not None
+    assert laplace_det(_gram(chosen)) != 0
     for i, vec in enumerate(vectors):
         if i not in basis:
             joined = [vectors[j] for j in basis if j < i] + [vec]
-            assert gauss_solve(_gram(joined), [0] * len(joined)) is None
+            assert laplace_det(_gram(joined)) == 0
 
 
 def test_span_basis_skips_dependent_vectors():
@@ -246,9 +251,9 @@ def proportional(u, v):
 def test_kernel_matches_a_fraction_gauss_jordan(rows):
     # eliminate, on the rows scaled to ints, takes the reference's pivots;
     # its pivot rows are the reference's times d > 0 and its other rows
-    # multiples of the reference's.  gauss_solve on the leading square
-    # block, the last column the right-hand side, and span_basis on the
-    # columns read the same pivots.
+    # multiples of the reference's.  The oracle's solve_square on the
+    # leading square block, the last column the right-hand side, and
+    # span_basis on the columns read the same pivots.
     width = len(rows[0])
     ncols = max(width - 1, 1)
     want_pivots, want_rows = gauss_jordan(rows, ncols)
@@ -267,7 +272,7 @@ def test_kernel_matches_a_fraction_gauss_jordan(rows):
             [r + [t] for r, t in zip(square, target)], n)
         want = (tuple([row[-1] for row in want_rows])
                 if len(want_pivots) == n else None)
-        assert gauss_solve(square, target) == want
+        assert solve_square(square, target) == want
 
 
 @given(rational_matrices())
@@ -293,7 +298,9 @@ def test_tableau_and_elimination_share_one_step(monkeypatch):
 
     monkeypatch.setattr(numeric, "bareiss_step", spy)
     monkeypatch.setattr(lp, "bareiss_step", spy)
-    assert gauss_solve([[2, 1], [1, 3]], [1, 2]) == (F(1, 5), F(3, 5))
+    pivots, rows, d = eliminate([[2, 1, 1], [1, 3, 2]], 2)
+    assert (pivots, [F(row[2], d) for row in rows]) == ([0, 1],
+                                                       [F(1, 5), F(3, 5)])
     assert calls == [(0, 0), (1, 1)]
     calls.clear()
     poly = lp.Polyhedron([[1, 0], [0, 1], [-1, -1]], [1, 1, 0])
