@@ -20,6 +20,9 @@ faces to enumerate; each outcome is then read off the follower's
 lexicographic response at the face's scenario.  When the columns of L
 are linearly dependent, as a hull's points often are, the shadow is
 flat.
+
+Leader sets follow the uncertainty sets' protocol (`LeaderSet`); the
+arity p is the instance's, and only an explicit list's vectors carry it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import geometry
 from .lp import (
@@ -53,7 +56,7 @@ from .numeric import (
     rat_parse,
     rat_parse_nested,
 )
-from .uncertainty import KINDS, CapExceededError, UncertaintySet
+from .uncertainty import KINDS, CapExceededError, Kind, UncertaintySet
 
 
 class Mode(Enum):
@@ -69,13 +72,52 @@ class SolverInvariantError(RuntimeError):
     """An exact invariant of the solver failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class AllBinary:
-    p: int
+MAX_LEADER_BITS = 20
+
+
+def check_leader_bits(p: int) -> None:
+    """Refuse binary leader enumeration over more than MAX_LEADER_BITS."""
+    if p > MAX_LEADER_BITS:
+        raise CapExceededError(
+            f"leader enumeration over 2^{p} vectors exceeds "
+            f"2^{MAX_LEADER_BITS}")
+
+
+class LeaderSet(Kind):
+    """The protocol of every kind in `LEADER_KINDS`: `candidates(p)`, the
+    leader vectors in the order the solver takes them, and `contains(x)`,
+    exact membership of a vector of length p."""
 
 
 @dataclass(frozen=True)
-class ExplicitList:
+class AllBinary(LeaderSet):
+    kind = "all_binary"
+
+    def candidates(self, p: int) -> list:
+        check_leader_bits(p)
+        return [tuple([Fraction(b) for b in bits])
+                for bits in itertools.product((0, 1), repeat=p)]
+
+    def contains(self, x: tuple) -> bool:
+        return all(v in (0, 1) for v in x)
+
+
+@dataclass(frozen=True)
+class RelaxedBox(AllBinary):
+    """Leader ranges over [0,1]^p; solved by binary enumeration, which the
+    deviation-penalty construction makes exact (the instance must carry
+    it, see `_check_relaxed_penalty`), plus a fractional spot-check
+    sampler."""
+
+    kind = "relaxed_box"
+
+    def contains(self, x: tuple) -> bool:
+        return all(0 <= v <= 1 for v in x)
+
+
+@dataclass(frozen=True)
+class ExplicitList(LeaderSet):
+    kind = "explicit"
     vectors: tuple
 
     def __post_init__(self):
@@ -88,18 +130,14 @@ class ExplicitList:
                 raise InstanceError(
                     f"non-binary leader vector {rat_format_vector(v)}")
 
+    def candidates(self, p: int) -> list:
+        return sorted(self.vectors)
 
-@dataclass(frozen=True)
-class RelaxedBox:
-    """Leader ranges over [0,1]^p; solved by binary enumeration, which the
-    deviation-penalty construction makes exact (the instance must carry
-    it, see `_check_relaxed_penalty`), plus a fractional spot-check
-    sampler."""
-
-    p: int
+    def contains(self, x: tuple) -> bool:
+        return x in self.vectors
 
 
-LeaderSet = Union[AllBinary, ExplicitList, RelaxedBox]
+LEADER_KINDS = {cls.kind: cls for cls in (AllBinary, ExplicitList, RelaxedBox)}
 
 
 @dataclass(frozen=True)
@@ -138,13 +176,9 @@ class RobustBilevelInstance:
         if self.uncertainty.dim != self.n:
             raise InstanceError(
                 f"uncertainty dimension {self.uncertainty.dim} != n={self.n}")
-        ls = self.leader_set
-        if isinstance(ls, (AllBinary, RelaxedBox)) and ls.p != self.p:
-            raise InstanceError("leader set arity != p")
-        if isinstance(ls, ExplicitList):
-            for v in ls.vectors:
-                if len(v) != self.p:
-                    raise InstanceError("leader vector arity != p")
+        if isinstance(self.leader_set, ExplicitList) and any(
+                len(v) != self.p for v in self.leader_set.vectors):
+            raise InstanceError("leader vector arity != p")
 
     @property
     def num_rows(self) -> int:
@@ -184,25 +218,9 @@ class SolveReport:
     trace: tuple
 
 
-MAX_LEADER_BITS = 20
-
-
-def check_leader_bits(p: int) -> None:
-    """Refuse binary leader enumeration over more than MAX_LEADER_BITS."""
-    if p > MAX_LEADER_BITS:
-        raise CapExceededError(
-            f"leader enumeration over 2^{p} vectors exceeds "
-            f"2^{MAX_LEADER_BITS}")
-
-
 def enumerate_leader(inst: RobustBilevelInstance):
     """Leader candidates in lexicographic order (binary for relaxed sets)."""
-    ls = inst.leader_set
-    if isinstance(ls, ExplicitList):
-        return sorted(ls.vectors)
-    check_leader_bits(ls.p)
-    return [tuple([Fraction(b) for b in bits])
-            for bits in itertools.product((0, 1), repeat=ls.p)]
+    return inst.leader_set.candidates(inst.p)
 
 
 def _check_relaxed_penalty(inst: RobustBilevelInstance) -> None:
@@ -461,36 +479,15 @@ def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
 # JSON interchange.
 
 
-def _kind_of(data, what: str):
+def _kind_from_json(doc: dict, key: str, kinds: dict) -> Kind:
+    """The member of `kinds` that the object doc[key] names by its kind."""
+    data = doc[key]
     if not isinstance(data, dict):
-        raise InstanceError(f"{what} must be a JSON object, got {data!r}")
-    return data.get("kind")
-
-
-def _leader_set_to_json(ls: LeaderSet) -> dict:
-    if isinstance(ls, AllBinary):
-        return {"kind": "all_binary"}
-    if isinstance(ls, RelaxedBox):
-        return {"kind": "relaxed_box"}
-    return {"kind": "explicit", "vectors": rat_format_nested(ls.vectors)}
-
-
-def _leader_set_from_json(data: dict, p: int) -> LeaderSet:
-    kind = _kind_of(data, "leader_set")
-    if kind == "all_binary":
-        return AllBinary(p)
-    if kind == "relaxed_box":
-        return RelaxedBox(p)
-    if kind == "explicit":
-        return ExplicitList(rat_parse_nested(data["vectors"]))
-    raise InstanceError(f"unknown leader set kind {kind!r}")
-
-
-def _uncertainty_from_json(data: dict) -> UncertaintySet:
-    kind = _kind_of(data, "uncertainty")
-    if kind not in KINDS:
-        raise InstanceError(f"unknown uncertainty kind {kind!r}")
-    return KINDS[kind].from_json(data)
+        raise InstanceError(f"{key} must be a JSON object, got {data!r}")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:  # a list is unhashable
+        raise InstanceError(f"unknown {key.replace('_', ' ')} kind {kind!r}")
+    return kinds[kind].from_json(data)
 
 
 def instance_to_json(inst: RobustBilevelInstance,
@@ -503,7 +500,7 @@ def instance_to_json(inst: RobustBilevelInstance,
         "B": rat_format_nested(inst.leader_mat),
         "b": rat_format_nested(inst.rhs),
         "d": rat_format_nested(inst.leader_obj),
-        "leader_set": _leader_set_to_json(inst.leader_set),
+        "leader_set": inst.leader_set.to_json(),
         "uncertainty": inst.uncertainty.to_json(),
         "mode_default": inst.mode_default.value,
     }
@@ -525,25 +522,24 @@ def _json_int(doc: dict, key: str) -> int:
 def instance_from_json(doc: dict):
     """Parse the interchange document; returns (instance, metadata)."""
     try:
-        p = _json_int(doc, "p")
-        n = _json_int(doc, "n")
         inst = RobustBilevelInstance(
-            p=p,
-            n=n,
+            p=_json_int(doc, "p"),
+            n=_json_int(doc, "n"),
             lhs=rat_parse_nested(doc["A"]),
             leader_mat=rat_parse_nested(doc["B"]),
             rhs=rat_parse_nested(doc["b"]),
             leader_obj=rat_parse_nested(doc["d"]),
-            leader_set=_leader_set_from_json(doc["leader_set"], p),
-            uncertainty=_uncertainty_from_json(doc["uncertainty"]),
+            leader_set=_kind_from_json(doc, "leader_set", LEADER_KINDS),
+            uncertainty=_kind_from_json(doc, "uncertainty", KINDS),
             mode_default=Mode(doc.get("mode_default", "optimistic")),
         )
         meta = {}
         if "var_map" in doc:
             var_map = doc["var_map"]
-            if not (isinstance(var_map, list) and len(var_map) == n
+            if not (isinstance(var_map, list) and len(var_map) == inst.n
                     and all(isinstance(name, str) for name in var_map)):
-                raise InstanceError(f"var_map must be a list of {n} strings")
+                raise InstanceError(
+                    f"var_map must be a list of {inst.n} strings")
             meta["var_map"] = var_map
         if "M" in doc:
             meta["M"] = rat_parse(doc["M"])

@@ -71,29 +71,16 @@ def _leader(inst, text: str):
     x = _parse_vector(text)
     if not is_nonempty(inst.follower_polyhedron(x)):
         raise InstanceError(f"Y(x) is empty for x={rat_format_vector(x)}")
-    ls = inst.leader_set
-    if isinstance(ls, bilevel.ExplicitList):
-        inside = x in ls.vectors
-    elif isinstance(ls, bilevel.RelaxedBox):
-        inside = all(0 <= v <= 1 for v in x)
-    else:
-        inside = all(v in (0, 1) for v in x)
-    if not inside:
+    if not inst.leader_set.contains(x):
         print("warning: leader vector lies outside the leader set",
               file=sys.stderr)
     return x
 
 
-def _compile_qsat(formula, mode: Mode):
-    if mode is Mode.PESSIMISTIC:
-        return compiler.compile_qsat_pessimistic(formula)
-    return compiler.compile_qsat_optimistic(formula)
-
-
 def _cmd_compile_qsat(args) -> int:
     with open(args.formula, "r", encoding="utf-8") as handle:
         formula = compiler.parse_formula_file(handle.read())
-    art = _compile_qsat(formula, Mode(args.mode or "optimistic"))
+    art = compiler.compile_qsat(formula, Mode(args.mode or "optimistic"))
     if args.relax_leader:
         art = compiler.relax_leader(art)
     if args.simplex_uncertainty:
@@ -169,7 +156,7 @@ def _cmd_demo(args) -> int:
     print("formula file:")
     print(text)
     for mode in Mode:
-        art = _compile_qsat(formula, mode)
+        art = compiler.compile_qsat(formula, mode)
         report = bilevel.solve_robust(art.instance, mode)
         print(f"{mode.value}: columns {', '.join(art.var_map)}; "
               f"M = {rat_format(art.big_m)}")
@@ -204,7 +191,7 @@ def _suite_qsat(args, lines: list) -> None:
         for mode in Mode:
             case = f"qsat[{idx}] {mode.value} {label}"
             try:
-                art = _compile_qsat(formula, mode)
+                art = compiler.compile_qsat(formula, mode)
                 got = bilevel.solve_robust(art.instance, mode).value
             except CapExceededError as exc:
                 lines.append(f"SKIP {case} ({exc})")

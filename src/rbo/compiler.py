@@ -376,7 +376,8 @@ def _dense_rows(rows, n_total: int, p: int):
 MAX_FOLLOWER_VARS = 64  # each adds two dense rows and a column
 
 
-def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
+def compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
+    """The robust bilevel instance of an exists-forall formula for mode."""
     check_leader_bits(formula.p)  # before building dense p-wide rows
     if formula.n > MAX_FOLLOWER_VARS:  # nor dense n-wide ones
         raise CapExceededError(f"{formula.n} follower variables exceed "
@@ -414,7 +415,7 @@ def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
         leader_mat=leader_mat,
         rhs=rhs,
         leader_obj=d,
-        leader_set=AllBinary(formula.p),
+        leader_set=AllBinary(),
         uncertainty=Interval(tuple(lower), tuple(upper)),
         mode_default=mode,
     )
@@ -424,14 +425,14 @@ def _compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
 def compile_qsat_optimistic(formula: Formula) -> CompilationArtifacts:
     """Robust bilevel instance whose optimistic value is 1 iff the
     exists-forall formula is true (0 otherwise)."""
-    return _compile_qsat(formula, Mode.OPTIMISTIC)
+    return compile_qsat(formula, Mode.OPTIMISTIC)
 
 
 def compile_qsat_pessimistic(formula: Formula) -> CompilationArtifacts:
     """As optimistic, plus per-coordinate deviation columns with penalty
     weight M and a certain objective coefficient of 1, which keep the
     pessimistic follower honest on fractional points."""
-    return _compile_qsat(formula, Mode.PESSIMISTIC)
+    return compile_qsat(formula, Mode.PESSIMISTIC)
 
 
 def relax_leader(art: CompilationArtifacts) -> CompilationArtifacts:
@@ -457,7 +458,7 @@ def relax_leader(art: CompilationArtifacts) -> CompilationArtifacts:
         leader_mat=inst.leader_mat + leader_mat,
         rhs=inst.rhs + rhs,
         leader_obj=inst.leader_obj + (-art.big_m,) * p,
-        leader_set=RelaxedBox(p),
+        leader_set=RelaxedBox(),
         uncertainty=Interval(inst.uncertainty.lower + devs,
                              inst.uncertainty.upper + devs),
     )

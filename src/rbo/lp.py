@@ -53,7 +53,6 @@ from .numeric import (
     bareiss_step,
     dot,
     integer_scaled,
-    span_basis,
 )
 
 
@@ -505,11 +504,12 @@ def check_bounded_nonempty(poly: Polyhedron):
     With rank A = n, a recession direction d != 0 of poly has A d <= 0
     and A d != 0, so (-1^T A) d > 0: a nonempty poly is bounded exactly
     when max (-1^T A) v over it is finite (Schrijver 1986, section 8.2).
-    That certified LP starts from poly's phase-one tableau.
+    Rank A (its basic free columns) and that LP use poly's phase one.
     """
     if not is_nonempty(poly):
         return False, True
-    if len(span_basis(poly.a)) < poly.dim:
+    n = poly.dim
+    if sum(col < n for col in poly._phase_one_tableau.basis) < n:
         return True, False
     obj = [-sum(col) for col in zip(*poly.a)]
     return True, solve_lp(poly, obj).status is LpStatus.OPTIMAL

@@ -167,6 +167,7 @@ def eliminate(rows: list, ncols: int) -> tuple:
 def span_basis(vectors: Sequence[Sequence]) -> tuple:
     """The indices of the first linearly independent vectors, in order:
     the pivot columns of `eliminate` on the vectors as int-scaled
-    columns.  Its length is the rank of the vectors."""
+    columns.  Its length is the rank of the vectors.  No solver calls it:
+    the tests use it as a rank reference independent of the simplex."""
     return tuple(eliminate([integer_scaled(row)[1] for row in zip(*vectors)],
                            len(vectors))[0])

@@ -152,7 +152,7 @@ def _leader_candidates(inst: RobustBilevelInstance):
     if isinstance(ls, ExplicitList):
         return sorted(ls.vectors)
     return [tuple([Fraction(b) for b in bits])
-            for bits in itertools.product((0, 1), repeat=ls.p)]
+            for bits in itertools.product((0, 1), repeat=inst.p)]
 
 
 def _sample_scenarios(inst: RobustBilevelInstance):

@@ -22,7 +22,8 @@ a new kind (budgeted uncertainty, say) is one dataclass plus its entry in
   apply: finitely many members whose minimum over follower outcomes
   bounds the adversary from above;
 * one dataclass field per JSON field, each a nested tuple of rationals,
-  which `to_json` and `from_json` translate.
+  which `to_json` and `from_json` translate; these two come from `Kind`,
+  which the leader-set kinds of `rbo.bilevel` share.
 
 MAX_SCENARIOS bounds how many scenarios a method may generate from a
 product grid or from box corners.
@@ -88,7 +89,22 @@ def _shared(values: Sequence):
     return values[0] if len(set(values)) == 1 else None
 
 
-class UncertaintySet:
+class Kind:
+    """A dataclass written to JSON as its `kind` tag and its fields, each
+    a nested tuple of rationals: uncertainty and leader-set kinds."""
+
+    def to_json(self) -> dict:
+        doc = {"kind": self.kind}
+        for f in fields(self):
+            doc[f.name] = rat_format_nested(getattr(self, f.name))
+        return doc
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Kind":
+        return cls(*[rat_parse_nested(data[f.name]) for f in fields(cls)])
+
+
+class UncertaintySet(Kind):
     """The protocol every uncertainty kind implements (module docstring)."""
 
     def contains(self, c: Sequence) -> bool:
@@ -98,16 +114,6 @@ class UncertaintySet:
 
     def corner_samples(self) -> tuple:
         return self.finite_scenarios()
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        for f in fields(self):
-            doc[f.name] = rat_format_nested(getattr(self, f.name))
-        return doc
-
-    @classmethod
-    def from_json(cls, data: dict) -> "UncertaintySet":
-        return cls(*[rat_parse_nested(data[f.name]) for f in fields(cls)])
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ def _random_discrete_instance(rng):
         p=p, n=n, lhs=tuple(tuple(r) for r in rows),
         leader_mat=tuple(tuple(r) for r in leader_rows), rhs=tuple(rhs),
         leader_obj=tuple(F(rng.randint(-4, 4), 2) for _ in range(n)),
-        leader_set=AllBinary(p), uncertainty=DiscreteSet(scenarios))
+        leader_set=AllBinary(), uncertainty=DiscreteSet(scenarios))
 
 
 def test_criterion_6_discrete_enumeration_and_scaling():

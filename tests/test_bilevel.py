@@ -53,7 +53,7 @@ def segment_instance(uncertainty, mode=Mode.OPTIMISTIC):
     """p = 0, follower set [0, 1], leader objective d = y."""
     return RobustBilevelInstance(
         p=0, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((), ()),
-        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(0),
+        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=uncertainty, mode_default=mode)
 
 
@@ -190,7 +190,7 @@ def test_leader_tie_break_lexicographic():
     # Both leader choices give value 0; the report must pick x = (0,).
     inst = RobustBilevelInstance(
         p=1, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((ZERO,), (ZERO,)),
-        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(1),
+        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=DiscreteSet(((F(-1),),)))
     report = solve_robust(inst, Mode.OPTIMISTIC)
     assert report.leader_x == (F(0),)
@@ -245,7 +245,7 @@ LATTICE_SQUARE = RobustBilevelInstance(
     p=0, n=2,
     lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE), (ONE, ONE)),
     leader_mat=((), (), (), (), ()), rhs=(ONE, ONE, ZERO, ZERO, F(3, 2)),
-    leader_obj=(F(2), F(-1)), leader_set=AllBinary(0),
+    leader_obj=(F(2), F(-1)), leader_set=AllBinary(),
     uncertainty=Interval((F(-1), F(0)), (F(1), F(1))))
 
 
@@ -266,7 +266,7 @@ def shadow_instances(draw):
         unc = ConvexHull(draw(st.lists(entries, min_size=2, max_size=3)))
     return RobustBilevelInstance(
         p=0, n=n, lhs=poly.a, leader_mat=((),) * poly.num_rows,
-        rhs=poly.rhs, leader_obj=draw(entries), leader_set=AllBinary(0),
+        rhs=poly.rhs, leader_obj=draw(entries), leader_set=AllBinary(),
         uncertainty=unc)
 
 
@@ -407,7 +407,7 @@ def test_point_follower_set_projects_to_a_point():
 SQUARE_IN_A_BOX = RobustBilevelInstance(
     p=0, n=2, lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)),
     leader_mat=((), (), (), ()), rhs=(ONE, ONE, ZERO, ZERO),
-    leader_obj=(ONE, F(-1)), leader_set=AllBinary(0),
+    leader_obj=(ONE, F(-1)), leader_set=AllBinary(),
     uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
 
 
@@ -446,7 +446,7 @@ SHARED_SHADOW = RobustBilevelInstance(
     lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE), (ONE, ONE)),
     leader_mat=((ZERO, ZERO),) * 4 + ((ONE, ZERO),),
     rhs=(ONE, ONE, ZERO, ZERO, F(3)), leader_obj=(ONE, F(-1)),
-    leader_set=AllBinary(2), uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
+    leader_set=AllBinary(), uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
 
 
 def _count_calls(monkeypatch, module, name):
@@ -487,7 +487,7 @@ def test_memo_solves_each_finite_y_once(monkeypatch):
     scenarios = ((F(1),), (F(-1),), (F(1, 2),))
     inst = RobustBilevelInstance(
         p=1, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((ZERO,), (ZERO,)),
-        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(1),
+        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=DiscreteSet(scenarios))
     solved = _count_calls(monkeypatch, bilevel, "solve_lex_lp")
     report = solve_robust(inst, Mode.OPTIMISTIC)
@@ -551,7 +551,7 @@ def leader_shadow_instances(draw):
     p = draw(st.integers(1, 2))
     shift = st.sampled_from([ZERO, F(1, 2), ONE])
     mat = [[draw(shift) for _ in range(p)] for _ in range(inst.num_rows)]
-    return replace(inst, p=p, leader_mat=mat, leader_set=AllBinary(p))
+    return replace(inst, p=p, leader_mat=mat, leader_set=AllBinary())
 
 
 @given(leader_shadow_instances())
@@ -570,13 +570,13 @@ def test_validation_accepts_and_rejects():
     validate_instance(segment_instance(BOX))
     empty = RobustBilevelInstance(
         p=0, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((), ()),
-        rhs=(ZERO, -ONE), leader_obj=(ONE,), leader_set=AllBinary(0),
+        rhs=(ZERO, -ONE), leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=BOX)
     with pytest.raises(InstanceError):
         validate_instance(empty)
     unbounded = RobustBilevelInstance(
         p=0, n=1, lhs=((-ONE,),), leader_mat=((),), rhs=(ZERO,),
-        leader_obj=(ONE,), leader_set=AllBinary(0), uncertainty=BOX)
+        leader_obj=(ONE,), leader_set=AllBinary(), uncertainty=BOX)
     with pytest.raises(InstanceError):
         validate_instance(unbounded)
 
@@ -588,7 +588,7 @@ def test_validation_decides_boundedness_once(monkeypatch):
     inst = RobustBilevelInstance(
         p=2, n=1, lhs=((ONE,), (-ONE,)),
         leader_mat=((ONE, ONE), (ZERO, ZERO)), rhs=(ONE, ZERO),
-        leader_obj=(ONE,), leader_set=AllBinary(2), uncertainty=BOX)
+        leader_obj=(ONE,), leader_set=AllBinary(), uncertainty=BOX)
     phase_ones = []
     phase_one = lp._phase_one
 
@@ -610,10 +610,11 @@ def test_validation_decides_boundedness_once(monkeypatch):
 def test_leader_set_validation():
     with pytest.raises(InstanceError):
         ExplicitList(((F(1, 2),),))
-    with pytest.raises(InstanceError):
+    with pytest.raises(InstanceError, match="leader vector arity != p"):
         RobustBilevelInstance(
             p=1, n=1, lhs=((ONE,),), leader_mat=((ZERO,),), rhs=(ONE,),
-            leader_obj=(ONE,), leader_set=AllBinary(2), uncertainty=BOX)
+            leader_obj=(ONE,), leader_set=ExplicitList(((ONE, ZERO),)),
+            uncertainty=BOX)
 
 
 def test_explicit_leader_enumeration_sorted():
@@ -651,10 +652,19 @@ def test_saved_instance_is_not_one_entry_per_line(tmp_path):
 def test_json_rejects_malformed():
     with pytest.raises(InstanceError):
         instance_from_json({"p": 1})
-    doc = instance_to_json(segment_instance(BOX))
-    doc["uncertainty"]["kind"] = "mystery"
-    with pytest.raises(InstanceError):
-        instance_from_json(doc)
+    for key, value, message in [
+            ("uncertainty", {"kind": "mystery"},
+             "unknown uncertainty kind 'mystery'"),
+            ("leader_set", {"kind": "mystery"},
+             "unknown leader set kind 'mystery'"),
+            ("leader_set", "all_binary",
+             "leader_set must be a JSON object, got 'all_binary'"),
+            ("leader_set", {"kind": "explicit"},
+             "malformed instance document: 'vectors'")]:
+        doc = instance_to_json(segment_instance(BOX))
+        doc[key] = value
+        with pytest.raises(InstanceError, match=message):
+            instance_from_json(doc)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -686,7 +696,7 @@ def test_scenario_membership():
 # enumeration without the deviation penalty would report a wrong 0.
 UNPENALIZED_RELAXED = RobustBilevelInstance(
     p=1, n=1, lhs=[[-1], [1], [1]], leader_mat=[[0], [2], [-2]],
-    rhs=[0, 0, 2], leader_obj=[1], leader_set=RelaxedBox(1),
+    rhs=[0, 0, 2], leader_obj=[1], leader_set=RelaxedBox(),
     uncertainty=Interval([1], [1]))
 
 

@@ -762,7 +762,7 @@ def test_shadow_projection_is_pinned(name):
 TIE_SQUARE = RobustBilevelInstance(
     p=1, n=2, lhs=[[1, 0], [0, 1], [-1, 0], [0, -1]],
     leader_mat=[[0]] * 4, rhs=[1, 1, 0, 0], leader_obj=[1, 0],
-    leader_set=AllBinary(1), uncertainty=Interval((1, 0), (1, 0)))
+    leader_set=AllBinary(), uncertainty=Interval((1, 0), (1, 0)))
 
 
 def test_follower_tie_on_an_edge_is_pinned():

@@ -53,7 +53,7 @@ def test_cross_validate_discrete_agrees():
         leader_mat=((ONE,), (ZERO,), (ZERO,), (ZERO,)),
         rhs=(ONE, ONE, ZERO, ZERO),
         leader_obj=(ONE, F(-1)),
-        leader_set=AllBinary(1),
+        leader_set=AllBinary(),
         uncertainty=DiscreteSet(((F(1), F(1)), (F(-1), F(2)))))
     for mode in Mode:
         verdict = cross_validate(inst, mode, Reference.DISCRETE_ENUMERATION)
@@ -97,7 +97,7 @@ def test_grid_sample_strict_bound_case():
         leader_mat=((), (), ()),
         rhs=(ZERO, ZERO, F(1, 5)),
         leader_obj=(ZERO, F(-1)),
-        leader_set=AllBinary(0),
+        leader_set=AllBinary(),
         uncertainty=Interval((F(-1), F(1)), (F(1), F(1))))
     verdict = cross_validate(inst, Mode.OPTIMISTIC, Reference.GRID_SAMPLE)
     assert verdict.actual == F(-1, 10)
