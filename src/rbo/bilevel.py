@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from . import geometry
@@ -50,6 +51,7 @@ from .numeric import (
     as_matrix,
     as_vector,
     dot,
+    integer_scaled,
     rat_format,
     rat_format_nested,
     rat_format_vector,
@@ -187,19 +189,40 @@ class RobustBilevelInstance:
     def follower_polyhedron(self, x: Sequence) -> Polyhedron:
         """Y(x), one `Polyhedron` per leader vector for the instance's
         lifetime (kept in `_memo` under the key x), so every solve on
-        Y(x) shares one row scaling, one tableau build and one phase one:
-        validation's, both modes' adversaries, the replay and repeated
-        spot-check samples; and each objective's first stage, but for the
-        spot check's corner bounds."""
+        Y(x) shares one tableau build and one phase one: validation's,
+        both modes' adversaries, the replay and repeated spot-check
+        samples; and each objective's first stage, but for the spot
+        check's corner bounds.
+
+        Its rows are written in ints from `_int_rows`: with x = X / q,
+        row i of [lhs | rhs + leader_mat·x] is (q·L_i | q·b_i + B_i·X) /
+        (t_i·q), which `Polyhedron.from_scaled_rows` takes to its least
+        scale.
+        """
         x = as_vector(x)
         if len(x) != self.p:
             raise InstanceError(f"leader vector has arity {len(x)} != {self.p}")
         memo = self._memo
         if x not in memo:
-            memo[x] = Polyhedron(self.lhs, [
-                self.rhs[i] + dot(self.leader_mat[i], x)
-                for i in range(self.num_rows)])
+            q, xs = integer_scaled(x)
+            rows = self._int_rows
+            memo[x] = Polyhedron.from_scaled_rows(
+                [t * q for t, _, _, _ in rows],
+                [[q * a for a in lhs] + [q * b + sum(map(mul, lead, xs))]
+                 for _, lhs, lead, b in rows])
         return memo[x]
+
+    @cached_property
+    def _int_rows(self) -> list:
+        """(t_i, L_i, B_i, b_i) for each row i: row i of [lhs | leader_mat
+        | rhs] times t_i, the least int > 0 that makes it integral, split
+        into its three parts of ints."""
+        n, p = self.n, self.p
+        rows = []
+        for lhs, lead, b in zip(self.lhs, self.leader_mat, self.rhs):
+            t, ints = integer_scaled(lhs + lead + (b,))
+            rows.append((t, ints[:n], ints[n:n + p], ints[-1]))
+        return rows
 
     @cached_property
     def _memo(self) -> dict:
@@ -335,22 +358,23 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
 
     Leaders of one instance mostly share their shadow, so the work is
     kept in `inst._memo` for the instance's lifetime, under three kinds
-    of key: (mode, Y(x).rhs) holds the result (c*, value), for
-    finite sets too, as Y(x) has the instance's lhs; (mode, shadow
-    vertices), the sorted vertex tuple of the projection, holds the
-    scan's scenarios, so the exposed faces are found once for each
-    distinct shadow and mode; and the leader vector x holds
-    Y(x) itself (`follower_polyhedron`).  The first two cannot collide:
-    an rhs holds Fractions, a vertex tuple holds tuples.  A polytope is
-    its vertex set, and its faces do not depend on redundant rows, so
-    the projection's rows need not be irredundant.  Only the projection,
-    its vertex enumeration and the follower LPs on a new Y(x) run again,
-    each LP with its certificates checked; Y(x) keeps each scenario's
-    first stage, so the other mode and the replay run only tie stages.
+    of key: (mode, scales, rows), Y(x)'s integer rows, holds the result
+    (c*, value), for finite sets too; (mode, shadow vertices), the
+    sorted vertex tuple of the projection, holds the scan's scenarios,
+    so the exposed faces are found once for each distinct shadow and
+    mode; and the leader vector x holds Y(x) itself
+    (`follower_polyhedron`).  No two kinds collide: the first two are a
+    triple and a pair that start with a mode, and x holds Fractions.  A
+    polytope is its vertex set, and its faces do not depend on redundant
+    rows, so the projection's rows need not be irredundant.  Only the
+    projection, its vertex enumeration and the follower LPs on a new
+    Y(x) run again, each LP with its certificates checked; Y(x) keeps
+    each scenario's first stage, so the other mode and the replay run
+    only tie stages.
     """
     poly = inst.follower_polyhedron(x)
     memo = inst._memo
-    key = (mode, poly.rhs)
+    key = (mode, *poly._scaled_rows)
     if key not in memo:
         scenarios = inst.uncertainty.finite_scenarios()
         if scenarios is None:

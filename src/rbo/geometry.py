@@ -119,9 +119,9 @@ def exposed_faces(verts: tuple, directions: Polyhedron) -> dict:
     interior of the face's cell.
     """
     k = len(verts)
-    epigraph = Polyhedron([v + (-ONE,) for v in verts]
-                          + [g + (ZERO,) for g in directions.a],
-                          [ZERO] * k + list(directions.rhs))
+    rows = [integer_scaled(v + (-ONE, ZERO)) for v in verts] + [
+        (s, g[:-1] + (0, g[-1])) for s, g in zip(*directions._scaled_rows)]
+    epigraph = Polyhedron.from_scaled_rows(*zip(*rows))
     cells = [(frozenset(i for i in tight if i < k), point[:-1])
              for point, tight in enumerate_vertices(epigraph).items()]
     closed = {part for part, _ in cells}
@@ -161,23 +161,39 @@ def _add_row(rows, row):
         rows[key] = row
 
 
-def _pairs(rows, var):
-    """(count, pairs): the row pairs whose combinations eliminate var.
-    With an equality pair, a row r with r[var] > 0 and the row e under
-    the opposite key, whose rhs / g is the opposite of r's (compared by
-    cross-multiplying), only the pairs holding r or e, which substitute
-    var along it; otherwise every pair of a row with a positive and a
-    row with a negative coefficient."""
-    plus = [(c, r) for c, r in rows.items() if r[var] > 0]
-    minus = [(c, r) for c, r in rows.items() if r[var] < 0]
-    for c, r in plus:
+def _cheapest(rows, remaining):
+    """(var, pairs): of the variables in `remaining`, the one whose
+    elimination combines the fewest row pairs (the least on a tie), and
+    those pairs.  Rows r and e under opposite keys whose rhs / g are
+    opposite too (compared by cross-multiplying) are an equality pair,
+    found once for all variables.  A variable that an equality pair holds
+    is substituted along the first such r with r[var] > 0: only the pairs
+    holding r or e, p + m - 2 of them for p rows positive and m negative
+    on var.  Any other variable takes all p·m pairs of a row positive and
+    a row negative on it.  The keys' columns give p and m, as a key has
+    its row's signs."""
+    equal = set()
+    for c, r in rows.items():
         e = rows.get(tuple([-x for x in c]))
-        if e is not None and r[-1] * e[var] == e[-1] * r[var]:
-            pairs = ([(r, m) for _, m in minus if m is not e]
-                     + [(p, e) for _, p in plus if p is not r])
-            return len(pairs), pairs
-    return (len(plus) * len(minus),
-            itertools.product([r for _, r in plus], [r for _, r in minus]))
+        if e is not None and r[-1] * gcd(*e[:-1]) == -e[-1] * gcd(*r[:-1]):
+            equal.add(c)
+    columns = list(zip(*rows))
+
+    def count(var):
+        col = columns[var]
+        p = sum([x > 0 for x in col])
+        m = sum([x < 0 for x in col])
+        return p + m - 2 if any(c[var] for c in equal) else p * m
+
+    var = min(remaining, key=lambda v: (count(v), v))
+    plus = [(c, r) for c, r in rows.items() if r[var] > 0]
+    minus = [r for r in rows.values() if r[var] < 0]
+    for c, r in plus:
+        if c in equal:
+            e = rows[tuple([-x for x in c])]
+            return var, ([(r, m) for m in minus if m is not e]
+                         + [(p, e) for _, p in plus if p is not r])
+    return var, itertools.product([r for _, r in plus], minus)
 
 
 def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
@@ -187,13 +203,14 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
     Auxiliary coordinates w = T v are appended, as q equality pairs, then
     the original variables are eliminated one by one (Fourier-Motzkin),
     preferring the variable whose step combines the fewest row pairs
-    (`_pairs`): along an equality pair a step substitutes the variable,
+    (`_cheapest`): along an equality pair a step substitutes the variable,
     one new row for each other row that holds it.  Each row is a tuple of
     ints, the rhs last, starting from poly's rows scaled to ints, and
     deduplicated on its primitive coefficients to its tightest rhs in
     first-seen order (`_add_row`): eliminating var from pr (pr[var] = a
-    > 0) and mr (mr[var] = -b < 0) gives (b·pr + a·mr) / gcd(a, b).  Only
-    the returned polyhedron holds Fractions.
+    > 0) and mr (mr[var] = -b < 0) gives (b·pr + a·mr) / gcd(a, b).  The
+    returned polyhedron takes the final rows as they are
+    (`Polyhedron.from_scaled_rows`), so no Fraction is built.
     """
     image = as_matrix(image_rows, poly.dim)
     q = len(image)
@@ -211,10 +228,9 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
 
     remaining = list(range(q, q + poly.dim))
     while remaining:
-        steps = {var: _pairs(rows, var) for var in remaining}
-        var = min(remaining, key=lambda v: (steps[v][0], v))
+        var, pairs = _cheapest(rows, remaining)
         kept = {c: r for c, r in rows.items() if not r[var]}
-        for pr, mr in steps[var][1]:
+        for pr, mr in pairs:
             a, b = pr[var], -mr[var]
             g = gcd(a, b)
             pf, mf = b // g, a // g
@@ -226,6 +242,5 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
         remaining.remove(var)
 
     # Every eliminated coefficient is 0 now, so the first q identify a row.
-    rows = sorted([(c[:q], Fraction(r[-1], gcd(*r[:q])))
-                   for c, r in rows.items()])
-    return Polyhedron([c for c, _ in rows], [r for _, r in rows])
+    rows = [r[:q] + r[-1:] for _, r in sorted(rows.items())]
+    return Polyhedron.from_scaled_rows([gcd(*r[:q]) for r in rows], rows)

@@ -1,23 +1,25 @@
 """Exact simplex over rational data.
 
 Linear programs are stated on a :class:`Polyhedron` {v : A v <= rhs} with
-free variables.  The solver is a textbook two-phase full-tableau simplex
-with Bland's pivot rule (smallest index), which terminates under
-degeneracy and is deterministic for fixed input.  It pivots on integer
-rows (Bareiss 1968); Fractions appear only in the point, value and dual.
+free variables, whose data are the rows of [A | rhs] scaled to ints.  The
+solver is a textbook two-phase full-tableau simplex with Bland's pivot
+rule (smallest index), which terminates under degeneracy and is
+deterministic for fixed input.  It pivots on integer rows (Bareiss 1968)
+and checks its certificates in ints; Fractions appear only in the
+returned point, value and dual, and in the `a` and `rhs` views.
 Free variables keep one column each.  Phase one ends by pivoting in
 every free column that a row bounds, and a basic free column never
 leaves, so every later basis has a vertex as its basic point whenever
 the polyhedron has one, and no later solve pivots a free column in.
 
 Phase one runs once per polyhedron, and phase two once per objective: a
-:class:`Polyhedron` keeps its rows scaled to ints, its tableau after
-phase one (or the finding that it is empty) and, for each objective
-solved on it, the optimal tableau and its dual (or the finding that the
-objective is unbounded) for as long as it lives.  Every solve starts
-from a shallow copy of a kept tableau, whose pivots copy a row before
-they write into it.  Bland's rule sees the same tableau each time, so a
-reused polyhedron gives the same point, value and dual as a fresh one.
+:class:`Polyhedron` keeps its tableau after phase one (or the finding
+that it is empty) and, for each objective solved on it, the optimal
+tableau and its dual (or the finding that the objective is unbounded)
+for as long as it lives.  Solves pivot only shallow copies of a kept
+tableau, whose pivots copy a row before they write into it.  Bland's
+rule sees the same tableau each time, so a reused polyhedron gives the
+same point, value and dual as a fresh one.
 A caller that solves on one feasible set many times keeps one polyhedron
 for it: `RobustBilevelInstance.follower_polyhedron` gives one Y(x) per
 leader x for the instance's lifetime, so both modes' follower solves and
@@ -31,9 +33,13 @@ on the optimal face without added rows or a second phase one.
 Every optimal solve produces a dual certificate mu (for the maximization
 form) with mu >= 0, mu^T A = obj and mu^T rhs = value, read off the
 final objective row, and a tie stage a second one for the tie objective
-plus a multiple of the first; each is verified exactly on the spot, on
-the polyhedron's integer rows, and a global counter keeps score so test
-suites can assert that no solve ever went uncertified.
+plus a multiple of the first.  Each is verified exactly on the spot, on
+the polyhedron's integer rows with its denominators cleared: the
+objective row's slack part o, a multiple of mu over the row scales,
+must combine the integer rows into the objective and the value at the
+basic point, both times the same factor (`_verify_certificate`).  A
+global counter keeps score so test suites can assert that no solve ever
+went uncertified.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .numeric import (
@@ -100,52 +107,78 @@ class CertificateLog:
 CERT_LOG = CertificateLog()
 
 
-@dataclass(frozen=True)
 class Polyhedron:
     """Feasible set {v in R^n : a·v <= rhs row by row}.
 
-    Three things are computed on first use and kept for the object's
-    lifetime: the rows scaled to ints, the tableau after phase one, and
-    each objective's first stage.  Every solve on one polyhedron shares
-    them, so the emptiness probe and each scenario of one Y(x) run phase
-    one once between them, and each scenario's first stage runs once
-    whatever tie objectives follow it.
+    Its data are its rows scaled to ints, `_scaled_rows` = (scales,
+    rows): row i of [a | rhs] times s_i, the least int > 0 that makes it
+    integral, as a tuple of ints.  `Polyhedron(a, rhs)` scales rows
+    given as rationals; `from_scaled_rows` takes rows of ints with any
+    positive scales, as `RobustBilevelInstance.follower_polyhedron` and
+    the geometry write them, and `a` and `rhs` are then Fraction views
+    built on first use.
+
+    Two more things are computed on first use and kept for the object's
+    lifetime: the tableau after phase one, and each objective's first
+    stage.  Every solve on one polyhedron shares them, so the emptiness
+    probe and each scenario of one Y(x) run phase one once between them,
+    and each scenario's first stage runs once whatever tie objectives
+    follow it.
     """
 
-    a: tuple
-    rhs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_matrix(self.a))
-        object.__setattr__(self, "rhs", as_vector(self.rhs))
-        if len(self.a) < 1:
+    def __init__(self, a, rhs):
+        a, rhs = as_matrix(a), as_vector(rhs)
+        if len(a) < 1:
             raise ValueError("polyhedron needs at least one row")
-        if len(self.a) != len(self.rhs):
+        if len(a) != len(rhs):
             raise ValueError("row/rhs count mismatch")
-        if len(self.a[0]) < 1:
+        if len(a[0]) < 1:
             raise ValueError("polyhedron needs at least one column")
+        self._set_rows(*zip(*[integer_scaled(row + (r,))
+                              for row, r in zip(a, rhs)]))
+        self.a, self.rhs = a, rhs
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.a)
+    @classmethod
+    def from_scaled_rows(cls, scales: Sequence,
+                         rows: Sequence) -> "Polyhedron":
+        """The polyhedron whose row i of [a | rhs] is rows[i] / scales[i],
+        for rows of ints and scales > 0."""
+        poly = cls.__new__(cls)
+        poly._set_rows(scales, rows)
+        return poly
 
-    @property
-    def dim(self) -> int:
-        return len(self.a[0])
-
-    def contains(self, point: Sequence) -> bool:
-        return all(dot(row, point) <= r for row, r in zip(self.a, self.rhs))
+    def _set_rows(self, scales: Sequence, rows: Sequence) -> None:
+        """Keep each row at its least scale: a row and its scale divided
+        by the gcd of the scale and the row's entries."""
+        least = []
+        for s, row in zip(scales, rows):
+            g = gcd(s, *row)
+            least.append((s // g, tuple([a // g for a in row])))
+        self._scaled_rows = scales, rows = tuple(zip(*least))
+        self.num_rows, self.dim = len(rows), len(rows[0]) - 1
 
     @cached_property
-    def _scaled_rows(self) -> tuple:
-        """(scales, rows): row i of [a | rhs] times s_i, the least int
-        > 0 that makes it integral, as a tuple of ints."""
-        scales, rows = [], []
-        for row, r in zip(self.a, self.rhs):
-            s, ints = integer_scaled(row + (r,))
-            scales.append(s)
-            rows.append(tuple(ints))
-        return tuple(scales), tuple(rows)
+    def a(self) -> tuple:
+        return tuple([tuple([Fraction(c, s) for c in row[:-1]])
+                      for s, row in zip(*self._scaled_rows)])
+
+    @cached_property
+    def rhs(self) -> tuple:
+        return tuple([Fraction(row[-1], s)
+                      for s, row in zip(*self._scaled_rows)])
+
+    def __repr__(self) -> str:
+        return f"Polyhedron({self.a!r}, {self.rhs!r})"
+
+    def contains(self, point: Sequence) -> bool:
+        d, w = integer_scaled(as_vector(point))
+        return self._holds(w, d)
+
+    def _holds(self, w: Sequence, d: int) -> bool:
+        """Whether the point w / d, w ints and d > 0, satisfies every row:
+        ints_r·(w | -d) <= 0 on the integer rows."""
+        return all(sum(map(mul, row, w)) <= row[-1] * d
+                   for row in self._scaled_rows[1])
 
     @cached_property
     def _phase_one_tableau(self) -> Optional["_Tableau"]:
@@ -158,8 +191,8 @@ class Polyhedron:
     @cached_property
     def _stage_one(self) -> dict:
         """{obj scaled to ints, (S, ints): (tableau at obj's optimum, its
-        dual)}, or () for an unbounded obj, filled by `_phase_two`, which
-        starts each solve from a copy and never changes a kept tableau."""
+        dual in Fractions)}, or () for an unbounded obj, filled by
+        `_phase_two`, which pivots only copies of a kept tableau."""
         return {}
 
 
@@ -200,11 +233,12 @@ class _Tableau:
         m, n = poly.num_rows, poly.dim
         self.m, self.n = m, n
         self.num_structural = n + m
-        art_rows = [i for i in range(m) if poly.rhs[i] < 0]
+        scaled = poly._scaled_rows[1]
+        art_rows = [i for i in range(m) if scaled[i][-1] < 0]
         self.art_cols = {i: n + m + k for k, i in enumerate(art_rows)}
         self.ncols = n + m + len(art_rows)
         self.rows = []
-        for i, ints in enumerate(poly._scaled_rows[1]):
+        for i, ints in enumerate(scaled):
             sign = -1 if ints[-1] < 0 else 1
             row = [sign * a for a in ints[:n]] + [0] * (self.ncols - n)
             row.append(sign * ints[-1])
@@ -284,11 +318,13 @@ class _Tableau:
             self.obj = rows.pop()
 
     def point(self) -> tuple:
-        """The basic solution's v, nonbasic free columns at 0."""
-        w = [0] * self.ncols
-        for i in range(self.m):
-            w[self.basis[i]] = self.rows[i][-1]
-        return tuple([Fraction(w[j], self.d) for j in range(self.n)])
+        """The basic solution's v as (w, d), v = w / d with w ints,
+        nonbasic free columns at 0."""
+        n, w = self.n, [0] * self.n
+        for row, col in zip(self.rows, self.basis):
+            if col < n:
+                w[col] = row[-1]
+        return w, self.d
 
     def dual(self, poly: Polyhedron) -> tuple:
         """The last run's dual, one entry per row, off its objective row:
@@ -318,11 +354,13 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     tab = _Tableau(poly)
     n, art_set = tab.n, set(tab.art_cols.values())
     if art_set:
+        # Artificial i costs -1/s_i, which the run takes times S.
         scales = poly._scaled_rows[0]
+        total = lcm(*[scales[i] for i in tab.art_cols])
         phase1_cost = [0] * tab.ncols
         for i, col in tab.art_cols.items():
-            phase1_cost[col] = Fraction(-1, scales[i])
-        status = tab.run(integer_scaled(phase1_cost), range(n, tab.ncols))
+            phase1_cost[col] = -(total // scales[i])
+        status = tab.run((total, phase1_cost), range(n, tab.ncols))
         if status is not LpStatus.OPTIMAL:
             raise LpInternalError("phase one cannot be unbounded")
         if any(tab.rows[i][-1] for i in range(tab.m)
@@ -348,81 +386,88 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     return tab
 
 
-def _phase_two(poly: Polyhedron, obj: Sequence,
-               tie: Optional[Sequence] = None):
+def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
     """Phase two for max obj·v over poly, then, given a tie objective,
-    max tie·v over obj's optimal face.
+    max tie·v over obj's optimal face; obj and tie as (S, ints), each
+    scaled to ints by `integer_scaled`.
 
-    Returns (status, tableau, certs).  certs pairs objectives with their
-    dual certificates at the tableau's basic point: (obj, mu), then for a
-    tie stage (tie + t·obj, mu_2).  The status is UNBOUNDED when obj is,
-    or the tie objective is on obj's optimal face.
+    Returns (status, tableau, mu, certs): mu is obj's dual in Fractions,
+    and certs pairs each stage's certificate o with the objective it
+    certifies, c, for `_verify_certificate` at the tableau's basic point:
+    (o, c) for obj, then for a tie stage (o_2, c_2) for tie + t·obj.  A
+    stage's o is its final objective row's slack part, and mu_r = s_r o_r
+    / D for D = S·d, d the stage's denominator, so c = D·obj = d·ints in
+    ints.  The status is UNBOUNDED when obj is, or the tie objective is
+    on obj's optimal face.
 
     Phase two runs once per objective on one polyhedron, from a copy of
-    poly's phase-one tableau, and its result is kept in
-    `poly._stage_one` under obj scaled to ints, as the run takes it.  A
-    later solve of obj, with any tie objective or none, starts from a
-    copy of obj's optimal tableau and reuses its dual; the caller still
-    checks both certificates at its point.
+    poly's phase-one tableau, and its result is kept in `poly._stage_one`
+    under obj's (S, ints).  A later solve of obj, with any tie objective
+    or none, starts from obj's optimal tableau, copied when a tie stage
+    pivots on, and reuses its dual; the caller still checks both
+    certificates at its point.
 
     The tie stage continues from obj's optimal tableau.  For any optimal
     dual mu, obj's optimal face is poly with every slack r with mu_r > 0
     held at 0, so the tie stage lets only the free columns and the other
-    slacks enter: no row is added and no phase one runs.  Its dual mu_s
-    may be negative on the held rows; mu_2 = mu_s + t·mu with the least
-    t >= 0 that makes it nonnegative certifies (tie + t·obj)·v over poly,
-    which with the first certificate proves the point lex-optimal.
+    slacks enter: no row is added and no phase one runs.  Its dual may be
+    negative on the held rows; adding t·mu with the least t >= 0 that
+    makes it nonnegative certifies (tie + t·obj)·v over poly, which with
+    the first certificate proves the point lex-optimal.  As the rows' s_r
+    cancel, that is o_2 = t_d·o_s + t_n·o and c_2 = t_d·c_s + t_n·c, with
+    t_n / t_d the largest -o_s[r] / o[r], compared by cross-multiplying.
     """
     n, m = poly.dim, poly.num_rows
     start = poly._phase_one_tableau
     if start is None:
-        return LpStatus.INFEASIBLE, None, []
+        return LpStatus.INFEASIBLE, None, None, []
     known = poly._stage_one
-    scale, ints = integer_scaled(obj)
-    key = scale, tuple(ints)
-    found = known.get(key)
+    found = known.get(obj)
     if found is None:
         tab = start.copy()
-        bounded = tab.run(key, range(n, n + m)) is LpStatus.OPTIMAL
-        found = known[key] = (tab, tab.dual(poly)) if bounded else ()
+        bounded = tab.run(obj, range(n, n + m)) is LpStatus.OPTIMAL
+        found = known[obj] = (tab, tab.dual(poly)) if bounded else ()
     if not found:
-        return LpStatus.UNBOUNDED, None, []
-    tab, mu = found[0].copy(), found[1]
-    certs = [(obj, mu)]
+        return LpStatus.UNBOUNDED, None, None, []
+    tab, mu = found
+    o = tab.obj[n:n + m]
+    c = [tab.d * a for a in obj[1]]
+    certs = [(o, c)]
     if tie is not None:
-        face = [n + r for r in range(m) if not mu[r]]
-        if tab.run(integer_scaled(tie), face) is LpStatus.UNBOUNDED:
-            return LpStatus.UNBOUNDED, None, []
-        mu_s = tab.dual(poly)
-        t = max([-s / u for s, u in zip(mu_s, mu) if s < 0], default=ZERO)
-        if t:
-            tie = tuple([s + t * c if c else s for s, c in zip(tie, obj)])
-            mu_s = tuple([s + t * u if u else s for s, u in zip(mu_s, mu)])
-        certs.append((tie, mu_s))
-    return LpStatus.OPTIMAL, tab, certs
+        tab = tab.copy()
+        if tab.run(tie, [n + r for r in range(m) if not o[r]]) \
+                is LpStatus.UNBOUNDED:
+            return LpStatus.UNBOUNDED, None, None, []
+        o_s = tab.obj[n:n + m]
+        c_s = [tab.d * a for a in tie[1]]
+        t_n, t_d = 0, 1
+        for a, b in zip(o_s, o):
+            if a < 0 < b and -a * t_d > t_n * b:
+                t_n, t_d = -a, b
+        if t_n:
+            o_s = [t_d * a + t_n * b for a, b in zip(o_s, o)]
+            c_s = [t_d * a + t_n * b for a, b in zip(c_s, c)]
+        certs.append((o_s, c_s))
+    return LpStatus.OPTIMAL, tab, mu, certs
 
 
-def _verify_certificate(poly: Polyhedron, obj: Sequence, value: Fraction,
-                        mu: Sequence) -> None:
-    """Check mu >= 0, mu^T A = obj and mu^T rhs = value on poly's data.
-
-    Row i of [A | rhs] is ints_i / s_i, so with nu_i = mu_i / s_i over one
-    common denominator D the check is sum (D nu_i) ints_i = D (obj | value)
-    in ints.
+def _verify_certificate(poly: Polyhedron, o: Sequence, c: Sequence,
+                        point: tuple) -> None:
+    """Check the dual certificate o for max c·v at the point v = w / d,
+    point = (w, d), on poly's integer rows alone: o >= 0 and sum_r o_r
+    ints_r = (c | c·w / d), ints_r row r of [A | rhs] times its least
+    scale s_r.  Then for any D > 0, mu_r = s_r o_r / D has mu >= 0, mu^T A
+    = c / D and mu^T rhs = (c / D)·v, so v is optimal.
     """
     CERT_LOG.optimal_solves += 1
-    scales, rows = poly._scaled_rows
-    terms = [(u.numerator, u.denominator * s, row)
-             for u, s, row in zip(mu, scales, rows) if u]
-    den = lcm(*[q for _, q, _ in terms])
+    rows = poly._scaled_rows[1]
+    w, d = point
     combo = [0] * (poly.dim + 1)
-    for num, q, row in terms:
-        f = num * (den // q)
-        combo = [c + f * a for c, a in zip(combo, row)]
-    target = list(obj) + [value]
-    ok = (len(mu) == poly.num_rows and all(num > 0 for num, _, _ in terms)
-          and all(c * t.denominator == den * t.numerator
-                  for c, t in zip(combo, target)))
+    for u, row in zip(o, rows):
+        if u:
+            combo = [x + u * a for x, a in zip(combo, row)]
+    ok = (len(o) == len(rows) and min(o) >= 0 and combo[:-1] == list(c)
+          and d * combo[-1] == sum(map(mul, c, w)))
     if not ok:
         CERT_LOG.failures += 1
         raise LpInternalError("dual certificate check failed")
@@ -446,24 +491,27 @@ def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
     obj = _internal(obj, sense, poly.dim)
     if tie is not None:
         tie = _internal(*tie, poly.dim)
-    status, tab, certs = _phase_two(poly, obj, tie)
+    status, tab, mu, certs = _phase_two(poly, obj, tie)
     if status is not LpStatus.OPTIMAL:
         return LpOutcome(status=status)
-    point = tab.point()
-    for cost, mu in certs:
-        _verify_certificate(poly, cost, dot(cost, point), mu)
-    value = dot(obj, point)
+    point = w, d = tab.point()
+    for o, c in certs:
+        _verify_certificate(poly, o, c, point)
+    scale, ints = obj
+    value = Fraction(sum(map(mul, ints, w)), scale * d)
     if sense is Sense.MIN:
         value = -value
-    return LpOutcome(LpStatus.OPTIMAL, point, value, certs[0][1])
+    return LpOutcome(LpStatus.OPTIMAL, tuple([Fraction(x, d) for x in w]),
+                     value, mu)
 
 
 def _internal(obj, sense: Sense, dim: int) -> tuple:
-    """obj as the vector to maximize."""
+    """obj as the vector to maximize, scaled to ints: (S, ints)."""
     obj = as_vector(obj)
     if len(obj) != dim:
         raise ValueError(f"objective dimension {len(obj)} != {dim}")
-    return obj if sense is Sense.MAX else tuple([-c for c in obj])
+    scale, ints = integer_scaled(obj)
+    return scale, tuple(ints if sense is Sense.MAX else [-a for a in ints])
 
 
 def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
@@ -489,11 +537,12 @@ def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
 
 def is_nonempty(poly: Polyhedron) -> bool:
     """Whether poly has a point, read from its phase-one tableau.  The
-    tableau's basic point is checked to lie in poly."""
+    tableau's basic point is checked to lie in poly, on its integer rows
+    (`Polyhedron._holds`)."""
     tab = poly._phase_one_tableau
     if tab is None:
         return False
-    if not poly.contains(tab.point()):
+    if not poly._holds(*tab.point()):
         raise LpInternalError("phase one ended outside the polyhedron")
     return True
 

@@ -1,6 +1,10 @@
-"""Reference LP dual for the tests: the k x k solve that `_Tableau.dual`
-ran before it read the dual off the final objective row.  The solver's
-dual must equal it on every optimal basis."""
+"""Reference LP dual and certificate check for the tests: the k x k
+solve that `_Tableau.dual` ran before it read the dual off the final
+objective row, and the Fraction check that `_verify_certificate` ran
+before it worked in ints.  The solver's dual must equal the first on
+every optimal basis, and its check must agree with the second."""
+
+from math import lcm
 
 from rbo.lp import LpInternalError
 from rbo.numeric import ZERO
@@ -29,3 +33,24 @@ def dual(tab, poly, obj) -> tuple:
     for r, v in zip(carriers, nu):
         mu[r] = scales[r] * v
     return tuple(mu)
+
+
+def certifies(poly, obj, value, mu) -> bool:
+    """Whether mu >= 0, mu^T A = obj and mu^T rhs = value on poly's data.
+
+    Row i of [A | rhs] is ints_i / s_i, so with nu_i = mu_i / s_i over one
+    common denominator D the check is sum (D nu_i) ints_i = D (obj | value)
+    in ints.
+    """
+    scales, rows = poly._scaled_rows
+    terms = [(u.numerator, u.denominator * s, row)
+             for u, s, row in zip(mu, scales, rows) if u]
+    den = lcm(*[q for _, q, _ in terms])
+    combo = [0] * (poly.dim + 1)
+    for num, q, row in terms:
+        f = num * (den // q)
+        combo = [c + f * a for c, a in zip(combo, row)]
+    target = list(obj) + [value]
+    return (len(mu) == poly.num_rows and all(num > 0 for num, _, _ in terms)
+            and all(c * t.denominator == den * t.numerator
+                    for c, t in zip(combo, target)))

@@ -566,6 +566,52 @@ def test_memo_matches_fresh_adversaries(inst):
         assert [adversary_geometric(inst, x, mode) for x in leaders] == fresh
 
 
+@st.composite
+def leader_row_instances(draw):
+    """(inst, x): rows with denominators 1 to 4 in lhs, leader_mat and
+    rhs, and a leader that is binary, from an explicit list, or on the
+    spot check's grid of sixteenths under a relaxed leader set."""
+    p, n, m = draw(st.integers(0, 3)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 4))
+
+    def rows(width):
+        row = st.lists(_rationals(-3, 3), min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=m, max_size=m))
+
+    kind = draw(st.sampled_from([AllBinary, ExplicitList, RelaxedBox]))
+    binary = st.tuples(*[st.sampled_from([ZERO, ONE])] * p)
+    if kind is ExplicitList:
+        leader_set = ExplicitList(draw(st.lists(binary, min_size=1)))
+        x = draw(st.sampled_from(leader_set.candidates(p)))
+    elif kind is AllBinary:
+        leader_set, x = AllBinary(), draw(binary)
+    else:
+        sixteenths = st.integers(0, 16).map(lambda k: F(k, 16))
+        leader_set, x = RelaxedBox(), draw(st.tuples(*[sixteenths] * p))
+    inst = RobustBilevelInstance(
+        p=p, n=n, lhs=rows(n), leader_mat=rows(p),
+        rhs=[row[0] for row in rows(1)], leader_obj=[ONE] * n,
+        leader_set=leader_set, uncertainty=Interval((ZERO,) * n, (ONE,) * n))
+    return inst, x
+
+
+@given(leader_row_instances())
+# x = 3/16 against B = 1/2 scales row 1 by 32, which the lhs takes too.
+@example((RobustBilevelInstance(
+    p=1, n=1, lhs=[[1], [F(-2, 3)]], leader_mat=[[F(1, 2)], [F(-3, 4)]],
+    rhs=[0, F(1, 6)], leader_obj=[1], leader_set=RelaxedBox(),
+    uncertainty=Interval((0,), (1,))), (F(3, 16),)))
+@settings(max_examples=150, deadline=None)
+def test_follower_rows_are_the_scaled_fraction_rows(case):
+    # Y(x)'s integer rows, written from the instance's, are those that
+    # integer_scaled gives the rows of [lhs | rhs + leader_mat·x].
+    inst, x = case
+    shifted = [r + dot(row, x) for r, row in zip(inst.rhs, inst.leader_mat)]
+    poly = inst.follower_polyhedron(x)
+    assert poly._scaled_rows == lp.Polyhedron(inst.lhs, shifted)._scaled_rows
+    assert (poly.a, poly.rhs) == (inst.lhs, tuple(shifted))
+
+
 def test_validation_accepts_and_rejects():
     validate_instance(segment_instance(BOX))
     empty = RobustBilevelInstance(

@@ -417,7 +417,7 @@ def _wrong_adversary_value(inst, x, mode):
 
 
 def _point_outside(tableau):
-    return (F(10 ** 9),) * tableau.n
+    return [10 ** 9] * tableau.n, 1
 
 
 @pytest.mark.parametrize("module,name,fake", [

@@ -21,7 +21,7 @@ from rbo.lp import (
     solve_lex_lp,
     solve_lp,
 )
-from rbo.numeric import ZERO, dot, integer_scaled, span_basis
+from rbo.numeric import dot, integer_scaled, span_basis
 import reference_dual
 
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
@@ -393,18 +393,29 @@ def test_free_columns_enter_only_in_phase_one(case):
     assert all(col >= n for col in entered)
 
 
+def _scaled(vector):
+    """A vector of rationals as `_phase_two` takes it: (S, ints)."""
+    scale, ints = integer_scaled(vector)
+    return scale, tuple(ints)
+
+
+def _point(tab):
+    """The tableau's basic point in Fractions."""
+    w, d = tab.point()
+    return tuple([F(x, d) for x in w])
+
+
 def check_duals(poly, obj, tie=None):
     """Solve max obj, then tie on its optimal face, on poly; each dual
     read off a final objective row must equal the reference k x k solve
     on its basis.  Returns (status, tableau, the tie stage's dual before
     the multiple of obj is added)."""
-    status, tab, certs = lp._phase_two(poly, obj, tie)
+    status, tab, mu, _ = lp._phase_two(
+        poly, _scaled(obj), None if tie is None else _scaled(tie))
     if status is not LpStatus.OPTIMAL:
         return status, None, None
-    scale, ints = integer_scaled(obj)
-    first = poly._stage_one[scale, tuple(ints)][0]
-    assert certs[0][1] == first.dual(poly) \
-        == reference_dual.dual(first, poly, obj)
+    first = poly._stage_one[_scaled(obj)][0]
+    assert mu == first.dual(poly) == reference_dual.dual(first, poly, obj)
     if tie is None:
         return status, tab, None
     mu_s = tab.dual(poly)
@@ -418,7 +429,8 @@ def check_duals(poly, obj, tie=None):
 @settings(max_examples=80, deadline=None)
 def test_dual_matches_the_reference_solve(case):
     poly, obj, sense = case
-    obj = lp._internal(obj, sense, poly.dim)
+    scale, ints = lp._internal(obj, sense, poly.dim)
+    obj = tuple([F(a, scale) for a in ints])
     ties = [None]
     for j in range(poly.dim):
         unit = tuple([F(int(k == j)) for k in range(poly.dim)])
@@ -438,15 +450,15 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
     apex = Polyhedron([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]],
                       [1, 1, 2, 0, 0])
     _, tab, _ = check_duals(apex, (F(1), F(1)))
-    assert tab.point() == (1, 1)
-    assert sum(dot(row, tab.point()) == r
+    assert _point(tab) == (1, 1)
+    assert sum(dot(row, _point(tab)) == r
                for row, r in zip(apex.a, apex.rhs)) == 3
     assert sum(tab.basis[i] >= apex.dim and not tab.rows[i][-1]
                for i in range(apex.num_rows)) == 1
     # A tie stage on the unit square's face v1 = 1: maximizing v2 - v1
     # there takes -1 on the held row v1 <= 1.
     _, tab, mu_s = check_duals(UNIT_SQUARE, (F(1), F(0)), (F(-1), F(1)))
-    assert min(mu_s) < 0 and tab.point() == (1, 1)
+    assert min(mu_s) < 0 and _point(tab) == (1, 1)
     # A repeated objective is served from the kept first stage: only the
     # tie stage runs, and the kept dual is the reference's.
     poly = Polyhedron(UNIT_SQUARE.a, UNIT_SQUARE.rhs)
@@ -460,7 +472,7 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "run", counted)
     check_duals(poly, (F(1), F(0)), (F(0), F(-1)))
-    assert runs == [(1, [0, -1])]
+    assert runs == [(1, (0, -1))]
     assert poly._stage_one == kept
 
 
@@ -473,10 +485,18 @@ def test_stage_one_keys_on_the_scale_and_the_ints():
     assert sorted(poly._stage_one) == [(1, (1, 2)), (2, (1, 2))]
 
 
-def _row_scales(poly):
-    """The least s_i > 0 that makes row i of [a | rhs] integral."""
-    return [math.lcm(*[v.denominator for v in row + (r,)])
-            for row, r in zip(poly.a, poly.rhs)]
+def _first_certificate(poly, obj):
+    """(o, c, point) of max obj over poly, as `solve_lp` checks them."""
+    status, tab, _, certs = lp._phase_two(poly, _scaled(obj))
+    assert status is LpStatus.OPTIMAL
+    return (*certs[0], tab.point())
+
+
+def _rejected(poly, o, c, point):
+    failures = CERT_LOG.failures
+    with pytest.raises(LpInternalError):
+        lp._verify_certificate(poly, o, c, point)
+    return CERT_LOG.failures == failures + 1
 
 
 @given(small_polytopes())
@@ -484,40 +504,70 @@ def _row_scales(poly):
 @settings(max_examples=60, deadline=None)
 def test_certificate_check_rejects_altered_certificates(case):
     poly, obj, _ = case
-    obj = tuple([F(c) for c in obj])
-    out = solve_lp(poly, obj, Sense.MAX)
-    mu = list(out.dual)
-    lp._verify_certificate(poly, obj, out.value, mu)
-    zero = (ZERO,) * poly.num_rows
-    lp._verify_certificate(poly, (ZERO,) * poly.dim, ZERO, zero)
-    altered = [(out.value + F(1, 7), mu)]
-    # mu_i + 1/s_i adds row i, which has integer entries once scaled.
-    for i, s in enumerate(_row_scales(poly)):
-        if any(poly.a[i]):
-            altered.append((out.value, mu[:i] + [mu[i] + F(1, s)]
-                            + mu[i + 1:]))
-    # Rows 0 and 1 are v1 <= hi and -v1 <= -lo: taking t from both keeps
-    # mu^T A, and the value is moved to match, so only the sign is wrong.
-    t = mu[0] + 1
-    altered.append((out.value - t * (poly.rhs[0] + poly.rhs[1]),
-                    [mu[0] - t, mu[1] - t] + mu[2:]))
-    for value, dual in altered:
-        failures = CERT_LOG.failures
-        with pytest.raises(LpInternalError):
-            lp._verify_certificate(poly, obj, value, dual)
-        assert CERT_LOG.failures == failures + 1
+    o, c, (w, d) = _first_certificate(poly, obj)
+    lp._verify_certificate(poly, o, c, (w, d))
+    lp._verify_certificate(poly, [0] * poly.num_rows, [0] * poly.dim, (w, d))
+    # A point one unit along a coordinate that c weighs has another value.
+    for j, x in enumerate(w):
+        if c[j]:
+            assert _rejected(poly, o, c, (w[:j] + [x + d] + w[j + 1:], d))
+    # o_i + 1 adds the integer row i.
+    for i, row in enumerate(poly._scaled_rows[1]):
+        if any(row[:-1]):
+            assert _rejected(poly, o[:i] + [o[i] + 1] + o[i + 1:], c, (w, d))
+    # With row 0 repeated last, moving o_0 + 1 onto row 0 from the copy
+    # keeps sum o_r ints_r whole, so only the sign is wrong.
+    twin = Polyhedron(poly.a + poly.a[:1], poly.rhs + poly.rhs[:1])
+    lp._verify_certificate(twin, o + [0], c, (w, d))
+    assert _rejected(twin, [2 * o[0] + 1] + o[1:] + [-o[0] - 1], c, (w, d))
+
+
+@given(small_polytopes(), st.integers(1, 6),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9),
+                          st.integers(-2, 2)), max_size=3))
+@example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX), 1, [])
+@settings(max_examples=120, deadline=None)
+def test_integer_check_agrees_with_the_fraction_check(case, den, edits):
+    # The certificate o for c at w / d, read as mu_r = s_r o_r / D for
+    # obj = c / D, is the old Fraction check's (obj, value, mu); each edit
+    # adds to one entry of o, c or w, or to d.
+    poly, obj, _ = case
+    o, c, (w, d) = _first_certificate(poly, obj)
+    parts = [o, list(c), w]
+    for part, index, delta in edits:
+        if part < 3:
+            vec = parts[part]
+            vec[index % len(vec)] += delta
+        else:
+            d = max(1, d + delta)
+    o, c, w = parts
+    scales = poly._scaled_rows[0]
+    mu = [F(s * u, den) for s, u in zip(scales, o)]
+    target = [F(x, den) for x in c]
+    value = dot(target, [F(x, d) for x in w])
+    accepted = reference_dual.certifies(poly, target, value, mu)
+    try:
+        lp._verify_certificate(poly, o, c, (w, d))
+    except LpInternalError:
+        assert not accepted
+    else:
+        assert accepted
 
 
 def test_lex_certificate_needs_the_primary(monkeypatch):
     # On the edge v1 = 1 the secondary gains by raising v2, but over the
     # square it would rather lower v1: its own dual is negative on the
     # held row v1 <= 1, and only (-1, 1) + 1·(1, 0) has a certificate.
+    # Each check is recorded as c and the value c·v, both over gcd(c).
     checked = []
     verify = lp._verify_certificate
 
-    def record(poly, obj, value, mu):
-        checked.append((obj, value))
-        verify(poly, obj, value, mu)
+    def record(poly, o, c, point):
+        w, d = point
+        g = math.gcd(*c)
+        checked.append((tuple([F(x, g) for x in c]),
+                        F(sum(a * x for a, x in zip(c, w)), g * d)))
+        verify(poly, o, c, point)
 
     monkeypatch.setattr(lp, "_verify_certificate", record)
     assert solve_lex_lp(UNIT_SQUARE, [1, 0], Sense.MAX, [-1, 1], Sense.MAX) \
