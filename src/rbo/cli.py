@@ -15,9 +15,9 @@ import sys
 
 from . import bilevel, compiler, oracle
 from .bilevel import InstanceError, Mode, SolverInvariantError
-from .geometry import CapExceededError
 from .lp import LpError, LpInternalError, is_nonempty
 from .numeric import rat_format, rat_format_vector, rat_parse
+from .uncertainty import CapExceededError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

@@ -48,7 +48,7 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -171,7 +171,10 @@ class Polyhedron:
         return f"Polyhedron({self.a!r}, {self.rhs!r})"
 
     def contains(self, point: Sequence) -> bool:
-        d, w = integer_scaled(as_vector(point))
+        point = as_vector(point)
+        if len(point) != self.dim:
+            raise ValueError(f"point dimension {len(point)} != {self.dim}")
+        d, w = integer_scaled(point)
         return self._holds(w, d)
 
     def _holds(self, w: Sequence, d: int) -> bool:
@@ -208,13 +211,14 @@ class _Tableau:
     """Dense fraction-free simplex tableau over [A|I](v, s) = rhs.
 
     The n columns of v are free and kept whole; the m slack columns s are
-    nonnegative.  Rows with negative rhs are sign-flipped so the tableau's
-    rhs stays >= 0; those rows get an artificial column for the phase-one
-    basis.  Row i is scaled once to ints by the least s_i > 0, its slack
-    and artificial entries kept at +-1 (a positive column scaling, which
-    Bland's rule does not see).  The true tableau is rows / d, one d > 0,
-    with the rhs last in each row; a pivot is one `bareiss_step`, which
-    replaces the rows it changes, so a copy's pivots leave shared rows be.
+    nonnegative.  Row i is [s_i a_i | e_i | s_i rhs_i], scaled once to
+    ints by the least s_i > 0 with its slack entry kept at 1 (a positive
+    column scaling, which Bland's rule does not see).  When some rhs is
+    negative, one auxiliary column n + m (Chvatal 1983, ch. 3) holds -1
+    on exactly those rows, and phase one drives it to 0.  The true
+    tableau is rows / d, one d > 0, with the rhs last in each row; a
+    pivot is one `bareiss_step`, which replaces the rows it changes, so
+    a copy's pivots leave shared rows be.
     A running phase keeps its objective row last.  A free column that
     enters on a positive reduced cost enters falling: its ratio test
     reads the column times -1, and its pivot entry is negative, so the
@@ -224,30 +228,24 @@ class _Tableau:
     ratio test, and its value may be negative.  Phase one ends with every
     free column that a row bounds basic, so later phases enter slacks
     only.  The structural part [A|I] has full row rank, so no row of the
-    tableau is zero on it: every artificial left in the basis at level
-    zero after phase one pivots out, and phase two and the dual see
-    structural columns only.
+    tableau is zero on it: an auxiliary left in the basis at level zero
+    after phase one pivots out, and later phases never let it enter.
     """
 
     def __init__(self, poly: Polyhedron):
         m, n = poly.num_rows, poly.dim
         self.m, self.n = m, n
-        self.num_structural = n + m
         scaled = poly._scaled_rows[1]
-        art_rows = [i for i in range(m) if scaled[i][-1] < 0]
-        self.art_cols = {i: n + m + k for k, i in enumerate(art_rows)}
-        self.ncols = n + m + len(art_rows)
+        self.ncols = n + m + any(ints[-1] < 0 for ints in scaled)
         self.rows = []
         for i, ints in enumerate(scaled):
-            sign = -1 if ints[-1] < 0 else 1
-            row = [sign * a for a in ints[:n]] + [0] * (self.ncols - n)
-            row.append(sign * ints[-1])
-            row[n + i] = sign
-            if sign < 0:
-                row[self.art_cols[i]] = 1
+            row = [*ints[:n]] + [0] * (self.ncols - n) + [ints[-1]]
+            row[n + i] = 1
+            if ints[-1] < 0:
+                row[n + m] = -1
             self.rows.append(row)
         self.d = 1
-        self.basis = [self.art_cols.get(i, n + i) for i in range(m)]
+        self.basis = [n + i for i in range(m)]
 
     def copy(self) -> "_Tableau":
         """A tableau that pivots apart from this one.  The rows are shared:
@@ -328,20 +326,26 @@ class _Tableau:
 
     def dual(self, poly: Polyhedron) -> tuple:
         """The last run's dual, one entry per row, off its objective row:
-        mu_r = s_r obj[n+r] / (S d), s_r row r's scale.  Row r is sign_r
-        [s_r (a_r | rhs_r) | e_r], so slack r's reduced cost is sign_r y_r
-        for the tableau's dual y (Chvatal 1983, ch. 10) and mu_r = s_r
-        sign_r y_r.  A basic slack, and at an optimum a nonbasic free
-        column, has reduced cost 0, so mu^T A = obj whole; in a tie stage
-        the held slacks' entries may be negative."""
+        mu_r = s_r obj[n+r] / (S d), s_r row r's scale.  Row r is
+        [s_r (a_r | rhs_r) | e_r], so slack r's reduced cost is y_r for
+        the tableau's dual y (Chvatal 1983, ch. 10) and mu_r = s_r y_r.
+        A basic slack, and at an optimum a nonbasic free column, has
+        reduced cost 0, so mu^T A = obj whole; in a tie stage the held
+        slacks' entries may be negative."""
         den = self.scale * self.d
         return tuple([Fraction(s * c, den) if c else ZERO for s, c in
                       zip(poly._scaled_rows[0], self.obj[self.n:])])
 
 
 def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
-    """poly's tableau at a feasible basis with no artificial in it and
-    rank A free columns basic, or None when poly is empty.
+    """poly's tableau at a feasible basis with the auxiliary out of it
+    and rank A free columns basic, or None when poly is empty.
+
+    With some rhs negative, the auxiliary enters on the row of least rhs
+    (the first on a tie), which leaves every rhs >= 0, and a run
+    maximizes minus it.  poly is empty exactly when it ends basic at a
+    positive level; at level zero it pivots out on its row's first
+    nonzero structural entry.
 
     The last step pivots each nonbasic free column in: a tight row with a
     nonzero entry takes it in place; else the point moves by Bland's
@@ -352,26 +356,17 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     basis's.
     """
     tab = _Tableau(poly)
-    n, art_set = tab.n, set(tab.art_cols.values())
-    if art_set:
-        # Artificial i costs -1/s_i, which the run takes times S.
-        scales = poly._scaled_rows[0]
-        total = lcm(*[scales[i] for i in tab.art_cols])
-        phase1_cost = [0] * tab.ncols
-        for i, col in tab.art_cols.items():
-            phase1_cost[col] = -(total // scales[i])
-        status = tab.run((total, phase1_cost), range(n, tab.ncols))
-        if status is not LpStatus.OPTIMAL:
+    n, m, rows = tab.n, tab.m, tab.rows
+    if tab.ncols > n + m:
+        tab.pivot(min(range(m), key=lambda i: rows[i][-1]), n + m)
+        if tab.run((1, [0] * (n + m) + [-1]), range(n, n + m + 1)) \
+                is not LpStatus.OPTIMAL:
             raise LpInternalError("phase one cannot be unbounded")
-        if any(tab.rows[i][-1] for i in range(tab.m)
-               if tab.basis[i] in art_set):
-            return None
-        # Pivot the zero-level artificials out on their first nonzero
-        # structural entry, which the full row rank guarantees.
-        for i in range(tab.m):
-            if tab.basis[i] in art_set:
-                tab.pivot(i, next(j for j in range(tab.num_structural)
-                                  if tab.rows[i][j]))
+        if n + m in tab.basis:
+            i = tab.basis.index(n + m)
+            if rows[i][-1]:
+                return None
+            tab.pivot(i, next(j for j in range(n + m) if rows[i][j]))
     for j in sorted(set(range(n)).difference(tab.basis)):
         tight = [i for i in range(tab.m) if tab.basis[i] >= n
                  and not tab.rows[i][-1] and tab.rows[i][j]]

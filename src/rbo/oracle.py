@@ -21,15 +21,8 @@ from .bilevel import (
     solve_robust,
 )
 from .compiler import Formula, evaluate
-from .geometry import CapExceededError
 from .numeric import Fraction, as_vector, dot
-from .uncertainty import (
-    MAX_SCENARIOS,
-    ConvexHull,
-    DiscreteSet,
-    Interval,
-    ProductFinite,
-)
+from .uncertainty import CapExceededError, DiscreteSet
 
 
 MAX_ORACLE_VARS = 22
@@ -155,30 +148,18 @@ def _leader_candidates(inst: RobustBilevelInstance):
             for bits in itertools.product((0, 1), repeat=inst.p)]
 
 
-def _sample_scenarios(inst: RobustBilevelInstance):
-    unc = inst.uncertainty
-    if isinstance(unc, Interval):
-        return unc.corner_samples()
-    if isinstance(unc, ConvexHull):
-        return list(unc.points)
-    if isinstance(unc, ProductFinite):
-        if unc.grid_size() > MAX_SCENARIOS:
-            raise CapExceededError("product grid exceeds the sampling cap")
-        return [tuple(c) for c in itertools.product(*unc.choices)]
-    raise ValueError("grid sampling needs interval, hull or product "
-                     "uncertainty")
-
-
 def cross_validate(inst: RobustBilevelInstance, mode: Mode,
                    reference: Reference) -> OracleVerdict:
     """Compare solve_robust against an independent reference computation.
 
     DISCRETE_ENUMERATION re-solves finite-scenario instances with plain
     loops and must agree exactly.  GRID_SAMPLE replaces a continuous
-    uncertainty set by finitely many members (box corners or hull
-    points), which can only over-estimate the adversary's min, so the
-    sampled value is a certified upper bound; `agree` still reports exact
-    equality, which specific constructions are known to achieve.
+    uncertainty set by finitely many members (the set's
+    `corner_samples`: box corners or hull points), which can only
+    over-estimate the adversary's min, so the sampled value is a
+    certified upper bound; `agree` still reports exact equality, which
+    specific constructions are known to achieve.  On a finite set
+    GRID_SAMPLE samples all of it, so its value is exact.
     """
     actual = solve_robust(inst, mode).value
     unc = inst.uncertainty
@@ -187,7 +168,7 @@ def cross_validate(inst: RobustBilevelInstance, mode: Mode,
             raise ValueError("discrete enumeration needs a discrete set")
         scenarios = list(unc.scenarios)
     else:
-        scenarios = _sample_scenarios(inst)
+        scenarios = unc.corner_samples()
     expected = None
     for x in _leader_candidates(inst):
         worst = None

@@ -18,10 +18,12 @@ from rbo.lp import (
     Sense,
     UnboundedError,
     check_bounded_nonempty,
+    is_nonempty,
     solve_lex_lp,
     solve_lp,
 )
 from rbo.numeric import dot, integer_scaled, span_basis
+from rbo.oracle import _brute_vertices
 import reference_dual
 
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
@@ -57,6 +59,14 @@ def test_square_max_x():
 
 def test_infeasible():
     assert solve_lp(EMPTY, [1], Sense.MAX).status is LpStatus.INFEASIBLE
+
+
+def test_contains_refuses_a_point_of_the_wrong_length():
+    assert UNIT_SQUARE.contains((0, 0))
+    assert not UNIT_SQUARE.contains((0, 2))
+    for point in [(0,), (0, 0, -100)]:
+        with pytest.raises(ValueError):
+            UNIT_SQUARE.contains(point)
 
 
 def test_triangle_value():
@@ -440,9 +450,12 @@ def test_dual_matches_the_reference_solve(case):
 
 
 def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
-    # Rows with negative right-hand sides are sign-flipped and take
-    # artificials in phase one.
-    assert lp._Tableau(RATIONAL_BOX).art_cols
+    # The rows with negative right-hand sides keep their sign and share
+    # one auxiliary column for phase one, -1 on exactly those rows.
+    tab = lp._Tableau(RATIONAL_BOX)
+    aux = RATIONAL_BOX.dim + RATIONAL_BOX.num_rows
+    assert tab.ncols == aux + 1
+    assert [row[aux] for row in tab.rows] == [0, 0, -1, -1, 0]
     for obj in [(F(1, 3), F(-3, 4)), (F(-1), F(-1)), (F(1, 2), F(2, 3))]:
         assert check_duals(RATIONAL_BOX, obj)[0] is LpStatus.OPTIMAL
     # A degenerate optimal vertex: three rows are tight at (1, 1) in the
@@ -618,6 +631,67 @@ def test_boundedness_matches_coordinate_probes(poly):
     assert check_bounded_nonempty(poly) == (True, bounded)
 
 
+@st.composite
+def boxes_with_cuts(draw):
+    """A box, as in `small_polytopes`, plus up to three rows with any
+    right-hand side, negative ones included, so the set may be empty."""
+    n = draw(st.integers(1, 3))
+    rows, rhs = [], []
+    for j in range(n):
+        low = draw(_rationals(-3, 1))
+        unit = [int(k == j) for k in range(n)]
+        rows += [unit, [-u for u in unit]]
+        rhs += [low + draw(_rationals(0, 3)), -low]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append([draw(_rationals(-3, 3)) for _ in range(n)])
+        rhs.append(draw(_rationals(-6, 3)))
+    return Polyhedron(rows, rhs)
+
+
+# Phase one ends with its auxiliary column basic: on the segment v1 = 1
+# of the unit square at level zero, so the auxiliary pivots out; on the
+# square cut by v1 + v2 <= -1 at a positive level, so the set is empty.
+AUX_AT_ZERO = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, -1, 0])
+AUX_POSITIVE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
+                          [1, 1, 0, 0, -1])
+
+
+@given(boxes_with_cuts())
+@example(AUX_AT_ZERO)
+@example(AUX_POSITIVE)
+@settings(max_examples=120, deadline=None)
+def test_emptiness_matches_the_brute_vertices(poly):
+    # A box is bounded, so it has a point exactly when it has a vertex.
+    try:
+        nonempty = bool(_brute_vertices(poly.a, poly.rhs))
+    except ValueError:
+        nonempty = False
+    assert is_nonempty(poly) is nonempty
+    fresh = Polyhedron(poly.a, poly.rhs)
+    infeasible = solve_lp(fresh, [0] * poly.dim).status is LpStatus.INFEASIBLE
+    assert infeasible is not nonempty
+    fresh = Polyhedron(poly.a, poly.rhs)
+    assert check_bounded_nonempty(fresh) == (nonempty, True)
+
+
+def test_phase_one_ends_with_the_auxiliary_at_either_level(monkeypatch):
+    levels, run = [], lp._Tableau.run
+
+    def recorded(self, cost, allowed):
+        status = run(self, cost, allowed)
+        aux = self.n + self.m
+        if aux in self.basis:
+            levels.append(self.rows[self.basis.index(aux)][-1])
+        return status
+
+    monkeypatch.setattr(lp._Tableau, "run", recorded)
+    assert is_nonempty(Polyhedron(AUX_AT_ZERO.a, AUX_AT_ZERO.rhs))
+    assert levels == [0]
+    levels.clear()
+    assert not is_nonempty(Polyhedron(AUX_POSITIVE.a, AUX_POSITIVE.rhs))
+    assert len(levels) == 1 and levels[0] > 0
+
+
 def test_determinism():
     poly = Polyhedron([[1, 1], [1, -1], [-1, 0], [0, -1], [1, 0]],
                       [2, 1, 0, 0, 1])
@@ -628,7 +702,7 @@ def test_determinism():
 
 
 def test_negative_rhs_phase_one():
-    # Forces artificial variables: x >= 2 within [0, 5].
+    # Takes the auxiliary column: x >= 2 within [0, 5].
     poly = Polyhedron([[1], [-1]], [5, -2])
     out = solve_lp(poly, [-1], Sense.MAX)
     assert out.value == -2 and out.point == (F(2),)

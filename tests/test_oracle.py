@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,6 @@ from rbo.compiler import (
     compile_single_level_robust,
     parse_formula,
 )
-from rbo.geometry import CapExceededError
 from rbo.numeric import ONE, ZERO
 from rbo.oracle import (
     Reference,
@@ -17,7 +17,7 @@ from rbo.oracle import (
     robust_single_level_oracle,
     sat_oracle,
 )
-from rbo.uncertainty import DiscreteSet, Interval
+from rbo.uncertainty import CapExceededError, DiscreteSet, Interval
 
 
 def test_sat_oracle_examples():
@@ -55,8 +55,9 @@ def test_cross_validate_discrete_agrees():
         leader_obj=(ONE, F(-1)),
         leader_set=AllBinary(),
         uncertainty=DiscreteSet(((F(1), F(1)), (F(-1), F(2)))))
-    for mode in Mode:
-        verdict = cross_validate(inst, mode, Reference.DISCRETE_ENUMERATION)
+    # GRID_SAMPLE samples a finite set whole, so it is exact there too.
+    for mode, reference in itertools.product(Mode, Reference):
+        verdict = cross_validate(inst, mode, reference)
         assert verdict.agree, verdict.witness
         assert verdict.expected == verdict.actual
 
