@@ -181,6 +181,7 @@ class RobustBilevelInstance:
         if isinstance(self.leader_set, ExplicitList) and any(
                 len(v) != self.p for v in self.leader_set.vectors):
             raise InstanceError("leader vector arity != p")
+        _check_relaxed_penalty(self)
 
     @property
     def num_rows(self) -> int:
@@ -241,13 +242,9 @@ class SolveReport:
     trace: tuple
 
 
-def enumerate_leader(inst: RobustBilevelInstance):
-    """Leader candidates in lexicographic order (binary for relaxed sets)."""
-    return inst.leader_set.candidates(inst.p)
-
-
 def _check_relaxed_penalty(inst: RobustBilevelInstance) -> None:
-    """Refuse a relaxed leader set without `relax_leader`'s penalty.
+    """Refuse a relaxed leader set without `relax_leader`'s penalty; run
+    as each instance is built, so no relaxed instance lacks it.
 
     Binary enumeration is exact for x in [0,1]^p only through the
     deviation penalty: the last p follower columns are dev_i, met only in
@@ -291,7 +288,7 @@ def validate_instance(inst: RobustBilevelInstance) -> None:
     so boundedness is decided at the first leader and every later one
     needs only the emptiness probe.
     """
-    for k, x in enumerate(enumerate_leader(inst)):
+    for k, x in enumerate(inst.leader_set.candidates(inst.p)):
         poly = inst.follower_polyhedron(x)
         if k == 0:
             nonempty, bounded = check_bounded_nonempty(poly)
@@ -436,12 +433,11 @@ def solve_robust(inst: RobustBilevelInstance,
     kept for that scenario: it recomputes the tie stage and checks both
     certificates again.
     """
-    _check_relaxed_penalty(inst)
     if mode is None:
         mode = inst.mode_default
     best = None
     trace = []
-    for x in enumerate_leader(inst):
+    for x in inst.leader_set.candidates(inst.p):
         c_star, value = adversary_geometric(inst, x, mode)
         trace.append((x, value))
         if best is None or value > best[1]:
@@ -569,7 +565,6 @@ def instance_from_json(doc: dict):
             meta["M"] = rat_parse(doc["M"])
     except (KeyError, TypeError, RecursionError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
-    _check_relaxed_penalty(inst)
     return inst, meta
 
 

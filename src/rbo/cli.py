@@ -101,12 +101,23 @@ def _write_compiled(path, art) -> int:
     return EXIT_OK
 
 
+def _rs_vectors(doc: dict, key: str) -> list:
+    """doc[key], a JSON list of vectors, each a JSON list of JSON integers
+    (a bool is an int to isinstance) or rational strings."""
+    vectors = doc[key]
+    if not (isinstance(vectors, list) and all(isinstance(vec, list) and all(
+            type(v) is int or isinstance(v, str) for v in vec)
+            for vec in vectors)):
+        raise ValueError(
+            f"{key} must be a list of lists of integers or rational strings")
+    return [tuple([rat_parse(str(v)) for v in vec]) for vec in vectors]
+
+
 def _cmd_compile_rs(args) -> int:
     doc = bilevel.read_json(args.spec)
     try:
-        x_set = [tuple([rat_parse(str(v)) for v in vec]) for vec in doc["X"]]
-        scenarios = [tuple([rat_parse(str(v)) for v in vec])
-                     for vec in doc["scenarios"]]
+        x_set = _rs_vectors(doc, "X")
+        scenarios = _rs_vectors(doc, "scenarios")
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in the input document")
     except TypeError as exc:

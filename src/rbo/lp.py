@@ -215,10 +215,10 @@ class _Tableau:
     ints by the least s_i > 0 with its slack entry kept at 1 (a positive
     column scaling, which Bland's rule does not see).  When some rhs is
     negative, one auxiliary column n + m (Chvatal 1983, ch. 3) holds -1
-    on exactly those rows, and phase one drives it to 0.  The true
-    tableau is rows / d, one d > 0, with the rhs last in each row; a
-    pivot is one `bareiss_step`, which replaces the rows it changes, so
-    a copy's pivots leave shared rows be.
+    on exactly those rows, and phase one drives it to 0 and drops it.
+    The true tableau is rows / d, one d > 0, with the rhs last in each
+    row; a pivot is one `bareiss_step`, which replaces the rows it
+    changes, so a copy's pivots leave shared rows be.
     A running phase keeps its objective row last.  A free column that
     enters on a positive reduced cost enters falling: its ratio test
     reads the column times -1, and its pivot entry is negative, so the
@@ -229,17 +229,18 @@ class _Tableau:
     free column that a row bounds basic, so later phases enter slacks
     only.  The structural part [A|I] has full row rank, so no row of the
     tableau is zero on it: an auxiliary left in the basis at level zero
-    after phase one pivots out, and later phases never let it enter.
+    after phase one pivots out, so every later tableau is n + m columns
+    wide.
     """
 
     def __init__(self, poly: Polyhedron):
         m, n = poly.num_rows, poly.dim
         self.m, self.n = m, n
         scaled = poly._scaled_rows[1]
-        self.ncols = n + m + any(ints[-1] < 0 for ints in scaled)
+        width = n + m + any(ints[-1] < 0 for ints in scaled)
         self.rows = []
         for i, ints in enumerate(scaled):
-            row = [*ints[:n]] + [0] * (self.ncols - n) + [ints[-1]]
+            row = [*ints[:n]] + [0] * (width - n) + [ints[-1]]
             row[n + i] = 1
             if ints[-1] < 0:
                 row[n + m] = -1
@@ -281,7 +282,7 @@ class _Tableau:
         """Run one Bland-rule phase maximizing cost, (S, ints) as
         `integer_scaled` gives it, 0 on the columns past its end.
 
-        Of the slack and artificial columns, only those in `allowed`
+        Of the slack and auxiliary columns, only those in `allowed`
         (ascending) may enter; free columns always may.  The objective row
         is the reduced costs times d and times S, so its signs are the
         true ones; the run keeps its last one as `obj`, and S as `scale`.
@@ -291,7 +292,7 @@ class _Tableau:
         """
         n, rows = self.n, self.rows
         self.scale, ints = cost
-        cost = [*ints] + [0] * (self.ncols - len(ints))
+        cost = [*ints] + [0] * (len(rows[0]) - 1 - len(ints))
         obj = [-self.d * c for c in cost] + [0]
         for i in range(self.m):
             cb = cost[self.basis[i]]
@@ -345,7 +346,8 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     (the first on a tie), which leaves every rhs >= 0, and a run
     maximizes minus it.  poly is empty exactly when it ends basic at a
     positive level; at level zero it pivots out on its row's first
-    nonzero structural entry.
+    nonzero structural entry.  Once it is nonbasic, its column goes from
+    every row.
 
     The last step pivots each nonbasic free column in: a tight row with a
     nonzero entry takes it in place; else the point moves by Bland's
@@ -357,7 +359,7 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     """
     tab = _Tableau(poly)
     n, m, rows = tab.n, tab.m, tab.rows
-    if tab.ncols > n + m:
+    if len(rows[0]) > n + m + 1:
         tab.pivot(min(range(m), key=lambda i: rows[i][-1]), n + m)
         if tab.run((1, [0] * (n + m) + [-1]), range(n, n + m + 1)) \
                 is not LpStatus.OPTIMAL:
@@ -367,6 +369,7 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
             if rows[i][-1]:
                 return None
             tab.pivot(i, next(j for j in range(n + m) if rows[i][j]))
+        rows[:] = [row[:n + m] + row[-1:] for row in rows]
     for j in sorted(set(range(n)).difference(tab.basis)):
         tight = [i for i in range(tab.m) if tab.basis[i] >= n
                  and not tab.rows[i][-1] and tab.rows[i][j]]

@@ -11,27 +11,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from math import comb
 
-from .bilevel import (
-    ExplicitList,
-    Mode,
-    RobustBilevelInstance,
-    solve_robust,
-)
+from .bilevel import Mode, RobustBilevelInstance, solve_robust
 from .compiler import Formula, evaluate
 from .numeric import Fraction, as_vector, dot
-from .uncertainty import CapExceededError, DiscreteSet
+from .uncertainty import CapExceededError
 
 
 MAX_ORACLE_VARS = 22
 MAX_ORACLE_WORK = 10 ** 6
-
-
-class Reference(Enum):
-    DISCRETE_ENUMERATION = "discrete_enumeration"
-    GRID_SAMPLE = "grid_sample"
 
 
 @dataclass(frozen=True)
@@ -140,37 +129,23 @@ def _brute_follower_value(inst: RobustBilevelInstance, x, c, mode: Mode):
     return max(scores) if mode is Mode.OPTIMISTIC else min(scores)
 
 
-def _leader_candidates(inst: RobustBilevelInstance):
-    ls = inst.leader_set
-    if isinstance(ls, ExplicitList):
-        return sorted(ls.vectors)
-    return [tuple([Fraction(b) for b in bits])
-            for bits in itertools.product((0, 1), repeat=inst.p)]
-
-
-def cross_validate(inst: RobustBilevelInstance, mode: Mode,
-                   reference: Reference) -> OracleVerdict:
+def cross_validate(inst: RobustBilevelInstance, mode: Mode) -> OracleVerdict:
     """Compare solve_robust against an independent reference computation.
 
-    DISCRETE_ENUMERATION re-solves finite-scenario instances with plain
-    loops and must agree exactly.  GRID_SAMPLE replaces a continuous
-    uncertainty set by finitely many members (the set's
-    `corner_samples`: box corners or hull points), which can only
-    over-estimate the adversary's min, so the sampled value is a
-    certified upper bound; `agree` still reports exact equality, which
-    specific constructions are known to achieve.  On a finite set
-    GRID_SAMPLE samples all of it, so its value is exact.
+    The reference re-solves the instance with plain loops over the
+    leader set's candidates and the uncertainty set's `corner_samples`.
+    A finite set (`finite_scenarios` is not None) is sampled whole, so
+    the value is exact and must agree.  A box's corners or a hull's
+    points are members of a continuous set, which can only over-estimate
+    the adversary's min, so the sampled value is a certified upper
+    bound; `agree` still reports exact equality, which specific
+    constructions are known to achieve.
     """
     actual = solve_robust(inst, mode).value
     unc = inst.uncertainty
-    if reference is Reference.DISCRETE_ENUMERATION:
-        if not isinstance(unc, DiscreteSet):
-            raise ValueError("discrete enumeration needs a discrete set")
-        scenarios = list(unc.scenarios)
-    else:
-        scenarios = unc.corner_samples()
+    scenarios = unc.corner_samples()
     expected = None
-    for x in _leader_candidates(inst):
+    for x in inst.leader_set.candidates(inst.p):
         worst = None
         for c in scenarios:
             value = _brute_follower_value(inst, x, c, mode)
@@ -179,7 +154,7 @@ def cross_validate(inst: RobustBilevelInstance, mode: Mode,
         if expected is None or worst > expected:
             expected = worst
     agree = expected == actual
-    if reference is Reference.GRID_SAMPLE and expected < actual:
+    if unc.finite_scenarios() is None and expected < actual:
         witness = (f"sampled bound {expected} fell below the exact value "
                    f"{actual}: the bound property is violated")
     elif agree:

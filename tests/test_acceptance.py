@@ -40,7 +40,6 @@ from rbo.compiler import (
 from rbo.lp import CERT_LOG, Polyhedron, Sense, solve_lex_lp, solve_lp
 from rbo.numeric import ONE, ZERO, dot
 from rbo.oracle import (
-    Reference,
     cross_validate,
     qsat_oracle,
     robust_single_level_oracle,
@@ -242,8 +241,7 @@ def test_criterion_6_discrete_enumeration_and_scaling():
     for case in range(100):
         inst = _random_discrete_instance(rng)
         for mode in Mode:
-            verdict = cross_validate(inst, mode,
-                                     Reference.DISCRETE_ENUMERATION)
+            verdict = cross_validate(inst, mode)
             assert verdict.agree, (case, mode, verdict.witness)
 
     # Linear scaling: the doubled list repeats every scenario, so the

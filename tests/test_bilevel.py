@@ -15,7 +15,6 @@ from rbo.bilevel import (
     RelaxedBox,
     RobustBilevelInstance,
     adversary_geometric,
-    enumerate_leader,
     follower_response,
     instance_from_json,
     instance_to_json,
@@ -203,7 +202,7 @@ def test_optimistic_dominates_pessimistic():
     ]
     scenarios = [(F(0),), (F(1),), (F(-1),)]
     for inst in instances:
-        for x in enumerate_leader(inst):
+        for x in inst.leader_set.candidates(inst.p):
             for c in scenarios:
                 full = list(c) + [ZERO] * (inst.n - 1)
                 _, opt = follower_response(inst, x, full, Mode.OPTIMISTIC)
@@ -539,7 +538,7 @@ def test_load_and_solve_run_one_phase_one_per_leader(tmp_path, monkeypatch):
     inst, _ = load_instance(path)
     solve_robust(inst)
     assert len([poly for poly, in phase_ones if poly.a == inst.lhs]) \
-        == len(enumerate_leader(inst))
+        == len(inst.leader_set.candidates(inst.p))
 
 
 @st.composite
@@ -558,7 +557,7 @@ def leader_shadow_instances(draw):
 @example(SHARED_SHADOW)
 @settings(max_examples=25, deadline=None)
 def test_memo_matches_fresh_adversaries(inst):
-    leaders = enumerate_leader(inst)
+    leaders = inst.leader_set.candidates(inst.p)
     for mode in Mode:
         fresh = [adversary_geometric(replace(inst), x, mode) for x in leaders]
         assert solve_robust(inst, mode).trace == tuple(
@@ -570,7 +569,9 @@ def test_memo_matches_fresh_adversaries(inst):
 def leader_row_instances(draw):
     """(inst, x): rows with denominators 1 to 4 in lhs, leader_mat and
     rhs, and a leader that is binary, from an explicit list, or on the
-    spot check's grid of sixteenths under a relaxed leader set."""
+    spot check's grid of sixteenths.  `follower_polyhedron` does not
+    check membership, so a fractional x goes with binary leaders: a
+    relaxed set would need the deviation penalty's rows."""
     p, n, m = draw(st.integers(0, 3)), draw(st.integers(1, 3)), \
         draw(st.integers(1, 4))
 
@@ -578,16 +579,16 @@ def leader_row_instances(draw):
         row = st.lists(_rationals(-3, 3), min_size=width, max_size=width)
         return draw(st.lists(row, min_size=m, max_size=m))
 
-    kind = draw(st.sampled_from([AllBinary, ExplicitList, RelaxedBox]))
+    kind = draw(st.sampled_from(["binary", "explicit", "sixteenths"]))
     binary = st.tuples(*[st.sampled_from([ZERO, ONE])] * p)
-    if kind is ExplicitList:
+    if kind == "explicit":
         leader_set = ExplicitList(draw(st.lists(binary, min_size=1)))
         x = draw(st.sampled_from(leader_set.candidates(p)))
-    elif kind is AllBinary:
+    elif kind == "binary":
         leader_set, x = AllBinary(), draw(binary)
     else:
         sixteenths = st.integers(0, 16).map(lambda k: F(k, 16))
-        leader_set, x = RelaxedBox(), draw(st.tuples(*[sixteenths] * p))
+        leader_set, x = AllBinary(), draw(st.tuples(*[sixteenths] * p))
     inst = RobustBilevelInstance(
         p=p, n=n, lhs=rows(n), leader_mat=rows(p),
         rhs=[row[0] for row in rows(1)], leader_obj=[ONE] * n,
@@ -599,7 +600,7 @@ def leader_row_instances(draw):
 # x = 3/16 against B = 1/2 scales row 1 by 32, which the lhs takes too.
 @example((RobustBilevelInstance(
     p=1, n=1, lhs=[[1], [F(-2, 3)]], leader_mat=[[F(1, 2)], [F(-3, 4)]],
-    rhs=[0, F(1, 6)], leader_obj=[1], leader_set=RelaxedBox(),
+    rhs=[0, F(1, 6)], leader_obj=[1], leader_set=AllBinary(),
     uncertainty=Interval((0,), (1,))), (F(3, 16),)))
 @settings(max_examples=150, deadline=None)
 def test_follower_rows_are_the_scaled_fraction_rows(case):
@@ -670,7 +671,7 @@ def test_explicit_leader_enumeration_sorted():
         leader_obj=(ONE,),
         leader_set=ExplicitList(((F(1), F(0)), (F(0), F(1)))),
         uncertainty=BOX)
-    assert enumerate_leader(inst) == [(F(0), F(1)), (F(1), F(0))]
+    assert inst.leader_set.candidates(inst.p) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_json_round_trip_identity(tmp_path):
@@ -740,19 +741,26 @@ def test_scenario_membership():
 # Y(x) = {0 <= y <= 2x, y <= 2 - 2x} with c = d = 1 over x in [0, 1]:
 # both binary leaders give 0, but x = 1/2 reaches 1, so binary
 # enumeration without the deviation penalty would report a wrong 0.
+# Built over binary leaders, since it cannot be built relaxed.
 UNPENALIZED_RELAXED = RobustBilevelInstance(
     p=1, n=1, lhs=[[-1], [1], [1]], leader_mat=[[0], [2], [-2]],
-    rhs=[0, 0, 2], leader_obj=[1], leader_set=RelaxedBox(),
+    rhs=[0, 0, 2], leader_obj=[1], leader_set=AllBinary(),
     uncertainty=Interval([1], [1]))
+
+
+def _relaxed_doc(inst):
+    """inst's JSON document with the relaxed leader set in its place."""
+    return {**instance_to_json(inst), "leader_set": RelaxedBox().to_json()}
 
 
 def test_relaxed_leader_without_penalty_is_refused(tmp_path, capsys):
     inst = UNPENALIZED_RELAXED
     assert follower_response(inst, (F(1, 2),), (1,), Mode.OPTIMISTIC) \
         == ((F(1),), F(1))
+    assert solve_robust(inst).value == 0
     with pytest.raises(InstanceError):
-        solve_robust(inst)
-    doc = instance_to_json(inst)
+        replace(inst, leader_set=RelaxedBox())
+    doc = _relaxed_doc(inst)
     with pytest.raises(InstanceError):
         instance_from_json(doc)
     path = tmp_path / "relaxed.json"
@@ -780,10 +788,12 @@ def test_relaxed_leader_penalty_is_checked(tamper):
     inst = _relaxed_or().instance
     assert solve_robust(inst).value == 1
     assert solve_robust(box_to_simplex(_relaxed_or()).instance).value == 1
+    assert instance_from_json(instance_to_json(inst))[0] == inst
     with pytest.raises(InstanceError):
-        solve_robust(tamper(inst))
+        tamper(inst)
+    binary = tamper(replace(inst, leader_set=AllBinary()))
     with pytest.raises(InstanceError):
-        instance_from_json(instance_to_json(tamper(inst)))
+        instance_from_json(_relaxed_doc(binary))
 
 
 def test_spot_check_drops_the_corner_bounds_first_stages():

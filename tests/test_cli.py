@@ -201,7 +201,13 @@ def test_compile_rs_writes_the_artifact(tmp_path, capsys):
             == instance_to_json(art.instance, art.var_map, art.big_m))
 
 
-@pytest.mark.parametrize("spec", [[], {"X": 5, "scenarios": [[1]]}])
+@pytest.mark.parametrize("spec", [
+    [], {"X": 5, "scenarios": [[1]]},
+    {"X": ["01", "10"], "scenarios": [[1, -1]]},
+    {"X": "01", "scenarios": [[1]]},
+    {"X": [{"1": 0}], "scenarios": [[1]]},
+    {"X": [[1]], "scenarios": "1"},
+])
 def test_compile_rs_malformed_spec(tmp_path, capsys, spec):
     path = tmp_path / "rs.json"
     path.write_text(json.dumps(spec))

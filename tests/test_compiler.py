@@ -14,7 +14,6 @@ from rbo.bilevel import (
     RelaxedBox,
     RobustBilevelInstance,
     SolveReport,
-    enumerate_leader,
     follower_response,
     instance_to_json,
     solve_robust,
@@ -751,7 +750,7 @@ PINNED_PROJECTIONS = {
 @pytest.mark.parametrize("name", list(PINNED_PROJECTIONS))
 def test_shadow_projection_is_pinned(name):
     inst = LAYOUT_BUILDERS[name]().instance
-    poly = inst.follower_polyhedron(enumerate_leader(inst)[0])
+    poly = inst.follower_polyhedron(inst.leader_set.candidates(inst.p)[0])
     shadow = project_polytope(poly, inst.uncertainty.shadow().columns)
     rows = tuple([row + (r,) for row, r in zip(shadow.a, shadow.rhs)])
     assert rows == rat_parse_nested(PINNED_PROJECTIONS[name])

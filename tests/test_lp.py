@@ -318,7 +318,7 @@ def test_pivot_matches_dense_bareiss(case, picks):
     rows, d = [row[:] for row in tab.rows], tab.d
     for pick in picks:
         entries = [(i, j) for i, row in enumerate(rows)
-                   for j in range(tab.ncols) if row[j]]
+                   for j in range(len(row) - 1) if row[j]]
         row, col = entries[pick % len(entries)]
         prow, p = rows[row], rows[row][col]
         if p < 0:
@@ -451,11 +451,14 @@ def test_dual_matches_the_reference_solve(case):
 
 def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
     # The rows with negative right-hand sides keep their sign and share
-    # one auxiliary column for phase one, -1 on exactly those rows.
+    # one auxiliary column for phase one, -1 on exactly those rows, which
+    # phase one drops.
     tab = lp._Tableau(RATIONAL_BOX)
     aux = RATIONAL_BOX.dim + RATIONAL_BOX.num_rows
-    assert tab.ncols == aux + 1
+    assert len(tab.rows[0]) == aux + 2
     assert [row[aux] for row in tab.rows] == [0, 0, -1, -1, 0]
+    assert all(len(row) == aux + 1
+               for row in RATIONAL_BOX._phase_one_tableau.rows)
     for obj in [(F(1, 3), F(-3, 4)), (F(-1), F(-1)), (F(1, 2), F(2, 3))]:
         assert check_duals(RATIONAL_BOX, obj)[0] is LpStatus.OPTIMAL
     # A degenerate optimal vertex: three rows are tight at (1, 1) in the

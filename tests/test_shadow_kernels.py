@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_shadow
 from rbo import geometry
-from rbo.bilevel import enumerate_leader, instance_from_json
+from rbo.bilevel import instance_from_json
 from rbo.compiler import (box_to_simplex, compile_qsat_optimistic,
                           compile_qsat_pessimistic, full_family)
 from rbo.lp import Polyhedron, is_nonempty
@@ -103,7 +103,7 @@ def test_kernels_match_the_reference_on_the_pool_follower_sets():
             if inst.uncertainty.finite_scenarios() is not None:
                 continue
             columns = inst.uncertainty.shadow().columns
-            for x in enumerate_leader(inst):
+            for x in inst.leader_set.candidates(inst.p):
                 poly = inst.follower_polyhedron(x)
                 if not is_nonempty(poly):
                     continue
