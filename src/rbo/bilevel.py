@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -42,15 +42,13 @@ from .lp import (
     Sense,
     check_bounded_nonempty,
     is_nonempty,
+    scaled_objective,
     solve_lex_lp,
 )
 from .numeric import (
-    ONE,
     ZERO,
     Fraction,
-    as_matrix,
     as_vector,
-    dot,
     integer_scaled,
     rat_format,
     rat_format_nested,
@@ -108,8 +106,7 @@ class AllBinary(LeaderSet):
 class RelaxedBox(AllBinary):
     """Leader ranges over [0,1]^p; solved by binary enumeration, which the
     deviation-penalty construction makes exact (the instance must carry
-    it, see `_check_relaxed_penalty`), plus a fractional spot-check
-    sampler."""
+    it, see `_check_relaxed_penalty`)."""
 
     kind = "relaxed_box"
 
@@ -148,31 +145,32 @@ class RobustBilevelInstance:
 
     Follower feasible set: Y(x) = {y in R^n : lhs y <= leader_mat x + rhs}.
     The leader's objective is leader_obj·y over the follower's response.
+    Its data are its rows in ints: `rows` holds (t_i, L_i, B_i, b_i) for
+    each row i, row i of [lhs | leader_mat | rhs] times t_i, the least
+    int > 0 that makes it integral, split into its three parts, as
+    `int_row` writes them from sparse rows and `int_rows` from dense ones.  `lhs`, `leader_mat` and `rhs`
+    are Fraction views built on first use, for the JSON writer, the
+    oracles and the tests.
     """
 
     p: int
     n: int
-    lhs: tuple
-    leader_mat: tuple
-    rhs: tuple
+    rows: tuple
     leader_obj: tuple
     leader_set: LeaderSet
     uncertainty: UncertaintySet
     mode_default: Mode = Mode.OPTIMISTIC
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs", as_matrix(self.lhs, self.n))
-        object.__setattr__(self, "leader_mat",
-                           as_matrix(self.leader_mat, self.p))
-        object.__setattr__(self, "rhs", as_vector(self.rhs))
+        object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "leader_obj", as_vector(self.leader_obj))
         if self.n < 1:
             raise InstanceError("need at least one follower variable")
-        m = len(self.lhs)
-        if m < 1:
+        if not self.rows:
             raise InstanceError("need at least one constraint row")
-        if len(self.leader_mat) != m or len(self.rhs) != m:
-            raise InstanceError("row counts of lhs/leader_mat/rhs differ")
+        if any(t < 1 or len(lhs) != self.n or len(lead) != self.p
+               for t, lhs, lead, _ in self.rows):
+            raise InstanceError("a row's widths differ from n and p")
         if len(self.leader_obj) != self.n:
             raise InstanceError("leader objective length != n")
         if self.uncertainty.dim != self.n:
@@ -185,18 +183,33 @@ class RobustBilevelInstance:
 
     @property
     def num_rows(self) -> int:
-        return len(self.lhs)
+        return len(self.rows)
+
+    # The rows are sparse, so each zero of a view is the one ZERO.
+    @cached_property
+    def lhs(self) -> tuple:
+        return tuple([tuple([Fraction(a, t) if a else ZERO for a in lhs])
+                      for t, lhs, _, _ in self.rows])
+
+    @cached_property
+    def leader_mat(self) -> tuple:
+        return tuple([tuple([Fraction(a, t) if a else ZERO for a in lead])
+                      for t, _, lead, _ in self.rows])
+
+    @cached_property
+    def rhs(self) -> tuple:
+        return tuple([Fraction(b, t) if b else ZERO
+                      for t, _, _, b in self.rows])
 
     def follower_polyhedron(self, x: Sequence) -> Polyhedron:
         """Y(x), one `Polyhedron` per leader vector for the instance's
         lifetime (kept in `_memo` under the key x), so every solve on
         Y(x) shares one tableau build and one phase one: validation's,
-        both modes' adversaries, the replay and repeated spot-check
-        samples; and each objective's first stage, but for the spot
-        check's corner bounds.
+        both modes' adversaries and the replay; and each objective's
+        first stage.
 
-        Its rows are written in ints from `_int_rows`: with x = X / q,
-        row i of [lhs | rhs + leader_mat·x] is (q·L_i | q·b_i + B_i·X) /
+        Its rows are written in ints from `rows`: with x = X / q, row i
+        of [lhs | rhs + leader_mat·x] is (q·L_i | q·b_i + B_i·X) /
         (t_i·q), which `Polyhedron.from_scaled_rows` takes to its least
         scale.
         """
@@ -206,24 +219,29 @@ class RobustBilevelInstance:
         memo = self._memo
         if x not in memo:
             q, xs = integer_scaled(x)
-            rows = self._int_rows
             memo[x] = Polyhedron.from_scaled_rows(
-                [t * q for t, _, _, _ in rows],
+                [t * q for t, _, _, _ in self.rows],
                 [[q * a for a in lhs] + [q * b + sum(map(mul, lead, xs))]
-                 for _, lhs, lead, b in rows])
+                 for _, lhs, lead, b in self.rows])
         return memo[x]
 
     @cached_property
-    def _int_rows(self) -> list:
-        """(t_i, L_i, B_i, b_i) for each row i: row i of [lhs | leader_mat
-        | rhs] times t_i, the least int > 0 that makes it integral, split
-        into its three parts of ints."""
-        n, p = self.n, self.p
-        rows = []
-        for lhs, lead, b in zip(self.lhs, self.leader_mat, self.rhs):
-            t, ints = integer_scaled(lhs + lead + (b,))
-            rows.append((t, ints[:n], ints[n:n + p], ints[-1]))
-        return rows
+    def _ties(self) -> dict:
+        """Each mode's tie objective, the leader's, scaled to ints once:
+        maximized when optimistic, minimized when pessimistic."""
+        return {mode: scaled_objective(self.leader_obj, sense, self.n)
+                for mode, sense in ((Mode.OPTIMISTIC, Sense.MAX),
+                                    (Mode.PESSIMISTIC, Sense.MIN))}
+
+    @cached_property
+    def _finite_objectives(self) -> Optional[list]:
+        """(c, c scaled to ints) for each scenario of a finite uncertainty
+        set, in its order, scaled once; None for any other set."""
+        scenarios = self.uncertainty.finite_scenarios()
+        if scenarios is None:
+            return None
+        return [(c, scaled_objective(c, Sense.MAX, self.n))
+                for c in scenarios]
 
     @cached_property
     def _memo(self) -> dict:
@@ -231,6 +249,34 @@ class RobustBilevelInstance:
         this instance, kept for its lifetime; see `adversary_geometric`
         for the entries."""
         return {}
+
+
+def int_row(follower: dict, leader: dict, const, n: int, p: int) -> tuple:
+    """The instance row (t, L, B, b) of follower·y <= leader·x + const,
+    the coefficients ints or rationals keyed by column, read off the
+    entries given: the row times t, the least int > 0 that makes it integral, as
+    `RobustBilevelInstance.rows` holds it."""
+    t = lcm(*[v.denominator for v in (*follower.values(), *leader.values())],
+            const.denominator)
+    lhs, lead = [0] * n, [0] * p
+    for part, entries in ((lhs, follower), (lead, leader)):
+        for j, v in entries.items():
+            part[j] = v.numerator * (t // v.denominator)
+    return (t, tuple(lhs), tuple(lead),
+            const.numerator * (t // const.denominator))
+
+
+def int_rows(lhs: Sequence, leader_mat: Sequence, rhs: Sequence) -> tuple:
+    """The instance rows of dense rational rows lhs·y <= leader_mat·x +
+    rhs, as `int_row` writes sparse ones."""
+    if not len(lhs) == len(leader_mat) == len(rhs):
+        raise InstanceError("row counts of lhs/leader_mat/rhs differ")
+    rows = []
+    for a, lead, b in zip(lhs, leader_mat, rhs):
+        t, ints = integer_scaled((*a, *lead, b))
+        rows.append((t, tuple(ints[:len(a)]), tuple(ints[len(a):-1]),
+                     ints[-1]))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -261,21 +307,20 @@ def _check_relaxed_penalty(inst: RobustBilevelInstance) -> None:
     k = inst.num_rows - 3 * p
     devs = range(n - p, n)
 
-    def unit(i, width, value=ONE):
-        return tuple([value if j == i else ZERO for j in range(width)])
+    def unit(i, width, value=1):
+        return tuple([value if j == i else 0 for j in range(width)])
 
     rows = []
     for i, dev in enumerate(devs):
-        rows += [(unit(dev, n, -ONE), (ZERO,) * p, ZERO),
-                 (unit(dev, n), unit(i, p), ZERO),
-                 (unit(dev, n), unit(i, p, -ONE), ONE)]
+        rows += [(1, unit(dev, n, -1), (0,) * p, 0),
+                 (1, unit(dev, n), unit(i, p), 0),
+                 (1, unit(dev, n), unit(i, p, -1), 1)]
     weights = {inst.leader_obj[j] for j in devs}
-    if not (k >= 0 and n > p
-            and list(zip(inst.lhs[k:], inst.leader_mat[k:],
-                         inst.rhs[k:])) == rows
-            and not any(row[j] for row in inst.lhs[:k] for j in devs)
+    if not (k >= 0 and n > p and list(inst.rows[k:]) == rows
+            and not any(lhs[j] for _, lhs, _, _ in inst.rows[:k]
+                        for j in devs)
             and len(weights) <= 1 and all(w < 0 for w in weights)
-            and all(inst.uncertainty.pinned(j) == ONE for j in devs)):
+            and all(inst.uncertainty.pinned(j) == 1 for j in devs)):
         raise InstanceError(
             "a relaxed leader set needs relax_leader's deviation penalty "
             "on the last p follower columns")
@@ -306,20 +351,24 @@ def follower_response(inst: RobustBilevelInstance, x: Sequence, c: Sequence,
     """Follower's optimal y under scenario c, tie-broken per mode.
 
     Returns (y, leader value).  Optimistic picks the argmax point with the
-    largest leader score, pessimistic the smallest.
+    largest leader score, pessimistic the smallest.  The one caller that
+    reads y in Fractions: the replay and `rbo follower`.
     """
     c = as_vector(c)
     if len(c) != inst.n:
         raise InstanceError(f"scenario has dimension {len(c)} != {inst.n}")
-    return _respond(inst, inst.follower_polyhedron(x), c, mode)
+    (w, d), value = _respond(inst, inst.follower_polyhedron(x),
+                             scaled_objective(c, Sense.MAX, inst.n), mode)
+    return tuple([Fraction(a, d) for a in w]), value
 
 
-def _respond(inst: RobustBilevelInstance, poly: Polyhedron, c: Sequence,
+def _respond(inst: RobustBilevelInstance, poly: Polyhedron, c: tuple,
              mode: Mode):
     """`follower_response` on poly = Y(x), which keeps its phase one for
-    the next scenario."""
-    tie_sense = Sense.MAX if mode is Mode.OPTIMISTIC else Sense.MIN
-    return solve_lex_lp(poly, c, Sense.MAX, inst.leader_obj, tie_sense)
+    the next scenario, to the scenario c as `scaled_objective` gives it;
+    y comes as ints (w, d), y = w / d."""
+    point, value = solve_lex_lp(poly, c, inst._ties[mode])
+    return point, value if mode is Mode.OPTIMISTIC else -value
 
 
 def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
@@ -373,22 +422,25 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     memo = inst._memo
     key = (mode, *poly._scaled_rows)
     if key not in memo:
-        scenarios = inst.uncertainty.finite_scenarios()
+        scenarios = inst._finite_objectives
         if scenarios is None:
             scenarios = _shadow_scenarios(inst, poly, mode)
         if not scenarios:
             raise SolverInvariantError(
                 "the adversary found no scenario; the shadow set is broken")
         # min keeps the first scenario of the smallest outcome.
-        memo[key] = min([(c, _respond(inst, poly, c, mode)[1])
-                         for c in scenarios], key=lambda pair: pair[1])
+        memo[key] = min([(c, _respond(inst, poly, obj, mode)[1])
+                         for c, obj in scenarios], key=lambda pair: pair[1])
     return memo[key]
 
 
 def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
                       mode: Mode) -> list:
-    """The scenarios of the undominated exposable faces of the shadow of
-    poly = Y(x), in `adversary_geometric`'s scan order."""
+    """(c, c scaled to ints) for the scenarios of the undominated
+    exposable faces of the shadow of poly = Y(x), in
+    `adversary_geometric`'s scan order.  Directions are scored on the
+    vertices times their common denominator, each direction scaled to
+    ints: a positive factor, so the argmax is the same."""
     memo = inst._memo
     shadow = inst.uncertainty.shadow()
     verts = tuple(geometry.enumerate_vertices(
@@ -397,20 +449,25 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     if key in memo:
         return memo[key]
     faces = geometry.exposed_faces(verts, shadow.directions)
+    q = len(shadow.columns)
+    _, flat = integer_scaled([a for v in verts for a in v])
+    scaled = [flat[i:i + q] for i in range(0, len(flat), q)]
     upward = mode is Mode.OPTIMISTIC
     taken, scenarios = [], []
     for face in faces if upward else reversed(faces):
         if any(face >= g if upward else face <= g for g in taken):
             continue
         s = faces[face]
-        scores = [dot(s, v) for v in verts]
+        ints = integer_scaled(s)[1]
+        scores = [sum(map(mul, ints, v)) for v in scaled]
         top = max(scores)
         if not (shadow.directions.contains(s) and face == frozenset(
                 i for i, score in enumerate(scores) if score == top)):
             raise SolverInvariantError(
                 f"direction {rat_format_vector(s)} does not expose its face")
         taken.append(face)
-        scenarios.append(shadow.scenario(s))
+        c = shadow.scenario(s)
+        scenarios.append((c, scaled_objective(c, Sense.MAX, inst.n)))
     memo[key] = scenarios
     return scenarios
 
@@ -450,49 +507,6 @@ def solve_robust(inst: RobustBilevelInstance,
             f"{replay}; solver invariant broken")
     return SolveReport(leader_x=x_star, value=value, worst_scenario=c_star,
                        follower_y=y_star, trace=tuple(trace))
-
-
-SPOT_SAMPLES = 100
-SPOT_DENOMINATOR = 16
-
-
-def spot_check_relaxed(inst: RobustBilevelInstance, binary_value: Fraction,
-                       mode: Mode, seed: int = 0) -> Optional[tuple]:
-    """Deterministic fractional-leader sampler for relaxed instances.
-
-    Draws SPOT_SAMPLES seeded points of the grid with step
-    1/SPOT_DENOMINATOR from [0,1]^p and checks that none beats the
-    binary optimum.  A cheap sound bound is tried first: the adversary's
-    min over the corner scenarios of the uncertainty set dominates the
-    true adversary value, so if even that bound stays below the binary
-    optimum the sample passes; otherwise the exact adversary runs.
-
-    Returns None when all samples pass, else a witness (x, exact value).
-    """
-    if not isinstance(inst.leader_set, RelaxedBox):
-        raise InstanceError("spot check applies to relaxed leader sets")
-    sample_scenarios = inst.uncertainty.corner_samples()
-    rng = random.Random(seed)
-    for _ in range(SPOT_SAMPLES):
-        x = tuple([Fraction(rng.randint(0, SPOT_DENOMINATOR),
-                            SPOT_DENOMINATOR) for _ in range(inst.p)])
-        poly = inst.follower_polyhedron(x)
-        bound = None
-        for c in sample_scenarios:
-            value = _respond(inst, poly, c, mode)[1]
-            if bound is None or value < bound:
-                bound = value
-            if bound <= binary_value:
-                break  # the min over scenarios can only be lower
-        # Nothing reuses the bound's first stages; dropping them keeps
-        # the instance's memory to one phase-one tableau per sample.
-        poly._stage_one.clear()
-        if bound <= binary_value:
-            continue
-        _, exact = adversary_geometric(inst, x, mode)
-        if exact > binary_value:
-            return (x, exact)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +559,8 @@ def instance_from_json(doc: dict):
         inst = RobustBilevelInstance(
             p=_json_int(doc, "p"),
             n=_json_int(doc, "n"),
-            lhs=rat_parse_nested(doc["A"]),
-            leader_mat=rat_parse_nested(doc["B"]),
-            rhs=rat_parse_nested(doc["b"]),
+            rows=int_rows(*[rat_parse_nested(doc[key])
+                            for key in ("A", "B", "b")]),
             leader_obj=rat_parse_nested(doc["d"]),
             leader_set=_kind_from_json(doc, "leader_set", LEADER_KINDS),
             uncertainty=_kind_from_json(doc, "uncertainty", KINDS),
@@ -563,7 +576,9 @@ def instance_from_json(doc: dict):
             meta["var_map"] = var_map
         if "M" in doc:
             meta["M"] = rat_parse(doc["M"])
-    except (KeyError, TypeError, RecursionError) as exc:
+    except (AttributeError, KeyError, TypeError, RecursionError) as exc:
+        # A list where a rational belongs has no `denominator` for
+        # `int_row` to read.
         raise InstanceError(f"malformed instance document: {exc}") from exc
     return inst, meta
 

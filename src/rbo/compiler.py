@@ -7,8 +7,8 @@ pin every gate to its Boolean value.
 
 Every compiler writes a constraint row as one sparse triple (follower
 coefficients, leader coefficients, const), two dicts keyed by column
-plus a rational, meaning follower·y <= leader·x + const; `_dense_rows`
-turns the triples into the instance's lhs, leader_mat and rhs.  Gate
+plus a number, ints or rationals, meaning follower·y <= leader·x + const;
+`bilevel.int_row` writes each triple in ints, as the instance's rows.  Gate
 rows, the copy gate's included, and the rows of both deviation gadgets
 (`_deviation`, over a follower y_i when pessimistic and over a leader
 x_i in `relax_leader`) are written through `_row` from their
@@ -44,6 +44,7 @@ from .bilevel import (
     RelaxedBox,
     RobustBilevelInstance,
     check_leader_bits,
+    int_row,
 )
 from .numeric import ONE, ZERO, Fraction, as_vector
 from .uncertainty import CapExceededError, ConvexHull, DiscreteSet, Interval
@@ -252,11 +253,6 @@ def parse_formula_file(text: str) -> Formula:
     return parse_formula(body, p, n)
 
 
-def formula_file_text(formula: Formula) -> str:
-    return (f"p={formula.p} n={formula.n}\n"
-            f"{formula_to_text(formula)}\n")
-
-
 # ---------------------------------------------------------------------------
 # Linearization.
 
@@ -275,23 +271,23 @@ class LinearizedCircuit:
     output: tuple
 
 
-def _row(terms, const: Fraction) -> tuple:
+def _row(terms, const: int) -> tuple:
     """The row triple of sum(coefficient * column) <= const, the terms
     being (coefficient, ("y"|"x", index)) pairs; leader terms move to the
     right-hand side."""
     fol, led = {}, {}
     for coeff, (kind, idx) in terms:
-        side, sign = (fol, ONE) if kind == "y" else (led, -ONE)
-        side[idx] = side.get(idx, ZERO) + sign * coeff
+        side, sign = (fol, 1) if kind == "y" else (led, -1)
+        side[idx] = side.get(idx, 0) + sign * coeff
     return fol, led, const
 
 
 def _deviation(dev: tuple, var: tuple) -> list:
     """The rows -dev <= 0, dev <= var and dev <= 1 - var, which make
     dev = min(var, 1 - var) once dev is pushed up."""
-    return [_row([(-ONE, dev)], ZERO),
-            _row([(ONE, dev), (-ONE, var)], ZERO),
-            _row([(ONE, dev), (ONE, var)], ONE)]
+    return [_row([(-1, dev)], 0),
+            _row([(1, dev), (-1, var)], 0),
+            _row([(1, dev), (1, var)], 1)]
 
 
 def _emit(node: Node, n: int, gate_names: list, rows: list) -> tuple:
@@ -314,18 +310,18 @@ def _emit(node: Node, n: int, gate_names: list, rows: list) -> tuple:
     g = ("y", n + len(gate_names))
     gate_names.append(f"g{len(gate_names) + 1}:{kind}")
     if kind == "not":
-        rows += [_row([(ONE, g), (ONE, a)], ONE),     # g <= 1 - a
-                 _row([(-ONE, a), (-ONE, g)], -ONE)]  # g >= 1 - a
+        rows += [_row([(1, g), (1, a)], 1),     # g <= 1 - a
+                 _row([(-1, a), (-1, g)], -1)]  # g >= 1 - a
     elif kind == "and":
-        rows += [_row([(ONE, g), (-ONE, a)], ZERO),              # g <= a
-                 _row([(ONE, g), (-ONE, b)], ZERO),              # g <= b
-                 _row([(ONE, a), (ONE, b), (-ONE, g)], ONE),     # g >= a+b-1
-                 _row([(-ONE, g)], ZERO)]                        # g >= 0
+        rows += [_row([(1, g), (-1, a)], 0),           # g <= a
+                 _row([(1, g), (-1, b)], 0),           # g <= b
+                 _row([(1, a), (1, b), (-1, g)], 1),   # g >= a+b-1
+                 _row([(-1, g)], 0)]                   # g >= 0
     else:
-        rows += [_row([(ONE, a), (-ONE, g)], ZERO),              # g >= a
-                 _row([(ONE, b), (-ONE, g)], ZERO),              # g >= b
-                 _row([(ONE, g), (-ONE, a), (-ONE, b)], ZERO),   # g <= a+b
-                 _row([(ONE, g)], ONE)]                          # g <= 1
+        rows += [_row([(1, a), (-1, g)], 0),           # g >= a
+                 _row([(1, b), (-1, g)], 0),           # g >= b
+                 _row([(1, g), (-1, a), (-1, b)], 0),  # g <= a+b
+                 _row([(1, g)], 1)]                    # g <= 1
     return g
 
 
@@ -341,8 +337,8 @@ def linearize(formula: Formula) -> LinearizedCircuit:
     if output[0] == "x":
         gate = ("y", formula.n)
         gate_names.append("g1:copy")
-        rows += [_row([(ONE, gate), (-ONE, output)], ZERO),  # g <= x
-                 _row([(ONE, output), (-ONE, gate)], ZERO)]  # g >= x
+        rows += [_row([(1, gate), (-1, output)], 0),  # g <= x
+                 _row([(1, output), (-1, gate)], 0)]  # g >= x
         output = gate
     return LinearizedCircuit(gate_names, rows, output)
 
@@ -360,18 +356,6 @@ class CompilationArtifacts:
     var_map: tuple
     big_m: Optional[Fraction]
 
-    def column_of(self, name: str) -> int:
-        return self.var_map.index(name)
-
-
-def _dense_rows(rows, n_total: int, p: int):
-    """Dense (lhs, leader_mat, rhs) tuples of sparse row triples."""
-    lhs = tuple([tuple([fol.get(j, ZERO) for j in range(n_total)])
-                 for fol, _, _ in rows])
-    leader = tuple([tuple([led.get(i, ZERO) for i in range(p)])
-                    for _, led, _ in rows])
-    return lhs, leader, tuple([const for _, _, const in rows])
-
 
 MAX_FOLLOWER_VARS = 64  # each adds two dense rows and a column
 
@@ -386,8 +370,8 @@ def compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
     n_y = formula.n
     rows = []
     for j in range(n_y):
-        rows.append(({j: ONE}, {}, ONE))    # y_j <= 1
-        rows.append(({j: -ONE}, {}, ZERO))  # y_j >= 0
+        rows.append(({j: 1}, {}, 1))   # y_j <= 1
+        rows.append(({j: -1}, {}, 0))  # y_j >= 0
     rows += circuit.rows
     var_map = [f"y{j + 1}" for j in range(n_y)] + circuit.gate_names
 
@@ -407,13 +391,10 @@ def compile_qsat(formula: Formula, mode: Mode) -> CompilationArtifacts:
             upper.append(ONE)
 
     n_total = len(var_map)
-    lhs, leader_mat, rhs = _dense_rows(rows, n_total, formula.p)
     inst = RobustBilevelInstance(
         p=formula.p,
         n=n_total,
-        lhs=lhs,
-        leader_mat=leader_mat,
-        rhs=rhs,
+        rows=[int_row(*row, n_total, formula.p) for row in rows],
         leader_obj=d,
         leader_set=AllBinary(),
         uncertainty=Interval(tuple(lower), tuple(upper)),
@@ -448,15 +429,13 @@ def relax_leader(art: CompilationArtifacts) -> CompilationArtifacts:
     n_old = inst.n
     rows = [row for i in range(p)
             for row in _deviation(("y", n_old + i), ("x", i))]
-    lhs, leader_mat, rhs = _dense_rows(rows, n_old + p, p)
-    pad = (ZERO,) * p
+    pad = (0,) * p
     devs = (ONE,) * p
     inst2 = replace(
         inst,
         n=n_old + p,
-        lhs=tuple([row + pad for row in inst.lhs]) + lhs,
-        leader_mat=inst.leader_mat + leader_mat,
-        rhs=inst.rhs + rhs,
+        rows=[(t, lhs + pad, lead, b) for t, lhs, lead, b in inst.rows]
+        + [int_row(*row, n_old + p, p) for row in rows],
         leader_obj=inst.leader_obj + (-art.big_m,) * p,
         leader_set=RelaxedBox(),
         uncertainty=Interval(inst.uncertainty.lower + devs,
@@ -521,24 +500,23 @@ def compile_single_level_robust(x_set, scenarios) -> CompilationArtifacts:
     def z_col(j):
         return 1 + j
 
-    rows = [({z_col(j): -ONE}, {}, ZERO) for j in range(m_s)]  # z_j >= 0
-    z_sum = {z_col(j): ONE for j in range(m_s)}
-    rows.append((z_sum, {}, ONE))                               # sum z <= 1
-    rows.append(({k: -v for k, v in z_sum.items()}, {}, -ONE))  # sum z >= 1
-    value = {y_col: ONE}  # y - sum c_{j,i} u_{j,i} = 0, filled below
+    rows = [({z_col(j): -1}, {}, 0) for j in range(m_s)]  # z_j >= 0
+    z_sum = {z_col(j): 1 for j in range(m_s)}
+    rows.append((z_sum, {}, 1))                               # sum z <= 1
+    rows.append(({k: -v for k, v in z_sum.items()}, {}, -1))  # sum z >= 1
+    value = {y_col: 1}  # y - sum c_{j,i} u_{j,i} = 0, filled below
     for j in range(m_s):
         for i in range(p):
             u, z = len(var_map), z_col(j)
             var_map.append(f"u{j + 1}_{i + 1}")
-            rows.append(({u: -ONE}, {}, ZERO))                # u >= 0
-            rows.append(({u: -ONE, z: ONE}, {i: -ONE}, ONE))  # u >= x + z - 1
-            rows.append(({u: ONE}, {i: ONE}, ZERO))           # u <= x_i
-            rows.append(({u: ONE, z: -ONE}, {}, ZERO))        # u <= z_j
+            rows.append(({u: -1}, {}, 0))             # u >= 0
+            rows.append(({u: -1, z: 1}, {i: -1}, 1))  # u >= x + z - 1
+            rows.append(({u: 1}, {i: 1}, 0))          # u <= x_i
+            rows.append(({u: 1, z: -1}, {}, 0))       # u <= z_j
             value[u] = -scenario_rows[j][i]
-    rows.append((value, {}, ZERO))
-    rows.append(({k: -v for k, v in value.items()}, {}, ZERO))
+    rows.append((value, {}, 0))
+    rows.append(({k: -v for k, v in value.items()}, {}, 0))
     n_total = len(var_map)
-    lhs, leader_mat, rhs = _dense_rows(rows, n_total, p)
 
     d = [ZERO] * n_total
     d[y_col] = ONE
@@ -550,9 +528,7 @@ def compile_single_level_robust(x_set, scenarios) -> CompilationArtifacts:
     inst = RobustBilevelInstance(
         p=p,
         n=n_total,
-        lhs=lhs,
-        leader_mat=leader_mat,
-        rhs=rhs,
+        rows=[int_row(*row, n_total, p) for row in rows],
         leader_obj=d,
         leader_set=ExplicitList(x_vectors),
         uncertainty=DiscreteSet(tuple(tilde)),

@@ -5,8 +5,11 @@ free variables, whose data are the rows of [A | rhs] scaled to ints.  The
 solver is a textbook two-phase full-tableau simplex with Bland's pivot
 rule (smallest index), which terminates under degeneracy and is
 deterministic for fixed input.  It pivots on integer rows (Bareiss 1968)
-and checks its certificates in ints; Fractions appear only in the
-returned point, value and dual, and in the `a` and `rhs` views.
+and checks its certificates in ints.  Objectives come scaled to ints
+(`scaled_objective`), so a caller that solves one objective on many
+polyhedra scales it once; a solve returns its point as ints over one
+denominator, and Fractions appear only in the value and dual, and in the
+`point`, `a` and `rhs` views.
 Free variables keep one column each.  Phase one ends by pivoting in
 every free column that a row bounds, and a basic free column never
 leaves, so every later basis has a vertex as its basic point whenever
@@ -58,7 +61,6 @@ from .numeric import (
     as_matrix,
     as_vector,
     bareiss_step,
-    dot,
     integer_scaled,
 )
 
@@ -201,10 +203,18 @@ class Polyhedron:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """An LP's status and, when optimal, its basic point as ints (w, d),
+    v = w / d, its value and its dual; `point` is v in Fractions."""
+
     status: LpStatus
-    point: Optional[tuple] = None
+    scaled_point: Optional[tuple] = None
     value: Optional[Fraction] = None
     dual: Optional[tuple] = None
+
+    @property
+    def point(self) -> tuple:
+        w, d = self.scaled_point
+        return tuple([Fraction(a, d) for a in w])
 
 
 class _Tableau:
@@ -386,8 +396,8 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
 
 def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
     """Phase two for max obj·v over poly, then, given a tie objective,
-    max tie·v over obj's optimal face; obj and tie as (S, ints), each
-    scaled to ints by `integer_scaled`.
+    max tie·v over obj's optimal face; obj and tie as (S, ints), as
+    `scaled_objective` gives them.
 
     Returns (status, tableau, mu, certs): mu is obj's dual in Fractions,
     and certs pairs each stage's certificate o with the objective it
@@ -472,39 +482,9 @@ def _verify_certificate(poly: Polyhedron, o: Sequence, c: Sequence,
     CERT_LOG.verified += 1
 
 
-def solve_lp(poly: Polyhedron, obj, sense: Sense = Sense.MAX,
-             tie=None) -> LpOutcome:
-    """Exact LP solve; the point is the optimal tableau's basic point,
-    a vertex of the polyhedron whenever it has one (`_phase_one`).  When
-    the polyhedron contains a line instead, the free columns that span
-    it stay at 0.
-
-    The returned dual always certifies the maximization form: for a MIN
-    solve it certifies max (-obj) = -value.
-
-    With tie = (objective, sense), the point is also optimal for that
-    objective over obj's optimal face, and value and dual stay obj's; the
-    status is UNBOUNDED also when the tie objective is unbounded there.
-    """
-    obj = _internal(obj, sense, poly.dim)
-    if tie is not None:
-        tie = _internal(*tie, poly.dim)
-    status, tab, mu, certs = _phase_two(poly, obj, tie)
-    if status is not LpStatus.OPTIMAL:
-        return LpOutcome(status=status)
-    point = w, d = tab.point()
-    for o, c in certs:
-        _verify_certificate(poly, o, c, point)
-    scale, ints = obj
-    value = Fraction(sum(map(mul, ints, w)), scale * d)
-    if sense is Sense.MIN:
-        value = -value
-    return LpOutcome(LpStatus.OPTIMAL, tuple([Fraction(x, d) for x in w]),
-                     value, mu)
-
-
-def _internal(obj, sense: Sense, dim: int) -> tuple:
-    """obj as the vector to maximize, scaled to ints: (S, ints)."""
+def scaled_objective(obj, sense: Sense, dim: int) -> tuple:
+    """obj as the vector to maximize, scaled to ints: (S, ints), the ints
+    negated for MIN.  The one form in which the solves take objectives."""
     obj = as_vector(obj)
     if len(obj) != dim:
         raise ValueError(f"objective dimension {len(obj)} != {dim}")
@@ -512,25 +492,54 @@ def _internal(obj, sense: Sense, dim: int) -> tuple:
     return scale, tuple(ints if sense is Sense.MAX else [-a for a in ints])
 
 
-def solve_lex_lp(poly: Polyhedron, primary, primary_sense: Sense,
-                 secondary, secondary_sense: Sense) -> tuple:
-    """Optimize `secondary` over the primary objective's optimal face.
+def _value(obj: tuple, point: tuple) -> Fraction:
+    """obj·v for obj = (S, ints) and v = w / d, point = (w, d)."""
+    (scale, ints), (w, d) = obj, point
+    return Fraction(sum(map(mul, ints, w)), scale * d)
 
-    Returns (point, value), value the secondary objective's at the point.
-    One `solve_lp` with `secondary` as its tie objective: the second stage
-    runs on the first stage's optimal tableau, with the slacks of the rows
-    that carry a positive primary dual kept out of the basis.  Both stages'
+
+def solve_lp(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None
+             ) -> LpOutcome:
+    """Exact solve of max obj·v over poly, obj as `scaled_objective`
+    gives it (a MIN objective comes negated, so the value is minus its
+    minimum).  The point is the optimal tableau's basic point, a vertex
+    of the polyhedron whenever it has one (`_phase_one`); when the
+    polyhedron contains a line instead, the free columns that span it
+    stay at 0.  The dual certifies max obj·v = value.
+
+    With a tie objective, in the same form, the point is also optimal for
+    it over obj's optimal face, and value and dual stay obj's; the status
+    is UNBOUNDED also when the tie objective is unbounded there.
+    """
+    status, tab, mu, certs = _phase_two(poly, obj, tie)
+    if status is not LpStatus.OPTIMAL:
+        return LpOutcome(status=status)
+    point = tab.point()
+    for o, c in certs:
+        _verify_certificate(poly, o, c, point)
+    return LpOutcome(LpStatus.OPTIMAL, point, _value(obj, point), mu)
+
+
+def solve_lex_lp(poly: Polyhedron, primary: tuple,
+                 secondary: tuple) -> tuple:
+    """Maximize `secondary` over the primary objective's optimal face,
+    both as `scaled_objective` gives them.
+
+    Returns ((w, d), value): the point v = w / d in ints, and
+    secondary·v, read off w without building v.  One `solve_lp` with
+    `secondary` as its tie objective: the second stage runs on the first
+    stage's optimal tableau, with the slacks of the rows that carry a
+    positive primary dual kept out of the basis.  Both stages'
     certificates are checked at the returned point, the first of them
     proving that it attains the primary's optimum.
     """
-    out = solve_lp(poly, primary, primary_sense,
-                   tie=(secondary, secondary_sense))
+    out = solve_lp(poly, primary, tie=secondary)
     if out.status is LpStatus.INFEASIBLE:
         raise InfeasibleError("lexicographic solve on an empty polyhedron")
     if out.status is LpStatus.UNBOUNDED:
         raise UnboundedError("the primary objective is unbounded, or the "
                              "secondary on the primary's optimal face")
-    return out.point, dot(as_vector(secondary), out.point)
+    return out.scaled_point, _value(secondary, out.scaled_point)
 
 
 def is_nonempty(poly: Polyhedron) -> bool:
@@ -549,14 +558,16 @@ def check_bounded_nonempty(poly: Polyhedron):
     """Return (nonempty, bounded); an empty set counts as bounded.
 
     With rank A = n, a recession direction d != 0 of poly has A d <= 0
-    and A d != 0, so (-1^T A) d > 0: a nonempty poly is bounded exactly
-    when max (-1^T A) v over it is finite (Schrijver 1986, section 8.2).
-    Rank A (its basic free columns) and that LP use poly's phase one.
+    and A d != 0, so any positive row weights s give (-s^T A) d > 0: a
+    nonempty poly is bounded exactly when max (-s^T A) v over it is
+    finite (Schrijver 1986, section 8.2).  The weights are the rows'
+    scales, so the objective is minus the sum of the integer rows.  Rank
+    A (its basic free columns) and that LP use poly's phase one.
     """
     if not is_nonempty(poly):
         return False, True
     n = poly.dim
     if sum(col < n for col in poly._phase_one_tableau.basis) < n:
         return True, False
-    obj = [-sum(col) for col in zip(*poly.a)]
-    return True, solve_lp(poly, obj).status is LpStatus.OPTIMAL
+    obj = tuple([-sum(col) for col in zip(*poly._scaled_rows[1])][:n])
+    return True, solve_lp(poly, (1, obj)).status is LpStatus.OPTIMAL

@@ -163,11 +163,3 @@ def eliminate(rows: list, ncols: int) -> tuple:
             pivots.append(col)
     return pivots, rows, d
 
-
-def span_basis(vectors: Sequence[Sequence]) -> tuple:
-    """The indices of the first linearly independent vectors, in order:
-    the pivot columns of `eliminate` on the vectors as int-scaled
-    columns.  Its length is the rank of the vectors.  No solver calls it:
-    the tests use it as a rank reference independent of the simplex."""
-    return tuple(eliminate([integer_scaled(row)[1] for row in zip(*vectors)],
-                           len(vectors))[0])

@@ -1,0 +1,87 @@
+"""Helpers that only the tests call: a rank reference, the formula file
+writer, the relaxed leader's fractional spot check, and the LP solves
+on rational objectives that the LP tests state their cases in."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+from rbo import bilevel, lp
+from rbo.compiler import Formula, formula_to_text
+from rbo.numeric import eliminate, integer_scaled
+
+SPOT_SAMPLES = 100
+SPOT_DENOMINATOR = 16
+
+
+def span_basis(vectors) -> tuple:
+    """The indices of the first linearly independent vectors, in order:
+    the pivot columns of `eliminate` on the vectors as int-scaled
+    columns.  Its length is the rank of the vectors, a reference
+    independent of the simplex."""
+    return tuple(eliminate([integer_scaled(row)[1] for row in zip(*vectors)],
+                           len(vectors))[0])
+
+
+def formula_file_text(formula: Formula) -> str:
+    return (f"p={formula.p} n={formula.n}\n"
+            f"{formula_to_text(formula)}\n")
+
+
+def solve(poly, obj, sense=lp.Sense.MAX, tie=None) -> lp.LpOutcome:
+    """`lp.solve_lp` on rational objectives, tie = (objective, sense);
+    the value is obj's in its own sense."""
+    out = lp.solve_lp(poly, lp.scaled_objective(obj, sense, poly.dim),
+                      None if tie is None
+                      else lp.scaled_objective(*tie, poly.dim))
+    if sense is lp.Sense.MIN and out.value is not None:
+        out = replace(out, value=-out.value)
+    return out
+
+
+def solve_lex(poly, primary, primary_sense, secondary, secondary_sense):
+    """`lp.solve_lex_lp` on rational objectives: (point in Fractions,
+    the secondary's value in its own sense)."""
+    (w, d), value = lp.solve_lex_lp(
+        poly, lp.scaled_objective(primary, primary_sense, poly.dim),
+        lp.scaled_objective(secondary, secondary_sense, poly.dim))
+    return (tuple([Fraction(a, d) for a in w]),
+            -value if secondary_sense is lp.Sense.MIN else value)
+
+
+def spot_check_relaxed(inst, binary_value, mode, seed: int = 0):
+    """Deterministic fractional-leader sampler for relaxed instances.
+
+    Draws SPOT_SAMPLES seeded points of the grid with step
+    1/SPOT_DENOMINATOR from [0,1]^p and checks that none beats the
+    binary optimum.  A cheap sound bound is tried first: the adversary's
+    min over the corner scenarios of the uncertainty set dominates the
+    true adversary value, so if even that bound stays below the binary
+    optimum the sample passes; otherwise the exact adversary runs.
+
+    Returns None when all samples pass, else a witness (x, exact value).
+    """
+    assert isinstance(inst.leader_set, bilevel.RelaxedBox)
+    samples = [lp.scaled_objective(c, lp.Sense.MAX, inst.n)
+               for c in inst.uncertainty.corner_samples()]
+    rng = random.Random(seed)
+    for _ in range(SPOT_SAMPLES):
+        x = tuple([Fraction(rng.randint(0, SPOT_DENOMINATOR),
+                            SPOT_DENOMINATOR) for _ in range(inst.p)])
+        poly = inst.follower_polyhedron(x)
+        bound = None
+        for c in samples:
+            value = bilevel._respond(inst, poly, c, mode)[1]
+            if bound is None or value < bound:
+                bound = value
+            if bound <= binary_value:
+                break  # the min over scenarios can only be lower
+        # Nothing reuses the bound's first stages; dropping them keeps
+        # the instance's memory to one phase-one tableau per sample.
+        poly._stage_one.clear()
+        if bound <= binary_value:
+            continue
+        _, exact = bilevel.adversary_geometric(inst, x, mode)
+        if exact > binary_value:
+            return (x, exact)
+    return None

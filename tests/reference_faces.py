@@ -6,9 +6,10 @@ these independent computations check it."""
 from typing import Collection, Optional
 
 from rbo.geometry import CAP
-from rbo.lp import LpStatus, Polyhedron, Sense, solve_lp
+from rbo.lp import LpStatus, Polyhedron, Sense
 from rbo.numeric import ONE, ZERO
 from rbo.uncertainty import CapExceededError
+from helpers import solve
 
 
 def enumerate_faces(tights: Collection) -> list:
@@ -60,7 +61,7 @@ def exposure_check(face: frozenset, verts: tuple,
     rows.append(eps_row)  # eps <= 1, which keeps the LP bounded
     rhs.append(ONE)
 
-    outcome = solve_lp(Polyhedron(rows, rhs), eps_row, Sense.MAX)
+    outcome = solve(Polyhedron(rows, rhs), eps_row, Sense.MAX)
     if outcome.status is not LpStatus.OPTIMAL or outcome.value <= 0:
         return None
     return outcome.point[:q]

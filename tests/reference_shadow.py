@@ -10,9 +10,10 @@ from math import gcd
 
 from rbo import geometry
 from rbo.lp import Polyhedron
-from rbo.numeric import ZERO, as_matrix, integer_scaled, span_basis
+from rbo.numeric import ZERO, as_matrix, integer_scaled
 from rbo.oracle import solve_square
 from rbo.uncertainty import CapExceededError
+from helpers import span_basis
 
 
 def start_cone(rows: list) -> tuple:

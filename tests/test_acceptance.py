@@ -6,6 +6,7 @@ criterion failed.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -17,8 +18,8 @@ from rbo.bilevel import (
     RobustBilevelInstance,
     adversary_geometric,
     follower_response,
+    int_rows,
     solve_robust,
-    spot_check_relaxed,
 )
 from rbo.compiler import (
     And,
@@ -27,17 +28,13 @@ from rbo.compiler import (
     LeaderVar,
     Not,
     Or,
-    atomic_term_count,
-    box_to_simplex,
     compile_qsat_optimistic,
     compile_qsat_pessimistic,
-    compile_single_level_robust,
     formula_to_text,
-    full_family,
     random_formula,
     relax_leader,
 )
-from rbo.lp import CERT_LOG, Polyhedron, Sense, solve_lex_lp, solve_lp
+from rbo.lp import CERT_LOG, Polyhedron, Sense
 from rbo.numeric import ONE, ZERO, dot
 from rbo.oracle import (
     cross_validate,
@@ -47,36 +44,24 @@ from rbo.oracle import (
 )
 from rbo.uncertainty import DiscreteSet, Interval
 from reference_faces import enumerate_faces, exposure_check
+from helpers import solve, solve_lex, spot_check_relaxed
 from test_geometry import argmax_vertices
+import report_ledger
 
-SEED = 31415
-NUM_RANDOM_FORMULAS = 100
-
-
-@lru_cache(maxsize=1)
-def formula_pool():
-    """Criterion-1 instance family: exhaustive members plus seeded randoms."""
-    pool = list(full_family(2, 2))
-    rng = random.Random(SEED)
-    for _ in range(NUM_RANDOM_FORMULAS):
-        p = rng.randint(0, 2)
-        n = rng.randint(0, 2)
-        if p + n == 0:
-            n = 1
-        pool.append(random_formula(rng, p, n, max_leaves=9))
-    return pool
+SEED = report_ledger.SEED
+NUM_RANDOM_FORMULAS = report_ledger.NUM_RANDOM_FORMULAS
+formula_pool = report_ledger.formula_pool
 
 
 @lru_cache(maxsize=1)
 def optimistic_results():
-    """(formula, artifacts, report, truth) for the whole pool."""
-    results = []
-    for formula in formula_pool():
-        truth = 1 if qsat_oracle(formula) else 0
-        art = compile_qsat_optimistic(formula)
-        report = solve_robust(art.instance, Mode.OPTIMISTIC)
-        results.append((formula, art, report, truth))
-    return results
+    """(formula, artifacts, report, truth) for the whole pool; the reports
+    are the ledger's."""
+    pool = report_ledger.solve_all()[0]
+    return [(formula, compile_qsat_optimistic(formula),
+             reports["optimistic", "plain", "optimistic"],
+             1 if qsat_oracle(formula) else 0)
+            for formula, reports in zip(formula_pool(), pool)]
 
 
 def substituted_negation(formula, x_bits):
@@ -117,10 +102,9 @@ def test_criterion_1_qsat_reduction_optimistic():
 def test_criterion_2_qsat_reduction_pessimistic():
     mismatches = []
     pool = formula_pool()
-    for formula in pool:
+    for formula, reports in zip(pool, report_ledger.solve_all()[0]):
         truth = 1 if qsat_oracle(formula) else 0
-        art = compile_qsat_pessimistic(formula)
-        value = solve_robust(art.instance, Mode.PESSIMISTIC).value
+        value = reports["pessimistic", "plain", "pessimistic"].value
         if value != truth:
             mismatches.append((formula_to_text(formula), value, truth))
     assert not mismatches, mismatches
@@ -138,14 +122,14 @@ def test_criterion_2_qsat_reduction_pessimistic():
             scenario[i] = ZERO if i % 2 == 0 else F(1, 2)
             interior.append(i)
         for i in range(formula.n):
-            scenario[art.column_of(f"ydev{i + 1}")] = ONE
+            scenario[art.var_map.index(f"ydev{i + 1}")] = ONE
         for x_bits in itertools.product((0, 1), repeat=formula.p):
             x = tuple(F(b) for b in x_bits)
             for mode in Mode:
                 y, value = follower_response(inst, x, scenario, mode)
                 for i in interior:
                     assert y[i] == F(1, 2)
-                    assert y[art.column_of(f"ydev{i + 1}")] == F(1, 2)
+                    assert y[art.var_map.index(f"ydev{i + 1}")] == F(1, 2)
                 assert value >= art.big_m / 2
     print(f"\nACCEPTANCE 2: PASS - pessimistic reduction exact on "
           f"{len(pool)} formulas; half-half deviation points verified on "
@@ -185,23 +169,16 @@ def test_criterion_4_adversary_complement_of_sat():
 
 
 def test_criterion_5_single_level_embedding():
-    rng = random.Random(SEED + 5)
-    for case in range(100):
-        p = rng.randint(1, 4)
-        codes = list(range(2 ** p))
-        rng.shuffle(codes)
-        chosen = sorted(codes[:rng.randint(1, min(6, len(codes)))])
-        x_set = [tuple((code >> i) & 1 for i in range(p)) for code in chosen]
-        scenarios = [tuple(F(rng.randint(-12, 12), 4) for _ in range(p))
-                     for _ in range(rng.randint(1, 3))]
+    cases = report_ledger.single_level_cases()
+    for case, ((x_set, scenarios), reports) in enumerate(
+            zip(cases, report_ledger.solve_all()[1])):
         want = robust_single_level_oracle(x_set, scenarios)
-        art = compile_single_level_robust(x_set, scenarios)
-        optimistic = solve_robust(art.instance, Mode.OPTIMISTIC).value
-        pessimistic = solve_robust(art.instance, Mode.PESSIMISTIC).value
-        assert optimistic == want, (case, x_set, scenarios)
-        assert pessimistic == want, (case, x_set, scenarios)
-    print("\nACCEPTANCE 5: PASS - single-level embedding matched the "
-          "enumeration oracle on 100 seeded cases, both conventions")
+        for mode in Mode:
+            assert reports[mode.value].value == want, \
+                (case, mode, x_set, scenarios)
+    print(f"\nACCEPTANCE 5: PASS - single-level embedding matched the "
+          f"enumeration oracle on {len(cases)} seeded cases, both "
+          f"conventions")
 
 
 def _random_discrete_instance(rng):
@@ -230,8 +207,7 @@ def _random_discrete_instance(rng):
     scenarios = tuple(tuple(F(rng.randint(-6, 6), 2) for _ in range(n))
                       for _ in range(rng.randint(1, 4)))
     return RobustBilevelInstance(
-        p=p, n=n, lhs=tuple(tuple(r) for r in rows),
-        leader_mat=tuple(tuple(r) for r in leader_rows), rhs=tuple(rhs),
+        p=p, n=n, rows=int_rows(rows, leader_rows, rhs),
         leader_obj=tuple(F(rng.randint(-4, 4), 2) for _ in range(n)),
         leader_set=AllBinary(), uncertainty=DiscreteSet(scenarios))
 
@@ -251,8 +227,8 @@ def test_criterion_6_discrete_enumeration_and_scaling():
     while base is None or len(base.uncertainty.scenarios) < 4:
         base = _random_discrete_instance(rng)
     doubled = RobustBilevelInstance(
-        p=base.p, n=base.n, lhs=base.lhs, leader_mat=base.leader_mat,
-        rhs=base.rhs, leader_obj=base.leader_obj, leader_set=base.leader_set,
+        p=base.p, n=base.n, rows=base.rows, leader_obj=base.leader_obj,
+        leader_set=base.leader_set,
         uncertainty=DiscreteSet(base.uncertainty.scenarios * 2))
     x = tuple(F(0) for _ in range(base.p))
 
@@ -271,9 +247,9 @@ def test_criterion_6_discrete_enumeration_and_scaling():
 
 def test_criterion_7_box_to_simplex_preserves_values():
     checked = 0
-    for formula, art, report, truth in optimistic_results():
-        simplex = box_to_simplex(art)
-        value = solve_robust(simplex.instance, Mode.OPTIMISTIC).value
+    pool = report_ledger.solve_all()[0]
+    for (formula, _, report, _), reports in zip(optimistic_results(), pool):
+        value = reports["optimistic", "simplex", "optimistic"].value
         assert value == report.value, formula_to_text(formula)
         checked += 1
     print(f"\nACCEPTANCE 7: PASS - simplex hull swap preserved the exact "
@@ -292,9 +268,8 @@ def test_criterion_8_lp_certificates_and_lex_consistency():
         (Polyhedron([[1], [-1]], [1, 0]), (F(3),), (F(-1),)),
     ]
     for poly, primary, secondary in cases:
-        plain = solve_lp(poly, primary, Sense.MAX)
-        point, _ = solve_lex_lp(poly, primary, Sense.MAX, secondary,
-                                Sense.MAX)
+        plain = solve(poly, primary, Sense.MAX)
+        point, _ = solve_lex(poly, primary, Sense.MAX, secondary, Sense.MAX)
         assert dot(primary, point) == plain.value
     assert CERT_LOG.optimal_solves > 0
     assert CERT_LOG.failures == 0
@@ -333,6 +308,19 @@ def test_criterion_9_face_fixtures_and_exposure_round_trip():
     print(f"\nACCEPTANCE 9: PASS - fixtures produced 3/9/7 faces and "
           f"{exposed_total} exposure certificates round-tripped through "
           f"the argmax check")
+
+
+def test_reports_match_the_ledger():
+    # The pool's and criterion 5's 2,312 reports, by `repr`, against the
+    # digests in report_ledger.json; a deliberate change re-pins it with
+    # `PYTHONPATH=src python tests/report_ledger.py`.
+    pinned = json.loads(report_ledger.LEDGER.read_text(encoding="utf-8"))
+    current = report_ledger.ledger(*report_ledger.solve_all())
+    assert current["failures"] == 0
+    assert not report_ledger.moved(pinned, current), \
+        report_ledger.moved(pinned, current)
+    print(f"\nLEDGER: PASS - {current['reports']} reports and "
+          f"{current['certified']} certified LPs as pinned")
 
 
 def test_qsat_ladder_past_the_pool():

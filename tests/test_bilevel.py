@@ -18,6 +18,7 @@ from rbo.bilevel import (
     follower_response,
     instance_from_json,
     instance_to_json,
+    int_rows,
     load_instance,
     save_instance,
     solve_robust,
@@ -43,6 +44,7 @@ from rbo.uncertainty import (
     ProductFinite,
     Shadow,
 )
+from helpers import spot_check_relaxed
 from reference_faces import enumerate_faces, exposure_check
 from test_geometry import argmax_vertices
 from test_lp import _rationals, small_polytopes
@@ -51,8 +53,8 @@ from test_lp import _rationals, small_polytopes
 def segment_instance(uncertainty, mode=Mode.OPTIMISTIC):
     """p = 0, follower set [0, 1], leader objective d = y."""
     return RobustBilevelInstance(
-        p=0, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((), ()),
-        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(),
+        p=0, n=1, rows=int_rows(((ONE,), (-ONE,)), ((), ()), (ONE, ZERO)),
+        leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=uncertainty, mode_default=mode)
 
 
@@ -83,11 +85,11 @@ def test_follower_pessimistic_gadget_half_half():
     art = compile_qsat_pessimistic(Formula(FollowerVar(1), 0, 1))
     inst = art.instance
     c = [ZERO] * inst.n
-    c[art.column_of("ydev1")] = ONE
+    c[art.var_map.index("ydev1")] = ONE
     for mode in Mode:
         y, value = follower_response(inst, (), c, mode)
-        assert y[art.column_of("y1")] == F(1, 2)
-        assert y[art.column_of("ydev1")] == F(1, 2)
+        assert y[art.var_map.index("y1")] == F(1, 2)
+        assert y[art.var_map.index("ydev1")] == F(1, 2)
         assert value >= art.big_m / 2
 
 
@@ -188,8 +190,9 @@ def test_solve_report_consistency():
 def test_leader_tie_break_lexicographic():
     # Both leader choices give value 0; the report must pick x = (0,).
     inst = RobustBilevelInstance(
-        p=1, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((ZERO,), (ZERO,)),
-        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(),
+        p=1, n=1,
+        rows=int_rows(((ONE,), (-ONE,)), ((ZERO,), (ZERO,)), (ONE, ZERO)),
+        leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=DiscreteSet(((F(-1),),)))
     report = solve_robust(inst, Mode.OPTIMISTIC)
     assert report.leader_x == (F(0),)
@@ -232,8 +235,7 @@ def test_box_vertex_discretization_on_compiled():
         inst = art.instance
         corners = DiscreteSet(inst.uncertainty.corner_samples())
         twin = RobustBilevelInstance(
-            p=inst.p, n=inst.n, lhs=inst.lhs, leader_mat=inst.leader_mat,
-            rhs=inst.rhs, leader_obj=inst.leader_obj,
+            p=inst.p, n=inst.n, rows=inst.rows, leader_obj=inst.leader_obj,
             leader_set=inst.leader_set, uncertainty=corners)
         for mode in Mode:
             assert (solve_robust(inst, mode).value
@@ -242,8 +244,9 @@ def test_box_vertex_discretization_on_compiled():
 
 LATTICE_SQUARE = RobustBilevelInstance(
     p=0, n=2,
-    lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE), (ONE, ONE)),
-    leader_mat=((), (), (), (), ()), rhs=(ONE, ONE, ZERO, ZERO, F(3, 2)),
+    rows=int_rows(
+        ((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE), (ONE, ONE)),
+        ((), (), (), (), ()), (ONE, ONE, ZERO, ZERO, F(3, 2))),
     leader_obj=(F(2), F(-1)), leader_set=AllBinary(),
     uncertainty=Interval((F(-1), F(0)), (F(1), F(1))))
 
@@ -264,8 +267,8 @@ def shadow_instances(draw):
     else:
         unc = ConvexHull(draw(st.lists(entries, min_size=2, max_size=3)))
     return RobustBilevelInstance(
-        p=0, n=n, lhs=poly.a, leader_mat=((),) * poly.num_rows,
-        rhs=poly.rhs, leader_obj=draw(entries), leader_set=AllBinary(),
+        p=0, n=n, rows=int_rows(poly.a, ((),) * poly.num_rows, poly.rhs),
+        leader_obj=draw(entries), leader_set=AllBinary(),
         uncertainty=unc)
 
 
@@ -404,8 +407,9 @@ def test_point_follower_set_projects_to_a_point():
 # The unit square, whose sorted vertices are (0, 0), (0, 1), (1, 0) and
 # (1, 1), under the box [-1, 1]^2: the shadow is the square itself.
 SQUARE_IN_A_BOX = RobustBilevelInstance(
-    p=0, n=2, lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)),
-    leader_mat=((), (), (), ()), rhs=(ONE, ONE, ZERO, ZERO),
+    p=0, n=2,
+    rows=int_rows(((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)),
+                  ((), (), (), ()), (ONE, ONE, ZERO, ZERO)),
     leader_obj=(ONE, F(-1)), leader_set=AllBinary(),
     uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
 
@@ -442,9 +446,10 @@ def test_face_scan_checks_each_direction(monkeypatch, faces):
 # makes the shadow Y(x) itself: two elimination outputs, one pruned shadow.
 SHARED_SHADOW = RobustBilevelInstance(
     p=2, n=2,
-    lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE), (ONE, ONE)),
-    leader_mat=((ZERO, ZERO),) * 4 + ((ONE, ZERO),),
-    rhs=(ONE, ONE, ZERO, ZERO, F(3)), leader_obj=(ONE, F(-1)),
+    rows=int_rows(
+        ((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE), (ONE, ONE)),
+        ((ZERO, ZERO),) * 4 + ((ONE, ZERO),), (ONE, ONE, ZERO, ZERO, F(3))),
+    leader_obj=(ONE, F(-1)),
     leader_set=AllBinary(), uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
 
 
@@ -485,8 +490,9 @@ def test_memo_solves_each_finite_y_once(monkeypatch):
     # leader's k scenarios come from the memo; the replay adds one LP.
     scenarios = ((F(1),), (F(-1),), (F(1, 2),))
     inst = RobustBilevelInstance(
-        p=1, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((ZERO,), (ZERO,)),
-        rhs=(ONE, ZERO), leader_obj=(ONE,), leader_set=AllBinary(),
+        p=1, n=1,
+        rows=int_rows(((ONE,), (-ONE,)), ((ZERO,), (ZERO,)), (ONE, ZERO)),
+        leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=DiscreteSet(scenarios))
     solved = _count_calls(monkeypatch, bilevel, "solve_lex_lp")
     report = solve_robust(inst, Mode.OPTIMISTIC)
@@ -529,6 +535,53 @@ def test_one_tableau_per_leader_across_modes(monkeypatch):
         == len(x_set) * len(scenarios)
 
 
+def test_objectives_are_scaled_once_per_instance(monkeypatch):
+    # Both modes over k leaders scale each of the s scenarios once, each
+    # mode's tie objective once and each replay's scenario once: s + 4
+    # scalings, where scaling per LP would take 2 per follower LP.
+    x_set = [(0, 1), (1, 0), (1, 1)]
+    scenarios = [(1, -2), (F(1, 2), 3), (-1, F(3, 4))]
+    inst = compile_single_level_robust(x_set, scenarios).instance
+    scaled = _count_calls(monkeypatch, bilevel, "scaled_objective")
+    solved = _count_calls(monkeypatch, bilevel, "solve_lex_lp")
+    for mode in Mode:
+        solve_robust(inst, mode)
+    assert len(solved) == 2 * (len(x_set) * len(scenarios) + 1)
+    assert len(scaled) == len(scenarios) + 2 + 2
+
+
+@given(small_polytopes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lex_value_is_the_secondary_at_the_fraction_point(case, data):
+    # solve_lex_lp reads the secondary's value off its integer point
+    # (w, d), and follower_response alone turns the point into y = w / d
+    # in Fractions: the value must be the secondary's at y, and y must lie
+    # in Y, in both tie senses.
+    poly, c, _ = case
+    d = data.draw(st.lists(_rationals(-2, 2), min_size=poly.dim,
+                           max_size=poly.dim))
+    inst = RobustBilevelInstance(
+        p=0, n=poly.dim,
+        rows=int_rows(poly.a, ((),) * poly.num_rows, poly.rhs),
+        leader_obj=d, leader_set=AllBinary(),
+        uncertainty=DiscreteSet((tuple(c),)))
+    lex, solved = bilevel.solve_lex_lp, []
+
+    def spy(*args):
+        solved.append(lex(*args))
+        return solved[-1]
+
+    for mode in Mode:
+        solved.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bilevel, "solve_lex_lp", spy)
+            y, value = follower_response(inst, (), c, mode)
+        [(_, secondary_value)] = solved
+        sign = 1 if mode is Mode.OPTIMISTIC else -1
+        assert secondary_value == sign * dot(d, y) and value == dot(d, y)
+        assert poly.contains(y)
+
+
 def test_load_and_solve_run_one_phase_one_per_leader(tmp_path, monkeypatch):
     # Validation's emptiness probes and the solve share each Y(x).
     path = tmp_path / "instance.json"
@@ -550,7 +603,8 @@ def leader_shadow_instances(draw):
     p = draw(st.integers(1, 2))
     shift = st.sampled_from([ZERO, F(1, 2), ONE])
     mat = [[draw(shift) for _ in range(p)] for _ in range(inst.num_rows)]
-    return replace(inst, p=p, leader_mat=mat, leader_set=AllBinary())
+    return replace(inst, p=p, rows=int_rows(inst.lhs, mat, inst.rhs),
+                   leader_set=AllBinary())
 
 
 @given(leader_shadow_instances())
@@ -590,8 +644,8 @@ def leader_row_instances(draw):
         sixteenths = st.integers(0, 16).map(lambda k: F(k, 16))
         leader_set, x = AllBinary(), draw(st.tuples(*[sixteenths] * p))
     inst = RobustBilevelInstance(
-        p=p, n=n, lhs=rows(n), leader_mat=rows(p),
-        rhs=[row[0] for row in rows(1)], leader_obj=[ONE] * n,
+        p=p, n=n, rows=int_rows(rows(n), rows(p), [r[0] for r in rows(1)]),
+        leader_obj=[ONE] * n,
         leader_set=leader_set, uncertainty=Interval((ZERO,) * n, (ONE,) * n))
     return inst, x
 
@@ -599,8 +653,9 @@ def leader_row_instances(draw):
 @given(leader_row_instances())
 # x = 3/16 against B = 1/2 scales row 1 by 32, which the lhs takes too.
 @example((RobustBilevelInstance(
-    p=1, n=1, lhs=[[1], [F(-2, 3)]], leader_mat=[[F(1, 2)], [F(-3, 4)]],
-    rhs=[0, F(1, 6)], leader_obj=[1], leader_set=AllBinary(),
+    p=1, n=1,
+    rows=int_rows([[1], [F(-2, 3)]], [[F(1, 2)], [F(-3, 4)]], [0, F(1, 6)]),
+    leader_obj=[1], leader_set=AllBinary(),
     uncertainty=Interval((0,), (1,))), (F(3, 16),)))
 @settings(max_examples=150, deadline=None)
 def test_follower_rows_are_the_scaled_fraction_rows(case):
@@ -616,13 +671,13 @@ def test_follower_rows_are_the_scaled_fraction_rows(case):
 def test_validation_accepts_and_rejects():
     validate_instance(segment_instance(BOX))
     empty = RobustBilevelInstance(
-        p=0, n=1, lhs=((ONE,), (-ONE,)), leader_mat=((), ()),
-        rhs=(ZERO, -ONE), leader_obj=(ONE,), leader_set=AllBinary(),
+        p=0, n=1, rows=int_rows(((ONE,), (-ONE,)), ((), ()), (ZERO, -ONE)),
+        leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=BOX)
     with pytest.raises(InstanceError):
         validate_instance(empty)
     unbounded = RobustBilevelInstance(
-        p=0, n=1, lhs=((-ONE,),), leader_mat=((),), rhs=(ZERO,),
+        p=0, n=1, rows=int_rows(((-ONE,),), ((),), (ZERO,)),
         leader_obj=(ONE,), leader_set=AllBinary(), uncertainty=BOX)
     with pytest.raises(InstanceError):
         validate_instance(unbounded)
@@ -633,8 +688,9 @@ def test_validation_decides_boundedness_once(monkeypatch):
     # Y(x)'s phase one, and boundedness at the first x from a rank check
     # and one certified LP from that phase one's tableau.
     inst = RobustBilevelInstance(
-        p=2, n=1, lhs=((ONE,), (-ONE,)),
-        leader_mat=((ONE, ONE), (ZERO, ZERO)), rhs=(ONE, ZERO),
+        p=2, n=1,
+        rows=int_rows(((ONE,), (-ONE,)), ((ONE, ONE), (ZERO, ZERO)),
+                      (ONE, ZERO)),
         leader_obj=(ONE,), leader_set=AllBinary(), uncertainty=BOX)
     phase_ones = []
     phase_one = lp._phase_one
@@ -648,8 +704,8 @@ def test_validation_decides_boundedness_once(monkeypatch):
     validate_instance(inst)
     assert CERT_LOG.verified - before == 1
     assert len(phase_ones) == 2 ** inst.p
-    empty_late = replace(inst, leader_mat=((F(-2), F(-2)), (ZERO, ZERO)),
-                         rhs=(F(3), ZERO))
+    empty_late = replace(inst, rows=int_rows(
+        inst.lhs, ((F(-2), F(-2)), (ZERO, ZERO)), (F(3), ZERO)))
     with pytest.raises(InstanceError, match=r"empty for x=\(1, 1\)"):
         validate_instance(empty_late)
 
@@ -659,15 +715,16 @@ def test_leader_set_validation():
         ExplicitList(((F(1, 2),),))
     with pytest.raises(InstanceError, match="leader vector arity != p"):
         RobustBilevelInstance(
-            p=1, n=1, lhs=((ONE,),), leader_mat=((ZERO,),), rhs=(ONE,),
+            p=1, n=1, rows=int_rows(((ONE,),), ((ZERO,),), (ONE,)),
             leader_obj=(ONE,), leader_set=ExplicitList(((ONE, ZERO),)),
             uncertainty=BOX)
 
 
 def test_explicit_leader_enumeration_sorted():
     inst = RobustBilevelInstance(
-        p=2, n=1, lhs=((ONE,), (-ONE,)),
-        leader_mat=((ZERO, ZERO), (ZERO, ZERO)), rhs=(ONE, ZERO),
+        p=2, n=1,
+        rows=int_rows(((ONE,), (-ONE,)), ((ZERO, ZERO), (ZERO, ZERO)),
+                      (ONE, ZERO)),
         leader_obj=(ONE,),
         leader_set=ExplicitList(((F(1), F(0)), (F(0), F(1)))),
         uncertainty=BOX)
@@ -743,8 +800,8 @@ def test_scenario_membership():
 # enumeration without the deviation penalty would report a wrong 0.
 # Built over binary leaders, since it cannot be built relaxed.
 UNPENALIZED_RELAXED = RobustBilevelInstance(
-    p=1, n=1, lhs=[[-1], [1], [1]], leader_mat=[[0], [2], [-2]],
-    rhs=[0, 0, 2], leader_obj=[1], leader_set=AllBinary(),
+    p=1, n=1, rows=int_rows([[-1], [1], [1]], [[0], [2], [-2]], [0, 0, 2]),
+    leader_obj=[1], leader_set=AllBinary(),
     uncertainty=Interval([1], [1]))
 
 
@@ -776,8 +833,10 @@ def _relaxed_or():
 
 @pytest.mark.parametrize("tamper", [
     lambda inst: replace(inst, leader_obj=inst.leader_obj[:-1] + (ONE,)),
-    lambda inst: replace(inst, rhs=inst.rhs[:-1] + (F(2),)),
-    lambda inst: replace(inst, lhs=((ONE,) * inst.n,) + inst.lhs[1:]),
+    lambda inst: replace(inst, rows=int_rows(
+        inst.lhs, inst.leader_mat, inst.rhs[:-1] + (F(2),))),
+    lambda inst: replace(inst, rows=int_rows(
+        ((ONE,) * inst.n,) + inst.lhs[1:], inst.leader_mat, inst.rhs)),
     lambda inst: replace(inst, uncertainty=Interval(
         inst.uncertainty.lower[:-1] + (ZERO,),
         inst.uncertainty.upper[:-1] + (ONE,))),
@@ -802,7 +861,7 @@ def test_spot_check_drops_the_corner_bounds_first_stages():
     # decided.
     inst = _relaxed_or().instance
     value = solve_robust(inst, Mode.OPTIMISTIC).value
-    assert bilevel.spot_check_relaxed(inst, value, Mode.OPTIMISTIC) is None
+    assert spot_check_relaxed(inst, value, Mode.OPTIMISTIC) is None
     sampled = [poly for x, poly in inst._memo.items()
                if isinstance(poly, lp.Polyhedron)
                and any(c.denominator > 1 for c in x)]

@@ -356,6 +356,8 @@ def single_error_line(capsys):
     (("uncertainty", "lower", 0), -1),    # a JSON number, not a string
     (("p",), 1.5),                        # not a JSON integer
     (("var_map",), "abc"),                # not a list of n strings
+    (("b", 0), ["1"]),                    # a list, not a string
+    (("A", 0, 0), ["1"]),                 # a list, not a string
 ])
 def test_malformed_instance_values(tmp_path, capsys, path, value):
     out = compiled_instance(tmp_path, capsys)

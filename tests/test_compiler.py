@@ -16,6 +16,7 @@ from rbo.bilevel import (
     SolveReport,
     follower_response,
     instance_to_json,
+    int_rows,
     solve_robust,
 )
 from rbo.compiler import (
@@ -35,7 +36,6 @@ from rbo.compiler import (
     compile_single_level_robust,
     evaluate,
     exhaustive_family,
-    formula_file_text,
     formula_to_text,
     full_family,
     linearize,
@@ -46,10 +46,11 @@ from rbo.compiler import (
 )
 from rbo import lp
 from rbo.geometry import project_polytope
-from rbo.lp import Polyhedron, Sense, solve_lp
+from rbo.lp import Polyhedron, Sense
 from rbo.numeric import ONE, ZERO, rat_parse_nested
 from rbo.oracle import robust_single_level_oracle
 from rbo.uncertainty import ConvexHull, DiscreteSet, Interval
+from helpers import formula_file_text, solve
 
 
 def test_parse_examples():
@@ -181,8 +182,8 @@ def forced_gate_values(art, x_bits, y_bits):
             continue
         unit = [ZERO] * inst.n
         unit[col] = ONE
-        hi = solve_lp(pinned, unit, Sense.MAX).value
-        lo = solve_lp(pinned, unit, Sense.MIN).value
+        hi = solve(pinned, unit, Sense.MAX).value
+        lo = solve(pinned, unit, Sense.MIN).value
         assert lo == hi, f"gate {name} not forced at x={x_bits} y={y_bits}"
         forced.append(hi)
     return forced
@@ -220,7 +221,7 @@ def test_compile_optimistic_shape():
     assert unc.lower[0] == -1 and unc.upper[0] == 1
     assert all(unc.lower[j] == unc.upper[j] == 0
                for j in range(1, art.instance.n))
-    assert art.instance.leader_obj[art.column_of("g2:or")] == 1
+    assert art.instance.leader_obj[art.var_map.index("g2:or")] == 1
 
 
 def test_var_map_covers_every_column():
@@ -254,7 +255,7 @@ def test_pessimistic_gadget_intervals():
     art = compile_qsat_pessimistic(parse_formula("(or y1 y2)", 0, 2))
     inst = art.instance
     for name in ("ydev1", "ydev2"):
-        col = art.column_of(name)
+        col = art.var_map.index(name)
         assert inst.uncertainty.lower[col] == 1
         assert inst.uncertainty.upper[col] == 1
         assert inst.leader_obj[col] == art.big_m
@@ -273,7 +274,7 @@ def test_relax_leader_dev_forcing_at_binary_x():
     relaxed = relax_leader(
         compile_qsat_optimistic(parse_formula("(or x1 y1)", 1, 1)))
     inst = relaxed.instance
-    col = relaxed.column_of("xdev1")
+    col = relaxed.var_map.index("xdev1")
     for x in ((F(0),), (F(1),)):
         c = tuple(inst.uncertainty.lower)
         y, _ = follower_response(inst, x, c, Mode.OPTIMISTIC)
@@ -284,7 +285,7 @@ def test_relax_fractional_x_forces_deviation():
     relaxed = relax_leader(
         compile_qsat_optimistic(parse_formula("(or x1 y1)", 1, 1)))
     inst = relaxed.instance
-    col = relaxed.column_of("xdev1")
+    col = relaxed.var_map.index("xdev1")
     c = tuple(inst.uncertainty.lower)
     y, _ = follower_response(inst, (F(1, 4),), c, Mode.OPTIMISTIC)
     assert y[col] == F(1, 4)
@@ -311,7 +312,7 @@ def test_single_level_unique_follower_optimum():
                                          Mode.PESSIMISTIC)
         assert y_opt == y_pes and v_opt == v_pes
         for k in range(len(inst.uncertainty.scenarios)):
-            z_val = y_opt[art.column_of(f"z{k + 1}")]
+            z_val = y_opt[art.var_map.index(f"z{k + 1}")]
             assert z_val == (1 if k == j else 0)
 
 
@@ -759,8 +760,9 @@ def test_shadow_projection_is_pinned(name):
 # On the unit square c = d = (1, 0) makes the whole edge y1 = 1 the
 # follower's argmax in both stages.
 TIE_SQUARE = RobustBilevelInstance(
-    p=1, n=2, lhs=[[1, 0], [0, 1], [-1, 0], [0, -1]],
-    leader_mat=[[0]] * 4, rhs=[1, 1, 0, 0], leader_obj=[1, 0],
+    p=1, n=2,
+    rows=int_rows([[1, 0], [0, 1], [-1, 0], [0, -1]], [[0]] * 4, [1, 1, 0, 0]),
+    leader_obj=[1, 0],
     leader_set=AllBinary(), uncertainty=Interval((1, 0), (1, 0)))
 
 

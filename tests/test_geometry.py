@@ -13,9 +13,10 @@ from rbo.geometry import (
     exposed_faces,
     project_polytope,
 )
-from rbo.lp import LpStatus, Polyhedron, solve_lp
+from rbo.lp import LpStatus, Polyhedron
 from rbo.numeric import dot
 from rbo.uncertainty import ConvexHull, Interval
+from helpers import solve
 from reference_faces import enumerate_faces, exposure_check
 from test_lp import _rationals, small_polytopes
 
@@ -285,14 +286,14 @@ def test_projection_diagonal_score():
 def test_projection_preserves_extremes():
     # Project the triangle onto each axis and onto a skew direction; the
     # image extremes must match direct LP optima.
-    from rbo.lp import Sense, solve_lp
+    from rbo.lp import Sense
 
     for direction in ((F(1), F(0)), (F(0), F(1)), (F(2), F(-1))):
         image = project_polytope(TRIANGLE, [direction])
         lo = min(v[0] for v in enumerate_vertices(image))
         hi = max(v[0] for v in enumerate_vertices(image))
-        assert hi == solve_lp(TRIANGLE, direction, Sense.MAX).value
-        assert lo == solve_lp(TRIANGLE, direction, Sense.MIN).value
+        assert hi == solve(TRIANGLE, direction, Sense.MAX).value
+        assert lo == solve(TRIANGLE, direction, Sense.MIN).value
 
 
 def test_projection_of_flat_image():
@@ -331,7 +332,7 @@ def _extreme(w, others):
     rows = eqs + [[-c for c in r] for r in eqs] + [
         [-(i == j) for i in range(len(others))] + [0]
         for j in range(len(others))]
-    out = solve_lp(Polyhedron([r[:-1] for r in rows],
+    out = solve(Polyhedron([r[:-1] for r in rows],
                               [-r[-1] for r in rows]), [0] * len(others))
     return out.status is LpStatus.INFEASIBLE
 

@@ -19,11 +19,10 @@ from rbo.lp import (
     UnboundedError,
     check_bounded_nonempty,
     is_nonempty,
-    solve_lex_lp,
-    solve_lp,
 )
-from rbo.numeric import dot, integer_scaled, span_basis
+from rbo.numeric import dot, integer_scaled
 from rbo.oracle import _brute_vertices
+from helpers import solve, solve_lex, span_basis
 import reference_dual
 
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
@@ -50,7 +49,7 @@ def verify_max_certificate(poly, obj, outcome):
 
 
 def test_square_max_x():
-    out = solve_lp(UNIT_SQUARE, [1, 0], Sense.MAX)
+    out = solve(UNIT_SQUARE, [1, 0], Sense.MAX)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 1
     assert out.point[0] == 1
@@ -58,7 +57,7 @@ def test_square_max_x():
 
 
 def test_infeasible():
-    assert solve_lp(EMPTY, [1], Sense.MAX).status is LpStatus.INFEASIBLE
+    assert solve(EMPTY, [1], Sense.MAX).status is LpStatus.INFEASIBLE
 
 
 def test_contains_refuses_a_point_of_the_wrong_length():
@@ -70,19 +69,19 @@ def test_contains_refuses_a_point_of_the_wrong_length():
 
 
 def test_triangle_value():
-    out = solve_lp(TRIANGLE, [1, 1], Sense.MAX)
+    out = solve(TRIANGLE, [1, 1], Sense.MAX)
     assert out.value == 1
     verify_max_certificate(TRIANGLE, (F(1), F(1)), out)
 
 
 def test_unbounded():
     ray = Polyhedron([[-1]], [0])
-    assert solve_lp(ray, [1], Sense.MAX).status is LpStatus.UNBOUNDED
-    assert solve_lp(ray, [1], Sense.MIN).status is LpStatus.OPTIMAL
+    assert solve(ray, [1], Sense.MAX).status is LpStatus.UNBOUNDED
+    assert solve(ray, [1], Sense.MIN).status is LpStatus.OPTIMAL
 
 
 def test_min_sense():
-    out = solve_lp(UNIT_SQUARE, [1, 1], Sense.MIN)
+    out = solve(UNIT_SQUARE, [1, 1], Sense.MIN)
     assert out.value == 0 and out.point == (F(0), F(0))
 
 
@@ -90,7 +89,7 @@ def test_optimal_point_is_vertex():
     # A free-variable box around the origin: the zero objective must still
     # land on one of the corners, not in the interior.
     box = Polyhedron([[1], [-1]], [1, 1])
-    out = solve_lp(box, [0], Sense.MAX)
+    out = solve(box, [0], Sense.MAX)
     assert out.point in ((F(1),), (F(-1),))
 
 
@@ -135,7 +134,7 @@ def small_polytopes(draw):
 @settings(max_examples=80, deadline=None)
 def test_optimal_point_is_vertex_of_random_polytope(case):
     poly, obj, sense = case
-    out = solve_lp(poly, obj, sense)
+    out = solve(poly, obj, sense)
     assert out.status is LpStatus.OPTIMAL
     tight = [row for row, r in zip(poly.a, poly.rhs)
              if dot(row, out.point) == r]
@@ -152,31 +151,31 @@ def test_optimal_point_is_vertex_of_random_polytope(case):
 
 def test_line_coordinate_stays_at_zero():
     # The strip has no vertex; the coordinate along its line stays at 0.
-    out = solve_lp(STRIP, [1, 0], Sense.MAX)
+    out = solve(STRIP, [1, 0], Sense.MAX)
     assert out.status is LpStatus.OPTIMAL
     assert out.point == (F(1), F(0)) and out.value == 1
     verify_max_certificate(STRIP, (F(1), F(0)), out)
-    assert solve_lp(STRIP, [0, 1], Sense.MAX).status is LpStatus.UNBOUNDED
+    assert solve(STRIP, [0, 1], Sense.MAX).status is LpStatus.UNBOUNDED
     assert check_bounded_nonempty(STRIP) == (True, False)
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_lp(UNIT_SQUARE, [1], Sense.MAX)
+        solve(UNIT_SQUARE, [1], Sense.MAX)
 
 
 def test_lex_zero_primary_min_secondary():
-    assert solve_lex_lp(SEGMENT, [0], Sense.MAX, [1], Sense.MIN) \
+    assert solve_lex(SEGMENT, [0], Sense.MAX, [1], Sense.MIN) \
         == ((F(0),), 0)
 
 
 def test_lex_zero_primary_max_secondary():
-    assert solve_lex_lp(SEGMENT, [0], Sense.MAX, [1], Sense.MAX) \
+    assert solve_lex(SEGMENT, [0], Sense.MAX, [1], Sense.MAX) \
         == ((F(1),), 1)
 
 
 def test_lex_triangle_vertex_selection():
-    assert solve_lex_lp(TRIANGLE, [1, 1], Sense.MAX, [1, 0], Sense.MAX) \
+    assert solve_lex(TRIANGLE, [1, 1], Sense.MAX, [1, 0], Sense.MAX) \
         == ((F(1), F(0)), 1)
 
 
@@ -188,8 +187,8 @@ def test_lex_primary_matches_plain_solve():
         (UNIT_SQUARE, (F(0), F(0)), (F(1), F(1))),
     ]
     for poly, primary, secondary in cases:
-        plain = solve_lp(poly, primary, Sense.MAX)
-        point, _ = solve_lex_lp(poly, primary, Sense.MAX, secondary,
+        plain = solve(poly, primary, Sense.MAX)
+        point, _ = solve_lex(poly, primary, Sense.MAX, secondary,
                                 Sense.MAX)
         assert dot(primary, point) == plain.value
 
@@ -213,12 +212,12 @@ def test_lex_matches_solve_on_pinned_face(case):
     # and solves the secondary from scratch.
     poly, primary, secondary = case
     for primary_sense, secondary_sense in itertools.product(Sense, Sense):
-        best = solve_lp(poly, primary, primary_sense).value
+        best = solve(poly, primary, primary_sense).value
         face = Polyhedron(poly.a + (primary, [-c for c in primary]),
                           poly.rhs + (best, -best))
-        reference = solve_lp(face, secondary, secondary_sense)
+        reference = solve(face, secondary, secondary_sense)
         before = (CERT_LOG.verified, CERT_LOG.failures)
-        point, value = solve_lex_lp(poly, primary, primary_sense,
+        point, value = solve_lex(poly, primary, primary_sense,
                                     secondary, secondary_sense)
         assert (CERT_LOG.verified - before[0],
                 CERT_LOG.failures - before[1]) == (2, 0)
@@ -250,8 +249,8 @@ def test_reused_polyhedron_solves_like_a_fresh_one(case):
                    (unit, Sense.MAX, (neg, Sense.MAX))]
     for objective, sense, tie in solves:
         fresh = Polyhedron(poly.a, poly.rhs)
-        assert (solve_lp(poly, objective, sense, tie)
-                == solve_lp(fresh, objective, sense, tie))
+        assert (solve(poly, objective, sense, tie)
+                == solve(fresh, objective, sense, tie))
 
 
 def test_second_solve_skips_phase_one(monkeypatch):
@@ -280,13 +279,13 @@ def test_second_solve_skips_phase_one(monkeypatch):
     monkeypatch.setattr(lp, "_phase_one", flagged)
     # RATIONAL_BOX has negative right-hand sides, so phase one pivots.
     poly = Polyhedron(RATIONAL_BOX.a, RATIONAL_BOX.rhs)
-    first = solve_lp(poly, [1, 1], Sense.MAX)
+    first = solve(poly, [1, 1], Sense.MAX)
     assert len(built) == 1 and phase_one_pivots
     built.clear()
     phase_one_pivots.clear()
-    assert solve_lp(poly, [1, 1], Sense.MAX) == first
-    solve_lp(poly, [1, 0], Sense.MIN)
-    solve_lex_lp(poly, [0, 1], Sense.MAX, [1, 0], Sense.MIN)
+    assert solve(poly, [1, 1], Sense.MAX) == first
+    solve(poly, [1, 0], Sense.MIN)
+    solve_lex(poly, [0, 1], Sense.MAX, [1, 0], Sense.MIN)
     assert built == [] and phase_one_pivots == []
     # The boundedness check solves one LP from poly's phase-one tableau.
     assert check_bounded_nonempty(poly) == (True, True)
@@ -295,12 +294,12 @@ def test_second_solve_skips_phase_one(monkeypatch):
     empty = Polyhedron(EMPTY.a, EMPTY.rhs)
     for objective, sense in [([1], Sense.MAX), ([0], Sense.MIN),
                              ([-1], Sense.MAX), ([1], Sense.MIN)]:
-        assert solve_lp(empty, objective, sense).status is LpStatus.INFEASIBLE
-        assert solve_lp(empty, objective, sense,
+        assert solve(empty, objective, sense).status is LpStatus.INFEASIBLE
+        assert solve(empty, objective, sense,
                         tie=([1], Sense.MIN)).status is LpStatus.INFEASIBLE
     assert check_bounded_nonempty(empty) == (False, True)
     with pytest.raises(InfeasibleError):
-        solve_lex_lp(empty, [1], Sense.MAX, [1], Sense.MAX)
+        solve_lex(empty, [1], Sense.MAX, [1], Sense.MAX)
     assert len(built) == 1
 
 
@@ -358,14 +357,14 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
                    (obj, sense, (unit, Sense.MAX)),
                    (obj, sense, (unit, Sense.MIN))]
     for objective, goal, _ in solves:
-        solve_lp(poly, objective, goal)
+        solve(poly, objective, goal)
     tableaux = [found[0] for found in poly._stage_one.values() if found]
     kept = [([row[:] for row in tab.rows], tab.d, tab.basis[:])
             for tab in tableaux]
     for objective, goal, tie in solves:
         fresh = Polyhedron(poly.a, poly.rhs)
-        assert (solve_lp(poly, objective, goal, tie)
-                == solve_lp(fresh, objective, goal, tie))
+        assert (solve(poly, objective, goal, tie)
+                == solve(fresh, objective, goal, tie))
     assert (start.rows, start.d, start.basis) == first
     assert [(tab.rows, tab.d, tab.basis) for tab in tableaux] == kept
 
@@ -391,13 +390,13 @@ def test_free_columns_enter_only_in_phase_one(case):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp._Tableau, "pivot", counted)
-        solve_lp(poly, obj, sense)
+        solve(poly, obj, sense)
         for j in range(n):
             unit = [int(k == j) for k in range(n)]
             for goal in Sense:
-                solve_lp(poly, unit, goal, tie=(obj, sense))
+                solve(poly, unit, goal, tie=(obj, sense))
                 try:
-                    solve_lex_lp(poly, obj, sense, unit, goal)
+                    solve_lex(poly, obj, sense, unit, goal)
                 except UnboundedError:
                     pass
     assert all(col >= n for col in entered)
@@ -439,7 +438,7 @@ def check_duals(poly, obj, tie=None):
 @settings(max_examples=80, deadline=None)
 def test_dual_matches_the_reference_solve(case):
     poly, obj, sense = case
-    scale, ints = lp._internal(obj, sense, poly.dim)
+    scale, ints = lp.scaled_objective(obj, sense, poly.dim)
     obj = tuple([F(a, scale) for a in ints])
     ties = [None]
     for j in range(poly.dim):
@@ -496,8 +495,8 @@ def test_stage_one_keys_on_the_scale_and_the_ints():
     # (1/2, 1) and (1, 2) scale to the same ints, but they are two
     # objectives with two optimal values.
     poly = Polyhedron(UNIT_SQUARE.a, UNIT_SQUARE.rhs)
-    assert solve_lp(poly, [F(1, 2), 1]).value == F(3, 2)
-    assert solve_lp(poly, [1, 2]).value == 3
+    assert solve(poly, [F(1, 2), 1]).value == F(3, 2)
+    assert solve(poly, [1, 2]).value == 3
     assert sorted(poly._stage_one) == [(1, (1, 2)), (2, (1, 2))]
 
 
@@ -586,25 +585,37 @@ def test_lex_certificate_needs_the_primary(monkeypatch):
         verify(poly, o, c, point)
 
     monkeypatch.setattr(lp, "_verify_certificate", record)
-    assert solve_lex_lp(UNIT_SQUARE, [1, 0], Sense.MAX, [-1, 1], Sense.MAX) \
+    assert solve_lex(UNIT_SQUARE, [1, 0], Sense.MAX, [-1, 1], Sense.MAX) \
         == ((F(1), F(1)), 0)
     assert checked == [((F(1), F(0)), F(1)), ((F(0), F(1)), F(1))]
 
 
 def test_lex_errors():
     with pytest.raises(InfeasibleError):
-        solve_lex_lp(EMPTY, [1], Sense.MAX, [1], Sense.MAX)
+        solve_lex(EMPTY, [1], Sense.MAX, [1], Sense.MAX)
     with pytest.raises(UnboundedError):
-        solve_lex_lp(Polyhedron([[-1]], [0]), [1], Sense.MAX, [1], Sense.MAX)
+        solve_lex(Polyhedron([[-1]], [0]), [1], Sense.MAX, [1], Sense.MAX)
     # The primary's optimal face of the strip is the line v1 = 1.
     with pytest.raises(UnboundedError):
-        solve_lex_lp(STRIP, [1, 0], Sense.MAX, [0, 1], Sense.MAX)
+        solve_lex(STRIP, [1, 0], Sense.MAX, [0, 1], Sense.MAX)
 
 
 def test_bounded_nonempty_triples():
     assert check_bounded_nonempty(UNIT_SQUARE) == (True, True)
     assert check_bounded_nonempty(Polyhedron([[-1]], [0])) == (True, False)
     assert check_bounded_nonempty(EMPTY) == (False, True)
+
+
+def test_boundedness_reads_only_the_integer_rows():
+    # The boundedness LP maximizes minus the sum of the integer rows, so
+    # no Fraction view of a polyhedron written in ints is built.  The ray
+    # v >= 0 has rank A = n, so its LP decides it.
+    for rows, found in [(RATIONAL_BOX._scaled_rows, (True, True)),
+                        (((1,), ((-1, 0),)), (True, False)),
+                        (EMPTY._scaled_rows, (False, True))]:
+        poly = Polyhedron.from_scaled_rows(*rows)
+        assert check_bounded_nonempty(poly) == found
+        assert "a" not in poly.__dict__ and "rhs" not in poly.__dict__
 
 
 @st.composite
@@ -628,7 +639,7 @@ def nonempty_polyhedra(draw):
 def test_boundedness_matches_coordinate_probes(poly):
     # A nonempty polyhedron is bounded exactly when no coordinate is
     # unbounded above or below.
-    probes = [solve_lp(poly, [int(k == j) for k in range(poly.dim)], sense)
+    probes = [solve(poly, [int(k == j) for k in range(poly.dim)], sense)
               for j in range(poly.dim) for sense in Sense]
     bounded = all(out.status is LpStatus.OPTIMAL for out in probes)
     assert check_bounded_nonempty(poly) == (True, bounded)
@@ -671,7 +682,7 @@ def test_emptiness_matches_the_brute_vertices(poly):
         nonempty = False
     assert is_nonempty(poly) is nonempty
     fresh = Polyhedron(poly.a, poly.rhs)
-    infeasible = solve_lp(fresh, [0] * poly.dim).status is LpStatus.INFEASIBLE
+    infeasible = solve(fresh, [0] * poly.dim).status is LpStatus.INFEASIBLE
     assert infeasible is not nonempty
     fresh = Polyhedron(poly.a, poly.rhs)
     assert check_bounded_nonempty(fresh) == (nonempty, True)
@@ -698,16 +709,16 @@ def test_phase_one_ends_with_the_auxiliary_at_either_level(monkeypatch):
 def test_determinism():
     poly = Polyhedron([[1, 1], [1, -1], [-1, 0], [0, -1], [1, 0]],
                       [2, 1, 0, 0, 1])
-    first = solve_lp(poly, [1, 0], Sense.MAX)
+    first = solve(poly, [1, 0], Sense.MAX)
     for _ in range(3):
-        again = solve_lp(poly, [1, 0], Sense.MAX)
+        again = solve(poly, [1, 0], Sense.MAX)
         assert again.point == first.point and again.dual == first.dual
 
 
 def test_negative_rhs_phase_one():
     # Takes the auxiliary column: x >= 2 within [0, 5].
     poly = Polyhedron([[1], [-1]], [5, -2])
-    out = solve_lp(poly, [-1], Sense.MAX)
+    out = solve(poly, [-1], Sense.MAX)
     assert out.value == -2 and out.point == (F(2),)
     verify_max_certificate(poly, (F(-1),), out)
 
@@ -715,14 +726,14 @@ def test_negative_rhs_phase_one():
 def test_redundant_equality_rows():
     # x = 1 stated twice; the dependent row must not break the dual.
     poly = Polyhedron([[1], [-1], [1], [-1]], [1, -1, 1, -1])
-    out = solve_lp(poly, [1], Sense.MAX)
+    out = solve(poly, [1], Sense.MAX)
     assert out.value == 1
     verify_max_certificate(poly, (F(1),), out)
 
 
 def test_certificate_log_counts():
     CERT_LOG.reset()
-    solve_lp(UNIT_SQUARE, [1, 1], Sense.MAX)
-    solve_lp(TRIANGLE, [1, 0], Sense.MIN)
+    solve(UNIT_SQUARE, [1, 1], Sense.MAX)
+    solve(TRIANGLE, [1, 0], Sense.MIN)
     assert CERT_LOG.optimal_solves == CERT_LOG.verified == 2
     assert CERT_LOG.failures == 0

@@ -14,9 +14,9 @@ from rbo.numeric import (
     integer_scaled,
     rat_format,
     rat_parse,
-    span_basis,
 )
 from rbo.oracle import solve_square
+from helpers import solve, span_basis
 
 # The test_gauss_* tests check the oracle's square solve, plain
 # Gauss-Jordan on Fractions that shares no code with the integer
@@ -304,5 +304,5 @@ def test_tableau_and_elimination_share_one_step(monkeypatch):
     assert calls == [(0, 0), (1, 1)]
     calls.clear()
     poly = lp.Polyhedron([[1, 0], [0, 1], [-1, -1]], [1, 1, 0])
-    assert lp.solve_lp(poly, [1, 1]).value == 2
+    assert solve(poly, [1, 1]).value == 2
     assert calls

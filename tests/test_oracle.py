@@ -9,6 +9,7 @@ from rbo.bilevel import (
     ExplicitList,
     Mode,
     RobustBilevelInstance,
+    int_rows,
     solve_robust,
 )
 from rbo.compiler import (
@@ -62,9 +63,9 @@ def test_robust_single_level_examples():
 def test_cross_validate_discrete_agrees():
     inst = RobustBilevelInstance(
         p=1, n=2,
-        lhs=((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)),
-        leader_mat=((ONE,), (ZERO,), (ZERO,), (ZERO,)),
-        rhs=(ONE, ONE, ZERO, ZERO),
+        rows=int_rows(
+            ((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)),
+            ((ONE,), (ZERO,), (ZERO,), (ZERO,)), (ONE, ONE, ZERO, ZERO)),
         leader_obj=(ONE, F(-1)),
         leader_set=AllBinary(),
         uncertainty=DiscreteSet(((F(1), F(1)), (F(-1), F(2)))))
@@ -120,7 +121,7 @@ def finite_instances(draw):
         leader_set = ExplicitList(draw(st.lists(binary, min_size=1,
                                                 max_size=3)))
     return RobustBilevelInstance(
-        p=p, n=n, lhs=lhs, leader_mat=leader_mat, rhs=rhs,
+        p=p, n=n, rows=int_rows(lhs, leader_mat, rhs),
         leader_obj=draw(vector), leader_set=leader_set,
         uncertainty=uncertainty)
 
@@ -151,9 +152,8 @@ def test_grid_sample_strict_bound_case():
     # strictly loose.
     inst = RobustBilevelInstance(
         p=0, n=2,
-        lhs=((ZERO, -ONE), (F(-1, 5), ONE), (F(1, 5), ONE)),
-        leader_mat=((), (), ()),
-        rhs=(ZERO, ZERO, F(1, 5)),
+        rows=int_rows(((ZERO, -ONE), (F(-1, 5), ONE), (F(1, 5), ONE)),
+                      ((), (), ()), (ZERO, ZERO, F(1, 5))),
         leader_obj=(ZERO, F(-1)),
         leader_set=AllBinary(),
         uncertainty=Interval((F(-1), F(1)), (F(1), F(1))))
