@@ -148,9 +148,9 @@ class RobustBilevelInstance:
     Its data are its rows in ints: `rows` holds (t_i, L_i, B_i, b_i) for
     each row i, row i of [lhs | leader_mat | rhs] times t_i, the least
     int > 0 that makes it integral, split into its three parts, as
-    `int_row` writes them from sparse rows and `int_rows` from dense ones.  `lhs`, `leader_mat` and `rhs`
-    are Fraction views built on first use, for the JSON writer, the
-    oracles and the tests.
+    `int_row` writes them from sparse rows and `int_rows` from dense ones.
+    `lhs`, `leader_mat` and `rhs` are Fraction views built on first use,
+    for the JSON writer, the oracles and the tests.
     """
 
     p: int
@@ -215,7 +215,8 @@ class RobustBilevelInstance:
         """
         x = as_vector(x)
         if len(x) != self.p:
-            raise InstanceError(f"leader vector has arity {len(x)} != {self.p}")
+            raise InstanceError(
+                f"leader vector has arity {len(x)} != {self.p}")
         memo = self._memo
         if x not in memo:
             q, xs = integer_scaled(x)
@@ -254,8 +255,8 @@ class RobustBilevelInstance:
 def int_row(follower: dict, leader: dict, const, n: int, p: int) -> tuple:
     """The instance row (t, L, B, b) of follower·y <= leader·x + const,
     the coefficients ints or rationals keyed by column, read off the
-    entries given: the row times t, the least int > 0 that makes it integral, as
-    `RobustBilevelInstance.rows` holds it."""
+    entries given: the row times t, the least int > 0 that makes it
+    integral, as `RobustBilevelInstance.rows` holds it."""
     t = lcm(*[v.denominator for v in (*follower.values(), *leader.values())],
             const.denominator)
     lhs, lead = [0] * n, [0] * p

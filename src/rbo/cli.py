@@ -80,7 +80,7 @@ def _leader(inst, text: str):
 def _cmd_compile_qsat(args) -> int:
     with open(args.formula, "r", encoding="utf-8") as handle:
         formula = compiler.parse_formula_file(handle.read())
-    art = compiler.compile_qsat(formula, Mode(args.mode or "optimistic"))
+    art = compiler.compile_qsat(formula, Mode(args.mode))
     if args.relax_leader:
         art = compiler.relax_leader(art)
     if args.simplex_uncertainty:

@@ -7,9 +7,9 @@ rule (smallest index), which terminates under degeneracy and is
 deterministic for fixed input.  It pivots on integer rows (Bareiss 1968)
 and checks its certificates in ints.  Objectives come scaled to ints
 (`scaled_objective`), so a caller that solves one objective on many
-polyhedra scales it once; a solve returns its point as ints over one
-denominator, and Fractions appear only in the value and dual, and in the
-`point`, `a` and `rhs` views.
+polyhedra scales it once; a solve returns its status and its point as
+ints over one denominator.  Fractions appear only in the `a` and `rhs`
+views and in the secondary's value that `solve_lex_lp` returns.
 Free variables keep one column each.  Phase one ends by pivoting in
 every free column that a row bounds, and a basic free column never
 leaves, so every later basis has a vertex as its basic point whenever
@@ -18,11 +18,11 @@ the polyhedron has one, and no later solve pivots a free column in.
 Phase one runs once per polyhedron, and phase two once per objective: a
 :class:`Polyhedron` keeps its tableau after phase one (or the finding
 that it is empty) and, for each objective solved on it, the optimal
-tableau and its dual (or the finding that the objective is unbounded)
-for as long as it lives.  Solves pivot only shallow copies of a kept
-tableau, whose pivots copy a row before they write into it.  Bland's
-rule sees the same tableau each time, so a reused polyhedron gives the
-same point, value and dual as a fresh one.
+tableau (or the finding that the objective is unbounded) for as long as
+it lives.  Solves pivot only shallow copies of a kept tableau, whose
+pivots copy a row before they write into it.  Bland's rule sees the
+same tableau each time, so a reused polyhedron gives the same point and
+certificates as a fresh one.
 A caller that solves on one feasible set many times keeps one polyhedron
 for it: `RobustBilevelInstance.follower_polyhedron` gives one Y(x) per
 leader x for the instance's lifetime, so both modes' follower solves and
@@ -33,16 +33,16 @@ objective's optimal tableau: the slacks of the rows that carry a
 positive first dual stay out of the basis, which keeps the second stage
 on the optimal face without added rows or a second phase one.
 
-Every optimal solve produces a dual certificate mu (for the maximization
-form) with mu >= 0, mu^T A = obj and mu^T rhs = value, read off the
-final objective row, and a tie stage a second one for the tie objective
-plus a multiple of the first.  Each is verified exactly on the spot, on
-the polyhedron's integer rows with its denominators cleared: the
-objective row's slack part o, a multiple of mu over the row scales,
-must combine the integer rows into the objective and the value at the
-basic point, both times the same factor (`_verify_certificate`).  A
-global counter keeps score so test suites can assert that no solve ever
-went uncertified.
+Every optimal solve produces a dual certificate in ints: the final
+objective row's slack part o, with o >= 0 and sum_r o_r ints_r = (c |
+c·w / d) at the basic point v = w / d, for c the objective times S d
+(S its scale, d the tableau's denominator) and ints_r row r of [A |
+rhs] times its scale s_r.  Then mu_r = s_r o_r / (S d) is a dual with
+mu >= 0, mu^T A = obj and mu^T rhs = obj·v.  A tie stage forms a second certificate for the tie objective
+plus a multiple of the first.  `_verify_certificate` checks each one on
+the spot, before the solve returns an optimal outcome; the certificate
+itself is not returned.  A global counter keeps score so test suites
+can assert that no solve ever went uncertified.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .numeric import (
-    ZERO,
     Fraction,
     as_matrix,
     as_vector,
@@ -99,11 +98,6 @@ class CertificateLog:
     optimal_solves: int = 0
     verified: int = 0
     failures: int = 0
-
-    def reset(self) -> None:
-        self.optimal_solves = 0
-        self.verified = 0
-        self.failures = 0
 
 
 CERT_LOG = CertificateLog()
@@ -195,26 +189,19 @@ class Polyhedron:
 
     @cached_property
     def _stage_one(self) -> dict:
-        """{obj scaled to ints, (S, ints): (tableau at obj's optimum, its
-        dual in Fractions)}, or () for an unbounded obj, filled by
-        `_phase_two`, which pivots only copies of a kept tableau."""
+        """{obj scaled to ints, (S, ints): the tableau at obj's optimum,
+        or () for an unbounded obj}, filled by `_phase_two`, which pivots
+        only copies of a kept tableau."""
         return {}
 
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """An LP's status and, when optimal, its basic point as ints (w, d),
-    v = w / d, its value and its dual; `point` is v in Fractions."""
+    """An LP's status and, when optimal, its certified basic point as ints
+    (w, d), v = w / d."""
 
     status: LpStatus
     scaled_point: Optional[tuple] = None
-    value: Optional[Fraction] = None
-    dual: Optional[tuple] = None
-
-    @property
-    def point(self) -> tuple:
-        w, d = self.scaled_point
-        return tuple([Fraction(a, d) for a in w])
 
 
 class _Tableau:
@@ -288,21 +275,20 @@ class _Tableau:
                     leave, best_b, best_coef = i, row[-1], coef
         return leave
 
-    def run(self, cost: tuple, allowed: Sequence) -> LpStatus:
-        """Run one Bland-rule phase maximizing cost, (S, ints) as
-        `integer_scaled` gives it, 0 on the columns past its end.
+    def run(self, cost: Sequence, allowed: Sequence) -> LpStatus:
+        """Run one Bland-rule phase maximizing cost, ints (an objective
+        times its scale S > 0), 0 on the columns past its end.
 
         Of the slack and auxiliary columns, only those in `allowed`
         (ascending) may enter; free columns always may.  The objective row
         is the reduced costs times d and times S, so its signs are the
-        true ones; the run keeps its last one as `obj`, and S as `scale`.
+        true ones; the run keeps its last one as `obj`.
         The entering order is the one a split v = v+ - v- would give: free
         columns with a negative reduced cost, rising, then free columns
         with a positive one, falling, then the allowed columns.
         """
         n, rows = self.n, self.rows
-        self.scale, ints = cost
-        cost = [*ints] + [0] * (len(rows[0]) - 1 - len(ints))
+        cost = [*cost] + [0] * (len(rows[0]) - 1 - len(cost))
         obj = [-self.d * c for c in cost] + [0]
         for i in range(self.m):
             cb = cost[self.basis[i]]
@@ -335,18 +321,6 @@ class _Tableau:
                 w[col] = row[-1]
         return w, self.d
 
-    def dual(self, poly: Polyhedron) -> tuple:
-        """The last run's dual, one entry per row, off its objective row:
-        mu_r = s_r obj[n+r] / (S d), s_r row r's scale.  Row r is
-        [s_r (a_r | rhs_r) | e_r], so slack r's reduced cost is y_r for
-        the tableau's dual y (Chvatal 1983, ch. 10) and mu_r = s_r y_r.
-        A basic slack, and at an optimum a nonbasic free column, has
-        reduced cost 0, so mu^T A = obj whole; in a tie stage the held
-        slacks' entries may be negative."""
-        den = self.scale * self.d
-        return tuple([Fraction(s * c, den) if c else ZERO for s, c in
-                      zip(poly._scaled_rows[0], self.obj[self.n:])])
-
 
 def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     """poly's tableau at a feasible basis with the auxiliary out of it
@@ -371,7 +345,7 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     n, m, rows = tab.n, tab.m, tab.rows
     if len(rows[0]) > n + m + 1:
         tab.pivot(min(range(m), key=lambda i: rows[i][-1]), n + m)
-        if tab.run((1, [0] * (n + m) + [-1]), range(n, n + m + 1)) \
+        if tab.run([0] * (n + m) + [-1], range(n, n + m + 1)) \
                 is not LpStatus.OPTIMAL:
             raise LpInternalError("phase one cannot be unbounded")
         if n + m in tab.basis:
@@ -399,21 +373,21 @@ def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
     max tie·v over obj's optimal face; obj and tie as (S, ints), as
     `scaled_objective` gives them.
 
-    Returns (status, tableau, mu, certs): mu is obj's dual in Fractions,
-    and certs pairs each stage's certificate o with the objective it
-    certifies, c, for `_verify_certificate` at the tableau's basic point:
-    (o, c) for obj, then for a tie stage (o_2, c_2) for tie + t·obj.  A
-    stage's o is its final objective row's slack part, and mu_r = s_r o_r
-    / D for D = S·d, d the stage's denominator, so c = D·obj = d·ints in
-    ints.  The status is UNBOUNDED when obj is, or the tie objective is
-    on obj's optimal face.
+    Returns (status, tableau, certs): certs pairs each stage's
+    certificate o with the objective it certifies, c, for
+    `_verify_certificate` at the tableau's basic point: (o, c) for obj,
+    then for a tie stage (o_2, c_2) for tie + t·obj.  A stage's o is its
+    final objective row's slack part.  Row r is [s_r (a_r | rhs_r) | e_r],
+    so o_r / (S·d), d the stage's denominator, is the tableau's dual y_r
+    (Chvatal 1983, ch. 10), and mu_r = s_r y_r is the dual of poly's own
+    rows; c = S·d·obj = d·ints in ints.  The status is UNBOUNDED when obj
+    is, or the tie objective is on obj's optimal face.
 
     Phase two runs once per objective on one polyhedron, from a copy of
     poly's phase-one tableau, and its result is kept in `poly._stage_one`
     under obj's (S, ints).  A later solve of obj, with any tie objective
     or none, starts from obj's optimal tableau, copied when a tie stage
-    pivots on, and reuses its dual; the caller still checks both
-    certificates at its point.
+    pivots on; the caller still checks both certificates at its point.
 
     The tie stage continues from obj's optimal tableau.  For any optimal
     dual mu, obj's optimal face is poly with every slack r with mu_r > 0
@@ -428,24 +402,24 @@ def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
     n, m = poly.dim, poly.num_rows
     start = poly._phase_one_tableau
     if start is None:
-        return LpStatus.INFEASIBLE, None, None, []
+        return LpStatus.INFEASIBLE, None, []
     known = poly._stage_one
-    found = known.get(obj)
-    if found is None:
+    tab = known.get(obj)
+    if tab is None:
         tab = start.copy()
-        bounded = tab.run(obj, range(n, n + m)) is LpStatus.OPTIMAL
-        found = known[obj] = (tab, tab.dual(poly)) if bounded else ()
-    if not found:
-        return LpStatus.UNBOUNDED, None, None, []
-    tab, mu = found
+        if tab.run(obj[1], range(n, n + m)) is not LpStatus.OPTIMAL:
+            tab = ()
+        known[obj] = tab
+    if not tab:
+        return LpStatus.UNBOUNDED, None, []
     o = tab.obj[n:n + m]
     c = [tab.d * a for a in obj[1]]
     certs = [(o, c)]
     if tie is not None:
         tab = tab.copy()
-        if tab.run(tie, [n + r for r in range(m) if not o[r]]) \
+        if tab.run(tie[1], [n + r for r in range(m) if not o[r]]) \
                 is LpStatus.UNBOUNDED:
-            return LpStatus.UNBOUNDED, None, None, []
+            return LpStatus.UNBOUNDED, None, []
         o_s = tab.obj[n:n + m]
         c_s = [tab.d * a for a in tie[1]]
         t_n, t_d = 0, 1
@@ -456,7 +430,7 @@ def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
             o_s = [t_d * a + t_n * b for a, b in zip(o_s, o)]
             c_s = [t_d * a + t_n * b for a, b in zip(c_s, c)]
         certs.append((o_s, c_s))
-    return LpStatus.OPTIMAL, tab, mu, certs
+    return LpStatus.OPTIMAL, tab, certs
 
 
 def _verify_certificate(poly: Polyhedron, o: Sequence, c: Sequence,
@@ -492,32 +466,26 @@ def scaled_objective(obj, sense: Sense, dim: int) -> tuple:
     return scale, tuple(ints if sense is Sense.MAX else [-a for a in ints])
 
 
-def _value(obj: tuple, point: tuple) -> Fraction:
-    """obj·v for obj = (S, ints) and v = w / d, point = (w, d)."""
-    (scale, ints), (w, d) = obj, point
-    return Fraction(sum(map(mul, ints, w)), scale * d)
-
-
 def solve_lp(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None
              ) -> LpOutcome:
     """Exact solve of max obj·v over poly, obj as `scaled_objective`
-    gives it (a MIN objective comes negated, so the value is minus its
-    minimum).  The point is the optimal tableau's basic point, a vertex
-    of the polyhedron whenever it has one (`_phase_one`); when the
-    polyhedron contains a line instead, the free columns that span it
-    stay at 0.  The dual certifies max obj·v = value.
+    gives it (a MIN objective comes negated).  The point, as ints (w, d),
+    is the optimal tableau's basic point, a vertex of the polyhedron
+    whenever it has one (`_phase_one`); when the polyhedron contains a
+    line instead, the free columns that span it stay at 0.  Its
+    certificate is checked before the outcome is returned.
 
     With a tie objective, in the same form, the point is also optimal for
-    it over obj's optimal face, and value and dual stay obj's; the status
-    is UNBOUNDED also when the tie objective is unbounded there.
+    it over obj's optimal face, with a second certificate checked; the
+    status is UNBOUNDED also when the tie objective is unbounded there.
     """
-    status, tab, mu, certs = _phase_two(poly, obj, tie)
+    status, tab, certs = _phase_two(poly, obj, tie)
     if status is not LpStatus.OPTIMAL:
         return LpOutcome(status=status)
     point = tab.point()
     for o, c in certs:
         _verify_certificate(poly, o, c, point)
-    return LpOutcome(LpStatus.OPTIMAL, point, _value(obj, point), mu)
+    return LpOutcome(LpStatus.OPTIMAL, point)
 
 
 def solve_lex_lp(poly: Polyhedron, primary: tuple,
@@ -539,7 +507,8 @@ def solve_lex_lp(poly: Polyhedron, primary: tuple,
     if out.status is LpStatus.UNBOUNDED:
         raise UnboundedError("the primary objective is unbounded, or the "
                              "secondary on the primary's optimal face")
-    return out.scaled_point, _value(secondary, out.scaled_point)
+    (scale, ints), (w, d) = secondary, out.scaled_point
+    return out.scaled_point, Fraction(sum(map(mul, ints, w)), scale * d)
 
 
 def is_nonempty(poly: Polyhedron) -> bool:

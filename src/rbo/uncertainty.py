@@ -192,7 +192,8 @@ class DiscreteSet(UncertaintySet):
     def __post_init__(self):
         object.__setattr__(self, "scenarios", as_matrix(self.scenarios))
         if not self.scenarios:
-            raise ValueError("discrete uncertainty needs at least one scenario")
+            raise ValueError(
+                "discrete uncertainty needs at least one scenario")
 
     @property
     def dim(self) -> int:

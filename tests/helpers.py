@@ -3,8 +3,9 @@ writer, the relaxed leader's fractional spot check, and the LP solves
 on rational objectives that the LP tests state their cases in."""
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from rbo import bilevel, lp
 from rbo.compiler import Formula, formula_to_text
@@ -28,15 +29,28 @@ def formula_file_text(formula: Formula) -> str:
             f"{formula_to_text(formula)}\n")
 
 
-def solve(poly, obj, sense=lp.Sense.MAX, tie=None) -> lp.LpOutcome:
+@dataclass(frozen=True)
+class Solved:
+    """An LP's status and, when optimal, its point and obj's value there,
+    in Fractions."""
+
+    status: lp.LpStatus
+    point: Optional[tuple] = None
+    value: Optional[Fraction] = None
+
+
+def solve(poly, obj, sense=lp.Sense.MAX, tie=None) -> Solved:
     """`lp.solve_lp` on rational objectives, tie = (objective, sense);
     the value is obj's in its own sense."""
-    out = lp.solve_lp(poly, lp.scaled_objective(obj, sense, poly.dim),
-                      None if tie is None
+    scale, ints = lp.scaled_objective(obj, sense, poly.dim)
+    out = lp.solve_lp(poly, (scale, ints), None if tie is None
                       else lp.scaled_objective(*tie, poly.dim))
-    if sense is lp.Sense.MIN and out.value is not None:
-        out = replace(out, value=-out.value)
-    return out
+    if out.status is not lp.LpStatus.OPTIMAL:
+        return Solved(out.status)
+    w, d = out.scaled_point
+    value = Fraction(sum(a * x for a, x in zip(ints, w)), scale * d)
+    return Solved(out.status, tuple([Fraction(a, d) for a in w]),
+                  -value if sense is lp.Sense.MIN else value)
 
 
 def solve_lex(poly, primary, primary_sense, secondary, secondary_sense):

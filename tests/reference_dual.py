@@ -1,8 +1,9 @@
-"""Reference LP dual and certificate check for the tests: the k x k
-solve that `_Tableau.dual` ran before it read the dual off the final
-objective row, and the Fraction check that `_verify_certificate` ran
-before it worked in ints.  The solver's dual must equal the first on
-every optimal basis, and its check must agree with the second."""
+"""Reference LP dual and certificate check for the tests: a k x k
+solve of an optimal basis's dual in Fractions, and the Fraction form of
+the check that `_verify_certificate` makes in ints.  The dual that the
+tests read off a final objective row, mu_r = s_r o_r / (S d), must equal
+the first on every optimal basis, and the solver's check must agree
+with the second."""
 
 from math import lcm
 

@@ -39,13 +39,44 @@ RATIONAL_BOX = Polyhedron(
     [F(3, 2), 2, F(-1, 2), F(-1, 3), F(7, 4)])
 
 
+def _scaled(vector):
+    """A vector of rationals as `_phase_two` takes it: (S, ints)."""
+    scale, ints = integer_scaled(vector)
+    return scale, tuple(ints)
+
+
+def _point(tab):
+    """The tableau's basic point in Fractions."""
+    w, d = tab.point()
+    return tuple([F(x, d) for x in w])
+
+
+def _dual(poly, o, den):
+    """The dual of poly's rows that the certificate o gives over D > 0:
+    mu_r = s_r o_r / D, s_r row r's scale."""
+    return tuple([F(s * u, den) for s, u in zip(poly._scaled_rows[0], o)])
+
 def verify_max_certificate(poly, obj, outcome):
-    assert outcome.dual is not None
-    assert all(m >= 0 for m in outcome.dual)
+    # The certificate `_phase_two` forms for max obj, read as a Fraction
+    # dual, proves the outcome's value optimal at the outcome's point.
+    scale, ints = _scaled(obj)
+    status, tab, [(o, c)] = lp._phase_two(poly, (scale, ints))
+    assert status is LpStatus.OPTIMAL and _point(tab) == outcome.point
+    assert c == [tab.d * a for a in ints]
+    mu = _dual(poly, o, scale * tab.d)
+    assert all(m >= 0 for m in mu)
     for j in range(poly.dim):
-        assert sum(outcome.dual[i] * poly.a[i][j]
+        assert sum(mu[i] * poly.a[i][j]
                    for i in range(poly.num_rows)) == obj[j]
-    assert dot(outcome.dual, poly.rhs) == outcome.value
+    assert dot(mu, poly.rhs) == outcome.value
+
+
+def _certified(poly, objective, sense, tie=None):
+    """`solve`'s outcome with the certificates `_phase_two` forms for it."""
+    certs = lp._phase_two(
+        poly, lp.scaled_objective(objective, sense, poly.dim),
+        None if tie is None else lp.scaled_objective(*tie, poly.dim))[2]
+    return solve(poly, objective, sense, tie), certs
 
 
 def test_square_max_x():
@@ -249,8 +280,8 @@ def test_reused_polyhedron_solves_like_a_fresh_one(case):
                    (unit, Sense.MAX, (neg, Sense.MAX))]
     for objective, sense, tie in solves:
         fresh = Polyhedron(poly.a, poly.rhs)
-        assert (solve(poly, objective, sense, tie)
-                == solve(fresh, objective, sense, tie))
+        assert (_certified(poly, objective, sense, tie)
+                == _certified(fresh, objective, sense, tie))
 
 
 def test_second_solve_skips_phase_one(monkeypatch):
@@ -343,7 +374,7 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
     # phase-one tableau, or of its objective's kept first-stage tableau,
     # so a pivot that wrote into a row in place would show here, and a
     # solve on a polyhedron whose kept stages are filled gives the point,
-    # value and dual of the same solve on a fresh one.
+    # value and certificates of the same solve on a fresh one.
     poly, obj, sense = case
     start = poly._phase_one_tableau
     first = ([row[:] for row in start.rows], start.d, start.basis[:])
@@ -358,13 +389,13 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
                    (obj, sense, (unit, Sense.MIN))]
     for objective, goal, _ in solves:
         solve(poly, objective, goal)
-    tableaux = [found[0] for found in poly._stage_one.values() if found]
+    tableaux = [tab for tab in poly._stage_one.values() if tab]
     kept = [([row[:] for row in tab.rows], tab.d, tab.basis[:])
             for tab in tableaux]
     for objective, goal, tie in solves:
         fresh = Polyhedron(poly.a, poly.rhs)
-        assert (solve(poly, objective, goal, tie)
-                == solve(fresh, objective, goal, tie))
+        assert (_certified(poly, objective, goal, tie)
+                == _certified(fresh, objective, goal, tie))
     assert (start.rows, start.d, start.basis) == first
     assert [(tab.rows, tab.d, tab.basis) for tab in tableaux] == kept
 
@@ -402,32 +433,24 @@ def test_free_columns_enter_only_in_phase_one(case):
     assert all(col >= n for col in entered)
 
 
-def _scaled(vector):
-    """A vector of rationals as `_phase_two` takes it: (S, ints)."""
-    scale, ints = integer_scaled(vector)
-    return scale, tuple(ints)
-
-
-def _point(tab):
-    """The tableau's basic point in Fractions."""
-    w, d = tab.point()
-    return tuple([F(x, d) for x in w])
-
-
 def check_duals(poly, obj, tie=None):
     """Solve max obj, then tie on its optimal face, on poly; each dual
     read off a final objective row must equal the reference k x k solve
-    on its basis.  Returns (status, tableau, the tie stage's dual before
+    on its basis, and the first stage's certificate must be the kept
+    tableau's row.  Returns (status, tableau, the tie stage's dual before
     the multiple of obj is added)."""
-    status, tab, mu, _ = lp._phase_two(
+    status, tab, certs = lp._phase_two(
         poly, _scaled(obj), None if tie is None else _scaled(tie))
     if status is not LpStatus.OPTIMAL:
         return status, None, None
-    first = poly._stage_one[_scaled(obj)][0]
-    assert mu == first.dual(poly) == reference_dual.dual(first, poly, obj)
+    n, m = poly.dim, poly.num_rows
+    first = poly._stage_one[_scaled(obj)]
+    assert certs[0][0] == first.obj[n:n + m]
+    assert (_dual(poly, certs[0][0], _scaled(obj)[0] * first.d)
+            == reference_dual.dual(first, poly, obj))
     if tie is None:
         return status, tab, None
-    mu_s = tab.dual(poly)
+    mu_s = _dual(poly, tab.obj[n:n + m], _scaled(tie)[0] * tab.d)
     assert mu_s == reference_dual.dual(tab, poly, tie)
     return status, tab, mu_s
 
@@ -487,7 +510,7 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "run", counted)
     check_duals(poly, (F(1), F(0)), (F(0), F(-1)))
-    assert runs == [(1, (0, -1))]
+    assert runs == [(0, -1)]
     assert poly._stage_one == kept
 
 
@@ -502,7 +525,7 @@ def test_stage_one_keys_on_the_scale_and_the_ints():
 
 def _first_certificate(poly, obj):
     """(o, c, point) of max obj over poly, as `solve_lp` checks them."""
-    status, tab, _, certs = lp._phase_two(poly, _scaled(obj))
+    status, tab, certs = lp._phase_two(poly, _scaled(obj))
     assert status is LpStatus.OPTIMAL
     return (*certs[0], tab.point())
 
@@ -707,12 +730,14 @@ def test_phase_one_ends_with_the_auxiliary_at_either_level(monkeypatch):
 
 
 def test_determinism():
+    # Repeated solves, on the same polyhedron or a fresh copy, give the
+    # same point and the same certificates.
     poly = Polyhedron([[1, 1], [1, -1], [-1, 0], [0, -1], [1, 0]],
                       [2, 1, 0, 0, 1])
-    first = solve(poly, [1, 0], Sense.MAX)
+    first = _certified(poly, [1, 0], Sense.MAX)
     for _ in range(3):
-        again = solve(poly, [1, 0], Sense.MAX)
-        assert again.point == first.point and again.dual == first.dual
+        for target in (poly, Polyhedron(poly.a, poly.rhs)):
+            assert _certified(target, [1, 0], Sense.MAX) == first
 
 
 def test_negative_rhs_phase_one():
@@ -732,8 +757,9 @@ def test_redundant_equality_rows():
 
 
 def test_certificate_log_counts():
-    CERT_LOG.reset()
+    before = (CERT_LOG.optimal_solves, CERT_LOG.verified, CERT_LOG.failures)
     solve(UNIT_SQUARE, [1, 1], Sense.MAX)
     solve(TRIANGLE, [1, 0], Sense.MIN)
-    assert CERT_LOG.optimal_solves == CERT_LOG.verified == 2
-    assert CERT_LOG.failures == 0
+    assert (CERT_LOG.optimal_solves - before[0],
+            CERT_LOG.verified - before[1],
+            CERT_LOG.failures - before[2]) == (2, 2, 0)

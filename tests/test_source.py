@@ -29,3 +29,32 @@ def test_no_tuple_is_built_from_a_generator():
              for path in MODULES}
     assert len(found) >= 8
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _fraction_calls(tree):
+    """{qualified name of the enclosing def: lines} of each Fraction(...)
+    call, '' for a call outside any def."""
+    calls = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "Fraction"):
+                calls.setdefault(scope, []).append(child.lineno)
+            visit(child, scope)
+
+    visit(tree, "")
+    return calls
+
+
+def test_lp_builds_fractions_only_for_views_and_the_lex_value():
+    # The LP kernel pivots and certifies in ints; a Fraction is built only
+    # for the rational views of a polyhedron's rows and for the value that
+    # `solve_lex_lp` hands its callers.
+    path = Path(rbo.__file__).parent / "lp.py"
+    calls = _fraction_calls(ast.parse(path.read_text()))
+    assert set(calls) <= {"Polyhedron.a", "Polyhedron.rhs", "solve_lex_lp"}
