@@ -203,7 +203,7 @@ class RobustBilevelInstance:
 
     def follower_polyhedron(self, x: Sequence) -> Polyhedron:
         """Y(x), one `Polyhedron` per leader vector for the instance's
-        lifetime (kept in `_memo` under the key x), so every solve on
+        lifetime (kept in `_polyhedra` under x), so every solve on
         Y(x) shares one tableau build and one phase one: validation's,
         both modes' adversaries and the replay; and each objective's
         first stage.
@@ -217,7 +217,7 @@ class RobustBilevelInstance:
         if len(x) != self.p:
             raise InstanceError(
                 f"leader vector has arity {len(x)} != {self.p}")
-        memo = self._memo
+        memo = self._polyhedra
         if x not in memo:
             q, xs = integer_scaled(x)
             memo[x] = Polyhedron.from_scaled_rows(
@@ -244,11 +244,17 @@ class RobustBilevelInstance:
         return [(c, scaled_objective(c, Sense.MAX, self.n))
                 for c in scenarios]
 
+    # Kept for the instance's lifetime, see `adversary_geometric`.
     @cached_property
-    def _memo(self) -> dict:
-        """Y(x) for each leader vector x, and the adversary's results on
-        this instance, kept for its lifetime; see `adversary_geometric`
-        for the entries."""
+    def _polyhedra(self) -> dict:
+        return {}
+
+    @cached_property
+    def _adversaries(self) -> dict:
+        return {}
+
+    @cached_property
+    def _scans(self) -> dict:
         return {}
 
 
@@ -385,42 +391,26 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     A hull's points are often linearly dependent; the shadow is then
     flat, and its vertices and faces are found as for any other polytope.
 
-    The exposable faces and their directions come from
-    `geometry.exposed_faces`, with no LP: a face's direction is the first
-    sorted vertex of the support function's epigraph over D whose tight
-    vertex rows are exactly the face, or else the mean of those whose
-    tight vertex rows contain it.  Each is checked exactly before use: it
-    lies in D, and its argmax over the shadow's vertices is its face.
-
-    Shadow faces G ⊆ F have nested follower argmax sets, so G's
-    optimistic outcome is at most F's and its pessimistic outcome at
-    least F's.  The scan solves only the faces no exposable face already
-    taken dominates: optimistic mode goes up from the vertices, by size
-    and then by sorted vertex indices, and skips every face containing a
-    taken one; pessimistic mode goes down from the whole shadow, in the
-    reverse order, and skips every face inside a taken one.  A skipped
-    face can never be a strictly smaller minimum than the face that
-    dominates it, and that face comes first, so the result is the first
-    minimum of the unpruned scan in the same order.
+    The faces the scan solves, their order and their directions come
+    from `geometry.exposed_faces`, with no LP.  Each direction is checked
+    exactly before use: it lies in D, and its argmax over the shadow's
+    vertices is its face.
 
     Leaders of one instance mostly share their shadow, so the work is
-    kept in `inst._memo` for the instance's lifetime, under three kinds
-    of key: (mode, scales, rows), Y(x)'s integer rows, holds the result
-    (c*, value), for finite sets too; (mode, shadow vertices), the
-    sorted vertex tuple of the projection, holds the scan's scenarios,
+    kept for the instance's lifetime: `inst._adversaries` holds the
+    result (c*, value) under (mode, scales, rows), Y(x)'s integer rows,
+    for finite sets too; `inst._scans` holds the scan's scenarios under
+    (mode, shadow vertices), the sorted vertex tuple of the projection,
     so the exposed faces are found once for each distinct shadow and
-    mode; and the leader vector x holds Y(x) itself
-    (`follower_polyhedron`).  No two kinds collide: the first two are a
-    triple and a pair that start with a mode, and x holds Fractions.  A
-    polytope is its vertex set, and its faces do not depend on redundant
-    rows, so the projection's rows need not be irredundant.  Only the
-    projection, its vertex enumeration and the follower LPs on a new
-    Y(x) run again, each LP with its certificates checked; Y(x) keeps
-    each scenario's first stage, so the other mode and the replay run
-    only tie stages.
+    mode; and `inst._polyhedra` holds Y(x) under x.  A polytope is its
+    vertex set, and its faces do not depend on redundant rows, so the
+    projection's rows need not be irredundant.  Only the projection, its
+    vertex enumeration and the follower LPs on a new Y(x) run again,
+    each LP with its certificates checked; Y(x) keeps each scenario's
+    first stage, so the other mode and the replay run only tie stages.
     """
     poly = inst.follower_polyhedron(x)
-    memo = inst._memo
+    memo = inst._adversaries
     key = (mode, *poly._scaled_rows)
     if key not in memo:
         scenarios = inst._finite_objectives
@@ -437,28 +427,25 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
 
 def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
                       mode: Mode) -> list:
-    """(c, c scaled to ints) for the scenarios of the undominated
-    exposable faces of the shadow of poly = Y(x), in
-    `adversary_geometric`'s scan order.  Directions are scored on the
-    vertices times their common denominator, each direction scaled to
-    ints: a positive factor, so the argmax is the same."""
-    memo = inst._memo
+    """(c, c scaled to ints) for the scenarios of the faces of the shadow
+    of poly = Y(x) that `geometry.exposed_faces` gives for the mode, in
+    its order.  Directions are scored on the vertices times their common
+    denominator, each direction scaled to ints: a positive factor, so the
+    argmax is the same."""
+    memo = inst._scans
     shadow = inst.uncertainty.shadow()
     verts = tuple(geometry.enumerate_vertices(
         geometry.project_polytope(poly, shadow.columns)))
     key = (mode, verts)
     if key in memo:
         return memo[key]
-    faces = geometry.exposed_faces(verts, shadow.directions)
+    faces = geometry.exposed_faces(verts, shadow.directions,
+                                   mode is Mode.OPTIMISTIC)
     q = len(shadow.columns)
     _, flat = integer_scaled([a for v in verts for a in v])
     scaled = [flat[i:i + q] for i in range(0, len(flat), q)]
-    upward = mode is Mode.OPTIMISTIC
-    taken, scenarios = [], []
-    for face in faces if upward else reversed(faces):
-        if any(face >= g if upward else face <= g for g in taken):
-            continue
-        s = faces[face]
+    scenarios = []
+    for face, s in faces.items():
         ints = integer_scaled(s)[1]
         scores = [sum(map(mul, ints, v)) for v in scaled]
         top = max(scores)
@@ -466,7 +453,6 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
                 i for i, score in enumerate(scores) if score == top)):
             raise SolverInvariantError(
                 f"direction {rat_format_vector(s)} does not expose its face")
-        taken.append(face)
         c = shadow.scenario(s)
         scenarios.append((c, scaled_objective(c, Sense.MAX, inst.n)))
     memo[key] = scenarios
@@ -481,15 +467,11 @@ def solve_robust(inst: RobustBilevelInstance,
     uncertainty set; a solve for one fixed scenario c is a solve over
     DiscreteSet((c,)).  Ties between leader choices resolve to the
     lexicographically smallest x; adversary ties to the first minimum in
-    canonical order: finite sets in scenario order, exposable shadow
-    faces from the vertices up (by size, then by sorted vertex indices)
-    when optimistic and from the whole shadow down (the reverse) when
-    pessimistic, each at its canonical direction from
-    `geometry.exposed_faces`, see `adversary_geometric`.  The report's
-    value is cross-checked by replaying the worst scenario through the
-    follower's lexicographic LP, which starts from the first stage Y(x*)
-    kept for that scenario: it recomputes the tie stage and checks both
-    certificates again.
+    canonical order: finite sets in scenario order, shadow faces in
+    `geometry.exposed_faces`'s order.  The report's value is cross-checked
+    by replaying the worst scenario through the follower's lexicographic
+    LP, which starts from the first stage Y(x*) kept for that scenario:
+    it recomputes the tie stage and checks both certificates again.
     """
     if mode is None:
         mode = inst.mode_default

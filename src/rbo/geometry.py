@@ -2,11 +2,11 @@
 
 `enumerate_vertices` gives each vertex with the set of rows tight at it,
 from the double description method on the rows scaled to ints.  A face
-is the frozenset of its vertex indices.  `exposed_faces` gives every face
-that some direction of a polytope D exposes as its exact argmax set, each
+is the frozenset of its vertex indices.  `exposed_faces` gives the
+minimal or the maximal faces that directions in a polytope D expose as
+their exact argmax sets, in the bilevel adversary's scan order, each
 with one such direction, from a second double description: that of the
-epigraph of the support function over D, whose vertices' tight sets close
-under intersection to the exposed faces.
+epigraph of the support function over D.
 
 `project_polytope` computes exact images of polytopes under linear maps
 by Fourier-Motzkin elimination on rows of ints, the rhs included,
@@ -27,7 +27,7 @@ from .lp import Polyhedron
 from .numeric import ONE, ZERO, as_matrix, eliminate, integer_scaled
 from .uncertainty import CapExceededError
 
-CAP = 2048  # rays of one double description, and exposed faces
+CAP = 2048  # rays held by one double description after any row
 _MAX_PROJECTION_ROWS = 4000
 
 
@@ -100,23 +100,29 @@ def enumerate_vertices(poly: Polyhedron) -> dict:
     return dict(sorted(_double_description(poly)))
 
 
-def exposed_faces(verts: tuple, directions: Polyhedron) -> dict:
-    """{face: s} for each face of the polytope conv(verts) that some
-    direction s in D = {s : G·s <= h} exposes, a face being the frozenset
-    of its indices into verts, sorted by size and then by sorted indices.
+def exposed_faces(verts: tuple, directions: Polyhedron,
+                  upward: bool) -> dict:
+    """{face: s} for the faces of the polytope conv(verts) that the
+    adversary's scan solves, in its order, a face being the frozenset of
+    its indices into verts and s a direction in D = {s : G·s <= h} whose
+    exact argmax set it is: upward the minimal exposable faces, by size
+    and then by sorted indices, downward the maximal ones in the reverse
+    order.  Shadow faces G ⊆ F have nested follower argmax sets, so G's
+    optimistic outcome is at most F's and its pessimistic one at least
+    F's: the first minimum is the one over every exposable face.
 
     One double description of Q = {(s, t) : v·s <= t for each v in
     verts, G·s <= h}, the epigraph of the support function over D
     (Rockafellar 1970, §13), which is pointed as D is bounded.  At a point
     of Q in the relative interior of one of its faces, the tight vertex
-    rows are exactly the argmax of s over verts, so the exposed faces are
-    the nonempty intersections of the vertex-row parts of Q's vertices'
-    tight sets: the normal fan of conv(verts) cut by D (Ziegler 1995,
-    §7.1), closed in one pass as by Kaibel & Pfetsch (2002).  More than
-    CAP such faces raise CapExceededError.  A face's s is the first sorted
-    vertex of Q whose part is exactly the face, or else the mean of the
-    vertices of Q whose part contains it, which lies in the relative
-    interior of the face's cell.
+    rows are exactly the argmax of s over verts, so the exposable faces
+    are the nonempty intersections of the vertex-row parts of Q's
+    vertices (Ziegler 1995, §7.1).  The maximal ones are the maximal
+    parts; the minimal ones are the meets F_i of the parts that hold i
+    with F_j = F_i for each j in F_i, as every face holding i contains
+    F_i.  A face's s is the first sorted vertex of Q whose part is
+    exactly the face, or else the mean of the vertices of Q whose part
+    contains it, which lies in the relative interior of the face's cell.
     """
     k = len(verts)
     rows = [integer_scaled(v + (-ONE, ZERO)) for v in verts] + [
@@ -124,14 +130,19 @@ def exposed_faces(verts: tuple, directions: Polyhedron) -> dict:
     epigraph = Polyhedron.from_scaled_rows(*zip(*rows))
     cells = [(frozenset(i for i in tight if i < k), point[:-1])
              for point, tight in enumerate_vertices(epigraph).items()]
-    closed = {part for part, _ in cells}
-    for part, _ in cells:
-        closed |= {part & c for c in closed}
-        closed.discard(frozenset())
-        if len(closed) > CAP:
-            raise CapExceededError(f"exposable faces exceed {CAP}")
+    parts = {part for part, _ in cells}
+    if upward:
+        meets = {}
+        for part in parts:
+            for i in part:
+                meets[i] = meets.get(i, part) & part
+        chosen = {f for f in meets.values()
+                  if all(meets[j] == f for j in f)}
+    else:
+        chosen = {f for f in parts if not any(f < g for g in parts)}
     faces = {}
-    for face in sorted(closed, key=lambda f: (len(f), sorted(f))):
+    for face in sorted(chosen, key=lambda f: (len(f), sorted(f)),
+                       reverse=not upward):
         exact = next((s for part, s in cells if part == face), None)
         if exact is None:
             inside = [s for part, s in cells if part >= face]

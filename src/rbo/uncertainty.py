@@ -271,12 +271,10 @@ class ProductFinite(UncertaintySet):
     def dim(self) -> int:
         return len(self.choices)
 
-    def grid_size(self) -> int:
-        return math.prod(len(c) for c in self.choices)
-
     def finite_scenarios(self) -> tuple:
-        if self.grid_size() > MAX_SCENARIOS:
-            raise CapExceededError(f"product grid of {self.grid_size()} "
+        size = math.prod(len(c) for c in self.choices)
+        if size > MAX_SCENARIOS:
+            raise CapExceededError(f"product grid of {size} "
                                    f"scenarios exceeds {MAX_SCENARIOS}")
         return tuple(itertools.product(*self.choices))
 

@@ -1,7 +1,8 @@
 """Reference face machinery for the tests: the whole face lattice, closed
-from the vertices' tight sets, and an exposure LP for one face.  The
-solver takes its exposed faces from `geometry.exposed_faces` instead;
-these independent computations check it."""
+from the vertices' tight sets, an exposure LP for one face, and the
+minimal or maximal members of a face list.  The solver takes its exposed
+faces from `geometry.exposed_faces` instead; these independent
+computations check it."""
 
 from typing import Collection, Optional
 
@@ -31,6 +32,15 @@ def enumerate_faces(tights: Collection) -> list:
     faces = [frozenset(i for i, u in enumerate(tights) if u >= c)
              for c in closed]
     return sorted(faces, key=lambda f: (len(f), sorted(f)))
+
+
+def undominated(faces: list, upward: bool) -> list:
+    """The minimal faces of `faces`, a list sorted by size and then by
+    sorted indices, in that order when upward; else the maximal ones, in
+    the reverse order."""
+    order = faces if upward else faces[::-1]
+    return [f for f in order
+            if not any(g < f if upward else f < g for g in faces)]
 
 
 def exposure_check(face: frozenset, verts: tuple,

@@ -43,7 +43,7 @@ from rbo.oracle import (
     sat_oracle,
 )
 from rbo.uncertainty import DiscreteSet, Interval
-from reference_faces import enumerate_faces, exposure_check
+from reference_faces import enumerate_faces, exposure_check, undominated
 from helpers import solve, solve_lex, spot_check_relaxed
 from test_geometry import argmax_vertices
 import report_ledger
@@ -301,8 +301,13 @@ def test_criterion_9_face_fixtures_and_exposure_round_trip():
                 continue
             assert argmax_vertices(verts, s) == face
             exposed.append(face)
-        assert list(geometry.exposed_faces(
-            verts, box.shadow().directions)) == exposed
+        for upward in (True, False):
+            faces = geometry.exposed_faces(verts, box.shadow().directions,
+                                           upward)
+            assert list(faces) == undominated(exposed, upward)
+            for face, s in faces.items():
+                assert box.shadow().directions.contains(s)
+                assert argmax_vertices(verts, s) == face
         exposed_total += len(exposed)
     assert exposed_total > 0
     print(f"\nACCEPTANCE 9: PASS - fixtures produced 3/9/7 faces and "

@@ -862,9 +862,8 @@ def test_spot_check_drops_the_corner_bounds_first_stages():
     inst = _relaxed_or().instance
     value = solve_robust(inst, Mode.OPTIMISTIC).value
     assert spot_check_relaxed(inst, value, Mode.OPTIMISTIC) is None
-    sampled = [poly for x, poly in inst._memo.items()
-               if isinstance(poly, lp.Polyhedron)
-               and any(c.denominator > 1 for c in x)]
+    sampled = [poly for x, poly in inst._polyhedra.items()
+               if any(c.denominator > 1 for c in x)]
     assert sampled and all(
         poly._phase_one_tableau is not None and not poly._stage_one
         for poly in sampled)

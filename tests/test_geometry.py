@@ -17,7 +17,7 @@ from rbo.lp import LpStatus, Polyhedron
 from rbo.numeric import dot
 from rbo.uncertainty import ConvexHull, Interval
 from helpers import solve
-from reference_faces import enumerate_faces, exposure_check
+from reference_faces import enumerate_faces, exposure_check, undominated
 from test_lp import _rationals, small_polytopes
 
 SEGMENT = Polyhedron([[1], [-1]], [1, 0])
@@ -224,27 +224,36 @@ SEGMENT_OF_DIRECTIONS = Polyhedron([[1, 1], [-1, -1], [1, 0], [-1, 0]],
 
 
 def test_exposed_faces_of_a_direction_segment():
-    # No vertex of Q exposes (1, 1) alone: its direction is the mean of
-    # the two edges' vertices of Q.
+    # Upward, the three vertices; no vertex of Q exposes (1, 1) alone, so
+    # its direction is the mean of the two edges' vertices of Q.
+    # Downward, the two edges, the right one first.
     verts = tuple(enumerate_vertices(UNIT_SQUARE))
-    assert exposed_faces(verts, SEGMENT_OF_DIRECTIONS) == {
-        frozenset([1]): (F(-1), F(2)), frozenset([2]): (F(2), F(-1)),
-        frozenset([3]): (F(1, 2), F(1, 2)),
-        frozenset([1, 3]): (F(0), F(1)), frozenset([2, 3]): (F(1), F(0))}
+    assert list(exposed_faces(verts, SEGMENT_OF_DIRECTIONS, True).items()) \
+        == [(frozenset([1]), (F(-1), F(2))), (frozenset([2]), (F(2), F(-1))),
+            (frozenset([3]), (F(1, 2), F(1, 2)))]
+    assert list(exposed_faces(verts, SEGMENT_OF_DIRECTIONS, False).items()) \
+        == [(frozenset([2, 3]), (F(1), F(0))),
+            (frozenset([1, 3]), (F(0), F(1)))]
+    for upward in (True, False):
+        faces = exposed_faces(verts, SEGMENT_OF_DIRECTIONS, upward)
+        for face, s in faces.items():
+            assert SEGMENT_OF_DIRECTIONS.contains(s)
+            assert argmax_vertices(verts, s) == face
 
 
-def test_exposed_faces_over_the_budget(monkeypatch):
+def test_exposed_faces_are_not_bounded_by_their_closure(monkeypatch):
     # The simplex D = {s >= -1, sum(s) <= 1} holds 0 inside, so it
     # exposes all 27 faces of the 3-cube, from a double description of
-    # fewer rays: a cap of 27 holds them, and a cap of 26 refuses them.
+    # fewer rays.  A cap of 26 bounds the rays only: upward the scan takes
+    # the 8 vertices, downward the whole cube, which s = 0 exposes.
     verts = tuple(enumerate_vertices(cube(3)))
     directions = Polyhedron([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
                             [1, 1, 1, 1])
-    monkeypatch.setattr(geometry, "CAP", 27)
-    assert len(exposed_faces(verts, directions)) == 27
     monkeypatch.setattr(geometry, "CAP", 26)
-    with pytest.raises(CapExceededError, match="exposable faces exceed 26"):
-        exposed_faces(verts, directions)
+    assert list(exposed_faces(verts, directions, True)) \
+        == [frozenset([i]) for i in range(8)]
+    assert exposed_faces(verts, directions, False) \
+        == {frozenset(range(8)): (F(0),) * 3}
 
 
 @st.composite
@@ -261,20 +270,22 @@ def direction_polytopes(draw, dim):
 @given(small_polytopes(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_exposed_faces_match_the_exposure_lp(case, data):
-    # The faces from one double description are the faces of the whole
-    # lattice that an exposure LP finds exposable, in the same order, and
-    # each direction lies in D and exposes exactly its face.
+    # Each way, the faces from one double description are the minimal or
+    # maximal faces of the whole lattice that an exposure LP finds
+    # exposable, in the scan's order, and each direction lies in D and
+    # exposes exactly its face.
     poly = case[0]
     tights = enumerate_vertices(poly)
     verts = tuple(tights)
     directions = data.draw(direction_polytopes(poly.dim))
-    faces = exposed_faces(verts, directions)
-    assert list(faces) == [
-        f for f in enumerate_faces(tights.values())
-        if exposure_check(f, verts, directions) is not None]
-    for face, s in faces.items():
-        assert directions.contains(s)
-        assert argmax_vertices(verts, s) == face
+    exposable = [f for f in enumerate_faces(tights.values())
+                 if exposure_check(f, verts, directions) is not None]
+    for upward in (True, False):
+        faces = exposed_faces(verts, directions, upward)
+        assert list(faces) == undominated(exposable, upward)
+        for face, s in faces.items():
+            assert directions.contains(s)
+            assert argmax_vertices(verts, s) == face
 
 
 def test_projection_diagonal_score():
