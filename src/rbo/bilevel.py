@@ -2,10 +2,10 @@
 
 The model: a leader picks x from a binary (or relaxed) set, an adversary
 picks the follower's objective c from an uncertainty set, the follower
-maximizes c·y over Y(x) = {y : lhs·y <= leader_mat·x + rhs}, and the
-leader scores leader_obj·y.  The leader maximizes, the adversary
-minimizes, and follower ties are broken for (optimistic) or against
-(pessimistic) the leader via a lexicographic LP.
+maximizes c·y over Y(x) = {y : A·y <= B·x + b}, and the leader scores
+leader_obj·y.  The leader maximizes, the adversary minimizes, and
+follower ties are broken for (optimistic) or against (pessimistic) the
+leader via a lexicographic LP.
 
 Finite scenario sets, a box with no free coordinate and a hull whose
 points all coincide among them, are handled by enumeration.  Other box
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from math import lcm
@@ -46,7 +46,6 @@ from .lp import (
     solve_lex_lp,
 )
 from .numeric import (
-    ZERO,
     Fraction,
     as_vector,
     integer_scaled,
@@ -143,14 +142,13 @@ LEADER_KINDS = {cls.kind: cls for cls in (AllBinary, ExplicitList, RelaxedBox)}
 class RobustBilevelInstance:
     """All data of one robust bilevel problem.
 
-    Follower feasible set: Y(x) = {y in R^n : lhs y <= leader_mat x + rhs}.
-    The leader's objective is leader_obj·y over the follower's response.
-    Its data are its rows in ints: `rows` holds (t_i, L_i, B_i, b_i) for
-    each row i, row i of [lhs | leader_mat | rhs] times t_i, the least
-    int > 0 that makes it integral, split into its three parts, as
-    `int_row` writes them from sparse rows and `int_rows` from dense ones.
-    `lhs`, `leader_mat` and `rhs` are Fraction views built on first use,
-    for the JSON writer, the oracles and the tests.
+    Follower feasible set: Y(x) = {y in R^n : A y <= B x + b}, with A, B
+    and b named as in the JSON document.  The leader's objective is
+    leader_obj·y over the follower's response.  Its data are its rows in
+    ints, the one copy of [A | B | b]: `rows` holds (t_i, L_i, B_i, b_i)
+    for each row i, row i of [A | B | b] times t_i, the least int > 0 that
+    makes it integral, split into its three parts, as `int_row` writes
+    them from sparse rows and `int_rows` from dense ones.
     """
 
     p: int
@@ -181,26 +179,6 @@ class RobustBilevelInstance:
             raise InstanceError("leader vector arity != p")
         _check_relaxed_penalty(self)
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    # The rows are sparse, so each zero of a view is the one ZERO.
-    @cached_property
-    def lhs(self) -> tuple:
-        return tuple([tuple([Fraction(a, t) if a else ZERO for a in lhs])
-                      for t, lhs, _, _ in self.rows])
-
-    @cached_property
-    def leader_mat(self) -> tuple:
-        return tuple([tuple([Fraction(a, t) if a else ZERO for a in lead])
-                      for t, _, lead, _ in self.rows])
-
-    @cached_property
-    def rhs(self) -> tuple:
-        return tuple([Fraction(b, t) if b else ZERO
-                      for t, _, _, b in self.rows])
-
     def follower_polyhedron(self, x: Sequence) -> Polyhedron:
         """Y(x), one `Polyhedron` per leader vector for the instance's
         lifetime (kept in `_polyhedra` under x), so every solve on
@@ -209,9 +187,8 @@ class RobustBilevelInstance:
         first stage.
 
         Its rows are written in ints from `rows`: with x = X / q, row i
-        of [lhs | rhs + leader_mat·x] is (q·L_i | q·b_i + B_i·X) /
-        (t_i·q), which `Polyhedron.from_scaled_rows` takes to its least
-        scale.
+        of [A | b + B·x] is (q·L_i | q·b_i + B_i·X) / (t_i·q), which
+        `Polyhedron.from_scaled_rows` takes to its least scale.
         """
         x = as_vector(x)
         if len(x) != self.p:
@@ -277,7 +254,7 @@ def int_rows(lhs: Sequence, leader_mat: Sequence, rhs: Sequence) -> tuple:
     """The instance rows of dense rational rows lhs·y <= leader_mat·x +
     rhs, as `int_row` writes sparse ones."""
     if not len(lhs) == len(leader_mat) == len(rhs):
-        raise InstanceError("row counts of lhs/leader_mat/rhs differ")
+        raise InstanceError("row counts of A, B and b differ")
     rows = []
     for a, lead, b in zip(lhs, leader_mat, rhs):
         t, ints = integer_scaled((*a, *lead, b))
@@ -311,7 +288,7 @@ def _check_relaxed_penalty(inst: RobustBilevelInstance) -> None:
     if not isinstance(inst.leader_set, RelaxedBox):
         return
     p, n = inst.p, inst.n
-    k = inst.num_rows - 3 * p
+    k = len(inst.rows) - 3 * p
     devs = range(n - p, n)
 
     def unit(i, width, value=1):
@@ -336,7 +313,7 @@ def _check_relaxed_penalty(inst: RobustBilevelInstance) -> None:
 def validate_instance(inst: RobustBilevelInstance) -> None:
     """Check Y(x) nonempty and bounded for every enumerable leader choice.
 
-    A nonempty Y(x) has the recession cone {d : lhs·d <= 0} whatever x is,
+    A nonempty Y(x) has the recession cone {d : A·d <= 0} whatever x is,
     so boundedness is decided at the first leader and every later one
     needs only the emptiness probe.
     """
@@ -496,26 +473,46 @@ def solve_robust(inst: RobustBilevelInstance,
 # JSON interchange.
 
 
+# The keys of an instance document; `instance_from_json` refuses others.
+DOCUMENT_KEYS = ("p", "n", "A", "B", "b", "d", "leader_set", "uncertainty",
+                 "mode_default", "var_map", "M")
+
+
+def _refuse_unknown_keys(data: dict, known: Sequence, where: str) -> None:
+    """Refuse the first key of the JSON object data that is not known, so
+    a misspelled key is an error rather than a silent default."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise InstanceError(f"unknown key {unknown[0]!r} in {where}")
+
+
 def _kind_from_json(doc: dict, key: str, kinds: dict) -> Kind:
-    """The member of `kinds` that the object doc[key] names by its kind."""
+    """The member of `kinds` that the object doc[key] names by its kind;
+    a field the kind does not declare is refused."""
     data = doc[key]
     if not isinstance(data, dict):
         raise InstanceError(f"{key} must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in kinds:  # a list is unhashable
         raise InstanceError(f"unknown {key.replace('_', ' ')} kind {kind!r}")
-    return kinds[kind].from_json(data)
+    cls = kinds[kind]
+    _refuse_unknown_keys(data, ["kind", *[f.name for f in fields(cls)]], key)
+    return cls.from_json(data)
 
 
 def instance_to_json(inst: RobustBilevelInstance,
                      var_map: Optional[Sequence[str]] = None,
                      big_m: Optional[Fraction] = None) -> dict:
+    # The rows are sparse, so a zero entry is written without a Fraction.
     doc = {
         "p": inst.p,
         "n": inst.n,
-        "A": rat_format_nested(inst.lhs),
-        "B": rat_format_nested(inst.leader_mat),
-        "b": rat_format_nested(inst.rhs),
+        "A": [[rat_format(Fraction(a, t)) if a else "0" for a in lhs]
+              for t, lhs, _, _ in inst.rows],
+        "B": [[rat_format(Fraction(a, t)) if a else "0" for a in lead]
+              for t, _, lead, _ in inst.rows],
+        "b": [rat_format(Fraction(b, t)) if b else "0"
+              for t, _, _, b in inst.rows],
         "d": rat_format_nested(inst.leader_obj),
         "leader_set": inst.leader_set.to_json(),
         "uncertainty": inst.uncertainty.to_json(),
@@ -538,6 +535,9 @@ def _json_int(doc: dict, key: str) -> int:
 
 def instance_from_json(doc: dict):
     """Parse the interchange document; returns (instance, metadata)."""
+    if not isinstance(doc, dict):
+        raise InstanceError("an instance document must be a JSON object")
+    _refuse_unknown_keys(doc, DOCUMENT_KEYS, "the instance document")
     try:
         inst = RobustBilevelInstance(
             p=_json_int(doc, "p"),

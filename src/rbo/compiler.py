@@ -101,23 +101,24 @@ def evaluate(formula: Formula, x_bits: Sequence[int],
     """Boolean value of the formula at a binary assignment."""
     if len(x_bits) != formula.p or len(y_bits) != formula.n:
         raise ValueError("assignment arity mismatch")
+    return _value(formula.root, x_bits, y_bits)
 
-    def walk(node: Node) -> int:
-        if isinstance(node, LeaderVar):
-            return 1 if x_bits[node.index - 1] else 0
-        if isinstance(node, FollowerVar):
-            return 1 if y_bits[node.index - 1] else 0
-        if isinstance(node, Not):
-            return 1 - walk(node.child)
-        if isinstance(node, And):
-            return walk(node.left) & walk(node.right)
-        return walk(node.left) | walk(node.right)
 
-    return walk(formula.root)
+# Module functions, not closures: a recursive closure is a cycle only gc
+# frees, and `oracle.qsat_oracle` evaluates a formula 2^(p+n) times.
+def _value(node: Node, x_bits: Sequence[int], y_bits: Sequence[int]) -> int:
+    if isinstance(node, LeaderVar):
+        return 1 if x_bits[node.index - 1] else 0
+    if isinstance(node, FollowerVar):
+        return 1 if y_bits[node.index - 1] else 0
+    if isinstance(node, Not):
+        return 1 - _value(node.child, x_bits, y_bits)
+    left = _value(node.left, x_bits, y_bits)
+    right = _value(node.right, x_bits, y_bits)
+    return left & right if isinstance(node, And) else left | right
 
 
 def _leaf_count(node: Node) -> int:
-    # Not a closure: a recursive closure is a cycle only gc frees.
     if isinstance(node, (LeaderVar, FollowerVar)):
         return 1
     if isinstance(node, Not):
@@ -136,17 +137,18 @@ def big_m_for(formula: Formula) -> Fraction:
 
 
 def formula_to_text(formula: Formula) -> str:
-    def walk(node: Node) -> str:
-        if isinstance(node, LeaderVar):
-            return f"x{node.index}"
-        if isinstance(node, FollowerVar):
-            return f"y{node.index}"
-        if isinstance(node, Not):
-            return f"(not {walk(node.child)})"
-        op = "and" if isinstance(node, And) else "or"
-        return f"({op} {walk(node.left)} {walk(node.right)})"
+    return _text(formula.root)
 
-    return walk(formula.root)
+
+def _text(node: Node) -> str:
+    if isinstance(node, LeaderVar):
+        return f"x{node.index}"
+    if isinstance(node, FollowerVar):
+        return f"y{node.index}"
+    if isinstance(node, Not):
+        return f"(not {_text(node.child)})"
+    op = "and" if isinstance(node, And) else "or"
+    return f"({op} {_text(node.left)} {_text(node.right)})"
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,7 @@ def _emit(node: Node, n: int, gate_names: list, rows: list) -> tuple:
     """The column of node's value; a gate gets column n + its number.
 
     Appends the gate names and rows of node's subterms, children first.
-    Not a closure, for the reason `_leaf_count` gives.
+    Not a closure, for the reason given above `_value`.
     """
     if isinstance(node, LeaderVar):
         return ("x", node.index - 1)

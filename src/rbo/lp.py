@@ -109,10 +109,10 @@ class Polyhedron:
     Its data are its rows scaled to ints, `_scaled_rows` = (scales,
     rows): row i of [a | rhs] times s_i, the least int > 0 that makes it
     integral, as a tuple of ints.  `Polyhedron(a, rhs)` scales rows
-    given as rationals; `from_scaled_rows` takes rows of ints with any
-    positive scales, as `RobustBilevelInstance.follower_polyhedron` and
-    the geometry write them, and `a` and `rhs` are then Fraction views
-    built on first use.
+    given as rationals, and keeps only the scaled rows; `from_scaled_rows`
+    takes rows of ints with any positive scales, as
+    `RobustBilevelInstance.follower_polyhedron` and the geometry write
+    them.  Either way `a` and `rhs` are Fraction views built on first use.
 
     Two more things are computed on first use and kept for the object's
     lifetime: the tableau after phase one, and each objective's first
@@ -132,7 +132,6 @@ class Polyhedron:
             raise ValueError("polyhedron needs at least one column")
         self._set_rows(*zip(*[integer_scaled(row + (r,))
                               for row, r in zip(a, rhs)]))
-        self.a, self.rhs = a, rhs
 
     @classmethod
     def from_scaled_rows(cls, scales: Sequence,
@@ -193,15 +192,6 @@ class Polyhedron:
         or () for an unbounded obj}, filled by `_phase_two`, which pivots
         only copies of a kept tableau."""
         return {}
-
-
-@dataclass(frozen=True)
-class LpOutcome:
-    """An LP's status and, when optimal, its certified basic point as ints
-    (w, d), v = w / d."""
-
-    status: LpStatus
-    scaled_point: Optional[tuple] = None
 
 
 class _Tableau:
@@ -467,13 +457,14 @@ def scaled_objective(obj, sense: Sense, dim: int) -> tuple:
 
 
 def solve_lp(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None
-             ) -> LpOutcome:
+             ) -> tuple:
     """Exact solve of max obj·v over poly, obj as `scaled_objective`
-    gives it (a MIN objective comes negated).  The point, as ints (w, d),
-    is the optimal tableau's basic point, a vertex of the polyhedron
-    whenever it has one (`_phase_one`); when the polyhedron contains a
-    line instead, the free columns that span it stay at 0.  Its
-    certificate is checked before the outcome is returned.
+    gives it (a MIN objective comes negated).  Returns (status, point):
+    when optimal, the point, as ints (w, d), v = w / d, is the optimal
+    tableau's basic point, a vertex of the polyhedron whenever it has one
+    (`_phase_one`); when the polyhedron contains a line instead, the free
+    columns that span it stay at 0.  Its certificate is checked before it
+    is returned.  Otherwise the point is None.
 
     With a tie objective, in the same form, the point is also optimal for
     it over obj's optimal face, with a second certificate checked; the
@@ -481,11 +472,11 @@ def solve_lp(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None
     """
     status, tab, certs = _phase_two(poly, obj, tie)
     if status is not LpStatus.OPTIMAL:
-        return LpOutcome(status=status)
+        return status, None
     point = tab.point()
     for o, c in certs:
         _verify_certificate(poly, o, c, point)
-    return LpOutcome(LpStatus.OPTIMAL, point)
+    return status, point
 
 
 def solve_lex_lp(poly: Polyhedron, primary: tuple,
@@ -501,14 +492,14 @@ def solve_lex_lp(poly: Polyhedron, primary: tuple,
     certificates are checked at the returned point, the first of them
     proving that it attains the primary's optimum.
     """
-    out = solve_lp(poly, primary, tie=secondary)
-    if out.status is LpStatus.INFEASIBLE:
+    status, point = solve_lp(poly, primary, tie=secondary)
+    if status is LpStatus.INFEASIBLE:
         raise InfeasibleError("lexicographic solve on an empty polyhedron")
-    if out.status is LpStatus.UNBOUNDED:
+    if status is LpStatus.UNBOUNDED:
         raise UnboundedError("the primary objective is unbounded, or the "
                              "secondary on the primary's optimal face")
-    (scale, ints), (w, d) = secondary, out.scaled_point
-    return out.scaled_point, Fraction(sum(map(mul, ints, w)), scale * d)
+    (scale, ints), (w, d) = secondary, point
+    return point, Fraction(sum(map(mul, ints, w)), scale * d)
 
 
 def is_nonempty(poly: Polyhedron) -> bool:
@@ -539,4 +530,4 @@ def check_bounded_nonempty(poly: Polyhedron):
     if sum(col < n for col in poly._phase_one_tableau.basis) < n:
         return True, False
     obj = tuple([-sum(col) for col in zip(*poly._scaled_rows[1])][:n])
-    return True, solve_lp(poly, (1, obj)).status is LpStatus.OPTIMAL
+    return True, solve_lp(poly, (1, obj))[0] is LpStatus.OPTIMAL

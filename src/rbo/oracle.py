@@ -118,11 +118,13 @@ def _brute_follower_value(inst: RobustBilevelInstance, x, c, mode: Mode):
 
     The follower's optimum is attained on a face whose extreme points are
     polytope vertices, so scanning vertices reproduces the lexicographic
-    tie-breaking exactly.
+    tie-breaking exactly.  Y(x)'s rows are built here, in Fractions, from
+    the instance's stored integer rows alone.
     """
-    shifted = [inst.rhs[i] + dot(inst.leader_mat[i], x)
-               for i in range(inst.num_rows)]
-    vertices = _brute_vertices(inst.lhs, shifted)
+    lhs = [[Fraction(a, t) for a in row] for t, row, _, _ in inst.rows]
+    shifted = [Fraction(b, t) + dot(lead, x) / t
+               for t, _, lead, b in inst.rows]
+    vertices = _brute_vertices(lhs, shifted)
     best = max(dot(c, v) for v in vertices)
     scores = [dot(inst.leader_obj, v) for v in vertices
               if dot(c, v) == best]

@@ -43,13 +43,13 @@ def solve(poly, obj, sense=lp.Sense.MAX, tie=None) -> Solved:
     """`lp.solve_lp` on rational objectives, tie = (objective, sense);
     the value is obj's in its own sense."""
     scale, ints = lp.scaled_objective(obj, sense, poly.dim)
-    out = lp.solve_lp(poly, (scale, ints), None if tie is None
-                      else lp.scaled_objective(*tie, poly.dim))
-    if out.status is not lp.LpStatus.OPTIMAL:
-        return Solved(out.status)
-    w, d = out.scaled_point
+    status, point = lp.solve_lp(poly, (scale, ints), None if tie is None
+                                else lp.scaled_objective(*tie, poly.dim))
+    if status is not lp.LpStatus.OPTIMAL:
+        return Solved(status)
+    w, d = point
     value = Fraction(sum(a * x for a, x in zip(ints, w)), scale * d)
-    return Solved(out.status, tuple([Fraction(a, d) for a in w]),
+    return Solved(status, tuple([Fraction(a, d) for a in w]),
                   -value if sense is lp.Sense.MIN else value)
 
 

@@ -590,8 +590,10 @@ def test_load_and_solve_run_one_phase_one_per_leader(tmp_path, monkeypatch):
     phase_ones = _count_calls(monkeypatch, lp, "_phase_one")
     inst, _ = load_instance(path)
     solve_robust(inst)
-    assert len([poly for poly, in phase_ones if poly.a == inst.lhs]) \
-        == len(inst.leader_set.candidates(inst.p))
+    follower_sets = [inst.follower_polyhedron(x)
+                     for x in inst.leader_set.candidates(inst.p)]
+    assert [poly for poly, in phase_ones if poly in follower_sets] \
+        == follower_sets
 
 
 @st.composite
@@ -600,10 +602,11 @@ def leader_shadow_instances(draw):
     right-hand sides, so Y(x) contains the bounded Y(0); a zero column
     of B makes leaders share Y(x)."""
     inst = draw(shadow_instances())
+    y = inst.follower_polyhedron(())
     p = draw(st.integers(1, 2))
     shift = st.sampled_from([ZERO, F(1, 2), ONE])
-    mat = [[draw(shift) for _ in range(p)] for _ in range(inst.num_rows)]
-    return replace(inst, p=p, rows=int_rows(inst.lhs, mat, inst.rhs),
+    mat = [[draw(shift) for _ in range(p)] for _ in range(len(inst.rows))]
+    return replace(inst, p=p, rows=int_rows(y.a, mat, y.rhs),
                    leader_set=AllBinary())
 
 
@@ -621,11 +624,12 @@ def test_memo_matches_fresh_adversaries(inst):
 
 @st.composite
 def leader_row_instances(draw):
-    """(inst, x): rows with denominators 1 to 4 in lhs, leader_mat and
-    rhs, and a leader that is binary, from an explicit list, or on the
-    spot check's grid of sixteenths.  `follower_polyhedron` does not
-    check membership, so a fractional x goes with binary leaders: a
-    relaxed set would need the deviation penalty's rows."""
+    """(inst, x, (A, B, b)): rows [A | B | b] with denominators 1 to 4,
+    the instance built from them, and a leader that is binary, from an
+    explicit list, or on the spot check's grid of sixteenths.
+    `follower_polyhedron` does not check membership, so a fractional x
+    goes with binary leaders: a relaxed set would need the deviation
+    penalty's rows."""
     p, n, m = draw(st.integers(0, 3)), draw(st.integers(1, 3)), \
         draw(st.integers(1, 4))
 
@@ -643,29 +647,32 @@ def leader_row_instances(draw):
     else:
         sixteenths = st.integers(0, 16).map(lambda k: F(k, 16))
         leader_set, x = AllBinary(), draw(st.tuples(*[sixteenths] * p))
+    data = (rows(n), rows(p), [r[0] for r in rows(1)])
     inst = RobustBilevelInstance(
-        p=p, n=n, rows=int_rows(rows(n), rows(p), [r[0] for r in rows(1)]),
-        leader_obj=[ONE] * n,
+        p=p, n=n, rows=int_rows(*data), leader_obj=[ONE] * n,
         leader_set=leader_set, uncertainty=Interval((ZERO,) * n, (ONE,) * n))
-    return inst, x
+    return inst, x, data
+
+
+# x = 3/16 against B = 1/2 scales row 1 by 32, which A takes too.
+SIXTEENTHS_ROWS = ([[1], [F(-2, 3)]], [[F(1, 2)], [F(-3, 4)]], [0, F(1, 6)])
 
 
 @given(leader_row_instances())
-# x = 3/16 against B = 1/2 scales row 1 by 32, which the lhs takes too.
 @example((RobustBilevelInstance(
-    p=1, n=1,
-    rows=int_rows([[1], [F(-2, 3)]], [[F(1, 2)], [F(-3, 4)]], [0, F(1, 6)]),
-    leader_obj=[1], leader_set=AllBinary(),
-    uncertainty=Interval((0,), (1,))), (F(3, 16),)))
+    p=1, n=1, rows=int_rows(*SIXTEENTHS_ROWS), leader_obj=[1],
+    leader_set=AllBinary(), uncertainty=Interval((0,), (1,))),
+    (F(3, 16),), SIXTEENTHS_ROWS))
 @settings(max_examples=150, deadline=None)
 def test_follower_rows_are_the_scaled_fraction_rows(case):
     # Y(x)'s integer rows, written from the instance's, are those that
-    # integer_scaled gives the rows of [lhs | rhs + leader_mat·x].
-    inst, x = case
-    shifted = [r + dot(row, x) for r, row in zip(inst.rhs, inst.leader_mat)]
+    # integer_scaled gives the rows of [A | b + B·x] it was built from.
+    inst, x, (lhs, lead, rhs) = case
+    lhs = tuple([tuple(row) for row in lhs])
+    shifted = tuple([r + dot(row, x) for r, row in zip(rhs, lead)])
     poly = inst.follower_polyhedron(x)
-    assert poly._scaled_rows == lp.Polyhedron(inst.lhs, shifted)._scaled_rows
-    assert (poly.a, poly.rhs) == (inst.lhs, tuple(shifted))
+    assert poly._scaled_rows == lp.Polyhedron(lhs, shifted)._scaled_rows
+    assert (poly.a, poly.rhs) == (lhs, shifted)
 
 
 def test_validation_accepts_and_rejects():
@@ -687,10 +694,10 @@ def test_validation_decides_boundedness_once(monkeypatch):
     # Y(x) = {0 <= y <= 1 + x1 + x2}: emptiness at every x is read from
     # Y(x)'s phase one, and boundedness at the first x from a rank check
     # and one certified LP from that phase one's tableau.
+    lhs = ((ONE,), (-ONE,))
     inst = RobustBilevelInstance(
         p=2, n=1,
-        rows=int_rows(((ONE,), (-ONE,)), ((ONE, ONE), (ZERO, ZERO)),
-                      (ONE, ZERO)),
+        rows=int_rows(lhs, ((ONE, ONE), (ZERO, ZERO)), (ONE, ZERO)),
         leader_obj=(ONE,), leader_set=AllBinary(), uncertainty=BOX)
     phase_ones = []
     phase_one = lp._phase_one
@@ -705,7 +712,7 @@ def test_validation_decides_boundedness_once(monkeypatch):
     assert CERT_LOG.verified - before == 1
     assert len(phase_ones) == 2 ** inst.p
     empty_late = replace(inst, rows=int_rows(
-        inst.lhs, ((F(-2), F(-2)), (ZERO, ZERO)), (F(3), ZERO)))
+        lhs, ((F(-2), F(-2)), (ZERO, ZERO)), (F(3), ZERO)))
     with pytest.raises(InstanceError, match=r"empty for x=\(1, 1\)"):
         validate_instance(empty_late)
 
@@ -749,7 +756,7 @@ def test_saved_instance_is_not_one_entry_per_line(tmp_path):
     inst = compile_qsat_pessimistic(parse_formula("(or x1 y1)", 1, 1)).instance
     path = tmp_path / "instance.json"
     save_instance(path, inst)
-    entries = inst.num_rows * (inst.n + inst.p + 1)
+    entries = len(inst.rows) * (inst.n + inst.p + 1)
     assert len(path.read_text().splitlines()) < entries
 
 
@@ -833,10 +840,13 @@ def _relaxed_or():
 
 @pytest.mark.parametrize("tamper", [
     lambda inst: replace(inst, leader_obj=inst.leader_obj[:-1] + (ONE,)),
-    lambda inst: replace(inst, rows=int_rows(
-        inst.lhs, inst.leader_mat, inst.rhs[:-1] + (F(2),))),
-    lambda inst: replace(inst, rows=int_rows(
-        ((ONE,) * inst.n,) + inst.lhs[1:], inst.leader_mat, inst.rhs)),
+    # The last row's b raised to 2: (t, L, B, b) -> (t, L, B, 2t).
+    lambda inst: replace(inst, rows=inst.rows[:-1] + (
+        inst.rows[-1][:3] + (2 * inst.rows[-1][0],),)),
+    # The first row's A all ones, so it meets every dev_i: L -> (t, ..., t).
+    lambda inst: replace(inst, rows=(
+        (inst.rows[0][0], (inst.rows[0][0],) * inst.n, *inst.rows[0][2:]),
+        *inst.rows[1:])),
     lambda inst: replace(inst, uncertainty=Interval(
         inst.uncertainty.lower[:-1] + (ZERO,),
         inst.uncertainty.upper[:-1] + (ONE,))),

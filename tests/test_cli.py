@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rbo
 from rbo import bilevel, compiler, lp
@@ -388,6 +392,124 @@ def test_vector_errors_are_rational(tmp_path, capsys, key, value, message):
     assert main(["solve", out]) == 2
     err = capsys.readouterr().err
     assert message in err and "Fraction(" not in err
+
+
+@pytest.mark.parametrize("where", [None, "leader_set", "uncertainty"])
+def test_unknown_keys_are_refused(tmp_path, capsys, where):
+    # A misspelled mode_default used to fall back to optimistic and
+    # report 5/2; a field that a kind does not declare was ignored.
+    formula = write_formula(tmp_path, "p=1 n=1\n(or (not x1) y1)\n")
+    out = tmp_path / "inst.json"
+    assert main(["compile-qsat", formula, "-o", str(out),
+                 "--mode", "pessimistic"]) == 0
+    assert main(["solve", str(out)]) == 0
+    assert "mode: pessimistic\nvalue: 1\n" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    if where is None:
+        key = "mode_defualt"
+        doc[key] = doc.pop("mode_default")
+    else:
+        key = "foo"
+        doc[where][key] = 1
+    out.write_text(json.dumps(doc))
+    assert main(["solve", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: unknown key {key!r}")
+
+
+def _json_values():
+    """Any JSON value: null, bool, int, string, list or object."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6)
+
+
+def _paths(value, path=()):
+    """The path of value and of every value nested in it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, data):
+    """doc with one key of an object deleted or added, or one value at any
+    depth, doc itself included, replaced by a random JSON value."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_paths(doc))
+    objects = [path for path in paths if isinstance(_at(doc, path), dict)]
+    how = data.draw(st.sampled_from(["delete", "add", "replace"]))
+    if how == "delete":
+        target = _at(doc, data.draw(st.sampled_from(
+            [path for path in objects if _at(doc, path)])))
+        del target[data.draw(st.sampled_from(sorted(target)))]
+        return doc
+    if how == "add":
+        path = data.draw(st.sampled_from(objects)) + (
+            data.draw(st.text(max_size=6)),)
+    else:
+        path = data.draw(st.sampled_from(paths))
+    value = data.draw(_json_values())
+    if not path:
+        return value
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _exit_contract(argv):
+    """Run main(argv): it must exit 0, 2 or 3 without raising, and a
+    nonzero exit writes exactly one error: line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _saved(art):
+    """The document that save_instance writes for a compiled artifact."""
+    return instance_to_json(art.instance, art.var_map, art.big_m)
+
+
+SAVED_DOCS = (
+    _saved(compiler.compile_qsat_pessimistic(
+        parse_formula("(or (not x1) y1)", 1, 1))),
+    _saved(compile_single_level_robust([(0, 1), (1, 0), (1, 1)],
+                                       [(1, -2), (-1, 1)])),
+)
+RS_SPEC = {"X": [[0, 1], [1, 0], [1, 1]], "scenarios": [[1, -2], [-1, 1]]}
+FUZZ_EXAMPLES = 40  # per loader; both take about 1 s of tier-1 time
+
+
+@given(doc=st.sampled_from(SAVED_DOCS), data=st.data())
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+def test_solve_keeps_its_exit_contract_on_mutated_documents(
+        tmp_path_factory, doc, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_instance.json"
+    path.write_text(json.dumps(_mutated(doc, data)))
+    _exit_contract(["solve", str(path)])
+
+
+@given(data=st.data())
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+def test_compile_rs_keeps_its_exit_contract_on_mutated_specs(
+        tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzzed_spec.json"
+    path.write_text(json.dumps(_mutated(RS_SPEC, data)))
+    _exit_contract(["compile-rs", str(path), "-o", str(base / "rs.json")])
 
 
 @pytest.mark.parametrize("command", [

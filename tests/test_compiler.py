@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -405,6 +406,22 @@ def test_evaluate_matches_python_semantics():
         x, y = bits[:1], bits[1:]
         want = (x[0] and not y[0]) or y[1]
         assert evaluate(formula, x, y) == int(want)
+
+
+def test_formula_walks_leave_nothing_for_gc():
+    # A recursive closure is a cycle that only gc frees; the walks behind
+    # evaluate and formula_to_text build none, so 1,000 calls of each with
+    # gc off leave nothing for a collection to find.
+    formula = parse_formula("(or (and x1 (not y1)) y2)", 1, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            evaluate(formula, (1,), (0, 1))
+            formula_to_text(formula)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # Full `instance_to_json` documents of nine compilations.  Every LP the

@@ -58,3 +58,20 @@ def test_lp_builds_fractions_only_for_views_and_the_lex_value():
     path = Path(rbo.__file__).parent / "lp.py"
     calls = _fraction_calls(ast.parse(path.read_text()))
     assert set(calls) <= {"Polyhedron.a", "Polyhedron.rhs", "solve_lex_lp"}
+
+
+def test_oracle_reads_only_stored_instance_data():
+    # The reference stays independent of the solver code: it imports
+    # neither the LP kernel nor the geometry, and of an instance it reads
+    # only stored data, never a view that solver code computes.
+    tree = ast.parse((Path(rbo.__file__).parent / "oracle.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert imported.isdisjoint({"lp", "geometry", "rbo.lp", "rbo.geometry"})
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("rbo") for alias in node.names)]
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "inst"}
+    assert read <= {"p", "n", "rows", "leader_obj", "leader_set",
+                    "uncertainty"}
