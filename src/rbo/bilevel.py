@@ -54,6 +54,7 @@ from .numeric import (
     rat_format_vector,
     rat_parse,
     rat_parse_nested,
+    rat_parse_scaled,
 )
 from .uncertainty import KINDS, CapExceededError, Kind, UncertaintySet
 
@@ -148,7 +149,7 @@ class RobustBilevelInstance:
     ints, the one copy of [A | B | b]: `rows` holds (t_i, L_i, B_i, b_i)
     for each row i, row i of [A | B | b] times t_i, the least int > 0 that
     makes it integral, split into its three parts, as `int_row` writes
-    them from sparse rows and `int_rows` from dense ones.
+    them from sparse rows and `instance_from_json` from a document.
     """
 
     p: int
@@ -180,11 +181,12 @@ class RobustBilevelInstance:
         _check_relaxed_penalty(self)
 
     def follower_polyhedron(self, x: Sequence) -> Polyhedron:
-        """Y(x), one `Polyhedron` per leader vector for the instance's
-        lifetime (kept in `_polyhedra` under x), so every solve on
-        Y(x) shares one tableau build and one phase one: validation's,
-        both modes' adversaries and the replay; and each objective's
-        first stage.
+        """Y(x), one `Polyhedron` per distinct Y(x) for the instance's
+        lifetime (kept in `_polyhedra` under x, and in `_distinct` under
+        its integer rows, so leaders with equal rows share one), so every
+        solve on Y(x) shares one tableau build and one phase one:
+        validation's, both modes' adversaries and the replay; and each
+        objective's first stage.
 
         Its rows are written in ints from `rows`: with x = X / q, row i
         of [A | b + B·x] is (q·L_i | q·b_i + B_i·X) / (t_i·q), which
@@ -197,10 +199,11 @@ class RobustBilevelInstance:
         memo = self._polyhedra
         if x not in memo:
             q, xs = integer_scaled(x)
-            memo[x] = Polyhedron.from_scaled_rows(
+            poly = Polyhedron.from_scaled_rows(
                 [t * q for t, _, _, _ in self.rows],
                 [[q * a for a in lhs] + [q * b + sum(map(mul, lead, xs))]
                  for _, lhs, lead, b in self.rows])
+            memo[x] = self._distinct.setdefault(poly._scaled_rows, poly)
         return memo[x]
 
     @cached_property
@@ -221,13 +224,26 @@ class RobustBilevelInstance:
         return [(c, scaled_objective(c, Sense.MAX, self.n))
                 for c in scenarios]
 
+    @cached_property
+    def _shadow(self):
+        """The uncertainty set's `Shadow`, taken once."""
+        return self.uncertainty.shadow()
+
     # Kept for the instance's lifetime, see `adversary_geometric`.
     @cached_property
     def _polyhedra(self) -> dict:
         return {}
 
     @cached_property
+    def _distinct(self) -> dict:
+        return {}
+
+    @cached_property
     def _adversaries(self) -> dict:
+        return {}
+
+    @cached_property
+    def _vertices(self) -> dict:
         return {}
 
     @cached_property
@@ -248,19 +264,6 @@ def int_row(follower: dict, leader: dict, const, n: int, p: int) -> tuple:
             part[j] = v.numerator * (t // v.denominator)
     return (t, tuple(lhs), tuple(lead),
             const.numerator * (t // const.denominator))
-
-
-def int_rows(lhs: Sequence, leader_mat: Sequence, rhs: Sequence) -> tuple:
-    """The instance rows of dense rational rows lhs·y <= leader_mat·x +
-    rhs, as `int_row` writes sparse ones."""
-    if not len(lhs) == len(leader_mat) == len(rhs):
-        raise InstanceError("row counts of A, B and b differ")
-    rows = []
-    for a, lead, b in zip(lhs, leader_mat, rhs):
-        t, ints = integer_scaled((*a, *lead, b))
-        rows.append((t, tuple(ints[:len(a)]), tuple(ints[len(a):-1]),
-                     ints[-1]))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -374,21 +377,22 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     vertices is its face.
 
     Leaders of one instance mostly share their shadow, so the work is
-    kept for the instance's lifetime: `inst._adversaries` holds the
-    result (c*, value) under (mode, scales, rows), Y(x)'s integer rows,
-    for finite sets too; `inst._scans` holds the scan's scenarios under
-    (mode, shadow vertices), the sorted vertex tuple of the projection,
-    so the exposed faces are found once for each distinct shadow and
-    mode; and `inst._polyhedra` holds Y(x) under x.  A polytope is its
-    vertex set, and its faces do not depend on redundant rows, so the
-    projection's rows need not be irredundant.  Only the projection, its
-    vertex enumeration and the follower LPs on a new Y(x) run again,
-    each LP with its certificates checked; Y(x) keeps each scenario's
-    first stage, so the other mode and the replay run only tie stages.
+    kept for the instance's lifetime: `inst._polyhedra` and
+    `inst._distinct` give leaders with equal Y(x) rows one polyhedron;
+    `inst._adversaries` holds the result (c*, value) under (mode, Y(x)),
+    for finite sets too; `inst._vertices` holds the shadow's vertices
+    under the projection's sorted integer rows; and `inst._scans` holds
+    the scan's scenarios under (mode, shadow vertices), so the exposed
+    faces are found once for each distinct shadow and mode.  A polytope
+    is its vertex set, and its faces do not depend on redundant rows, so
+    the projection's rows need not be irredundant.  Only the projection
+    and the follower LPs on a new Y(x) run again, each LP with its
+    certificates checked; Y(x) keeps each scenario's first stage, so the
+    other mode and the replay run only tie stages.
     """
     poly = inst.follower_polyhedron(x)
     memo = inst._adversaries
-    key = (mode, *poly._scaled_rows)
+    key = (mode, poly)
     if key not in memo:
         scenarios = inst._finite_objectives
         if scenarios is None:
@@ -406,31 +410,33 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
                       mode: Mode) -> list:
     """(c, c scaled to ints) for the scenarios of the faces of the shadow
     of poly = Y(x) that `geometry.exposed_faces` gives for the mode, in
-    its order.  Directions are scored on the vertices times their common
-    denominator, each direction scaled to ints: a positive factor, so the
-    argmax is the same."""
+    its order.  Each direction w / d is checked in ints: w·v over the
+    shadow's vertices, each v its key (d_v·v | d_v), one positive
+    factor d·d_v off the true score, so the argmax is the same."""
+    shadow = inst._shadow
+    image = geometry.project_polytope(poly, shadow.columns)
+    known = inst._vertices
+    verts = known.get(image._scaled_rows)
+    if verts is None:
+        verts = known[image._scaled_rows] = tuple(
+            geometry.enumerate_vertices(image))
     memo = inst._scans
-    shadow = inst.uncertainty.shadow()
-    verts = tuple(geometry.enumerate_vertices(
-        geometry.project_polytope(poly, shadow.columns)))
     key = (mode, verts)
     if key in memo:
         return memo[key]
     faces = geometry.exposed_faces(verts, shadow.directions,
                                    mode is Mode.OPTIMISTIC)
-    q = len(shadow.columns)
-    _, flat = integer_scaled([a for v in verts for a in v])
-    scaled = [flat[i:i + q] for i in range(0, len(flat), q)]
     scenarios = []
-    for face, s in faces.items():
-        ints = integer_scaled(s)[1]
-        scores = [sum(map(mul, ints, v)) for v in scaled]
+    for face, (w, d) in faces.items():
+        # zip stops at w's end, before each v's last entry, d_v.
+        scores = [sum(map(mul, w, v)) for v in verts]
         top = max(scores)
-        if not (shadow.directions.contains(s) and face == frozenset(
+        if not (shadow.directions._holds(w, d) and face == frozenset(
                 i for i, score in enumerate(scores) if score == top)):
             raise SolverInvariantError(
-                f"direction {rat_format_vector(s)} does not expose its face")
-        c = shadow.scenario(s)
+                f"direction {rat_format_vector(w)} / {d} does not expose "
+                "its face")
+        c = shadow.scenario(w, d)
         scenarios.append((c, scaled_objective(c, Sense.MAX, inst.n)))
     memo[key] = scenarios
     return scenarios
@@ -533,6 +539,25 @@ def _json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _rows_from_json(doc: dict) -> tuple:
+    """The instance rows of the document's A, B and b, as `int_row`
+    writes them, each row's p/q strings read straight into ints at one
+    scale (`rat_parse_scaled`): A's rows first, then B's, then b's."""
+    lhs, lead, rhs = [doc[key] for key in ("A", "B", "b")]
+    if not all(isinstance(part, list) for part in (lhs, lead, rhs)):
+        raise TypeError("A, B and b must be JSON lists")
+    lhs, lead, rhs = [[rat_parse_scaled(row) for row in part]
+                      for part in (lhs, lead, [[b] for b in rhs])]
+    if not len(lhs) == len(lead) == len(rhs):
+        raise InstanceError("row counts of A, B and b differ")
+    rows = []
+    for (sa, a), (sl, l), (sb, (b,)) in zip(lhs, lead, rhs):
+        t = lcm(sa, sl, sb)
+        rows.append((t, tuple([c * (t // sa) for c in a]),
+                     tuple([c * (t // sl) for c in l]), b * (t // sb)))
+    return tuple(rows)
+
+
 def instance_from_json(doc: dict):
     """Parse the interchange document; returns (instance, metadata)."""
     if not isinstance(doc, dict):
@@ -542,8 +567,7 @@ def instance_from_json(doc: dict):
         inst = RobustBilevelInstance(
             p=_json_int(doc, "p"),
             n=_json_int(doc, "n"),
-            rows=int_rows(*[rat_parse_nested(doc[key])
-                            for key in ("A", "B", "b")]),
+            rows=_rows_from_json(doc),
             leader_obj=rat_parse_nested(doc["d"]),
             leader_set=_kind_from_json(doc, "leader_set", LEADER_KINDS),
             uncertainty=_kind_from_json(doc, "uncertainty", KINDS),
@@ -560,8 +584,6 @@ def instance_from_json(doc: dict):
         if "M" in doc:
             meta["M"] = rat_parse(doc["M"])
     except (AttributeError, KeyError, TypeError, RecursionError) as exc:
-        # A list where a rational belongs has no `denominator` for
-        # `int_row` to read.
         raise InstanceError(f"malformed instance document: {exc}") from exc
     return inst, meta
 

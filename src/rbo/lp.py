@@ -47,7 +47,6 @@ can assert that no solve ever went uncertified.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -239,9 +238,9 @@ class _Tableau:
         """A tableau that pivots apart from this one.  The rows are shared:
         `pivot` replaces a row, or copies it before it writes into it, and
         never writes into a row in place."""
-        twin = copy.copy(self)
-        twin.rows = self.rows[:]
-        twin.basis = self.basis[:]
+        twin = _Tableau.__new__(_Tableau)
+        twin.m, twin.n, twin.d = self.m, self.n, self.d
+        twin.rows, twin.basis = self.rows[:], self.basis[:]
         return twin
 
     def pivot(self, row: int, col: int) -> None:

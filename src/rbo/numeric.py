@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -41,17 +41,32 @@ def rat_parse(text: str) -> Fraction:
     Rejects anything outside the integer-slash-integer grammar, including
     decimal points, exponents and zero denominators.
     """
-    if not isinstance(text, str):
-        raise TypeError(f"expected a rational string, got {text!r}")
-    text = text.strip()
-    if not _RAT_RE.match(text):
-        raise ValueError(f"malformed rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
+    s, (p,) = rat_parse_scaled([text])
+    return Fraction(p, s)
+
+
+def rat_parse_scaled(texts: list) -> tuple:
+    """(s, ints): a list of `rat_parse` literals read straight into ints,
+    as `integer_scaled` gives their values; anything but a list is a
+    TypeError.  s, the lcm of the literals' q, divided by the gcd of s
+    and the ints, is the least scale."""
+    if not isinstance(texts, list):
+        raise TypeError(f"expected a list of rational strings, got {texts!r}")
+    pairs = []
+    for text in texts:
+        if not isinstance(text, str):
+            raise TypeError(f"expected a rational string, got {text!r}")
+        text = text.strip()
+        if not _RAT_RE.match(text):
+            raise ValueError(f"malformed rational literal: {text!r}")
+        num, _, den = text.partition("/")
+        pairs.append((int(num), int(den or 1)))
+        if not pairs[-1][1]:
             raise ValueError(f"zero denominator in rational literal: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    s = lcm(*[q for _, q in pairs])
+    ints = [p * (s // q) for p, q in pairs]
+    g = gcd(s, *ints)
+    return s // g, [c // g for c in ints]
 
 
 def rat_format(value: Fraction) -> str:

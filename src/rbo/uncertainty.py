@@ -70,9 +70,9 @@ class Shadow:
     columns: tuple
     directions: Polyhedron
 
-    def scenario(self, s: Sequence) -> tuple:
-        """The scenario L·s of a direction s in D."""
-        return tuple([dot(s, row) for row in zip(*self.columns)])
+    def scenario(self, w: Sequence, d: int) -> tuple:
+        """The scenario L·s of a direction s = w / d in D, d > 0."""
+        return tuple([dot(w, row) / d for row in zip(*self.columns)])
 
 
 def _identity(k: int) -> tuple:
@@ -150,8 +150,8 @@ class Interval(UncertaintySet):
         free = self.free_indices()
         base = tuple([ZERO if i in free else self.lower[i]
                       for i in range(self.dim)])
-        units = _identity(self.dim)
-        columns = [units[i] for i in free]
+        columns = [tuple([ONE if j == i else ZERO for j in range(self.dim)])
+                   for i in free]
         bounds = [(self.lower[i], self.upper[i]) for i in free]
         if any(base):
             columns.append(base)

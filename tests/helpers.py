@@ -1,13 +1,14 @@
-"""Helpers that only the tests call: a rank reference, the formula file
-writer, the relaxed leader's fractional spot check, and the LP solves
-on rational objectives that the LP tests state their cases in."""
+"""Helpers that only the tests call: a rank reference, instance rows
+from dense rational rows, points and vertices in Fractions, the formula
+file writer, the relaxed leader's fractional spot check, and the LP
+solves on rational objectives that the LP tests state their cases in."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from rbo import bilevel, lp
+from rbo import bilevel, geometry, lp
 from rbo.compiler import Formula, formula_to_text
 from rbo.numeric import eliminate, integer_scaled
 
@@ -22,6 +23,30 @@ def span_basis(vectors) -> tuple:
     independent of the simplex."""
     return tuple(eliminate([integer_scaled(row)[1] for row in zip(*vectors)],
                            len(vectors))[0])
+
+
+def int_rows(lhs, leader_mat, rhs) -> tuple:
+    """The instance rows of dense rational rows lhs·y <= leader_mat·x +
+    rhs, as `int_row` writes sparse ones."""
+    if not len(lhs) == len(leader_mat) == len(rhs):
+        raise bilevel.InstanceError("row counts of A, B and b differ")
+    rows = []
+    for a, lead, b in zip(lhs, leader_mat, rhs):
+        t, ints = integer_scaled((*a, *lead, b))
+        rows.append((t, tuple(ints[:len(a)]), tuple(ints[len(a):-1]),
+                     ints[-1]))
+    return tuple(rows)
+
+
+def fractions(w, d) -> tuple:
+    """The point w / d, w ints and d > 0, in Fractions."""
+    return tuple([Fraction(c, d) for c in w])
+
+
+def vertices(poly) -> dict:
+    """`geometry.enumerate_vertices` with each vertex in Fractions."""
+    return {fractions(w[:-1], w[-1]): tight
+            for w, tight in geometry.enumerate_vertices(poly).items()}
 
 
 def formula_file_text(formula: Formula) -> str:

@@ -18,7 +18,6 @@ from rbo.bilevel import (
     RobustBilevelInstance,
     adversary_geometric,
     follower_response,
-    int_rows,
     solve_robust,
 )
 from rbo.compiler import (
@@ -44,7 +43,8 @@ from rbo.oracle import (
 )
 from rbo.uncertainty import DiscreteSet, Interval
 from reference_faces import enumerate_faces, exposure_check, undominated
-from helpers import solve, solve_lex, spot_check_relaxed
+from helpers import (fractions, int_rows, solve, solve_lex,
+                     spot_check_relaxed, vertices)
 from test_geometry import argmax_vertices
 import report_ledger
 
@@ -290,7 +290,7 @@ def test_criterion_9_face_fixtures_and_exposure_round_trip():
     ]
     exposed_total = 0
     for poly, expected_count, box in fixtures:
-        tights = geometry.enumerate_vertices(poly)
+        tights = vertices(poly)
         verts = tuple(tights)
         faces = enumerate_faces(tights.values())
         assert len(faces) == expected_count
@@ -302,10 +302,12 @@ def test_criterion_9_face_fixtures_and_exposure_round_trip():
             assert argmax_vertices(verts, s) == face
             exposed.append(face)
         for upward in (True, False):
-            faces = geometry.exposed_faces(verts, box.shadow().directions,
-                                           upward)
+            faces = geometry.exposed_faces(
+                tuple(geometry.enumerate_vertices(poly)),
+                box.shadow().directions, upward)
             assert list(faces) == undominated(exposed, upward)
-            for face, s in faces.items():
+            for face, (w, d) in faces.items():
+                s = fractions(w, d)
                 assert box.shadow().directions.contains(s)
                 assert argmax_vertices(verts, s) == face
         exposed_total += len(exposed)

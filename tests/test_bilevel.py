@@ -18,7 +18,6 @@ from rbo.bilevel import (
     follower_response,
     instance_from_json,
     instance_to_json,
-    int_rows,
     load_instance,
     save_instance,
     solve_robust,
@@ -44,7 +43,7 @@ from rbo.uncertainty import (
     ProductFinite,
     Shadow,
 )
-from helpers import spot_check_relaxed
+from helpers import fractions, int_rows, spot_check_relaxed, vertices
 from reference_faces import enumerate_faces, exposure_check
 from test_geometry import argmax_vertices
 from test_lp import _rationals, small_polytopes
@@ -277,7 +276,7 @@ def direct_face_lattice(inst, mode):
     is exposable when some s in D gives c = L·s with exactly that face as
     c's argmax over Y, and its outcome is the best (optimistic) or worst
     (pessimistic) leader score over its vertices."""
-    tights = geometry.enumerate_vertices(inst.follower_polyhedron(()))
+    tights = vertices(inst.follower_polyhedron(()))
     verts = tuple(tights)
     shadow = inst.uncertainty.shadow()
     images = tuple([tuple([dot(col, v) for col in shadow.columns])
@@ -301,7 +300,7 @@ def unpruned_shadow_scan(inst, mode):
     shadow = inst.uncertainty.shadow()
     image = geometry.project_polytope(inst.follower_polyhedron(()),
                                       shadow.columns)
-    tights = geometry.enumerate_vertices(image)
+    tights = vertices(image)
     verts = tuple(tights)
     faces = enumerate_faces(tights.values())
     if mode is Mode.PESSIMISTIC:
@@ -311,7 +310,7 @@ def unpruned_shadow_scan(inst, mode):
         s = exposure_check(face, verts, shadow.directions)
         if s is None:
             continue
-        c = shadow.scenario(s)
+        c = shadow.scenario(s, 1)
         _, value = follower_response(inst, (), c, mode)
         if best is None or value < best[1]:
             best = (face, value)
@@ -325,9 +324,8 @@ def scenario_face(inst, c):
     poly = inst.follower_polyhedron(())
     columns = inst.uncertainty.shadow().columns
     score = {tuple([dot(col, y) for col in columns]): dot(c, y)
-             for y in geometry.enumerate_vertices(poly)}
-    verts = geometry.enumerate_vertices(
-        geometry.project_polytope(poly, columns))
+             for y in vertices(poly)}
+    verts = vertices(geometry.project_polytope(poly, columns))
     return argmax_vertices([(score[w],) for w in verts], (ONE,))
 
 
@@ -419,20 +417,20 @@ def test_face_scan_skips_dominated_faces(monkeypatch):
     # the four vertices, and the pessimistic scan only the whole square,
     # which s = 0 exposes.
     inst = replace(SQUARE_IN_A_BOX)
-    verts = tuple(geometry.enumerate_vertices(inst.follower_polyhedron(())))
+    verts = tuple(vertices(inst.follower_polyhedron(())))
     taken = _count_calls(monkeypatch, Shadow, "scenario")
     adversary_geometric(inst, (), Mode.OPTIMISTIC)
-    assert [argmax_vertices(verts, s) for _, s in taken] \
+    assert [argmax_vertices(verts, fractions(w, d)) for _, w, d in taken] \
         == [frozenset([i]) for i in range(4)]
     taken.clear()
     adversary_geometric(inst, (), Mode.PESSIMISTIC)
-    assert [s for _, s in taken] == [(ZERO, ZERO)]
+    assert [fractions(w, d) for _, w, d in taken] == [(ZERO, ZERO)]
 
 
 @pytest.mark.parametrize("faces", [
-    {frozenset([0]): (ONE, ONE)},          # exposes (1, 1) instead
-    {frozenset(range(4)): (ONE, ZERO)},    # exposes the right edge
-    {frozenset([1, 3]): (ZERO, F(2))}])    # the top edge, from outside D
+    {frozenset([0]): ((1, 1), 1)},         # exposes (1, 1) instead
+    {frozenset(range(4)): ((2, 0), 2)},    # exposes the right edge
+    {frozenset([1, 3]): ((0, 4), 2)}])     # the top edge, from outside D
 def test_face_scan_checks_each_direction(monkeypatch, faces):
     # A direction outside D, or whose argmax over the shadow's vertices
     # is not its face, breaks the scan's invariant.
@@ -483,6 +481,42 @@ def test_memo_scans_each_distinct_shadow_once(monkeypatch):
         assert len(enumerated) == len(described) == 3
         assert len(exposed) == 1
         assert len(taken) == faces
+
+
+def test_leaders_with_equal_rows_share_one_polyhedron(monkeypatch):
+    # x2's column of B is zero, so (0, 0) and (0, 1) have one Y(x), and
+    # (1, 0) and (1, 1) another: two polyhedra, two phase ones and two
+    # adversary entries for four leaders.
+    inst = replace(SHARED_SHADOW)
+    phase_ones = _count_calls(monkeypatch, lp, "_phase_one")
+    solve_robust(inst, Mode.OPTIMISTIC)
+    first, second, third, fourth = [inst.follower_polyhedron(x) for x in
+                                    inst.leader_set.candidates(inst.p)]
+    assert first is second and third is fourth and first is not third
+    assert [poly for poly, in phase_ones] == [first, third]
+    assert list(inst._adversaries) == [(Mode.OPTIMISTIC, first),
+                                       (Mode.OPTIMISTIC, third)]
+
+
+def test_memo_enumerates_each_projection_once(monkeypatch):
+    # Y(x) = {0 <= y1 <= 1, 0 <= y2 <= 1 + x1}: the two Y(x) differ, but
+    # the box pins c2 to 0, so both project onto y1 as [0, 1], one set of
+    # rows.  Two projections, one vertex enumeration of the shadow and
+    # one of the epigraph of `exposed_faces`.
+    inst = RobustBilevelInstance(
+        p=1, n=2,
+        rows=int_rows(((ONE, ZERO), (-ONE, ZERO), (ZERO, ONE), (ZERO, -ONE)),
+                      ((ZERO,), (ZERO,), (ONE,), (ZERO,)),
+                      (ONE, ZERO, ONE, ZERO)),
+        leader_obj=(ONE, ONE), leader_set=AllBinary(),
+        uncertainty=Interval((-ONE, ZERO), (ONE, ZERO)))
+    projected = _count_calls(monkeypatch, geometry, "project_polytope")
+    enumerated = _count_calls(monkeypatch, geometry, "enumerate_vertices")
+    report = solve_robust(inst, Mode.OPTIMISTIC)
+    assert inst.follower_polyhedron((ZERO,)) \
+        is not inst.follower_polyhedron((ONE,))
+    assert len(projected) == 2 and len(enumerated) == 2
+    assert report.value == 2 and report.leader_x == (ONE,)
 
 
 def test_memo_solves_each_finite_y_once(monkeypatch):
@@ -583,15 +617,16 @@ def test_lex_value_is_the_secondary_at_the_fraction_point(case, data):
 
 
 def test_load_and_solve_run_one_phase_one_per_leader(tmp_path, monkeypatch):
-    # Validation's emptiness probes and the solve share each Y(x).
+    # Validation's emptiness probes and the solve share each distinct Y(x).
     path = tmp_path / "instance.json"
     save_instance(path, compile_qsat_pessimistic(
         parse_formula("(or x1 (and (not x2) y1))", 2, 1)).instance)
     phase_ones = _count_calls(monkeypatch, lp, "_phase_one")
     inst, _ = load_instance(path)
     solve_robust(inst)
-    follower_sets = [inst.follower_polyhedron(x)
-                     for x in inst.leader_set.candidates(inst.p)]
+    follower_sets = list(dict.fromkeys([
+        inst.follower_polyhedron(x)
+        for x in inst.leader_set.candidates(inst.p)]))
     assert [poly for poly, in phase_ones if poly in follower_sets] \
         == follower_sets
 
@@ -710,7 +745,8 @@ def test_validation_decides_boundedness_once(monkeypatch):
     before = CERT_LOG.verified
     validate_instance(inst)
     assert CERT_LOG.verified - before == 1
-    assert len(phase_ones) == 2 ** inst.p
+    # x = (0, 1) and x = (1, 0) share Y(x) = {0 <= y <= 2}.
+    assert len(phase_ones) == 3
     empty_late = replace(inst, rows=int_rows(
         lhs, ((F(-2), F(-2)), (ZERO, ZERO)), (F(3), ZERO)))
     with pytest.raises(InstanceError, match=r"empty for x=\(1, 1\)"):

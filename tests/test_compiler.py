@@ -17,7 +17,6 @@ from rbo.bilevel import (
     SolveReport,
     follower_response,
     instance_to_json,
-    int_rows,
     solve_robust,
 )
 from rbo.compiler import (
@@ -51,7 +50,7 @@ from rbo.lp import Polyhedron, Sense
 from rbo.numeric import ONE, ZERO, rat_parse_nested
 from rbo.oracle import robust_single_level_oracle
 from rbo.uncertainty import ConvexHull, DiscreteSet, Interval
-from helpers import formula_file_text, solve
+from helpers import formula_file_text, int_rows, solve
 
 
 def test_parse_examples():

@@ -16,7 +16,7 @@ from rbo.geometry import (
 from rbo.lp import LpStatus, Polyhedron
 from rbo.numeric import dot
 from rbo.uncertainty import ConvexHull, Interval
-from helpers import solve
+from helpers import fractions, solve, vertices
 from reference_faces import enumerate_faces, exposure_check, undominated
 from test_lp import _rationals, small_polytopes
 
@@ -39,9 +39,9 @@ def tight_rows_at(poly, point):
 
 
 def vertices_and_faces(poly):
-    """(vertices, faces): the vertex tuple and the faces closed from the
-    vertices' tight sets."""
-    tights = enumerate_vertices(poly)
+    """(vertices, faces): the vertex tuple in Fractions and the faces
+    closed from the vertices' tight sets."""
+    tights = vertices(poly)
     return tuple(tights), enumerate_faces(tights.values())
 
 
@@ -106,7 +106,7 @@ def test_vertices_match_the_brute_force_oracle(case):
     # Boxes of zero width make some polytopes lower-dimensional.  Each
     # vertex carries exactly the rows tight at it.
     poly = case[0]
-    tights = enumerate_vertices(poly)
+    tights = vertices(poly)
     assert tuple(tights) == tuple(oracle._brute_vertices(poly.a, poly.rhs))
     for v, tight in tights.items():
         assert tight == tight_rows_at(poly, v)
@@ -215,6 +215,12 @@ def test_grid_scan_covers_exposable_faces():
         assert argmax_vertices(verts, c) in exposable
 
 
+def fraction_faces(verts, directions, upward):
+    """`exposed_faces` as a list of (face, s), each s in Fractions."""
+    return [(face, fractions(*s))
+            for face, s in exposed_faces(verts, directions, upward).items()]
+
+
 # The unit square's vertices (0, 0), (0, 1), (1, 0), (1, 1) under the
 # directions s = (-1 + 3l, 2 - 3l), 0 <= l <= 1: (0, 1) wins up to
 # l = 1/3, where the top edge ties, then (1, 1) up to l = 2/3, where the
@@ -228,17 +234,17 @@ def test_exposed_faces_of_a_direction_segment():
     # its direction is the mean of the two edges' vertices of Q.
     # Downward, the two edges, the right one first.
     verts = tuple(enumerate_vertices(UNIT_SQUARE))
-    assert list(exposed_faces(verts, SEGMENT_OF_DIRECTIONS, True).items()) \
+    points = tuple(vertices(UNIT_SQUARE))
+    assert fraction_faces(verts, SEGMENT_OF_DIRECTIONS, True) \
         == [(frozenset([1]), (F(-1), F(2))), (frozenset([2]), (F(2), F(-1))),
             (frozenset([3]), (F(1, 2), F(1, 2)))]
-    assert list(exposed_faces(verts, SEGMENT_OF_DIRECTIONS, False).items()) \
+    assert fraction_faces(verts, SEGMENT_OF_DIRECTIONS, False) \
         == [(frozenset([2, 3]), (F(1), F(0))),
             (frozenset([1, 3]), (F(0), F(1)))]
     for upward in (True, False):
-        faces = exposed_faces(verts, SEGMENT_OF_DIRECTIONS, upward)
-        for face, s in faces.items():
+        for face, s in fraction_faces(verts, SEGMENT_OF_DIRECTIONS, upward):
             assert SEGMENT_OF_DIRECTIONS.contains(s)
-            assert argmax_vertices(verts, s) == face
+            assert argmax_vertices(points, s) == face
 
 
 def test_exposed_faces_are_not_bounded_by_their_closure(monkeypatch):
@@ -252,8 +258,8 @@ def test_exposed_faces_are_not_bounded_by_their_closure(monkeypatch):
     monkeypatch.setattr(geometry, "CAP", 26)
     assert list(exposed_faces(verts, directions, True)) \
         == [frozenset([i]) for i in range(8)]
-    assert exposed_faces(verts, directions, False) \
-        == {frozenset(range(8)): (F(0),) * 3}
+    assert fraction_faces(verts, directions, False) \
+        == [(frozenset(range(8)), (F(0),) * 3)]
 
 
 @st.composite
@@ -275,23 +281,23 @@ def test_exposed_faces_match_the_exposure_lp(case, data):
     # exposable, in the scan's order, and each direction lies in D and
     # exposes exactly its face.
     poly = case[0]
-    tights = enumerate_vertices(poly)
-    verts = tuple(tights)
+    tights = vertices(poly)
+    points = tuple(tights)
     directions = data.draw(direction_polytopes(poly.dim))
     exposable = [f for f in enumerate_faces(tights.values())
-                 if exposure_check(f, verts, directions) is not None]
+                 if exposure_check(f, points, directions) is not None]
+    verts = tuple(enumerate_vertices(poly))
     for upward in (True, False):
-        faces = exposed_faces(verts, directions, upward)
-        assert list(faces) == undominated(exposable, upward)
-        for face, s in faces.items():
+        faces = fraction_faces(verts, directions, upward)
+        assert [face for face, _ in faces] == undominated(exposable, upward)
+        for face, s in faces:
             assert directions.contains(s)
-            assert argmax_vertices(verts, s) == face
+            assert argmax_vertices(points, s) == face
 
 
 def test_projection_diagonal_score():
     image = project_polytope(UNIT_SQUARE, [[1, 1]])
-    verts = enumerate_vertices(image)
-    assert set(verts) == {(F(0),), (F(2),)}
+    assert set(vertices(image)) == {(F(0),), (F(2),)}
 
 
 def test_projection_preserves_extremes():
@@ -301,8 +307,8 @@ def test_projection_preserves_extremes():
 
     for direction in ((F(1), F(0)), (F(0), F(1)), (F(2), F(-1))):
         image = project_polytope(TRIANGLE, [direction])
-        lo = min(v[0] for v in enumerate_vertices(image))
-        hi = max(v[0] for v in enumerate_vertices(image))
+        lo = min(v[0] for v in vertices(image))
+        hi = max(v[0] for v in vertices(image))
         assert hi == solve(TRIANGLE, direction, Sense.MAX).value
         assert lo == solve(TRIANGLE, direction, Sense.MIN).value
 
@@ -310,8 +316,7 @@ def test_projection_preserves_extremes():
 def test_projection_of_flat_image():
     # Image coordinates are linearly dependent: the image is a flat segment.
     image = project_polytope(SEGMENT, [[1], [2]])
-    verts = set(enumerate_vertices(image))
-    assert verts == {(F(0), F(0)), (F(1), F(2))}
+    assert set(vertices(image)) == {(F(0), F(0)), (F(1), F(2))}
 
 
 def test_projection_of_empty_polyhedron_is_refused():
@@ -359,8 +364,7 @@ def test_projection_is_the_image_of_the_vertices(case, data):
     for row in shadow.a:
         assert all(c.denominator == 1 for c in row)
         assert math.gcd(*[c.numerator for c in row]) == 1
-    images = {tuple([dot(t, v) for t in image])
-              for v in enumerate_vertices(poly)}
+    images = {tuple([dot(t, v) for t in image]) for v in vertices(poly)}
     assert all(shadow.contains(w) for w in images)
-    assert set(enumerate_vertices(shadow)) == {
+    assert set(vertices(shadow)) == {
         w for w in images if _extreme(w, images - {w})}

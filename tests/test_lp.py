@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbo import lp
-from rbo.geometry import enumerate_vertices
 from rbo.lp import (
     CERT_LOG,
     InfeasibleError,
@@ -22,7 +21,7 @@ from rbo.lp import (
 )
 from rbo.numeric import dot, integer_scaled
 from rbo.oracle import _brute_vertices
-from helpers import solve, solve_lex, span_basis
+from helpers import solve, solve_lex, span_basis, vertices
 import reference_dual
 
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
@@ -170,7 +169,7 @@ def test_optimal_point_is_vertex_of_random_polytope(case):
     tight = [row for row, r in zip(poly.a, poly.rhs)
              if dot(row, out.point) == r]
     assert len(span_basis(tight)) == poly.dim
-    values = [dot(obj, v) for v in enumerate_vertices(poly)]
+    values = [dot(obj, v) for v in vertices(poly)]
     best = max(values) if sense is Sense.MAX else min(values)
     assert out.value == best
     if sense is Sense.MAX:

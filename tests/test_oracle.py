@@ -9,7 +9,6 @@ from rbo.bilevel import (
     ExplicitList,
     Mode,
     RobustBilevelInstance,
-    int_rows,
     solve_robust,
 )
 from rbo.compiler import (
@@ -31,6 +30,7 @@ from rbo.uncertainty import (
     Interval,
     ProductFinite,
 )
+from helpers import int_rows
 from test_lp import _rationals
 
 

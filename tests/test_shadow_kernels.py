@@ -144,3 +144,23 @@ def test_point_y_refusals_match_the_reference(monkeypatch):
     assert outcome(geometry.project_polytope, empty, columns) == (
         ValueError, "projection produced an infeasible row")
     check_projection(empty, columns)
+
+
+def test_an_equality_pair_found_after_a_step(monkeypatch):
+    # The square [-1, 1]^2 under w = (y2 - y1, -y1 - y2): substituting y1
+    # along the pair of w1 turns the pair of w2 into a new equality pair,
+    # -w1 + w2 + 2·y2 = 0, and y2 is substituted along it.  The pairs are
+    # kept as rows are added, not found again at each step.
+    seen = []
+    cheapest = geometry._cheapest
+
+    def spy(rows, remaining, equal):
+        seen.append(set(equal))
+        return cheapest(rows, remaining, equal)
+
+    monkeypatch.setattr(geometry, "_cheapest", spy)
+    poly = Polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+    check_projection(poly, [[-1, 1], [-1, -1]])
+    assert seen == [
+        {(-1, 0, -1, 1), (1, 0, 1, -1), (0, -1, -1, -1), (0, 1, 1, 1)},
+        {(-1, 1, 0, 2), (1, -1, 0, -2)}]

@@ -48,8 +48,8 @@ def test_uncertainty_protocol(name):
     if finite is None:
         shadow = unc.shadow()
         assert all(len(col) == unc.dim for col in shadow.columns)
-        for s in enumerate_vertices(shadow.directions):
-            assert unc.contains(shadow.scenario(s))
+        for w in enumerate_vertices(shadow.directions):
+            assert unc.contains(shadow.scenario(w[:-1], w[-1]))
 
 
 def test_box_corner_overrun_is_a_cap_error():
