@@ -79,8 +79,12 @@ def _double_description(poly: Polyhedron) -> list:
         minus = [x for x in sides if x[0] < 0]
         for (sp, p, zp), (sq, q, zq) in itertools.product(plus, minus):
             z = zp & zq
-            if (z.bit_count() >= n - 1
-                    and sum(t & z == z for _, t in rays) == 2):
+            if z.bit_count() < n - 1:
+                continue
+            # p and q are tight on z, and adjacent when no third ray is,
+            # so the count stops at a third.
+            common = (1 for _, t in rays if t & z == z)
+            if next(itertools.islice(common, 2, None), None) is None:
                 w = [sp * b - sq * a for a, b in zip(p, q)]
                 g = gcd(*w)
                 joined.append(([c // g for c in w], z | 1 << k))

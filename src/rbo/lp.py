@@ -2,9 +2,9 @@
 
 Linear programs are stated on a :class:`Polyhedron` {v : A v <= rhs} with
 free variables, whose data are the rows of [A | rhs] scaled to ints.  The
-solver is a textbook two-phase full-tableau simplex with Bland's pivot
-rule (smallest index), which terminates under degeneracy and is
-deterministic for fixed input.  It pivots on integer rows (Bareiss 1968)
+solver is a textbook two-phase simplex, on a condensed tableau, with
+Bland's pivot rule (smallest label), which terminates under degeneracy
+and is deterministic for fixed input.  It pivots on integer rows (Bareiss 1968)
 and checks its certificates in ints.  Objectives come scaled to ints
 (`scaled_objective`), so a caller that solves one objective on many
 polyhedra scales it once; a solve returns its status and its point as
@@ -194,17 +194,19 @@ class Polyhedron:
 
 
 class _Tableau:
-    """Dense fraction-free simplex tableau over [A|I](v, s) = rhs.
+    """Condensed fraction-free simplex tableau over [A|I](v, s) = rhs.
 
-    The n columns of v are free and kept whole; the m slack columns s are
-    nonnegative.  Row i is [s_i a_i | e_i | s_i rhs_i], scaled once to
-    ints by the least s_i > 0 with its slack entry kept at 1 (a positive
-    column scaling, which Bland's rule does not see).  When some rhs is
-    negative, one auxiliary column n + m (Chvatal 1983, ch. 3) holds -1
-    on exactly those rows, and phase one drives it to 0 and drops it.
-    The true tableau is rows / d, one d > 0, with the rhs last in each
-    row; a pivot is one `bareiss_step`, which replaces the rows it
-    changes, so a copy's pivots leave shared rows be.
+    Labels 0 to n - 1 name v's free columns, n to n + m - 1 the slacks.
+    Row i holds `basis[i]`; as in lrs (Avis 2000), only the nonbasic
+    variables keep a column, labelled by `nonbasic`, with the rhs last
+    (each basic column of the full tableau is d·e_i).  Row i starts as
+    s_i (a_i | rhs_i) in ints, s_i > 0 least, its slack basic at 1 (a
+    column scaling that Bland's rule does not see).  When some rhs is
+    negative, one auxiliary, label n + m (Chvatal 1983, ch. 3), holds -1
+    on exactly those rows; phase one drives it to 0 and drops it.  The
+    true tableau is rows / d, one d > 0; a pivot is one exchange
+    `bareiss_step`, which replaces the rows it changes, so a copy's
+    pivots leave shared rows be.
     A running phase keeps its objective row last.  A free column that
     enters on a positive reduced cost enters falling: its ratio test
     reads the column times -1, and its pivot entry is negative, so the
@@ -215,22 +217,17 @@ class _Tableau:
     free column that a row bounds basic, so later phases enter slacks
     only.  The structural part [A|I] has full row rank, so no row of the
     tableau is zero on it: an auxiliary left in the basis at level zero
-    after phase one pivots out, so every later tableau is n + m columns
-    wide.
+    after phase one pivots out, so every later tableau has n + 1 columns.
     """
 
     def __init__(self, poly: Polyhedron):
         m, n = poly.num_rows, poly.dim
         self.m, self.n = m, n
         scaled = poly._scaled_rows[1]
-        width = n + m + any(ints[-1] < 0 for ints in scaled)
-        self.rows = []
-        for i, ints in enumerate(scaled):
-            row = [*ints[:n]] + [0] * (width - n) + [ints[-1]]
-            row[n + i] = 1
-            if ints[-1] < 0:
-                row[n + m] = -1
-            self.rows.append(row)
+        aux = any(ints[-1] < 0 for ints in scaled)
+        self.nonbasic = [*range(n)] + [n + m] * aux
+        self.rows = [[*ints[:n], -(ints[-1] < 0), ints[-1]] if aux
+                     else [*ints] for ints in scaled]
         self.d = 1
         self.basis = [n + i for i in range(m)]
 
@@ -241,11 +238,13 @@ class _Tableau:
         twin = _Tableau.__new__(_Tableau)
         twin.m, twin.n, twin.d = self.m, self.n, self.d
         twin.rows, twin.basis = self.rows[:], self.basis[:]
+        twin.nonbasic = self.nonbasic[:]
         return twin
 
     def pivot(self, row: int, col: int) -> None:
         self.d = bareiss_step(self.rows, row, col, self.d)
-        self.basis[row] = col
+        self.basis[row], self.nonbasic[col] = \
+            self.nonbasic[col], self.basis[row]
 
     def leaving_row(self, col: int, sign: int = 1) -> int:
         """Bland's ratio test over the rows whose basic column is not free;
@@ -266,19 +265,20 @@ class _Tableau:
 
     def run(self, cost: Sequence, allowed: Sequence) -> LpStatus:
         """Run one Bland-rule phase maximizing cost, ints (an objective
-        times its scale S > 0), 0 on the columns past its end.
+        times its scale S > 0) by label, 0 on the labels past its end.
 
-        Of the slack and auxiliary columns, only those in `allowed`
-        (ascending) may enter; free columns always may.  The objective row
-        is the reduced costs times d and times S, so its signs are the
-        true ones; the run keeps its last one as `obj`.
-        The entering order is the one a split v = v+ - v- would give: free
-        columns with a negative reduced cost, rising, then free columns
-        with a positive one, falling, then the allowed columns.
+        Of the slack and auxiliary labels, only those in `allowed` may
+        enter; free columns always may.  The objective row is the reduced
+        costs times d and times S, so its signs are the true ones; the
+        run keeps its last one as `obj`.
+        The entering label is the least in the first tier that a split
+        v = v+ - v- would give: free columns with a negative reduced
+        cost, rising, then free ones with a positive one, falling, then
+        the allowed columns.
         """
-        n, rows = self.n, self.rows
-        cost = [*cost] + [0] * (len(rows[0]) - 1 - len(cost))
-        obj = [-self.d * c for c in cost] + [0]
+        n, rows, labels = self.n, self.rows, self.nonbasic
+        cost = [*cost] + [0] * (self.n + self.m + 1 - len(cost))
+        obj = [-self.d * cost[j] for j in labels] + [0]
         for i in range(self.m):
             cb = cost[self.basis[i]]
             if cb:
@@ -287,19 +287,25 @@ class _Tableau:
         try:
             while True:
                 obj = rows[-1]
-                enter = next((j for j in range(n) if obj[j] < 0), -1)
-                if enter < 0:
-                    enter = next((j for j in range(n) if obj[j] > 0), -1)
-                if enter < 0:
-                    enter = next((j for j in allowed if obj[j] < 0), -1)
-                if enter < 0:
+                eligible = [(j >= n or o > 0, j, k)
+                            for k, (j, o) in enumerate(zip(labels, obj))
+                            if o < 0 and j in allowed or j < n and o]
+                if not eligible:
                     return LpStatus.OPTIMAL
+                enter = min(eligible)[2]
                 leave = self.leaving_row(enter, -1 if obj[enter] > 0 else 1)
                 if leave < 0:
                     return LpStatus.UNBOUNDED
                 self.pivot(leave, enter)
         finally:
             self.obj = rows.pop()
+
+    def slack_costs(self) -> list:
+        """o: the last objective row at each slack label, 0 where basic."""
+        o = [0] * (self.n + self.m)
+        for j, a in zip(self.nonbasic, self.obj):
+            o[j] = a
+        return o[self.n:]
 
     def point(self) -> tuple:
         """The basic solution's v as (w, d), v = w / d with w ints,
@@ -318,9 +324,8 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     With some rhs negative, the auxiliary enters on the row of least rhs
     (the first on a tie), which leaves every rhs >= 0, and a run
     maximizes minus it.  poly is empty exactly when it ends basic at a
-    positive level; at level zero it pivots out on its row's first
-    nonzero structural entry.  Once it is nonbasic, its column goes from
-    every row.
+    positive level; at level zero it pivots out on its row's nonzero
+    entry of least label.  Once it is nonbasic, its column goes.
 
     The last step pivots each nonbasic free column in: a tight row with a
     nonzero entry takes it in place; else the point moves by Bland's
@@ -331,9 +336,9 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
     basis's.
     """
     tab = _Tableau(poly)
-    n, m, rows = tab.n, tab.m, tab.rows
-    if len(rows[0]) > n + m + 1:
-        tab.pivot(min(range(m), key=lambda i: rows[i][-1]), n + m)
+    n, m, rows, labels = tab.n, tab.m, tab.rows, tab.nonbasic
+    if n + m in labels:
+        tab.pivot(min(range(m), key=lambda i: rows[i][-1]), n)
         if tab.run([0] * (n + m) + [-1], range(n, n + m + 1)) \
                 is not LpStatus.OPTIMAL:
             raise LpInternalError("phase one cannot be unbounded")
@@ -341,19 +346,23 @@ def _phase_one(poly: Polyhedron) -> Optional[_Tableau]:
             i = tab.basis.index(n + m)
             if rows[i][-1]:
                 return None
-            tab.pivot(i, next(j for j in range(n + m) if rows[i][j]))
-        rows[:] = [row[:n + m] + row[-1:] for row in rows]
+            tab.pivot(i, min((k for k, a in enumerate(rows[i][:-1]) if a),
+                             key=labels.__getitem__))
+        k = labels.index(n + m)
+        del labels[k]
+        rows[:] = [row[:k] + row[k + 1:] for row in rows]
     for j in sorted(set(range(n)).difference(tab.basis)):
-        tight = [i for i in range(tab.m) if tab.basis[i] >= n
-                 and not tab.rows[i][-1] and tab.rows[i][j]]
+        col = labels.index(j)
+        tight = [i for i in range(m) if tab.basis[i] >= n
+                 and not rows[i][-1] and rows[i][col]]
         if tight:
             leave = min(tight, key=tab.basis.__getitem__)
         else:
-            leave = tab.leaving_row(j)
+            leave = tab.leaving_row(col)
             if leave < 0:
-                leave = tab.leaving_row(j, -1)
+                leave = tab.leaving_row(col, -1)
         if leave >= 0:
-            tab.pivot(leave, j)
+            tab.pivot(leave, col)
     return tab
 
 
@@ -401,15 +410,15 @@ def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
         known[obj] = tab
     if not tab:
         return LpStatus.UNBOUNDED, None, []
-    o = tab.obj[n:n + m]
+    o = tab.slack_costs()
     c = [tab.d * a for a in obj[1]]
     certs = [(o, c)]
     if tie is not None:
         tab = tab.copy()
-        if tab.run(tie[1], [n + r for r in range(m) if not o[r]]) \
+        if tab.run(tie[1], {n + r for r in range(m) if not o[r]}) \
                 is LpStatus.UNBOUNDED:
             return LpStatus.UNBOUNDED, None, []
-        o_s = tab.obj[n:n + m]
+        o_s = tab.slack_costs()
         c_s = [tab.d * a for a in tie[1]]
         t_n, t_d = 0, 1
         for a, b in zip(o_s, o):

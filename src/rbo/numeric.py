@@ -54,6 +54,9 @@ def rat_parse_scaled(texts: list) -> tuple:
         raise TypeError(f"expected a list of rational strings, got {texts!r}")
     pairs = []
     for text in texts:
+        if text == "0":  # most entries of a saved instance's A and B
+            pairs.append((0, 1))
+            continue
         if not isinstance(text, str):
             raise TypeError(f"expected a rational string, got {text!r}")
         text = text.strip()
@@ -132,31 +135,35 @@ def integer_scaled(values: Sequence) -> tuple:
 
 
 def bareiss_step(rows: list, r: int, col: int, d: int) -> int:
-    """Pivot the int rows on rows[r][col] (Bareiss 1968); return the new
-    d > 0.  A negative pivot negates row r first.  Each other row turns
-    into (p*row - f*prow) // d, f its entry in col, exact as each entry
-    is a minor; when p == d that is row - f*prow // d, so only rows with
-    f != 0 change, on prow's support.  Changed rows are replaced, never
-    written into, so copies of the row list keep their rows."""
+    """Pivot the int rows on p = rows[r][col] (Bareiss 1968) in exchange
+    (Tucker) form; return the new d = |p|.  Row r is taken times sign(p);
+    each other row's other entries turn into (p*a - f*b) // d, f its
+    entry in col, exact as each is a minor, which for p == d changes only
+    rows with f != 0, on row r's support.  Column col then holds the
+    variable that left: -sign*f in each other row, sign*d in row r.
+    Changed rows are replaced, never written into, so copies of the row
+    list keep their rows."""
     prow = rows[r]
-    p = prow[col]
+    p, sign = prow[col], 1
     if p < 0:
-        prow = rows[r] = [-a for a in prow]
-        p = -p
+        prow, p, sign = [-a for a in prow], -p, -1
+    rows[r] = [*prow[:col], sign * d, *prow[col + 1:]]
     if p == d:
-        support = [j for j, b in enumerate(prow) if b]
+        support = [(j, b) for j, b in enumerate(prow) if b and j != col]
         for i, row in enumerate(rows):
             f = row[col]
             if f and i != r:
                 row = rows[i] = row[:]
-                for j in support:
-                    row[j] -= f * prow[j] // d
+                for j, b in support:
+                    row[j] -= f * b // d
+                row[col] = -sign * f
         return d
     for i, row in enumerate(rows):
         if i != r:
             f = row[col]
-            rows[i] = ([(p * a - f * b) // d for a, b in zip(row, prow)]
-                       if f else [p * a // d for a in row])
+            row = rows[i] = ([(p * a - f * b) // d for a, b in zip(row, prow)]
+                             if f else [p * a // d for a in row])
+            row[col] = -sign * f
     return p
 
 
@@ -164,8 +171,9 @@ def eliminate(rows: list, ncols: int) -> tuple:
     """(pivots, rows, d): fraction-free Gauss-Jordan elimination of int
     rows (lists) over their first ncols columns.  Each column with a
     nonzero below the pivot rows so far takes the first such row as the
-    next pivot row, swapped up, for one `bareiss_step`.  Pivot row i ends
-    with d > 0 at column pivots[i] and 0 at the other pivot columns.
+    next pivot row, swapped up, for one `bareiss_step`.  The rows end
+    as [rows | I] eliminated, times d > 0, with column pivots[i] holding
+    the column of I of the row that pivot i exchanged out.
     """
     pivots, d = [], 1
     for col in range(ncols):

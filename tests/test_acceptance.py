@@ -11,6 +11,8 @@ import random
 from fractions import Fraction as F
 from functools import lru_cache
 
+import pytest
+
 from rbo import geometry
 from rbo.bilevel import (
     AllBinary,
@@ -51,6 +53,28 @@ import report_ledger
 SEED = report_ledger.SEED
 NUM_RANDOM_FORMULAS = report_ledger.NUM_RANDOM_FORMULAS
 formula_pool = report_ledger.formula_pool
+
+
+def _cert_counts() -> tuple:
+    return CERT_LOG.optimal_solves, CERT_LOG.verified, CERT_LOG.failures
+
+
+@pytest.fixture(autouse=True)
+def certified():
+    """Each acceptance test's own LP solves all carry verified
+    certificates: the CERT_LOG counts it adds show no failure and every
+    optimal solve verified.  The test may read those counts so far
+    (solves, verified, failures) by calling the fixture's value.  Deltas
+    keep this independent of the tests run before, some of which
+    provoke certificate failures on purpose."""
+    before = _cert_counts()
+
+    def added():
+        return tuple([now - then for now, then in zip(_cert_counts(), before)])
+
+    yield added
+    solves, verified, failures = added()
+    assert failures == 0 and verified == solves, added()
 
 
 @lru_cache(maxsize=1)
@@ -256,9 +280,9 @@ def test_criterion_7_box_to_simplex_preserves_values():
           f"value on all {checked} instances")
 
 
-def test_criterion_8_lp_certificates_and_lex_consistency():
-    # The running suites above route every LP through the certificate
-    # check; seed a couple of fresh solves in case this test runs alone.
+def test_criterion_8_lp_certificates_and_lex_consistency(certified):
+    # Every acceptance test's LPs go through the certificate check (the
+    # `certified` fixture); these solves are criterion 8's own.
     square = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
     cases = [
         (square, (F(1), F(2)), (F(-1), F(1))),
@@ -271,10 +295,9 @@ def test_criterion_8_lp_certificates_and_lex_consistency():
         plain = solve(poly, primary, Sense.MAX)
         point, _ = solve_lex(poly, primary, Sense.MAX, secondary, Sense.MAX)
         assert dot(primary, point) == plain.value
-    assert CERT_LOG.optimal_solves > 0
-    assert CERT_LOG.failures == 0
-    assert CERT_LOG.verified == CERT_LOG.optimal_solves
-    print(f"\nACCEPTANCE 8: PASS - {CERT_LOG.verified} optimal LP solves, "
+    solves, verified, failures = certified()
+    assert solves > 0 and failures == 0 and verified == solves
+    print(f"\nACCEPTANCE 8: PASS - {verified} optimal LP solves, "
           f"every one carried an exact verified dual certificate; "
           f"lexicographic primaries matched plain solves")
 

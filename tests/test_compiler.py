@@ -813,8 +813,8 @@ PINNED_PIVOTS = {
     ("copy_pessimistic", "pessimistic"): 5,
     ("square", "optimistic"): 3, ("square", "pessimistic"): 3,
 }
-# sha256 of repr of the (row, col) list of those pivots, so a change
-# that keeps each count but takes another path fails too.
+# sha256 of repr of the (row, entering label) list of those pivots, so
+# a change that keeps each count but takes another path fails too.
 PINNED_PIVOT_PATHS = {
     ("optimistic", "optimistic"):
         "b41bc4ace4a7b9017af4c849b53a66d7a32b109e9ed818849a940daf00b7cc4f",
@@ -891,7 +891,7 @@ def test_pivot_path_is_pinned(monkeypatch):
     pivot, init = lp._Tableau.pivot, lp._Tableau.__init__
 
     def counted(self, row, col):
-        calls.append((row, col))
+        calls.append((row, self.nonbasic[col]))
         pivot(self, row, col)
 
     def counted_init(self, poly):

@@ -333,36 +333,56 @@ def test_second_solve_skips_phase_one(monkeypatch):
     assert len(built) == 1
 
 
+def _full_tableau(poly):
+    """The full tableau [A | I | aux | rhs] in ints that `_Tableau`
+    condenses: row i is [s_i a_i | e_i | -1 if rhs_i < 0 | s_i rhs_i],
+    with the auxiliary column only when some rhs is negative."""
+    n, m = poly.dim, poly.num_rows
+    scaled = poly._scaled_rows[1]
+    aux = any(ints[-1] < 0 for ints in scaled)
+    return [[*ints[:n], *[int(k == i) for k in range(m)],
+             *([-(ints[-1] < 0)] if aux else []), ints[-1]]
+            for i, ints in enumerate(scaled)]
+
+
 @given(small_polytopes(), st.lists(st.integers(0, 99), min_size=1,
                                    max_size=6))
 # RATIONAL_BOX's first row scales to [2, 0 | 3]: a pivot on its 2 from
 # d = 1, then one on row 1's 2 from d = 2, takes each branch in turn.
-@example((RATIONAL_BOX, [0, 0], Sense.MAX), [0, 2])
+@example((RATIONAL_BOX, [0, 0], Sense.MAX), [0, 1])
 @settings(max_examples=80, deadline=None)
 def test_pivot_matches_dense_bareiss(case, picks):
-    # Each pick pivots a copy of the tableau on one of its nonzero
-    # entries, which must leave the tableau it was copied from as it was
-    # and agree with the dense update (p*row - f*prow) // d written out.
+    # Each pick pivots a copy of the condensed tableau on one of its
+    # nonzero entries, which must leave the tableau it was copied from as
+    # it was.  A full tableau beside it takes the same pivot by the dense
+    # update (p*row - f*prow) // d written out; the condensed one must
+    # be its nonbasic columns, in `nonbasic` order, and the rhs, and the
+    # full one's basic columns must be d·e_i.
     tab = lp._Tableau(case[0])
-    rows, d = [row[:] for row in tab.rows], tab.d
+    full, d = _full_tableau(case[0]), tab.d
     for pick in picks:
-        entries = [(i, j) for i, row in enumerate(rows)
-                   for j in range(len(row) - 1) if row[j]]
+        entries = [(i, k) for i, row in enumerate(tab.rows)
+                   for k in range(len(row) - 1) if row[k]]
         row, col = entries[pick % len(entries)]
-        prow, p = rows[row], rows[row][col]
+        label = tab.nonbasic[col]
+        prow, p = full[row], full[row][label]
         if p < 0:
             prow, p = [-a for a in prow], -p
-        assert all((p * a - irow[col] * b) % d == 0
-                   for irow in rows for a, b in zip(irow, prow))
-        rows = [prow if i == row else
-                [(p * a - irow[col] * b) // d for a, b in zip(irow, prow)]
-                for i, irow in enumerate(rows)]
+        assert all((p * a - irow[label] * b) % d == 0
+                   for irow in full for a, b in zip(irow, prow))
+        full = [prow if i == row else
+                [(p * a - irow[label] * b) // d for a, b in zip(irow, prow)]
+                for i, irow in enumerate(full)]
         d = p
         source, kept = tab, [row[:] for row in tab.rows]
         tab = tab.copy()
         tab.pivot(row, col)
         assert source.rows == kept
-        assert (tab.rows, tab.d) == (rows, d)
+        assert tab.d == d
+        assert tab.rows == [[irow[j] for j in tab.nonbasic] + irow[-1:]
+                            for irow in full]
+        assert all(irow[j] == d * (i == r) for r, j in enumerate(tab.basis)
+                   for i, irow in enumerate(full))
 
 
 @given(small_polytopes())
@@ -415,7 +435,7 @@ def test_free_columns_enter_only_in_phase_one(case):
     entered, pivot = [], lp._Tableau.pivot
 
     def counted(self, row, col):
-        entered.append(col)
+        entered.append(self.nonbasic[col])
         pivot(self, row, col)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -442,14 +462,13 @@ def check_duals(poly, obj, tie=None):
         poly, _scaled(obj), None if tie is None else _scaled(tie))
     if status is not LpStatus.OPTIMAL:
         return status, None, None
-    n, m = poly.dim, poly.num_rows
     first = poly._stage_one[_scaled(obj)]
-    assert certs[0][0] == first.obj[n:n + m]
+    assert certs[0][0] == first.slack_costs()
     assert (_dual(poly, certs[0][0], _scaled(obj)[0] * first.d)
             == reference_dual.dual(first, poly, obj))
     if tie is None:
         return status, tab, None
-    mu_s = _dual(poly, tab.obj[n:n + m], _scaled(tie)[0] * tab.d)
+    mu_s = _dual(poly, tab.slack_costs(), _scaled(tie)[0] * tab.d)
     assert mu_s == reference_dual.dual(tab, poly, tie)
     return status, tab, mu_s
 
@@ -473,12 +492,14 @@ def test_dual_matches_the_reference_solve(case):
 def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
     # The rows with negative right-hand sides keep their sign and share
     # one auxiliary column for phase one, -1 on exactly those rows, which
-    # phase one drops.
+    # phase one drops.  The tableau keeps one column per nonbasic
+    # variable and the rhs.
     tab = lp._Tableau(RATIONAL_BOX)
-    aux = RATIONAL_BOX.dim + RATIONAL_BOX.num_rows
-    assert len(tab.rows[0]) == aux + 2
-    assert [row[aux] for row in tab.rows] == [0, 0, -1, -1, 0]
-    assert all(len(row) == aux + 1
+    n = RATIONAL_BOX.dim
+    assert tab.nonbasic == [0, 1, n + RATIONAL_BOX.num_rows]
+    assert all(len(row) == n + 2 for row in tab.rows)
+    assert [row[n] for row in tab.rows] == [0, 0, -1, -1, 0]
+    assert all(len(row) == n + 1
                for row in RATIONAL_BOX._phase_one_tableau.rows)
     for obj in [(F(1, 3), F(-3, 4)), (F(-1), F(-1)), (F(1, 2), F(2, 3))]:
         assert check_duals(RATIONAL_BOX, obj)[0] is LpStatus.OPTIMAL

@@ -14,6 +14,7 @@ from rbo.numeric import (
     integer_scaled,
     rat_format,
     rat_parse,
+    rat_parse_scaled,
 )
 from rbo.oracle import solve_square
 from helpers import solve, span_basis
@@ -37,6 +38,24 @@ def test_parse_rejects_bad_literals():
     for text in ("7/0", "1.5", "2e3", "1/2/3", "", "one", "--3", "1 / 2"):
         with pytest.raises(ValueError):
             rat_parse(text)
+
+
+def test_scaled_parse_of_zero_literals():
+    # The literal "0", most of a saved instance's A and B, takes a fast
+    # path; every other spelling of zero parses by the grammar as before,
+    # and malformed literals keep their errors and messages.
+    assert rat_parse_scaled(["0", " 0", "-0", "0/5", "00"]) == (1, [0] * 5)
+    assert rat_parse_scaled(["0", "1/2", "0", "-3/4"]) == (4, [0, 2, 0, -3])
+    assert rat_parse_scaled(["0"]) == (1, [0])
+    for text, error, message in [
+            ("0/0", ValueError, "zero denominator in rational literal: '0/0'"),
+            ("+0", ValueError, "malformed rational literal: '+0'"),
+            ("0.0", ValueError, "malformed rational literal: '0.0'"),
+            ("0 /1", ValueError, "malformed rational literal: '0 /1'"),
+            (0, TypeError, "expected a rational string, got 0")]:
+        with pytest.raises(error) as err:
+            rat_parse_scaled(["0", text])
+        assert str(err.value) == message
 
 
 def test_format_round_trips():
@@ -199,23 +218,26 @@ def test_span_basis_skips_dependent_vectors():
 
 
 def gauss_jordan(rows, ncols):
-    """(pivots, rows): plain Gauss-Jordan elimination in Fractions over
-    the first ncols columns, each pivot the first nonzero at or below the
-    pivot rows so far, swapped up and divided out to 1."""
+    """(pivots, rows, order): plain Gauss-Jordan elimination in Fractions
+    over the first ncols columns, each pivot the first nonzero at or
+    below the pivot rows so far, swapped up and divided out to 1; row i
+    ends as a combination of the given rows in which the given row
+    order[i] is the one that the swaps put there."""
     rows = [[F(a) for a in row] for row in rows]
-    pivots = []
+    pivots, order = [], list(range(len(rows)))
     for col in range(ncols):
         k = len(pivots)
         i = next((i for i in range(k, len(rows)) if rows[i][col]), None)
         if i is None:
             continue
         rows[k], rows[i] = rows[i], rows[k]
+        order[k], order[i] = order[i], order[k]
         rows[k] = [a / rows[k][col] for a in rows[k]]
         for j, row in enumerate(rows):
             if j != k and row[col]:
                 rows[j] = [a - row[col] * b for a, b in zip(row, rows[k])]
         pivots.append(col)
-    return pivots, rows
+    return pivots, rows, order
 
 
 @st.composite
@@ -234,14 +256,6 @@ def rational_matrices(draw):
     return rows
 
 
-def proportional(u, v):
-    """Whether u = t·v for some t != 0, or both are zero."""
-    j = next((j for j, b in enumerate(v) if b), None)
-    if j is None or not u[j]:
-        return not any(u) and j is None
-    return [F(a, u[j]) for a in u] == [b / v[j] for b in v]
-
-
 @given(rational_matrices())
 @example([[F(-2), F(1), F(1, 2)], [F(1, 3), F(-3, 4), F(7)]])
 @example([[F(0), F(2), F(1), F(5)], [F(3), F(0), F(0), F(7)],
@@ -249,26 +263,31 @@ def proportional(u, v):
 @example([[F(1), F(1), F(1)], [F(2), F(2), F(2)]])
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_a_fraction_gauss_jordan(rows):
-    # eliminate, on the rows scaled to ints, takes the reference's pivots;
-    # its pivot rows are the reference's times d > 0 and its other rows
-    # multiples of the reference's.  The oracle's solve_square on the
-    # leading square block, the last column the right-hand side, and
+    # eliminate, on the rows scaled to ints, takes the reference's pivots,
+    # and every entry it returns is d > 0 times the reference's on those
+    # rows joined to I: its other columns are the reference's, and pivot
+    # column pivots[t], in its exchanged meaning, is the column of I for
+    # the row that pivot t exchanged out.  The oracle's solve_square on
+    # the leading square block, the last column the right-hand side, and
     # span_basis on the columns read the same pivots.
-    width = len(rows[0])
+    width, m = len(rows[0]), len(rows)
     ncols = max(width - 1, 1)
-    want_pivots, want_rows = gauss_jordan(rows, ncols)
-    pivots, got, d = eliminate([integer_scaled(r)[1] for r in rows], ncols)
-    k = len(pivots)
+    ints = [integer_scaled(r)[1] for r in rows]
+    want_pivots, want_rows, order = gauss_jordan(
+        [row + [int(i == j) for j in range(m)] for i, row in enumerate(ints)],
+        ncols)
+    pivots, got, d = eliminate(ints, ncols)
     assert pivots == want_pivots and d > 0
-    assert [[F(a, d) for a in row] for row in got[:k]] == want_rows[:k]
-    assert all(proportional(u, v) for u, v in zip(got[k:], want_rows[k:]))
+    exchanged = {col: width + order[t] for t, col in enumerate(pivots)}
+    assert [[F(a, d) for a in row] for row in got] == [
+        [row[exchanged.get(j, j)] for j in range(width)] for row in want_rows]
     assert span_basis(rows) == tuple(
         gauss_jordan([list(c) for c in zip(*rows)], len(rows))[0])
     n = len(rows)
     if width > n:
         square = [row[:n] for row in rows]
         target = [row[-1] for row in rows]
-        want_pivots, want_rows = gauss_jordan(
+        want_pivots, want_rows, _ = gauss_jordan(
             [r + [t] for r, t in zip(square, target)], n)
         want = (tuple([row[-1] for row in want_rows])
                 if len(want_pivots) == n else None)
