@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -189,8 +189,9 @@ class RobustBilevelInstance:
         objective's first stage.
 
         Its rows are written in ints from `rows`: with x = X / q, row i
-        of [A | b + B·x] is (q·L_i | q·b_i + B_i·X) / (t_i·q), which
-        `Polyhedron.from_scaled_rows` takes to its least scale.
+        of [A | b + B·x] is (q·L_i | q·b_i + B_i·X) / (t_i·q), taken at
+        its least scale, divided by the gcd of t_i·q and its ints, so a
+        fractional x gives the rows that `Polyhedron(a, rhs)` would.
         """
         x = as_vector(x)
         if len(x) != self.p:
@@ -199,11 +200,13 @@ class RobustBilevelInstance:
         memo = self._polyhedra
         if x not in memo:
             q, xs = integer_scaled(x)
-            poly = Polyhedron.from_scaled_rows(
-                [t * q for t, _, _, _ in self.rows],
-                [[q * a for a in lhs] + [q * b + sum(map(mul, lead, xs))]
-                 for _, lhs, lead, b in self.rows])
-            memo[x] = self._distinct.setdefault(poly._scaled_rows, poly)
+            rows = []
+            for t, lhs, lead, b in self.rows:
+                row = [q * a for a in lhs] + [q * b + sum(map(mul, lead, xs))]
+                g = gcd(t * q, *row)
+                rows.append(tuple([a // g for a in row]))
+            poly = Polyhedron.from_rows(rows)
+            memo[x] = self._distinct.setdefault(poly.rows, poly)
         return memo[x]
 
     @cached_property
@@ -240,10 +243,6 @@ class RobustBilevelInstance:
 
     @cached_property
     def _adversaries(self) -> dict:
-        return {}
-
-    @cached_property
-    def _vertices(self) -> dict:
         return {}
 
     @cached_property
@@ -380,15 +379,14 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     kept for the instance's lifetime: `inst._polyhedra` and
     `inst._distinct` give leaders with equal Y(x) rows one polyhedron;
     `inst._adversaries` holds the result (c*, value) under (mode, Y(x)),
-    for finite sets too; `inst._vertices` holds the shadow's vertices
-    under the projection's sorted integer rows; and `inst._scans` holds
-    the scan's scenarios under (mode, shadow vertices), so the exposed
-    faces are found once for each distinct shadow and mode.  A polytope
-    is its vertex set, and its faces do not depend on redundant rows, so
-    the projection's rows need not be irredundant.  Only the projection
-    and the follower LPs on a new Y(x) run again, each LP with its
-    certificates checked; Y(x) keeps each scenario's first stage, so the
-    other mode and the replay run only tie stages.
+    for finite sets too; and `inst._scans` holds the scan's scenarios
+    under (mode, the projection's sorted integer rows), so the shadow's
+    vertices and exposed faces are found once for each distinct
+    projection and mode.  A polytope's faces do not depend on redundant
+    rows, so the projection's rows need not be irredundant.  Only the
+    projection and the follower LPs on a new Y(x) run again, each LP
+    with its certificates checked; Y(x) keeps each scenario's first
+    stage, so the other mode and the replay run only tie stages.
     """
     poly = inst.follower_polyhedron(x)
     memo = inst._adversaries
@@ -415,15 +413,11 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
     factor d·d_v off the true score, so the argmax is the same."""
     shadow = inst._shadow
     image = geometry.project_polytope(poly, shadow.columns)
-    known = inst._vertices
-    verts = known.get(image._scaled_rows)
-    if verts is None:
-        verts = known[image._scaled_rows] = tuple(
-            geometry.enumerate_vertices(image))
     memo = inst._scans
-    key = (mode, verts)
+    key = (mode, image.rows)
     if key in memo:
         return memo[key]
+    verts = tuple(geometry.enumerate_vertices(image))
     faces = geometry.exposed_faces(verts, shadow.directions,
                                    mode is Mode.OPTIMISTIC)
     scenarios = []

@@ -1,9 +1,9 @@
 """Polytope vertex enumeration, exposed faces and exact projection.
 
 `enumerate_vertices` gives each vertex with the set of rows tight at it,
-from the double description method on the rows scaled to ints, every
-vertex v as the ints (d·v | d) over one common denominator d.  A face
-is the frozenset of its vertex indices.  `exposed_faces` gives the
+from the double description method on the polyhedron's integer rows,
+every vertex v as the ints (d·v | d) over one common denominator d.  A
+face is the frozenset of its vertex indices.  `exposed_faces` gives the
 minimal or the maximal faces that directions in a polytope D expose as
 their exact argmax sets, in the bilevel adversary's scan order, each
 with one such direction in ints, from a second double description: that
@@ -28,7 +28,7 @@ from .lp import Polyhedron
 from .numeric import as_matrix, eliminate, integer_scaled
 from .uncertainty import CapExceededError
 
-CAP = 2048  # rays held by one double description after any row
+CAP = 4096  # rays held by one double description after any row
 _MAX_PROJECTION_ROWS = 4000
 
 
@@ -58,7 +58,7 @@ def _double_description(poly: Polyhedron) -> list:
     d the least common denominator of all vertices, tight the frozenset
     of the rows tight at v, by the double description method in ints
     (Motzkin et al. 1953; Fukuda & Prodon 1996) on the cone {(z, t) :
-    a·z <= b·t, t >= 0} of the rows scaled to ints: its rays with t > 0
+    a·z <= b·t, t >= 0} of poly's integer rows: its rays with t > 0
     are the vertices.  The start is the simplicial cone of the first
     linearly independent rows, t >= 0 first (`_start_cone`).  Each
     further row keeps the rays on its side and joins each pair across it
@@ -67,8 +67,7 @@ def _double_description(poly: Polyhedron) -> list:
     CAP rays after any row raise CapExceededError.
     """
     n = poly.dim
-    rows = [(0,) * n + (-1,)] + [r[:n] + (-r[n],)
-                                 for r in poly._scaled_rows[1]]
+    rows = [(0,) * n + (-1,)] + [r[:n] + (-r[n],) for r in poly.rows]
     start, rays = _start_cone(rows)
     for k, row in enumerate(rows):
         if start >> k & 1:
@@ -136,10 +135,9 @@ def exposed_faces(verts: tuple, directions: Polyhedron,
     which lies in the relative interior of the face's cell.
     """
     k = len(verts)
-    rows = [(1, v[:-1] + (-1, 0)) for v in verts] + [
-        (s, g[:-1] + (0, g[-1])) for s, g in zip(*directions._scaled_rows)]
-    epigraph = Polyhedron.from_scaled_rows(*zip(*rows))
-    vertices = enumerate_vertices(epigraph)
+    vertices = enumerate_vertices(Polyhedron.from_rows(
+        [v[:-1] + (-1, 0) for v in verts]
+        + [g[:-1] + (0, g[-1]) for g in directions.rows]))
     d = next(iter(vertices))[-1]  # every vertex of Q is over it
     cells = [(frozenset(i for i in tight if i < k), point[:-2])
              for point, tight in vertices.items()]
@@ -233,19 +231,19 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
     (`_cheapest`): along an equality pair a step substitutes the variable,
     one new row for each other row that holds it; the equality pairs are
     kept as the rows change (`_add_row`).  Each row is a tuple of ints,
-    the rhs last, starting from poly's rows scaled to ints, and
+    the rhs last, starting from poly's integer rows, and
     deduplicated on its primitive coefficients to its tightest rhs in
     first-seen order (`_add_row`): eliminating var from pr (pr[var] = a
     > 0) and mr (mr[var] = -b < 0) gives (b·pr + a·mr) / gcd(a, b).  The
     returned polyhedron takes the final rows as they are
-    (`Polyhedron.from_scaled_rows`), so no Fraction is built.
+    (`Polyhedron.from_rows`), so no Fraction is built.
     """
     image = as_matrix(image_rows, poly.dim)
     q = len(image)
     if q == 0:
         raise ValueError("projection needs at least one image row")
     rows, equal = {}, set()
-    for ints in poly._scaled_rows[1]:
+    for ints in poly.rows:
         _add_row(rows, (0,) * q + ints, equal)
     for k in range(q):
         scale, ints = integer_scaled(image[k])
@@ -272,5 +270,5 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
         remaining.remove(var)
 
     # Every eliminated coefficient is 0 now, so the first q identify a row.
-    rows = [r[:q] + r[-1:] for _, r in sorted(rows.items())]
-    return Polyhedron.from_scaled_rows([gcd(*r[:q]) for r in rows], rows)
+    return Polyhedron.from_rows([r[:q] + r[-1:]
+                                 for _, r in sorted(rows.items())])

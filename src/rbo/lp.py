@@ -1,15 +1,16 @@
 """Exact simplex over rational data.
 
 Linear programs are stated on a :class:`Polyhedron` {v : A v <= rhs} with
-free variables, whose data are the rows of [A | rhs] scaled to ints.  The
-solver is a textbook two-phase simplex, on a condensed tableau, with
-Bland's pivot rule (smallest label), which terminates under degeneracy
-and is deterministic for fixed input.  It pivots on integer rows (Bareiss 1968)
+free variables, which is its integer rows: those of [A | rhs], each
+times a positive factor that makes it integral.  The solver is a
+textbook two-phase simplex, on a condensed tableau, with Bland's pivot
+rule (smallest label), which terminates under degeneracy and is
+deterministic for fixed input.  It pivots on integer rows (Bareiss 1968)
 and checks its certificates in ints.  Objectives come scaled to ints
 (`scaled_objective`), so a caller that solves one objective on many
 polyhedra scales it once; a solve returns its status and its point as
-ints over one denominator.  Fractions appear only in the `a` and `rhs`
-views and in the secondary's value that `solve_lex_lp` returns.
+ints over one denominator.  Fractions appear only in the secondary's
+value that `solve_lex_lp` returns.
 Free variables keep one column each.  Phase one ends by pivoting in
 every free column that a row bounds, and a basic free column never
 leaves, so every later basis has a vertex as its basic point whenever
@@ -36,13 +37,14 @@ on the optimal face without added rows or a second phase one.
 Every optimal solve produces a dual certificate in ints: the final
 objective row's slack part o, with o >= 0 and sum_r o_r ints_r = (c |
 c·w / d) at the basic point v = w / d, for c the objective times S d
-(S its scale, d the tableau's denominator) and ints_r row r of [A |
-rhs] times its scale s_r.  Then mu_r = s_r o_r / (S d) is a dual with
-mu >= 0, mu^T A = obj and mu^T rhs = obj·v.  A tie stage forms a second certificate for the tie objective
-plus a multiple of the first.  `_verify_certificate` checks each one on
-the spot, before the solve returns an optimal outcome; the certificate
-itself is not returned.  A global counter keeps score so test suites
-can assert that no solve ever went uncertified.
+(S its scale, d the tableau's denominator) and ints_r the polyhedron's
+integer row r.  Then mu_r = o_r / (S d) is a dual of those rows, with
+mu >= 0 and sum_r mu_r ints_r = (obj | obj·v).  A tie stage forms a
+second certificate for the tie objective plus a multiple of the first.
+`_verify_certificate` checks each one on the spot, before the solve
+returns an optimal outcome; the certificate itself is not returned.  A
+global counter keeps score so test suites can assert that no solve ever
+went uncertified.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -105,13 +106,12 @@ CERT_LOG = CertificateLog()
 class Polyhedron:
     """Feasible set {v in R^n : a·v <= rhs row by row}.
 
-    Its data are its rows scaled to ints, `_scaled_rows` = (scales,
-    rows): row i of [a | rhs] times s_i, the least int > 0 that makes it
-    integral, as a tuple of ints.  `Polyhedron(a, rhs)` scales rows
-    given as rationals, and keeps only the scaled rows; `from_scaled_rows`
-    takes rows of ints with any positive scales, as
+    It is its rows in ints, `rows`: row i of [a | rhs] times a positive
+    factor, a tuple of ints with the rhs last.  `Polyhedron(a, rhs)`
+    writes rows given as rationals at their least integer scale;
+    `from_rows` takes rows of ints as given, as
     `RobustBilevelInstance.follower_polyhedron` and the geometry write
-    them.  Either way `a` and `rhs` are Fraction views built on first use.
+    them.
 
     Two more things are computed on first use and kept for the object's
     lifetime: the tableau after phase one, and each objective's first
@@ -129,40 +129,21 @@ class Polyhedron:
             raise ValueError("row/rhs count mismatch")
         if len(a[0]) < 1:
             raise ValueError("polyhedron needs at least one column")
-        self._set_rows(*zip(*[integer_scaled(row + (r,))
-                              for row, r in zip(a, rhs)]))
+        self.rows = tuple([tuple(integer_scaled(row + (r,))[1])
+                           for row, r in zip(a, rhs)])
+        self.num_rows, self.dim = len(a), len(a[0])
 
     @classmethod
-    def from_scaled_rows(cls, scales: Sequence,
-                         rows: Sequence) -> "Polyhedron":
-        """The polyhedron whose row i of [a | rhs] is rows[i] / scales[i],
-        for rows of ints and scales > 0."""
+    def from_rows(cls, rows: Sequence) -> "Polyhedron":
+        """The polyhedron whose rows of [a | rhs] are rows, tuples of
+        ints, times positive factors."""
         poly = cls.__new__(cls)
-        poly._set_rows(scales, rows)
+        poly.rows = rows = tuple(rows)
+        poly.num_rows, poly.dim = len(rows), len(rows[0]) - 1
         return poly
 
-    def _set_rows(self, scales: Sequence, rows: Sequence) -> None:
-        """Keep each row at its least scale: a row and its scale divided
-        by the gcd of the scale and the row's entries."""
-        least = []
-        for s, row in zip(scales, rows):
-            g = gcd(s, *row)
-            least.append((s // g, tuple([a // g for a in row])))
-        self._scaled_rows = scales, rows = tuple(zip(*least))
-        self.num_rows, self.dim = len(rows), len(rows[0]) - 1
-
-    @cached_property
-    def a(self) -> tuple:
-        return tuple([tuple([Fraction(c, s) for c in row[:-1]])
-                      for s, row in zip(*self._scaled_rows)])
-
-    @cached_property
-    def rhs(self) -> tuple:
-        return tuple([Fraction(row[-1], s)
-                      for s, row in zip(*self._scaled_rows)])
-
     def __repr__(self) -> str:
-        return f"Polyhedron({self.a!r}, {self.rhs!r})"
+        return f"Polyhedron.from_rows({self.rows!r})"
 
     def contains(self, point: Sequence) -> bool:
         point = as_vector(point)
@@ -175,7 +156,7 @@ class Polyhedron:
         """Whether the point w / d, w ints and d > 0, satisfies every row:
         ints_r·(w | -d) <= 0 on the integer rows."""
         return all(sum(map(mul, row, w)) <= row[-1] * d
-                   for row in self._scaled_rows[1])
+                   for row in self.rows)
 
     @cached_property
     def _phase_one_tableau(self) -> Optional["_Tableau"]:
@@ -200,8 +181,8 @@ class _Tableau:
     Row i holds `basis[i]`; as in lrs (Avis 2000), only the nonbasic
     variables keep a column, labelled by `nonbasic`, with the rhs last
     (each basic column of the full tableau is d·e_i).  Row i starts as
-    s_i (a_i | rhs_i) in ints, s_i > 0 least, its slack basic at 1 (a
-    column scaling that Bland's rule does not see).  When some rhs is
+    the polyhedron's integer row i, its slack basic at 1 (a column
+    scaling that Bland's rule does not see).  When some rhs is
     negative, one auxiliary, label n + m (Chvatal 1983, ch. 3), holds -1
     on exactly those rows; phase one drives it to 0 and drops it.  The
     true tableau is rows / d, one d > 0; a pivot is one exchange
@@ -223,11 +204,10 @@ class _Tableau:
     def __init__(self, poly: Polyhedron):
         m, n = poly.num_rows, poly.dim
         self.m, self.n = m, n
-        scaled = poly._scaled_rows[1]
-        aux = any(ints[-1] < 0 for ints in scaled)
+        aux = any(ints[-1] < 0 for ints in poly.rows)
         self.nonbasic = [*range(n)] + [n + m] * aux
         self.rows = [[*ints[:n], -(ints[-1] < 0), ints[-1]] if aux
-                     else [*ints] for ints in scaled]
+                     else [*ints] for ints in poly.rows]
         self.d = 1
         self.basis = [n + i for i in range(m)]
 
@@ -375,10 +355,10 @@ def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
     certificate o with the objective it certifies, c, for
     `_verify_certificate` at the tableau's basic point: (o, c) for obj,
     then for a tie stage (o_2, c_2) for tie + t·obj.  A stage's o is its
-    final objective row's slack part.  Row r is [s_r (a_r | rhs_r) | e_r],
-    so o_r / (S·d), d the stage's denominator, is the tableau's dual y_r
-    (Chvatal 1983, ch. 10), and mu_r = s_r y_r is the dual of poly's own
-    rows; c = S·d·obj = d·ints in ints.  The status is UNBOUNDED when obj
+    final objective row's slack part.  Row r is [ints_r | e_r], poly's
+    integer row r and its slack, so o_r / (S·d), d the stage's
+    denominator, is the dual mu_r of that row (Chvatal 1983, ch. 10);
+    c = S·d·obj = d·ints in ints.  The status is UNBOUNDED when obj
     is, or the tie objective is on obj's optimal face.
 
     Phase two runs once per objective on one polyhedron, from a copy of
@@ -393,9 +373,9 @@ def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
     slacks enter: no row is added and no phase one runs.  Its dual may be
     negative on the held rows; adding t·mu with the least t >= 0 that
     makes it nonnegative certifies (tie + t·obj)·v over poly, which with
-    the first certificate proves the point lex-optimal.  As the rows' s_r
-    cancel, that is o_2 = t_d·o_s + t_n·o and c_2 = t_d·c_s + t_n·c, with
-    t_n / t_d the largest -o_s[r] / o[r], compared by cross-multiplying.
+    the first certificate proves the point lex-optimal.  In ints that is
+    o_2 = t_d·o_s + t_n·o and c_2 = t_d·c_s + t_n·c, with t_n / t_d the
+    largest -o_s[r] / o[r], compared by cross-multiplying.
     """
     n, m = poly.dim, poly.num_rows
     start = poly._phase_one_tableau
@@ -434,13 +414,13 @@ def _phase_two(poly: Polyhedron, obj: tuple, tie: Optional[tuple] = None):
 def _verify_certificate(poly: Polyhedron, o: Sequence, c: Sequence,
                         point: tuple) -> None:
     """Check the dual certificate o for max c·v at the point v = w / d,
-    point = (w, d), on poly's integer rows alone: o >= 0 and sum_r o_r
-    ints_r = (c | c·w / d), ints_r row r of [A | rhs] times its least
-    scale s_r.  Then for any D > 0, mu_r = s_r o_r / D has mu >= 0, mu^T A
-    = c / D and mu^T rhs = (c / D)·v, so v is optimal.
+    point = (w, d), on poly's integer rows: o >= 0 and sum_r o_r ints_r
+    = (c | c·w / d), ints_r poly's row r.  Then for any D > 0, mu_r =
+    o_r / D has mu >= 0 and sum_r mu_r ints_r = (c | c·v) / D, so v is
+    optimal.
     """
     CERT_LOG.optimal_solves += 1
-    rows = poly._scaled_rows[1]
+    rows = poly.rows
     w, d = point
     combo = [0] * (poly.dim + 1)
     for u, row in zip(o, rows):
@@ -528,14 +508,15 @@ def check_bounded_nonempty(poly: Polyhedron):
     With rank A = n, a recession direction d != 0 of poly has A d <= 0
     and A d != 0, so any positive row weights s give (-s^T A) d > 0: a
     nonempty poly is bounded exactly when max (-s^T A) v over it is
-    finite (Schrijver 1986, section 8.2).  The weights are the rows'
-    scales, so the objective is minus the sum of the integer rows.  Rank
-    A (its basic free columns) and that LP use poly's phase one.
+    finite (Schrijver 1986, section 8.2).  The weights are the factors
+    that make the rows integral, so the objective is minus the sum of
+    the integer rows.  Rank A (its basic free columns) and that LP use
+    poly's phase one.
     """
     if not is_nonempty(poly):
         return False, True
     n = poly.dim
     if sum(col < n for col in poly._phase_one_tableau.basis) < n:
         return True, False
-    obj = tuple([-sum(col) for col in zip(*poly._scaled_rows[1])][:n])
+    obj = tuple([-sum(col) for col in zip(*poly.rows)][:n])
     return True, solve_lp(poly, (1, obj))[0] is LpStatus.OPTIMAL

@@ -240,8 +240,8 @@ class ConvexHull(UncertaintySet):
 
     def _contains(self, c: tuple) -> bool:
         """Feasibility of convex weights θ in D with sum θ_i·point_i = c."""
-        directions = self.shadow().directions
-        rows, rhs = list(directions.a), list(directions.rhs)
+        directions = self.shadow().directions.rows
+        rows, rhs = [r[:-1] for r in directions], [r[-1] for r in directions]
         for scores, ci in zip(zip(*self.points), c):
             rows += [scores, _opposite(scores)]
             rhs += [ci, -ci]

@@ -1,7 +1,8 @@
 """Helpers that only the tests call: a rank reference, instance rows
-from dense rational rows, points and vertices in Fractions, the formula
-file writer, the relaxed leader's fractional spot check, and the LP
-solves on rational objectives that the LP tests state their cases in."""
+from dense rational rows, a polyhedron's rows, points and vertices in
+Fractions, the formula file writer, the relaxed leader's fractional spot
+check, and the LP solves on rational objectives that the LP tests state
+their cases in."""
 
 import random
 from dataclasses import dataclass
@@ -36,6 +37,14 @@ def int_rows(lhs, leader_mat, rhs) -> tuple:
         rows.append((t, tuple(ints[:len(a)]), tuple(ints[len(a):-1]),
                      ints[-1]))
     return tuple(rows)
+
+
+def rational_rows(poly) -> tuple:
+    """(a, rhs) in Fractions: the rows of [a | rhs] that poly holds, its
+    integer rows, each a positive multiple of the row it was given."""
+    return (tuple([tuple([Fraction(c) for c in row[:-1]])
+                   for row in poly.rows]),
+            tuple([Fraction(row[-1]) for row in poly.rows]))
 
 
 def fractions(w, d) -> tuple:

@@ -1,7 +1,7 @@
 """Reference LP dual and certificate check for the tests: a k x k
 solve of an optimal basis's dual in Fractions, and the Fraction form of
 the check that `_verify_certificate` makes in ints.  The dual that the
-tests read off a final objective row, mu_r = s_r o_r / (S d), must equal
+tests read off a final objective row, mu_r = o_r / (S d), must equal
 the first on every optimal basis, and the solver's check must agree
 with the second."""
 
@@ -17,12 +17,11 @@ def dual(tab, poly, obj) -> tuple:
 
     A basic slack forces its row's mu to 0, so only the k rows whose
     slack is nonbasic carry mu, k the number of basic free columns j:
-    sum_r mu_r a[r][j] = obj[j].  With row r of a equal to ints_r / s_r
-    (`Polyhedron._scaled_rows`), the k x k system is solved in ints,
-    sum_r nu_r ints_r[j] = obj[j], and mu_r = s_r nu_r.
+    sum_r mu_r ints_r[j] = obj[j] on the integer rows ints_r
+    (`Polyhedron.rows`), a k x k system in ints.
     """
     n = tab.n
-    scales, ints = poly._scaled_rows
+    ints = poly.rows
     free_cols = [col for col in tab.basis if col < n]
     carriers = sorted(set(range(tab.m))
                       - {col - n for col in tab.basis if col >= n})
@@ -32,20 +31,17 @@ def dual(tab, poly, obj) -> tuple:
         raise LpInternalError("singular optimal basis")
     mu = [ZERO] * tab.m
     for r, v in zip(carriers, nu):
-        mu[r] = scales[r] * v
+        mu[r] = v
     return tuple(mu)
 
 
 def certifies(poly, obj, value, mu) -> bool:
-    """Whether mu >= 0, mu^T A = obj and mu^T rhs = value on poly's data.
-
-    Row i of [A | rhs] is ints_i / s_i, so with nu_i = mu_i / s_i over one
-    common denominator D the check is sum (D nu_i) ints_i = D (obj | value)
-    in ints.
+    """Whether mu >= 0 and sum_i mu_i ints_i = (obj | value) on poly's
+    integer rows ints_i: over one common denominator D of mu, sum (D
+    mu_i) ints_i = D (obj | value) in ints.
     """
-    scales, rows = poly._scaled_rows
-    terms = [(u.numerator, u.denominator * s, row)
-             for u, s, row in zip(mu, scales, rows) if u]
+    terms = [(u.numerator, u.denominator, row)
+             for u, row in zip(mu, poly.rows) if u]
     den = lcm(*[q for _, q, _ in terms])
     combo = [0] * (poly.dim + 1)
     for num, q, row in terms:

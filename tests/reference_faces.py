@@ -10,7 +10,7 @@ from rbo.geometry import CAP
 from rbo.lp import LpStatus, Polyhedron, Sense
 from rbo.numeric import ONE, ZERO
 from rbo.uncertainty import CapExceededError
-from helpers import solve
+from helpers import rational_rows, solve
 
 
 def enumerate_faces(tights: Collection) -> list:
@@ -21,7 +21,7 @@ def enumerate_faces(tights: Collection) -> list:
     `closed` gathers every intersection of vertex tight sets: each pass
     meets one vertex's set with all gathered so far.  Each intersection
     is the canonical tight set of one face, whose vertices are those
-    tight on it.  A lattice of more than CAP = 2048 faces raises
+    tight on it.  A lattice of more than `geometry.CAP` faces raises
     CapExceededError.
     """
     closed = set(tights)
@@ -59,14 +59,15 @@ def exposure_check(face: frozenset, verts: tuple,
             f"direction dimension {directions.dim} != vertex dim {q}")
 
     # Variables: s (q), t, eps.
-    rows = [list(g) + [ZERO, ZERO] for g in directions.a]
+    lhs, h = rational_rows(directions)
+    rows = [list(g) + [ZERO, ZERO] for g in lhs]
     for i in sorted(face):  # s·v = t
         rows += [list(verts[i]) + [-ONE, ZERO],
                  [-c for c in verts[i]] + [ONE, ZERO]]
     for i, u in enumerate(verts):  # s·u <= t - eps
         if i not in face:
             rows.append(list(u) + [-ONE, ONE])
-    rhs = list(directions.rhs) + [ZERO] * (len(rows) - directions.num_rows)
+    rhs = list(h) + [ZERO] * (len(rows) - directions.num_rows)
     eps_row = [ZERO] * (q + 1) + [ONE]
     rows.append(eps_row)  # eps <= 1, which keeps the LP bounded
     rhs.append(ONE)

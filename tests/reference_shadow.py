@@ -13,7 +13,7 @@ from rbo.lp import Polyhedron
 from rbo.numeric import ZERO, as_matrix, integer_scaled
 from rbo.oracle import solve_square
 from rbo.uncertainty import CapExceededError
-from helpers import span_basis
+from helpers import rational_rows, span_basis
 
 
 def start_cone(rows: list) -> tuple:
@@ -73,7 +73,7 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
     if q == 0:
         raise ValueError("projection needs at least one image row")
     rows = {}
-    for coeffs, rhs in zip(poly.a, poly.rhs):
+    for coeffs, rhs in zip(*rational_rows(poly)):
         scale, ints = integer_scaled(coeffs)
         _add_row(rows, [0] * q + ints, rhs * scale)
     for k in range(q):

@@ -43,7 +43,7 @@ from rbo.oracle import (
     robust_single_level_oracle,
     sat_oracle,
 )
-from rbo.uncertainty import DiscreteSet, Interval
+from rbo.uncertainty import CapExceededError, DiscreteSet, Interval
 from reference_faces import enumerate_faces, exposure_check, undominated
 from helpers import (fractions, int_rows, solve, solve_lex,
                      spot_check_relaxed, vertices)
@@ -358,14 +358,27 @@ def test_qsat_ladder_past_the_pool():
     # random_formula draw of Random(7) for p = 2 and each n = 3..6, in
     # each compile's own mode.  The pessimistic shadow has n + 1
     # dimensions, and every case solves to the oracle's value; none is
-    # refused at a work cap.
+    # refused at a work cap.  At the frontier the optimistic compile
+    # solves n = 7, whose Q has 2,188 vertices, and refuses n = 8 at
+    # geometry.CAP; CI runs the slower pessimistic n = 7 and n = 8.
+    def draw(n):
+        return random_formula(random.Random(7), 2, n, max_leaves=12)
+
     for n in range(3, 7):
-        formula = random_formula(random.Random(7), 2, n, max_leaves=12)
+        formula = draw(n)
         truth = 1 if qsat_oracle(formula) else 0
         for compile_qsat, mode in ((compile_qsat_optimistic, Mode.OPTIMISTIC),
                                    (compile_qsat_pessimistic,
                                     Mode.PESSIMISTIC)):
             report = solve_robust(compile_qsat(formula).instance, mode)
             assert report.value == truth, (n, mode)
+    formula = draw(7)
+    report = solve_robust(compile_qsat_optimistic(formula).instance,
+                          Mode.OPTIMISTIC)
+    assert report.value == (1 if qsat_oracle(formula) else 0) == 1
+    with pytest.raises(CapExceededError, match=f"{geometry.CAP} rays"):
+        solve_robust(compile_qsat_optimistic(draw(8)).instance,
+                     Mode.OPTIMISTIC)
     print("\nLADDER: PASS - p = 2, n = 3..6 solved in both compiles, "
-          "each equal to the QSAT oracle")
+          "n = 7 in the optimistic one, each equal to the QSAT oracle; "
+          "n = 8 refused at the cap")

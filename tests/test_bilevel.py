@@ -35,7 +35,7 @@ from rbo.compiler import (
     relax_leader,
 )
 from rbo.lp import CERT_LOG
-from rbo.numeric import ONE, ZERO, dot
+from rbo.numeric import ONE, ZERO, dot, integer_scaled
 from rbo.uncertainty import (
     ConvexHull,
     DiscreteSet,
@@ -43,7 +43,13 @@ from rbo.uncertainty import (
     ProductFinite,
     Shadow,
 )
-from helpers import fractions, int_rows, spot_check_relaxed, vertices
+from helpers import (
+    fractions,
+    int_rows,
+    rational_rows,
+    spot_check_relaxed,
+    vertices,
+)
 from reference_faces import enumerate_faces, exposure_check
 from test_geometry import argmax_vertices
 from test_lp import _rationals, small_polytopes
@@ -265,8 +271,9 @@ def shadow_instances(draw):
         unc = Interval(lower, upper)
     else:
         unc = ConvexHull(draw(st.lists(entries, min_size=2, max_size=3)))
+    a, rhs = rational_rows(poly)
     return RobustBilevelInstance(
-        p=0, n=n, rows=int_rows(poly.a, ((),) * poly.num_rows, poly.rhs),
+        p=0, n=n, rows=int_rows(a, ((),) * poly.num_rows, rhs),
         leader_obj=draw(entries), leader_set=AllBinary(),
         uncertainty=unc)
 
@@ -464,10 +471,12 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_memo_scans_each_distinct_shadow_once(monkeypatch):
-    # Four leaders, two distinct Y(x), one shadow: each projection's
-    # vertices are enumerated, then the square's exposed faces once per
-    # mode, each from one more double description, and the scan takes
-    # the faces of test_face_scan_skips_dominated_faces.
+    # Four leaders, two distinct Y(x), one shadow, the unit square, whose
+    # two projections differ in a redundant row: the scan memo keys on a
+    # projection's rows, so per mode each projection's vertices are
+    # enumerated and its exposed faces found, from one more double
+    # description, and each scan takes the faces of
+    # test_face_scan_skips_dominated_faces.
     projected = _count_calls(monkeypatch, geometry, "project_polytope")
     enumerated = _count_calls(monkeypatch, geometry, "enumerate_vertices")
     exposed = _count_calls(monkeypatch, geometry, "exposed_faces")
@@ -476,11 +485,12 @@ def test_memo_scans_each_distinct_shadow_once(monkeypatch):
     for mode, faces in ((Mode.OPTIMISTIC, 4), (Mode.PESSIMISTIC, 1)):
         for calls in (projected, enumerated, exposed, described, taken):
             calls.clear()
-        solve_robust(replace(SHARED_SHADOW), mode)
-        assert len(projected) == 2
-        assert len(enumerated) == len(described) == 3
-        assert len(exposed) == 1
-        assert len(taken) == faces
+        inst = replace(SHARED_SHADOW)
+        solve_robust(inst, mode)
+        assert len(projected) == 2 and len(inst._scans) == 2
+        assert len(enumerated) == len(described) == 4
+        assert len(exposed) == 2
+        assert len(taken) == 2 * faces
 
 
 def test_leaders_with_equal_rows_share_one_polyhedron(monkeypatch):
@@ -519,19 +529,30 @@ def test_memo_enumerates_each_projection_once(monkeypatch):
     assert report.value == 2 and report.leader_x == (ONE,)
 
 
-def test_memo_solves_each_finite_y_once(monkeypatch):
-    # Two leaders share Y(x) through a zero column of B, so the second
-    # leader's k scenarios come from the memo; the replay adds one LP.
-    scenarios = ((F(1),), (F(-1),), (F(1, 2),))
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("distinct", [1, 2], ids=["one-y", "two-y"])
+def test_memo_solves_each_finite_y_once(monkeypatch, distinct, size):
+    # The paper's discrete case in counts: the adversary solves one
+    # follower LP per scenario on each distinct Y(x), |U| x (distinct
+    # Y(x)) in all, and the replay adds one.  Y(x) = {0 <= y <= 1 + s·x1}:
+    # with s = 0 the two leaders share Y(x) through a zero column of B,
+    # so the second leader's scenarios come from the memo; with s = 1
+    # they do not.  The |U| scenarios are distinct, and for |U| > 1 some
+    # are negative, which sends the follower to y = 0.
+    scenarios = tuple([(F(2 * k + 1 - size, size),) for k in range(size)])
     inst = RobustBilevelInstance(
         p=1, n=1,
-        rows=int_rows(((ONE,), (-ONE,)), ((ZERO,), (ZERO,)), (ONE, ZERO)),
+        rows=int_rows(((ONE,), (-ONE,)), ((F(distinct - 1),), (ZERO,)),
+                      (ONE, ZERO)),
         leader_obj=(ONE,), leader_set=AllBinary(),
         uncertainty=DiscreteSet(scenarios))
     solved = _count_calls(monkeypatch, bilevel, "solve_lex_lp")
     report = solve_robust(inst, Mode.OPTIMISTIC)
-    assert report.trace == (((F(0),), ZERO), ((F(1),), ZERO))
-    assert len(solved) == len(scenarios) + 1
+    leaders = [x for x, _ in report.trace]
+    assert len({inst.follower_polyhedron(x) for x in leaders}) == distinct
+    if size > 1:
+        assert [value for _, value in report.trace] == [ZERO, ZERO]
+    assert len(solved) == size * distinct + 1
 
 
 def _count_stage_ones(monkeypatch):
@@ -594,9 +615,9 @@ def test_lex_value_is_the_secondary_at_the_fraction_point(case, data):
     poly, c, _ = case
     d = data.draw(st.lists(_rationals(-2, 2), min_size=poly.dim,
                            max_size=poly.dim))
+    a, rhs = rational_rows(poly)
     inst = RobustBilevelInstance(
-        p=0, n=poly.dim,
-        rows=int_rows(poly.a, ((),) * poly.num_rows, poly.rhs),
+        p=0, n=poly.dim, rows=int_rows(a, ((),) * poly.num_rows, rhs),
         leader_obj=d, leader_set=AllBinary(),
         uncertainty=DiscreteSet((tuple(c),)))
     lex, solved = bilevel.solve_lex_lp, []
@@ -637,11 +658,11 @@ def leader_shadow_instances(draw):
     right-hand sides, so Y(x) contains the bounded Y(0); a zero column
     of B makes leaders share Y(x)."""
     inst = draw(shadow_instances())
-    y = inst.follower_polyhedron(())
+    a, rhs = rational_rows(inst.follower_polyhedron(()))
     p = draw(st.integers(1, 2))
     shift = st.sampled_from([ZERO, F(1, 2), ONE])
     mat = [[draw(shift) for _ in range(p)] for _ in range(len(inst.rows))]
-    return replace(inst, p=p, rows=int_rows(y.a, mat, y.rhs),
+    return replace(inst, p=p, rows=int_rows(a, mat, rhs),
                    leader_set=AllBinary())
 
 
@@ -706,8 +727,8 @@ def test_follower_rows_are_the_scaled_fraction_rows(case):
     lhs = tuple([tuple(row) for row in lhs])
     shifted = tuple([r + dot(row, x) for r, row in zip(rhs, lead)])
     poly = inst.follower_polyhedron(x)
-    assert poly._scaled_rows == lp.Polyhedron(lhs, shifted)._scaled_rows
-    assert (poly.a, poly.rhs) == (lhs, shifted)
+    assert poly.rows == lp.Polyhedron(lhs, shifted).rows == tuple(
+        [tuple(integer_scaled(row + (r,))[1]) for row, r in zip(lhs, shifted)])
 
 
 def test_validation_accepts_and_rejects():

@@ -50,7 +50,7 @@ from rbo.lp import Polyhedron, Sense
 from rbo.numeric import ONE, ZERO, rat_parse_nested
 from rbo.oracle import robust_single_level_oracle
 from rbo.uncertainty import ConvexHull, DiscreteSet, Interval
-from helpers import formula_file_text, int_rows, solve
+from helpers import formula_file_text, int_rows, rational_rows, solve
 
 
 def test_parse_examples():
@@ -167,7 +167,7 @@ def forced_gate_values(art, x_bits, y_bits):
     inst = art.instance
     poly = inst.follower_polyhedron([F(b) for b in x_bits])
     n_y = len(y_bits)
-    rows, rhs = list(poly.a), list(poly.rhs)
+    rows, rhs = map(list, rational_rows(poly))
     for j in range(n_y):
         row = [ZERO] * inst.n
         row[j] = ONE
@@ -747,12 +747,12 @@ def test_solve_report_is_pinned(name, mode):
 
 
 # The shadow of Y(x) under all q columns of L at the first leader, as
-# rows [coefficients..., rhs] in the order project_polytope returns them,
-# redundant ones included.  The scan memo key, the face order and the
-# exposure LPs depend only on the sorted vertices of these rows, which
-# no redundant row moves; the pivot paths and tie-breaks hold while the
-# vertices do.  The simplex layout's shadow is flat: its hull points
-# (-1, 0) and (1, 0) are linearly dependent.
+# integer rows [coefficients..., rhs] in the order project_polytope
+# returns them, redundant ones included.  The scan memo keys on these
+# rows; the face order and the directions depend only on their sorted
+# vertices, which no redundant row moves, so the pivot paths and
+# tie-breaks hold while the vertices do.  The simplex layout's shadow is
+# flat: its hull points (-1, 0) and (1, 0) are linearly dependent.
 PINNED_PROJECTIONS = {
     "optimistic": [["-1", "0"], ["1", "1"]],
     "pessimistic": [["-1", "0", "0"], ["-1", "1", "0"], ["0", "-1", "0"],
@@ -769,8 +769,8 @@ def test_shadow_projection_is_pinned(name):
     inst = LAYOUT_BUILDERS[name]().instance
     poly = inst.follower_polyhedron(inst.leader_set.candidates(inst.p)[0])
     shadow = project_polytope(poly, inst.uncertainty.shadow().columns)
-    rows = tuple([row + (r,) for row, r in zip(shadow.a, shadow.rhs)])
-    assert rows == rat_parse_nested(PINNED_PROJECTIONS[name])
+    assert shadow.rows == tuple([tuple([int(c) for c in row])
+                                 for row in PINNED_PROJECTIONS[name]])
 
 
 # On the unit square c = d = (1, 0) makes the whole edge y1 = 1 the

@@ -16,7 +16,7 @@ from rbo.geometry import (
 from rbo.lp import LpStatus, Polyhedron
 from rbo.numeric import dot
 from rbo.uncertainty import ConvexHull, Interval
-from helpers import fractions, solve, vertices
+from helpers import fractions, rational_rows, solve, vertices
 from reference_faces import enumerate_faces, exposure_check, undominated
 from test_lp import _rationals, small_polytopes
 
@@ -34,8 +34,8 @@ def argmax_vertices(verts, c):
 
 def tight_rows_at(poly, point):
     """The rows of poly tight at point, computed in Fractions."""
-    return frozenset(i for i in range(poly.num_rows)
-                     if dot(poly.a[i], point) == poly.rhs[i])
+    return frozenset(i for i, row in enumerate(poly.rows)
+                     if dot(row[:-1], point) == row[-1])
 
 
 def vertices_and_faces(poly):
@@ -93,11 +93,11 @@ def test_vertices_deduped_on_duplicate_rows():
 
 
 def test_vertex_cap():
-    # The double description keeps at most CAP = 2048 rays after each
-    # row: the 11-cube's 2048 vertices fit, the 12-cube's 4096 are refused.
-    assert len(enumerate_vertices(cube(11))) == 2 ** 11 == geometry.CAP
-    with pytest.raises(CapExceededError, match="2048 rays"):
-        enumerate_vertices(cube(12))
+    # The double description keeps at most CAP = 4096 rays after each
+    # row: the 12-cube's 4096 vertices fit, the 13-cube's 8192 are refused.
+    assert len(enumerate_vertices(cube(12))) == 2 ** 12 == geometry.CAP
+    with pytest.raises(CapExceededError, match="4096 rays"):
+        enumerate_vertices(cube(13))
 
 
 @given(small_polytopes())
@@ -107,7 +107,8 @@ def test_vertices_match_the_brute_force_oracle(case):
     # vertex carries exactly the rows tight at it.
     poly = case[0]
     tights = vertices(poly)
-    assert tuple(tights) == tuple(oracle._brute_vertices(poly.a, poly.rhs))
+    assert tuple(tights) \
+        == tuple(oracle._brute_vertices(*rational_rows(poly)))
     for v, tight in tights.items():
         assert tight == tight_rows_at(poly, v)
 
@@ -149,15 +150,15 @@ def test_faces_match_the_brute_force_oracle(case):
 
 
 def test_face_lattice_at_the_budget():
-    # CAP = 2048 faces are allowed: the 10-simplex has 2047.
-    poly = simplex(10)
-    assert len(vertices_and_faces(poly)[1]) == 2 ** 11 - 1
+    # CAP = 4096 faces are allowed: the 11-simplex has 4095.
+    poly = simplex(11)
+    assert len(vertices_and_faces(poly)[1]) == 2 ** 12 - 1
 
 
 def test_face_lattice_over_the_budget():
-    # The 11-simplex has 4095 faces and is refused.
-    poly = simplex(11)
-    with pytest.raises(CapExceededError, match="2048 faces"):
+    # The 12-simplex has 8191 faces and is refused.
+    poly = simplex(12)
+    with pytest.raises(CapExceededError, match="4096 faces"):
         vertices_and_faces(poly)
 
 
@@ -361,9 +362,8 @@ def test_projection_is_the_image_of_the_vertices(case, data):
     poly = case[0]
     image = draw_image(data, poly.dim)
     shadow = project_polytope(poly, image)
-    for row in shadow.a:
-        assert all(c.denominator == 1 for c in row)
-        assert math.gcd(*[c.numerator for c in row]) == 1
+    for row in shadow.rows:
+        assert all(type(c) is int for c in row) and math.gcd(*row) == 1
     images = {tuple([dot(t, v) for t in image]) for v in vertices(poly)}
     assert all(shadow.contains(w) for w in images)
     assert set(vertices(shadow)) == {

@@ -21,7 +21,7 @@ from rbo.lp import (
 )
 from rbo.numeric import dot, integer_scaled
 from rbo.oracle import _brute_vertices
-from helpers import solve, solve_lex, span_basis, vertices
+from helpers import rational_rows, solve, solve_lex, span_basis, vertices
 import reference_dual
 
 UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
@@ -50,10 +50,11 @@ def _point(tab):
     return tuple([F(x, d) for x in w])
 
 
-def _dual(poly, o, den):
-    """The dual of poly's rows that the certificate o gives over D > 0:
-    mu_r = s_r o_r / D, s_r row r's scale."""
-    return tuple([F(s * u, den) for s, u in zip(poly._scaled_rows[0], o)])
+def _dual(o, den):
+    """The dual of a polyhedron's integer rows that the certificate o
+    gives over D > 0: mu_r = o_r / D."""
+    return tuple([F(u, den) for u in o])
+
 
 def verify_max_certificate(poly, obj, outcome):
     # The certificate `_phase_two` forms for max obj, read as a Fraction
@@ -62,12 +63,12 @@ def verify_max_certificate(poly, obj, outcome):
     status, tab, [(o, c)] = lp._phase_two(poly, (scale, ints))
     assert status is LpStatus.OPTIMAL and _point(tab) == outcome.point
     assert c == [tab.d * a for a in ints]
-    mu = _dual(poly, o, scale * tab.d)
+    mu = _dual(o, scale * tab.d)
     assert all(m >= 0 for m in mu)
+    a, rhs = rational_rows(poly)
     for j in range(poly.dim):
-        assert sum(mu[i] * poly.a[i][j]
-                   for i in range(poly.num_rows)) == obj[j]
-    assert dot(mu, poly.rhs) == outcome.value
+        assert sum(mu[i] * a[i][j] for i in range(poly.num_rows)) == obj[j]
+    assert dot(mu, rhs) == outcome.value
 
 
 def _certified(poly, objective, sense, tie=None):
@@ -166,7 +167,7 @@ def test_optimal_point_is_vertex_of_random_polytope(case):
     poly, obj, sense = case
     out = solve(poly, obj, sense)
     assert out.status is LpStatus.OPTIMAL
-    tight = [row for row, r in zip(poly.a, poly.rhs)
+    tight = [row for row, r in zip(*rational_rows(poly))
              if dot(row, out.point) == r]
     assert len(span_basis(tight)) == poly.dim
     values = [dot(obj, v) for v in vertices(poly)]
@@ -243,8 +244,9 @@ def test_lex_matches_solve_on_pinned_face(case):
     poly, primary, secondary = case
     for primary_sense, secondary_sense in itertools.product(Sense, Sense):
         best = solve(poly, primary, primary_sense).value
-        face = Polyhedron(poly.a + (primary, [-c for c in primary]),
-                          poly.rhs + (best, -best))
+        a, rhs = rational_rows(poly)
+        face = Polyhedron(a + (primary, [-c for c in primary]),
+                          rhs + (best, -best))
         reference = solve(face, secondary, secondary_sense)
         before = (CERT_LOG.verified, CERT_LOG.failures)
         point, value = solve_lex(poly, primary, primary_sense,
@@ -253,8 +255,7 @@ def test_lex_matches_solve_on_pinned_face(case):
                 CERT_LOG.failures - before[1]) == (2, 0)
         assert dot(primary, point) == best
         assert value == reference.value
-        tight = [row for row, r in zip(poly.a, poly.rhs)
-                 if dot(row, point) == r]
+        tight = [row for row, r in zip(a, rhs) if dot(row, point) == r]
         assert len(span_basis(tight)) == poly.dim
 
 
@@ -278,7 +279,7 @@ def test_reused_polyhedron_solves_like_a_fresh_one(case):
                    (neg, Sense.MIN, (unit, Sense.MIN)),
                    (unit, Sense.MAX, (neg, Sense.MAX))]
     for objective, sense, tie in solves:
-        fresh = Polyhedron(poly.a, poly.rhs)
+        fresh = Polyhedron.from_rows(poly.rows)
         assert (_certified(poly, objective, sense, tie)
                 == _certified(fresh, objective, sense, tie))
 
@@ -308,7 +309,7 @@ def test_second_solve_skips_phase_one(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "pivot", counted_pivot)
     monkeypatch.setattr(lp, "_phase_one", flagged)
     # RATIONAL_BOX has negative right-hand sides, so phase one pivots.
-    poly = Polyhedron(RATIONAL_BOX.a, RATIONAL_BOX.rhs)
+    poly = Polyhedron.from_rows(RATIONAL_BOX.rows)
     first = solve(poly, [1, 1], Sense.MAX)
     assert len(built) == 1 and phase_one_pivots
     built.clear()
@@ -321,7 +322,7 @@ def test_second_solve_skips_phase_one(monkeypatch):
     assert check_bounded_nonempty(poly) == (True, True)
     assert built == [] and phase_one_pivots == []
     # An empty polyhedron keeps its finding too.
-    empty = Polyhedron(EMPTY.a, EMPTY.rhs)
+    empty = Polyhedron.from_rows(EMPTY.rows)
     for objective, sense in [([1], Sense.MAX), ([0], Sense.MIN),
                              ([-1], Sense.MAX), ([1], Sense.MIN)]:
         assert solve(empty, objective, sense).status is LpStatus.INFEASIBLE
@@ -335,14 +336,14 @@ def test_second_solve_skips_phase_one(monkeypatch):
 
 def _full_tableau(poly):
     """The full tableau [A | I | aux | rhs] in ints that `_Tableau`
-    condenses: row i is [s_i a_i | e_i | -1 if rhs_i < 0 | s_i rhs_i],
-    with the auxiliary column only when some rhs is negative."""
+    condenses: row i is [a_i | e_i | -1 if rhs_i < 0 | rhs_i] for
+    poly's integer row i = (a_i | rhs_i), with the auxiliary column only
+    when some rhs is negative."""
     n, m = poly.dim, poly.num_rows
-    scaled = poly._scaled_rows[1]
-    aux = any(ints[-1] < 0 for ints in scaled)
+    aux = any(ints[-1] < 0 for ints in poly.rows)
     return [[*ints[:n], *[int(k == i) for k in range(m)],
              *([-(ints[-1] < 0)] if aux else []), ints[-1]]
-            for i, ints in enumerate(scaled)]
+            for i, ints in enumerate(poly.rows)]
 
 
 @given(small_polytopes(), st.lists(st.integers(0, 99), min_size=1,
@@ -412,7 +413,7 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
     kept = [([row[:] for row in tab.rows], tab.d, tab.basis[:])
             for tab in tableaux]
     for objective, goal, tie in solves:
-        fresh = Polyhedron(poly.a, poly.rhs)
+        fresh = Polyhedron.from_rows(poly.rows)
         assert (_certified(poly, objective, goal, tie)
                 == _certified(fresh, objective, goal, tie))
     assert (start.rows, start.d, start.basis) == first
@@ -428,10 +429,11 @@ def test_free_columns_enter_only_in_phase_one(case):
     # holds, and a basic free column never leaves, so no later solve or
     # tie stage pivots a free column in.
     poly, obj, sense = case
-    poly = Polyhedron(poly.a, poly.rhs)
+    poly = Polyhedron.from_rows(poly.rows)
     n = poly.dim
     start = poly._phase_one_tableau
-    assert sum(col < n for col in start.basis) == len(span_basis(poly.a))
+    assert sum(col < n for col in start.basis) \
+        == len(span_basis(rational_rows(poly)[0]))
     entered, pivot = [], lp._Tableau.pivot
 
     def counted(self, row, col):
@@ -464,11 +466,11 @@ def check_duals(poly, obj, tie=None):
         return status, None, None
     first = poly._stage_one[_scaled(obj)]
     assert certs[0][0] == first.slack_costs()
-    assert (_dual(poly, certs[0][0], _scaled(obj)[0] * first.d)
+    assert (_dual(certs[0][0], _scaled(obj)[0] * first.d)
             == reference_dual.dual(first, poly, obj))
     if tie is None:
         return status, tab, None
-    mu_s = _dual(poly, tab.slack_costs(), _scaled(tie)[0] * tab.d)
+    mu_s = _dual(tab.slack_costs(), _scaled(tie)[0] * tab.d)
     assert mu_s == reference_dual.dual(tab, poly, tie)
     return status, tab, mu_s
 
@@ -510,7 +512,7 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
     _, tab, _ = check_duals(apex, (F(1), F(1)))
     assert _point(tab) == (1, 1)
     assert sum(dot(row, _point(tab)) == r
-               for row, r in zip(apex.a, apex.rhs)) == 3
+               for row, r in zip(*rational_rows(apex))) == 3
     assert sum(tab.basis[i] >= apex.dim and not tab.rows[i][-1]
                for i in range(apex.num_rows)) == 1
     # A tie stage on the unit square's face v1 = 1: maximizing v2 - v1
@@ -519,7 +521,7 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
     assert min(mu_s) < 0 and _point(tab) == (1, 1)
     # A repeated objective is served from the kept first stage: only the
     # tie stage runs, and the kept dual is the reference's.
-    poly = Polyhedron(UNIT_SQUARE.a, UNIT_SQUARE.rhs)
+    poly = Polyhedron.from_rows(UNIT_SQUARE.rows)
     check_duals(poly, (F(1), F(0)))
     kept = dict(poly._stage_one)
     runs, run = [], lp._Tableau.run
@@ -537,7 +539,7 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
 def test_stage_one_keys_on_the_scale_and_the_ints():
     # (1/2, 1) and (1, 2) scale to the same ints, but they are two
     # objectives with two optimal values.
-    poly = Polyhedron(UNIT_SQUARE.a, UNIT_SQUARE.rhs)
+    poly = Polyhedron.from_rows(UNIT_SQUARE.rows)
     assert solve(poly, [F(1, 2), 1]).value == F(3, 2)
     assert solve(poly, [1, 2]).value == 3
     assert sorted(poly._stage_one) == [(1, (1, 2)), (2, (1, 2))]
@@ -570,12 +572,12 @@ def test_certificate_check_rejects_altered_certificates(case):
         if c[j]:
             assert _rejected(poly, o, c, (w[:j] + [x + d] + w[j + 1:], d))
     # o_i + 1 adds the integer row i.
-    for i, row in enumerate(poly._scaled_rows[1]):
+    for i, row in enumerate(poly.rows):
         if any(row[:-1]):
             assert _rejected(poly, o[:i] + [o[i] + 1] + o[i + 1:], c, (w, d))
     # With row 0 repeated last, moving o_0 + 1 onto row 0 from the copy
     # keeps sum o_r ints_r whole, so only the sign is wrong.
-    twin = Polyhedron(poly.a + poly.a[:1], poly.rhs + poly.rhs[:1])
+    twin = Polyhedron.from_rows(poly.rows + poly.rows[:1])
     lp._verify_certificate(twin, o + [0], c, (w, d))
     assert _rejected(twin, [2 * o[0] + 1] + o[1:] + [-o[0] - 1], c, (w, d))
 
@@ -586,7 +588,7 @@ def test_certificate_check_rejects_altered_certificates(case):
 @example((RATIONAL_BOX, [F(1, 3), F(-3, 4)], Sense.MAX), 1, [])
 @settings(max_examples=120, deadline=None)
 def test_integer_check_agrees_with_the_fraction_check(case, den, edits):
-    # The certificate o for c at w / d, read as mu_r = s_r o_r / D for
+    # The certificate o for c at w / d, read as mu_r = o_r / D for
     # obj = c / D, is the old Fraction check's (obj, value, mu); each edit
     # adds to one entry of o, c or w, or to d.
     poly, obj, _ = case
@@ -599,8 +601,7 @@ def test_integer_check_agrees_with_the_fraction_check(case, den, edits):
         else:
             d = max(1, d + delta)
     o, c, w = parts
-    scales = poly._scaled_rows[0]
-    mu = [F(s * u, den) for s, u in zip(scales, o)]
+    mu = list(_dual(o, den))
     target = [F(x, den) for x in c]
     value = dot(target, [F(x, d) for x in w])
     accepted = reference_dual.certifies(poly, target, value, mu)
@@ -650,15 +651,13 @@ def test_bounded_nonempty_triples():
 
 
 def test_boundedness_reads_only_the_integer_rows():
-    # The boundedness LP maximizes minus the sum of the integer rows, so
-    # no Fraction view of a polyhedron written in ints is built.  The ray
-    # v >= 0 has rank A = n, so its LP decides it.
-    for rows, found in [(RATIONAL_BOX._scaled_rows, (True, True)),
-                        (((1,), ((-1, 0),)), (True, False)),
-                        (EMPTY._scaled_rows, (False, True))]:
-        poly = Polyhedron.from_scaled_rows(*rows)
-        assert check_bounded_nonempty(poly) == found
-        assert "a" not in poly.__dict__ and "rhs" not in poly.__dict__
+    # The boundedness LP maximizes minus the sum of the integer rows, as
+    # `from_rows` takes them.  The ray v >= 0 has rank A = n, so its LP
+    # decides it.
+    for rows, found in [(RATIONAL_BOX.rows, (True, True)),
+                        (((-1, 0),), (True, False)),
+                        (EMPTY.rows, (False, True))]:
+        assert check_bounded_nonempty(Polyhedron.from_rows(rows)) == found
 
 
 @st.composite
@@ -720,14 +719,14 @@ AUX_POSITIVE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
 def test_emptiness_matches_the_brute_vertices(poly):
     # A box is bounded, so it has a point exactly when it has a vertex.
     try:
-        nonempty = bool(_brute_vertices(poly.a, poly.rhs))
+        nonempty = bool(_brute_vertices(*rational_rows(poly)))
     except ValueError:
         nonempty = False
     assert is_nonempty(poly) is nonempty
-    fresh = Polyhedron(poly.a, poly.rhs)
+    fresh = Polyhedron.from_rows(poly.rows)
     infeasible = solve(fresh, [0] * poly.dim).status is LpStatus.INFEASIBLE
     assert infeasible is not nonempty
-    fresh = Polyhedron(poly.a, poly.rhs)
+    fresh = Polyhedron.from_rows(poly.rows)
     assert check_bounded_nonempty(fresh) == (nonempty, True)
 
 
@@ -742,10 +741,10 @@ def test_phase_one_ends_with_the_auxiliary_at_either_level(monkeypatch):
         return status
 
     monkeypatch.setattr(lp._Tableau, "run", recorded)
-    assert is_nonempty(Polyhedron(AUX_AT_ZERO.a, AUX_AT_ZERO.rhs))
+    assert is_nonempty(Polyhedron.from_rows(AUX_AT_ZERO.rows))
     assert levels == [0]
     levels.clear()
-    assert not is_nonempty(Polyhedron(AUX_POSITIVE.a, AUX_POSITIVE.rhs))
+    assert not is_nonempty(Polyhedron.from_rows(AUX_POSITIVE.rows))
     assert len(levels) == 1 and levels[0] > 0
 
 
@@ -756,7 +755,7 @@ def test_determinism():
                       [2, 1, 0, 0, 1])
     first = _certified(poly, [1, 0], Sense.MAX)
     for _ in range(3):
-        for target in (poly, Polyhedron(poly.a, poly.rhs)):
+        for target in (poly, Polyhedron.from_rows(poly.rows)):
             assert _certified(target, [1, 0], Sense.MAX) == first
 
 

@@ -25,8 +25,7 @@ def homogenized(poly):
     vertices, t >= 0 first, as `geometry._double_description` builds
     them."""
     n = poly.dim
-    return [(0,) * n + (-1,)] + [r[:n] + (-r[n],)
-                                 for r in poly._scaled_rows[1]]
+    return [(0,) * n + (-1,)] + [r[:n] + (-r[n],) for r in poly.rows]
 
 
 def outcome(project, poly, image):
@@ -123,7 +122,7 @@ def point_y():
 def test_projection_matches_the_reference_on_point_y():
     poly, columns = point_y()
     check_projection(poly, columns)
-    assert len(geometry.project_polytope(poly, columns).a) > 1
+    assert geometry.project_polytope(poly, columns).num_rows > 1
 
 
 def test_point_y_refusals_match_the_reference(monkeypatch):
@@ -137,9 +136,9 @@ def test_point_y_refusals_match_the_reference(monkeypatch):
         CapExceededError, "projection grew to 19 rows (cap 18)")
     check_projection(poly, columns)
     monkeypatch.undo()
-    empty = Polyhedron([row + (0,) for row in poly.a]
-                       + [(0,) * poly.dim + (1,), (0,) * poly.dim + (-1,)],
-                       poly.rhs + (-1, 0))
+    empty = Polyhedron.from_rows(
+        [row[:-1] + (0, row[-1]) for row in poly.rows]
+        + [(0,) * poly.dim + (1, -1), (0,) * poly.dim + (-1, 0)])
     columns = [col + (0,) for col in columns]
     assert outcome(geometry.project_polytope, empty, columns) == (
         ValueError, "projection produced an infeasible row")

@@ -51,13 +51,13 @@ def _fraction_calls(tree):
     return calls
 
 
-def test_lp_builds_fractions_only_for_views_and_the_lex_value():
-    # The LP kernel pivots and certifies in ints; a Fraction is built only
-    # for the rational views of a polyhedron's rows and for the value that
+def test_lp_builds_fractions_only_for_the_lex_value():
+    # The LP kernel pivots and certifies in ints, and a polyhedron is its
+    # integer rows; a Fraction is built only for the value that
     # `solve_lex_lp` hands its callers.
     path = Path(rbo.__file__).parent / "lp.py"
     calls = _fraction_calls(ast.parse(path.read_text()))
-    assert set(calls) <= {"Polyhedron.a", "Polyhedron.rhs", "solve_lex_lp"}
+    assert set(calls) <= {"solve_lex_lp"}
 
 
 def test_oracle_reads_only_stored_instance_data():
