@@ -203,8 +203,10 @@ class RobustBilevelInstance:
             rows = []
             for t, lhs, lead, b in self.rows:
                 row = [q * a for a in lhs] + [q * b + sum(map(mul, lead, xs))]
-                g = gcd(t * q, *row)
-                rows.append(tuple([a // g for a in row]))
+                if t * q > 1:
+                    g = gcd(t * q, *row)
+                    row = [a // g for a in row]
+                rows.append(tuple(row))
             poly = Polyhedron.from_rows(rows)
             memo[x] = self._distinct.setdefault(poly.rows, poly)
         return memo[x]
@@ -379,44 +381,51 @@ def adversary_geometric(inst: RobustBilevelInstance, x: Sequence, mode: Mode):
     kept for the instance's lifetime: `inst._polyhedra` and
     `inst._distinct` give leaders with equal Y(x) rows one polyhedron;
     `inst._adversaries` holds the result (c*, value) under (mode, Y(x)),
-    for finite sets too; and `inst._scans` holds the scan's scenarios
-    under (mode, the projection's sorted integer rows), so the shadow's
-    vertices and exposed faces are found once for each distinct
-    projection and mode.  A polytope's faces do not depend on redundant
-    rows, so the projection's rows need not be irredundant.  Only the
-    projection and the follower LPs on a new Y(x) run again, each LP
-    with its certificates checked; Y(x) keeps each scenario's first
-    stage, so the other mode and the replay run only tie stages.
+    for finite sets too; and `inst._scans` holds the scan's directions,
+    each with its scenario's objective in ints, under (mode, the
+    projection's sorted integer rows), so the shadow's vertices and
+    exposed faces are found once for each distinct projection and mode.
+    A polytope's faces do not depend on redundant rows, so the
+    projection's rows need not be irredundant.  Only the projection and
+    the follower LPs on a new Y(x) run again, each LP with its
+    certificates checked; Y(x) keeps each scenario's first stage, so the
+    other mode and the replay run only tie stages.  The scenario L·s is
+    built in Fractions only for the direction reported.
     """
     poly = inst.follower_polyhedron(x)
     memo = inst._adversaries
     key = (mode, poly)
     if key not in memo:
         scenarios = inst._finite_objectives
-        if scenarios is None:
+        finite = scenarios is not None
+        if not finite:
             scenarios = _shadow_scenarios(inst, poly, mode)
         if not scenarios:
             raise SolverInvariantError(
                 "the adversary found no scenario; the shadow set is broken")
         # min keeps the first scenario of the smallest outcome.
-        memo[key] = min([(c, _respond(inst, poly, obj, mode)[1])
-                         for c, obj in scenarios], key=lambda pair: pair[1])
+        c, value = min([(c, _respond(inst, poly, obj, mode)[1])
+                        for c, obj in scenarios], key=lambda pair: pair[1])
+        memo[key] = (c if finite else inst._shadow.scenario(*c)), value
     return memo[key]
 
 
 def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
                       mode: Mode) -> list:
-    """(c, c scaled to ints) for the scenarios of the faces of the shadow
-    of poly = Y(x) that `geometry.exposed_faces` gives for the mode, in
-    its order.  Each direction w / d is checked in ints: w·v over the
-    shadow's vertices, each v its key (d_v·v | d_v), one positive
-    factor d·d_v off the true score, so the argmax is the same."""
+    """((w, d), L·s scaled to ints) for the directions s = w / d of the
+    faces of the shadow of poly = Y(x) that `geometry.exposed_faces`
+    gives for the mode, in its order.  Each direction is checked in ints:
+    w·v over the shadow's vertices, each v its key (d_v·v | d_v), one
+    positive factor d·d_v off the true score, so the argmax is the same.
+    L·s is rows·w / (d·λ) (`Shadow.int_rows`), so `scaled_objective`'s
+    ints are (d·λ / g, rows·w / g) for g = gcd(d·λ, rows·w)."""
     shadow = inst._shadow
     image = geometry.project_polytope(poly, shadow.columns)
     memo = inst._scans
     key = (mode, image.rows)
     if key in memo:
         return memo[key]
+    scale, lrows = shadow.int_rows
     verts = tuple(geometry.enumerate_vertices(image))
     faces = geometry.exposed_faces(verts, shadow.directions,
                                    mode is Mode.OPTIMISTIC)
@@ -430,8 +439,10 @@ def _shadow_scenarios(inst: RobustBilevelInstance, poly: Polyhedron,
             raise SolverInvariantError(
                 f"direction {rat_format_vector(w)} / {d} does not expose "
                 "its face")
-        c = shadow.scenario(w, d)
-        scenarios.append((c, scaled_objective(c, Sense.MAX, inst.n)))
+        ints = [sum(map(mul, w, row)) for row in lrows]
+        g = gcd(d * scale, *ints)
+        scenarios.append(((w, d), (d * scale // g,
+                                   tuple([a // g for a in ints]))))
     memo[key] = scenarios
     return scenarios
 

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
+from operator import mul
 
 from .lp import Polyhedron
 from .numeric import as_matrix, eliminate, integer_scaled
 from .uncertainty import CapExceededError
 
-CAP = 4096  # rays held by one double description after any row
+CAP = 4096  # rays held by one double description at any point
 _MAX_PROJECTION_ROWS = 4000
 
 
@@ -64,7 +65,8 @@ def _double_description(poly: Polyhedron) -> list:
     further row keeps the rays on its side and joins each pair across it
     that is adjacent, as no other ray is tight on all the rows both are.
     A ray is primitive ints and a bitmask of its tight rows.  More than
-    CAP rays after any row raise CapExceededError.
+    CAP rays raise CapExceededError as soon as a row's join passes CAP:
+    the rays only grow within a row.
     """
     n = poly.dim
     rows = [(0,) * n + (-1,)] + [r[:n] + (-r[n],) for r in poly.rows]
@@ -72,7 +74,7 @@ def _double_description(poly: Polyhedron) -> list:
     for k, row in enumerate(rows):
         if start >> k & 1:
             continue
-        sides = [(sum(a * b for a, b in zip(row, r)), r, z) for r, z in rays]
+        sides = [(sum(map(mul, row, r)), r, z) for r, z in rays]
         joined = [(r, z if s else z | 1 << k) for s, r, z in sides if s <= 0]
         plus = [x for x in sides if x[0] > 0]
         minus = [x for x in sides if x[0] < 0]
@@ -87,9 +89,10 @@ def _double_description(poly: Polyhedron) -> list:
                 w = [sp * b - sq * a for a, b in zip(p, q)]
                 g = gcd(*w)
                 joined.append(([c // g for c in w], z | 1 << k))
+                if len(joined) > CAP:
+                    raise CapExceededError(
+                        f"double description exceeds {CAP} rays")
         rays = joined
-        if len(rays) > CAP:
-            raise CapExceededError(f"double description exceeds {CAP} rays")
     rays = [(r, z) for r, z in rays if r[n]]
     if not rays:
         raise ValueError("no vertices found; polyhedron is empty or unbounded")
@@ -201,14 +204,15 @@ def _cheapest(rows, remaining, equal):
     holding r or e, p + m - 2 of them for p rows positive and m negative
     on var.  Any other variable takes all p·m pairs of a row positive and
     a row negative on it.  The keys' columns give p and m, as a key has
-    its row's signs."""
+    its row's signs, each in one pass over the column."""
     columns = list(zip(*rows))
+    held = {var for var, col in enumerate(zip(*equal)) if any(col)}
 
     def count(var):
         col = columns[var]
-        p = sum([x > 0 for x in col])
-        m = sum([x < 0 for x in col])
-        return p + m - 2 if any(c[var] for c in equal) else p * m
+        p = sum(map((0).__lt__, col))
+        m = len(col) - col.count(0) - p
+        return p + m - 2 if var in held else p * m
 
     var = min(remaining, key=lambda v: (count(v), v))
     plus = [(c, r) for c, r in rows.items() if r[var] > 0]

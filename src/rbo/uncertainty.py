@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .lp import Polyhedron, is_nonempty
@@ -73,6 +74,14 @@ class Shadow:
     def scenario(self, w: Sequence, d: int) -> tuple:
         """The scenario L·s of a direction s = w / d in D, d > 0."""
         return tuple([dot(w, row) / d for row in zip(*self.columns)])
+
+    @cached_property
+    def int_rows(self) -> tuple:
+        """(λ, the rows of λ·L in ints), λ the least int > 0 that makes L
+        integral, so L·s = (rows·w) / (d·λ) for s = w / d."""
+        scale = math.lcm(*[v.denominator for col in self.columns for v in col])
+        return scale, tuple([tuple([int(v * scale) for v in row])
+                             for row in zip(*self.columns)])
 
 
 def _identity(k: int) -> tuple:

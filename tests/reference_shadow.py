@@ -1,9 +1,11 @@
 """Reference shadow kernels for the tests: the double description's start
 cone from `span_basis` and one square solve per ray (the oracle's
-`solve_square`), and Fourier-Motzkin projection on primitive int rows
-with one Fraction rhs each.  The solver reads its start cone off one
-integer elimination (`geometry._start_cone`) and projects on rows of
-ints, the rhs included; these older computations check it."""
+`solve_square`), Fourier-Motzkin projection on primitive int rows
+with one Fraction rhs each, and the elimination order's choice with a
+generator pass per sign and variable.  The solver reads its start cone
+off one integer elimination (`geometry._start_cone`), projects on rows of
+ints, the rhs included, and counts each column's signs in one pass;
+these older computations check it."""
 
 import itertools
 from math import gcd
@@ -103,3 +105,26 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
 
     rows = sorted([(c[:q], r) for c, r in rows.items()])
     return Polyhedron([c for c, _ in rows], [r for _, r in rows])
+
+
+def cheapest(rows, remaining, equal):
+    """`geometry._cheapest` with each count a generator pass over a
+    column: for each variable, its p rows positive and m negative, and
+    whether an equality pair holds it."""
+    columns = list(zip(*rows))
+
+    def count(var):
+        col = columns[var]
+        p = sum([x > 0 for x in col])
+        m = sum([x < 0 for x in col])
+        return p + m - 2 if any(c[var] for c in equal) else p * m
+
+    var = min(remaining, key=lambda v: (count(v), v))
+    plus = [(c, r) for c, r in rows.items() if r[var] > 0]
+    minus = [r for r in rows.values() if r[var] < 0]
+    for c, r in plus:
+        if c in equal:
+            e = rows[tuple([-x for x in c])]
+            return var, ([(r, m) for m in minus if m is not e]
+                         + [(p, e) for _, p in plus if p is not r])
+    return var, itertools.product([r for _, r in plus], minus)

@@ -419,19 +419,25 @@ SQUARE_IN_A_BOX = RobustBilevelInstance(
     uncertainty=Interval((-ONE, -ONE), (ONE, ONE)))
 
 
-def test_face_scan_skips_dominated_faces(monkeypatch):
+def scans(inst, mode):
+    """The directions of each of the mode's entries in `inst._scans`."""
+    return [[wd for wd, _ in scan] for (m, _), scan in inst._scans.items()
+            if m is mode]
+
+
+def test_face_scan_skips_dominated_faces():
     # Every face of the square is exposable: the optimistic scan takes
     # the four vertices, and the pessimistic scan only the whole square,
     # which s = 0 exposes.
     inst = replace(SQUARE_IN_A_BOX)
     verts = tuple(vertices(inst.follower_polyhedron(())))
-    taken = _count_calls(monkeypatch, Shadow, "scenario")
     adversary_geometric(inst, (), Mode.OPTIMISTIC)
-    assert [argmax_vertices(verts, fractions(w, d)) for _, w, d in taken] \
+    [taken] = scans(inst, Mode.OPTIMISTIC)
+    assert [argmax_vertices(verts, fractions(w, d)) for w, d in taken] \
         == [frozenset([i]) for i in range(4)]
-    taken.clear()
     adversary_geometric(inst, (), Mode.PESSIMISTIC)
-    assert [fractions(w, d) for _, w, d in taken] == [(ZERO, ZERO)]
+    [taken] = scans(inst, Mode.PESSIMISTIC)
+    assert [fractions(w, d) for w, d in taken] == [(ZERO, ZERO)]
 
 
 @pytest.mark.parametrize("faces", [
@@ -476,7 +482,8 @@ def test_memo_scans_each_distinct_shadow_once(monkeypatch):
     # projection's rows, so per mode each projection's vertices are
     # enumerated and its exposed faces found, from one more double
     # description, and each scan takes the faces of
-    # test_face_scan_skips_dominated_faces.
+    # test_face_scan_skips_dominated_faces.  The scenario L·s is built
+    # in Fractions only for each distinct Y(x)'s reported direction.
     projected = _count_calls(monkeypatch, geometry, "project_polytope")
     enumerated = _count_calls(monkeypatch, geometry, "enumerate_vertices")
     exposed = _count_calls(monkeypatch, geometry, "exposed_faces")
@@ -490,7 +497,8 @@ def test_memo_scans_each_distinct_shadow_once(monkeypatch):
         assert len(projected) == 2 and len(inst._scans) == 2
         assert len(enumerated) == len(described) == 4
         assert len(exposed) == 2
-        assert len(taken) == 2 * faces
+        assert [len(scan) for scan in scans(inst, mode)] == [faces] * 2
+        assert len(taken) == 2
 
 
 def test_leaders_with_equal_rows_share_one_polyhedron(monkeypatch):
@@ -527,6 +535,46 @@ def test_memo_enumerates_each_projection_once(monkeypatch):
         is not inst.follower_polyhedron((ONE,))
     assert len(projected) == 2 and len(enumerated) == 2
     assert report.value == 2 and report.leader_x == (ONE,)
+
+
+# Box and hull instances whose L has fractional entries, so the scan's
+# common denominator λ exceeds 1, and compiled QSAT instances.
+SCANNED = [
+    replace(SQUARE_IN_A_BOX,
+            uncertainty=Interval((F(-1, 2), F(1, 3)), (F(2, 3), F(1, 3)))),
+    replace(SQUARE_IN_A_BOX, uncertainty=ConvexHull(
+        ((F(1, 2), F(-1)), (F(-2, 3), F(1, 4)), (ZERO, F(3, 5))))),
+    replace(SHARED_SHADOW, uncertainty=ConvexHull(
+        ((F(1, 3), ONE), (F(-1), F(5, 6)), (F(1, 3), ONE)))),
+    compile_qsat_optimistic(parse_formula("(or x1 y1)", 1, 1)).instance,
+    compile_qsat_pessimistic(parse_formula("(and x1 (not y1))", 1, 1))
+    .instance,
+    box_to_simplex(compile_qsat_optimistic(
+        parse_formula("(or (not x1) y1)", 1, 1))).instance,
+]
+
+
+@pytest.mark.parametrize("inst", SCANNED, ids=range(len(SCANNED)))
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_scan_objectives_are_the_scaled_scenarios(inst, mode):
+    # The scan scales each scenario L·s to ints straight from its
+    # direction s = w / d, with no Fraction: the ints are those of
+    # `scaled_objective(L·s)`, and the scenario reported is L·s of the
+    # first direction whose outcome is least.
+    inst = replace(inst)
+    shadow = inst.uncertainty.shadow()
+    for x in inst.leader_set.candidates(inst.p):
+        c, value = adversary_geometric(inst, x, mode)
+        poly = inst.follower_polyhedron(x)
+        scan = inst._scans[
+            (mode, geometry.project_polytope(poly, shadow.columns).rows)]
+        for (w, d), obj in scan:
+            assert obj == lp.scaled_objective(shadow.scenario(w, d),
+                                              lp.Sense.MAX, inst.n)
+        outcomes = [bilevel._respond(inst, poly, obj, mode)[1]
+                    for _, obj in scan]
+        assert c == shadow.scenario(*scan[outcomes.index(min(outcomes))][0])
+        assert follower_response(inst, x, c, mode)[1] == value
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32, 64])

@@ -1,12 +1,13 @@
-"""The shadow's integer kernels against their older Fraction forms in
+"""The shadow's integer kernels against their older forms in
 `reference_shadow`: the double description's start cone, and the
 Fourier-Motzkin projection, on random polytopes, on the follower sets of
-the QSAT formulas with p, n <= 2, and on POINT_Y."""
+the QSAT formulas with p, n <= 2, and on POINT_Y; and the projection's
+choice of the next variable on random rows."""
 
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_shadow
@@ -75,6 +76,39 @@ def int_rows(draw):
 @settings(max_examples=150, deadline=None)
 def test_start_cone_matches_the_reference_on_int_rows(rows):
     check_start_cone(rows)
+
+
+@st.composite
+def projection_rows(draw):
+    """(rows, remaining, equal) as `geometry.project_polytope` hands them
+    to `_cheapest`: up to eight nonzero int rows of width 1 to 5 plus the
+    rhs, some of them added with their opposite, an equality pair, all
+    through `_add_row`, and a nonempty set of remaining variables."""
+    width = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    rows, equal = {}, set()
+    for _ in range(draw(st.integers(1, 8))):
+        row = tuple(draw(st.lists(entry, min_size=width + 1,
+                                  max_size=width + 1)))
+        if not any(row[:-1]):
+            continue
+        geometry._add_row(rows, row, equal)
+        if draw(st.booleans()):
+            geometry._add_row(rows, tuple([-c for c in row]), equal)
+    assume(rows)
+    remaining = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1)))
+    return rows, remaining, equal
+
+
+@given(projection_rows())
+@settings(max_examples=200, deadline=None)
+def test_cheapest_matches_the_reference(case):
+    # One count per column picks the variable and the pairs that the
+    # generator passes pick.
+    rows, remaining, equal = case
+    var, pairs = geometry._cheapest(rows, remaining, equal)
+    want, want_pairs = reference_shadow.cheapest(rows, remaining, equal)
+    assert var == want and list(pairs) == list(want_pairs)
 
 
 @given(small_polytopes(), st.data())

@@ -78,20 +78,25 @@ def test_oracle_reads_only_stored_instance_data():
 
 
 def test_the_shadow_path_builds_fractions_only_for_scenarios():
-    # The geometry works in ints alone.  The adversary's shadow scan
-    # checks each direction in ints, so of the calls it makes only
-    # `Shadow.scenario` builds Fractions: L·s for the follower's LPs.
+    # The geometry works in ints alone, and so does the adversary's
+    # shadow scan: it checks each direction and scales each scenario's
+    # objective in ints, building no Fraction.  Only `adversary_geometric`
+    # calls `Shadow.scenario`, for L·s of the scenario it reports.
     package = Path(rbo.__file__).parent
     assert _fraction_calls(ast.parse((package / "geometry.py").read_text())) \
         == {}
     tree = ast.parse((package / "bilevel.py").read_text())
-    scan = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "_shadow_scenarios")
-    called = {node.func.id if isinstance(node.func, ast.Name)
-              else node.func.attr
-              for node in ast.walk(scan) if isinstance(node, ast.Call)}
-    assert "scenario" in called
-    assert called.isdisjoint({"Fraction", "as_vector", "dot", "integer_scaled",
-                              "rat", "rat_parse"})
+    defs = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+
+    def called(name):
+        return {node.func.id if isinstance(node.func, ast.Name)
+                else node.func.attr
+                for node in ast.walk(defs[name]) if isinstance(node, ast.Call)}
+
+    assert "scenario" in called("adversary_geometric")
+    assert called("_shadow_scenarios").isdisjoint({
+        "Fraction", "as_vector", "dot", "integer_scaled", "rat", "rat_parse",
+        "scaled_objective", "scenario"})
+    scan = defs["_shadow_scenarios"]
     assert not [node for node in ast.walk(scan) if isinstance(node, ast.Div)]
