@@ -191,25 +191,29 @@ class RobustBilevelInstance:
         Its rows are written in ints from `rows`: with x = X / q, row i
         of [A | b + B·x] is (q·L_i | q·b_i + B_i·X) / (t_i·q), taken at
         its least scale, divided by the gcd of t_i·q and its ints, so a
-        fractional x gives the rows that `Polyhedron(a, rhs)` would.
+        fractional x gives the rows that `Polyhedron(a, rhs)` would; with
+        t_i·q = 1 that gcd is 1, and the row is (L_i | b_i + B_i·X).
         """
         x = as_vector(x)
         if len(x) != self.p:
             raise InstanceError(
                 f"leader vector has arity {len(x)} != {self.p}")
-        memo = self._polyhedra
-        if x not in memo:
+        poly = self._polyhedra.get(x)
+        if poly is None:
             q, xs = integer_scaled(x)
             rows = []
             for t, lhs, lead, b in self.rows:
-                row = [q * a for a in lhs] + [q * b + sum(map(mul, lead, xs))]
-                if t * q > 1:
-                    g = gcd(t * q, *row)
-                    row = [a // g for a in row]
-                rows.append(tuple(row))
+                rhs = q * b + sum(map(mul, lead, xs))
+                if t * q == 1:
+                    rows.append((*lhs, rhs))
+                    continue
+                row = [q * a for a in lhs] + [rhs]
+                g = gcd(t * q, *row)
+                rows.append(tuple([a // g for a in row]))
             poly = Polyhedron.from_rows(rows)
-            memo[x] = self._distinct.setdefault(poly.rows, poly)
-        return memo[x]
+            poly = self._polyhedra[x] = self._distinct.setdefault(
+                poly.rows, poly)
+        return poly
 
     @cached_property
     def _ties(self) -> dict:
@@ -546,20 +550,21 @@ def _json_int(doc: dict, key: str) -> int:
 
 def _rows_from_json(doc: dict) -> tuple:
     """The instance rows of the document's A, B and b, as `int_row`
-    writes them, each row's p/q strings read straight into ints at one
-    scale (`rat_parse_scaled`): A's rows first, then B's, then b's."""
+    writes them: each row [A_i | B_i | b_i] read straight into ints at
+    its least scale by one `rat_parse_scaled`, split at len(A_i)."""
     lhs, lead, rhs = [doc[key] for key in ("A", "B", "b")]
     if not all(isinstance(part, list) for part in (lhs, lead, rhs)):
         raise TypeError("A, B and b must be JSON lists")
-    lhs, lead, rhs = [[rat_parse_scaled(row) for row in part]
-                      for part in (lhs, lead, [[b] for b in rhs])]
     if not len(lhs) == len(lead) == len(rhs):
         raise InstanceError("row counts of A, B and b differ")
     rows = []
-    for (sa, a), (sl, l), (sb, (b,)) in zip(lhs, lead, rhs):
-        t = lcm(sa, sl, sb)
-        rows.append((t, tuple([c * (t // sa) for c in a]),
-                     tuple([c * (t // sl) for c in l]), b * (t // sb)))
+    for a, l, b in zip(lhs, lead, rhs):
+        if not (isinstance(a, list) and isinstance(l, list)):
+            raise TypeError(f"rows of A and B must be JSON lists, got {a!r} "
+                            f"and {l!r}")
+        t, ints = rat_parse_scaled(a + l + [b])
+        rows.append((t, tuple(ints[:len(a)]), tuple(ints[len(a):-1]),
+                     ints[-1]))
     return tuple(rows)
 
 

@@ -110,8 +110,8 @@ class Polyhedron:
     factor, a tuple of ints with the rhs last.  `Polyhedron(a, rhs)`
     writes rows given as rationals at their least integer scale;
     `from_rows` takes rows of ints as given, as
-    `RobustBilevelInstance.follower_polyhedron` and the geometry write
-    them.
+    `RobustBilevelInstance.follower_polyhedron`, the shadows' D and the
+    geometry write them.
 
     Two more things are computed on first use and kept for the object's
     lifetime: the tableau after phase one, and each objective's first

@@ -21,7 +21,10 @@ ONE = Fraction(1)
 Vector = tuple
 Matrix = tuple
 
-_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+# Every character of a row of integer literals that int() reads as the
+# grammar does: such a row skips the grammar's per-literal match.
+_INT_CHARS = re.compile(r"[-0-9 \t\n\r\v\f]*")
 
 
 def rat(value) -> Fraction:
@@ -38,34 +41,39 @@ def rat(value) -> Fraction:
 def rat_parse(text: str) -> Fraction:
     """Parse `p` or `p/q` (q > 0 after sign normalization) exactly.
 
-    Rejects anything outside the integer-slash-integer grammar, including
-    decimal points, exponents and zero denominators.
+    Rejects anything outside the integer-slash-integer grammar, in ASCII
+    digits, including decimal points, exponents and zero denominators.
     """
-    s, (p,) = rat_parse_scaled([text])
-    return Fraction(p, s)
+    return Fraction(*_literal(text))
+
+
+def _literal(text) -> tuple:
+    """(p, q) of one `rat_parse` literal, q > 0, as written."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a rational string, got {text!r}")
+    text = text.strip()
+    if not _RAT_RE.match(text):
+        raise ValueError(f"malformed rational literal: {text!r}")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    return int(num), int(den or 1)
 
 
 def rat_parse_scaled(texts: list) -> tuple:
     """(s, ints): a list of `rat_parse` literals read straight into ints,
     as `integer_scaled` gives their values; anything but a list is a
     TypeError.  s, the lcm of the literals' q, divided by the gcd of s
-    and the ints, is the least scale."""
+    and the ints, is the least scale: 1 for a list of integers, which
+    int() reads with no lcm or gcd."""
     if not isinstance(texts, list):
         raise TypeError(f"expected a list of rational strings, got {texts!r}")
-    pairs = []
-    for text in texts:
-        if text == "0":  # most entries of a saved instance's A and B
-            pairs.append((0, 1))
-            continue
-        if not isinstance(text, str):
-            raise TypeError(f"expected a rational string, got {text!r}")
-        text = text.strip()
-        if not _RAT_RE.match(text):
-            raise ValueError(f"malformed rational literal: {text!r}")
-        num, _, den = text.partition("/")
-        pairs.append((int(num), int(den or 1)))
-        if not pairs[-1][1]:
-            raise ValueError(f"zero denominator in rational literal: {text!r}")
+    try:
+        if _INT_CHARS.fullmatch("".join(texts)):
+            return 1, [int(text) for text in texts]
+    except (TypeError, ValueError):
+        pass  # the grammar below names the first bad literal
+    pairs = [_literal(text) for text in texts]
     s = lcm(*[q for _, q in pairs])
     ints = [p * (s // q) for p, q in pairs]
     g = gcd(s, *ints)

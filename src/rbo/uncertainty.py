@@ -34,7 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .lp import Polyhedron, is_nonempty
@@ -43,7 +45,6 @@ from .numeric import (
     ZERO,
     as_matrix,
     as_vector,
-    dot,
     rat_format_nested,
     rat_parse_nested,
 )
@@ -72,25 +73,25 @@ class Shadow:
     directions: Polyhedron
 
     def scenario(self, w: Sequence, d: int) -> tuple:
-        """The scenario L·s of a direction s = w / d in D, d > 0."""
-        return tuple([dot(w, row) / d for row in zip(*self.columns)])
+        """The scenario L·s of a direction s = w / d in D, w ints and
+        d > 0, each coordinate (rows·w) / (d·λ) (`int_rows`)."""
+        scale, rows = self.int_rows
+        return tuple([Fraction(sum(map(mul, w, row)), d * scale)
+                      for row in rows])
 
     @cached_property
     def int_rows(self) -> tuple:
         """(λ, the rows of λ·L in ints), λ the least int > 0 that makes L
         integral, so L·s = (rows·w) / (d·λ) for s = w / d."""
         scale = math.lcm(*[v.denominator for col in self.columns for v in col])
-        return scale, tuple([tuple([int(v * scale) for v in row])
-                             for row in zip(*self.columns)])
+        return scale, tuple([
+            tuple([v.numerator * (scale // v.denominator) for v in row])
+            for row in zip(*self.columns)])
 
 
-def _identity(k: int) -> tuple:
-    return tuple([tuple([ONE if j == i else ZERO for j in range(k)])
-                  for i in range(k)])
-
-
-def _opposite(row) -> tuple:
-    return tuple([-v for v in row])
+def _unit(i: int, k: int, value: int) -> list:
+    """value·e_i in k ints."""
+    return [value if j == i else 0 for j in range(k)]
 
 
 def _shared(values: Sequence):
@@ -155,7 +156,8 @@ class Interval(UncertaintySet):
     def shadow(self) -> Shadow:
         """One column per free coordinate, plus the certain part when it is
         nonzero, paired with the direction pinned to 1; D is the sub-box
-        lower <= s <= upper, written as the rows e_i and -e_i."""
+        lower <= s <= upper, written in ints as the rows
+        (den(hi)·e_i | num(hi)) and (-den(lo)·e_i | -num(lo))."""
         free = self.free_indices()
         base = tuple([ZERO if i in free else self.lower[i]
                       for i in range(self.dim)])
@@ -165,11 +167,11 @@ class Interval(UncertaintySet):
         if any(base):
             columns.append(base)
             bounds.append((ONE, ONE))
-        rows, rhs = [], []
-        for unit, (lo, hi) in zip(_identity(len(bounds)), bounds):
-            rows += [unit, _opposite(unit)]
-            rhs += [hi, -lo]
-        return Shadow(tuple(columns), Polyhedron(rows, rhs))
+        k, rows = len(bounds), []
+        for i, (lo, hi) in enumerate(bounds):
+            rows += [(*_unit(i, k, hi.denominator), hi.numerator),
+                     (*_unit(i, k, -lo.denominator), -lo.numerator)]
+        return Shadow(tuple(columns), Polyhedron.from_rows(rows))
 
     def _contains(self, c: tuple) -> bool:
         return all(lo <= ci <= hi
@@ -242,17 +244,16 @@ class ConvexHull(UncertaintySet):
         """One column per point; D is the standard simplex of convex
         weights: -θ <= 0, then sum θ <= 1 and -sum θ <= -1."""
         k = len(self.points)
-        rows = tuple([_opposite(unit) for unit in _identity(k)])
-        rows += ((ONE,) * k, (-ONE,) * k)
-        rhs = (ZERO,) * k + (ONE, -ONE)
-        return Shadow(self.points, Polyhedron(rows, rhs))
+        rows = [(*_unit(i, k, -1), 0) for i in range(k)]
+        rows += [(1,) * (k + 1), (-1,) * (k + 1)]
+        return Shadow(self.points, Polyhedron.from_rows(rows))
 
     def _contains(self, c: tuple) -> bool:
         """Feasibility of convex weights θ in D with sum θ_i·point_i = c."""
         directions = self.shadow().directions.rows
         rows, rhs = [r[:-1] for r in directions], [r[-1] for r in directions]
         for scores, ci in zip(zip(*self.points), c):
-            rows += [scores, _opposite(scores)]
+            rows += [scores, tuple([-v for v in scores])]
             rhs += [ci, -ci]
         return is_nonempty(Polyhedron(rows, rhs))
 

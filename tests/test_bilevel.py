@@ -779,6 +779,42 @@ def test_follower_rows_are_the_scaled_fraction_rows(case):
         [tuple(integer_scaled(row + (r,))[1]) for row, r in zip(lhs, shifted)])
 
 
+def respell(text: str, how: str) -> str:
+    """The literal text written another way with the same value:
+    non-reduced as 2p/2q, zero-padded, or padded with whitespace."""
+    num, _, den = text.partition("/")
+    sign, num = ("-", num[1:]) if num.startswith("-") else ("", num)
+    if how == "non-reduced":
+        return f"{sign}{2 * int(num)}/{2 * int(den or 1)}"
+    if how == "zero-padded":
+        return f"{sign}00{num}" + (f"/00{den}" if den else "")
+    return f" {text}\t"
+
+
+@given(leader_row_instances(),
+       st.sampled_from([None, "non-reduced", "zero-padded", "space-padded"]))
+@settings(max_examples=100, deadline=None)
+def test_reader_gives_the_instance_rows(case, how):
+    # A document's A, B and b are read, one call per row, into the rows
+    # that int_row writes, however their literals are spelled.
+    inst = case[0]
+    doc = instance_to_json(inst)
+    if how is not None:
+        for key in ("A", "B"):
+            doc[key] = [[respell(t, how) for t in row] for row in doc[key]]
+        doc["b"] = [respell(t, how) for t in doc["b"]]
+    assert bilevel._rows_from_json(doc) == inst.rows
+
+
+def test_reader_refuses_unequal_row_counts():
+    doc = instance_to_json(segment_instance(BOX))
+    for key in ("A", "B", "b"):
+        short = {**doc, key: doc[key][:-1]}
+        with pytest.raises(InstanceError,
+                           match="row counts of A, B and b differ"):
+            bilevel._rows_from_json(short)
+
+
 def test_validation_accepts_and_rejects():
     validate_instance(segment_instance(BOX))
     empty = RobustBilevelInstance(

@@ -41,8 +41,8 @@ def test_parse_rejects_bad_literals():
 
 
 def test_scaled_parse_of_zero_literals():
-    # The literal "0", most of a saved instance's A and B, takes a fast
-    # path; every other spelling of zero parses by the grammar as before,
+    # A row of integer literals, as most rows of a saved instance are, is
+    # read by int(); every spelling of zero parses to 0 on either path,
     # and malformed literals keep their errors and messages.
     assert rat_parse_scaled(["0", " 0", "-0", "0/5", "00"]) == (1, [0] * 5)
     assert rat_parse_scaled(["0", "1/2", "0", "-3/4"]) == (4, [0, 2, 0, -3])
@@ -56,6 +56,68 @@ def test_scaled_parse_of_zero_literals():
         with pytest.raises(error) as err:
             rat_parse_scaled(["0", text])
         assert str(err.value) == message
+
+
+# (literal, its value, or the error it raises and the error's message)
+LITERALS = [
+    (" 1/2", F(1, 2)), ("-0", F(0)), ("0/5", F(0)), ("00012", F(12)),
+    ("2/4", F(1, 2)), ("3\xa0", F(3)),
+    ("+1", ValueError, "malformed rational literal: '+1'"),
+    ("1_0", ValueError, "malformed rational literal: '1_0'"),
+    ("1 /2", ValueError, "malformed rational literal: '1 /2'"),
+    ("0/0", ValueError, "zero denominator in rational literal: '0/0'"),
+    ("1.5", ValueError, "malformed rational literal: '1.5'"),
+    ("\u0661/\u0662", ValueError,
+     "malformed rational literal: '\u0661/\u0662'"),
+    ("\u0663", ValueError, "malformed rational literal: '\u0663'"),
+    (0, TypeError, "expected a rational string, got 0"),
+    ([], TypeError, "expected a rational string, got []"),
+]
+
+
+@pytest.mark.parametrize("entry", LITERALS,
+                         ids=[repr(entry[0]) for entry in LITERALS])
+def test_literal_grammar(entry):
+    # The grammar is ASCII integer-slash-integer, stripped of whitespace;
+    # int() would also take a sign +, an underscore and any Unicode digit,
+    # so a row of integers read by int() must refuse them as the grammar
+    # does.  Each literal goes alone, through rat_parse and through
+    # rat_parse_scaled's integer path, and after a 1/3, through its
+    # grammar path.
+    text, *result = entry
+    for parse in (rat_parse, lambda t: rat_parse_scaled(["7", t]),
+                  lambda t: rat_parse_scaled(["1/3", t])):
+        if len(result) == 2:
+            with pytest.raises(result[0]) as err:
+                parse(text)
+            assert str(err.value) == result[1]
+    if len(result) == 1:
+        value = result[0]
+        assert rat_parse(text) == value
+        assert rat_parse_scaled(["7", text]) == integer_scaled([F(7), value])
+        assert rat_parse_scaled(["1/3", text]) == integer_scaled(
+            [F(1, 3), value])
+
+
+@given(st.lists(st.text("-0123456789/+_ \t\n\x1c\xa0\u0663.", max_size=4),
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_scaled_parse_is_the_grammar(texts):
+    # rat_parse_scaled, whichever path reads the row, accepts exactly the
+    # rows whose literals rat_parse accepts, gives their values at the
+    # least scale, and names the first bad literal as rat_parse does.
+    values, first = [], None
+    for text in texts:
+        try:
+            values.append(rat_parse(text))
+        except ValueError as exc:
+            first = first or str(exc)
+    if first is None:
+        assert rat_parse_scaled(texts) == integer_scaled(values)
+    else:
+        with pytest.raises(ValueError) as err:
+            rat_parse_scaled(texts)
+        assert str(err.value) == first
 
 
 def test_format_round_trips():

@@ -60,6 +60,14 @@ def test_lp_builds_fractions_only_for_the_lex_value():
     assert set(calls) <= {"solve_lex_lp"}
 
 
+def test_uncertainty_builds_fractions_only_for_scenarios():
+    # A shadow's D and its int view of L are written in ints; a Fraction
+    # is built only for the scenario L·s that `Shadow.scenario` reports.
+    path = Path(rbo.__file__).parent / "uncertainty.py"
+    calls = _fraction_calls(ast.parse(path.read_text()))
+    assert set(calls) == {"Shadow.scenario"}
+
+
 def test_oracle_reads_only_stored_instance_data():
     # The reference stays independent of the solver code: it imports
     # neither the LP kernel nor the geometry, and of an instance it reads
