@@ -179,6 +179,9 @@ class RobustBilevelInstance:
                 len(v) != self.p for v in self.leader_set.vectors):
             raise InstanceError("leader vector arity != p")
         _check_relaxed_penalty(self)
+        # Kept for the instance's lifetime, see `adversary_geometric`.
+        for memo in ("_polyhedra", "_distinct", "_adversaries", "_scans"):
+            object.__setattr__(self, memo, {})
 
     def follower_polyhedron(self, x: Sequence) -> Polyhedron:
         """Y(x), one `Polyhedron` per distinct Y(x) for the instance's
@@ -191,7 +194,7 @@ class RobustBilevelInstance:
         Its rows are written in ints from `rows`: with x = X / q, row i
         of [A | b + B·x] is (q·L_i | q·b_i + B_i·X) / (t_i·q), taken at
         its least scale, divided by the gcd of t_i·q and its ints, so a
-        fractional x gives the rows that `Polyhedron(a, rhs)` would; with
+        fractional x gives each row at its least integer scale; with
         t_i·q = 1 that gcd is 1, and the row is (L_i | b_i + B_i·X).
         """
         x = as_vector(x)
@@ -210,7 +213,7 @@ class RobustBilevelInstance:
                 row = [q * a for a in lhs] + [rhs]
                 g = gcd(t * q, *row)
                 rows.append(tuple([a // g for a in row]))
-            poly = Polyhedron.from_rows(rows)
+            poly = Polyhedron(rows)
             poly = self._polyhedra[x] = self._distinct.setdefault(
                 poly.rows, poly)
         return poly
@@ -237,23 +240,6 @@ class RobustBilevelInstance:
     def _shadow(self):
         """The uncertainty set's `Shadow`, taken once."""
         return self.uncertainty.shadow()
-
-    # Kept for the instance's lifetime, see `adversary_geometric`.
-    @cached_property
-    def _polyhedra(self) -> dict:
-        return {}
-
-    @cached_property
-    def _distinct(self) -> dict:
-        return {}
-
-    @cached_property
-    def _adversaries(self) -> dict:
-        return {}
-
-    @cached_property
-    def _scans(self) -> dict:
-        return {}
 
 
 def int_row(follower: dict, leader: dict, const, n: int, p: int) -> tuple:
@@ -358,8 +344,12 @@ def _respond(inst: RobustBilevelInstance, poly: Polyhedron, c: tuple,
              mode: Mode):
     """`follower_response` on poly = Y(x), which keeps its phase one for
     the next scenario, to the scenario c as `scaled_objective` gives it;
-    y comes as ints (w, d), y = w / d."""
-    point, value = solve_lex_lp(poly, c, inst._ties[mode])
+    y comes as ints (w, d), y = w / d, and the leader's value leader_obj·y
+    as tie·w / (S·d), (S, tie) the mode's tie objective, negated when
+    pessimistic, as that tie is the leader's objective negated."""
+    scale, ints = tie = inst._ties[mode]
+    w, d = point = solve_lex_lp(poly, c, tie)
+    value = Fraction(sum(map(mul, ints, w)), scale * d)
     return point, value if mode is Mode.OPTIMISTIC else -value
 
 

@@ -138,7 +138,7 @@ def exposed_faces(verts: tuple, directions: Polyhedron,
     which lies in the relative interior of the face's cell.
     """
     k = len(verts)
-    vertices = enumerate_vertices(Polyhedron.from_rows(
+    vertices = enumerate_vertices(Polyhedron(
         [v[:-1] + (-1, 0) for v in verts]
         + [g[:-1] + (0, g[-1]) for g in directions.rows]))
     d = next(iter(vertices))[-1]  # every vertex of Q is over it
@@ -240,7 +240,7 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
     first-seen order (`_add_row`): eliminating var from pr (pr[var] = a
     > 0) and mr (mr[var] = -b < 0) gives (b·pr + a·mr) / gcd(a, b).  The
     returned polyhedron takes the final rows as they are
-    (`Polyhedron.from_rows`), so no Fraction is built.
+    (`Polyhedron`), so no Fraction is built.
     """
     image = as_matrix(image_rows, poly.dim)
     q = len(image)
@@ -274,5 +274,4 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
         remaining.remove(var)
 
     # Every eliminated coefficient is 0 now, so the first q identify a row.
-    return Polyhedron.from_rows([r[:q] + r[-1:]
-                                 for _, r in sorted(rows.items())])
+    return Polyhedron([r[:q] + r[-1:] for _, r in sorted(rows.items())])

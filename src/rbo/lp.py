@@ -9,8 +9,7 @@ deterministic for fixed input.  It pivots on integer rows (Bareiss 1968)
 and checks its certificates in ints.  Objectives come scaled to ints
 (`scaled_objective`), so a caller that solves one objective on many
 polyhedra scales it once; a solve returns its status and its point as
-ints over one denominator.  Fractions appear only in the secondary's
-value that `solve_lex_lp` returns.
+ints over one denominator, and nothing here builds a Fraction.
 Free variables keep one column each.  Phase one ends by pivoting in
 every free column that a row bounds, and a basic free column never
 leaves, so every later basis has a vertex as its basic point whenever
@@ -55,13 +54,7 @@ from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
-from .numeric import (
-    Fraction,
-    as_matrix,
-    as_vector,
-    bareiss_step,
-    integer_scaled,
-)
+from .numeric import as_vector, bareiss_step, integer_scaled
 
 
 class LpError(Exception):
@@ -107,11 +100,10 @@ class Polyhedron:
     """Feasible set {v in R^n : a·v <= rhs row by row}.
 
     It is its rows in ints, `rows`: row i of [a | rhs] times a positive
-    factor, a tuple of ints with the rhs last.  `Polyhedron(a, rhs)`
-    writes rows given as rationals at their least integer scale;
-    `from_rows` takes rows of ints as given, as
-    `RobustBilevelInstance.follower_polyhedron`, the shadows' D and the
-    geometry write them.
+    factor, a tuple of ints with the rhs last.  `Polyhedron(rows)` takes
+    them as given, unchecked, as `RobustBilevelInstance.follower_polyhedron`,
+    the shadows' D and the geometry write them; `_holds` is its one
+    membership test, on a point in ints.
 
     Two more things are computed on first use and kept for the object's
     lifetime: the tableau after phase one, and each objective's first
@@ -121,36 +113,12 @@ class Polyhedron:
     follow it.
     """
 
-    def __init__(self, a, rhs):
-        a, rhs = as_matrix(a), as_vector(rhs)
-        if len(a) < 1:
-            raise ValueError("polyhedron needs at least one row")
-        if len(a) != len(rhs):
-            raise ValueError("row/rhs count mismatch")
-        if len(a[0]) < 1:
-            raise ValueError("polyhedron needs at least one column")
-        self.rows = tuple([tuple(integer_scaled(row + (r,))[1])
-                           for row, r in zip(a, rhs)])
-        self.num_rows, self.dim = len(a), len(a[0])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence) -> "Polyhedron":
-        """The polyhedron whose rows of [a | rhs] are rows, tuples of
-        ints, times positive factors."""
-        poly = cls.__new__(cls)
-        poly.rows = rows = tuple(rows)
-        poly.num_rows, poly.dim = len(rows), len(rows[0]) - 1
-        return poly
+    def __init__(self, rows: Sequence):
+        self.rows = rows = tuple(rows)
+        self.num_rows, self.dim = len(rows), len(rows[0]) - 1
 
     def __repr__(self) -> str:
-        return f"Polyhedron.from_rows({self.rows!r})"
-
-    def contains(self, point: Sequence) -> bool:
-        point = as_vector(point)
-        if len(point) != self.dim:
-            raise ValueError(f"point dimension {len(point)} != {self.dim}")
-        d, w = integer_scaled(point)
-        return self._holds(w, d)
+        return f"Polyhedron({self.rows!r})"
 
     def _holds(self, w: Sequence, d: int) -> bool:
         """Whether the point w / d, w ints and d > 0, satisfies every row:
@@ -472,8 +440,7 @@ def solve_lex_lp(poly: Polyhedron, primary: tuple,
     """Maximize `secondary` over the primary objective's optimal face,
     both as `scaled_objective` gives them.
 
-    Returns ((w, d), value): the point v = w / d in ints, and
-    secondary·v, read off w without building v.  One `solve_lp` with
+    Returns the point v = w / d in ints, (w, d).  One `solve_lp` with
     `secondary` as its tie objective: the second stage runs on the first
     stage's optimal tableau, with the slacks of the rows that carry a
     positive primary dual kept out of the basis.  Both stages'
@@ -486,8 +453,7 @@ def solve_lex_lp(poly: Polyhedron, primary: tuple,
     if status is LpStatus.UNBOUNDED:
         raise UnboundedError("the primary objective is unbounded, or the "
                              "secondary on the primary's optimal face")
-    (scale, ints), (w, d) = secondary, point
-    return point, Fraction(sum(map(mul, ints, w)), scale * d)
+    return point
 
 
 def is_nonempty(poly: Polyhedron) -> bool:

@@ -45,6 +45,7 @@ from .numeric import (
     ZERO,
     as_matrix,
     as_vector,
+    integer_scaled,
     rat_format_nested,
     rat_parse_nested,
 )
@@ -171,7 +172,7 @@ class Interval(UncertaintySet):
         for i, (lo, hi) in enumerate(bounds):
             rows += [(*_unit(i, k, hi.denominator), hi.numerator),
                      (*_unit(i, k, -lo.denominator), -lo.numerator)]
-        return Shadow(tuple(columns), Polyhedron.from_rows(rows))
+        return Shadow(tuple(columns), Polyhedron(rows))
 
     def _contains(self, c: tuple) -> bool:
         return all(lo <= ci <= hi
@@ -246,16 +247,20 @@ class ConvexHull(UncertaintySet):
         k = len(self.points)
         rows = [(*_unit(i, k, -1), 0) for i in range(k)]
         rows += [(1,) * (k + 1), (-1,) * (k + 1)]
-        return Shadow(self.points, Polyhedron.from_rows(rows))
+        return Shadow(self.points, Polyhedron(rows))
 
     def _contains(self, c: tuple) -> bool:
-        """Feasibility of convex weights θ in D with sum θ_i·point_i = c."""
-        directions = self.shadow().directions.rows
-        rows, rhs = [r[:-1] for r in directions], [r[-1] for r in directions]
-        for scores, ci in zip(zip(*self.points), c):
-            rows += [scores, tuple([-v for v in scores])]
-            rhs += [ci, -ci]
-        return is_nonempty(Polyhedron(rows, rhs))
+        """Feasibility of convex weights θ in D with sum θ_i·point_i = c,
+        written in ints: with (λ, R) = `Shadow.int_rows` and c = k / s,
+        coordinate i reads s·R_i·θ = λ·k_i, a pair of opposite rows."""
+        shadow = self.shadow()
+        scale, lrows = shadow.int_rows
+        s, k = integer_scaled(c)
+        rows = list(shadow.directions.rows)
+        for row, ki in zip(lrows, k):
+            rows += [(*[s * v for v in row], scale * ki),
+                     (*[-s * v for v in row], -scale * ki)]
+        return is_nonempty(Polyhedron(rows))
 
     def corner_samples(self) -> tuple:
         return self.points

@@ -1,8 +1,8 @@
 """Helpers that only the tests call: a rank reference, instance rows
-from dense rational rows, a polyhedron's rows, points and vertices in
-Fractions, the formula file writer, the relaxed leader's fractional spot
-check, and the LP solves on rational objectives that the LP tests state
-their cases in."""
+from dense rational rows, a polyhedron from rational rows and its rows
+in Fractions, points and vertices in Fractions, the formula file
+writer, the relaxed leader's fractional spot check, and the LP solves on
+rational objectives that the LP tests state their cases in."""
 
 import random
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from typing import Optional
 
 from rbo import bilevel, geometry, lp
 from rbo.compiler import Formula, formula_to_text
-from rbo.numeric import eliminate, integer_scaled
+from rbo.numeric import as_matrix, as_vector, eliminate, integer_scaled
 
 SPOT_SAMPLES = 100
 SPOT_DENOMINATOR = 16
@@ -37,6 +37,13 @@ def int_rows(lhs, leader_mat, rhs) -> tuple:
         rows.append((t, tuple(ints[:len(a)]), tuple(ints[len(a):-1]),
                      ints[-1]))
     return tuple(rows)
+
+
+def polyhedron(a, rhs) -> lp.Polyhedron:
+    """{v : a·v <= rhs} from rational rows: each row of [a | rhs] at its
+    least integer scale."""
+    return lp.Polyhedron([tuple(integer_scaled(row + (r,))[1])
+                          for row, r in zip(as_matrix(a), as_vector(rhs))])
 
 
 def rational_rows(poly) -> tuple:
@@ -90,11 +97,10 @@ def solve(poly, obj, sense=lp.Sense.MAX, tie=None) -> Solved:
 def solve_lex(poly, primary, primary_sense, secondary, secondary_sense):
     """`lp.solve_lex_lp` on rational objectives: (point in Fractions,
     the secondary's value in its own sense)."""
-    (w, d), value = lp.solve_lex_lp(
+    point = fractions(*lp.solve_lex_lp(
         poly, lp.scaled_objective(primary, primary_sense, poly.dim),
-        lp.scaled_objective(secondary, secondary_sense, poly.dim))
-    return (tuple([Fraction(a, d) for a in w]),
-            -value if secondary_sense is lp.Sense.MIN else value)
+        lp.scaled_objective(secondary, secondary_sense, poly.dim)))
+    return point, sum(a * v for a, v in zip(as_vector(secondary), point))
 
 
 def spot_check_relaxed(inst, binary_value, mode, seed: int = 0):

@@ -10,7 +10,7 @@ from rbo.geometry import CAP
 from rbo.lp import LpStatus, Polyhedron, Sense
 from rbo.numeric import ONE, ZERO
 from rbo.uncertainty import CapExceededError
-from helpers import rational_rows, solve
+from helpers import polyhedron, rational_rows, solve
 
 
 def enumerate_faces(tights: Collection) -> list:
@@ -72,7 +72,7 @@ def exposure_check(face: frozenset, verts: tuple,
     rows.append(eps_row)  # eps <= 1, which keeps the LP bounded
     rhs.append(ONE)
 
-    outcome = solve(Polyhedron(rows, rhs), eps_row, Sense.MAX)
+    outcome = solve(polyhedron(rows, rhs), eps_row, Sense.MAX)
     if outcome.status is not LpStatus.OPTIMAL or outcome.value <= 0:
         return None
     return outcome.point[:q]

@@ -15,7 +15,7 @@ from rbo.lp import Polyhedron
 from rbo.numeric import ZERO, as_matrix, integer_scaled
 from rbo.oracle import solve_square
 from rbo.uncertainty import CapExceededError
-from helpers import rational_rows, span_basis
+from helpers import polyhedron, rational_rows, span_basis
 
 
 def start_cone(rows: list) -> tuple:
@@ -104,7 +104,7 @@ def project_polytope(poly: Polyhedron, image_rows) -> Polyhedron:
         remaining.remove(var)
 
     rows = sorted([(c[:q], r) for c, r in rows.items()])
-    return Polyhedron([c for c, _ in rows], [r for _, r in rows])
+    return polyhedron([c for c, _ in rows], [r for _, r in rows])
 
 
 def cheapest(rows, remaining, equal):

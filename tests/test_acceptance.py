@@ -35,7 +35,7 @@ from rbo.compiler import (
     random_formula,
     relax_leader,
 )
-from rbo.lp import CERT_LOG, Polyhedron, Sense
+from rbo.lp import CERT_LOG, Sense
 from rbo.numeric import ONE, ZERO, dot
 from rbo.oracle import (
     cross_validate,
@@ -45,7 +45,7 @@ from rbo.oracle import (
 )
 from rbo.uncertainty import CapExceededError, DiscreteSet, Interval
 from reference_faces import enumerate_faces, exposure_check, undominated
-from helpers import (fractions, int_rows, solve, solve_lex,
+from helpers import (fractions, int_rows, polyhedron, solve, solve_lex,
                      spot_check_relaxed, vertices)
 from test_geometry import argmax_vertices
 import report_ledger
@@ -283,13 +283,13 @@ def test_criterion_7_box_to_simplex_preserves_values():
 def test_criterion_8_lp_certificates_and_lex_consistency(certified):
     # Every acceptance test's LPs go through the certificate check (the
     # `certified` fixture); these solves are criterion 8's own.
-    square = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
+    square = polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
     cases = [
         (square, (F(1), F(2)), (F(-1), F(1))),
         (square, (F(0), F(0)), (F(1), F(1))),
-        (Polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0]),
+        (polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0]),
          (F(1), F(1)), (F(1), F(0))),
-        (Polyhedron([[1], [-1]], [1, 0]), (F(3),), (F(-1),)),
+        (polyhedron([[1], [-1]], [1, 0]), (F(3),), (F(-1),)),
     ]
     for poly, primary, secondary in cases:
         plain = solve(poly, primary, Sense.MAX)
@@ -304,11 +304,11 @@ def test_criterion_8_lp_certificates_and_lex_consistency(certified):
 
 def test_criterion_9_face_fixtures_and_exposure_round_trip():
     fixtures = [
-        (Polyhedron([[1], [-1]], [1, 0]), 3,
+        (polyhedron([[1], [-1]], [1, 0]), 3,
          Interval((F(-2),), (F(2),))),
-        (Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0]), 9,
+        (polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0]), 9,
          Interval((F(-2), F(-2)), (F(2), F(2)))),
-        (Polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0]), 7,
+        (polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0]), 7,
          Interval((F(-2), F(-2)), (F(2), F(2)))),
     ]
     exposed_total = 0
@@ -330,9 +330,8 @@ def test_criterion_9_face_fixtures_and_exposure_round_trip():
                 box.shadow().directions, upward)
             assert list(faces) == undominated(exposed, upward)
             for face, (w, d) in faces.items():
-                s = fractions(w, d)
-                assert box.shadow().directions.contains(s)
-                assert argmax_vertices(verts, s) == face
+                assert box.shadow().directions._holds(w, d)
+                assert argmax_vertices(verts, fractions(w, d)) == face
         exposed_total += len(exposed)
     assert exposed_total > 0
     print(f"\nACCEPTANCE 9: PASS - fixtures produced 3/9/7 faces and "
@@ -353,7 +352,7 @@ def test_reports_match_the_ledger():
           f"{current['certified']} certified LPs as pinned")
 
 
-def test_qsat_ladder_past_the_pool():
+def test_qsat_ladder_past_the_pool(monkeypatch):
     # The paper's hard case past the pool's n <= 2: the first
     # random_formula draw of Random(7) for p = 2 and each n = 3..6, in
     # each compile's own mode.  The pessimistic shadow has n + 1
@@ -361,17 +360,30 @@ def test_qsat_ladder_past_the_pool():
     # refused at a work cap.  At the frontier the optimistic compile
     # solves n = 7, whose Q has 2,188 vertices, and refuses n = 8 at
     # geometry.CAP; CI runs the slower pessimistic n = 7 and n = 8.
+    # The interval side's growth, counted: every leader shares one scan,
+    # so a solve enumerates vertices twice, the shadow's and then Q's,
+    # 2^n and 3^n of them when optimistic, 3^n and 2^n when pessimistic.
     def draw(n):
         return random_formula(random.Random(7), 2, n, max_leaves=12)
 
+    counts, original = [], geometry.enumerate_vertices
+
+    def counted(poly):
+        vertices = original(poly)
+        counts.append(len(vertices))
+        return vertices
+
+    monkeypatch.setattr(geometry, "enumerate_vertices", counted)
     for n in range(3, 7):
         formula = draw(n)
         truth = 1 if qsat_oracle(formula) else 0
-        for compile_qsat, mode in ((compile_qsat_optimistic, Mode.OPTIMISTIC),
-                                   (compile_qsat_pessimistic,
-                                    Mode.PESSIMISTIC)):
+        for compile_qsat, mode, growth in (
+                (compile_qsat_optimistic, Mode.OPTIMISTIC, (2, 3)),
+                (compile_qsat_pessimistic, Mode.PESSIMISTIC, (3, 2))):
+            counts.clear()
             report = solve_robust(compile_qsat(formula).instance, mode)
             assert report.value == truth, (n, mode)
+            assert counts == [base ** n for base in growth], (n, mode)
     formula = draw(7)
     report = solve_robust(compile_qsat_optimistic(formula).instance,
                           Mode.OPTIMISTIC)

@@ -46,6 +46,7 @@ from rbo.uncertainty import (
 from helpers import (
     fractions,
     int_rows,
+    polyhedron,
     rational_rows,
     spot_check_relaxed,
     vertices,
@@ -656,10 +657,10 @@ def test_objectives_are_scaled_once_per_instance(monkeypatch):
 @given(small_polytopes(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_lex_value_is_the_secondary_at_the_fraction_point(case, data):
-    # solve_lex_lp reads the secondary's value off its integer point
+    # _respond reads the leader's value off solve_lex_lp's integer point
     # (w, d), and follower_response alone turns the point into y = w / d
-    # in Fractions: the value must be the secondary's at y, and y must lie
-    # in Y, in both tie senses.
+    # in Fractions: y must be that point, the value d·y there, and y must
+    # lie in Y, in both tie senses.
     poly, c, _ = case
     d = data.draw(st.lists(_rationals(-2, 2), min_size=poly.dim,
                            max_size=poly.dim))
@@ -679,10 +680,9 @@ def test_lex_value_is_the_secondary_at_the_fraction_point(case, data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bilevel, "solve_lex_lp", spy)
             y, value = follower_response(inst, (), c, mode)
-        [(_, secondary_value)] = solved
-        sign = 1 if mode is Mode.OPTIMISTIC else -1
-        assert secondary_value == sign * dot(d, y) and value == dot(d, y)
-        assert poly.contains(y)
+        [(w, den)] = solved
+        assert y == fractions(w, den) and value == dot(d, y)
+        assert poly._holds(w, den)
 
 
 def test_load_and_solve_run_one_phase_one_per_leader(tmp_path, monkeypatch):
@@ -775,7 +775,7 @@ def test_follower_rows_are_the_scaled_fraction_rows(case):
     lhs = tuple([tuple(row) for row in lhs])
     shifted = tuple([r + dot(row, x) for r, row in zip(rhs, lead)])
     poly = inst.follower_polyhedron(x)
-    assert poly.rows == lp.Polyhedron(lhs, shifted).rows == tuple(
+    assert poly.rows == polyhedron(lhs, shifted).rows == tuple(
         [tuple(integer_scaled(row + (r,))[1]) for row, r in zip(lhs, shifted)])
 
 

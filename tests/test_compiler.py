@@ -46,11 +46,12 @@ from rbo.compiler import (
 )
 from rbo import lp
 from rbo.geometry import project_polytope
-from rbo.lp import Polyhedron, Sense
+from rbo.lp import Sense
 from rbo.numeric import ONE, ZERO, rat_parse_nested
 from rbo.oracle import robust_single_level_oracle
 from rbo.uncertainty import ConvexHull, DiscreteSet, Interval
-from helpers import formula_file_text, int_rows, rational_rows, solve
+from helpers import (formula_file_text, int_rows, polyhedron, rational_rows,
+                     solve)
 
 
 def test_parse_examples():
@@ -175,7 +176,7 @@ def forced_gate_values(art, x_bits, y_bits):
         rhs.append(F(y_bits[j]))
         rows.append([-c for c in row])
         rhs.append(F(-y_bits[j]))
-    pinned = Polyhedron(rows, rhs)
+    pinned = polyhedron(rows, rhs)
     forced = []
     for col, name in enumerate(art.var_map):
         if not name.startswith("g"):

@@ -13,16 +13,16 @@ from rbo.geometry import (
     exposed_faces,
     project_polytope,
 )
-from rbo.lp import LpStatus, Polyhedron
-from rbo.numeric import dot
+from rbo.lp import LpStatus
+from rbo.numeric import dot, integer_scaled
 from rbo.uncertainty import ConvexHull, Interval
-from helpers import fractions, rational_rows, solve, vertices
+from helpers import fractions, polyhedron, rational_rows, solve, vertices
 from reference_faces import enumerate_faces, exposure_check, undominated
 from test_lp import _rationals, small_polytopes
 
-SEGMENT = Polyhedron([[1], [-1]], [1, 0])
-UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
-TRIANGLE = Polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
+SEGMENT = polyhedron([[1], [-1]], [1, 0])
+UNIT_SQUARE = polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
+TRIANGLE = polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
 
 
 def argmax_vertices(verts, c):
@@ -63,7 +63,7 @@ def simplex(n):
     """{x in Q^n : x >= 0, sum(x) <= 1}, whose faces are the 2^(n+1) - 1
     nonempty subsets of its n + 1 vertices."""
     rows = [[-int(j == i) for j in range(n)] for i in range(n)] + [[1] * n]
-    return Polyhedron(rows, [0] * n + [1])
+    return polyhedron(rows, [0] * n + [1])
 
 
 def cube(k):
@@ -72,7 +72,7 @@ def cube(k):
     for i in range(k):
         unit = [int(j == i) for j in range(k)]
         rows += [unit, [-c for c in unit]]
-    return Polyhedron(rows, [1, 0] * k)
+    return polyhedron(rows, [1, 0] * k)
 
 
 def test_vertices_of_fixtures():
@@ -82,7 +82,7 @@ def test_vertices_of_fixtures():
 
 
 def test_vertices_deduped_on_duplicate_rows():
-    doubled = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]],
+    doubled = polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]],
                          [1, 1, 0, 0, 1])
     verts = tuple(enumerate_vertices(doubled))
     # brute-force pairwise distinctness check
@@ -115,7 +115,7 @@ def test_vertices_match_the_brute_force_oracle(case):
 
 def test_empty_poly_has_no_vertices():
     with pytest.raises(ValueError):
-        enumerate_vertices(Polyhedron([[1], [-1]], [0, -1]))
+        enumerate_vertices(polyhedron([[1], [-1]], [0, -1]))
 
 
 def test_hypercube_vertex_counts():
@@ -226,7 +226,7 @@ def fraction_faces(verts, directions, upward):
 # directions s = (-1 + 3l, 2 - 3l), 0 <= l <= 1: (0, 1) wins up to
 # l = 1/3, where the top edge ties, then (1, 1) up to l = 2/3, where the
 # right edge ties, then (1, 0).
-SEGMENT_OF_DIRECTIONS = Polyhedron([[1, 1], [-1, -1], [1, 0], [-1, 0]],
+SEGMENT_OF_DIRECTIONS = polyhedron([[1, 1], [-1, -1], [1, 0], [-1, 0]],
                                    [1, -1, 2, 1])
 
 
@@ -244,7 +244,8 @@ def test_exposed_faces_of_a_direction_segment():
             (frozenset([1, 3]), (F(0), F(1)))]
     for upward in (True, False):
         for face, s in fraction_faces(verts, SEGMENT_OF_DIRECTIONS, upward):
-            assert SEGMENT_OF_DIRECTIONS.contains(s)
+            d, w = integer_scaled(s)
+            assert SEGMENT_OF_DIRECTIONS._holds(w, d)
             assert argmax_vertices(points, s) == face
 
 
@@ -254,7 +255,7 @@ def test_exposed_faces_are_not_bounded_by_their_closure(monkeypatch):
     # fewer rays.  A cap of 26 bounds the rays only: upward the scan takes
     # the 8 vertices, downward the whole cube, which s = 0 exposes.
     verts = tuple(enumerate_vertices(cube(3)))
-    directions = Polyhedron([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
+    directions = polyhedron([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
                             [1, 1, 1, 1])
     monkeypatch.setattr(geometry, "CAP", 26)
     assert list(exposed_faces(verts, directions, True)) \
@@ -292,7 +293,8 @@ def test_exposed_faces_match_the_exposure_lp(case, data):
         faces = fraction_faces(verts, directions, upward)
         assert [face for face, _ in faces] == undominated(exposable, upward)
         for face, s in faces:
-            assert directions.contains(s)
+            d, w = integer_scaled(s)
+            assert directions._holds(w, d)
             assert argmax_vertices(points, s) == face
 
 
@@ -321,7 +323,7 @@ def test_projection_of_flat_image():
 
 
 def test_projection_of_empty_polyhedron_is_refused():
-    image = project_polytope(Polyhedron([[1], [-1]], [0, -1]), [[1]])
+    image = project_polytope(polyhedron([[1], [-1]], [0, -1]), [[1]])
     with pytest.raises(ValueError, match="no vertices found"):
         enumerate_vertices(image)
 
@@ -349,7 +351,7 @@ def _extreme(w, others):
     rows = eqs + [[-c for c in r] for r in eqs] + [
         [-(i == j) for i in range(len(others))] + [0]
         for j in range(len(others))]
-    out = solve(Polyhedron([r[:-1] for r in rows],
+    out = solve(polyhedron([r[:-1] for r in rows],
                               [-r[-1] for r in rows]), [0] * len(others))
     return out.status is LpStatus.INFEASIBLE
 
@@ -365,6 +367,8 @@ def test_projection_is_the_image_of_the_vertices(case, data):
     for row in shadow.rows:
         assert all(type(c) is int for c in row) and math.gcd(*row) == 1
     images = {tuple([dot(t, v) for t in image]) for v in vertices(poly)}
-    assert all(shadow.contains(w) for w in images)
+    for w in images:
+        d, ints = integer_scaled(w)
+        assert shadow._holds(ints, d)
     assert set(vertices(shadow)) == {
         w for w in images if _extreme(w, images - {w})}

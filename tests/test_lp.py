@@ -21,19 +21,20 @@ from rbo.lp import (
 )
 from rbo.numeric import dot, integer_scaled
 from rbo.oracle import _brute_vertices
-from helpers import rational_rows, solve, solve_lex, span_basis, vertices
+from helpers import (polyhedron, rational_rows, solve, solve_lex, span_basis,
+                     vertices)
 import reference_dual
 
-UNIT_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
-TRIANGLE = Polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
-SEGMENT = Polyhedron([[1], [-1]], [1, 0])
-EMPTY = Polyhedron([[1], [-1]], [0, -1])
-STRIP = Polyhedron([[1, 0], [-1, 0]], [1, 1])  # |v1| <= 1, v2 free
-CENTRED_SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]],
+UNIT_SQUARE = polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
+TRIANGLE = polyhedron([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
+SEGMENT = polyhedron([[1], [-1]], [1, 0])
+EMPTY = polyhedron([[1], [-1]], [0, -1])
+STRIP = polyhedron([[1, 0], [-1, 0]], [1, 1])  # |v1| <= 1, v2 free
+CENTRED_SQUARE = polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]],
                             [1, 1, 1, 1])
 # 1/2 <= v1 <= 3/2 and 1/3 <= v2 <= 2 cut by v1/2 + 2v2/3 <= 7/4: rows
 # with negative right-hand sides and denominators that need scaling.
-RATIONAL_BOX = Polyhedron(
+RATIONAL_BOX = polyhedron(
     [[1, 0], [0, 1], [-1, 0], [0, -1], [F(1, 2), F(2, 3)]],
     [F(3, 2), 2, F(-1, 2), F(-1, 3), F(7, 4)])
 
@@ -91,12 +92,16 @@ def test_infeasible():
     assert solve(EMPTY, [1], Sense.MAX).status is LpStatus.INFEASIBLE
 
 
-def test_contains_refuses_a_point_of_the_wrong_length():
-    assert UNIT_SQUARE.contains((0, 0))
-    assert not UNIT_SQUARE.contains((0, 2))
-    for point in [(0,), (0, 0, -100)]:
-        with pytest.raises(ValueError):
-            UNIT_SQUARE.contains(point)
+def test_holds_checks_a_point_in_ints():
+    # The point w / d lies in the polyhedron when every integer row holds.
+    assert UNIT_SQUARE._holds([0, 0], 1) and UNIT_SQUARE._holds([1, 2], 2)
+    assert not UNIT_SQUARE._holds([0, 2], 1)
+    assert not UNIT_SQUARE._holds([3, 1], 2)
+    # Rational points go through integer_scaled; (3/2, 2) breaks only the
+    # rational row v1 / 2 + 2 v2 / 3 <= 7 / 4.
+    for point, inside in (((F(3, 4), F(1, 2)), True), ((F(3, 2), 2), False)):
+        d, w = integer_scaled(point)
+        assert RATIONAL_BOX._holds(w, d) is inside
 
 
 def test_triangle_value():
@@ -106,7 +111,7 @@ def test_triangle_value():
 
 
 def test_unbounded():
-    ray = Polyhedron([[-1]], [0])
+    ray = polyhedron([[-1]], [0])
     assert solve(ray, [1], Sense.MAX).status is LpStatus.UNBOUNDED
     assert solve(ray, [1], Sense.MIN).status is LpStatus.OPTIMAL
 
@@ -119,7 +124,7 @@ def test_min_sense():
 def test_optimal_point_is_vertex():
     # A free-variable box around the origin: the zero objective must still
     # land on one of the corners, not in the interior.
-    box = Polyhedron([[1], [-1]], [1, 1])
+    box = polyhedron([[1], [-1]], [1, 1])
     out = solve(box, [0], Sense.MAX)
     assert out.point in ((F(1),), (F(-1),))
 
@@ -155,7 +160,7 @@ def small_polytopes(draw):
                      + draw(st.integers(0, 2 * den)), den))
     coeffs = st.lists(_rationals(-2, 2), min_size=n, max_size=n)
     obj = draw(st.just([0] * n) | coeffs)
-    return Polyhedron(rows, rhs), obj, draw(st.sampled_from(Sense))
+    return polyhedron(rows, rhs), obj, draw(st.sampled_from(Sense))
 
 
 @given(small_polytopes())
@@ -245,7 +250,7 @@ def test_lex_matches_solve_on_pinned_face(case):
     for primary_sense, secondary_sense in itertools.product(Sense, Sense):
         best = solve(poly, primary, primary_sense).value
         a, rhs = rational_rows(poly)
-        face = Polyhedron(a + (primary, [-c for c in primary]),
+        face = polyhedron(a + (primary, [-c for c in primary]),
                           rhs + (best, -best))
         reference = solve(face, secondary, secondary_sense)
         before = (CERT_LOG.verified, CERT_LOG.failures)
@@ -279,7 +284,7 @@ def test_reused_polyhedron_solves_like_a_fresh_one(case):
                    (neg, Sense.MIN, (unit, Sense.MIN)),
                    (unit, Sense.MAX, (neg, Sense.MAX))]
     for objective, sense, tie in solves:
-        fresh = Polyhedron.from_rows(poly.rows)
+        fresh = Polyhedron(poly.rows)
         assert (_certified(poly, objective, sense, tie)
                 == _certified(fresh, objective, sense, tie))
 
@@ -309,7 +314,7 @@ def test_second_solve_skips_phase_one(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "pivot", counted_pivot)
     monkeypatch.setattr(lp, "_phase_one", flagged)
     # RATIONAL_BOX has negative right-hand sides, so phase one pivots.
-    poly = Polyhedron.from_rows(RATIONAL_BOX.rows)
+    poly = Polyhedron(RATIONAL_BOX.rows)
     first = solve(poly, [1, 1], Sense.MAX)
     assert len(built) == 1 and phase_one_pivots
     built.clear()
@@ -322,7 +327,7 @@ def test_second_solve_skips_phase_one(monkeypatch):
     assert check_bounded_nonempty(poly) == (True, True)
     assert built == [] and phase_one_pivots == []
     # An empty polyhedron keeps its finding too.
-    empty = Polyhedron.from_rows(EMPTY.rows)
+    empty = Polyhedron(EMPTY.rows)
     for objective, sense in [([1], Sense.MAX), ([0], Sense.MIN),
                              ([-1], Sense.MAX), ([1], Sense.MIN)]:
         assert solve(empty, objective, sense).status is LpStatus.INFEASIBLE
@@ -413,7 +418,7 @@ def test_solves_leave_the_phase_one_tableau_as_it_was(case):
     kept = [([row[:] for row in tab.rows], tab.d, tab.basis[:])
             for tab in tableaux]
     for objective, goal, tie in solves:
-        fresh = Polyhedron.from_rows(poly.rows)
+        fresh = Polyhedron(poly.rows)
         assert (_certified(poly, objective, goal, tie)
                 == _certified(fresh, objective, goal, tie))
     assert (start.rows, start.d, start.basis) == first
@@ -429,7 +434,7 @@ def test_free_columns_enter_only_in_phase_one(case):
     # holds, and a basic free column never leaves, so no later solve or
     # tie stage pivots a free column in.
     poly, obj, sense = case
-    poly = Polyhedron.from_rows(poly.rows)
+    poly = Polyhedron(poly.rows)
     n = poly.dim
     start = poly._phase_one_tableau
     assert sum(col < n for col in start.basis) \
@@ -507,7 +512,7 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
         assert check_duals(RATIONAL_BOX, obj)[0] is LpStatus.OPTIMAL
     # A degenerate optimal vertex: three rows are tight at (1, 1) in the
     # plane, and one of their slacks stays basic at level zero.
-    apex = Polyhedron([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]],
+    apex = polyhedron([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]],
                       [1, 1, 2, 0, 0])
     _, tab, _ = check_duals(apex, (F(1), F(1)))
     assert _point(tab) == (1, 1)
@@ -521,7 +526,7 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
     assert min(mu_s) < 0 and _point(tab) == (1, 1)
     # A repeated objective is served from the kept first stage: only the
     # tie stage runs, and the kept dual is the reference's.
-    poly = Polyhedron.from_rows(UNIT_SQUARE.rows)
+    poly = Polyhedron(UNIT_SQUARE.rows)
     check_duals(poly, (F(1), F(0)))
     kept = dict(poly._stage_one)
     runs, run = [], lp._Tableau.run
@@ -539,7 +544,7 @@ def test_dual_matches_the_reference_on_chosen_cases(monkeypatch):
 def test_stage_one_keys_on_the_scale_and_the_ints():
     # (1/2, 1) and (1, 2) scale to the same ints, but they are two
     # objectives with two optimal values.
-    poly = Polyhedron.from_rows(UNIT_SQUARE.rows)
+    poly = Polyhedron(UNIT_SQUARE.rows)
     assert solve(poly, [F(1, 2), 1]).value == F(3, 2)
     assert solve(poly, [1, 2]).value == 3
     assert sorted(poly._stage_one) == [(1, (1, 2)), (2, (1, 2))]
@@ -577,7 +582,7 @@ def test_certificate_check_rejects_altered_certificates(case):
             assert _rejected(poly, o[:i] + [o[i] + 1] + o[i + 1:], c, (w, d))
     # With row 0 repeated last, moving o_0 + 1 onto row 0 from the copy
     # keeps sum o_r ints_r whole, so only the sign is wrong.
-    twin = Polyhedron.from_rows(poly.rows + poly.rows[:1])
+    twin = Polyhedron(poly.rows + poly.rows[:1])
     lp._verify_certificate(twin, o + [0], c, (w, d))
     assert _rejected(twin, [2 * o[0] + 1] + o[1:] + [-o[0] - 1], c, (w, d))
 
@@ -638,7 +643,7 @@ def test_lex_errors():
     with pytest.raises(InfeasibleError):
         solve_lex(EMPTY, [1], Sense.MAX, [1], Sense.MAX)
     with pytest.raises(UnboundedError):
-        solve_lex(Polyhedron([[-1]], [0]), [1], Sense.MAX, [1], Sense.MAX)
+        solve_lex(polyhedron([[-1]], [0]), [1], Sense.MAX, [1], Sense.MAX)
     # The primary's optimal face of the strip is the line v1 = 1.
     with pytest.raises(UnboundedError):
         solve_lex(STRIP, [1, 0], Sense.MAX, [0, 1], Sense.MAX)
@@ -646,18 +651,18 @@ def test_lex_errors():
 
 def test_bounded_nonempty_triples():
     assert check_bounded_nonempty(UNIT_SQUARE) == (True, True)
-    assert check_bounded_nonempty(Polyhedron([[-1]], [0])) == (True, False)
+    assert check_bounded_nonempty(polyhedron([[-1]], [0])) == (True, False)
     assert check_bounded_nonempty(EMPTY) == (False, True)
 
 
 def test_boundedness_reads_only_the_integer_rows():
     # The boundedness LP maximizes minus the sum of the integer rows, as
-    # `from_rows` takes them.  The ray v >= 0 has rank A = n, so its LP
+    # `Polyhedron` takes them.  The ray v >= 0 has rank A = n, so its LP
     # decides it.
     for rows, found in [(RATIONAL_BOX.rows, (True, True)),
                         (((-1, 0),), (True, False)),
                         (EMPTY.rows, (False, True))]:
-        assert check_bounded_nonempty(Polyhedron.from_rows(rows)) == found
+        assert check_bounded_nonempty(Polyhedron(rows)) == found
 
 
 @st.composite
@@ -670,13 +675,13 @@ def nonempty_polyhedra(draw):
     rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
                                   max_size=n), min_size=1, max_size=6))
     rhs = [dot(row, anchor) + draw(_rationals(0, 2)) for row in rows]
-    return Polyhedron(rows, rhs)
+    return polyhedron(rows, rhs)
 
 
 @given(nonempty_polyhedra())
-@example(Polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+@example(polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
                     [1, 1, 1, 1, 1]))
-@example(Polyhedron([[1, 1], [-1, -1]], [1, 1]))
+@example(polyhedron([[1, 1], [-1, -1]], [1, 1]))
 @settings(max_examples=120, deadline=None)
 def test_boundedness_matches_coordinate_probes(poly):
     # A nonempty polyhedron is bounded exactly when no coordinate is
@@ -701,14 +706,14 @@ def boxes_with_cuts(draw):
     for _ in range(draw(st.integers(0, 3))):
         rows.append([draw(_rationals(-3, 3)) for _ in range(n)])
         rhs.append(draw(_rationals(-6, 3)))
-    return Polyhedron(rows, rhs)
+    return polyhedron(rows, rhs)
 
 
 # Phase one ends with its auxiliary column basic: on the segment v1 = 1
 # of the unit square at level zero, so the auxiliary pivots out; on the
 # square cut by v1 + v2 <= -1 at a positive level, so the set is empty.
-AUX_AT_ZERO = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, -1, 0])
-AUX_POSITIVE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
+AUX_AT_ZERO = polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, -1, 0])
+AUX_POSITIVE = polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
                           [1, 1, 0, 0, -1])
 
 
@@ -723,10 +728,10 @@ def test_emptiness_matches_the_brute_vertices(poly):
     except ValueError:
         nonempty = False
     assert is_nonempty(poly) is nonempty
-    fresh = Polyhedron.from_rows(poly.rows)
+    fresh = Polyhedron(poly.rows)
     infeasible = solve(fresh, [0] * poly.dim).status is LpStatus.INFEASIBLE
     assert infeasible is not nonempty
-    fresh = Polyhedron.from_rows(poly.rows)
+    fresh = Polyhedron(poly.rows)
     assert check_bounded_nonempty(fresh) == (nonempty, True)
 
 
@@ -741,27 +746,27 @@ def test_phase_one_ends_with_the_auxiliary_at_either_level(monkeypatch):
         return status
 
     monkeypatch.setattr(lp._Tableau, "run", recorded)
-    assert is_nonempty(Polyhedron.from_rows(AUX_AT_ZERO.rows))
+    assert is_nonempty(Polyhedron(AUX_AT_ZERO.rows))
     assert levels == [0]
     levels.clear()
-    assert not is_nonempty(Polyhedron.from_rows(AUX_POSITIVE.rows))
+    assert not is_nonempty(Polyhedron(AUX_POSITIVE.rows))
     assert len(levels) == 1 and levels[0] > 0
 
 
 def test_determinism():
     # Repeated solves, on the same polyhedron or a fresh copy, give the
     # same point and the same certificates.
-    poly = Polyhedron([[1, 1], [1, -1], [-1, 0], [0, -1], [1, 0]],
+    poly = polyhedron([[1, 1], [1, -1], [-1, 0], [0, -1], [1, 0]],
                       [2, 1, 0, 0, 1])
     first = _certified(poly, [1, 0], Sense.MAX)
     for _ in range(3):
-        for target in (poly, Polyhedron.from_rows(poly.rows)):
+        for target in (poly, Polyhedron(poly.rows)):
             assert _certified(target, [1, 0], Sense.MAX) == first
 
 
 def test_negative_rhs_phase_one():
     # Takes the auxiliary column: x >= 2 within [0, 5].
-    poly = Polyhedron([[1], [-1]], [5, -2])
+    poly = polyhedron([[1], [-1]], [5, -2])
     out = solve(poly, [-1], Sense.MAX)
     assert out.value == -2 and out.point == (F(2),)
     verify_max_certificate(poly, (F(-1),), out)
@@ -769,7 +774,7 @@ def test_negative_rhs_phase_one():
 
 def test_redundant_equality_rows():
     # x = 1 stated twice; the dependent row must not break the dual.
-    poly = Polyhedron([[1], [-1], [1], [-1]], [1, -1, 1, -1])
+    poly = polyhedron([[1], [-1], [1], [-1]], [1, -1, 1, -1])
     out = solve(poly, [1], Sense.MAX)
     assert out.value == 1
     verify_max_certificate(poly, (F(1),), out)

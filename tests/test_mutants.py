@@ -16,9 +16,9 @@ from rbo.bilevel import (
     solve_robust,
 )
 from rbo.cli import main
-from rbo.lp import LpInternalError, LpStatus, Polyhedron, is_nonempty
+from rbo.lp import LpInternalError, LpStatus, is_nonempty
 from rbo.uncertainty import Interval
-from helpers import int_rows
+from helpers import int_rows, polyhedron
 
 
 def segment():
@@ -37,7 +37,7 @@ def test_phase_one_that_ends_unbounded_is_refused(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "run",
                         lambda self, cost, allowed: LpStatus.UNBOUNDED)
     with pytest.raises(LpInternalError) as err:
-        is_nonempty(Polyhedron([[1], [-1]], [2, -1]))
+        is_nonempty(polyhedron([[1], [-1]], [2, -1]))
     assert str(err.value) == "phase one cannot be unbounded"
 
 
@@ -50,7 +50,7 @@ def test_phase_one_point_outside_the_polyhedron_is_refused(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "point", moved)
     with pytest.raises(LpInternalError) as err:
-        is_nonempty(Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]],
+        is_nonempty(polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]],
                                [1, 1, 0, 0]))
     assert str(err.value) == "phase one ended outside the polyhedron"
 

@@ -17,7 +17,7 @@ from rbo.numeric import (
     rat_parse_scaled,
 )
 from rbo.oracle import solve_square
-from helpers import solve, span_basis
+from helpers import polyhedron, solve, span_basis
 
 # The test_gauss_* tests check the oracle's square solve, plain
 # Gauss-Jordan on Fractions that shares no code with the integer
@@ -384,6 +384,6 @@ def test_tableau_and_elimination_share_one_step(monkeypatch):
                                                        [F(1, 5), F(3, 5)])
     assert calls == [(0, 0), (1, 1)]
     calls.clear()
-    poly = lp.Polyhedron([[1, 0], [0, 1], [-1, -1]], [1, 1, 0])
+    poly = polyhedron([[1, 0], [0, 1], [-1, -1]], [1, 1, 0])
     assert solve(poly, [1, 1]).value == 2
     assert calls

@@ -17,6 +17,7 @@ from rbo.compiler import (box_to_simplex, compile_qsat_optimistic,
                           compile_qsat_pessimistic, full_family)
 from rbo.lp import Polyhedron, is_nonempty
 from rbo.uncertainty import CapExceededError
+from helpers import polyhedron
 from test_bilevel import POINT_Y
 from test_lp import _rationals, small_polytopes
 
@@ -170,7 +171,7 @@ def test_point_y_refusals_match_the_reference(monkeypatch):
         CapExceededError, "projection grew to 19 rows (cap 18)")
     check_projection(poly, columns)
     monkeypatch.undo()
-    empty = Polyhedron.from_rows(
+    empty = Polyhedron(
         [row[:-1] + (0, row[-1]) for row in poly.rows]
         + [(0,) * poly.dim + (1, -1), (0,) * poly.dim + (-1, 0)])
     columns = [col + (0,) for col in columns]
@@ -192,7 +193,7 @@ def test_an_equality_pair_found_after_a_step(monkeypatch):
         return cheapest(rows, remaining, equal)
 
     monkeypatch.setattr(geometry, "_cheapest", spy)
-    poly = Polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+    poly = polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
     check_projection(poly, [[-1, 1], [-1, -1]])
     assert seen == [
         {(-1, 0, -1, 1), (1, 0, 1, -1), (0, -1, -1, -1), (0, 1, 1, 1)},

@@ -51,13 +51,15 @@ def _fraction_calls(tree):
     return calls
 
 
-def test_lp_builds_fractions_only_for_the_lex_value():
-    # The LP kernel pivots and certifies in ints, and a polyhedron is its
-    # integer rows; a Fraction is built only for the value that
-    # `solve_lex_lp` hands its callers.
-    path = Path(rbo.__file__).parent / "lp.py"
-    calls = _fraction_calls(ast.parse(path.read_text()))
-    assert set(calls) <= {"solve_lex_lp"}
+def test_lp_builds_no_fraction():
+    # The LP kernel pivots and certifies in ints, a polyhedron is its
+    # integer rows, and every solve returns its point in ints: rbo.lp
+    # builds no Fraction and imports neither it nor `as_matrix`.
+    tree = ast.parse((Path(rbo.__file__).parent / "lp.py").read_text())
+    assert not _fraction_calls(tree)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"Fraction", "as_matrix"})
 
 
 def test_uncertainty_builds_fractions_only_for_scenarios():

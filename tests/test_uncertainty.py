@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbo.geometry import enumerate_vertices
-from rbo.lp import Polyhedron
+from rbo.lp import Polyhedron, is_nonempty
 from rbo.numeric import dot
 from rbo.uncertainty import (
     KINDS,
@@ -17,6 +17,7 @@ from rbo.uncertainty import (
     Interval,
     ProductFinite,
 )
+from helpers import polyhedron
 
 
 def vec(*values):
@@ -80,10 +81,10 @@ def fraction_directions(unc) -> Polyhedron:
             unit = tuple([F(j == i) for j in range(k)])
             rows += [unit, tuple([-v for v in unit])]
             rhs += [hi, -lo]
-        return Polyhedron(rows, rhs)
+        return polyhedron(rows, rhs)
     k = len(unc.points)
     rows = [tuple([F(-(j == i)) for j in range(k)]) for i in range(k)]
-    return Polyhedron(rows + [(F(1),) * k, (F(-1),) * k],
+    return polyhedron(rows + [(F(1),) * k, (F(-1),) * k],
                       [F(0)] * k + [F(1), F(-1)])
 
 
@@ -120,7 +121,7 @@ LAMBDA_EXAMPLES = (Interval(vec(-1, F(2, 3), 0), vec(F(1, 2), F(2, 3), 1)),
 @example(LAMBDA_EXAMPLES[1], [5, -1, 0, 0, 0], 3)
 @settings(max_examples=100, deadline=None)
 def test_shadow_is_written_in_ints(unc, w, d):
-    # D's integer rows are those Polyhedron(rows, rhs) writes from its
+    # D's integer rows are those polyhedron(rows, rhs) writes from its
     # rational rows, and a scenario L·s read off L's integer rows over
     # their one denominator λ is the Fraction one.
     shadow = unc.shadow()
@@ -129,3 +130,49 @@ def test_shadow_is_written_in_ints(unc, w, d):
     assert shadow.scenario(w, d) == tuple(
         [dot(w, row) / d for row in zip(*shadow.columns)])
     assert all(s.shadow().int_rows[0] > 1 for s in LAMBDA_EXAMPLES)
+
+
+def reference_hull_contains(hull, c) -> bool:
+    """Hull membership from rational rows: D's rows, then for each
+    coordinate i the rows ±(the points' coordinates i | c_i)."""
+    directions = hull.shadow().directions.rows
+    rows, rhs = [r[:-1] for r in directions], [r[-1] for r in directions]
+    for scores, ci in zip(zip(*hull.points), c):
+        rows += [scores, tuple([-v for v in scores])]
+        rhs += [ci, -ci]
+    return is_nonempty(polyhedron(rows, rhs))
+
+
+@st.composite
+def hulls_with_members(draw):
+    """A hull of 1-4 fractional points in 1-3 dimensions, some drawn as a
+    multiple of the sum of two others, so linearly dependent; a convex
+    combination of its points with new denominators; and a shift that
+    moves it off the hull, or not."""
+    n = draw(st.integers(1, 3))
+    point = st.lists(fractional, min_size=n, max_size=n)
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    if len(points) < 4 and draw(st.booleans()):
+        factor = draw(st.sampled_from([F(-1), F(1, 2), F(2)]))
+        points.append([factor * (a + b)
+                       for a, b in zip(points[0], points[-1])])
+    weights = draw(st.lists(st.integers(0, 7), min_size=len(points),
+                            max_size=len(points)).filter(any))
+    member = tuple([sum(F(w, sum(weights)) * p[i]
+                        for w, p in zip(weights, points)) for i in range(n)])
+    shift = draw(st.lists(fractional, min_size=n, max_size=n))
+    return ConvexHull(points), member, shift
+
+
+@given(hulls_with_members())
+@example((ConvexHull((vec(F(1, 2), F(1, 3)), vec(1, F(2, 3)),
+                      vec(F(-1, 2), F(-1, 3)))),
+          vec(F(3, 4), F(1, 2)), [F(0), F(1, 5)]))
+@settings(max_examples=100, deadline=None)
+def test_hull_membership_in_ints_matches_the_rational_rows(case):
+    # The hull's feasibility rows in ints, s·R_i·θ = λ·k_i, decide as the
+    # rational rows did: its members are in, a member moved may not be.
+    hull, member, shift = case
+    assert hull.contains(member) and reference_hull_contains(hull, member)
+    moved = tuple([a + b for a, b in zip(member, shift)])
+    assert hull.contains(moved) is reference_hull_contains(hull, moved)
